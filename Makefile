@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz bench-wire bench-durability model-check
+.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz bench-wire bench-durability model-check results-check bench-check
 
 all: build test
 
@@ -16,12 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own ten analyzers
-# (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
+# vet runs the standard toolchain vet plus the repo's own eleven
+# analyzers (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
 # discipline, fsync ordering, durability error flow, piggyback
 # completeness, the checkpoint state machine, goroutine field ownership
-# (loopowned), goroutine termination (quitpath) and hot-path allocation
-# freedom (allocfree). See DESIGN.md §10-11 and §15. The second
+# (loopowned), goroutine termination (quitpath), hot-path allocation
+# freedom (allocfree) and the protocol-model cross-check (protomodel).
+# See DESIGN.md §10-11 and §15-16. The second
 # ocsmlvet pass adds the soak build tag so tag-gated code (the
 # long-running transport soak harness) is analyzed too.
 vet: ocsmlvet-bin
@@ -133,3 +134,21 @@ bench-durability:
 	$(GO) test -run 'TestGroupCommit|TestCrashPointMatrix|TestIncrementalChain' -count=1 -v ./internal/fsstore/
 	$(GO) test -run NONE -bench 'BenchmarkD(1|2)' ./
 	$(GO) run ./cmd/experiments -quick -id D1,D2 -json .
+
+# results-check is the DES regression gate: the checked-in results/*.csv
+# are a pure function of the simulator (fixed seeds, virtual time), so a
+# refactor of the engine or the shared process host must regenerate
+# every E1-E11 / A1-A4 table byte for byte (~11 s).
+RESULTS_IDS = E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11,A1,A2,A3,A4
+
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -id $(RESULTS_IDS) -csv "$$tmp" >/dev/null && \
+	diff -r "$$tmp" results && echo "results/*.csv reproduce byte-identical"
+
+# bench-check builds, vets and short-tests the nested benchmark module
+# (bench/_src, its own go.mod): tier-1 `go ./...` never compiles it, so
+# without this a change to internal/transport, wire or fsstore that
+# breaks the benchmark would only surface in the benchmark run.
+bench-check:
+	cd bench/_src && $(GO) vet ./... && $(GO) test -short ./...

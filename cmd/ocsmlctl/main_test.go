@@ -35,8 +35,7 @@ func startCluster(t *testing.T) string {
 			Think:    2 * des.Duration(time.Millisecond),
 			MsgBytes: 128,
 		},
-		WriteBandwidth: 64 << 20,
-		Timeout:        time.Minute,
+		Timeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,6 @@ func main() {
 		n         = flag.Int("n", 4, "cluster size (spawn-all)")
 		id        = flag.Int("id", -1, "this process's id (daemon mode)")
 		peers     = flag.String("peers", "", "comma-separated host:port list, one per process; entry -id is bound locally")
-		proto     = flag.String("proto", "ocsml", "protocol (the network runtime hosts ocsml)")
 		datadir   = flag.String("datadir", "", "directory for file-backed stable storage (enables restart)")
 		resume    = flag.Int("resume", -1, "restart from this finalized checkpoint seq (daemon mode; needs -datadir)")
 		recoverF  = flag.Bool("recover", false, "coordinate a wire-level recovery round with the surviving peers before resuming (daemon mode; needs -datadir; overrides -resume)")
@@ -74,7 +73,6 @@ func main() {
 		msgBytes  = flag.Int64("msg", 2<<10, "application message payload bytes")
 		interval  = flag.Duration("interval", 500*time.Millisecond, "checkpoint period (real time)")
 		timeout   = flag.Duration("timeout", 150*time.Millisecond, "convergence timeout (real time)")
-		bw        = flag.Int64("bw", 64<<20, "modeled stable-storage bandwidth, bytes/sec (0 = no modeled delay)")
 		runFor    = flag.Duration("run-for", 60*time.Second, "overall deadline")
 		drain     = flag.Duration("drain", 750*time.Millisecond, "settle time after the workload completes")
 		reliableF = flag.Bool("reliable", true, "ack/retransmit middleware (covers frames lost to reconnects)")
@@ -87,9 +85,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *proto != "ocsml" {
-		fatalf("the network runtime hosts the ocsml protocol (got %q); baselines run under cmd/ckptsim", *proto)
-	}
 	pat, ok := patterns[*pattern]
 	if !ok {
 		fatalf("unknown pattern %q", *pattern)
@@ -104,10 +99,10 @@ func main() {
 		return
 	}
 	if *spawnAll {
-		runCluster(*n, *seed, *datadir, opt, wl, *bw, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+		runCluster(*n, *seed, *datadir, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
 		return
 	}
-	runDaemon(*id, *peers, *datadir, *resume, *recoverF, *seed, opt, wl, *bw, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+	runDaemon(*id, *peers, *datadir, *resume, *recoverF, *seed, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
 }
 
 // runChaos is -chaos: one seeded fault-injection round against a live
@@ -149,13 +144,13 @@ func runChaos(n int, seed int64, datadir string, faultFor time.Duration, jsonOut
 // runCluster is -spawn-all: the whole cluster in one OS process, nodes
 // talking over real localhost TCP.
 func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload.Config,
-	bw int64, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
+	rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
 	gcEvery, groupWin time.Duration) {
 	fsOpts := fsstore.DefaultOptions()
 	fsOpts.GroupWindow = groupWin
 	c, err := transport.NewCluster(transport.ClusterConfig{
 		N: n, Seed: seed, Datadir: datadir, Opt: opt, Reliable: rel,
-		Workload: wl, WriteBandwidth: bw, Timeout: runFor, Drain: drain,
+		Workload: wl, Timeout: runFor, Drain: drain,
 		FSOptions: fsOpts, GCInterval: gcEvery,
 	})
 	if err != nil {
@@ -223,7 +218,7 @@ func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload
 // runDaemon hosts one process of a cluster whose other members are
 // separate ocsmld invocations (possibly on other machines).
 func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, seed int64, opt core.Options,
-	wl workload.Config, bw int64, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
+	wl workload.Config, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
 	gcEvery, groupWin time.Duration) {
 	if peerList == "" {
 		fatalf("daemon mode needs -peers (or use -spawn-all)")
@@ -330,7 +325,7 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 		Seed: seed, Epoch: epoch, Resume: resume, ResumeRec: resumeRec,
 		Proto: pr, App: workload.Factory(wl)(id, n),
 		Rec: rec, Ckpts: ckpts, Count: count, Metrics: reg,
-		FS: fs, WriteBandwidth: bw,
+		FS: fs,
 		OnDone: func(int) {
 			select {
 			case doneCh <- struct{}{}:

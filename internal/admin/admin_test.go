@@ -38,8 +38,7 @@ func testCluster(t *testing.T, datadir string) (*transport.Cluster, *Server) {
 			Think:    2 * des.Duration(time.Millisecond),
 			MsgBytes: 256,
 		},
-		WriteBandwidth: 64 << 20,
-		Timeout:        time.Minute,
+		Timeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

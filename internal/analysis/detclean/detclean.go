@@ -19,7 +19,7 @@
 //     //ocsml:unordered <why>, asserting the loop body is
 //     order-insensitive (e.g. it fills a set that is sorted afterwards).
 //
-// Everywhere else (transport, live, cmd/...), real time is legitimate
+// Everywhere else (transport, cmd/...), real time is legitimate
 // but must be declared: time.Now and time.Since require a
 // //ocsml:wallclock <why> directive on the call line or the line above,
 // and the package-global rand functions require the same. This keeps
@@ -44,6 +44,7 @@ import (
 var DeterministicSuffixes = []string{
 	"internal/des",
 	"internal/engine",
+	"internal/host",
 	"internal/netsim",
 	"internal/model",
 	"internal/faultnet",

@@ -1,5 +1,5 @@
 // Package lockdiscipline implements the locking-convention analyzer.
-// The transport, fsstore, live and metrics packages share one
+// The transport, fsstore and metrics packages share one
 // convention, previously enforced only by review:
 //
 //   - a function whose name ends in "Locked" (or whose doc comment

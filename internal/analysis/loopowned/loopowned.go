@@ -6,15 +6,17 @@
 // may be read or written only by code proven to run on the named
 // goroutine — the owning event-loop method itself, or a closure posted
 // to it. The runtime's concurrency model is event loops serializing all
-// state access through an inbox of closures (transport.Node.post,
-// live.node.post); this analyzer turns that convention into a checked
-// invariant, the class of bug behind the Cluster.makespan race and the
-// live.Send retransmit-vs-delivery race.
+// state access through an inbox of closures (transport.Node.post); this
+// analyzer turns that convention into a checked invariant, the class of
+// bug behind the Cluster.makespan race and a retransmit-vs-delivery
+// race.
 //
 // The owner names a function in the same package: a method of the
 // field's struct ("loop", "storageLoop") or a method of another type
 // ("Cluster.Run" for the DES, whose node state is serialized by the
-// simulation driver rather than a spawned goroutine).
+// simulation driver rather than a spawned goroutine; "Driver.After" for
+// the shared process host, whose state is owned by whichever loop its
+// driver runs After callbacks on).
 //
 // Every executable body (declaration or function literal) is assigned a
 // goroutine context by fixpoint over vetkit's attribution layer:

@@ -4,9 +4,11 @@
 //
 // One Cluster hosts N processes. Each process is a Node pairing a
 // protocol.App (the computation) with a protocol.Protocol (the
-// checkpointing algorithm); the Node implements both protocol.Env and
-// protocol.AppCtx, so protocol and application act on the world only
-// through it. All callbacks run single-threaded inside the simulator.
+// checkpointing algorithm) on the shared process host (internal/host),
+// which implements protocol.Env and protocol.AppCtx, so protocol and
+// application act on the world only through it; the Node is the host's
+// simulated driver. All callbacks run single-threaded inside the
+// simulator.
 package engine
 
 import (
@@ -14,6 +16,7 @@ import (
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
+	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/netsim"
 	"ocsml/internal/protocol"
@@ -152,9 +155,13 @@ func New(cfg Config, pf ProtoFactory, af AppFactory) *Cluster {
 	}, c.deliver)
 	c.nodes = make([]*Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		c.nodes[i] = &Node{c: c, id: i}
-		c.nodes[i].proto = pf(i, cfg.N)
-		c.nodes[i].app = af(i, cfg.N)
+		n := &Node{c: c, proto: pf(i, cfg.N)}
+		n.h = host.New(host.Process{
+			ID: i, N: cfg.N, Proto: n.proto, App: af(i, cfg.N),
+			Rand: sim.Rand(), Rec: c.Rec, Ckpts: c.Ckpts.Proc(i),
+			Count: c.count, Metrics: c.Metrics,
+		}, n)
+		c.nodes[i] = n
 	}
 	c.protoName = c.nodes[0].proto.Name()
 	if cfg.MaxTime > 0 {
@@ -163,23 +170,18 @@ func New(cfg Config, pf ProtoFactory, af AppFactory) *Cluster {
 	return c
 }
 
-// Node returns process i's node (used by the recovery tooling and tests).
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
-
 // Run executes the simulation to completion and returns the result.
 func (c *Cluster) Run() *Result {
 	for _, n := range c.nodes {
-		n.proto.Start(n)
+		n.h.StartProtocol()
 	}
 	for _, n := range c.nodes {
-		n.app.Start(appCtx{n})
+		n.h.StartApp()
 	}
 	c.Sim.Run()
 	for _, n := range c.nodes {
-		if n.stall > 0 {
-			// Account stall time still open at end of run.
-			n.stalledTotal += c.Sim.Now() - n.stallStart
-			n.stall = 0
+		if n.h.IsStalled() {
+			n.Stalled(false) // account stall time still open at end of run
 		}
 		c.stalledSeconds.Observe(n.stalledTotal.Seconds())
 	}
@@ -198,14 +200,7 @@ func (c *Cluster) deliver(e *protocol.Envelope) {
 		c.count("recovery.stale_dropped", 1)
 		return
 	}
-	n := c.nodes[e.Dst]
-	if e.Kind == protocol.KindCtl {
-		c.Rec.Record(trace.Event{
-			T: c.Sim.Now(), Kind: trace.KCtlRecv, Proc: e.Dst, Peer: e.Src,
-			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-		})
-	}
-	n.proto.OnDeliver(e)
+	c.nodes[e.Dst].h.Deliver(e)
 }
 
 // appDone is called once per node when its workload quota completes.
@@ -222,18 +217,6 @@ func (c *Cluster) appDone() {
 }
 
 func (c *Cluster) count(name string, delta int64) { c.events(name, delta) }
-
-// after schedules fn on the simulator's event queue. Every callback
-// fires inside Sim.Run, on the goroutine executing Cluster.Run; the
-// assertion below carries that fact across the event queue, which the
-// ownership analyzer's callgraph cannot see through. Engine code must
-// schedule closures via this wrapper (or Cluster.Sim with an explicit
-// exemption) so their field accesses stay proven.
-//
-//ocsml:looppost Cluster.Run
-func (c *Cluster) after(d des.Duration, fn func()) *des.Timer {
-	return c.Sim.After(d, fn)
-}
 
 // storeFor returns process i's stable-storage server.
 func (c *Cluster) storeFor(i int) *storage.Server {

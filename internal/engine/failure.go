@@ -28,7 +28,7 @@ type FailurePlan struct {
 
 // InjectFailure schedules a crash before Run. The hosted protocol must
 // implement protocol.Rewinder and the application protocol.RewindableApp;
-// the engine panics at recovery time otherwise. Multiple failures may be
+// the host panics at recovery time otherwise. Multiple failures may be
 // injected as long as their crash/recovery windows do not overlap
 // (each At must lie after the previous failure's recovery).
 func (c *Cluster) InjectFailure(plan FailurePlan) {
@@ -60,8 +60,7 @@ func (c *Cluster) InjectFailure(plan FailurePlan) {
 //
 //ocsml:loopcontext Cluster.Run
 func (c *Cluster) failProcess(proc int) {
-	n := c.nodes[proc]
-	n.failed = true
+	c.nodes[proc].h.Crash()
 	c.Net.SetDown(proc, true)
 	c.Rec.Record(trace.Event{T: c.Sim.Now(), Kind: trace.KFail, Proc: proc, Peer: -1, Seq: -1})
 	c.count("recovery.failures", 1)
@@ -122,28 +121,14 @@ func (c *Cluster) recoverAll() {
 			c.count("recovery.ckpts_discarded", int64(removed))
 		}
 
-		n.failed = false
 		c.Net.SetDown(p, false)
-		n.epoch = c.epoch
-		n.stall = 0
-		n.deferred = nil
-		n.appDone = false
-
-		// Restore the state at the cut point: CT state plus the logged
-		// message replay (CFEFold == FoldLog(Fold, Log), a validated
-		// invariant); the work and progress counters were snapshotted at
-		// CFE.
-		n.fold = rec.CFEFold
-		n.work = rec.CFEWork
 		n.lineCFE = rec.FinalizedAt
 		n.restoreAt = now
-
-		rew, ok := n.proto.(protocol.Rewinder)
-		if !ok {
-			panic(fmt.Sprintf("engine: protocol %q does not support rollback", n.proto.Name()))
-		}
-		rew.Rollback(seq)
-		c.Rec.Record(trace.Event{T: now, Kind: trace.KRestore, Proc: p, Peer: -1, Seq: seq})
+		// Restore the state at the cut point — CT state plus the logged
+		// message replay, verified against the fold recorded at CFE — and
+		// rewind the protocol. The application restarts below, once the
+		// channel contents are back.
+		n.h.Rollback(seq, c.epoch, &rec)
 	}
 
 	// Reconstruct the channel state: every message logged as Sent whose
@@ -174,13 +159,8 @@ func (c *Cluster) recoverAll() {
 
 	// Resume the applications from the progress recorded at the cut.
 	for p := 0; p < c.cfg.N; p++ {
-		n := c.nodes[p]
 		rec, _ := c.Ckpts.Proc(p).Get(seq)
-		ra, ok := n.app.(protocol.RewindableApp)
-		if !ok {
-			panic(fmt.Sprintf("engine: application on P%d does not support rollback", p))
-		}
-		ra.Restore(appCtx{n}, rec.CFEProgress)
+		c.nodes[p].h.RestartApp(rec.CFEProgress)
 	}
 	c.count("recovery.recoveries", 1)
 }

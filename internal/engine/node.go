@@ -1,336 +1,113 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
-
-	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
-	"ocsml/internal/metrics"
+	"ocsml/internal/host"
 	"ocsml/internal/protocol"
 	"ocsml/internal/storage"
-	"ocsml/internal/trace"
 )
 
-// Node is one simulated process: the meeting point of application,
-// protocol, network and storage. It implements protocol.Env (the
-// protocol's view) and protocol.AppCtx (the application's view).
+// Node is one simulated process: the shared process host (protocol.Env
+// and protocol.AppCtx, see internal/host) driven by the discrete-event
+// simulator. The Node itself is the host's Driver — virtual clock,
+// simulated network and storage server — plus what only the simulation
+// measures or models: stall time, send-to-process latency, and the
+// receiver-side dedup that stands in for channel reconstruction after a
+// rollback.
 //
 // The engine is a single-threaded discrete-event simulation: every
-// protocol and application callback fires inside Sim.Run, on the
-// goroutine executing Cluster.Run. The type-wide assertion below
-// carries that fact to the ownership analyzer, which cannot see
-// through the interface dispatch from protocol/app code back into
-// these methods.
+// callback fires inside Sim.Run, on the goroutine executing
+// Cluster.Run. The type-wide assertion below is the engine's side of
+// the host's ownership contract: the host calls the Driver methods
+// through an interface the ownership analyzer cannot follow.
 //
 //ocsml:loopcontext Cluster.Run
 type Node struct {
+	h     *host.Host
 	c     *Cluster
-	id    int
 	proto protocol.Protocol
-	app   protocol.App
 
-	// Application state: a deterministic fold over processed events plus
-	// a work counter. This is what checkpoints capture.
-	fold    uint64 //ocsml:loopowned Cluster.Run
-	work    int64  //ocsml:loopowned Cluster.Run
-	appSeq  int64  //ocsml:loopowned Cluster.Run
-	appDone bool   //ocsml:loopowned Cluster.Run
-
-	// Stall handling: while stall > 0 the application makes no progress;
-	// its deliveries and timer callbacks queue in deferred.
-	stall        int          //ocsml:loopowned Cluster.Run
 	stallStart   des.Time     //ocsml:loopowned Cluster.Run
 	stalledTotal des.Duration //ocsml:loopowned Cluster.Run
-	deferred     []func()     //ocsml:loopowned Cluster.Run
 
-	// Failure/recovery state (only used when a failure is injected):
-	// epoch is bumped at rollback and invalidates timers; processed maps
-	// envelope id → processing time for receiver-side dedup; lineCFE is
-	// the recovery-line cut time after a restore; restoreAt is when this
-	// node was last restored (0 = never).
-	failed    bool               //ocsml:loopowned Cluster.Run
-	epoch     int                //ocsml:loopowned Cluster.Run
+	// Recovery dedup (only used when a failure is injected): processed
+	// maps envelope id → processing time; lineCFE is the recovery-line
+	// cut time after a restore; restoreAt is when this node was last
+	// restored (0 = never).
 	processed map[int64]des.Time //ocsml:loopowned Cluster.Run
 	lineCFE   des.Time           //ocsml:loopowned Cluster.Run
 	restoreAt des.Time           //ocsml:loopowned Cluster.Run
 }
 
-// appCtx is the application's view of a Node. It shadows Env.Send with
-// the application-level Send signature; everything else promotes from the
-// embedded Node.
-type appCtx struct{ *Node }
+var _ host.Driver = (*Node)(nil)
 
-// Send implements protocol.AppCtx.
-func (a appCtx) Send(dst int, m protocol.AppMsg) { a.sendApp(dst, m) }
-
-var (
-	_ protocol.Env    = (*Node)(nil)
-	_ protocol.AppCtx = appCtx{}
-)
-
-// ---- shared identity ----
-
-// ID implements protocol.Env and protocol.AppCtx.
-func (n *Node) ID() int { return n.id }
-
-// N implements protocol.Env and protocol.AppCtx.
-func (n *Node) N() int { return n.c.cfg.N }
-
-// Now implements protocol.Env and protocol.AppCtx.
+// Now implements host.Driver: virtual time.
 func (n *Node) Now() des.Time { return n.c.Sim.Now() }
 
-// Rand implements protocol.Env and protocol.AppCtx.
-func (n *Node) Rand() *rand.Rand { return n.c.Sim.Rand() }
+// NextID implements host.Driver.
+func (n *Node) NextID() int64 { return n.c.Net.AllocID() }
 
-// Fold returns the node's current deterministic state fold (tests and
-// recovery validation).
-func (n *Node) Fold() uint64 { return n.fold }
+// Transmit implements host.Driver.
+func (n *Node) Transmit(e *protocol.Envelope) { n.c.Net.Send(e) }
 
-// Work returns the node's completed work units.
-func (n *Node) Work() int64 { return n.work }
+// After implements host.Driver: the simulator's event queue, whose
+// callbacks all fire inside Sim.Run on the goroutine of Cluster.Run.
+func (n *Node) After(d des.Duration, fn func()) *des.Timer { return n.c.Sim.After(d, fn) }
 
-// ---- protocol.Env ----
-
-// Send implements protocol.Env. Control envelopes are traced and counted;
-// application envelopes were already traced in sendApp.
-func (n *Node) Send(e *protocol.Envelope) {
-	e.Src = n.id
-	e.Epoch = n.c.epoch
-	if e.Kind == protocol.KindCtl {
-		if e.ID == 0 {
-			e.ID = n.c.Net.AllocID()
-		}
-		n.c.count("ctl."+e.CtlTag, 1)
-		n.c.Rec.Record(trace.Event{
-			T: n.Now(), Kind: trace.KCtlSend, Proc: n.id, Peer: e.Dst,
-			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-		})
-	}
-	n.c.Net.Send(e)
-}
-
-// Broadcast implements protocol.Env.
-func (n *Node) Broadcast(e *protocol.Envelope) {
-	for dst := 0; dst < n.c.cfg.N; dst++ {
-		if dst == n.id {
-			continue
-		}
-		cp := *e
-		cp.ID = 0
-		cp.Dst = dst
-		n.Send(&cp)
-	}
-}
-
-// SetTimer implements protocol.Env. Timers die with the epoch that set
-// them: a rollback invalidates everything scheduled before it.
-func (n *Node) SetTimer(d des.Duration, kind, gen int) *des.Timer {
-	ep := n.epoch
-	return n.c.after(d, func() {
-		if n.epoch != ep || n.failed {
-			return
-		}
-		n.proto.OnTimer(kind, gen)
-	})
-}
-
-// WriteStable implements protocol.Env.
+// WriteStable implements host.Driver.
 func (n *Node) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
-	n.c.storeFor(n.id).Enqueue(n.id, tag, bytes, func(w storage.Write) {
+	id := n.h.ID()
+	n.c.storeFor(id).Enqueue(id, tag, bytes, func(w storage.Write) {
 		if done != nil {
 			done(w.Start, w.End)
 		}
 	})
 }
 
-// WriteStableBlocking implements protocol.Env.
-func (n *Node) WriteStableBlocking(tag string, bytes int64, done func(start, end des.Time)) {
-	n.StallApp()
-	n.c.storeFor(n.id).Enqueue(n.id, tag, bytes, func(w storage.Write) {
-		n.ResumeApp()
-		if done != nil {
-			done(w.Start, w.End)
-		}
-	})
-}
+// StorageQueueLen implements host.Driver.
+func (n *Node) StorageQueueLen() int { return n.c.storeFor(n.h.ID()).QueueLen() }
 
-// StorageQueueLen implements protocol.Env.
-func (n *Node) StorageQueueLen() int { return n.c.storeFor(n.id).QueueLen() }
+// Image implements host.Driver: the modelled state size and copy cost.
+func (n *Node) Image() (int64, des.Duration) { return n.c.cfg.StateBytes, n.c.cfg.CopyCost }
 
-// StallApp implements protocol.Env.
-func (n *Node) StallApp() {
-	if n.stall == 0 {
-		n.stallStart = n.Now()
-	}
-	n.stall++
-}
-
-// ResumeApp implements protocol.Env.
-func (n *Node) ResumeApp() {
-	if n.stall == 0 {
-		panic(fmt.Sprintf("engine: ResumeApp without StallApp on P%d", n.id))
-	}
-	n.stall--
-	if n.stall == 0 {
-		n.stalledTotal += n.Now() - n.stallStart
-		// Drain deferred application actions in arrival order. A
-		// deferred action may stall again; stop draining if so.
-		for len(n.deferred) > 0 && n.stall == 0 {
-			fn := n.deferred[0]
-			n.deferred = n.deferred[1:]
-			fn()
-		}
+// AppSent implements host.Driver.
+func (n *Node) AppSent(e *protocol.Envelope) {
+	n.c.appMsgs.Inc()
+	if pig := e.Bytes - e.App.Bytes; pig > 0 {
+		n.c.piggyBytes.Add(pig)
 	}
 }
 
-// StallAppFor implements protocol.Env.
-func (n *Node) StallAppFor(d des.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.StallApp()
-	ep := n.epoch
-	n.c.after(d, func() {
-		if n.epoch != ep {
-			return // the stall was wiped by a rollback
-		}
-		n.ResumeApp()
-	})
-}
-
-// Snapshot implements protocol.Env. Taking a snapshot stalls the
-// application for the configured copy cost (the price of recording the
-// process image in memory).
-func (n *Node) Snapshot() protocol.Snapshot {
-	n.StallAppFor(n.c.cfg.CopyCost)
-	return n.Peek()
-}
-
-// Peek implements protocol.Env: a zero-cost state read.
-func (n *Node) Peek() protocol.Snapshot {
-	s := protocol.Snapshot{Bytes: n.c.cfg.StateBytes, Fold: n.fold, Work: n.work}
-	if ra, ok := n.app.(protocol.RewindableApp); ok {
-		s.Progress = ra.Progress()
-	}
-	return s
-}
-
-// DeliverApp implements protocol.Env: hand an application envelope to the
-// application, deferring if the app is stalled.
-func (n *Node) DeliverApp(e *protocol.Envelope, pre, then func()) {
-	if e.Kind != protocol.KindApp {
-		panic("engine: DeliverApp on control envelope")
-	}
-	if n.stall > 0 {
-		n.deferred = append(n.deferred, func() { n.processApp(e, pre, then) })
-		return
-	}
-	n.processApp(e, pre, then)
-}
-
-func (n *Node) processApp(e *protocol.Envelope, pre, then func()) {
+// Admit implements host.Driver: recovery dedup, then the latency sample.
+func (n *Node) Admit(e *protocol.Envelope) bool {
 	if n.processed != nil {
-		// Recovery dedup: drop the message if it is already reflected in
-		// the restored state (processed at or before the recovery line)
-		// or was already re-processed since the restore. Messages
-		// processed between the line and the failure were rolled back,
-		// so re-processing them once is correct.
+		// Drop the message if it is already reflected in the restored
+		// state (processed at or before the recovery line) or was already
+		// re-processed since the restore. Messages processed between the
+		// line and the failure were rolled back, so re-processing them
+		// once is correct.
 		if t, ok := n.processed[e.ID]; ok && n.restoreAt > 0 &&
 			(t <= n.lineCFE || t >= n.restoreAt) {
 			n.c.count("recovery.dup_dropped", 1)
-			return
+			return false
 		}
 		n.processed[e.ID] = n.Now()
 	}
 	n.c.appLatency.Observe((n.Now() - e.SentAt).Seconds())
-	n.c.Rec.Record(trace.Event{
-		T: n.Now(), Kind: trace.KRecv, Proc: n.id, Peer: e.Src, MsgID: e.ID, Seq: -1,
-	})
-	n.fold = checkpoint.FoldEvent(n.fold, checkpoint.Received, e.Src, e.Dst, e.App.Tag, e.App.Seq)
-	if pre != nil {
-		pre()
-	}
-	n.app.OnMessage(appCtx{n}, e.Src, e.App)
-	if then != nil {
-		then()
+	return true
+}
+
+// Stalled implements host.Driver: per-process stall-time accounting.
+func (n *Node) Stalled(on bool) {
+	if on {
+		n.stallStart = n.Now()
+	} else {
+		n.stalledTotal += n.Now() - n.stallStart
 	}
 }
 
-// Checkpoints implements protocol.Env.
-func (n *Node) Checkpoints() *checkpoint.ProcStore { return n.c.Ckpts.Proc(n.id) }
-
-// Note implements protocol.Env.
-func (n *Node) Note(kind trace.Kind, seq int) {
-	n.c.Rec.Record(trace.Event{T: n.Now(), Kind: kind, Proc: n.id, Peer: -1, Seq: seq})
-}
-
-// Count implements protocol.Env.
-func (n *Node) Count(name string, delta int64) { n.c.count(name, delta) }
-
-// Metrics implements protocol.Env.
-func (n *Node) Metrics() *metrics.Registry { return n.c.Metrics }
-
-// Draining implements protocol.Env.
+// Draining implements host.Driver.
 func (n *Node) Draining() bool { return n.c.draining }
 
-// ---- protocol.AppCtx (via appCtx) ----
-
-// sendApp emits an application message: the engine assigns identity and
-// content tag, folds the send event into the state, traces it, lets the
-// protocol piggyback (and possibly log) it, then transmits.
-func (n *Node) sendApp(dst int, m protocol.AppMsg) {
-	if dst == n.id || dst < 0 || dst >= n.c.cfg.N {
-		panic(fmt.Sprintf("engine: P%d sending to invalid destination %d", n.id, dst))
-	}
-	n.appSeq++
-	m.Seq = n.appSeq
-	if m.Tag == 0 {
-		m.Tag = n.Rand().Uint64() | 1
-	}
-	e := &protocol.Envelope{
-		ID: n.c.Net.AllocID(), Src: n.id, Dst: dst,
-		Kind: protocol.KindApp, Bytes: m.Bytes, App: m,
-		Epoch: n.c.epoch,
-	}
-	n.fold = checkpoint.FoldEvent(n.fold, checkpoint.Sent, n.id, dst, m.Tag, m.Seq)
-	n.c.appMsgs.Inc()
-	n.c.Rec.Record(trace.Event{
-		T: n.Now(), Kind: trace.KSend, Proc: n.id, Peer: dst, MsgID: e.ID, Seq: -1,
-	})
-	n.proto.OnAppSend(e)
-	if pig := e.Bytes - m.Bytes; pig > 0 {
-		n.c.piggyBytes.Add(pig)
-	}
-	n.c.Net.Send(e)
-}
-
-// After implements protocol.AppCtx. The callback is deferred while the
-// application is stalled — this is how blocking checkpoints inflate the
-// makespan. Like protocol timers, application callbacks die with their
-// epoch on rollback.
-func (n *Node) After(d des.Duration, fn func()) *des.Timer {
-	ep := n.epoch
-	return n.c.after(d, func() {
-		if n.epoch != ep || n.failed {
-			return
-		}
-		if n.stall > 0 {
-			n.deferred = append(n.deferred, fn)
-			return
-		}
-		fn()
-	})
-}
-
-// DoWork implements protocol.AppCtx.
-func (n *Node) DoWork(units int64) { n.work += units }
-
-// Done implements protocol.AppCtx.
-func (n *Node) Done() {
-	if n.appDone {
-		return
-	}
-	n.appDone = true
-	n.c.appDone()
-}
+// AppDone implements host.Driver.
+func (n *Node) AppDone() { n.c.appDone() }

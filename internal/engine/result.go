@@ -83,9 +83,9 @@ func (c *Cluster) result() *Result {
 		Net:            c.Net,
 	}
 	for _, n := range c.nodes {
-		r.TotalWork += n.work
-		r.Folds = append(r.Folds, n.fold)
-		r.Works = append(r.Works, n.work)
+		r.TotalWork += n.h.Work()
+		r.Folds = append(r.Folds, n.h.Fold())
+		r.Works = append(r.Works, n.h.Work())
 	}
 	return r
 }

@@ -8,7 +8,6 @@ package fsstore
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,34 +17,6 @@ import (
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/metrics"
 )
-
-// writeLegacyRecord fabricates a pre-segmented-log per-seq record pair
-// (state json + log jsonl) directly on disk.
-func writeLegacyRecord(t *testing.T, datadir string, r checkpoint.Record) {
-	t.Helper()
-	dir := ProcDir(datadir, r.Proc)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	st := stateOf(r)
-	data, err := json.Marshal(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("ckpt_%06d.json", r.Seq)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, m := range r.Log {
-		if err := enc.Encode(&m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("log_%06d.jsonl", r.Seq)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestGroupCommitAmortizesFsyncs is the acceptance gate of the engine:
 // at batch depth >= 8 the fsyncs-per-finalize ratio must drop below
@@ -177,20 +148,30 @@ func TestManifestRollbackOnFailedCommit(t *testing.T) {
 func TestLoadLogMismatchMessage(t *testing.T) {
 	dir := t.TempDir()
 	r := rec(0, 1, 3)
-	writeLegacyRecord(t, dir, r)
-	writeManifest(t, dir, 0, 2, []int{1})
+	// A well-formed frame whose log lost a line: the state still claims 3.
+	st := stateOf(r)
+	payload, err := json.Marshal(&segRecord{Seq: 1, Kind: segFull, State: &st, Log: r.Log[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := appendFrame(segmentHeader(0, 1), payload)
+	pdir := ProcDir(dir, 0)
+	if err := os.MkdirAll(pdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(SegmentFile(pdir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := json.Marshal(&Manifest{Proc: 0, N: 2, Seqs: []int{1},
+		Segments: []SegmentMeta{{Index: 1, Size: int64(len(seg))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(pdir, "MANIFEST.json"), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := Open(dir, 0, 2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop one log line: the state file still claims 3 entries.
-	logPath := filepath.Join(s.Dir(), "log_000001.jsonl")
-	raw, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	if err := os.WriteFile(logPath, bytes.Join(lines[:2], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = s.Load(1)
@@ -205,42 +186,44 @@ func TestLoadLogMismatchMessage(t *testing.T) {
 	}
 }
 
-// TestLegacyStoreUpgrades: a datadir written by the pre-segment engine
-// (per-seq files + plain manifest) opens, loads, and accepts new
-// finalizes into segments, with legacy records still readable and a
-// new delta legally chaining onto a legacy base after GC compaction.
-func TestLegacyStoreUpgrades(t *testing.T) {
+// TestManifestedSeqInNoSegment: a manifest naming a seq no segment
+// holds (the shape a pre-segment per-seq datadir had) is never served.
+// Open refuses the manifest and rebuilds it from the bytes that verify,
+// and Load of the missing seq is an error, not an empty record.
+func TestManifestedSeqInNoSegment(t *testing.T) {
 	dir := t.TempDir()
-	for seq := 1; seq <= 3; seq++ {
-		writeLegacyRecord(t, dir, rec(0, seq, 2))
-	}
-	writeManifest(t, dir, 0, 2, []int{1, 2, 3})
 	s, err := Open(dir, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := 1; seq <= 3; seq++ {
-		got, err := s.Load(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, rec(0, seq, 2)) {
-			t.Fatalf("legacy seq %d round-trip mismatch", seq)
-		}
-	}
-	for seq := 4; seq <= 6; seq++ {
-		if err := s.Finalize(rec(0, seq, 1)); err != nil {
+	for seq := 1; seq <= 2; seq++ {
+		if err := s.Finalize(rec(0, seq, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2, err := Open(dir, 0, 2)
+	man := s.Manifest()
+	man.Seqs = append(man.Seqs, 3)
+	data, err := json.Marshal(&man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := 1; seq <= 6; seq++ {
-		if _, err := s2.Load(seq); err != nil {
-			t.Fatalf("mixed-format load seq %d: %v", seq, err)
-		}
+	if err := os.WriteFile(filepath.Join(s.Dir(), "MANIFEST.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, 0, 2)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := s2.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("manifest seqs after reopen = %v, want [1 2] (seq 3 is in no segment)", got)
+	}
+	if _, err := s2.Load(3); err == nil || !strings.Contains(err.Error(), "in no segment") {
+		t.Fatalf("Load(3) err = %v, want an in-no-segment error", err)
+	}
+	// The refusal itself: the tampered manifest fails verification.
+	s2.man.Seqs = append(s2.man.Seqs, 3)
+	if err := s2.loadSegments(); err == nil || !strings.Contains(err.Error(), "in no segment") {
+		t.Fatalf("loadSegments on a manifest naming seq 3 = %v, want an in-no-segment error", err)
 	}
 }
 

@@ -8,8 +8,6 @@
 //	<datadir>/p<id>/seg_000001.wal     segmented append-only checkpoint log
 //	<datadir>/p<id>/MANIFEST.json      finalized seqs + durable segment sizes
 //	<datadir>/p<id>/tent.json          scratch early-flush of CT (volatile)
-//	<datadir>/p<id>/ckpt_000007.json   legacy per-seq state (read-only compat)
-//	<datadir>/p<id>/log_000007.jsonl   legacy per-seq log (read-only compat)
 //
 // Durability is a pipelined group commit: queued finalizations are
 // encoded into CRC-framed records — a full state snapshot every
@@ -30,7 +28,6 @@
 package fsstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,7 +76,6 @@ type Manifest struct {
 	Seqs []int `json:"seqs"`
 	// Segments lists the segmented log's files and their durable byte
 	// lengths, ascending by index; the last entry is the active segment.
-	// Empty for a legacy (per-seq files only) store.
 	Segments []SegmentMeta `json:"segments,omitempty"`
 }
 
@@ -145,8 +141,7 @@ type Store struct {
 	opts Options
 	//ocsml:guardedby mu
 	man Manifest
-	// index locates every manifested checkpoint in the segmented log;
-	// seqs absent here are read through the legacy per-seq files.
+	// index locates every manifested checkpoint in the segmented log.
 	//ocsml:guardedby mu
 	index map[int]recLoc
 	// queue holds finalizations accepted but not yet committed; a drain
@@ -375,12 +370,8 @@ func (s *Store) loadSegments() error {
 		}
 	}
 	for _, q := range s.man.Seqs { //ocsml:nolock Open-time load, as above
-		if _, ok := index[q]; ok {
-			continue
-		}
-		// Not in any segment: must be readable as a legacy per-seq pair.
-		if _, err := os.Stat(s.ckptPath(q)); err != nil {
-			return fmt.Errorf("fsstore: manifested seq %d in neither segments nor legacy files", q)
+		if _, ok := index[q]; !ok {
+			return fmt.Errorf("fsstore: manifested seq %d is in no segment", q)
 		}
 	}
 	s.index = index //ocsml:nolock Open-time load, as above
@@ -414,8 +405,7 @@ func truncateTail(path string, size int64) error {
 
 // rebuildManifest reconstructs the manifest from the bytes on disk: the
 // segments are scanned tolerantly (stopping each at its first torn
-// frame), legacy per-seq files are verified as before, and a sequence
-// number is recovered only if its record — including a delta's whole
+// frame), and a sequence number is recovered only if its record — including a delta's whole
 // base chain — replays from durable bytes. The durability protocol
 // commits bytes before the manifest, so every previously manifested
 // checkpoint verifies; a checkpoint whose manifest commit was
@@ -433,11 +423,6 @@ func (s *Store) rebuildManifest() error {
 	for _, e := range entries {
 		if idx, ok := parseSegmentName(e.Name()); ok {
 			segIdxs = append(segIdxs, idx)
-			continue
-		}
-		var seq int
-		if _, err := fmt.Sscanf(e.Name(), "ckpt_%06d.json", &seq); err == nil {
-			candidates[seq] = true
 		}
 	}
 	sort.Ints(segIdxs)
@@ -499,14 +484,6 @@ func (s *Store) LastSeq() int {
 	return s.man.LastSeq()
 }
 
-func (s *Store) ckptPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("ckpt_%06d.json", seq))
-}
-
-func (s *Store) logPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("log_%06d.jsonl", seq))
-}
-
 // writeAtomic writes data to path via a temp file + fsync + rename, then
 // fsyncs the directory so the rename itself is durable.
 func (s *Store) writeAtomic(path string, data []byte) error {
@@ -556,8 +533,7 @@ func (s *Store) syncDir() error {
 }
 
 // ckptState is the on-disk checkpoint state: the Record minus its log,
-// which travels in the same segment frame (or, legacy, in the sibling
-// jsonl file).
+// which travels in the same segment frame.
 type ckptState struct {
 	checkpoint.Tentative
 	FinalizedAt int64  `json:"finalizedAt"`
@@ -915,7 +891,7 @@ func (s *Store) Load(seq int) (checkpoint.Record, error) {
 func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 	loc, ok := s.index[seq]
 	if !ok {
-		return s.loadLegacy(seq)
+		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d seq %d is in no segment", s.proc, seq)
 	}
 	sr, err := s.readSegRecord(loc)
 	if err != nil {
@@ -937,8 +913,8 @@ func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 }
 
 // resolveStateLocked reconstructs a segment record's full state,
-// walking a delta's base chain back to the nearest full snapshot (or a
-// legacy per-seq state file) and replaying the deltas forward.
+// walking a delta's base chain back to the nearest full snapshot and
+// replaying the deltas forward.
 func (s *Store) resolveStateLocked(sr *segRecord) (ckptState, error) {
 	if sr.Kind == segFull {
 		if sr.State == nil {
@@ -956,13 +932,7 @@ func (s *Store) resolveStateLocked(sr *segRecord) (ckptState, error) {
 	for {
 		bloc, ok := s.index[base]
 		if !ok {
-			// The chain bottoms out in a legacy per-seq record.
-			lrec, err := s.loadLegacy(base)
-			if err != nil {
-				return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: delta chain base %d: %w", s.proc, sr.Seq, base, err)
-			}
-			st = stateOf(lrec)
-			break
+			return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: delta chain base %d is in no segment", s.proc, sr.Seq, base)
 		}
 		bsr, err := s.readSegRecord(bloc)
 		if err != nil {
@@ -987,51 +957,12 @@ func (s *Store) resolveStateLocked(sr *segRecord) (ckptState, error) {
 	return st, nil
 }
 
-// loadLegacy reads one finalized checkpoint from the legacy per-seq
-// file pair (state json + log jsonl) — the format stores wrote before
-// the segmented log.
-func (s *Store) loadLegacy(seq int) (checkpoint.Record, error) {
-	var rec checkpoint.Record
-	raw, err := os.ReadFile(s.ckptPath(seq))
-	if err != nil {
-		return rec, err
-	}
-	var st ckptState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return rec, fmt.Errorf("fsstore: corrupt checkpoint P%d seq %d: %w", s.proc, seq, err)
-	}
-	lraw, err := os.ReadFile(s.logPath(seq))
-	if err != nil {
-		if os.IsNotExist(err) && st.LogEntries == 0 {
-			return recordOf(st, nil), nil
-		}
-		return rec, err
-	}
-	var log []checkpoint.LoggedMsg
-	dec := json.NewDecoder(bytes.NewReader(lraw))
-	for dec.More() {
-		var m checkpoint.LoggedMsg
-		if err := dec.Decode(&m); err != nil {
-			return rec, fmt.Errorf("fsstore: corrupt log P%d seq %d: %w", s.proc, seq, err)
-		}
-		log = append(log, m)
-	}
-	rec = recordOf(st, log)
-	// The count lives in the checkpoint state file, not the manifest —
-	// a mismatch means the log file was torn or tampered with.
-	if len(rec.Log) != st.LogEntries {
-		return rec, fmt.Errorf("fsstore: P%d seq %d log has %d entries, checkpoint state says %d",
-			s.proc, seq, len(rec.Log), st.LogEntries)
-	}
-	return rec, nil
-}
-
 // TruncateAfter removes finalized checkpoints with Seq > seq from the
 // manifest — a cluster-wide rollback discards checkpoints above the
 // recovery line so the restarted run can legitimately re-produce those
 // sequence numbers. Queued finalizations are flushed first; truncated
 // segment bytes stay in place (unreferenced, reclaimed by GCTo or
-// overwritten on reuse), legacy per-seq files are removed.
+// overwritten on reuse).
 func (s *Store) TruncateAfter(seq int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1049,32 +980,26 @@ func (s *Store) TruncateAfter(seq int) error {
 		return nil
 	}
 	s.man.Seqs = keep
-	// Manifest first: once it no longer references the dropped seqs, the
-	// stale bytes and files are invisible garbage even if removal is
-	// interrupted.
+	// Once the manifest no longer references the dropped seqs, their
+	// bytes are invisible garbage.
 	if err := s.writeManifestLocked(); err != nil {
 		s.man.Seqs = append(s.man.Seqs, drop...)
 		return err
 	}
 	for _, q := range drop {
 		delete(s.index, q)
-		//ocsml:errsink manifest no longer references these seqs; removal is opportunistic GC
-		os.Remove(s.ckptPath(q))
-		//ocsml:errsink manifest no longer references these seqs; removal is opportunistic GC
-		os.Remove(s.logPath(q))
 	}
 	// The next record's delta base would be a discarded state: force a
 	// full snapshot so surviving chains never cross the rollback.
 	s.haveLast = false
 	s.sinceFull = 0
-	return s.syncDir()
+	return nil
 }
 
 // GCTo garbage-collects checkpoints below the globally finalized
 // watermark wm (the last complete S_k across all manifests): records
-// with Seq < wm leave the manifest, segments no live record references
-// are unlinked, and legacy per-seq files below the watermark are
-// removed. If the watermark record is a delta it is first compacted to
+// with Seq < wm leave the manifest and segments no live record
+// references are unlinked. If the watermark record is a delta it is first compacted to
 // a full snapshot (appended like a group commit of one), so surviving
 // chains resolve without the collected records. Seqs the store never
 // had — or a watermark it does not hold — make GCTo a no-op, so callers
@@ -1099,8 +1024,7 @@ func (s *Store) GCTo(wm int) error {
 	// 1. Compaction: the watermark must stand alone. A delta watermark
 	// is re-appended as a full snapshot (crash boundary: bytes beyond
 	// the durable size are harmless until the manifest below commits).
-	loc, inSeg := s.index[wm]
-	if inSeg && loc.kind == segDelta {
+	if loc := s.index[wm]; loc.kind == segDelta {
 		rec, err := s.loadLocked(wm)
 		if err != nil {
 			return err
@@ -1181,9 +1105,9 @@ func (s *Store) GCTo(wm int) error {
 	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
 	s.man.Seqs, s.man.Segments = keep, keptSegs
 
-	// Manifest first: after it commits, the dead segments and legacy
-	// files are unreferenced garbage; a crash mid-removal leaves
-	// orphans Open's sweep deletes.
+	// Manifest first: after it commits, the dead segments are
+	// unreferenced garbage; a crash mid-removal leaves orphans Open's
+	// sweep deletes.
 	if err := s.writeManifestLocked(); err != nil {
 		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
 		return err
@@ -1191,12 +1115,6 @@ func (s *Store) GCTo(wm int) error {
 	for _, idx := range deadSegs {
 		//ocsml:errsink manifest no longer references this segment; removal is opportunistic GC
 		os.Remove(SegmentFile(s.dir, idx))
-	}
-	for _, q := range drop {
-		//ocsml:errsink manifest no longer references these seqs; removal is opportunistic GC
-		os.Remove(s.ckptPath(q))
-		//ocsml:errsink manifest no longer references these seqs; removal is opportunistic GC
-		os.Remove(s.logPath(q))
 	}
 	if m := s.metrics; m != nil {
 		m.GCRemoved.Add(int64(len(drop)))

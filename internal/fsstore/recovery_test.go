@@ -188,43 +188,6 @@ func TestTornManifestRebuild(t *testing.T) {
 	}
 }
 
-// TestTornManifestRebuildSkipsTornCheckpoint: the rebuild admits only
-// checkpoints whose bytes verify; legacy per-seq records torn by the
-// same crash are left out rather than resurrected. The store is
-// fabricated in the legacy format (per-seq state + log files, no
-// segments) — what a pre-segmented-log datadir looks like on upgrade.
-func TestTornManifestRebuildSkipsTornCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	for seq := 1; seq <= 3; seq++ {
-		writeLegacyRecord(t, dir, rec(0, seq, 2))
-	}
-	pdir := ProcDir(dir, 0)
-	if err := os.WriteFile(filepath.Join(pdir, "MANIFEST.json"), []byte(`{"proc":0,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Tear checkpoint 3's state file and checkpoint 2's log.
-	ckpt3 := filepath.Join(pdir, "ckpt_000003.json")
-	if err := os.WriteFile(ckpt3, []byte(`{"proc":0,"seq":3,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	log2 := filepath.Join(pdir, "log_000002.jsonl")
-	lraw, err := os.ReadFile(log2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(log2, lraw[:len(lraw)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir, 0, 2)
-	if err != nil {
-		t.Fatalf("reopen with torn manifest + checkpoints: %v", err)
-	}
-	if got := s2.Manifest().Seqs; !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("rebuilt manifest seqs = %v, want [1]", got)
-	}
-}
-
 // TestTornManifestNoCheckpoints: a torn manifest with nothing durable on
 // disk rebuilds to an empty manifest, not an error.
 func TestTornManifestNoCheckpoints(t *testing.T) {

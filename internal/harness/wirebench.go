@@ -29,8 +29,9 @@ func wireEnvelope(n int) *protocol.Envelope {
 
 // W1 measures the wire codec's per-message cost on the app-message hot
 // path: allocations per encode/decode and piggyback bytes per message,
-// legacy v1 against the pooled v2 delta path. Allocation counts and
-// byte counts are exact, so the table is deterministic.
+// the allocating stateless Encode against the pooled delta path (rows
+// keep their v1/v2 labels, which BENCH files key on). Allocation counts
+// and byte counts are exact, so the table is deterministic.
 func W1() Experiment {
 	return Experiment{
 		ID:    "W1",
@@ -87,7 +88,7 @@ func W1() Experiment {
 			})
 			tab.AddRow("decode-owned", F(ownedAllocs), "-")
 
-			dec := wire.NewDecoder(0)
+			dec := new(wire.Decoder)
 			viewAllocs := testing.AllocsPerRun(200, func() {
 				if _, err := dec.Decode(frame); err != nil {
 					panic(err)
@@ -143,7 +144,7 @@ func runMeshThroughput(total int) (rate, bytesPerMsg, pbPerMsg float64) {
 	}
 	var delivered atomic.Int64
 	accept := func(src int) func(frame []byte) {
-		dec := wire.NewDecoder(0)
+		dec := new(wire.Decoder)
 		return func(frame []byte) {
 			if _, err := dec.Decode(frame); err != nil {
 				panic(fmt.Sprintf("harness: wire bench decode: %v", err))

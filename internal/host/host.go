@@ -1,0 +1,467 @@
+// Package host is the one process host of this repository: the per-process
+// meeting point of application and checkpointing protocol that both the
+// discrete-event simulator (internal/engine) and the TCP runtime
+// (internal/transport) drive. A Host implements protocol.Env and
+// protocol.AppCtx and owns everything the paper's §2.1 process model makes
+// local to a process — the application state fold, the stall/deferred
+// queue, the epoch that fences timers across a rollback, and the rollback
+// step itself — so that logic exists once. What differs between the
+// runtimes (clock, envelope ids, the link, the loop, stable storage) sits
+// behind Driver.
+package host
+
+import (
+	"fmt"
+	"math/rand"
+
+	"ocsml/internal/checkpoint"
+	"ocsml/internal/des"
+	"ocsml/internal/metrics"
+	"ocsml/internal/protocol"
+	"ocsml/internal/trace"
+)
+
+// Driver is what a runtime provides to the Host it drives. Every method
+// is called on the driver's event loop, and the driver in turn calls
+// into the Host only from that loop.
+type Driver interface {
+	// Now is the runtime's clock (virtual or elapsed real time).
+	Now() des.Time
+	// NextID allocates an envelope id, unique per run.
+	NextID() int64
+	// Transmit puts a stamped envelope (Src, ID, Epoch, SentAt set) on
+	// the link to e.Dst.
+	Transmit(e *protocol.Envelope)
+	// After runs fn on the driver's loop once d has elapsed. The loop
+	// that runs these callbacks is the goroutine that owns the Host.
+	After(d des.Duration, fn func()) *des.Timer
+	// WriteStable enqueues an asynchronous stable-storage write; done
+	// (which may be nil) runs on the loop when it completes.
+	WriteStable(tag string, bytes int64, done func(start, end des.Time))
+	// StorageQueueLen reports the writes queued or in service.
+	StorageQueueLen() int
+	// Image describes the process image a checkpoint records: its size,
+	// and how long copying it into memory stalls the application.
+	Image() (bytes int64, copyCost des.Duration)
+
+	// AppSent observes a fresh application message after the protocol
+	// attached its piggyback and before it is transmitted.
+	AppSent(e *protocol.Envelope)
+	// Admit runs when an application envelope is about to be processed
+	// (after any stall) and reports whether to apply it; false drops it.
+	Admit(e *protocol.Envelope) bool
+	// Stalled observes the application entering (true) and leaving
+	// (false) the stalled state.
+	Stalled(on bool)
+	// Draining reports that the workload is complete and the run is
+	// only settling (protocol.Env.Draining).
+	Draining() bool
+	// AppDone is told, once per incarnation and rollback, that the
+	// application finished its quota.
+	AppDone()
+}
+
+// Process is the identity and the collaborators of one process.
+type Process struct {
+	ID, N int
+	Proto protocol.Protocol
+	App   protocol.App
+	// Rand is the process's deterministic random source.
+	Rand    *rand.Rand
+	Rec     *trace.Recorder
+	Ckpts   *checkpoint.ProcStore
+	Count   func(name string, delta int64)
+	Metrics *metrics.Registry
+	// Epoch is the starting epoch.
+	Epoch int
+}
+
+// Host is one process. It is single-threaded by contract: all of its
+// state is owned by the driver's loop — the goroutine on which
+// Driver.After runs its callbacks, which is the name the ownership
+// analyzer knows that goroutine by. Protocol and application reach the
+// methods below through the Env and AppCtx interfaces, a dispatch the
+// analyzer cannot follow, so the type-wide assertion states the contract
+// once; each driver asserts its own side where it calls in.
+//
+//ocsml:loopcontext Driver.After
+type Host struct {
+	p   Process
+	drv Driver
+
+	// epoch fences timers and callbacks: whatever was scheduled before
+	// a rollback never fires. down silences a crashed process until the
+	// rollback that revives it.
+	epoch int  //ocsml:loopowned Driver.After
+	down  bool //ocsml:loopowned Driver.After
+
+	// Application state: a deterministic fold over processed events plus
+	// a work counter. This is what checkpoints capture.
+	fold    uint64 //ocsml:loopowned Driver.After
+	work    int64  //ocsml:loopowned Driver.After
+	appSeq  int64  //ocsml:loopowned Driver.After
+	appDone bool   //ocsml:loopowned Driver.After
+
+	// While stall > 0 the application makes no progress; its deliveries
+	// and timer callbacks queue in deferred and replay on the loop.
+	stall int //ocsml:loopowned Driver.After
+	//ocsml:loopowned Driver.After
+	//ocsml:looppost Driver.After
+	deferred []func()
+}
+
+// appCtx is the application's view of a Host. It shadows Env.Send with
+// the application-level Send signature; everything else promotes.
+type appCtx struct{ *Host }
+
+// Send implements protocol.AppCtx.
+func (a appCtx) Send(dst int, m protocol.AppMsg) { a.sendApp(dst, m) }
+
+var (
+	_ protocol.Env    = (*Host)(nil)
+	_ protocol.AppCtx = appCtx{}
+)
+
+// New builds the host of one process; nothing runs until the driver
+// calls StartProtocol and StartApp (or RestartApp).
+func New(p Process, drv Driver) *Host {
+	return &Host{p: p, drv: drv, epoch: p.Epoch}
+}
+
+// ---- driver-facing steps ----
+
+// StartProtocol starts the protocol state machine.
+func (h *Host) StartProtocol() { h.p.Proto.Start(h) }
+
+// StartApp starts the application from its initial state.
+func (h *Host) StartApp() { h.p.App.Start(appCtx{h}) }
+
+// Deliver hands an arriving envelope, already past the driver's epoch
+// fence, to the protocol.
+func (h *Host) Deliver(e *protocol.Envelope) {
+	if e.Kind == protocol.KindCtl {
+		h.p.Rec.Record(trace.Event{
+			T: h.drv.Now(), Kind: trace.KCtlRecv, Proc: h.p.ID, Peer: e.Src,
+			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
+		})
+	}
+	h.p.Proto.OnDeliver(e)
+}
+
+// Crash marks the process failed: its timers and application callbacks
+// stay silent until Rollback revives it.
+func (h *Host) Crash() { h.down = true }
+
+// Restore sets the application state to what rec captured at its cut,
+// and verifies that state the way the paper's piecewise-deterministic
+// recovery derives it: replaying the logged messages over the tentative
+// checkpoint's fold must reproduce the fold recorded at finalization. It
+// returns how many logged messages that replay covered. When the log
+// does not reproduce the recorded state the host still resumes from the
+// recorded fold (a state the process provably held) and flags the
+// divergence rather than inventing a new history.
+func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
+	h.fold, h.work = rec.CFEFold, rec.CFEWork
+	if checkpoint.FoldLog(rec.Fold, rec.Log) != rec.CFEFold {
+		h.p.Count("recovery.replay_mismatch", 1)
+		return 0
+	}
+	h.p.Count("recovery.replayed_msgs", int64(len(rec.Log)))
+	return len(rec.Log)
+}
+
+// Rollback rewinds the process to the recovery line: the new epoch voids
+// every timer, stall and deferred action of the old one, the state is
+// restored from the line's record, and the protocol resets itself as if
+// the line's checkpoint had just been finalized. The application stays
+// parked until RestartApp, so a driver can rebuild channel contents in
+// between. Returns Restore's replay count.
+func (h *Host) Rollback(line, epoch int, rec *checkpoint.Record) (replayed int) {
+	rew, ok := h.p.Proto.(protocol.Rewinder)
+	if !ok {
+		panic(fmt.Sprintf("host: protocol %q does not support rollback", h.p.Proto.Name()))
+	}
+	h.epoch = epoch
+	h.down = false
+	h.stall = 0
+	h.deferred = nil
+	h.appDone = false
+	replayed = h.Restore(rec)
+	rew.Rollback(line)
+	h.p.Rec.Record(trace.Event{T: h.drv.Now(), Kind: trace.KRestore, Proc: h.p.ID, Peer: -1, Seq: line})
+	return replayed
+}
+
+// RestartApp resumes the application from the progress a checkpoint
+// recorded (after Rollback, or when a restarted process resumes).
+func (h *Host) RestartApp(progress int64) {
+	ra, ok := h.p.App.(protocol.RewindableApp)
+	if !ok {
+		panic(fmt.Sprintf("host: application on P%d does not support rollback", h.p.ID))
+	}
+	ra.Restore(appCtx{h}, progress)
+}
+
+// Epoch returns the current epoch.
+func (h *Host) Epoch() int { return h.epoch }
+
+// Fold returns the current deterministic state fold.
+func (h *Host) Fold() uint64 { return h.fold }
+
+// Work returns the completed work units.
+func (h *Host) Work() int64 { return h.work }
+
+// Finished reports whether the application completed its quota.
+func (h *Host) Finished() bool { return h.appDone }
+
+// IsStalled reports whether the application is stalled right now.
+func (h *Host) IsStalled() bool { return h.stall > 0 }
+
+// later schedules fn on the owning loop — Driver.After, through the one
+// wrapper that carries the ownership fact to the analyzer.
+//
+//ocsml:looppost Driver.After
+func (h *Host) later(d des.Duration, fn func()) *des.Timer { return h.drv.After(d, fn) }
+
+// ---- protocol.Env ----
+
+// ID implements protocol.Env and protocol.AppCtx.
+func (h *Host) ID() int { return h.p.ID }
+
+// N implements protocol.Env and protocol.AppCtx.
+func (h *Host) N() int { return h.p.N }
+
+// Now implements protocol.Env and protocol.AppCtx.
+func (h *Host) Now() des.Time { return h.drv.Now() }
+
+// Rand implements protocol.Env and protocol.AppCtx.
+func (h *Host) Rand() *rand.Rand { return h.p.Rand }
+
+// Send implements protocol.Env: stamp the envelope, trace and count
+// control messages (application messages were traced in sendApp), and
+// hand it to the driver's link.
+func (h *Host) Send(e *protocol.Envelope) {
+	e.Src = h.p.ID
+	if e.ID == 0 {
+		e.ID = h.drv.NextID()
+	}
+	e.Epoch = h.epoch
+	e.SentAt = h.drv.Now()
+	if e.Kind == protocol.KindCtl {
+		h.p.Count("ctl."+e.CtlTag, 1)
+		h.p.Rec.Record(trace.Event{
+			T: e.SentAt, Kind: trace.KCtlSend, Proc: h.p.ID, Peer: e.Dst,
+			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
+		})
+	}
+	h.drv.Transmit(e)
+}
+
+// Broadcast implements protocol.Env.
+func (h *Host) Broadcast(e *protocol.Envelope) {
+	for dst := 0; dst < h.p.N; dst++ {
+		if dst == h.p.ID {
+			continue
+		}
+		cp := *e
+		cp.ID = 0
+		cp.Dst = dst
+		h.Send(&cp)
+	}
+}
+
+// SetTimer implements protocol.Env. Timers die with the epoch that set
+// them: a rollback invalidates everything scheduled before it.
+func (h *Host) SetTimer(d des.Duration, kind, gen int) *des.Timer {
+	ep := h.epoch
+	return h.later(d, func() {
+		if h.epoch != ep || h.down {
+			return
+		}
+		h.p.Proto.OnTimer(kind, gen)
+	})
+}
+
+// WriteStable implements protocol.Env.
+func (h *Host) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
+	h.drv.WriteStable(tag, bytes, done)
+}
+
+// WriteStableBlocking implements protocol.Env.
+func (h *Host) WriteStableBlocking(tag string, bytes int64, done func(start, end des.Time)) {
+	h.StallApp()
+	h.drv.WriteStable(tag, bytes, func(start, end des.Time) {
+		h.ResumeApp()
+		if done != nil {
+			done(start, end)
+		}
+	})
+}
+
+// StorageQueueLen implements protocol.Env.
+func (h *Host) StorageQueueLen() int { return h.drv.StorageQueueLen() }
+
+// StallApp implements protocol.Env.
+func (h *Host) StallApp() {
+	if h.stall == 0 {
+		h.drv.Stalled(true)
+	}
+	h.stall++
+}
+
+// ResumeApp implements protocol.Env.
+func (h *Host) ResumeApp() {
+	if h.stall == 0 {
+		panic(fmt.Sprintf("host: ResumeApp without StallApp on P%d", h.p.ID))
+	}
+	h.stall--
+	if h.stall == 0 {
+		h.drv.Stalled(false)
+		// Drain deferred application actions in arrival order. A
+		// deferred action may stall again; stop draining if so.
+		for len(h.deferred) > 0 && h.stall == 0 {
+			fn := h.deferred[0]
+			h.deferred = h.deferred[1:]
+			fn()
+		}
+	}
+}
+
+// StallAppFor implements protocol.Env.
+func (h *Host) StallAppFor(d des.Duration) {
+	if d <= 0 {
+		return
+	}
+	h.StallApp()
+	ep := h.epoch
+	h.later(d, func() {
+		if h.epoch != ep {
+			return // the stall was wiped by a rollback
+		}
+		h.ResumeApp()
+	})
+}
+
+// Snapshot implements protocol.Env. Taking a snapshot stalls the
+// application for the driver's copy cost (the price of recording the
+// process image in memory).
+func (h *Host) Snapshot() protocol.Snapshot {
+	_, copyCost := h.drv.Image()
+	h.StallAppFor(copyCost)
+	return h.Peek()
+}
+
+// Peek implements protocol.Env: a zero-cost state read.
+func (h *Host) Peek() protocol.Snapshot {
+	bytes, _ := h.drv.Image()
+	s := protocol.Snapshot{Bytes: bytes, Fold: h.fold, Work: h.work}
+	if ra, ok := h.p.App.(protocol.RewindableApp); ok {
+		s.Progress = ra.Progress()
+	}
+	return s
+}
+
+// DeliverApp implements protocol.Env: hand an application envelope to the
+// application, deferring if the app is stalled.
+func (h *Host) DeliverApp(e *protocol.Envelope, pre, then func()) {
+	if e.Kind != protocol.KindApp {
+		panic("host: DeliverApp on control envelope")
+	}
+	if h.stall > 0 {
+		h.deferred = append(h.deferred, func() { h.processApp(e, pre, then) })
+		return
+	}
+	h.processApp(e, pre, then)
+}
+
+func (h *Host) processApp(e *protocol.Envelope, pre, then func()) {
+	if !h.drv.Admit(e) {
+		return
+	}
+	h.p.Rec.Record(trace.Event{
+		T: h.drv.Now(), Kind: trace.KRecv, Proc: h.p.ID, Peer: e.Src, MsgID: e.ID, Seq: -1,
+	})
+	h.fold = checkpoint.FoldEvent(h.fold, checkpoint.Received, e.Src, e.Dst, e.App.Tag, e.App.Seq)
+	if pre != nil {
+		pre()
+	}
+	h.p.App.OnMessage(appCtx{h}, e.Src, e.App)
+	if then != nil {
+		then()
+	}
+}
+
+// Checkpoints implements protocol.Env.
+func (h *Host) Checkpoints() *checkpoint.ProcStore { return h.p.Ckpts }
+
+// Note implements protocol.Env.
+func (h *Host) Note(kind trace.Kind, seq int) {
+	h.p.Rec.Record(trace.Event{T: h.drv.Now(), Kind: kind, Proc: h.p.ID, Peer: -1, Seq: seq})
+}
+
+// Count implements protocol.Env.
+func (h *Host) Count(name string, delta int64) { h.p.Count(name, delta) }
+
+// Metrics implements protocol.Env.
+func (h *Host) Metrics() *metrics.Registry { return h.p.Metrics }
+
+// Draining implements protocol.Env.
+func (h *Host) Draining() bool { return h.drv.Draining() }
+
+// ---- protocol.AppCtx (via appCtx) ----
+
+// sendApp emits an application message: the host assigns identity and
+// content tag, folds the send event into the state, traces it, lets the
+// protocol piggyback (and possibly log) it, then transmits.
+func (h *Host) sendApp(dst int, m protocol.AppMsg) {
+	if dst == h.p.ID || dst < 0 || dst >= h.p.N {
+		panic(fmt.Sprintf("host: P%d sending to invalid destination %d", h.p.ID, dst))
+	}
+	h.appSeq++
+	m.Seq = h.appSeq
+	if m.Tag == 0 {
+		m.Tag = h.p.Rand.Uint64() | 1
+	}
+	e := &protocol.Envelope{
+		ID: h.drv.NextID(), Src: h.p.ID, Dst: dst,
+		Kind: protocol.KindApp, Bytes: m.Bytes, App: m,
+		Epoch: h.epoch,
+	}
+	h.fold = checkpoint.FoldEvent(h.fold, checkpoint.Sent, h.p.ID, dst, m.Tag, m.Seq)
+	h.p.Rec.Record(trace.Event{
+		T: h.drv.Now(), Kind: trace.KSend, Proc: h.p.ID, Peer: dst, MsgID: e.ID, Seq: -1,
+	})
+	h.p.Proto.OnAppSend(e)
+	h.drv.AppSent(e)
+	h.Send(e)
+}
+
+// After implements protocol.AppCtx. The callback is deferred while the
+// application is stalled — this is how blocking checkpoints inflate the
+// makespan. Like protocol timers, application callbacks die with their
+// epoch on rollback.
+func (h *Host) After(d des.Duration, fn func()) *des.Timer {
+	ep := h.epoch
+	return h.later(d, func() {
+		if h.epoch != ep || h.down {
+			return
+		}
+		if h.stall > 0 {
+			h.deferred = append(h.deferred, fn)
+			return
+		}
+		fn()
+	})
+}
+
+// DoWork implements protocol.AppCtx.
+func (h *Host) DoWork(units int64) { h.work += units }
+
+// Done implements protocol.AppCtx.
+func (h *Host) Done() {
+	if h.appDone {
+		return
+	}
+	h.appDone = true
+	h.drv.AppDone()
+}

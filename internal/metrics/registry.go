@@ -14,7 +14,7 @@ import (
 // families with help text and label dimensions, and renders the whole
 // catalog in the Prometheus text exposition format. The transport,
 // fsstore, core and engine layers register their instruments here so the
-// DES and the live runtime share one metric namespace, and the admin
+// DES and the TCP runtime share one metric namespace, and the admin
 // control plane (internal/admin) serves it at GET /metrics.
 
 // Kind is the instrument family type.

@@ -19,7 +19,8 @@ type Snapshot struct {
 }
 
 // Env is the effect interface through which a protocol state machine acts
-// on the world. The hosting engine (discrete-event or live) implements it.
+// on the world. The shared process host (internal/host) implements it,
+// driven by the discrete-event engine or the TCP runtime.
 // All methods must be called only from within protocol callbacks.
 type Env interface {
 	// ID returns this process's identifier in [0, N).

@@ -39,7 +39,7 @@ func twoMesh(tb testing.TB, delivered *atomic.Int64) (sender, receiver *Mesh) {
 		addrs[i] = ln.Addr().String()
 	}
 	accept := func(src int) func(frame []byte) {
-		dec := wire.NewDecoder(0)
+		dec := new(wire.Decoder)
 		return func(frame []byte) {
 			if _, err := dec.Decode(frame); err != nil {
 				tb.Errorf("decode: %v", err)

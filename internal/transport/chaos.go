@@ -54,9 +54,8 @@ func DefaultChaosConfig(n int, seed int64, datadir string, faultFor time.Duratio
 				Think:    4 * des.Duration(time.Millisecond),
 				MsgBytes: 256,
 			},
-			WriteBandwidth: 64 << 20,
-			Timeout:        5 * time.Minute,
-			Drain:          500 * time.Millisecond,
+			Timeout: 5 * time.Minute,
+			Drain:   500 * time.Millisecond,
 			// Chaos runs the S_k garbage collector aggressively so the
 			// GC/recovery/crash interleavings get real coverage.
 			GCInterval: 300 * time.Millisecond,

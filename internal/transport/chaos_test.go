@@ -59,26 +59,6 @@ func TestChaosReportReproducible(t *testing.T) {
 	}
 }
 
-// TestChaosV1WireInvariants is the mixed-version smoke: a cluster
-// negotiated down to the v1 wire format (pure-v1 encoders, v1-only
-// decoders, no delta rewriting) must survive the same chaos schedule
-// with every invariant intact.
-func TestChaosV1WireInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time chaos test")
-	}
-	cfg := DefaultChaosConfig(4, 19, t.TempDir(), time.Second)
-	cfg.Converge = 25 * time.Second
-	cfg.Cluster.WireVersion = 1
-	rep, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatalf("v1-wire chaos run: %v", err)
-	}
-	if !rep.OK() {
-		t.Fatalf("invariants failed on the v1 wire format:\n%s", rep.Render())
-	}
-}
-
 // TestChaosRequiresDatadir: crash/restart without durable storage is a
 // configuration error, not a panic.
 func TestChaosRequiresDatadir(t *testing.T) {

@@ -35,8 +35,6 @@ type ClusterConfig struct {
 	Reliable bool
 	// Workload drives the synthetic application.
 	Workload workload.Config
-	// WriteBandwidth models stable-storage service time (bytes/sec).
-	WriteBandwidth int64
 	// Timeout bounds Run.
 	Timeout time.Duration
 	// Drain is how long Run keeps the cluster alive after the workload
@@ -45,10 +43,6 @@ type ClusterConfig struct {
 	// Hook, when non-nil, filters every outgoing frame of every node —
 	// the chaos runner's fault-injection point (internal/faultnet).
 	Hook SendHook
-	// WireVersion pins every node's wire format (see
-	// NodeConfig.WireVersion). Zero means wire.VersionLatest; 1 runs
-	// the whole cluster on the v1 format, the mixed-version fallback.
-	WireVersion int
 	// Metrics is the shared named-metric registry of the cluster's nodes
 	// (a fresh one when nil). The free-form counter namespace lands in
 	// its events family; Counter/Counters read from there.
@@ -178,14 +172,12 @@ func (c *Cluster) buildNode(i int, ln net.Listener, resume int, rec *checkpoint.
 		Resume: resume, ResumeRec: rec,
 		Proto: proto, App: app,
 		Rec: c.Rec, Ckpts: c.Ckpts, Count: c.count,
-		Metrics:        c.Metrics,
-		Hook:           c.cfg.Hook,
-		WireVersion:    c.cfg.WireVersion,
-		FS:             c.FS(i),
-		WriteBandwidth: c.cfg.WriteBandwidth,
-		Base:           c.base,
-		OnDone:         c.nodeDone,
-		OnRollback:     func(id, _ int) { c.clearDone(id) },
+		Metrics:    c.Metrics,
+		Hook:       c.cfg.Hook,
+		FS:         c.FS(i),
+		Base:       c.base,
+		OnDone:     c.nodeDone,
+		OnRollback: func(id, _ int) { c.clearDone(id) },
 	})
 }
 

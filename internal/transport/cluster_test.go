@@ -7,6 +7,7 @@ import (
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/core"
 	"ocsml/internal/des"
+	"ocsml/internal/faultnet"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/workload"
 )
@@ -32,9 +33,8 @@ func testClusterConfig(datadir string, seed int64) ClusterConfig {
 			Think:    4 * des.Duration(time.Millisecond),
 			MsgBytes: 256,
 		},
-		WriteBandwidth: 64 << 20,
-		Timeout:        30 * time.Second,
-		Drain:          600 * time.Millisecond,
+		Timeout: 30 * time.Second,
+		Drain:   600 * time.Millisecond,
 	}
 }
 
@@ -69,41 +69,122 @@ func validateDisk(t *testing.T, datadir string, n, wantSeq int) {
 	}
 }
 
+// TestClusterRun runs the in-process TCP cluster start to finish under
+// three regimes. Every case must complete its workload, decode every
+// frame, and close at least two global checkpoints whose cuts are all
+// consistent (Report verifies each against the trace); run under -race
+// they are the concurrency stress of the shared host on real goroutines.
 func TestClusterRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
 	}
-	dir := t.TempDir()
-	c, err := NewCluster(testClusterConfig(dir, 7))
-	if err != nil {
-		t.Fatal(err)
+	var inj *faultnet.Injector // the lossy case's fault injector
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, cfg *ClusterConfig) (activate func(c *Cluster))
+		check func(t *testing.T, c *Cluster, rep *Report)
+	}{
+		{
+			// Steady traffic onto real datadirs: rounds close by piggyback.
+			name: "steady",
+			setup: func(t *testing.T, cfg *ClusterConfig) func(*Cluster) {
+				cfg.Datadir = t.TempDir()
+				return nil
+			},
+			check: func(t *testing.T, c *Cluster, rep *Report) {
+				if rep.AppMessages == 0 || rep.PiggybackBytes == 0 {
+					t.Fatalf("wire accounting empty: app=%d piggyback=%d", rep.AppMessages, rep.PiggybackBytes)
+				}
+				if rep.PiggybackBytesPerMsg <= 0 {
+					t.Fatalf("piggyback bytes/msg = %v", rep.PiggybackBytesPerMsg)
+				}
+				if rep.FramesSent == 0 || rep.FrameBytes == 0 {
+					t.Fatalf("mesh accounting empty: frames=%d bytes=%d", rep.FramesSent, rep.FrameBytes)
+				}
+				validateDisk(t, c.cfg.Datadir, 4, 1)
+			},
+		},
+		{
+			// Almost no traffic: convergence must come from the Figure-4
+			// control messages, not from piggybacks.
+			name: "quiet",
+			setup: func(t *testing.T, cfg *ClusterConfig) func(*Cluster) {
+				cfg.Opt = core.Options{
+					Interval:    60 * des.Duration(time.Millisecond),
+					Timeout:     30 * des.Duration(time.Millisecond),
+					SuppressBGN: true,
+					SkipREQ:     true,
+				}
+				cfg.Reliable = false
+				cfg.Workload.Steps = 4
+				cfg.Workload.Think = 60 * des.Duration(time.Millisecond)
+				return nil
+			},
+			check: func(t *testing.T, c *Cluster, rep *Report) {
+				if c.Counter("ctl.CK_REQ") == 0 {
+					t.Fatal("expected CK_REQ control rounds on a quiet run")
+				}
+			},
+		},
+		{
+			// Every link drops frames: only the reliable middleware's
+			// retransmissions get the workload and the rounds through.
+			name: "lossy",
+			setup: func(t *testing.T, cfg *ClusterConfig) func(*Cluster) {
+				sched := &faultnet.Schedule{Seed: 3, N: cfg.N, Duration: time.Hour}
+				for src := 0; src < cfg.N; src++ {
+					for dst := 0; dst < cfg.N; dst++ {
+						if src != dst {
+							sched.Links = append(sched.Links, faultnet.LinkFault{
+								Src: src, Dst: dst, Window: faultnet.Window{To: time.Hour}, Drop: 0.15,
+							})
+						}
+					}
+				}
+				inj = faultnet.NewInjector(sched)
+				cfg.Hook = inj.Apply
+				return func(c *Cluster) { inj.Activate(c.base) }
+			},
+			check: func(t *testing.T, c *Cluster, rep *Report) {
+				if inj.Stats().Dropped == 0 {
+					t.Fatal("injector dropped nothing at 15%")
+				}
+				if c.Counter("reliable.retransmits") == 0 {
+					t.Fatal("reliable layer never retransmitted under loss")
+				}
+			},
+		},
 	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testClusterConfig("", 7)
+			activate := tc.setup(t, &cfg)
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if activate != nil {
+				activate(c)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Completed {
+				t.Fatal("workload did not complete")
+			}
+			if rep.GlobalCheckpoints < 2 {
+				t.Fatalf("global checkpoints = %d, want >= 2 (seqs %v)", rep.GlobalCheckpoints, rep.ConsistentSeqs)
+			}
+			if c.Counter("wire.decode_errors") != 0 {
+				t.Fatalf("decode errors: %d", c.Counter("wire.decode_errors"))
+			}
+			tc.check(t, c, rep)
+		})
 	}
-	rep, err := c.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed {
-		t.Fatal("workload did not complete")
-	}
-	if rep.GlobalCheckpoints < 2 {
-		t.Fatalf("global checkpoints = %d, want >= 2 (seqs %v)", rep.GlobalCheckpoints, rep.ConsistentSeqs)
-	}
-	if rep.AppMessages == 0 || rep.PiggybackBytes == 0 {
-		t.Fatalf("wire accounting empty: app=%d piggyback=%d", rep.AppMessages, rep.PiggybackBytes)
-	}
-	if rep.PiggybackBytesPerMsg <= 0 {
-		t.Fatalf("piggyback bytes/msg = %v", rep.PiggybackBytesPerMsg)
-	}
-	if rep.FramesSent == 0 || rep.FrameBytes == 0 {
-		t.Fatalf("mesh accounting empty: frames=%d bytes=%d", rep.FramesSent, rep.FrameBytes)
-	}
-	if c.Counter("wire.decode_errors") != 0 {
-		t.Fatalf("decode errors: %d", c.Counter("wire.decode_errors"))
-	}
-	validateDisk(t, dir, 4, 1)
 }
 
 // TestClusterKillRestart is the crash-recovery integration test: a

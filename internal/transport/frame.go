@@ -1,8 +1,9 @@
-// Package transport is the real-network runtime: it hosts the same
-// protocol state machines as internal/engine (deterministic simulator)
-// and internal/live (goroutine runtime), but delivers envelopes over
-// actual TCP connections between processes, serialized with the
-// internal/wire codec and persisted with internal/fsstore.
+// Package transport is the real-network runtime: it drives the same
+// process host (internal/host) and protocol state machines as
+// internal/engine (deterministic simulator), but on real time, with
+// envelopes delivered over actual TCP connections between processes,
+// serialized with the internal/wire codec and persisted with
+// internal/fsstore.
 //
 // Three layers:
 //

@@ -135,7 +135,7 @@ func (m *Mesh) Peers() []PeerInfo {
 // cluster can bind every address before any process starts dialing).
 // accept is invoked once per established inbound connection and returns
 // that connection's frame handler — connection scope is what gives a
-// stateful decoder (wire.NewDecoder) exactly one peer's frame stream,
+// stateful decoder (wire.Decoder) exactly one peer's frame stream,
 // reset on reconnect. The handler runs on the connection's reader
 // goroutine; it must either be fast or hand off, must not retain frame
 // (the buffer is reused for the next read), and handlers of different

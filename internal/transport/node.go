@@ -11,6 +11,7 @@ import (
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
+	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
 	"ocsml/internal/trace"
@@ -60,17 +61,6 @@ type NodeConfig struct {
 	// see internal/faultnet).
 	Hook SendHook
 
-	// WireVersion pins the wire format this node speaks: it encodes
-	// frames at that version and rejects inbound frames above it. Zero
-	// means wire.VersionLatest; 1 runs the node as a pure-v1 process in
-	// a mixed-version cluster.
-	WireVersion int
-
-	// WriteBandwidth models the stable-storage service rate in bytes
-	// per second (the real fsync cost of FS comes on top). Default: no
-	// modeled delay.
-	WriteBandwidth int64
-
 	// Base is the shared time origin: Now() = time.Since(Base). Nodes of
 	// one cluster share it so virtual timestamps are comparable; a
 	// restarted node keeps the original base so its clock stays
@@ -86,14 +76,15 @@ type NodeConfig struct {
 	OnRollback func(id, line int)
 }
 
-// Node hosts one process's protocol + application on real time, with
-// envelope delivery over the TCP mesh. All protocol and application
-// callbacks are serialized on the node's loop goroutine, exactly like
-// the live runtime.
+// Node runs one process on real time: the shared process host
+// (protocol.Env and protocol.AppCtx, see internal/host) driven by a loop
+// goroutine that serializes every protocol and application callback,
+// with envelope delivery over the TCP mesh and stable writes on a
+// storage goroutine. The Node is the host's Driver.
 type Node struct {
 	cfg  NodeConfig
+	h    *host.Host
 	mesh *Mesh
-	rng  *rand.Rand
 	// enc serializes outgoing envelopes into pooled frames; all Sends
 	// run on the loop goroutine, so its scratch state is single-owner.
 	enc wire.Encoder //ocsml:loopowned loop
@@ -110,21 +101,10 @@ type Node struct {
 	started atomic.Bool
 	closed  atomic.Bool
 
-	// Single-goroutine state, proven by the loopowned analyzer: every
-	// access runs on the named goroutine or in a closure posted to it.
-	epoch   int    //ocsml:loopowned loop
-	fold    uint64 //ocsml:loopowned loop
-	work    int64  //ocsml:loopowned loop
-	appSeq  int64  //ocsml:loopowned loop
-	appDone bool   //ocsml:loopowned loop
-	stall   int    //ocsml:loopowned loop
-	// deferred holds loop-posted work parked while the app is stalled;
-	// the stored closures replay on the loop.
-	//ocsml:loopowned loop
-	//ocsml:looppost loop
-	deferred []func()
-	// persisted is the highest seq written to FS; recLine the last
-	// committed rollback/resume line (-1: never).
+	// Single-goroutine state, proven by the loopowned analyzer (the
+	// host's own state is proven in internal/host): persisted is the
+	// highest seq written to FS; recLine the last committed
+	// rollback/resume line (-1: never).
 	persisted int //ocsml:loopowned storageLoop
 	recLine   int //ocsml:loopowned loop
 
@@ -138,9 +118,8 @@ type Node struct {
 }
 
 type storeReq struct {
-	tag   string
-	bytes int64
-	done  func(start, end des.Time)
+	tag  string
+	done func(start, end des.Time)
 	// fn, when set, is a bare operation serialized with the disk writes
 	// (rollback truncation); the other fields are ignored.
 	fn func()
@@ -154,6 +133,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Proto == nil || cfg.App == nil || cfg.Rec == nil || cfg.Ckpts == nil {
 		return nil, fmt.Errorf("transport: node needs proto, app, recorder and store")
 	}
+	if cfg.Resume >= 0 && cfg.ResumeRec == nil {
+		return nil, fmt.Errorf("transport: resume from seq %d needs its checkpoint record", cfg.Resume)
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -165,21 +147,24 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		inbox:     make(chan func(), 4096),
 		quit:      make(chan struct{}),
 		storageCh: make(chan storeReq, 1024),
-		epoch:     cfg.Epoch,
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 	}
+	n.h = host.New(host.Process{
+		ID: cfg.ID, N: cfg.N, Proto: cfg.Proto, App: cfg.App,
+		Rand: rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
+		Rec:  cfg.Rec, Ckpts: cfg.Ckpts.Proc(cfg.ID),
+		Count: cfg.Count, Metrics: cfg.Metrics, Epoch: cfg.Epoch,
+	}, n)
 	// Envelope IDs must be unique across OS processes AND across the
 	// incarnations of one process: a restarted node's counter starts at
 	// zero again, so without the epoch in the ID a post-restart envelope
 	// would alias a pre-crash one and confuse trace pairing and dedup.
 	// Bits 40+: node, 32-39: starting epoch, 0-31: counter.
 	n.idBase = (int64(cfg.ID)+1)<<40 | int64(cfg.Epoch&0xff)<<32
-	n.enc.Version = cfg.WireVersion //ocsml:loopexempt constructor runs before Start spawns the loop
 	mesh, err := NewMesh(MeshConfig{
 		ID: cfg.ID, Addrs: cfg.Addrs, Seed: cfg.Seed, Hook: cfg.Hook,
 		Count: cfg.Count,
@@ -189,12 +174,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.mesh = mesh
 	n.registerMetrics()
-	if cfg.Resume >= 0 && cfg.ResumeRec != nil {
-		// Genuine log replay, not a shortcut to the recorded result: fold
-		// the durable message log over the restored tentative state and
-		// verify it reproduces the fold recorded at finalization.
-		n.fold = n.replayFold(cfg.ResumeRec) //ocsml:loopexempt constructor runs before Start spawns the loop
-		n.work = cfg.ResumeRec.CFEWork       //ocsml:loopexempt constructor runs before Start spawns the loop
+	if cfg.Resume >= 0 {
+		n.mReplayed.Add(int64(n.h.Restore(cfg.ResumeRec)))
 	}
 	return n, nil
 }
@@ -248,18 +229,12 @@ func (n *Node) Start() {
 	go n.storageLoop()
 	// Protocol start is queued before the mesh begins accepting, so no
 	// delivery can reach OnDeliver ahead of Start.
-	n.post(func() { n.cfg.Proto.Start(n) })
+	n.post(n.h.StartProtocol)
 	if n.cfg.Resume >= 0 {
-		rec := n.cfg.ResumeRec
-		n.post(func() {
-			ra, ok := n.cfg.App.(protocol.RewindableApp)
-			if !ok {
-				panic(fmt.Sprintf("transport: P%d application cannot resume", n.cfg.ID))
-			}
-			ra.Restore(nodeAppCtx{n}, rec.CFEProgress)
-		})
+		progress := n.cfg.ResumeRec.CFEProgress
+		n.post(func() { n.h.RestartApp(progress) })
 	} else {
-		n.post(func() { n.cfg.App.Start(nodeAppCtx{n}) })
+		n.post(n.h.StartApp)
 	}
 	n.mesh.Start()
 }
@@ -324,11 +299,11 @@ func (n *Node) post(fn func()) {
 }
 
 // acceptConn builds one inbound connection's frame handler around a
-// private stateful decoder: v2 delta frames decode against exactly that
+// private stateful decoder: delta frames decode against exactly that
 // connection's frame stream, and a reconnect gets a fresh decoder just
 // as the sender's PeerEncoder resets its delta base.
 func (n *Node) acceptConn(src int) func(frame []byte) {
-	dec := wire.NewDecoder(n.cfg.WireVersion)
+	dec := new(wire.Decoder)
 	return func(frame []byte) { n.onFrame(dec, frame) }
 }
 
@@ -355,24 +330,19 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 			n.handleRecovery(e)
 			return
 		}
-		if e.Epoch < n.epoch {
+		if e.Epoch < n.h.Epoch() {
 			n.staleDropped.Add(1)
 			n.cfg.Count("wire.stale_dropped", 1)
 			return
 		}
-		if e.Kind == protocol.KindCtl {
-			n.cfg.Rec.Record(trace.Event{
-				T: n.Now(), Kind: trace.KCtlRecv, Proc: n.cfg.ID, Peer: e.Src,
-				MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-			})
-		}
-		n.cfg.Proto.OnDeliver(e)
+		n.h.Deliver(e)
 	})
 }
 
 // storageLoop serializes this process's stable-storage writes: the
-// modeled service time (bytes / WriteBandwidth), plus the genuine disk
-// persistence of finalized checkpoints when FS is configured.
+// genuine disk persistence of finalized checkpoints when FS is
+// configured (fsstore's write+fsync is the service time), an immediate
+// completion otherwise.
 func (n *Node) storageLoop() {
 	defer n.wg.Done()
 	for {
@@ -385,19 +355,6 @@ func (n *Node) storageLoop() {
 				continue
 			}
 			start := n.Now()
-			if bw := n.cfg.WriteBandwidth; bw > 0 {
-				d := time.Duration(float64(req.bytes) / float64(bw) * float64(time.Second))
-				if d > 0 {
-					select {
-					case <-time.After(d):
-					case <-n.quit:
-						// The write is abandoned mid-service: release its
-						// queue slot so StorageQueueLen stays balanced.
-						n.storageQ.Add(-1)
-						return
-					}
-				}
-			}
 			if n.cfg.FS != nil && req.tag != "ct" {
 				// Finalization flush ("log" / "ct+log"): persist every
 				// finalized-but-unpersisted record with a real fsync.
@@ -450,44 +407,26 @@ func (n *Node) persistFinalized() {
 	}
 }
 
-var _ protocol.Env = (*Node)(nil)
+var _ host.Driver = (*Node)(nil)
 
-// ---- protocol.Env ----
+// ---- host.Driver ----
 
-// ID implements protocol.Env.
-func (n *Node) ID() int { return n.cfg.ID }
-
-// N implements protocol.Env.
-func (n *Node) N() int { return n.cfg.N }
-
-// Now implements protocol.Env: real time since the shared base.
+// Now implements host.Driver: real time since the shared base.
 //
 //ocsml:wallclock the real-network runtime's virtual clock IS elapsed real time
 func (n *Node) Now() des.Time { return des.Time(time.Since(n.cfg.Base)) }
 
-// Rand implements protocol.Env.
-func (n *Node) Rand() *rand.Rand { return n.rng }
+// NextID implements host.Driver (see idBase for the bit layout).
+func (n *Node) NextID() int64 { return n.idBase | n.idCtr.Add(1) }
 
-// Send implements protocol.Env: stamp, encode with the wire codec, and
+// Transmit implements host.Driver: encode with the wire codec and
 // enqueue the frame at the peer's mesh queue. The real encoded size —
-// not the simulator's synthetic Bytes estimate — is what travels.
-// Protocols call it through the Env interface from loop callbacks.
+// not the simulator's synthetic Bytes estimate — is what travels. This
+// is the node's side of the host's ownership contract: the host calls
+// it through the Driver interface, from loop callbacks only.
 //
 //ocsml:loopcontext loop
-func (n *Node) Send(e *protocol.Envelope) {
-	e.Src = n.cfg.ID
-	if e.ID == 0 {
-		e.ID = n.idBase | n.idCtr.Add(1)
-	}
-	e.Epoch = n.epoch
-	e.SentAt = n.Now()
-	if e.Kind == protocol.KindCtl {
-		n.cfg.Count("ctl."+e.CtlTag, 1)
-		n.cfg.Rec.Record(trace.Event{
-			T: e.SentAt, Kind: trace.KCtlSend, Proc: n.cfg.ID, Peer: e.Dst,
-			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-		})
-	}
+func (n *Node) Transmit(e *protocol.Envelope) {
 	f := wire.AcquireFrame()
 	if err := n.enc.EncodeFrame(f, e); err != nil {
 		f.Release()
@@ -502,41 +441,18 @@ func (n *Node) Send(e *protocol.Envelope) {
 	n.mesh.Send(e.Dst, f)
 }
 
-// Broadcast implements protocol.Env.
-func (n *Node) Broadcast(e *protocol.Envelope) {
-	for dst := 0; dst < n.cfg.N; dst++ {
-		if dst == n.cfg.ID {
-			continue
-		}
-		cp := *e
-		cp.ID = 0
-		cp.Dst = dst
-		n.Send(&cp)
-	}
-}
-
-// SetTimer implements protocol.Env. Timers from a pre-rollback epoch
-// are dropped at fire time — the equivalent of the simulator's timer
-// invalidation at recovery.
-//
-//ocsml:loopcontext loop
-func (n *Node) SetTimer(d des.Duration, kind, gen int) *des.Timer {
-	epoch := n.epoch
-	time.AfterFunc(time.Duration(d), func() {
-		n.post(func() {
-			if n.epoch == epoch {
-				n.cfg.Proto.OnTimer(kind, gen)
-			}
-		})
-	})
+// After implements host.Driver. The host fences the callback by epoch,
+// so a timer from before a rollback is dropped at fire time.
+func (n *Node) After(d des.Duration, fn func()) *des.Timer {
+	time.AfterFunc(time.Duration(d), func() { n.post(fn) })
 	return nil
 }
 
-// WriteStable implements protocol.Env.
-func (n *Node) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
+// WriteStable implements host.Driver.
+func (n *Node) WriteStable(tag string, _ int64, done func(start, end des.Time)) {
 	n.storageQ.Add(1)
 	select {
-	case n.storageCh <- storeReq{tag: tag, bytes: bytes, done: done}:
+	case n.storageCh <- storeReq{tag: tag, done: done}:
 	case <-n.quit:
 		// Never enqueued: undo the increment, or StorageQueueLen (read by
 		// the protocol's EarlyFlush heuristic) would drift upward on every
@@ -545,184 +461,29 @@ func (n *Node) WriteStable(tag string, bytes int64, done func(start, end des.Tim
 	}
 }
 
-// WriteStableBlocking implements protocol.Env.
-func (n *Node) WriteStableBlocking(tag string, bytes int64, done func(start, end des.Time)) {
-	n.StallApp()
-	n.WriteStable(tag, bytes, func(start, end des.Time) {
-		n.ResumeApp()
-		if done != nil {
-			done(start, end)
-		}
-	})
-}
-
-// StorageQueueLen implements protocol.Env (this process's local disk).
+// StorageQueueLen implements host.Driver (this process's local disk).
 func (n *Node) StorageQueueLen() int { return int(n.storageQ.Load()) }
 
-// StallApp implements protocol.Env.
-//
-//ocsml:loopcontext loop
-func (n *Node) StallApp() { n.stall++ }
+// Image implements host.Driver: a nominal 1 MiB image (checkpoint
+// records carry the figure; nothing is charged for it) and no copy cost.
+func (n *Node) Image() (int64, des.Duration) { return 1 << 20, 0 }
 
-// ResumeApp implements protocol.Env.
-//
-//ocsml:loopcontext loop
-func (n *Node) ResumeApp() {
-	if n.stall == 0 {
-		panic("transport: ResumeApp without StallApp")
-	}
-	n.stall--
-	if n.stall == 0 {
-		for len(n.deferred) > 0 && n.stall == 0 {
-			fn := n.deferred[0]
-			n.deferred = n.deferred[1:]
-			fn()
-		}
-	}
-}
+// AppSent implements host.Driver.
+func (n *Node) AppSent(*protocol.Envelope) { n.cfg.Count("app_msgs", 1) }
 
-// StallAppFor implements protocol.Env.
-//
-//ocsml:loopcontext loop
-func (n *Node) StallAppFor(d des.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.StallApp()
-	epoch := n.epoch
-	time.AfterFunc(time.Duration(d), func() {
-		n.post(func() {
-			if n.epoch == epoch {
-				n.ResumeApp()
-			}
-		})
-	})
-}
+// Admit implements host.Driver: TCP connections neither duplicate nor
+// replay, so every delivered application message is processed.
+func (n *Node) Admit(*protocol.Envelope) bool { return true }
 
-// Snapshot implements protocol.Env (no copy-cost modeling here).
-func (n *Node) Snapshot() protocol.Snapshot { return n.Peek() }
+// Stalled implements host.Driver (stall time is not measured here).
+func (n *Node) Stalled(bool) {}
 
-// Peek implements protocol.Env.
-//
-//ocsml:loopcontext loop
-func (n *Node) Peek() protocol.Snapshot {
-	s := protocol.Snapshot{Bytes: 1 << 20, Fold: n.fold, Work: n.work}
-	if ra, ok := n.cfg.App.(protocol.RewindableApp); ok {
-		s.Progress = ra.Progress()
-	}
-	return s
-}
-
-// DeliverApp implements protocol.Env.
-//
-//ocsml:loopcontext loop
-func (n *Node) DeliverApp(e *protocol.Envelope, pre, then func()) {
-	if n.stall > 0 {
-		n.deferred = append(n.deferred, func() { n.processApp(e, pre, then) })
-		return
-	}
-	n.processApp(e, pre, then)
-}
-
-func (n *Node) processApp(e *protocol.Envelope, pre, then func()) {
-	n.cfg.Rec.Record(trace.Event{
-		T: n.Now(), Kind: trace.KRecv, Proc: n.cfg.ID, Peer: e.Src, MsgID: e.ID, Seq: -1,
-	})
-	n.fold = checkpoint.FoldEvent(n.fold, checkpoint.Received, e.Src, e.Dst, e.App.Tag, e.App.Seq)
-	if pre != nil {
-		pre()
-	}
-	n.cfg.App.OnMessage(nodeAppCtx{n}, e.Src, e.App)
-	if then != nil {
-		then()
-	}
-}
-
-// Checkpoints implements protocol.Env.
-func (n *Node) Checkpoints() *checkpoint.ProcStore { return n.cfg.Ckpts.Proc(n.cfg.ID) }
-
-// Note implements protocol.Env.
-func (n *Node) Note(kind trace.Kind, seq int) {
-	n.cfg.Rec.Record(trace.Event{T: n.Now(), Kind: kind, Proc: n.cfg.ID, Peer: -1, Seq: seq})
-}
-
-// Count implements protocol.Env.
-func (n *Node) Count(name string, delta int64) { n.cfg.Count(name, delta) }
-
-// Metrics implements protocol.Env.
-func (n *Node) Metrics() *metrics.Registry { return n.cfg.Metrics }
-
-// Draining implements protocol.Env: the real runtime has no drain
+// Draining implements host.Driver: the real runtime has no drain
 // phase; the cluster simply closes nodes when done.
 func (n *Node) Draining() bool { return false }
 
-// ---- protocol.AppCtx ----
-
-type nodeAppCtx struct{ *Node }
-
-// Send implements protocol.AppCtx: the application calls it from
-// OnMessage/Start callbacks, which the node serializes on the loop.
-//
-//ocsml:loopcontext loop
-func (a nodeAppCtx) Send(dst int, m protocol.AppMsg) {
-	n := a.Node
-	if dst == n.cfg.ID || dst < 0 || dst >= n.cfg.N {
-		panic(fmt.Sprintf("transport: P%d sending to invalid destination %d", n.cfg.ID, dst))
-	}
-	n.appSeq++
-	m.Seq = n.appSeq
-	if m.Tag == 0 {
-		m.Tag = n.rng.Uint64() | 1
-	}
-	e := &protocol.Envelope{
-		Src: n.cfg.ID, Dst: dst,
-		Kind: protocol.KindApp, Bytes: m.Bytes, App: m,
-	}
-	e.ID = n.idBase | n.idCtr.Add(1)
-	n.fold = checkpoint.FoldEvent(n.fold, checkpoint.Sent, n.cfg.ID, dst, m.Tag, m.Seq)
-	n.cfg.Rec.Record(trace.Event{
-		T: n.Now(), Kind: trace.KSend, Proc: n.cfg.ID, Peer: dst, MsgID: e.ID, Seq: -1,
-	})
-	n.cfg.Count("app_msgs", 1)
-	n.cfg.Proto.OnAppSend(e)
-	n.Send(e)
-}
-
-// After implements protocol.AppCtx.
-//
-//ocsml:loopcontext loop
-func (a nodeAppCtx) After(d des.Duration, fn func()) *des.Timer {
-	n := a.Node
-	epoch := n.epoch
-	time.AfterFunc(time.Duration(d), func() {
-		n.post(func() {
-			if n.epoch != epoch {
-				return
-			}
-			if n.stall > 0 {
-				n.deferred = append(n.deferred, fn)
-				return
-			}
-			fn()
-		})
-	})
-	return nil
-}
-
-// DoWork implements protocol.AppCtx.
-//
-//ocsml:loopcontext loop
-func (a nodeAppCtx) DoWork(units int64) { a.Node.work += units }
-
-// Done implements protocol.AppCtx.
-//
-//ocsml:loopcontext loop
-func (a nodeAppCtx) Done() {
-	n := a.Node
-	if n.appDone {
-		return
-	}
-	n.appDone = true
+// AppDone implements host.Driver.
+func (n *Node) AppDone() {
 	if n.cfg.OnDone != nil {
 		n.cfg.OnDone(n.cfg.ID)
 	}

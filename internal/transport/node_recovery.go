@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"fmt"
-
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/protocol"
-	"ocsml/internal/trace"
 )
 
 // handleRecovery processes one RB_* frame on the node's loop goroutine.
@@ -22,10 +19,10 @@ func (n *Node) handleRecovery(e *protocol.Envelope) {
 	switch e.CtlTag {
 	case protocol.TagRbBegin:
 		n.sendRb(e.Src, protocol.TagRbLine, protocol.RbMsg{
-			Round: rb.Round, Epoch: n.epoch, Seqs: n.durableSeqs(),
+			Round: rb.Round, Epoch: n.h.Epoch(), Seqs: n.durableSeqs(),
 		})
 	case protocol.TagRbCommit:
-		if rb.Epoch <= n.epoch {
+		if rb.Epoch <= n.h.Epoch() {
 			// Rebroadcast of a commit we already executed (or a commit
 			// superseded by a newer epoch): re-ACK so a lost ACK cannot
 			// stall the coordinator, but do not roll back again.
@@ -44,7 +41,7 @@ func (n *Node) handleRecovery(e *protocol.Envelope) {
 }
 
 func (n *Node) sendRb(dst int, tag string, rb protocol.RbMsg) {
-	n.Send(&protocol.Envelope{Dst: dst, Kind: protocol.KindCtl, CtlTag: tag, Payload: rb})
+	n.h.Send(&protocol.Envelope{Dst: dst, Kind: protocol.KindCtl, CtlTag: tag, Payload: rb})
 }
 
 // durableSeqs is this process's vote in the recovery-line intersection:
@@ -63,12 +60,12 @@ func (n *Node) durableSeqs() []int {
 	return seqs
 }
 
-// rollbackTo executes a committed rollback on this node: fence the epoch,
-// truncate checkpoints above the line in memory and on disk, rewind the
-// protocol, and restore the application by replaying the line's durable
-// message log. onDurable fires once the on-disk truncation has committed
-// (immediately when the node has no store) — the signal that it is safe
-// to acknowledge the coordinator.
+// rollbackTo executes a committed rollback on this node: truncate
+// checkpoints above the line in memory and on disk, then the host's
+// rollback step (fence the epoch, replay the line's durable message log,
+// rewind the protocol) and the application restart. onDurable fires once
+// the on-disk truncation has committed (immediately when the node has no
+// store) — the signal that it is safe to acknowledge the coordinator.
 func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 	rec, ok := n.recordAt(line)
 	if !ok {
@@ -78,7 +75,6 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 		n.cfg.Count("recovery.line_missing", 1)
 		return
 	}
-	n.epoch = epoch
 	n.cfg.Ckpts.Proc(n.cfg.ID).TruncateAfter(line)
 	if fs := n.cfg.FS; fs != nil {
 		// Disk truncation runs on the storage goroutine, after any persist
@@ -97,14 +93,9 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 	} else if onDurable != nil {
 		onDurable()
 	}
-	rew, ok := n.cfg.Proto.(protocol.Rewinder)
-	if !ok {
-		panic(fmt.Sprintf("transport: protocol %q cannot roll back", n.cfg.Proto.Name()))
-	}
-	rew.Rollback(line)
-	n.restoreApp(rec)
+	n.mReplayed.Add(int64(n.h.Rollback(line, epoch, &rec)))
+	n.h.RestartApp(rec.CFEProgress)
 	n.recLine = line
-	n.cfg.Rec.Record(trace.Event{T: n.Now(), Kind: trace.KRestore, Proc: n.cfg.ID, Peer: -1, Seq: line})
 	n.cfg.Count("recovery.rollbacks", 1)
 	n.mRollbacks.Inc()
 	if n.cfg.OnRollback != nil {
@@ -128,37 +119,4 @@ func (n *Node) recordAt(line int) (checkpoint.Record, bool) {
 		return checkpoint.Record{}, true
 	}
 	return checkpoint.Record{}, false
-}
-
-// replayFold reconstructs the post-replay application state: restore the
-// tentative checkpoint's fold and replay the logged messages over it —
-// the paper's piecewise-deterministic recovery, validated against the
-// fold recorded at finalization.
-func (n *Node) replayFold(rec *checkpoint.Record) uint64 {
-	fold := checkpoint.FoldLog(rec.Fold, rec.Log)
-	if fold != rec.CFEFold {
-		// The log does not reproduce the recorded state; resume from the
-		// recorded fold (a state the process provably held) and flag the
-		// divergence rather than inventing a new history.
-		n.cfg.Count("recovery.replay_mismatch", 1)
-		return rec.CFEFold
-	}
-	n.cfg.Count("recovery.replayed_msgs", int64(len(rec.Log)))
-	n.mReplayed.Add(int64(len(rec.Log)))
-	return fold
-}
-
-// restoreApp rewinds the node-held application state to the record and
-// resumes the application from its recorded progress.
-func (n *Node) restoreApp(rec checkpoint.Record) {
-	n.fold = n.replayFold(&rec)
-	n.work = rec.CFEWork
-	n.stall = 0
-	n.deferred = nil
-	n.appDone = false
-	ra, ok := n.cfg.App.(protocol.RewindableApp)
-	if !ok {
-		panic(fmt.Sprintf("transport: application on P%d cannot roll back", n.cfg.ID))
-	}
-	ra.Restore(nodeAppCtx{n}, rec.CFEProgress)
 }

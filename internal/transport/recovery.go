@@ -91,10 +91,10 @@ func Coordinate(cfg CoordinatorConfig, ln net.Listener) (RecoveryDecision, error
 	}, ln, func(src int) func(frame []byte) {
 		// Survivors keep retransmitting ordinary pre-crash traffic at this
 		// address; only recovery frames matter to the coordinator. The
-		// decoder is per-connection and stateful, so a survivor's v2
+		// decoder is per-connection and stateful, so a survivor's
 		// delta-encoded app traffic decodes (and is then discarded)
 		// instead of erroring.
-		dec := wire.NewDecoder(0)
+		dec := new(wire.Decoder)
 		return func(frame []byte) {
 			e, err := dec.DecodeOwned(frame)
 			if err != nil || !protocol.IsRecoveryTag(e.CtlTag) {

@@ -67,8 +67,8 @@ func (n *Node) StatusSnapshot(timeout time.Duration) (NodeStatus, error) {
 	ch := make(chan NodeStatus, 1)
 	n.post(func() {
 		st := NodeStatus{
-			ID: n.cfg.ID, N: n.cfg.N, Epoch: n.epoch,
-			Csn: -1, Proto: n.cfg.Proto.Name(), AppDone: n.appDone,
+			ID: n.cfg.ID, N: n.cfg.N, Epoch: n.h.Epoch(),
+			Csn: -1, Proto: n.cfg.Proto.Name(), AppDone: n.h.Finished(),
 			RecoveredLine: n.recLine,
 			DurableSeq:    -1,
 			StorageQueue:  int(n.storageQ.Load()),

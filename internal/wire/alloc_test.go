@@ -68,7 +68,7 @@ func TestAppendFrameZeroAlloc(t *testing.T) {
 // allocations with the view-returning Decode.
 func TestDecodeZeroAlloc(t *testing.T) {
 	full, delta := v2ChainFrames(t)
-	dec := NewDecoder(0)
+	dec := new(Decoder)
 	if _, err := dec.Decode(full); err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	full, delta := v2ChainFrames(b)
 
 	b.Run("view-full", func(b *testing.B) {
-		dec := NewDecoder(0)
+		dec := new(Decoder)
 		b.ReportAllocs()
 		b.SetBytes(int64(len(full)))
 		for i := 0; i < b.N; i++ {
@@ -81,7 +81,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	})
 
 	b.Run("view-delta", func(b *testing.B) {
-		dec := NewDecoder(0)
+		dec := new(Decoder)
 		if _, err := dec.Decode(full); err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	})
 
 	b.Run("owned-full", func(b *testing.B) {
-		dec := NewDecoder(0)
+		dec := new(Decoder)
 		b.ReportAllocs()
 		b.SetBytes(int64(len(full)))
 		for i := 0; i < b.N; i++ {

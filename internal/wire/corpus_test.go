@@ -15,7 +15,7 @@ import (
 const corpusDir = "testdata/fuzz/FuzzWireRoundTrip"
 
 // corpusDirV2 seeds FuzzDecodeV2, whose entries are (base, frame) pairs
-// exercising the stateful v2 delta decoder.
+// exercising the stateful delta decoder.
 const corpusDirV2 = "testdata/fuzz/FuzzDecodeV2"
 
 // corpusEntries returns the minimized corpus: the canonical encodings of
@@ -39,15 +39,16 @@ func corpusEntries(t testing.TB) [][]byte {
 	full, delta := v2ChainFrames(t)
 	entries = append(entries,
 		[]byte{},                     // empty frame
-		[]byte{Version},              // version byte only
-		[]byte{Version2, 0},          // v2 header only
-		[]byte{VersionLatest + 1, 0}, // unsupported version
-		[]byte{Version, 7},           // invalid kind
-		[]byte{Version, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, // unknown payload discriminator
+		[]byte{VersionLatest},        // version byte only
+		[]byte{0, 0},                 // version 0
+		[]byte{1, 0},                 // the retired v1
+		[]byte{VersionLatest + 1, 0}, // the next version
+		[]byte{VersionLatest, 7},     // invalid kind
+		[]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, // unknown payload discriminator
 		// A control-tag length varint far beyond MaxCtlTag.
-		[]byte{Version, 1, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0x7f},
-		full,                 // v2 frame, absolute piggyback block
-		delta,                // v2 delta block (stateless decode: ErrDeltaBase)
+		[]byte{VersionLatest, 1, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0x7f},
+		full,                 // Encoder frame, absolute piggyback block
+		delta,                // delta block (stateless decode: ErrDeltaBase)
 		delta[:len(delta)-1], // truncated delta block
 	)
 	return entries
@@ -206,7 +207,7 @@ func TestCorpusV2DecodesWithoutPanic(t *testing.T) {
 		if len(args) != 2 {
 			t.Fatalf("%s: want 2 fuzz arguments, got %d", f, len(args))
 		}
-		dec := NewDecoder(0)
+		dec := new(Decoder)
 		dec.Decode(args[0])
 		if e, err := dec.DecodeOwned(args[1]); err == nil {
 			if _, err := Encode(e); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Decoder parses the frames of one connection. It keeps the
-// per-connection state v2 delta frames decode against (the last
+// per-connection state delta frames decode against (the last
 // piggyback seen) and reuses its own storage across calls, so the
 // steady-state decode of an application frame performs no allocations.
 //
@@ -20,11 +20,8 @@ import (
 // payloads the protocols assert on. A Decoder is not safe for
 // concurrent use; the transport runs one per inbound connection.
 //
-// The zero Decoder is ready to use and accepts up to VersionLatest;
-// NewDecoder(1) builds a v1-only decoder for mixed-version clusters.
+// The zero Decoder is ready to use.
 type Decoder struct {
-	maxVersion int
-
 	r    reader
 	env  protocol.Envelope
 	cur  core.Piggyback
@@ -40,18 +37,6 @@ type Decoder struct {
 	prevOK    bool
 	prevEpoch int
 	prev      core.Piggyback
-}
-
-// NewDecoder returns a connection-scoped decoder accepting frame
-// versions up to maxVersion; 0 means VersionLatest. A v1-only decoder
-// (maxVersion 1) rejects every v2 frame with ErrVersion — the
-// mixed-version safety property: an old node never misparses a new
-// frame.
-func NewDecoder(maxVersion int) *Decoder {
-	if maxVersion < 0 || maxVersion > VersionLatest {
-		panic(fmt.Sprintf("wire: decoder version %d out of range [0,%d]", maxVersion, VersionLatest))
-	}
-	return &Decoder{maxVersion: maxVersion}
 }
 
 // Decode parses one envelope from data. The entire input must be
@@ -72,12 +57,8 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	max := d.maxVersion
-	if max == 0 {
-		max = VersionLatest
-	}
-	if ver < Version || int(ver) > max {
-		return nil, errf("%w: got %d, want 1..%d", ErrVersion, ver, max)
+	if ver != VersionLatest {
+		return nil, errf("%w: got %d, want %d", ErrVersion, ver, VersionLatest)
 	}
 	kind, err := r.byte()
 	if err != nil {
@@ -140,7 +121,7 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	if e.App.Tag, err = r.uvarint(); err != nil {
 		return nil, err
 	}
-	if e.Payload, err = decodePayload(r, d, ver); err != nil {
+	if e.Payload, err = decodePayload(r, d); err != nil {
 		return nil, err
 	}
 	if r.off != len(data) {
@@ -194,9 +175,9 @@ func (d *Decoder) DecodeOwned(data []byte) (*protocol.Envelope, error) {
 }
 
 // decodePayload parses the payload block into the decoder's reusable
-// payload storage and returns a pointer view of it. The v2-only delta
-// block reconstructs an absolute piggyback from the connection's base.
-func decodePayload(r *reader, d *Decoder, ver byte) (any, error) {
+// payload storage and returns a pointer view of it. The delta block
+// reconstructs an absolute piggyback from the connection's base.
+func decodePayload(r *reader, d *Decoder) (any, error) {
 	pt, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -288,9 +269,6 @@ func decodePayload(r *reader, d *Decoder, ver byte) (any, error) {
 		d.rb = protocol.RbMsg{Round: round, Line: int(line), Epoch: int(epoch), Seqs: seqs}
 		return &d.rb, nil
 	case ptPiggybackDelta:
-		if ver < Version2 {
-			return nil, errf("%w: delta block in v%d frame", ErrPayload, ver)
-		}
 		if !d.prevOK {
 			return nil, ErrDeltaBase
 		}

@@ -22,17 +22,17 @@ func pbEnvelope(id int, epoch int, pb core.Piggyback) *protocol.Envelope {
 }
 
 // TestDeltaChainMatchesAbsolute is the delta-chain property test: an
-// arbitrary sequence of piggybacks pushed through the v2 delta path
+// arbitrary sequence of piggybacks pushed through the delta path
 // (Encoder -> PeerEncoder -> stateful Decoder), with reconnects, epoch
 // bumps, and universe changes interleaved, must decode to exactly the
-// absolute envelopes that the stateless v1 codec round-trips — and
+// absolute envelopes that the stateless codec round-trips — and
 // PeerEncoder.EncodedSize must predict every appended frame's length,
 // full-block fallbacks included.
 func TestDeltaChainMatchesAbsolute(t *testing.T) {
 	rng := rand.New(rand.NewSource(9157))
 	var enc Encoder
 	var pe PeerEncoder
-	dec := NewDecoder(0)
+	dec := new(Decoder)
 	f := AcquireFrame()
 	defer f.Release()
 
@@ -45,7 +45,7 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 		switch ev := rng.Intn(20); {
 		case ev == 0: // reconnect: both sides restart
 			pe.Reset()
-			dec = NewDecoder(0)
+			dec = new(Decoder)
 		case ev == 1: // cluster-wide rollback bumps the epoch
 			epoch++
 		case ev == 2: // membership change: new universe, no delta exists
@@ -144,12 +144,12 @@ func TestDeltaIsChangedBitsNotUniverse(t *testing.T) {
 	}
 }
 
-// TestV1EncoderMatchesPackageEncode: an Encoder negotiated down to v1
-// must emit byte-identical frames to the stateless package Encode, and
-// the PeerEncoder must pass them through verbatim (never delta-rewritten)
-// while still accounting their piggyback bytes.
-func TestV1EncoderMatchesPackageEncode(t *testing.T) {
-	enc := Encoder{Version: Version}
+// TestEncoderMatchesPackageEncode: an Encoder must emit byte-identical
+// frames to the stateless package Encode, and a PeerEncoder without a
+// base must pass them through verbatim while still accounting their
+// piggyback bytes.
+func TestEncoderMatchesPackageEncode(t *testing.T) {
+	var enc Encoder
 	var pe PeerEncoder
 	f := AcquireFrame()
 	defer f.Release()
@@ -162,11 +162,12 @@ func TestV1EncoderMatchesPackageEncode(t *testing.T) {
 			t.Fatalf("envelope %d: EncodeFrame: %v", i, err)
 		}
 		if !bytes.Equal(f.Bytes(), want) {
-			t.Fatalf("envelope %d: v1 EncodeFrame differs from Encode:\n got %x\nwant %x", i, f.Bytes(), want)
+			t.Fatalf("envelope %d: EncodeFrame differs from Encode:\n got %x\nwant %x", i, f.Bytes(), want)
 		}
+		pe.Reset()
 		out, pbLen := pe.AppendFrame(nil, f)
 		if !bytes.Equal(out, want) {
-			t.Fatalf("envelope %d: v1 AppendFrame rewrote the frame", i)
+			t.Fatalf("envelope %d: AppendFrame without a base rewrote the frame", i)
 		}
 		if _, ok := e.Payload.(core.Piggyback); ok {
 			p, err := PayloadSize(e)
@@ -182,27 +183,37 @@ func TestV1EncoderMatchesPackageEncode(t *testing.T) {
 	}
 }
 
-// TestDecoderV1OnlyRejectsV2 is the mixed-version guarantee: a decoder
-// capped at v1 fails every v2 frame — full or delta — with ErrVersion
-// and never panics or misparses.
-func TestDecoderV1OnlyRejectsV2(t *testing.T) {
+// TestDecoderRejectsOtherVersions is the version guarantee: exactly one
+// version byte decodes. A frame — full or delta — restamped with any
+// other version (0, the retired v1, the next one) fails with ErrVersion
+// through every decode entry point, and never panics or misparses.
+func TestDecoderRejectsOtherVersions(t *testing.T) {
 	full, delta := v2ChainFrames(t)
-	old := NewDecoder(Version)
-	for name, frame := range map[string][]byte{"v2 full": full, "v2 delta": delta} {
-		if _, err := old.Decode(frame); !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: v1-only decode err = %v, want ErrVersion", name, err)
-		}
-		if _, err := old.DecodeOwned(frame); !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: v1-only DecodeOwned err = %v, want ErrVersion", name, err)
+	for _, ver := range []byte{0, 1, VersionLatest + 1, 0xff} {
+		for name, frame := range map[string][]byte{"full": full, "delta": delta} {
+			bad := append([]byte{ver}, frame[1:]...)
+			dec := new(Decoder)
+			if _, err := dec.Decode(full); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.Decode(bad); !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d %s: Decode err = %v, want ErrVersion", ver, name, err)
+			}
+			if _, err := dec.DecodeOwned(bad); !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d %s: DecodeOwned err = %v, want ErrVersion", ver, name, err)
+			}
+			if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d %s: stateless Decode err = %v, want ErrVersion", ver, name, err)
+			}
 		}
 	}
-	// Sanity: the same decoder still accepts v1 traffic.
-	v1, err := Encode(sampleEnvelopes()[0])
+	// The one emitted version is the one accepted, by every producer.
+	plain, err := Encode(sampleEnvelopes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.Decode(v1); err != nil {
-		t.Fatalf("v1-only decoder rejected a v1 frame: %v", err)
+	if plain[0] != VersionLatest || full[0] != VersionLatest || delta[0] != VersionLatest {
+		t.Fatalf("emitted versions %d/%d/%d, want %d", plain[0], full[0], delta[0], VersionLatest)
 	}
 }
 
@@ -212,7 +223,7 @@ func TestDecoderV1OnlyRejectsV2(t *testing.T) {
 func TestDeltaNeedsBase(t *testing.T) {
 	full, delta := v2ChainFrames(t)
 
-	if _, err := NewDecoder(0).Decode(delta); !errors.Is(err, ErrDeltaBase) {
+	if _, err := new(Decoder).Decode(delta); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("fresh decoder: err = %v, want ErrDeltaBase", err)
 	}
 	if _, err := Decode(delta); !errors.Is(err, ErrDeltaBase) {
@@ -229,15 +240,15 @@ func TestDeltaNeedsBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseE5, _ := pe.AppendFrame(nil, f)
-	dec := NewDecoder(0)
+	dec := new(Decoder)
 	if _, err := dec.Decode(baseE5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.Decode(delta); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("cross-epoch delta: err = %v, want ErrDeltaBase", err)
 	}
-	if _, err := NewDecoder(0).Decode(full); err != nil {
-		t.Fatalf("full v2 frame needs no base, got %v", err)
+	if _, err := new(Decoder).Decode(full); err != nil {
+		t.Fatalf("full frame needs no base, got %v", err)
 	}
 }
 

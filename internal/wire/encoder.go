@@ -8,31 +8,14 @@ import (
 )
 
 // Encoder serializes envelopes into reusable Frames. Unlike the
-// package-level Encode, which always produces a fresh v1 buffer, an
+// package-level Encode, which always produces a fresh buffer, an
 // Encoder reuses the frame's storage (allocation-free in steady state)
-// and can emit v2 frames, whose piggybacks the per-connection
-// PeerEncoder may rewrite into deltas at write time.
+// and records the piggyback sidecar the per-connection PeerEncoder
+// needs to rewrite the frame into a delta at write time.
 //
 // An Encoder is not safe for concurrent use; the transport runs one per
-// node, on the node's loop goroutine.
-type Encoder struct {
-	// Version selects the frame format: Version for pure v1 output
-	// (a cluster negotiated down for mixed-version operation), Version2
-	// for delta-capable frames. Zero means VersionLatest.
-	Version int
-}
-
-func (enc *Encoder) version() (byte, error) {
-	switch enc.Version {
-	case 0:
-		return VersionLatest, nil
-	case Version:
-		return Version, nil
-	case Version2:
-		return Version2, nil
-	}
-	return 0, errf("%w: encoder configured for %d", ErrVersion, enc.Version)
-}
+// node, on the node's loop goroutine. The zero Encoder is ready to use.
+type Encoder struct{}
 
 // EncodeFrame serializes e into f, reusing f's storage. The frame holds
 // a self-contained encoding (absolute piggyback block) plus the sidecar
@@ -41,20 +24,12 @@ func (enc *Encoder) version() (byte, error) {
 //
 //ocsml:hotpath
 func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
-	ver, err := enc.version()
-	if err != nil {
-		return err
-	}
-	f.ver = ver
 	f.hasPB = false
-	buf, err := appendHeader(f.data[:0], e, ver)
+	buf, err := appendHeader(f.data[:0], e)
 	if err != nil {
 		f.data = f.data[:0]
 		return err
 	}
-	// The sidecar is captured for every version: tryDelta refuses v1
-	// frames, so a v1 frame always travels as its absolute block, but the
-	// write-time piggyback-byte accounting still sees it.
 	if pb, ok := e.Payload.(core.Piggyback); ok {
 		f.hasPB = true
 		f.pbOff = len(buf)
@@ -74,7 +49,7 @@ func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 }
 
 // PeerEncoder is the delta state of one peer connection: the last
-// piggyback written on it. It rewrites v2 piggyback frames into delta
+// piggyback written on it. It rewrites piggyback frames into delta
 // blocks when that is strictly smaller, and must be Reset on every
 // (re)connect so the first piggyback of a connection always travels as
 // a full block — the receiving Decoder starts with no base.
@@ -135,9 +110,9 @@ func (pe *PeerEncoder) EncodedSize(f *Frame) int {
 
 // tryDelta encodes f's piggyback as a delta block into pe.scratch. It
 // fails (full block required) when there is no base, the epoch changed,
-// the frame is not delta-capable, or the universes differ.
+// or the universes differ.
 func (pe *PeerEncoder) tryDelta(f *Frame) ([]byte, bool) {
-	if !pe.has || pe.epoch != f.epoch || f.ver < Version2 {
+	if !pe.has || pe.epoch != f.epoch {
 		return nil, false
 	}
 	if !pe.delta.From(pe.pb, f.pb) {

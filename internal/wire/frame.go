@@ -8,8 +8,8 @@ import (
 
 // Frame is one encoded envelope in flight between an Encoder and the
 // peer link that writes it. The frame's bytes always hold a
-// self-contained encoding (for v2 piggyback frames, the absolute
-// payload block); the per-connection delta rewrite happens only at
+// self-contained encoding (for piggyback frames, the absolute payload
+// block); the per-connection delta rewrite happens only at
 // write time, in PeerEncoder.AppendFrame, because only the writer knows
 // what the previous frame on that connection carried.
 //
@@ -19,7 +19,6 @@ import (
 type Frame struct {
 	data []byte
 
-	ver    byte
 	hasPB  bool
 	pbOff  int // offset of the piggyback payload block in data
 	epoch  int
@@ -65,7 +64,6 @@ func (f *Frame) Release() {
 		return
 	}
 	f.data = f.data[:0]
-	f.ver = 0
 	f.hasPB = false
 	f.pbOff = 0
 	f.epoch = 0

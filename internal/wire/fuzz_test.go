@@ -21,8 +21,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{Version})
-	f.Add([]byte{Version, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{VersionLatest})
+	f.Add([]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := Decode(raw)
@@ -43,24 +43,24 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeV2 drives the stateful v2 decoder with an arbitrary (base,
+// FuzzDecodeV2 drives the stateful decoder with an arbitrary (base,
 // frame) pair: the base may or may not establish a delta base, the frame
 // may be absolute, a delta, or garbage. Nothing panics; whatever decodes
-// must canonicalize — the zero-copy view, the owned copy, and a v1
-// re-encode of the owned copy all agree — and a v1-capped decoder must
-// reject anything that is not a v1 frame.
+// must canonicalize — the zero-copy view, the owned copy, and a
+// stateless re-encode of the owned copy all agree — and carries the one
+// supported version byte.
 func FuzzDecodeV2(f *testing.F) {
 	for _, p := range corpusEntriesV2(f) {
 		f.Add(p[0], p[1])
 	}
 
 	f.Fuzz(func(t *testing.T, base, frame []byte) {
-		dec := NewDecoder(0)
+		dec := new(Decoder)
 		dec.Decode(base) // errors are fine; it may seed a delta base
 		view, err := dec.Decode(frame)
 
 		// The owned decode over an identical chain must agree exactly.
-		own := NewDecoder(0)
+		own := new(Decoder)
 		own.Decode(base)
 		owned, errOwned := own.DecodeOwned(frame)
 		if (err == nil) != (errOwned == nil) {
@@ -74,7 +74,7 @@ func FuzzDecodeV2(f *testing.F) {
 			if !reflect.DeepEqual(bare, bareOwned) {
 				t.Fatalf("view and owned headers disagree:\n view %#v\nowned %#v", bare, bareOwned)
 			}
-			// The owned envelope is canonical: a v1 re-encode round-trips.
+			// The owned envelope is canonical: a re-encode round-trips.
 			out, err := Encode(owned)
 			if err != nil {
 				t.Fatalf("re-encode of decoded envelope failed: %v (%#v)", err, owned)
@@ -88,11 +88,8 @@ func FuzzDecodeV2(f *testing.F) {
 			}
 		}
 
-		// A v1-capped decoder accepts v1 frames only — ErrVersion, never a
-		// panic or misparse, on anything else.
-		old := NewDecoder(Version)
-		if _, err := old.Decode(frame); err == nil && frame[0] != Version {
-			t.Fatalf("v1-only decoder accepted a frame with version byte %d", frame[0])
+		if err == nil && frame[0] != VersionLatest {
+			t.Fatalf("decoder accepted a frame with version byte %d", frame[0])
 		}
 	})
 }

@@ -5,8 +5,8 @@
 // field; this package produces the actual bytes, so piggyback overhead can
 // finally be measured on a real wire. The encoding is compact (varints
 // everywhere, one bit per process in the tentSet) and versioned: the first
-// byte of every frame is the format version, letting a mixed-version
-// cluster reject frames it cannot parse instead of misinterpreting them.
+// byte of every frame is the format version, so a node rejects a frame
+// of any other version instead of misinterpreting it.
 //
 // Invariants:
 //
@@ -37,20 +37,15 @@ import (
 	"ocsml/internal/reliable"
 )
 
-// Frame format versions, the first byte of every encoded envelope.
-//
-// Version (v1) is the original stateless format: every frame is
-// self-contained. Version2 keeps the identical header and payload
-// encodings but additionally permits the ptPiggybackDelta payload block,
-// which encodes a piggyback as the difference against the previous
-// piggyback written on the same connection (see Encoder/PeerEncoder/
-// Decoder). The package-level Encode/Append always emit v1, so stateless
-// producers (tests, the recovery coordinator) stay universally decodable.
-const (
-	Version       = 1
-	Version2      = 2
-	VersionLatest = Version2
-)
+// VersionLatest is the frame format version, the first byte of every
+// encoded envelope. It is the only version ever emitted, and a decoder
+// rejects every other version byte with ErrVersion. Frames are
+// self-contained except for the ptPiggybackDelta payload block, which
+// encodes a piggyback as the difference against the previous piggyback
+// written on the same connection (see Encoder/PeerEncoder/Decoder); the
+// package-level Encode/Append never produce it, so stateless producers
+// (tests, the recovery coordinator) decode anywhere.
+const VersionLatest = 2
 
 // MaxCtlTag bounds the control-tag string length on the wire.
 const MaxCtlTag = 64
@@ -62,7 +57,7 @@ const (
 	ptCtlMsg         = 2 // core.CtlMsg
 	ptAck            = 3 // reliable.Ack
 	ptRb             = 4 // protocol.RbMsg (recovery coordinator)
-	ptPiggybackDelta = 5 // core.Piggyback as a delta (v2 frames only)
+	ptPiggybackDelta = 5 // core.Piggyback as a delta against the connection's base
 )
 
 // maxRbSeqs bounds the manifest length an RB_LINE report may carry.
@@ -109,7 +104,7 @@ func Encode(e *protocol.Envelope) ([]byte, error) {
 
 // Append serializes the envelope onto buf, returning the extended buffer.
 func Append(buf []byte, e *protocol.Envelope) ([]byte, error) {
-	buf, err := appendHeader(buf, e, Version)
+	buf, err := appendHeader(buf, e)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +112,8 @@ func Append(buf []byte, e *protocol.Envelope) ([]byte, error) {
 }
 
 // appendHeader writes the version byte and the envelope header (all
-// fields up to but excluding the payload block), identical in v1 and v2.
-func appendHeader(buf []byte, e *protocol.Envelope, ver byte) ([]byte, error) {
+// fields up to but excluding the payload block).
+func appendHeader(buf []byte, e *protocol.Envelope) ([]byte, error) {
 	if e.Src < 0 || e.Dst < 0 {
 		return nil, errf("wire: negative endpoint %d->%d", e.Src, e.Dst)
 	}
@@ -128,7 +123,7 @@ func appendHeader(buf []byte, e *protocol.Envelope, ver byte) ([]byte, error) {
 	if e.Epoch < 0 {
 		return nil, errf("wire: negative epoch %d", e.Epoch)
 	}
-	buf = append(buf, ver, byte(e.Kind))
+	buf = append(buf, VersionLatest, byte(e.Kind))
 	buf = binary.AppendVarint(buf, e.ID)
 	buf = binary.AppendUvarint(buf, uint64(e.Src))
 	buf = binary.AppendUvarint(buf, uint64(e.Dst))
@@ -256,10 +251,10 @@ func (r *reader) bytes(n int) ([]byte, error) {
 // transport's length prefix). Corrupt input returns an error, never
 // panics.
 //
-// Decode is stateless, so it accepts any self-contained frame — v1, or
-// v2 with an absolute piggyback — but rejects v2 delta frames with
-// ErrDeltaBase; those need the connection-scoped Decoder that tracked
-// the base. Payloads come back in their canonical value forms.
+// Decode is stateless, so it accepts any self-contained frame but
+// rejects delta frames with ErrDeltaBase; those need the
+// connection-scoped Decoder that tracked the base. Payloads come back in
+// their canonical value forms.
 func Decode(data []byte) (*protocol.Envelope, error) {
 	var d Decoder
 	return d.DecodeOwned(data)

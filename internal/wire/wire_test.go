@@ -139,11 +139,11 @@ func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad version":  {99, 0, 0},
-		"bad kind":     {Version, 7},
+		"bad kind":     {VersionLatest, 7},
 		"truncated":    valid[:len(valid)/2],
 		"trailing":     append(append([]byte{}, valid...), 0),
-		"bad payload":  {Version, 0, 2, 1, 3, 2, 2, 2, 0, 2, 2, 2, 250},
-		"only version": {Version},
+		"bad payload":  {VersionLatest, 0, 2, 1, 3, 2, 2, 2, 0, 2, 2, 2, 250},
+		"only version": {VersionLatest},
 	}
 	for name, in := range cases {
 		if _, err := Decode(in); err == nil {
