@@ -41,8 +41,6 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
-	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/transport"
 	"ocsml/internal/workload"
@@ -81,7 +79,6 @@ func main() {
 		chaosFor  = flag.Duration("chaos-for", 1500*time.Millisecond, "fault-phase length for -chaos")
 		adminAddr = flag.String("admin-addr", "", "listen address for the admin control plane (status/manifest/recovery/checkpoint/metrics; see cmd/ocsmlctl)")
 		gcEvery   = flag.Duration("gc-interval", 0, "storage GC period: prune finalized checkpoints below the globally durable S_k watermark (needs -datadir; 0 disables)")
-		groupWin  = flag.Duration("group-window", 0, "group-commit flush window: how long a finalize lingers for batch-mates before forcing its fsync (0 = flush immediately)")
 	)
 	flag.Parse()
 
@@ -99,10 +96,10 @@ func main() {
 		return
 	}
 	if *spawnAll {
-		runCluster(*n, *seed, *datadir, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+		runCluster(*n, *seed, *datadir, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery)
 		return
 	}
-	runDaemon(*id, *peers, *datadir, *resume, *recoverF, *seed, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+	runDaemon(*id, *peers, *datadir, *resume, *recoverF, *seed, opt, wl, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery)
 }
 
 // runChaos is -chaos: one seeded fault-injection round against a live
@@ -145,13 +142,11 @@ func runChaos(n int, seed int64, datadir string, faultFor time.Duration, jsonOut
 // talking over real localhost TCP.
 func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload.Config,
 	rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
-	gcEvery, groupWin time.Duration) {
-	fsOpts := fsstore.DefaultOptions()
-	fsOpts.GroupWindow = groupWin
+	gcEvery time.Duration) {
 	c, err := transport.NewCluster(transport.ClusterConfig{
 		N: n, Seed: seed, Datadir: datadir, Opt: opt, Reliable: rel,
 		Workload: wl, Timeout: runFor, Drain: drain,
-		FSOptions: fsOpts, GCInterval: gcEvery,
+		GCInterval: gcEvery,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -219,7 +214,7 @@ func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload
 // separate ocsmld invocations (possibly on other machines).
 func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, seed int64, opt core.Options,
 	wl workload.Config, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
-	gcEvery, groupWin time.Duration) {
+	gcEvery time.Duration) {
 	if peerList == "" {
 		fatalf("daemon mode needs -peers (or use -spawn-all)")
 	}
@@ -243,9 +238,7 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 	var fs *fsstore.Store
 	var err error
 	if datadir != "" {
-		fsOpts := fsstore.DefaultOptions()
-		fsOpts.GroupWindow = groupWin
-		if fs, err = fsstore.OpenWith(datadir, id, n, fsOpts); err != nil {
+		if fs, err = fsstore.Open(datadir, id, n); err != nil {
 			fatalf("%v", err)
 		}
 		fs.SetMetrics(fsstore.NewStoreMetrics(reg, id))
@@ -277,47 +270,15 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 		epoch = dec.Epoch
 	}
 
-	var resumeRec *checkpoint.Record
-	if resume >= 0 {
-		if fs == nil {
-			fatalf("-resume needs -datadir")
-		}
-		if err := fs.TruncateAfter(resume); err != nil {
-			fatalf("truncating above the recovery line: %v", err)
-		}
-		man := fs.Manifest()
-		sort.Ints(man.Seqs)
-		for _, seq := range man.Seqs {
-			r, err := fs.Load(seq)
-			if err != nil {
-				fatalf("loading durable checkpoint %d: %v", seq, err)
-			}
-			ckpts.Proc(id).Add(r)
-			if seq == resume {
-				cp := r
-				resumeRec = &cp
-			}
-		}
-		if resumeRec == nil && resume > 0 {
-			fatalf("no durable checkpoint at recovery line %d", resume)
-		}
-		if resumeRec == nil { // line 0: initial state
-			resumeRec = &checkpoint.Record{}
-		}
+	// Fresh start (resume < 0) or the restart-from-disk sequence the
+	// in-process cluster runs too: truncate above the line, reload, resume.
+	pr, resumeRec, err := transport.ResumeProtocol(opt, rel, fs, ckpts.Proc(id), resume)
+	if err != nil {
+		fatalf("%v", err)
 	}
-
 	ln, err := net.Listen("tcp", addrs[id])
 	if err != nil {
 		fatalf("binding %s: %v", addrs[id], err)
-	}
-	var pr protocol.Protocol
-	cp := core.New(opt)
-	if resume >= 0 {
-		cp.SetResume(resume)
-	}
-	pr = cp
-	if rel {
-		pr = reliable.Wrap(cp, reliable.Options{})
 	}
 	doneCh := make(chan struct{}, 1)
 	node, err := transport.NewNode(transport.NodeConfig{

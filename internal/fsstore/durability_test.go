@@ -1,9 +1,10 @@
 package fsstore
 
-// Tests of the pipelined durability engine: group-commit fsync
-// amortization, manifest rollback on a failed commit, incremental
-// chain replay, the S_k GC watermark, and the segment crash-point
-// matrix (torn header, torn batch tail, orphan segment).
+// Tests of the durability engine: group-commit fsync amortization,
+// manifest rollback on a failed commit, batch prefix semantics, the S_k
+// GC watermark, concurrent use, datadirs of the previous record format,
+// and the segment crash-point matrix (torn header, torn batch tail,
+// orphan segment).
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ocsml/internal/checkpoint"
@@ -34,18 +36,12 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 
 	const depth = 16
 	base := sm.Fsyncs.Value()
-	waits := make([]*Pending, 0, depth)
+	batch := make([]checkpoint.Record, 0, depth)
 	for seq := 1; seq <= depth; seq++ {
-		w, err := s.FinalizeAsync(rec(0, seq, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits = append(waits, w)
+		batch = append(batch, rec(0, seq, 2))
 	}
-	for _, w := range waits {
-		if err := w.Wait(); err != nil {
-			t.Fatal(err)
-		}
+	if n, err := s.FinalizeBatch(batch); err != nil || n != depth {
+		t.Fatalf("FinalizeBatch = (%d, %v), want (%d, nil)", n, err, depth)
 	}
 	fsyncs := sm.Fsyncs.Value() - base
 	// One group commit: segment sync + (new segment) dir sync + manifest
@@ -227,67 +223,12 @@ func TestManifestedSeqInNoSegment(t *testing.T) {
 	}
 }
 
-// TestIncrementalChainByteIdentical is the acceptance criterion:
-// recovery through a delta chain must reproduce exactly the records a
-// full-snapshot-only store reproduces.
-func TestIncrementalChainByteIdentical(t *testing.T) {
-	const n = 20
-	deltaDir, fullDir := t.TempDir(), t.TempDir()
-	opts := DefaultOptions()
-	opts.SnapshotEvery = 4
-	sd, err := OpenWith(deltaDir, 0, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullOpts := DefaultOptions()
-	fullOpts.SnapshotEvery = 1 // every record a full snapshot
-	sf, err := OpenWith(fullDir, 0, 2, fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 1; seq <= n; seq++ {
-		r := rec(0, seq, seq%3)
-		if err := sd.Finalize(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := sf.Finalize(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reopen both (the replay path, not the in-memory cache) and compare
-	// every record byte-for-byte via the canonical JSON encoding.
-	sd2, err := OpenWith(deltaDir, 0, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf2, err := OpenWith(fullDir, 0, 2, fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 1; seq <= n; seq++ {
-		dr, err := sd2.Load(seq)
-		if err != nil {
-			t.Fatalf("delta-chain load seq %d: %v", seq, err)
-		}
-		fr, err := sf2.Load(seq)
-		if err != nil {
-			t.Fatalf("full-snapshot load seq %d: %v", seq, err)
-		}
-		db, _ := json.Marshal(dr)
-		fb, _ := json.Marshal(fr)
-		if !bytes.Equal(db, fb) {
-			t.Fatalf("seq %d: delta-chain recovery diverges from full-snapshot recovery:\n delta %s\n full  %s", seq, db, fb)
-		}
-	}
-}
-
 // TestGCToWatermark: records below the globally finalized S_k leave the
-// manifest and disk; the watermark itself (compacted to a full snapshot
-// if it was a delta) and everything above it stay loadable.
+// manifest and disk; the watermark itself and everything above it stay
+// loadable.
 func TestGCToWatermark(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SnapshotEvery = 4
 	opts.SegmentMaxBytes = 1024 // force rotation so old segments can die
 	s, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
@@ -337,7 +278,7 @@ func TestGCToWatermark(t *testing.T) {
 	if got := s.Manifest().Seqs; !reflect.DeepEqual(got, []int{10, 11, 12}) {
 		t.Fatalf("idempotent GC changed seqs to %v", got)
 	}
-	// Survives reopen: the compacted watermark chain replays from disk.
+	// Survives reopen: the surviving records replay from disk.
 	s2, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -390,11 +331,10 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestTruncateAfterForcesFullSnapshot: a rollback may be followed by
-// re-finalized seqs; the first record after the rollback must not delta
-// against a discarded state, and the re-finalized frame (not the stale
-// one still in the segment) must win on reopen.
-func TestTruncateAfterForcesFullSnapshot(t *testing.T) {
+// TestRefinalizedFrameWinsOverStale: a rollback may be followed by
+// re-finalized seqs; the re-finalized frame (not the stale one still in
+// the segment) must win, live and on reopen.
+func TestRefinalizedFrameWinsOverStale(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, 2)
 	if err != nil {
@@ -556,41 +496,304 @@ func TestCrashPointMatrix(t *testing.T) {
 	})
 }
 
-// TestFinalizeBatch: a mid-batch injected failure commits exactly the
-// prefix before the failing record — committing past it would gap the
-// manifest — and reports the first error.
+// TestFinalizeBatch: whatever stops a batch — an injected write failure,
+// a record of another process, a seq not above LastSeq, a descending
+// pair — exactly the prefix before the failing record commits
+// (committing past it would gap the manifest), the first error is
+// returned and counted once, and the rest commits on retry.
 func TestFinalizeBatch(t *testing.T) {
+	batch := func(proc int, seqs ...int) []checkpoint.Record {
+		recs := make([]checkpoint.Record, 0, len(seqs))
+		for _, seq := range seqs {
+			recs = append(recs, rec(proc, seq, 1))
+		}
+		return recs
+	}
+	foreign := batch(0, 1, 2, 3, 4)
+	foreign[2].Proc = 1
+	cases := []struct {
+		name     string
+		pre      []checkpoint.Record // committed before the batch under test
+		recs     []checkpoint.Record
+		failSeq  int // the error hook fails this seq (0: no hook)
+		want     int
+		wantSeqs []int
+		retry    []checkpoint.Record
+	}{
+		{name: "injected write failure", recs: batch(0, 1, 2, 3, 4, 5, 6), failSeq: 4,
+			want: 3, wantSeqs: []int{1, 2, 3}, retry: batch(0, 4, 5, 6)},
+		{name: "wrong proc", recs: foreign,
+			want: 2, wantSeqs: []int{1, 2}, retry: batch(0, 3, 4)},
+		{name: "seq not above LastSeq", pre: batch(0, 1, 2), recs: batch(0, 2, 3),
+			want: 0, wantSeqs: []int{1, 2}, retry: batch(0, 3)},
+		{name: "descending pair", recs: batch(0, 1, 3, 2, 4),
+			want: 2, wantSeqs: []int{1, 3}, retry: batch(0, 4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := NewStoreMetrics(metrics.NewRegistry(), 0)
+			s.SetMetrics(sm)
+			if n, err := s.FinalizeBatch(tc.pre); err != nil || n != len(tc.pre) {
+				t.Fatalf("pre-commit = (%d, %v)", n, err)
+			}
+			if tc.failSeq != 0 {
+				s.SetFinalizeErrHook(func(r checkpoint.Record) error {
+					if r.Seq == tc.failSeq {
+						return os.ErrDeadlineExceeded
+					}
+					return nil
+				})
+			}
+			committed, err := s.FinalizeBatch(tc.recs)
+			if err == nil {
+				t.Fatal("batch failure not surfaced")
+			}
+			if committed != tc.want {
+				t.Fatalf("committed = %d, want %d (prefix before the failing record)", committed, tc.want)
+			}
+			if got := s.Manifest().Seqs; !reflect.DeepEqual(got, tc.wantSeqs) {
+				t.Fatalf("manifest seqs = %v, want %v", got, tc.wantSeqs)
+			}
+			if got := sm.FinalizeErrors.Value(); got != 1 {
+				t.Fatalf("finalize-errors counter = %d, want 1", got)
+			}
+			if got, want := sm.Finalizes.Value(), int64(len(tc.pre)+tc.want); got != want {
+				t.Fatalf("finalized counter = %d, want %d", got, want)
+			}
+			s.SetFinalizeErrHook(nil)
+			if n, err := s.FinalizeBatch(tc.retry); err != nil || n != len(tc.retry) {
+				t.Fatalf("retry batch = (%d, %v), want (%d, nil)", n, err, len(tc.retry))
+			}
+			// Disk agrees with memory: everything manifested loads after reopen.
+			s2, err := Open(dir, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s2.Manifest().Seqs, s.Manifest().Seqs; !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened manifest seqs = %v, want %v", got, want)
+			}
+			if _, err := s2.LoadAll(); err != nil {
+				t.Fatalf("reopened LoadAll: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentUse drives the store the way the runtime does —
+// one storage goroutine finalizing in batches while a rollback
+// truncates, the GC loop collects and the admin plane reads — and is
+// meaningful under -race. Whatever interleaving ran, every manifested
+// seq must load, live and after reopen.
+func TestStoreConcurrentUse(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 0, 2)
+	opts := DefaultOptions()
+	opts.SegmentMaxBytes = 2048 // rotate, so GC has segments to unlink
+	s, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]checkpoint.Record, 0, 6)
-	for seq := 1; seq <= 6; seq++ {
-		recs = append(recs, rec(0, seq, 1))
+	s.SetMetrics(NewStoreMetrics(metrics.NewRegistry(), 0))
+	const rounds = 60
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	background := func(fn func()) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					fn()
+				}
+			}
+		}()
 	}
-	s.SetFinalizeErrHook(func(r checkpoint.Record) error {
-		if r.Seq == 4 {
-			return os.ErrDeadlineExceeded
+	background(func() { // rollback: drop the newest checkpoint
+		if err := s.TruncateAfter(s.LastSeq() - 1); err != nil {
+			t.Errorf("TruncateAfter: %v", err)
 		}
-		return nil
 	})
-	committed, err := s.FinalizeBatch(recs)
-	if err == nil {
-		t.Fatal("injected batch failure not surfaced")
+	background(func() { // GC loop: collect below the second-newest seq
+		if seqs := s.Manifest().Seqs; len(seqs) > 2 {
+			if err := s.GCTo(seqs[len(seqs)-2]); err != nil {
+				t.Errorf("GCTo: %v", err)
+			}
+		}
+	})
+	background(func() { // admin plane and recovery reads
+		// A seq read from the manifest may be truncated or collected before
+		// the Load: only the race detector judges this goroutine.
+		for _, q := range s.Manifest().Seqs {
+			_, _ = s.Load(q)
+		}
+	})
+	// The writer: like Node.persistFinalized it continues from LastSeq, so
+	// a truncation just re-produces the dropped seqs.
+	for i := 0; i < rounds; i++ {
+		next := s.LastSeq() + 1
+		if next < 1 {
+			next = 1
+		}
+		// A TruncateAfter may slip in below next before the commit; the
+		// batch still lands above whatever LastSeq is by then.
+		if _, err := s.FinalizeBatch([]checkpoint.Record{rec(0, next, 2), rec(0, next+1, 1)}); err != nil {
+			t.Fatalf("FinalizeBatch at seq %d: %v", next, err)
+		}
 	}
-	if committed != 3 {
-		t.Fatalf("committed = %d, want 3 (prefix before the failing record)", committed)
+	close(stop)
+	readers.Wait()
+	// The truncator may have had the last word; end on a commit so the
+	// checks below never pass on an empty manifest.
+	if err := s.Finalize(rec(0, s.LastSeq()+2, 1)); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("manifest seqs = %v, want [1 2 3]", got)
+	check := func(s *Store, label string) {
+		t.Helper()
+		seqs := s.Manifest().Seqs
+		recs, err := s.LoadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for i, r := range recs {
+			if r.Seq != seqs[i] {
+				t.Fatalf("%s: LoadAll[%d] is seq %d, manifest says %d", label, i, r.Seq, seqs[i])
+			}
+		}
 	}
-	s.SetFinalizeErrHook(nil)
-	committed, err = s.FinalizeBatch(recs[3:])
-	if err != nil || committed != 3 {
-		t.Fatalf("retry batch = (%d, %v), want (3, nil)", committed, err)
+	check(s, "live")
+	s2, err := OpenWith(dir, 0, 2, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.LastSeq() != 6 {
-		t.Fatalf("LastSeq = %d, want 6", s.LastSeq())
+	check(s2, "reopened")
+	if got, want := s2.Manifest(), s.Manifest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened manifest %+v differs from the live one %+v", got, want)
+	}
+}
+
+// copyDatadir copies a checked-in process directory into a fresh
+// datadir and returns it with a snapshot of the file contents.
+func copyDatadir(t *testing.T, fixture string) (datadir string, files map[string][]byte) {
+	t.Helper()
+	datadir = t.TempDir()
+	dst := ProcDir(datadir, 0)
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join("testdata", fixture, "p0")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return datadir, readDir(t, dst)
+}
+
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestPreviousFormatDatadirs pins the on-disk compatibility contract
+// against directories the previous build wrote (testdata/parent-*: seqs
+// 1..5 of the rec fixture, 5 full records vs 1 full + 4 deltas). Full
+// records open and load unchanged, and this build writes the very same
+// segment bytes. A delta record is durable data this build cannot read:
+// Open must fail naming the kind and the segment — through the
+// manifest-led scan and through the torn-manifest rebuild scan alike —
+// and must not truncate, sweep or rewrite anything.
+func TestPreviousFormatDatadirs(t *testing.T) {
+	t.Run("full records load and are byte-compatible", func(t *testing.T) {
+		dir, before := copyDatadir(t, "parent-full")
+		s, err := Open(dir, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.LoadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(t.TempDir(), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range recs {
+			want := rec(0, i+1, (i+1)%3)
+			if !reflect.DeepEqual(r, want) {
+				t.Fatalf("seq %d of the previous build's datadir loads as %+v, want %+v", i+1, r, want)
+			}
+			if err := fresh.Finalize(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(recs) != 5 {
+			t.Fatalf("loaded %d records, want 5", len(recs))
+		}
+		seg := filepath.Base(SegmentFile("", 1))
+		if got := readDir(t, fresh.Dir())[seg]; !bytes.Equal(got, before[seg]) {
+			t.Fatalf("this build's segment bytes differ from the previous build's full-record segment:\n got %q\nwant %q", got, before[seg])
+		}
+		if after := readDir(t, s.Dir()); !reflect.DeepEqual(after[seg], before[seg]) {
+			t.Fatal("opening a full-record datadir changed its segment")
+		}
+	})
+	for _, tornManifest := range []bool{false, true} {
+		name := "delta record refused by the manifest-led scan"
+		if tornManifest {
+			name = "delta record refused by the rebuild scan"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir, before := copyDatadir(t, "parent-delta")
+			pdir := ProcDir(dir, 0)
+			// Crash debris a successful Open would sweep stays too.
+			if err := os.WriteFile(filepath.Join(pdir, ".tmp-stale"), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tornManifest {
+				if err := os.WriteFile(filepath.Join(pdir, "MANIFEST.json"), before["MANIFEST.json"][:40], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before = readDir(t, pdir)
+			_, err := Open(dir, 0, 2)
+			if err == nil {
+				t.Fatal("a datadir holding a delta record opened")
+			}
+			for _, want := range []string{`"delta"`, filepath.Base(SegmentFile("", 1))} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("refusal %q does not name %s", err, want)
+				}
+			}
+			if after := readDir(t, pdir); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refused directory was modified")
+			}
+		})
 	}
 }

@@ -7,55 +7,39 @@
 //
 //	<datadir>/p<id>/seg_000001.wal     segmented append-only checkpoint log
 //	<datadir>/p<id>/MANIFEST.json      finalized seqs + durable segment sizes
-//	<datadir>/p<id>/tent.json          scratch early-flush of CT (volatile)
 //
-// Durability is a pipelined group commit: queued finalizations are
-// encoded into CRC-framed records — a full state snapshot every
-// Options.SnapshotEvery records, incremental deltas in between — and
-// appended to the active segment with ONE fsync for the whole batch,
-// then the manifest (sequence numbers plus the durable byte length of
-// each segment) is rewritten via temp file + fsync + rename + directory
-// sync. A crash at any point leaves either the previous manifest (the
-// batch invisible: its bytes sit beyond the recorded segment size and
-// are truncated on Open) or the new one (every referenced byte durable)
-// — never a manifest pointing at missing data.
+// There is one kind of record and one commit path. FinalizeBatch encodes
+// every record of its batch as a self-contained CRC-framed frame (the
+// checkpoint state plus its selective message log), appends the frames
+// to the active segment with ONE fsync for the whole batch, then
+// rewrites the manifest (sequence numbers plus the durable byte length
+// of each segment) via temp file + fsync + rename + directory sync. A
+// crash at any point leaves either the previous manifest (the batch
+// invisible: its bytes sit beyond the recorded segment size and are
+// truncated on Open) or the new one (every referenced byte durable) —
+// never a manifest pointing at missing data.
 //
 // The manifest of every process, intersected, yields the last finalized
 // global checkpoint S_k on disk; internal/recovery's RecoverLine
 // restarts a cluster from it, and GCTo garbage-collects everything
-// below that watermark (compacting the watermark record to a full
-// snapshot first, so surviving delta chains stay resolvable).
+// below that watermark.
 package fsstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
 	"ocsml/internal/metrics"
 )
-
-// countingWriter counts the bytes written through it (log-size
-// accounting for StoreMetrics).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
 
 // SegmentMeta records one segment file's durable extent: Size is the
 // byte length the last committed batch covered. Bytes beyond Size are
@@ -87,44 +71,22 @@ func (m *Manifest) LastSeq() int {
 	return m.Seqs[len(m.Seqs)-1]
 }
 
-// Options tunes the durability engine. The zero value of any field
-// selects its default.
+// Options tunes the durability engine. The zero value selects the
+// default.
 type Options struct {
-	// GroupWindow is the max-latency flush window of a synchronous
-	// Finalize: how long the caller lingers for other finalizations to
-	// join its group commit before forcing the flush itself. 0 (the
-	// default) flushes immediately; FinalizeAsync callers coalesce
-	// regardless.
-	GroupWindow time.Duration
-	// MaxBatch bounds how many queued finalizations one commit covers
-	// (default 64).
-	MaxBatch int
 	// SegmentMaxBytes rotates the active segment once its durable size
 	// reaches this bound (default 4 MiB).
 	SegmentMaxBytes int64
-	// SnapshotEvery writes a full state snapshot every k-th record, with
-	// incremental deltas in between (default 8; 1 disables deltas).
-	SnapshotEvery int
 }
 
 // DefaultOptions returns the engine defaults.
 func DefaultOptions() Options {
-	return Options{MaxBatch: 64, SegmentMaxBytes: 4 << 20, SnapshotEvery: 8}
+	return Options{SegmentMaxBytes: 4 << 20}
 }
 
 func (o Options) withDefaults() Options {
-	def := DefaultOptions()
-	if o.GroupWindow < 0 {
-		o.GroupWindow = 0
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = def.MaxBatch
-	}
 	if o.SegmentMaxBytes <= 0 {
-		o.SegmentMaxBytes = def.SegmentMaxBytes
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = def.SnapshotEvery
+		o.SegmentMaxBytes = DefaultOptions().SegmentMaxBytes
 	}
 	return o
 }
@@ -144,20 +106,6 @@ type Store struct {
 	// index locates every manifested checkpoint in the segmented log.
 	//ocsml:guardedby mu
 	index map[int]recLoc
-	// queue holds finalizations accepted but not yet committed; a drain
-	// commits it in enqueue order, MaxBatch records per fsync.
-	//ocsml:guardedby mu
-	queue []*pending
-	// lastState is the most recently committed record's state — the
-	// base the next delta is computed against. haveLast is false right
-	// after Open or TruncateAfter, forcing a full snapshot.
-	//ocsml:guardedby mu
-	lastState ckptState
-	//ocsml:guardedby mu
-	haveLast bool
-	// sinceFull counts records since the last full snapshot.
-	//ocsml:guardedby mu
-	sinceFull int
 	// finalizeErr, when set, is consulted before each record's bytes are
 	// written — the error-injection hook of the durability tests.
 	//ocsml:guardedby mu
@@ -243,7 +191,9 @@ func Open(datadir string, proc, n int) (*Store, error) {
 // beyond the manifest's durable sizes (an interrupted group commit) are
 // truncated away, and a manifest that is itself unreadable — or that
 // disagrees with the bytes on disk — is rebuilt from the records that
-// verify.
+// verify. A durable frame of a kind this build does not read (a delta
+// record of an older build) is none of those: Open refuses the
+// directory with an error and repairs nothing in it.
 func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 	if proc < 0 || n < 2 || proc >= n {
 		return nil, fmt.Errorf("fsstore: invalid proc %d of %d", proc, n)
@@ -257,37 +207,37 @@ func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 		man:   Manifest{Proc: proc, N: n},
 		index: map[int]recLoc{},
 	}
-	if err := s.clearDebris(); err != nil {
-		return nil, err
-	}
 	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
 	switch {
 	case os.IsNotExist(err):
 		// Nothing durable: any segment file present is debris from a
-		// crash before the very first manifest commit.
-		if err := s.sweepSegments(); err != nil {
-			return nil, err
-		}
-		return s, nil
+		// crash before the very first manifest commit (swept below).
 	case err != nil:
 		return nil, err
-	}
-	var m Manifest
-	rebuild := false
-	if err := json.Unmarshal(raw, &m); err != nil {
-		rebuild = true // torn/partially written manifest
-	} else if m.Proc != proc {
-		return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, m.Proc, proc)
-	} else {
-		s.man = m
-		if err := s.loadSegments(); err != nil {
-			rebuild = true // manifest references bytes the disk cannot prove
+	default:
+		var m Manifest
+		rebuild := false
+		if err := json.Unmarshal(raw, &m); err != nil {
+			rebuild = true // torn/partially written manifest
+		} else if m.Proc != proc {
+			return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, m.Proc, proc)
+		} else {
+			s.man = m
+			if err := s.loadSegments(); errors.Is(err, errRecordKind) {
+				return nil, err
+			} else if err != nil {
+				rebuild = true // manifest references bytes the disk cannot prove
+			}
+		}
+		if rebuild {
+			if err := s.rebuildManifest(); err != nil {
+				return nil, fmt.Errorf("fsstore: corrupt manifest in %s and rebuild failed: %w", dir, err)
+			}
 		}
 	}
-	if rebuild {
-		if err := s.rebuildManifest(); err != nil {
-			return nil, fmt.Errorf("fsstore: corrupt manifest in %s and rebuild failed: %w", dir, err)
-		}
+	// Debris goes last, so a refused directory is left exactly as found.
+	if err := s.clearDebris(); err != nil {
+		return nil, err
 	}
 	if err := s.sweepSegments(); err != nil {
 		return nil, err
@@ -338,11 +288,13 @@ func (s *Store) sweepSegments() error {
 }
 
 // loadSegments scans every manifested segment up to its durable size,
-// builds the seq -> location index, and truncates tails an interrupted
-// group commit left beyond the durable sizes. An error means the
-// manifest references bytes the disk cannot prove (missing file, torn
-// or corrupt frame inside a durable prefix) and the caller falls back
-// to a full rebuild. Runs at Open-time, before the store escapes.
+// builds the seq -> location index, and then truncates tails an
+// interrupted group commit left beyond the durable sizes (only once
+// every segment has scanned, so a refused directory is left untouched).
+// An error means the manifest references bytes the disk cannot prove
+// (missing file, torn or corrupt frame inside a durable prefix) and the
+// caller falls back to a full rebuild. Runs at Open-time, before the
+// store escapes.
 func (s *Store) loadSegments() error {
 	manifested := map[int]bool{}
 	for _, q := range s.man.Seqs { //ocsml:nolock Open-time load: the store has not escaped its constructor yet
@@ -350,8 +302,7 @@ func (s *Store) loadSegments() error {
 	}
 	index := map[int]recLoc{}
 	for _, meta := range s.man.Segments { //ocsml:nolock Open-time load, as above
-		path := SegmentFile(s.dir, meta.Index)
-		frames, valid, err := scanSegment(path, s.proc, meta.Index, meta.Size, true)
+		frames, valid, err := scanSegment(SegmentFile(s.dir, meta.Index), s.proc, meta.Index, meta.Size, true)
 		if err != nil {
 			return err
 		}
@@ -365,13 +316,15 @@ func (s *Store) loadSegments() error {
 				index[fr.rec.Seq] = fr.loc
 			}
 		}
-		if err := truncateTail(path, meta.Size); err != nil {
-			return err
-		}
 	}
 	for _, q := range s.man.Seqs { //ocsml:nolock Open-time load, as above
 		if _, ok := index[q]; !ok {
 			return fmt.Errorf("fsstore: manifested seq %d is in no segment", q)
+		}
+	}
+	for _, meta := range s.man.Segments { //ocsml:nolock Open-time load, as above
+		if err := truncateTail(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
+			return err
 		}
 	}
 	s.index = index //ocsml:nolock Open-time load, as above
@@ -405,20 +358,18 @@ func truncateTail(path string, size int64) error {
 
 // rebuildManifest reconstructs the manifest from the bytes on disk: the
 // segments are scanned tolerantly (stopping each at its first torn
-// frame), and a sequence number is recovered only if its record — including a delta's whole
-// base chain — replays from durable bytes. The durability protocol
-// commits bytes before the manifest, so every previously manifested
-// checkpoint verifies; a checkpoint whose manifest commit was
-// interrupted verifies too and is safely re-admitted. The rebuilt
-// manifest is written back atomically.
+// frame), and a sequence number is recovered only if its newest frame
+// decodes to a whole record. The durability protocol commits bytes
+// before the manifest, so every previously manifested checkpoint
+// verifies; a checkpoint whose manifest commit was interrupted verifies
+// too and is safely re-admitted. Torn tails are cut and the rebuilt
+// manifest is written back atomically — after every segment has
+// scanned, so a refused directory is left untouched.
 func (s *Store) rebuildManifest() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
-	man := Manifest{Proc: s.proc, N: s.n}
-	index := map[int]recLoc{}
-	candidates := map[int]bool{}
 	var segIdxs []int
 	for _, e := range entries {
 		if idx, ok := parseSegmentName(e.Name()); ok {
@@ -426,9 +377,10 @@ func (s *Store) rebuildManifest() error {
 		}
 	}
 	sort.Ints(segIdxs)
+	man := Manifest{Proc: s.proc, N: s.n}
+	newest := map[int]scannedFrame{}
 	for _, idx := range segIdxs {
-		path := SegmentFile(s.dir, idx)
-		frames, valid, err := scanSegment(path, s.proc, idx, -1, false)
+		frames, valid, err := scanSegment(SegmentFile(s.dir, idx), s.proc, idx, -1, false)
 		if err != nil {
 			return err
 		}
@@ -436,32 +388,26 @@ func (s *Store) rebuildManifest() error {
 			continue // torn header or empty: sweepSegments removes the file
 		}
 		for _, fr := range frames {
-			index[fr.rec.Seq] = fr.loc // later occurrences win
-			candidates[fr.rec.Seq] = true
+			newest[fr.rec.Seq] = fr // later occurrences win
 		}
 		man.Segments = append(man.Segments, SegmentMeta{Index: idx, Size: valid})
-		if err := truncateTail(path, valid); err != nil {
+	}
+	index := map[int]recLoc{}
+	for q, fr := range newest {
+		if _, err := fr.rec.record(); err != nil {
+			continue // state and log disagree: not provably durable
+		}
+		index[q] = fr.loc
+		man.Seqs = append(man.Seqs, q)
+	}
+	sort.Ints(man.Seqs)
+	for _, meta := range man.Segments {
+		if err := truncateTail(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
 			return err
 		}
 	}
-	s.index = index //ocsml:nolock Open-time rebuild: the store has not escaped its constructor yet
-	seqs := make([]int, 0, len(candidates))
-	for q := range candidates {
-		seqs = append(seqs, q)
-	}
-	sort.Ints(seqs)
-	for _, q := range seqs {
-		if _, err := s.loadLocked(q); err != nil { //ocsml:nolock Open-time rebuild, as above
-			continue // torn checkpoint, log or chain: not provably durable
-		}
-		man.Seqs = append(man.Seqs, q)
-	}
-	s.man = man                                       //ocsml:nolock Open-time rebuild, as above
-	mdata, err := json.MarshalIndent(&s.man, "", " ") //ocsml:nolock Open-time rebuild, as above
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(filepath.Join(s.dir, "MANIFEST.json"), mdata)
+	s.man, s.index = man, index    //ocsml:nolock Open-time rebuild: the store has not escaped its constructor yet
+	return s.writeManifestLocked() //ocsml:nolock Open-time rebuild, as above
 }
 
 // Dir returns the process's storage directory.
@@ -570,288 +516,122 @@ func recordOf(st ckptState, log []checkpoint.LoggedMsg) checkpoint.Record {
 	}
 }
 
-// SaveTentative persists an early flush of the tentative checkpoint CT
-// (the paper's "store at convenience" write that may precede
-// finalization). It is scratch state: a crash before finalization
-// legitimately discards it.
-func (s *Store) SaveTentative(t checkpoint.Tentative) error {
+// Finalize durably persists one finalized checkpoint: FinalizeBatch of
+// one.
+func (s *Store) Finalize(rec checkpoint.Record) error {
+	_, err := s.FinalizeBatch([]checkpoint.Record{rec})
+	return err
+}
+
+// FinalizeBatch is the commit path: it persists recs (this process's
+// records, seqs ascending and above LastSeq) as one group commit — every
+// frame appended to the active segment under a single file fsync, then
+// one manifest commit — and returns how long a prefix committed. The
+// first record that fails validation, the error hook or encoding stops
+// the batch: the records before it commit, it and every record behind
+// it do not (committing past it would gap the manifest), and err is
+// that first failure. A failed segment write or manifest commit commits
+// nothing: the in-memory manifest is left matching disk, and the
+// appended bytes sit beyond the durable size for the next commit to
+// overwrite.
+func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(filepath.Join(s.dir, "tent.json"), data)
-}
-
-// pending is one finalization accepted into the commit queue. done is
-// buffered; the committing drain resolves it exactly once.
-type pending struct {
-	rec  checkpoint.Record
-	done chan error
-}
-
-// Pending is the handle of an asynchronous finalization.
-type Pending struct {
-	s *Store
-	p *pending
-}
-
-// Wait blocks until the record is durably committed (or failed),
-// driving a group commit itself if no other caller has flushed the
-// queue yet.
-func (w *Pending) Wait() error {
-	select {
-	case err := <-w.p.done:
-		return err
-	default:
-	}
-	w.s.drain()
-	return <-w.p.done
-}
-
-// enqueue validates a record and appends it to the commit queue.
-func (s *Store) enqueue(rec checkpoint.Record) (*pending, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tail := s.man.LastSeq()
-	if k := len(s.queue); k > 0 {
-		tail = s.queue[k-1].rec.Seq
-	}
-	var err error
-	switch {
-	case rec.Proc != s.proc:
-		err = fmt.Errorf("fsstore: record for P%d written to store of P%d", rec.Proc, s.proc)
-	case rec.Seq <= tail:
-		err = fmt.Errorf("fsstore: P%d finalize seq %d not above last accepted %d", s.proc, rec.Seq, tail)
-	}
-	if err != nil {
-		if m := s.metrics; m != nil {
+	committed, err = s.commitLocked(recs)
+	if m := s.metrics; m != nil {
+		m.Finalizes.Add(int64(committed))
+		if err != nil {
 			m.FinalizeErrors.Inc()
 		}
-		return nil, err
-	}
-	p := &pending{rec: rec, done: make(chan error, 1)}
-	s.queue = append(s.queue, p)
-	return p, nil
-}
-
-// drain commits the whole queue, MaxBatch records per group commit.
-func (s *Store) drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drainLocked()
-}
-
-func (s *Store) drainLocked() {
-	for len(s.queue) > 0 {
-		batch := s.queue
-		if len(batch) > s.opts.MaxBatch {
-			batch = batch[:s.opts.MaxBatch:s.opts.MaxBatch]
-			s.queue = s.queue[s.opts.MaxBatch:]
-		} else {
-			s.queue = nil
-		}
-		s.commitBatchLocked(batch)
-	}
-}
-
-// Finalize durably persists a finalized checkpoint: the record joins
-// the commit queue and the call drives (or joins) a group commit. With
-// a non-zero GroupWindow the caller lingers up to that long for other
-// finalizations to share its fsync before flushing itself. Idempotent
-// per sequence number; out-of-order sequence numbers are an error.
-func (s *Store) Finalize(rec checkpoint.Record) error {
-	p, err := s.enqueue(rec)
-	if err != nil {
-		return err
-	}
-	if w := s.opts.GroupWindow; w > 0 {
-		select {
-		case err := <-p.done:
-			// Another caller's drain committed this record meanwhile.
-			return err
-		case <-time.After(w):
-		}
-	}
-	s.drain()
-	return <-p.done
-}
-
-// FinalizeAsync queues a finalization and returns immediately; the
-// commit happens when any caller drives a drain (a synchronous
-// Finalize, a Wait, a TruncateAfter) or the queue reaches MaxBatch
-// during that drain. Queued records commit in enqueue order.
-func (s *Store) FinalizeAsync(rec checkpoint.Record) (*Pending, error) {
-	p, err := s.enqueue(rec)
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{s: s, p: p}, nil
-}
-
-// FinalizeBatch persists recs (ascending seqs) through one drain —
-// batches of MaxBatch records per fsync — and returns how long a prefix
-// committed. A failed record fails every record behind it (committing
-// past it would gap the manifest), and err is that first failure.
-func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err error) {
-	waits := make([]*pending, 0, len(recs))
-	for _, rec := range recs {
-		p, enqErr := s.enqueue(rec)
-		if enqErr != nil {
-			err = enqErr
-			break
-		}
-		waits = append(waits, p)
-	}
-	s.drain()
-	for _, p := range waits {
-		if werr := <-p.done; werr != nil {
-			return committed, werr
-		}
-		committed++
 	}
 	return committed, err
 }
 
-// commitBatchLocked is one group commit: encode every record of the
-// batch (full snapshot or delta per the SnapshotEvery cadence), append
-// the frames to the active segment with a single file fsync, then
-// commit the manifest. On a manifest failure the in-memory manifest is
-// rolled back to match disk — the appended bytes sit beyond the durable
-// size and the next commit overwrites them.
-func (s *Store) commitBatchLocked(batch []*pending) {
-	fail := func(ps []*pending, err error) {
-		for _, p := range ps {
-			if m := s.metrics; m != nil {
-				m.FinalizeErrors.Inc()
-			}
-			p.done <- err
-		}
-	}
-	prevState, prevHave, prevSince := s.lastState, s.haveLast, s.sinceFull
-	rollbackState := func() {
-		s.lastState, s.haveLast, s.sinceFull = prevState, prevHave, prevSince
-	}
-
+// commitLocked is FinalizeBatch under mu: validate and encode the
+// committable prefix, one segment append, one manifest commit.
+func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 	// Choose the target segment before encoding so frame offsets are
 	// final: append to the active segment, or rotate to a fresh one.
-	segIdx, writeOff := 1, int64(0)
-	newSeg := true
-	if k := len(s.man.Segments); k > 0 {
-		last := s.man.Segments[k-1]
-		if last.Size < s.opts.SegmentMaxBytes {
-			segIdx, writeOff, newSeg = last.Index, last.Size, false
-		} else {
-			segIdx = last.Index + 1
+	segs := append([]SegmentMeta(nil), s.man.Segments...)
+	newSeg := len(segs) == 0 || segs[len(segs)-1].Size >= s.opts.SegmentMaxBytes
+	if newSeg {
+		next := 1
+		if len(segs) > 0 {
+			next = segs[len(segs)-1].Index + 1
 		}
+		segs = append(segs, SegmentMeta{Index: next})
 	}
+	active := &segs[len(segs)-1]
 	var buf []byte
 	if newSeg {
-		buf = segmentHeader(s.proc, segIdx)
+		buf = segmentHeader(s.proc, active.Index)
 	}
 
-	// Encode the committable prefix; the first failing record stops the
-	// batch (committing records behind it would gap the manifest).
 	var (
-		encoded []*pending
-		seqs    []int
 		locs    []recLoc
 		stopErr error
 	)
-	for _, p := range batch {
-		if s.finalizeErr != nil {
-			if err := s.finalizeErr(p.rec); err != nil {
-				stopErr = err
-				break
-			}
+	tail := s.man.LastSeq()
+	for _, rec := range recs {
+		switch {
+		case rec.Proc != s.proc:
+			stopErr = fmt.Errorf("fsstore: record for P%d written to store of P%d", rec.Proc, s.proc)
+		case rec.Seq <= tail:
+			stopErr = fmt.Errorf("fsstore: P%d finalize seq %d not above last accepted %d", s.proc, rec.Seq, tail)
+		case s.finalizeErr != nil:
+			stopErr = s.finalizeErr(rec)
 		}
-		st := stateOf(p.rec)
-		sr := segRecord{Seq: p.rec.Seq, Log: p.rec.Log}
-		full := !s.haveLast || s.sinceFull+1 >= s.opts.SnapshotEvery
-		if full {
-			sr.Kind = segFull
-			sr.State = &st
-		} else {
-			sr.Kind = segDelta
-			sr.Base = s.lastState.Seq
-			d := diffState(s.lastState, st)
-			sr.Delta = &d
+		if stopErr != nil {
+			break
 		}
-		payload, err := json.Marshal(&sr)
+		st := stateOf(rec)
+		payload, err := json.Marshal(&segRecord{Seq: rec.Seq, Kind: segFull, State: &st, Log: rec.Log})
 		if err != nil {
 			stopErr = err
 			break
 		}
-		off := writeOff + int64(len(buf))
+		start := len(buf)
 		buf = appendFrame(buf, payload)
-		locs = append(locs, recLoc{
-			seg: segIdx, off: off, size: writeOff + int64(len(buf)) - off,
-			kind: sr.Kind, base: sr.Base,
-		})
-		if full {
-			s.sinceFull = 0
-		} else {
-			s.sinceFull++
-		}
-		s.lastState, s.haveLast = st, true
-		encoded = append(encoded, p)
-		seqs = append(seqs, p.rec.Seq)
+		locs = append(locs, recLoc{seg: active.Index, off: active.Size + int64(start), size: int64(len(buf) - start)})
+		tail = rec.Seq
 	}
-	rest := batch[len(encoded):]
-	if len(encoded) == 0 {
-		fail(rest, stopErr)
-		return
+	if len(locs) == 0 {
+		return 0, stopErr
 	}
 
 	// One segment fsync covers the whole batch — the amortization the
 	// group commit exists for. A fresh segment also needs its directory
 	// entry durable before the manifest may reference it.
-	if err := writeSegment(SegmentFile(s.dir, segIdx), buf, writeOff); err != nil {
-		rollbackState()
-		fail(batch, err)
-		return
+	if err := writeSegment(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
+		return 0, err
 	}
 	s.noteWriteLocked(int64(len(buf)), 1)
 	if newSeg {
 		if err := s.syncDir(); err != nil {
-			rollbackState()
-			fail(batch, err)
-			return
+			return 0, err
 		}
 		s.noteWriteLocked(0, 1)
 	}
+	active.Size += int64(len(buf))
 
 	// Manifest commit. On failure, roll the in-memory manifest back so
 	// it matches disk — a phantom Seqs entry surviving here would let
 	// the next successful commit publish a seq whose bytes were never
-	// covered by a manifest (the divergence bug this rollback fixes).
+	// covered by a manifest.
 	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
-	s.man.Seqs = append(append([]int(nil), oldSeqs...), seqs...)
-	segsCopy := append([]SegmentMeta(nil), oldSegs...)
-	if newSeg {
-		segsCopy = append(segsCopy, SegmentMeta{Index: segIdx, Size: writeOff + int64(len(buf))})
-	} else {
-		segsCopy[len(segsCopy)-1].Size = writeOff + int64(len(buf))
+	seqs := append([]int(nil), oldSeqs...)
+	for _, rec := range recs[:len(locs)] {
+		seqs = append(seqs, rec.Seq)
 	}
-	s.man.Segments = segsCopy
+	s.man.Seqs, s.man.Segments = seqs, segs
 	if err := s.writeManifestLocked(); err != nil {
 		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
-		rollbackState()
-		fail(batch, err)
-		return
+		return 0, err
 	}
-
-	for i, p := range encoded {
-		s.index[p.rec.Seq] = locs[i]
-		if m := s.metrics; m != nil {
-			m.Finalizes.Inc()
-		}
-		p.done <- nil
+	for i, loc := range locs {
+		s.index[recs[i].Seq] = loc
 	}
-	if len(rest) > 0 {
-		fail(rest, stopErr)
-	}
+	return len(locs), stopErr
 }
 
 // writeSegment appends buf at off and fsyncs the file — the single
@@ -872,20 +652,38 @@ func writeSegment(path string, buf []byte, off int64) error {
 	return f.Close()
 }
 
+// writeManifestLocked commits the in-memory manifest to disk. The file
+// is machine-read (ocsmlctl renders it from the API), so it is written
+// compactly: it is rewritten whole on every commit.
 func (s *Store) writeManifestLocked() error {
-	mdata, err := json.MarshalIndent(&s.man, "", " ")
+	mdata, err := json.Marshal(&s.man)
 	if err != nil {
 		return err
 	}
 	return s.writeAtomic(filepath.Join(s.dir, "MANIFEST.json"), mdata)
 }
 
-// Load reads one finalized checkpoint back from disk, replaying its
-// incremental chain if the record is a delta.
+// Load reads one finalized checkpoint back from disk.
 func (s *Store) Load(seq int) (checkpoint.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.loadLocked(seq)
+}
+
+// LoadAll reads every manifested checkpoint back from disk, ascending
+// by sequence number — what a restart reloads.
+func (s *Store) LoadAll() ([]checkpoint.Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := make([]checkpoint.Record, 0, len(s.man.Seqs))
+	for _, seq := range s.man.Seqs {
+		rec, err := s.loadLocked(seq)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
@@ -900,73 +698,21 @@ func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 	if sr.Seq != seq {
 		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d index points seq %d at a frame holding seq %d", s.proc, seq, sr.Seq)
 	}
-	st, err := s.resolveStateLocked(&sr)
+	rec, err := sr.record()
 	if err != nil {
-		return checkpoint.Record{}, err
-	}
-	rec := recordOf(st, sr.Log)
-	if len(rec.Log) != st.LogEntries {
-		return rec, fmt.Errorf("fsstore: P%d seq %d log has %d entries, checkpoint state says %d",
-			s.proc, seq, len(rec.Log), st.LogEntries)
+		return rec, fmt.Errorf("fsstore: P%d %w", s.proc, err)
 	}
 	return rec, nil
-}
-
-// resolveStateLocked reconstructs a segment record's full state,
-// walking a delta's base chain back to the nearest full snapshot and
-// replaying the deltas forward.
-func (s *Store) resolveStateLocked(sr *segRecord) (ckptState, error) {
-	if sr.Kind == segFull {
-		if sr.State == nil {
-			return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: full record without state", s.proc, sr.Seq)
-		}
-		return *sr.State, nil
-	}
-	if sr.Kind != segDelta {
-		return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: unknown record kind %q", s.proc, sr.Seq, sr.Kind)
-	}
-	// Collect the chain target..base order, then apply oldest-first.
-	chain := []*segRecord{sr}
-	base := sr.Base
-	var st ckptState
-	for {
-		bloc, ok := s.index[base]
-		if !ok {
-			return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: delta chain base %d is in no segment", s.proc, sr.Seq, base)
-		}
-		bsr, err := s.readSegRecord(bloc)
-		if err != nil {
-			return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: delta chain base %d: %w", s.proc, sr.Seq, base, err)
-		}
-		if bsr.Kind == segFull {
-			if bsr.State == nil {
-				return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: chain base %d without state", s.proc, sr.Seq, base)
-			}
-			st = *bsr.State
-			break
-		}
-		chain = append(chain, &bsr)
-		base = bsr.Base
-		if len(chain) > len(s.index)+1 {
-			return ckptState{}, fmt.Errorf("fsstore: P%d seq %d: delta chain cycle", s.proc, sr.Seq)
-		}
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		st = applyDelta(st, chain[i].Seq, chain[i].Delta)
-	}
-	return st, nil
 }
 
 // TruncateAfter removes finalized checkpoints with Seq > seq from the
 // manifest — a cluster-wide rollback discards checkpoints above the
 // recovery line so the restarted run can legitimately re-produce those
-// sequence numbers. Queued finalizations are flushed first; truncated
-// segment bytes stay in place (unreferenced, reclaimed by GCTo or
-// overwritten on reuse).
+// sequence numbers. Truncated segment bytes stay in place (unreferenced,
+// reclaimed by GCTo; a re-finalized seq's newer frame wins over them).
 func (s *Store) TruncateAfter(seq int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drainLocked()
 	keep := s.man.Seqs[:0]
 	var drop []int
 	for _, q := range s.man.Seqs {
@@ -989,21 +735,15 @@ func (s *Store) TruncateAfter(seq int) error {
 	for _, q := range drop {
 		delete(s.index, q)
 	}
-	// The next record's delta base would be a discarded state: force a
-	// full snapshot so surviving chains never cross the rollback.
-	s.haveLast = false
-	s.sinceFull = 0
 	return nil
 }
 
 // GCTo garbage-collects checkpoints below the globally finalized
 // watermark wm (the last complete S_k across all manifests): records
 // with Seq < wm leave the manifest and segments no live record
-// references are unlinked. If the watermark record is a delta it is first compacted to
-// a full snapshot (appended like a group commit of one), so surviving
-// chains resolve without the collected records. Seqs the store never
-// had — or a watermark it does not hold — make GCTo a no-op, so callers
-// may poll with whatever line the manifests intersect to.
+// references are unlinked. Seqs the store never had — or a watermark it
+// does not hold — make GCTo a no-op, so callers may poll with whatever
+// line the manifests intersect to.
 func (s *Store) GCTo(wm int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1021,61 +761,7 @@ func (s *Store) GCTo(wm int) error {
 		return nil
 	}
 
-	// 1. Compaction: the watermark must stand alone. A delta watermark
-	// is re-appended as a full snapshot (crash boundary: bytes beyond
-	// the durable size are harmless until the manifest below commits).
-	if loc := s.index[wm]; loc.kind == segDelta {
-		rec, err := s.loadLocked(wm)
-		if err != nil {
-			return err
-		}
-		st := stateOf(rec)
-		sr := segRecord{Seq: wm, Kind: segFull, State: &st, Log: rec.Log}
-		payload, err := json.Marshal(&sr)
-		if err != nil {
-			return err
-		}
-		segIdx, writeOff := 1, int64(0)
-		newSeg := true
-		if k := len(s.man.Segments); k > 0 {
-			last := s.man.Segments[k-1]
-			if last.Size < s.opts.SegmentMaxBytes {
-				segIdx, writeOff, newSeg = last.Index, last.Size, false
-			} else {
-				segIdx = last.Index + 1
-			}
-		}
-		var buf []byte
-		if newSeg {
-			buf = segmentHeader(s.proc, segIdx)
-		}
-		off := writeOff + int64(len(buf))
-		buf = appendFrame(buf, payload)
-		if err := writeSegment(SegmentFile(s.dir, segIdx), buf, writeOff); err != nil {
-			return err
-		}
-		s.noteWriteLocked(int64(len(buf)), 1)
-		if newSeg {
-			if err := s.syncDir(); err != nil {
-				return err
-			}
-			s.noteWriteLocked(0, 1)
-			s.man.Segments = append(append([]SegmentMeta(nil), s.man.Segments...),
-				SegmentMeta{Index: segIdx, Size: writeOff + int64(len(buf))})
-		} else {
-			segs := append([]SegmentMeta(nil), s.man.Segments...)
-			segs[len(segs)-1].Size = writeOff + int64(len(buf))
-			s.man.Segments = segs
-		}
-		s.index[wm] = recLoc{seg: segIdx, off: off, size: writeOff + int64(len(buf)) - off, kind: segFull}
-		// The compacted snapshot is the freshest committed state: keep
-		// the delta base tracking coherent with what Load now returns.
-		if s.haveLast && s.lastState.Seq == wm {
-			s.lastState = st
-		}
-	}
-
-	// 2. Drop the collected seqs from the manifest and prune segments no
+	// Drop the collected seqs from the manifest and prune segments no
 	// surviving record lives in.
 	keep := make([]int, 0, len(s.man.Seqs))
 	var drop []int
@@ -1086,12 +772,9 @@ func (s *Store) GCTo(wm int) error {
 			drop = append(drop, q)
 		}
 	}
-	for _, q := range drop {
-		delete(s.index, q)
-	}
 	live := map[int]bool{}
-	for _, l := range s.index {
-		live[l.seg] = true
+	for _, q := range keep {
+		live[s.index[q].seg] = true
 	}
 	keptSegs := make([]SegmentMeta, 0, len(s.man.Segments))
 	var deadSegs []int
@@ -1111,6 +794,9 @@ func (s *Store) GCTo(wm int) error {
 	if err := s.writeManifestLocked(); err != nil {
 		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
 		return err
+	}
+	for _, q := range drop {
+		delete(s.index, q)
 	}
 	for _, idx := range deadSegs {
 		//ocsml:errsink manifest no longer references this segment; removal is opportunistic GC
@@ -1133,13 +819,11 @@ func RecoverStore(datadir string, n int) (*checkpoint.Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		seqs := s.Manifest().Seqs
-		sort.Ints(seqs)
-		for _, seq := range seqs {
-			rec, err := s.Load(seq)
-			if err != nil {
-				return nil, err
-			}
+		recs, err := s.LoadAll()
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range recs {
 			cs.Proc(p).Add(rec)
 		}
 	}

@@ -3,13 +3,13 @@ package fsstore
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"ocsml/internal/checkpoint"
-	"ocsml/internal/des"
 )
 
 // The segmented append-only log. Finalized checkpoints are framed
@@ -22,7 +22,8 @@ import (
 //
 //	[u32le payload length][u32le CRC-32 (IEEE) of payload][JSON payload]
 //
-// The manifest's Segments list records, per segment, the durable byte
+// Every frame is a self-contained checkpoint record (segRecord). The
+// manifest's Segments list records, per segment, the durable byte
 // length the last group commit covered. Bytes beyond that length are an
 // interrupted batch — never referenced, overwritten by the next commit,
 // truncated away on Open. Scanning a segment therefore reads exactly
@@ -36,145 +37,39 @@ const (
 	maxFrameLength = 1 << 30
 )
 
-// Record kinds inside a segment.
-const (
-	segFull  = "full"  // complete checkpoint state
-	segDelta = "delta" // changed fields against the Base record's state
-)
+// segFull is the one record kind: a self-contained checkpoint. The
+// field and its value are what every build since the segmented log has
+// written for a full record, so no format version is needed; the delta
+// kind older builds interleaved is refused (errRecordKind).
+const segFull = "full"
 
-// segRecord is one framed entry of a segment: a finalized checkpoint,
-// either as a full state snapshot or as a delta against its predecessor
-// (Base). The message log always travels complete — selective logging
-// already minimized it, and replay needs the exact entries.
+// errRecordKind marks a CRC-valid frame whose kind this build does not
+// read. It is a refusal, not a tear: Open returns it and repairs nothing.
+var errRecordKind = errors.New("unsupported record kind")
+
+// segRecord is one framed entry of a segment: a finalized checkpoint's
+// state and its message log. The log always travels complete —
+// selective logging already minimized it, and replay needs the exact
+// entries.
 type segRecord struct {
-	Seq  int    `json:"seq"`
-	Kind string `json:"kind"`
-	// Base is the sequence number the delta applies on top of
-	// (meaningful only for Kind == segDelta).
-	Base  int                    `json:"base,omitempty"`
+	Seq   int                    `json:"seq"`
+	Kind  string                 `json:"kind"`
 	State *ckptState             `json:"state,omitempty"`
-	Delta *stateDelta            `json:"delta,omitempty"`
 	Log   []checkpoint.LoggedMsg `json:"log,omitempty"`
 }
 
-// stateDelta is the incremental-checkpoint encoding: exactly the
-// ckptState fields that changed since the base record, as typed
-// pointers. Explicit fields (not a generic JSON diff) so the uint64
-// folds never round-trip through float64.
-type stateDelta struct {
-	TakenAt     *int64  `json:"takenAt,omitempty"`
-	StateBytes  *int64  `json:"stateBytes,omitempty"`
-	Fold        *uint64 `json:"fold,omitempty"`
-	Work        *int64  `json:"work,omitempty"`
-	Progress    *int64  `json:"progress,omitempty"`
-	FlushedAt   *int64  `json:"flushedAt,omitempty"`
-	FinalizedAt *int64  `json:"finalizedAt,omitempty"`
-	CFEFold     *uint64 `json:"cfeFold,omitempty"`
-	CFEWork     *int64  `json:"cfeWork,omitempty"`
-	CFEProgress *int64  `json:"cfeProgress,omitempty"`
-	StableAt    *int64  `json:"stableAt,omitempty"`
-	LogEntries  *int    `json:"logEntries,omitempty"`
-}
-
-// diffState computes the delta that turns prev into cur. Proc and Seq
-// are carried by the frame itself (segRecord.Seq), not the delta.
-func diffState(prev, cur ckptState) stateDelta {
-	var d stateDelta
-	if prev.TakenAt != cur.TakenAt {
-		v := int64(cur.TakenAt)
-		d.TakenAt = &v
+// record rehydrates the checkpoint a frame holds, checking the frame is
+// whole: a state, and as many log entries as the state counted.
+func (sr *segRecord) record() (checkpoint.Record, error) {
+	if sr.Kind != segFull || sr.State == nil {
+		return checkpoint.Record{}, fmt.Errorf("seq %d: frame is not a full record with state (kind %q)", sr.Seq, sr.Kind)
 	}
-	if prev.StateBytes != cur.StateBytes {
-		v := cur.StateBytes
-		d.StateBytes = &v
+	rec := recordOf(*sr.State, sr.Log)
+	if len(rec.Log) != sr.State.LogEntries {
+		return rec, fmt.Errorf("seq %d log has %d entries, checkpoint state says %d",
+			sr.Seq, len(rec.Log), sr.State.LogEntries)
 	}
-	if prev.Fold != cur.Fold {
-		v := cur.Fold
-		d.Fold = &v
-	}
-	if prev.Work != cur.Work {
-		v := cur.Work
-		d.Work = &v
-	}
-	if prev.Progress != cur.Progress {
-		v := cur.Progress
-		d.Progress = &v
-	}
-	if prev.FlushedAt != cur.FlushedAt {
-		v := int64(cur.FlushedAt)
-		d.FlushedAt = &v
-	}
-	if prev.FinalizedAt != cur.FinalizedAt {
-		v := cur.FinalizedAt
-		d.FinalizedAt = &v
-	}
-	if prev.CFEFold != cur.CFEFold {
-		v := cur.CFEFold
-		d.CFEFold = &v
-	}
-	if prev.CFEWork != cur.CFEWork {
-		v := cur.CFEWork
-		d.CFEWork = &v
-	}
-	if prev.CFEProgress != cur.CFEProgress {
-		v := cur.CFEProgress
-		d.CFEProgress = &v
-	}
-	if prev.StableAt != cur.StableAt {
-		v := int64(cur.StableAt)
-		d.StableAt = &v
-	}
-	if prev.LogEntries != cur.LogEntries {
-		v := cur.LogEntries
-		d.LogEntries = &v
-	}
-	return d
-}
-
-// applyDelta overlays d on base and stamps the target sequence number.
-func applyDelta(base ckptState, seq int, d *stateDelta) ckptState {
-	st := base
-	st.Seq = seq
-	if d == nil {
-		return st
-	}
-	if d.TakenAt != nil {
-		st.TakenAt = des.Time(*d.TakenAt)
-	}
-	if d.StateBytes != nil {
-		st.StateBytes = *d.StateBytes
-	}
-	if d.Fold != nil {
-		st.Fold = *d.Fold
-	}
-	if d.Work != nil {
-		st.Work = *d.Work
-	}
-	if d.Progress != nil {
-		st.Progress = *d.Progress
-	}
-	if d.FlushedAt != nil {
-		st.FlushedAt = des.Time(*d.FlushedAt)
-	}
-	if d.FinalizedAt != nil {
-		st.FinalizedAt = *d.FinalizedAt
-	}
-	if d.CFEFold != nil {
-		st.CFEFold = *d.CFEFold
-	}
-	if d.CFEWork != nil {
-		st.CFEWork = *d.CFEWork
-	}
-	if d.CFEProgress != nil {
-		st.CFEProgress = *d.CFEProgress
-	}
-	if d.StableAt != nil {
-		st.StableAt = *d.StableAt
-	}
-	if d.LogEntries != nil {
-		st.LogEntries = *d.LogEntries
-	}
-	return st
+	return rec, nil
 }
 
 // SegmentFile returns the path of segment index inside a process's
@@ -225,14 +120,11 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// recLoc locates one checkpoint record inside the segmented log, plus
-// the chain metadata Load needs to resolve deltas without re-reading.
+// recLoc locates one checkpoint record inside the segmented log.
 type recLoc struct {
 	seg  int   // segment index
 	off  int64 // frame offset within the file
 	size int64 // frame length including the frame header
-	kind string
-	base int
 }
 
 // scannedFrame is one decoded frame of a segment scan.
@@ -245,7 +137,9 @@ type scannedFrame struct {
 // the whole file) and decodes its frames. strict scans must parse every
 // byte of the limit — a short or corrupt frame inside the durable
 // prefix is an error; tolerant scans (manifest rebuild) stop at the
-// first bad frame and report the valid prefix length instead.
+// first bad frame and report the valid prefix length instead. Either
+// way a frame that verifies but is not a full record fails the scan
+// with errRecordKind: it is durable data of another build, never a tear.
 func scanSegment(path string, proc, index int, limit int64, strict bool) (frames []scannedFrame, valid int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -285,11 +179,12 @@ func scanSegment(path string, proc, index int, limit int64, strict bool) (frames
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return bad("frame payload: %v", err)
 		}
+		if rec.Kind != segFull {
+			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %q (this build reads only %q records; the directory was written by an older build and is left untouched)",
+				path, off, errRecordKind, rec.Kind, segFull)
+		}
 		frames = append(frames, scannedFrame{
-			loc: recLoc{
-				seg: index, off: off, size: int64(frameHeader) + int64(n),
-				kind: rec.Kind, base: rec.Base,
-			},
+			loc: recLoc{seg: index, off: off, size: int64(frameHeader) + int64(n)},
 			rec: rec,
 		})
 		off += int64(frameHeader) + int64(n)

@@ -40,7 +40,7 @@ func durRecord(proc, seq, logn int) checkpoint.Record {
 	return r
 }
 
-// D1 measures the pipelined durability engine's sustained-write path:
+// D1 measures the durability engine's sustained-write path:
 // finalizes/sec and fsyncs/finalize at increasing group-commit batch
 // depth, against real files with real fsyncs. The fsync ratio is the
 // acceptance gate (< 0.5 at depth >= 8); the rate row is wall-clock
@@ -101,45 +101,40 @@ func runSustainedWrites(total, depth int) (rate, fsyncsPer, bytesPer float64) {
 }
 
 // D2 measures recovery replay against log length: the wall time to
-// reopen a store and replay every record back, for an incremental
-// (delta-chain) log and a full-snapshot-only log of the same history.
-// It also enforces the correctness gate: the two recoveries must be
-// byte-identical record for record, or the experiment panics.
+// reopen a store cold and load every record back, as the history grows.
+// It also enforces the correctness gate: every replayed record must be
+// byte-identical to the one finalized, or the experiment panics.
 func D2() Experiment {
 	return Experiment{
 		ID:    "D2",
-		Title: "Recovery replay vs log length: incremental chains against full snapshots",
-		Claim: "replaying delta chains on recovery costs wall time comparable to full-snapshot loads at a fraction of the write volume, and reproduces byte-identical records",
+		Title: "Recovery replay vs log length",
+		Claim: "a cold reopen plus a load of every record reproduces the finalized history byte for byte, at a wall time linear in the number of records on disk",
 		Run: func(s Scale) *Table {
 			lengths := []int{64, 256, 1024}
 			if s.Quick {
 				lengths = []int{32, 128}
 			}
-			tab := &Table{Columns: []string{"records", "replay_ms_incr", "replay_ms_full", "log_kb_incr", "log_kb_full"}}
+			tab := &Table{Columns: []string{"records", "replay_ms", "log_kb"}}
 			for _, n := range lengths {
-				incrMS, incrKB := runRecoveryReplay(n, 8)
-				fullMS, fullKB := runRecoveryReplay(n, 1)
-				tab.AddRow(I(n), F(incrMS), F(fullMS), F(incrKB), F(fullKB))
+				ms, kb := runRecoveryReplay(n)
+				tab.AddRow(I(n), F(ms), F(kb))
 			}
-			tab.Note("snapshot cadence 8 for the incremental store, 1 (every record full) for the baseline")
-			tab.Note("each cell reopens the store cold and replays every record; recoveries are asserted byte-identical before timing is reported")
+			tab.Note("each row writes the history in one batch (4-entry selective logs), reopens the store cold and loads every record; the replay is asserted byte-identical before timing is reported")
 			return tab
 		},
 	}
 }
 
-// runRecoveryReplay builds a store of n records at the given snapshot
-// cadence, then times a cold reopen + full replay. Every replayed
-// record is checked byte-identical against the written one.
-func runRecoveryReplay(n, snapshotEvery int) (replayMS, logKB float64) {
+// runRecoveryReplay builds a store of n records, then times a cold
+// reopen + full replay. Every replayed record is checked byte-identical
+// against the written one.
+func runRecoveryReplay(n int) (replayMS, logKB float64) {
 	dir, err := os.MkdirTemp("", "ocsml-durbench-*")
 	if err != nil {
 		panic(fmt.Sprintf("harness: durability bench tempdir: %v", err))
 	}
 	defer os.RemoveAll(dir)
-	opts := fsstore.DefaultOptions()
-	opts.SnapshotEvery = snapshotEvery
-	s, err := fsstore.OpenWith(dir, 0, 4, opts)
+	s, err := fsstore.Open(dir, 0, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -155,27 +150,26 @@ func runRecoveryReplay(n, snapshotEvery int) (replayMS, logKB float64) {
 	logKB = float64(sm.BytesWritten.Value()) / 1024
 
 	start := time.Now() //ocsml:wallclock recovery replay timing
-	s2, err := fsstore.OpenWith(dir, 0, 4, opts)
+	s2, err := fsstore.Open(dir, 0, 4)
 	if err != nil {
 		panic(err)
 	}
-	replayed := make([]checkpoint.Record, 0, n)
-	for seq := 1; seq <= n; seq++ {
-		r, err := s2.Load(seq)
-		if err != nil {
-			panic(fmt.Sprintf("harness: recovery replay seq %d: %v", seq, err))
-		}
-		replayed = append(replayed, r)
+	replayed, err := s2.LoadAll()
+	if err != nil {
+		panic(fmt.Sprintf("harness: recovery replay: %v", err))
 	}
 	replayMS = float64(time.Since(start).Microseconds()) / 1000 //ocsml:wallclock recovery replay timing
 
 	// Correctness gate (outside the timed window): the replay must be
-	// byte-identical to what was finalized, whatever the chain shape.
+	// byte-identical to what was finalized.
+	if len(replayed) != n {
+		panic(fmt.Sprintf("harness: recovery replay returned %d/%d records", len(replayed), n))
+	}
 	for i, r := range replayed {
 		got, _ := json.Marshal(r)
 		want, _ := json.Marshal(batch[i])
 		if !bytes.Equal(got, want) {
-			panic(fmt.Sprintf("harness: recovery replay diverged at seq %d (snapshotEvery=%d)", batch[i].Seq, snapshotEvery))
+			panic(fmt.Sprintf("harness: recovery replay diverged at seq %d", batch[i].Seq))
 		}
 	}
 	return replayMS, logKB

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -12,8 +11,6 @@ import (
 	"ocsml/internal/core"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
-	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
 )
@@ -47,9 +44,8 @@ type ClusterConfig struct {
 	// (a fresh one when nil). The free-form counter namespace lands in
 	// its events family; Counter/Counters read from there.
 	Metrics *metrics.Registry
-	// FSOptions tunes the durability engine of every node's store (group
-	// window, batch depth, segment size, snapshot cadence). Zero fields
-	// select fsstore defaults.
+	// FSOptions tunes the durability engine of every node's store (the
+	// segment size). The zero value selects the fsstore default.
 	FSOptions fsstore.Options
 	// GCInterval, when positive, runs the storage garbage collector: a
 	// cluster goroutine periodically intersects the durable manifests and
@@ -69,9 +65,9 @@ type Cluster struct {
 	Metrics *metrics.Registry
 
 	addrs []string
-	nodes []*Node // elements replaced under mu by Restart
+	nodes []*Node // elements replaced under mu by Recover
 	//ocsml:guardedby mu
-	fss   []*fsstore.Store // elements replaced under mu by Recover/Restart
+	fss   []*fsstore.Store // elements replaced under mu by Recover
 	base  time.Time
 	epoch int
 
@@ -85,7 +81,7 @@ type Cluster struct {
 	//ocsml:guardedby mu
 	makespan time.Duration
 
-	// recovering pauses the GC loop while Recover/Restart reload a
+	// recovering pauses the GC loop while Recover reloads a
 	// victim's store — collecting below the line mid-reload would pull
 	// records the restart is about to read.
 	//ocsml:guardedby mu
@@ -145,7 +141,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
 			c.fss[i] = fs
 		}
-		n, err := c.buildNode(i, listeners[i], -1, nil)
+		n, err := c.buildNode(i, listeners[i], -1)
 		if err != nil {
 			return nil, err
 		}
@@ -154,22 +150,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// buildNode assembles one node (fresh or resuming from a checkpoint).
-func (c *Cluster) buildNode(i int, ln net.Listener, resume int, rec *checkpoint.Record) (*Node, error) {
-	var proto protocol.Protocol
-	cp := core.New(c.cfg.Opt)
-	if resume >= 0 {
-		cp.SetResume(resume)
-	}
-	proto = cp
-	if c.cfg.Reliable {
-		proto = reliable.Wrap(cp, reliable.Options{})
+// buildNode assembles one node: fresh when line < 0, otherwise
+// restarted from its on-disk store at the recovery line.
+func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
+	proto, rec, err := ResumeProtocol(c.cfg.Opt, c.cfg.Reliable, c.FS(i), c.Ckpts.Proc(i), line)
+	if err != nil {
+		return nil, err
 	}
 	app := workload.Factory(c.cfg.Workload)(i, c.cfg.N)
 	return NewNode(NodeConfig{
 		ID: i, N: c.cfg.N, Addrs: c.addrs, Listener: ln,
 		Seed: c.cfg.Seed, Epoch: c.epoch,
-		Resume: resume, ResumeRec: rec,
+		Resume: line, ResumeRec: rec,
 		Proto: proto, App: app,
 		Rec: c.Rec, Ckpts: c.Ckpts, Count: c.count,
 		Metrics:    c.Metrics,
@@ -184,7 +176,7 @@ func (c *Cluster) buildNode(i int, ln net.Listener, resume int, rec *checkpoint.
 // Addrs returns the cluster's TCP addresses.
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
 
-// Node returns process i's node (the current incarnation — Restart
+// Node returns process i's node (the current incarnation — Recover
 // replaces the element).
 func (c *Cluster) Node(i int) *Node {
 	c.mu.Lock()
@@ -202,7 +194,7 @@ func (c *Cluster) Nodes() []*Node {
 }
 
 // FS returns process i's on-disk store (nil without a datadir; the
-// current incarnation — Recover/Restart replace the element).
+// current incarnation — Recover replaces the element).
 func (c *Cluster) FS(i int) *fsstore.Store {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,10 +328,11 @@ func (c *Cluster) Kill(i int) {
 }
 
 // Recover drives the wire-level recovery protocol for the crashed
-// process: rebind its address, coordinate the recovery line from the
-// cluster's durable manifests (RB_BGN -> RB_LINE -> RB_CMT -> RB_ACK,
-// see Coordinate), then restart the victim from its on-disk store at the
-// agreed line. The survivors roll back through the same RB_* handlers a
+// process: reopen its store, rebind its address, coordinate the recovery
+// line from the cluster's durable manifests (RB_BGN -> RB_LINE -> RB_CMT
+// -> RB_ACK, see Coordinate), then restart the victim from that store at
+// the agreed line (ResumeProtocol, the sequence a restarted daemon
+// runs). The survivors roll back through the same RB_* handlers a
 // standalone ocsmld daemon uses — the cluster does not reach into their
 // state directly, so the in-process cluster and a multi-OS-process
 // deployment exercise one recovery code path. Returns the agreed line.
@@ -352,8 +345,9 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	c.setRecovering(true)
 	defer c.setRecovering(false)
 	// Reopen the store exactly as a fresh OS process would — Open clears
-	// crash debris and rebuilds a corrupt manifest — before voting with
-	// its manifest in the line intersection.
+	// crash debris (torn temp files, orphan segments, torn batch tails)
+	// and rebuilds a corrupt manifest — before voting with its manifest
+	// in the line intersection.
 	fs, err := fsstore.OpenWith(c.cfg.Datadir, victim, c.cfg.N, c.cfg.FSOptions)
 	if err != nil {
 		return -1, err
@@ -368,74 +362,29 @@ func (c *Cluster) Recover(victim int) (int, error) {
 		ID: victim, Addrs: c.addrs, Seed: c.cfg.Seed,
 		Seqs: fs.Manifest().Seqs, Epoch: c.epoch,
 		Hook: c.cfg.Hook, Count: c.count,
-	}, ln)
+	}, ln) // closes ln, so the node below can rebind
 	if err != nil {
 		return -1, err
 	}
 	c.epoch = dec.Epoch
 	c.count("recovery.recoveries", 1)
-	if err := c.Restart(victim, dec.Line); err != nil {
+	// The handshake has rolled the survivors back to the line and
+	// advanced the epoch; bring the victim back at the same line.
+	if ln, err = net.Listen("tcp", c.addrs[victim]); err != nil {
 		return dec.Line, err
 	}
-	return dec.Line, nil
-}
-
-// Restart brings a killed process back from its on-disk store: the
-// listener rebinds the original address, the checkpoint store is
-// reloaded up to the recovery line, and the protocol resumes from it.
-// Recover calls it after the wire handshake has rolled the survivors
-// back to the same line and advanced the cluster epoch.
-func (c *Cluster) Restart(i, line int) error {
-	if c.FS(i) == nil {
-		return fmt.Errorf("transport: restart of P%d needs a datadir", i)
-	}
-	// Reopen the store, exactly as a fresh OS process would: Open clears
-	// crash debris (torn temp files, orphan segments, torn batch tails)
-	// and rebuilds a corrupt manifest, so a restart exercises the same
-	// recovery path as a real daemon.
-	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
-	if err != nil {
-		return err
-	}
-	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
-	c.setFS(i, fs)
-	if err := fs.TruncateAfter(line); err != nil {
-		return err
-	}
-	// Rebuild the in-memory view of P_i's durable checkpoints.
-	c.Ckpts.Proc(i).TruncateAfter(-1)
-	man := fs.Manifest()
-	sort.Ints(man.Seqs)
-	var rec checkpoint.Record
-	for _, seq := range man.Seqs {
-		r, err := fs.Load(seq)
-		if err != nil {
-			return err
-		}
-		c.Ckpts.Proc(i).Add(r)
-		if seq == line {
-			rec = r
-		}
-	}
-	if rec.Seq != line && line > 0 {
-		return fmt.Errorf("transport: P%d has no durable checkpoint at line %d", i, line)
-	}
-	ln, err := net.Listen("tcp", c.addrs[i])
-	if err != nil {
-		return err
-	}
-	c.clearDone(i)
-	n, err := c.buildNode(i, ln, line, &rec)
+	c.clearDone(victim)
+	n, err := c.buildNode(victim, ln, dec.Line)
 	if err != nil {
 		ln.Close()
-		return err
+		return dec.Line, err
 	}
 	c.mu.Lock()
-	c.nodes[i] = n
+	c.nodes[victim] = n
 	c.mu.Unlock()
 	n.Start()
 	c.count("recovery.restarts", 1)
-	return nil
+	return dec.Line, nil
 }
 
 // Counter reads one free-form counter from the registry's events family.
