@@ -16,15 +16,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own eleven
-# analyzers (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
+# vet runs the standard toolchain vet plus the repo's own ten analyzers
+# (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
 # discipline, fsync ordering, durability error flow, piggyback
 # completeness, the checkpoint state machine, goroutine field ownership
-# (loopowned), goroutine termination (quitpath), hot-path allocation
-# freedom (allocfree) and the protocol-model cross-check (protomodel).
-# See DESIGN.md §10-11 and §15-16. The second
-# ocsmlvet pass adds the soak build tag so tag-gated code (the
-# long-running transport soak harness) is analyzed too.
+# (loopowned), goroutine termination (quitpath) and hot-path allocation
+# freedom (allocfree). See DESIGN.md §10-11 and §15. The second ocsmlvet
+# pass adds the soak build tag so tag-gated code (the long-running
+# transport soak harness) is analyzed too.
 vet: ocsmlvet-bin
 	$(GO) vet ./...
 	bin/ocsmlvet ./...
@@ -85,7 +84,10 @@ fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeV2 -fuzztime 30s ./internal/wire/
 
-# model-check is the bounded model-checking gate (DESIGN.md §16): the
+# model-check is the bounded model-checking gate (DESIGN.md §16). First
+# the differential test, at its full bounds, ties the model to the code:
+# internal/core must agree with it step for step, and must stop agreeing
+# when the model runs a mutation. Then the theorems are checked on it: the
 # faithful protocol model must explore clean over every interleaving at
 # N=2..MODEL_N, every mutation fixture (drop-log, reorder-finalize,
 # skip-consume) must yield a counterexample trace, and each trace must
@@ -100,6 +102,7 @@ MODEL_CRASHES ?= 1
 MODEL_OUT ?= model-traces
 
 model-check:
+	$(GO) test -run 'TestDifferential' -count=1 ./internal/protomodel
 	$(GO) build -o bin/ocsmlcheck ./cmd/ocsmlcheck
 	$(GO) build -o bin/tracecheck ./cmd/tracecheck
 	rm -rf $(MODEL_OUT) && mkdir -p $(MODEL_OUT)

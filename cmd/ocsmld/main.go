@@ -285,7 +285,7 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 		ID: id, N: n, Addrs: addrs, Listener: ln,
 		Seed: seed, Epoch: epoch, Resume: resume, ResumeRec: resumeRec,
 		Proto: pr, App: workload.Factory(wl)(id, n),
-		Rec: rec, Ckpts: ckpts, Count: count, Metrics: reg,
+		Rec: rec, Ckpts: ckpts, Metrics: reg,
 		FS: fs,
 		OnDone: func(int) {
 			select {

@@ -1,4 +1,4 @@
-// Command ocsmlvet is the repository's analysis suite: eleven custom
+// Command ocsmlvet is the repository's analysis suite: ten custom
 // analyzers that mechanically enforce the invariants the runtime
 // depends on but the compiler cannot see.
 //
@@ -31,15 +31,10 @@
 //	allocfree          //ocsml:hotpath functions and everything they call
 //	                   stay allocation-free; cold paths carry
 //	                   //ocsml:alloc <why>
-//	protomodel         the transition system extracted from internal/core
-//	                   (states, declared transitions, piggyback facts)
-//	                   matches the executable model the bounded checker
-//	                   (internal/protomodel, cmd/ocsmlcheck) explores
 //
 // Usage:
 //
-//	ocsmlvet [-list] [-json] [-sarif] [-fix] [-model] [-tags tag,list]
-//	         [-baseline file] [-write-baseline] [packages]
+//	ocsmlvet [-list] [-json] [-sarif] [-fix] [-tags tag,list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Exit
 // status is 1 when any error-severity diagnostic is reported (warnings
@@ -52,12 +47,9 @@
 //
 // -fix applies the suggested fixes of mechanical diagnostics (a missing
 // //ocsml:state table entry, a missing //ocsml:loopcontext assertion)
-// to the source files in place, then reports what remains. -baseline
-// points at a checked-in JSON file of accepted findings (default
-// .ocsmlvet-baseline.json at the module root) that are suppressed
-// without inline directives; -write-baseline regenerates that file from
-// the current findings. -model skips the analyzers and prints the
-// protocol transition systems extracted from source as JSON.
+// to the source files in place, then reports what remains. An accepted
+// finding is suppressed where it occurs, with the analyzer's inline
+// //ocsml:* directive and its reason.
 //
 // The suite is wired into `make lint` and CI; an error finding is a
 // build failure, not advice. The analyzers are stdlib-only (go/parser +
@@ -82,7 +74,6 @@ import (
 	"ocsml/internal/analysis/lockdiscipline"
 	"ocsml/internal/analysis/loopowned"
 	"ocsml/internal/analysis/piggybackcomplete"
-	"ocsml/internal/analysis/protomodel"
 	"ocsml/internal/analysis/quitpath"
 	"ocsml/internal/analysis/statemachine"
 	"ocsml/internal/analysis/vetkit"
@@ -101,7 +92,6 @@ var analyzers = []*vetkit.Analyzer{
 	loopowned.Analyzer,
 	quitpath.Analyzer,
 	allocfree.Analyzer,
-	protomodel.Analyzer,
 }
 
 // finding is the -json wire format: one object per diagnostic, one per
@@ -124,10 +114,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON objects, one per line")
 	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 log on stdout")
 	fix := flag.Bool("fix", false, "apply suggested fixes to source files in place")
-	modelOut := flag.Bool("model", false, "print the extracted protocol transition systems as JSON and exit")
 	tags := flag.String("tags", "", "comma-separated build tags for file matching")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings (default <module>/.ocsmlvet-baseline.json)")
-	writeBase := flag.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
 	flag.Parse()
 	if *list {
 		for _, a := range analyzers {
@@ -165,15 +152,6 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 	program := vetkit.NewProgram(loader.Packages)
-
-	if *modelOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(protomodel.Extract(program)); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	diags, err := vetkit.Run(analyzers, pkgs, program)
 	if err != nil {
@@ -221,23 +199,6 @@ func main() {
 		}
 	}
 
-	basePath := *baselinePath
-	if basePath == "" {
-		basePath = filepath.Join(modDir, ".ocsmlvet-baseline.json")
-	}
-	if *writeBase {
-		if err := writeBaseline(basePath, modDir, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d accepted findings to %s\n", len(findings), basePath)
-		return
-	}
-	baseline, err := loadBaseline(basePath)
-	if err != nil {
-		fatal(err)
-	}
-	findings, suppressed := applyBaseline(modDir, findings, baseline)
-
 	errors := 0
 	for _, f := range findings {
 		if f.Severity == "error" {
@@ -262,10 +223,6 @@ func main() {
 			fmt.Printf("%s:%d:%d: %s: %s: %s\n", f.File, f.Line, f.Col, f.Severity, f.Analyzer, f.Message)
 		}
 	}
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "ocsmlvet: %d finding(s) suppressed by %s\n", suppressed, basePath)
-	}
-
 	if errors > 0 {
 		os.Exit(1)
 	}

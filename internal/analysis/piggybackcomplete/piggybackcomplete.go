@@ -34,7 +34,6 @@ package piggybackcomplete
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"ocsml/internal/analysis/vetkit"
@@ -130,13 +129,7 @@ func checkImpl(pass *vetkit.Pass, pf *progFacts, cg *vetkit.CallGraph, impl *typ
 					pass.Reportf(fd.Name.Pos(), "OnAppSend of %s does not attach the piggyback payload on every path before the envelope is sent (assign e.Payload, delegate, or annotate the type //ocsml:nopiggyback <why>)", impl.Name())
 				}
 			case "OnDeliver":
-				ctx := &consumeCtx{
-					pf: pf, cg: cg, checked: pf.checked,
-					report: func(pos token.Pos, callee, fname, param string) {
-						pass.Reportf(pos, "call to %s in %s mutates checkpoint state before the piggyback payload (%s.Payload) is consumed: the receive rules dispatch on the piggyback", callee, fname, param)
-					},
-				}
-				ctx.checkConsume(node, idx)
+				checkConsume(pass, pf, node, idx)
 			}
 		}
 	}
@@ -353,26 +346,15 @@ func attachedParams(n *vetkit.FuncNode, idxs []int, summaries map[*types.Func]ma
 
 // ---- consume-before-mutate ----
 
-// A consumeCtx is one consume-check traversal: the analyzer path wires
-// report to pass.Reportf and shares pf.checked so each site is flagged
-// once across passes; the fact path (Facts) uses a fresh memo and a
-// report that only records that a violation exists.
-type consumeCtx struct {
-	pf      *progFacts
-	cg      *vetkit.CallGraph
-	checked map[key]bool
-	report  func(pos token.Pos, callee, fname, param string)
-}
-
 // checkConsume verifies that fn reads the Payload of its idx-th
 // parameter (or hands the envelope on) before any checkpoint mutation,
 // recursing into helpers that receive the envelope.
-func (ctx *consumeCtx) checkConsume(n *vetkit.FuncNode, idx int) {
+func checkConsume(pass *vetkit.Pass, pf *progFacts, n *vetkit.FuncNode, idx int) {
 	k := key{n.Obj, idx}
-	if ctx.checked[k] {
+	if pf.checked[k] {
 		return
 	}
-	ctx.checked[k] = true
+	pf.checked[k] = true
 	if n.Decl == nil || n.Decl.Body == nil {
 		return
 	}
@@ -384,7 +366,7 @@ func (ctx *consumeCtx) checkConsume(n *vetkit.FuncNode, idx int) {
 	}
 	info := n.Pkg.Info
 	c := &consumeChecker{
-		ctx: ctx, pf: ctx.pf, info: info, sites: sites,
+		pass: pass, pf: pf, info: info, sites: sites,
 		tracked: tracked, fname: n.Obj.Name(),
 	}
 	g := vetkit.NewCFG(n.Decl.Body)
@@ -402,7 +384,7 @@ func (ctx *consumeCtx) checkConsume(n *vetkit.FuncNode, idx int) {
 }
 
 type consumeChecker struct {
-	ctx     *consumeCtx
+	pass    *vetkit.Pass
 	pf      *progFacts
 	info    *types.Info
 	sites   map[*ast.CallExpr]*vetkit.CallSite
@@ -454,14 +436,14 @@ func (c *consumeChecker) scan(n ast.Node, consumed bool, report, inLit bool) boo
 				// while it is still outstanding. Once the payload has been
 				// read, downstream helpers are free to mutate.
 				if !consumed && report && site != nil && site.Callee != nil && site.Callee.Decl != nil {
-					c.ctx.checkConsume(site.Callee, argIdx)
+					checkConsume(c.pass, c.pf, site.Callee, argIdx)
 				}
 				consumed = true
 				return true
 			}
 			if !consumed && !inLit && report && site != nil && site.Callee != nil &&
 				(isBaseMutator(site.Callee.Obj) || c.pf.mutators[site.Callee.Obj]) {
-				c.ctx.report(n.Pos(), site.Callee.Obj.Name(), c.fname, paramName(c.tracked))
+				c.pass.Reportf(n.Pos(), "call to %s in %s mutates checkpoint state before the piggyback payload (%s.Payload) is consumed: the receive rules dispatch on the piggyback", site.Callee.Obj.Name(), c.fname, paramName(c.tracked))
 			}
 		}
 		return true
@@ -479,108 +461,6 @@ func readsPayload(info *types.Info, expr ast.Expr, tracked *types.Var) bool {
 		return !found
 	})
 	return found
-}
-
-// ---- exported model facts ----
-
-// An ImplFact summarizes the piggyback obligations of one
-// protocol.Protocol implementation for the protomodel extractor.
-type ImplFact struct {
-	Impl        *types.TypeName
-	NoPiggyback bool // //ocsml:nopiggyback on the type (index-free baseline)
-	// OnAppSend / OnDeliver are the implementation's handler methods;
-	// nil when the type inherits them (embedding) or lacks an envelope
-	// parameter.
-	OnAppSend *types.Func
-	OnDeliver *types.Func
-	// Attaches reports OnAppSend proven to attach the piggyback payload
-	// on every path; ConsumesFirst reports OnDeliver proven to consume
-	// it before any checkpoint-store mutation. Both false when the
-	// method is nil or exempted.
-	Attaches      bool
-	ConsumesFirst bool
-}
-
-// Facts computes the piggyback facts for every protocol implementation
-// in the program. It shares the analyzer's interprocedural summaries
-// but uses its own consume memo, so running it never suppresses (or
-// duplicates) analyzer diagnostics.
-func Facts(program *vetkit.Program) []ImplFact {
-	pf := facts(program)
-	if pf == nil {
-		return nil
-	}
-	cg := program.CallGraph()
-	var out []ImplFact
-	for _, pkg := range program.Packages {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if !ok || !implementsProtocol(obj, pf.proto) {
-						continue
-					}
-					fact := ImplFact{
-						Impl:        obj,
-						NoPiggyback: vetkit.CommentGroupHas(ts.Doc, "nopiggyback") || vetkit.CommentGroupHas(gd.Doc, "nopiggyback"),
-					}
-					fillMethodFacts(&fact, pf, cg, pkg)
-					out = append(out, fact)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// fillMethodFacts locates the implementation's handler methods in its
-// declaring package and evaluates the attach/consume summaries.
-func fillMethodFacts(fact *ImplFact, pf *progFacts, cg *vetkit.CallGraph, pkg *vetkit.Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || receiverType(obj) != fact.Impl {
-				continue
-			}
-			exempt := vetkit.CommentGroupHas(fd.Doc, "nopiggyback")
-			idx := envParamIndex(obj, pf.env)
-			switch fd.Name.Name {
-			case "OnAppSend":
-				fact.OnAppSend = obj
-				if !exempt && idx >= 0 {
-					fact.Attaches = pf.attach[obj][idx]
-				}
-			case "OnDeliver":
-				fact.OnDeliver = obj
-				if exempt || idx < 0 {
-					continue
-				}
-				node := cg.Node(obj)
-				if node == nil {
-					continue
-				}
-				ok := true
-				ctx := &consumeCtx{
-					pf: pf, cg: cg, checked: map[key]bool{},
-					report: func(token.Pos, string, string, string) { ok = false },
-				}
-				ctx.checkConsume(node, idx)
-				fact.ConsumesFirst = ok
-			}
-		}
-	}
 }
 
 // ---- small helpers ----

@@ -60,95 +60,9 @@ type table struct {
 	all   uint64           // mask of every declared state
 	trans map[int64]uint64 // to-value -> allowed-from mask
 	star  map[int64]bool   // to-values reachable from any state
-	decl  []DeclEdge       // declared edges in directive order
 	// insertEnd is the end of the table's last //ocsml:state directive —
 	// the anchor where the suggested fix appends a new edge stub.
 	insertEnd token.Pos
-}
-
-// ---- exported model facts ----
-//
-// The protomodel extractor (internal/analysis/protomodel) lifts the
-// protocol implementation into an explicit transition system; the
-// declared tables and the proven write facts below are its raw
-// material, shared with this analyzer so the two can never disagree.
-
-// A DeclEdge is one declared transition; From is "*" for any-state.
-type DeclEdge struct{ From, To string }
-
-// TableInfo is the exported view of one //ocsml:state table.
-type TableInfo struct {
-	Type   *types.TypeName
-	Field  string
-	States []string // every named constant of the state type, by value
-	Edges  []DeclEdge
-	// InsertPos anchors mechanical fixes: new edge stubs are inserted
-	// at the end of the table's last //ocsml:state directive.
-	InsertPos token.Pos
-}
-
-// A TransitionWrite is one write to an annotated state field, with the
-// forward analysis' guard-narrowed set of possible from-states.
-type TransitionWrite struct {
-	Table TableInfo
-	Fn    *types.Func // function whose body contains the write
-	Pos   token.Pos
-	From  []string // states the write may be entered from
-	To    string   // written constant; "" when not a named constant
-	// Declared reports that every (from, to) pair is a declared edge —
-	// exactly the condition this analyzer enforces.
-	Declared bool
-}
-
-// Tables returns the program's declared transition tables.
-func Tables(program *vetkit.Program) []TableInfo {
-	pf := facts(program)
-	out := make([]TableInfo, 0, len(pf.tables))
-	for _, t := range pf.tables {
-		out = append(out, t.info())
-	}
-	return out
-}
-
-// TransitionWrites re-runs the write analysis over every declared
-// function and returns each state-field write as a fact. Order is
-// deterministic (callgraph declaration order).
-func TransitionWrites(program *vetkit.Program) []TransitionWrite {
-	pf := facts(program)
-	if len(pf.tables) == 0 {
-		return nil
-	}
-	var out []TransitionWrite
-	for _, n := range program.CallGraph().Funcs() {
-		if n.Decl.Body == nil {
-			continue
-		}
-		fn := n
-		a := &analysis{info: n.Pkg.Info, pf: pf, node: n}
-		a.visit = func(w writeVisit) {
-			tw := TransitionWrite{
-				Table: w.t.info(), Fn: fn.Obj, Pos: w.pos,
-				From: w.t.maskNames(w.fromMask), To: w.toName,
-				Declared: w.named && w.illegal == 0,
-			}
-			out = append(out, tw)
-		}
-		a.checkBody(n.Decl.Body)
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			if lit, ok := x.(*ast.FuncLit); ok {
-				a.checkBody(lit.Body)
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func (t *table) info() TableInfo {
-	return TableInfo{
-		Type: t.typ, Field: t.field, States: t.maskNames(t.all),
-		Edges: append([]DeclEdge(nil), t.decl...), InsertPos: t.insertEnd,
-	}
 }
 
 // A tableErr is a malformed directive, reported by the pass that owns
@@ -191,20 +105,7 @@ func run(pass *vetkit.Pass) error {
 			if node == nil {
 				continue
 			}
-			a := &analysis{info: pass.TypesInfo, pf: pf, node: node}
-			a.visit = func(w writeVisit) {
-				switch {
-				case !w.named:
-					pass.Reportf(w.pos, "write to state field %s.%s is not a named %s constant: every write must be a declared //ocsml:state transition", w.t.typ.Name(), w.t.field, w.t.typ.Name())
-				case w.illegal != 0:
-					pass.Report(vetkit.Diagnostic{
-						Pos: w.pos,
-						Message: fmt.Sprintf("transition %s->%s of state field %s.%s is not declared by //ocsml:state (guard the write or declare the edge)",
-							w.t.stateNames(w.illegal), w.toName, w.t.typ.Name(), w.t.field),
-						Fix: w.t.edgeStubFix(w.illegal, w.toName),
-					})
-				}
-			}
+			a := &analysis{pass: pass, pf: pf, node: node}
 			a.checkBody(fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
@@ -322,7 +223,6 @@ func (pf *progFacts) parseTable(pkg *vetkit.Package, ts *ast.TypeSpec, doc *ast.
 			}
 			if e.from == "*" {
 				t.star[to] = true
-				t.decl = append(t.decl, DeclEdge{"*", e.to})
 				continue
 			}
 			from, ok := byName[e.from]
@@ -331,7 +231,6 @@ func (pf *progFacts) parseTable(pkg *vetkit.Package, ts *ast.TypeSpec, doc *ast.
 				continue
 			}
 			t.trans[to] |= 1 << uint(from)
-			t.decl = append(t.decl, DeclEdge{e.from, e.to})
 		}
 		pf.tables = append(pf.tables, t)
 	}
@@ -443,24 +342,10 @@ func equalFact(a, b fact) bool {
 	return true
 }
 
-// A writeVisit describes one state-field write to the analysis' visit
-// callback: the diagnostic path (run) turns undeclared transitions into
-// findings; the fact path (TransitionWrites) records every write.
-type writeVisit struct {
-	t        *table
-	pos      token.Pos
-	fromMask uint64 // guard-narrowed possible from-states
-	to       int64
-	toName   string
-	named    bool   // RHS resolved to a named constant of the state type
-	illegal  uint64 // from-states whose edge to `to` is undeclared
-}
-
 type analysis struct {
-	info  *types.Info
-	pf    *progFacts
-	node  *vetkit.FuncNode
-	visit func(writeVisit)
+	pass *vetkit.Pass
+	pf   *progFacts
+	node *vetkit.FuncNode
 }
 
 func (a *analysis) checkBody(body *ast.BlockStmt) {
@@ -513,7 +398,7 @@ func (a *analysis) transfer(sites map[*ast.CallExpr]*vetkit.CallSite, b *vetkit.
 // assign checks every state-field write in one assignment.
 func (a *analysis) assign(as *ast.AssignStmt, f fact, report bool) {
 	for i, lhs := range as.Lhs {
-		t, base := a.pf.stateSelector(a.info, lhs)
+		t, base := a.pf.stateSelector(a.pass.TypesInfo, lhs)
 		if t == nil {
 			continue
 		}
@@ -530,7 +415,7 @@ func (a *analysis) assign(as *ast.AssignStmt, f fact, report bool) {
 		to, toName, ok := a.constValue(t, rhs)
 		if !ok {
 			if report {
-				a.visit(writeVisit{t: t, pos: lhs.Pos(), fromMask: cur})
+				a.pass.Reportf(lhs.Pos(), "write to state field %s.%s is not a named %s constant: every write must be a declared //ocsml:state transition", t.typ.Name(), t.field, t.typ.Name())
 			}
 			if base != nil {
 				delete(f, base) // unknown value: Top
@@ -541,9 +426,13 @@ func (a *analysis) assign(as *ast.AssignStmt, f fact, report bool) {
 		if !t.star[to] {
 			illegal = cur &^ t.trans[to]
 		}
-		if report {
-			a.visit(writeVisit{t: t, pos: lhs.Pos(), fromMask: cur,
-				to: to, toName: toName, named: true, illegal: illegal})
+		if report && illegal != 0 {
+			a.pass.Report(vetkit.Diagnostic{
+				Pos: lhs.Pos(),
+				Message: fmt.Sprintf("transition %s->%s of state field %s.%s is not declared by //ocsml:state (guard the write or declare the edge)",
+					t.stateNames(illegal), toName, t.typ.Name(), t.field),
+				Fix: t.edgeStubFix(illegal, toName),
+			})
 		}
 		if base != nil {
 			f[base] = 1 << uint(to)
@@ -556,7 +445,7 @@ func (a *analysis) constValue(t *table, rhs ast.Expr) (int64, string, bool) {
 	if rhs == nil {
 		return 0, "", false
 	}
-	tv, ok := a.info.Types[rhs]
+	tv, ok := a.pass.TypesInfo.Types[rhs]
 	if !ok || tv.Value == nil {
 		return 0, "", false
 	}
@@ -605,7 +494,7 @@ func (a *analysis) narrow(cond ast.Expr, truth bool, f fact) {
 // comparison matches `x.field == Const` with the operands in either
 // order.
 func (a *analysis) comparison(e *ast.BinaryExpr) (*table, *types.Var, int64, bool) {
-	info := a.info
+	info := a.pass.TypesInfo
 	try := func(selSide, constSide ast.Expr) (*table, *types.Var, int64, bool) {
 		t, base := a.pf.stateSelector(info, selSide)
 		if t == nil {

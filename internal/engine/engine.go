@@ -159,7 +159,7 @@ func New(cfg Config, pf ProtoFactory, af AppFactory) *Cluster {
 		n.h = host.New(host.Process{
 			ID: i, N: cfg.N, Proto: n.proto, App: af(i, cfg.N),
 			Rand: sim.Rand(), Rec: c.Rec, Ckpts: c.Ckpts.Proc(i),
-			Count: c.count, Metrics: c.Metrics,
+			Metrics: c.Metrics,
 		}, n)
 		c.nodes[i] = n
 	}

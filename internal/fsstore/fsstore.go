@@ -19,10 +19,11 @@
 // truncated on Open) or the new one (every referenced byte durable) —
 // never a manifest pointing at missing data.
 //
-// The manifest of every process, intersected, yields the last finalized
-// global checkpoint S_k on disk; internal/recovery's RecoverLine
-// restarts a cluster from it, and GCTo garbage-collects everything
-// below that watermark.
+// The manifest of every process, intersected (Intersect,
+// LastCompleteSeq), yields the last finalized global checkpoint S_k on
+// disk; the recovery handshake (transport.Coordinate) agrees on it as the
+// line and transport.ResumeProtocol restarts a process from it, and GCTo
+// garbage-collects everything below that watermark.
 package fsstore
 
 import (

@@ -67,10 +67,11 @@ type Process struct {
 	Proto protocol.Protocol
 	App   protocol.App
 	// Rand is the process's deterministic random source.
-	Rand    *rand.Rand
-	Rec     *trace.Recorder
-	Ckpts   *checkpoint.ProcStore
-	Count   func(name string, delta int64)
+	Rand  *rand.Rand
+	Rec   *trace.Recorder
+	Ckpts *checkpoint.ProcStore
+	// Metrics is the registry the protocol registers its series in; its
+	// event sink takes the free-form Count statistics.
 	Metrics *metrics.Registry
 	// Epoch is the starting epoch.
 	Epoch int
@@ -86,8 +87,9 @@ type Process struct {
 //
 //ocsml:loopcontext Driver.After
 type Host struct {
-	p   Process
-	drv Driver
+	p     Process
+	drv   Driver
+	count func(name string, delta int64) // p.Metrics' event sink
 
 	// epoch fences timers and callbacks: whatever was scheduled before
 	// a rollback never fires. down silences a crashed process until the
@@ -125,7 +127,7 @@ var (
 // New builds the host of one process; nothing runs until the driver
 // calls StartProtocol and StartApp (or RestartApp).
 func New(p Process, drv Driver) *Host {
-	return &Host{p: p, drv: drv, epoch: p.Epoch}
+	return &Host{p: p, drv: drv, count: p.Metrics.EventSink(), epoch: p.Epoch}
 }
 
 // ---- driver-facing steps ----
@@ -163,10 +165,10 @@ func (h *Host) Crash() { h.down = true }
 func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
 	h.fold, h.work = rec.CFEFold, rec.CFEWork
 	if checkpoint.FoldLog(rec.Fold, rec.Log) != rec.CFEFold {
-		h.p.Count("recovery.replay_mismatch", 1)
+		h.count("recovery.replay_mismatch", 1)
 		return 0
 	}
-	h.p.Count("recovery.replayed_msgs", int64(len(rec.Log)))
+	h.count("recovery.replayed_msgs", int64(len(rec.Log)))
 	return len(rec.Log)
 }
 
@@ -248,7 +250,7 @@ func (h *Host) Send(e *protocol.Envelope) {
 	e.Epoch = h.epoch
 	e.SentAt = h.drv.Now()
 	if e.Kind == protocol.KindCtl {
-		h.p.Count("ctl."+e.CtlTag, 1)
+		h.count("ctl."+e.CtlTag, 1)
 		h.p.Rec.Record(trace.Event{
 			T: e.SentAt, Kind: trace.KCtlSend, Proc: h.p.ID, Peer: e.Dst,
 			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
@@ -400,7 +402,7 @@ func (h *Host) Note(kind trace.Kind, seq int) {
 }
 
 // Count implements protocol.Env.
-func (h *Host) Count(name string, delta int64) { h.p.Count(name, delta) }
+func (h *Host) Count(name string, delta int64) { h.count(name, delta) }
 
 // Metrics implements protocol.Env.
 func (h *Host) Metrics() *metrics.Registry { return h.p.Metrics }

@@ -21,7 +21,7 @@ type fixture struct {
 	h      *host.Host
 	sent   []*protocol.Envelope
 	writes []func(start, end des.Time)
-	counts map[string]int64
+	reg    *metrics.Registry
 	stalls []bool
 	doneN  int
 	nextID int64
@@ -32,13 +32,12 @@ type fixture struct {
 }
 
 func newFixture() *fixture {
-	f := &fixture{sim: des.New(1), counts: map[string]int64{}}
+	f := &fixture{sim: des.New(1), reg: metrics.NewRegistry()}
 	f.h = host.New(host.Process{
 		ID: 0, N: 3, Proto: fakeProto{f}, App: fakeApp{f},
 		Rand: rand.New(rand.NewSource(1)), Rec: trace.NewRecorder(),
 		Ckpts:   checkpoint.NewStore(3).Proc(0),
-		Count:   func(name string, d int64) { f.counts[name] += d },
-		Metrics: metrics.NewRegistry(),
+		Metrics: f.reg,
 	}, f)
 	f.h.StartProtocol()
 	f.h.StartApp()
@@ -197,8 +196,8 @@ func TestHost(t *testing.T) {
 			if f.h.Fold() != rec.CFEFold || f.h.Work() != 7 {
 				t.Fatalf("state fold %#x work %d, want %#x and 7", f.h.Fold(), f.h.Work(), rec.CFEFold)
 			}
-			if f.counts["recovery.replayed_msgs"] != 2 || f.counts["recovery.replay_mismatch"] != 0 {
-				t.Fatalf("counters %v", f.counts)
+			if ev := f.reg.EventCounts(); ev["recovery.replayed_msgs"] != 2 || ev["recovery.replay_mismatch"] != 0 {
+				t.Fatalf("counters %v", ev)
 			}
 			// The parked delivery is gone, the application is parked until
 			// RestartApp, and Done counts again in the new incarnation.
@@ -220,8 +219,8 @@ func TestHost(t *testing.T) {
 			if f.h.Fold() != rec.CFEFold {
 				t.Fatalf("fold %#x, want the recorded %#x", f.h.Fold(), rec.CFEFold)
 			}
-			if f.counts["recovery.replay_mismatch"] != 1 || f.counts["recovery.replayed_msgs"] != 0 {
-				t.Fatalf("counters %v", f.counts)
+			if ev := f.reg.EventCounts(); ev["recovery.replay_mismatch"] != 1 || ev["recovery.replayed_msgs"] != 0 {
+				t.Fatalf("counters %v", ev)
 			}
 		}},
 		{"send stamps the envelope and broadcast reaches every peer", func(t *testing.T, f *fixture) {
@@ -232,8 +231,8 @@ func TestHost(t *testing.T) {
 			if f.sent[0].ID == 0 || f.sent[0].ID == f.sent[1].ID || f.sent[0].Src != 0 {
 				t.Fatalf("stamping: %+v %+v", f.sent[0], f.sent[1])
 			}
-			if f.counts["ctl.CK_BGN"] != 2 {
-				t.Fatalf("counters %v", f.counts)
+			if ev := f.reg.EventCounts(); ev["ctl.CK_BGN"] != 2 {
+				t.Fatalf("counters %v", ev)
 			}
 		}},
 	}

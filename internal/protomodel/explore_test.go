@@ -25,22 +25,6 @@ func cutAt(events []trace.Event, n, seq int) (trace.Cut, bool) {
 	return cut, true
 }
 
-func TestShape(t *testing.T) {
-	states, edges := Shape()
-	if len(states) != 2 || states[0] != "Normal" || states[1] != "Tentative" {
-		t.Errorf("states = %v", states)
-	}
-	want := [][2]string{{"Normal", "Tentative"}, {"Tentative", "Normal"}, {"*", "Normal"}}
-	if len(edges) != len(want) {
-		t.Fatalf("edges = %v", edges)
-	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Errorf("edge %d = %v, want %v", i, edges[i], want[i])
-		}
-	}
-}
-
 func TestExploreBounds(t *testing.T) {
 	if _, err := Explore(Config{N: 1}); err == nil {
 		t.Error("N=1 should be rejected")

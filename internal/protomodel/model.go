@@ -14,12 +14,15 @@
 // theorems over the pure Figure-3 algorithm (Options.Timeout = 0 in
 // internal/core terms).
 //
-// The model cannot drift silently from the implementation: the
-// protomodel analyzer (internal/analysis/protomodel) statically
-// extracts the transition system from internal/core's source — the
-// //ocsml:state tables, the guarded writes to csn/stat/tentSet, the
-// piggyback attach/consume facts — and cross-checks it against the
-// shape declared here.
+// The model and the implementation are kept in step by running both:
+// the package's differential test performs every action on real
+// core.Protocol instances too and requires, after each step, equal
+// (csn, stat, tentSet), log length and finalized sequence number per
+// process, equal piggybacks on every send, equal finalized logs, and a
+// core panic exactly where the model reports PropInvariant — over every
+// reachable (state, action) pair at N=2 and random walks at N=3..4
+// (DESIGN.md §16.1). A theorem checked here is therefore a statement
+// about internal/core within those bounds, not about a look-alike.
 //
 // Three safety properties are checked during exploration and on the
 // emitted traces:
@@ -64,19 +67,6 @@ func (s Status) String() string {
 		return "normal"
 	}
 	return "tentative"
-}
-
-// Shape declares the transition system this executable model
-// implements: the state names and the declared lifecycle edges ("*" =
-// any from-state). The protomodel analyzer extracts the same shape from
-// internal/core's //ocsml:state table and fails the build when the two
-// disagree, so the model cannot drift from the implementation silently.
-func Shape() (states []string, edges [][2]string) {
-	return []string{"Normal", "Tentative"}, [][2]string{
-		{"Normal", "Tentative"}, // takeTentative (phase one)
-		{"Tentative", "Normal"}, // finalize (phase two, CFE)
-		{"*", "Normal"},         // rollback recovery
-	}
 }
 
 // A Mutation injects one deliberate protocol bug (one-shot: it applies

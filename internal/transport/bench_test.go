@@ -91,8 +91,16 @@ func TestMeshSendAllocs(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return delivered.Load() >= 2000 })
 
-	if n := testing.AllocsPerRun(2000, send); n > 1 {
-		t.Errorf("mesh send: %.2f allocs/op, want <= 1", n)
+	// AllocsPerRun counts the process's mallocs, so what the mesh's reader
+	// and writer goroutines allocate while a measurement runs lands in it
+	// too; the minimum of a few measurements is the one the scheduler
+	// disturbed least.
+	n := testing.AllocsPerRun(2000, send)
+	for i := 1; i < 5; i++ {
+		n = min(n, testing.AllocsPerRun(2000, send))
+	}
+	if n > 1 {
+		t.Errorf("mesh send: %.2f allocs/op at best of 5, want <= 1", n)
 	}
 	if d := s.Stats().Dropped; d > 0 {
 		t.Logf("note: %d frames dropped during measurement (queue overflow)", d)

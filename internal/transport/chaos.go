@@ -287,7 +287,7 @@ func verifyExactlyOnceReplay(datadir string, n int) Invariant {
 // directly: after the run — crashes, planted commit-boundary debris,
 // group commits, segment rotation, GC sweeps and all — no manifest
 // points at missing data. Every store reopens cleanly and every
-// manifested record loads, including full replay of incremental chains.
+// manifested record loads.
 func verifyManifestIntegrity(datadir string, n int) Invariant {
 	iv := Invariant{Name: "manifest-integrity"}
 	for p := 0; p < n; p++ {

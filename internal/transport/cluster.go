@@ -163,7 +163,7 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 		Seed: c.cfg.Seed, Epoch: c.epoch,
 		Resume: line, ResumeRec: rec,
 		Proto: proto, App: app,
-		Rec: c.Rec, Ckpts: c.Ckpts, Count: c.count,
+		Rec: c.Rec, Ckpts: c.Ckpts,
 		Metrics:    c.Metrics,
 		Hook:       c.cfg.Hook,
 		FS:         c.FS(i),
@@ -499,16 +499,16 @@ func (c *Cluster) Report() (*Report, error) {
 			r.ControlMessages += v
 		}
 	}
-	r.PiggybackBytes = r.Counters["wire.piggyback_bytes"]
-	if r.AppMessages > 0 {
-		r.PiggybackBytesPerMsg = float64(r.PiggybackBytes) / float64(r.AppMessages)
-	}
 	for _, n := range c.Nodes() {
+		r.PiggybackBytes += n.Mesh().PiggybackBytes()
 		st := n.Mesh().Stats()
 		r.FramesSent += st.FramesSent
 		r.FrameBytes += st.BytesSent
 		r.Reconnects += st.Reconnects
 		r.Dropped += st.Dropped
+	}
+	if r.AppMessages > 0 {
+		r.PiggybackBytesPerMsg = float64(r.PiggybackBytes) / float64(r.AppMessages)
 	}
 	for p := 0; p < c.cfg.N; p++ {
 		for _, rec := range c.Ckpts.Proc(p).All() {

@@ -33,22 +33,18 @@ type MeshConfig struct {
 	Seed int64
 	// Hook, when non-nil, filters every outgoing frame (fault injection).
 	Hook SendHook
-	// Count, when non-nil, receives the mesh's free-form statistics —
-	// notably "wire.piggyback_bytes", accounted at write time where the
-	// per-connection delta encoding is decided. It must be safe for
-	// concurrent use (the writer goroutines call it).
-	Count func(name string, delta int64)
 	// DialBackoff is the initial reconnect delay (default 20ms); it
-	// doubles per failure up to DialBackoffCap (default 2s) and resets on
-	// success.
-	DialBackoff    time.Duration
-	DialBackoffCap time.Duration
-	// QueueLen is the per-peer outgoing frame queue (default 8192).
-	// Frames offered to a full queue are dropped and counted — the
-	// reliable middleware recovers them, exactly as it would on a lossy
-	// simulated channel.
-	QueueLen int
+	// doubles per failure up to dialBackoffCap and resets on success.
+	DialBackoff time.Duration
 }
+
+const (
+	dialBackoffCap = 2 * time.Second
+	// peerQueueLen is the per-peer outgoing frame queue. Frames offered
+	// to a full queue are dropped and counted — the reliable middleware
+	// recovers them, exactly as it would on a lossy simulated channel.
+	peerQueueLen = 8192
+)
 
 // MeshStats are the wire-level counters of one process.
 type MeshStats struct {
@@ -151,12 +147,6 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 20 * time.Millisecond
 	}
-	if cfg.DialBackoffCap <= 0 {
-		cfg.DialBackoffCap = 2 * time.Second
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 8192
-	}
 	m := &Mesh{
 		cfg:    cfg,
 		ln:     ln,
@@ -169,7 +159,7 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 		if j == cfg.ID {
 			continue
 		}
-		m.peers[j] = &peer{id: j, out: make(chan *wire.Frame, cfg.QueueLen)}
+		m.peers[j] = &peer{id: j, out: make(chan *wire.Frame, peerQueueLen)}
 	}
 	return m, nil
 }
@@ -373,8 +363,8 @@ func (m *Mesh) writerLoop(p *peer) {
 				case <-m.quit:
 					return
 				}
-				if backoff *= 2; backoff > m.cfg.DialBackoffCap {
-					backoff = m.cfg.DialBackoffCap
+				if backoff *= 2; backoff > dialBackoffCap {
+					backoff = dialBackoffCap
 				}
 				continue
 			}
@@ -465,9 +455,6 @@ func (m *Mesh) writerLoop(p *peer) {
 		}
 		if pbSum > 0 {
 			m.pbBytes.Add(pbSum)
-			if m.cfg.Count != nil {
-				m.cfg.Count("wire.piggyback_bytes", pbSum)
-			}
 		}
 		if err != nil {
 			// A partially-written frame dies with the connection (the

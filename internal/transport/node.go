@@ -40,17 +40,15 @@ type NodeConfig struct {
 	Proto protocol.Protocol
 	App   protocol.App
 
-	// Rec, Ckpts and Count may be shared across nodes (in-process
-	// cluster) or private (daemon). Count may be nil.
+	// Rec and Ckpts may be shared across nodes (in-process cluster) or
+	// private (daemon).
 	Rec   *trace.Recorder
 	Ckpts *checkpoint.Store
-	Count func(name string, delta int64)
 
 	// Metrics is the named-metric registry the node registers its wire
 	// and recovery series into (shared across the nodes of an in-process
-	// cluster, private to a daemon). A nil Metrics gets a fresh registry;
-	// when Count is also nil it defaults to the registry's event sink, so
-	// a standalone node still accumulates the free-form statistics.
+	// cluster, private to a daemon); its event sink takes the free-form
+	// statistics. A nil Metrics gets a fresh registry.
 	Metrics *metrics.Registry
 
 	// FS, when non-nil, persists every finalized checkpoint to disk at
@@ -82,9 +80,10 @@ type NodeConfig struct {
 // with envelope delivery over the TCP mesh and stable writes on a
 // storage goroutine. The Node is the host's Driver.
 type Node struct {
-	cfg  NodeConfig
-	h    *host.Host
-	mesh *Mesh
+	cfg   NodeConfig
+	h     *host.Host
+	mesh  *Mesh
+	count func(name string, delta int64) // cfg.Metrics' event sink
 	// enc serializes outgoing envelopes into pooled frames; all Sends
 	// run on the loop goroutine, so its scratch state is single-owner.
 	enc wire.Encoder //ocsml:loopowned loop
@@ -103,10 +102,12 @@ type Node struct {
 
 	// Single-goroutine state, proven by the loopowned analyzer (the
 	// host's own state is proven in internal/host): persisted is the
-	// highest seq written to FS; recLine the last committed
+	// highest seq written to FS; held the completions of flushes that
+	// left a finalized record off the disk; recLine the last committed
 	// rollback/resume line (-1: never).
-	persisted int //ocsml:loopowned storageLoop
-	recLine   int //ocsml:loopowned loop
+	persisted int         //ocsml:loopowned storageLoop
+	held      []heldWrite //ocsml:loopowned storageLoop
+	recLine   int         //ocsml:loopowned loop
 
 	staleDropped atomic.Int64
 	decodeErrors atomic.Int64
@@ -125,6 +126,16 @@ type storeReq struct {
 	fn func()
 }
 
+// heldWrite is the completion of a stable write, kept back until every
+// record that was finalized when the write was served (up to seq) is on
+// disk: the protocol's callback marks its checkpoint stable, which must
+// not run ahead of the FinalizeBatch that commits it.
+type heldWrite struct {
+	seq   int
+	start des.Time
+	done  func(start, end des.Time)
+}
+
 // NewNode builds a node (not yet started).
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.N != len(cfg.Addrs) || cfg.ID < 0 || cfg.ID >= cfg.N {
@@ -139,14 +150,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Count == nil {
-		cfg.Count = cfg.Metrics.EventSink()
-	}
 	if cfg.Base.IsZero() {
 		cfg.Base = time.Now() //ocsml:wallclock standalone node anchors its own time origin
 	}
 	n := &Node{
 		cfg:       cfg,
+		count:     cfg.Metrics.EventSink(),
 		inbox:     make(chan func(), 4096),
 		quit:      make(chan struct{}),
 		storageCh: make(chan storeReq, 1024),
@@ -157,7 +166,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ID: cfg.ID, N: cfg.N, Proto: cfg.Proto, App: cfg.App,
 		Rand: rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		Rec:  cfg.Rec, Ckpts: cfg.Ckpts.Proc(cfg.ID),
-		Count: cfg.Count, Metrics: cfg.Metrics, Epoch: cfg.Epoch,
+		Metrics: cfg.Metrics, Epoch: cfg.Epoch,
 	}, n)
 	// Envelope IDs must be unique across OS processes AND across the
 	// incarnations of one process: a restarted node's counter starts at
@@ -167,7 +176,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.idBase = (int64(cfg.ID)+1)<<40 | int64(cfg.Epoch&0xff)<<32
 	mesh, err := NewMesh(MeshConfig{
 		ID: cfg.ID, Addrs: cfg.Addrs, Seed: cfg.Seed, Hook: cfg.Hook,
-		Count: cfg.Count,
 	}, cfg.Listener, n.acceptConn)
 	if err != nil {
 		return nil, err
@@ -314,7 +322,7 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 	e, err := dec.DecodeOwned(frame)
 	if err != nil {
 		n.decodeErrors.Add(1)
-		n.cfg.Count("wire.decode_errors", 1)
+		n.count("wire.decode_errors", 1)
 		return
 	}
 	n.post(func() {
@@ -332,7 +340,7 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		}
 		if e.Epoch < n.h.Epoch() {
 			n.staleDropped.Add(1)
-			n.cfg.Count("wire.stale_dropped", 1)
+			n.count("wire.stale_dropped", 1)
 			return
 		}
 		n.h.Deliver(e)
@@ -354,33 +362,53 @@ func (n *Node) storageLoop() {
 				req.fn()
 				continue
 			}
-			start := n.Now()
+			start, seq := n.Now(), n.persisted
 			if n.cfg.FS != nil && req.tag != "ct" {
 				// Finalization flush ("log" / "ct+log"): persist every
 				// finalized-but-unpersisted record with a real fsync.
-				n.persistFinalized()
+				seq = n.persistFinalized()
 			}
-			end := n.Now()
 			n.storageQ.Add(-1)
 			if req.done != nil {
-				done := req.done
-				n.post(func() { done(start, end) })
+				n.held = append(n.held, heldWrite{seq, start, req.done})
 			}
+			n.completeDurable()
 		}
 	}
+}
+
+// completeDurable posts the completion of every held write whose records
+// are all on disk, oldest first. When no flush has failed that is the one
+// write just served; after a failed flush its completion waits here until
+// a later flush has committed the seq.
+func (n *Node) completeDurable() {
+	end := n.Now()
+	kept := n.held[:0]
+	for _, w := range n.held {
+		if w.seq > n.persisted {
+			kept = append(kept, w)
+			continue
+		}
+		n.post(func() { w.done(w.start, end) })
+	}
+	n.held = kept
 }
 
 // persistFinalized writes newly finalized records to the fsstore as one
 // group commit: every finalized-but-unpersisted record joins a single
 // FinalizeBatch, so a backlog of k checkpoints costs one fsync chain,
-// not k. Runs on the storage goroutine; the ProcStore is
-// mutex-protected and the persisted watermark is only touched here.
-func (n *Node) persistFinalized() {
+// not k. It returns the highest finalized seq it found, which is above
+// the persisted watermark exactly when a record stayed off the disk. Runs
+// on the storage goroutine; the ProcStore is mutex-protected and the
+// persisted watermark is only touched here.
+func (n *Node) persistFinalized() (finalized int) {
+	finalized = n.persisted
 	var batch []checkpoint.Record
 	for _, rec := range n.cfg.Ckpts.Proc(n.cfg.ID).All() {
 		if rec.Seq <= n.persisted || rec.FinalizedAt == 0 {
 			continue
 		}
+		finalized = rec.Seq
 		if rec.Seq <= n.cfg.FS.LastSeq() {
 			// Already on disk: a previous attempt failed after its
 			// manifest commit (e.g. the directory fsync); only the
@@ -391,7 +419,7 @@ func (n *Node) persistFinalized() {
 		batch = append(batch, rec)
 	}
 	if len(batch) == 0 {
-		return
+		return finalized
 	}
 	committed, err := n.cfg.FS.FinalizeBatch(batch)
 	// Advance the watermark over exactly the committed prefix. On error,
@@ -400,11 +428,12 @@ func (n *Node) persistFinalized() {
 	// retries from it.
 	if committed > 0 {
 		n.persisted = batch[committed-1].Seq
-		n.cfg.Count("fsstore.finalized", int64(committed))
+		n.count("fsstore.finalized", int64(committed))
 	}
 	if err != nil {
-		n.cfg.Count("fsstore.errors", 1)
+		n.count("fsstore.errors", 1)
 	}
+	return finalized
 }
 
 var _ host.Driver = (*Node)(nil)
@@ -433,7 +462,7 @@ func (n *Node) Transmit(e *protocol.Envelope) {
 		panic(fmt.Sprintf("transport: P%d cannot encode envelope: %v", n.cfg.ID, err))
 	}
 	if e.Kind == protocol.KindApp {
-		n.cfg.Count("wire.app_frames", 1)
+		n.count("wire.app_frames", 1)
 		n.mAppFrames.Inc()
 	}
 	// Piggyback bytes are accounted by the mesh at write time, where the
@@ -469,7 +498,7 @@ func (n *Node) StorageQueueLen() int { return int(n.storageQ.Load()) }
 func (n *Node) Image() (int64, des.Duration) { return 1 << 20, 0 }
 
 // AppSent implements host.Driver.
-func (n *Node) AppSent(*protocol.Envelope) { n.cfg.Count("app_msgs", 1) }
+func (n *Node) AppSent(*protocol.Envelope) { n.count("app_msgs", 1) }
 
 // Admit implements host.Driver: TCP connections neither duplicate nor
 // replay, so every delivered application message is processed.

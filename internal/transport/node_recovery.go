@@ -13,7 +13,7 @@ import (
 func (n *Node) handleRecovery(e *protocol.Envelope) {
 	rb, ok := e.Payload.(protocol.RbMsg)
 	if !ok {
-		n.cfg.Count("recovery.bad_frames", 1)
+		n.count("recovery.bad_frames", 1)
 		return
 	}
 	switch e.CtlTag {
@@ -36,7 +36,7 @@ func (n *Node) handleRecovery(e *protocol.Envelope) {
 	default:
 		// RB_LINE/RB_ACK are coordinator-bound; a running node sees them
 		// only as leftovers of a round it did not coordinate.
-		n.cfg.Count("recovery.stray_frames", 1)
+		n.count("recovery.stray_frames", 1)
 	}
 }
 
@@ -72,7 +72,7 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 		// A line this process never finalized cannot be restored; leave
 		// the commit unacknowledged so the coordinator's timeout surfaces
 		// the inconsistency instead of silently diverging.
-		n.cfg.Count("recovery.line_missing", 1)
+		n.count("recovery.line_missing", 1)
 		return
 	}
 	n.cfg.Ckpts.Proc(n.cfg.ID).TruncateAfter(line)
@@ -82,10 +82,12 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 		// written back post-truncate.
 		n.postStorage(func() {
 			if err := fs.TruncateAfter(line); err != nil {
-				n.cfg.Count("fsstore.errors", 1)
+				n.count("fsstore.errors", 1)
 				return // no ACK: the truncation must land before we commit
 			}
 			n.persisted = line
+			n.completeDurable()
+			n.held = nil // what is left waited on the records just discarded
 			if onDurable != nil {
 				onDurable()
 			}
@@ -96,7 +98,7 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 	n.mReplayed.Add(int64(n.h.Rollback(line, epoch, &rec)))
 	n.h.RestartApp(rec.CFEProgress)
 	n.recLine = line
-	n.cfg.Count("recovery.rollbacks", 1)
+	n.count("recovery.rollbacks", 1)
 	n.mRollbacks.Inc()
 	if n.cfg.OnRollback != nil {
 		n.cfg.OnRollback(n.cfg.ID, line)

@@ -201,7 +201,8 @@ func TestCoordinateTimeout(t *testing.T) {
 
 // TestNodeFinalizeRetry drives the watermark fix through a live node: a
 // one-shot injected Finalize failure must be retried on a later flush,
-// leaving the on-disk manifest gap-free.
+// leaving the on-disk manifest gap-free, and while the failure is
+// outstanding the record must not be reported stable.
 func TestNodeFinalizeRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -211,29 +212,48 @@ func TestNodeFinalizeRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failed atomic.Int32
+	// durable reports where seq 1 of process 0 stands: marked stable in
+	// the checkpoint store (what MaxStableSeq counts), listed in the
+	// on-disk manifest.
+	durable := func() (stable, manifested bool) {
+		rec, _ := c.Ckpts.Proc(0).Get(1)
+		m, err := fsstore.ReadManifest(dir, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		return rec.StableAt != 0, len(m.Seqs) > 0 && m.Seqs[0] == 1
+	}
+	var attempts atomic.Int32
 	c.FS(0).SetFinalizeErrHook(func(rec checkpoint.Record) error {
-		if rec.Seq == 1 && failed.CompareAndSwap(0, 1) {
+		if rec.Seq != 1 {
+			return nil
+		}
+		if attempts.Add(1) == 1 {
 			return errInjected
+		}
+		// The retry, a later flush's batch: until it commits, the failure
+		// is outstanding.
+		if stable, manifested := durable(); stable || manifested {
+			t.Errorf("seq 1 before its retry commits: stable %v, manifested %v, want neither", stable, manifested)
 		}
 		return nil
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if failed.Load() != 1 {
-		t.Fatal("injected failure never triggered")
+	if attempts.Load() != 2 {
+		t.Fatalf("seq 1 reached FinalizeBatch %d times, want a failure and one retry", attempts.Load())
 	}
 	if got := c.Counter("fsstore.errors"); got != 1 {
 		t.Fatalf("fsstore.errors = %d, want 1", got)
+	}
+	if stable, manifested := durable(); !stable || !manifested {
+		t.Fatalf("seq 1 after its retry: stable %v, manifested %v, want both", stable, manifested)
 	}
 	// The failed seq was retried: the manifest has no gap at 1.
 	m, err := fsstore.ReadManifest(dir, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(m.Seqs) == 0 || m.Seqs[0] != 1 {
-		t.Fatalf("manifest seqs = %v, want to start at 1 (no gap)", m.Seqs)
 	}
 	for i := 1; i < len(m.Seqs); i++ {
 		if m.Seqs[i] != m.Seqs[i-1]+1 {
