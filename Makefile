@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz bench-wire bench-durability model-check results-check bench-check loc
+.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz model-check results-check bench-check loc
 
 all: build test
 
@@ -16,12 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own ten analyzers
+# vet runs the standard toolchain vet plus the repo's own eight analyzers
 # (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
-# discipline, fsync ordering, durability error flow, piggyback
-# completeness, the checkpoint state machine, goroutine field ownership
-# (loopowned), goroutine termination (quitpath) and hot-path allocation
-# freedom (allocfree). See DESIGN.md §10-11 and §15. The second ocsmlvet
+# discipline, fsync ordering, durability error flow, goroutine field
+# ownership (loopowned), goroutine termination (quitpath) and hot-path
+# allocation freedom (allocfree). See DESIGN.md §10-11 and §15. The second ocsmlvet
 # pass adds the soak build tag so tag-gated code (the long-running
 # transport soak harness) is analyzed too.
 vet: ocsmlvet-bin
@@ -113,30 +112,6 @@ model-check:
 			echo "$$f: tracecheck reproduced NO violation"; exit 1; \
 		else echo "$$f: violation reproduced under tracecheck"; fi; \
 	done
-
-# bench-wire is the wire-hot-path perf gate: the allocation-regression
-# tests (exact-zero asserts need a race-free build, so `make race` skips
-# them), the go benchmarks for the codec and the live mesh, then the
-# quick-scale experiment suite, which writes the BENCH_<date>.json
-# headline (wire-encode-allocs-per-msg, wire-mesh-msgs-per-sec-per-node);
-# CI uploads the JSON as an artifact.
-bench-wire:
-	$(GO) test -run 'Alloc' -count=1 ./internal/wire/ ./internal/transport/
-	$(GO) test -run NONE -bench 'BenchmarkWire(Encode|Decode)' -benchmem ./internal/wire/
-	$(GO) test -run NONE -bench BenchmarkMeshThroughput -benchmem ./internal/transport/
-	$(GO) run ./cmd/experiments -quick -json .
-
-# bench-durability is the stable-storage perf gate: the group-commit and
-# crash-point unit tests (the fsyncs/finalize < 0.5 assert lives in
-# TestGroupCommitAmortizesFsyncs), then the sustained-write experiments
-# D1 (finalizes/sec, fsyncs/finalize by batch depth) and D2
-# (recovery-replay time vs log length, the replay asserted
-# byte-identical to what was finalized), which write the
-# BENCH_<date>.json headline; CI uploads the JSON as an artifact.
-bench-durability:
-	$(GO) test -run 'TestGroupCommit|TestCrashPointMatrix' -count=1 -v ./internal/fsstore/
-	$(GO) test -run NONE -bench 'BenchmarkD(1|2)' ./
-	$(GO) run ./cmd/experiments -quick -id D1,D2 -json .
 
 # results-check is the DES regression gate: the checked-in results/*.csv
 # are a pure function of the simulator (fixed seeds, virtual time), so a

@@ -1,7 +1,7 @@
 package ocsml_test
 
 // One benchmark per evaluation artifact: the F-scenarios (paper Figures
-// 1, 2, 5) and the experiments E1–E8 / ablations A1–A3 (DESIGN.md
+// 1, 2, 5) and the experiments E1–E11 / ablations A1–A4 (DESIGN.md
 // experiment index). Each experiment benchmark runs its full quick-scale
 // sweep per iteration and reports headline metrics via b.ReportMetric, so
 // `go test -bench . -benchmem` regenerates the whole evaluation at small
@@ -252,32 +252,6 @@ func BenchmarkA4_LocalStorage(b *testing.B) {
 	benchExperiment(b, "A4", func(tab *harness.Table) (string, float64) {
 		i := lastRowWhere(tab, 0, "koo-toueg")
 		return "kt-local-blocked-s", cell(tab, i, 4)
-	})
-}
-
-func BenchmarkW1_WireEncode(b *testing.B) {
-	benchExperiment(b, "W1", func(tab *harness.Table) (string, float64) {
-		i := lastRowWhere(tab, 0, "encode-v2-delta")
-		return "wire-encode-allocs-per-msg", cell(tab, i, 1)
-	})
-}
-
-func BenchmarkW2_MeshThroughput(b *testing.B) {
-	benchExperiment(b, "W2", func(tab *harness.Table) (string, float64) {
-		return "wire-mesh-msgs-per-sec-per-node", cell(tab, 0, 1)
-	})
-}
-
-func BenchmarkD1_DurabilityGroupCommit(b *testing.B) {
-	benchExperiment(b, "D1", func(tab *harness.Table) (string, float64) {
-		i := lastRowWhere(tab, 0, "8")
-		return "durability-fsyncs-per-finalize-depth8", cell(tab, i, 2)
-	})
-}
-
-func BenchmarkD2_RecoveryReplay(b *testing.B) {
-	benchExperiment(b, "D2", func(tab *harness.Table) (string, float64) {
-		return "durability-replay-ms", cell(tab, len(tab.Rows)-1, 1)
 	})
 }
 

@@ -1,6 +1,6 @@
 // Command experiments regenerates the evaluation suite: one table per
-// experiment (E1–E8 reconstruct the performance evaluation the paper
-// describes; A1–A3 are optimization ablations). See DESIGN.md for the
+// experiment (E1–E11 reconstruct the performance evaluation the paper
+// describes; A1–A4 are optimization ablations). See DESIGN.md for the
 // experiment index and EXPERIMENTS.md for recorded results.
 //
 // Usage:
@@ -9,11 +9,9 @@
 //	experiments -quick           # small sweeps (seconds)
 //	experiments -id E1,E3        # a subset
 //	experiments -o results.txt   # also write to a file
-//	experiments -quick -json .   # record headline metrics in BENCH_<date>.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +29,6 @@ func main() {
 		quick  = flag.Bool("quick", false, "small sweeps for a fast pass")
 		out    = flag.String("o", "", "also write results to this file")
 		csvDir = flag.String("csv", "", "write one CSV file per experiment into this directory")
-		bench  = flag.String("json", "", "write headline metrics as BENCH_<date>.json into this directory ('.' for cwd)")
 	)
 	flag.Parse()
 
@@ -72,14 +69,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	type benchEntry struct {
-		ID       string  `json:"id"`
-		Title    string  `json:"title"`
-		Metric   string  `json:"metric"`
-		Value    float64 `json:"value"`
-		ElapsedS float64 `json:"elapsed_s"`
-	}
-	var benches []benchEntry
 	for _, e := range selected {
 		start := time.Now() //ocsml:wallclock benchmark timing, reported not simulated
 		tab := e.Execute(scale)
@@ -93,31 +82,5 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if *bench != "" {
-			entry := benchEntry{ID: tab.ID, Title: tab.Title, ElapsedS: elapsed.Seconds()}
-			if name, v, ok := harness.Headline(tab); ok {
-				entry.Metric, entry.Value = name, v
-			}
-			benches = append(benches, entry)
-		}
-	}
-	if *bench != "" {
-		doc := struct {
-			Date    string       `json:"date"`
-			Scale   string       `json:"scale"`
-			Results []benchEntry `json:"results"`
-		}{ //ocsml:wallclock bench report date stamp
-			Date: time.Now().Format("2006-01-02"), Scale: mode, Results: benches}
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*bench, "BENCH_"+doc.Date+".json")
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "bench metrics written to %s\n", path)
 	}
 }

@@ -30,8 +30,8 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string, exit 
 
 // TestToolOverModule drives the real binary: the module vets clean with
 // nothing but inline directives to suppress findings, the suite is the
-// ten analyzers, and the flags that served the deleted model extractor
-// and baseline file are gone.
+// eight analyzers, and the flags that served the deleted model
+// extractor, baseline file, SARIF writer and fix engine are gone.
 func TestToolOverModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and type-checks the whole module")
@@ -56,12 +56,12 @@ func TestToolOverModule(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "wireexhaustive detclean lockdiscipline fsyncorder errflow piggybackcomplete statemachine loopowned quitpath allocfree"
+	want := "wireexhaustive detclean lockdiscipline fsyncorder errflow loopowned quitpath allocfree"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names\n got %s\nwant %s", got, want)
 	}
 
-	for _, flag := range []string{"-model", "-baseline=x.json", "-write-baseline"} {
+	for _, flag := range []string{"-model", "-baseline=x.json", "-write-baseline", "-sarif", "-fix"} {
 		_, stderr, exit := run(t, bin, flag)
 		if exit != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 			t.Errorf("%s: exit %d, stderr %q; want the flag package's unknown-flag error", flag, exit, stderr)

@@ -497,12 +497,8 @@ func checkBody(pass *vetkit.Pass, pf *progFacts, b *vetkit.Body) {
 			pass.Reportf(sel.Pos(), "field %s is owned by goroutine %s but %s is reachable from multiple goroutines",
 				fld.Name(), ownerName, where)
 		default:
-			pass.Report(vetkit.Diagnostic{
-				Pos: sel.Pos(),
-				Message: fmt.Sprintf("field %s is owned by goroutine %s but %s is not proven to run on it (post through an //ocsml:looppost func, assert //ocsml:loopcontext %s, or //ocsml:loopexempt <why>)",
-					fld.Name(), ownerName, where, ownerName),
-				Fix: loopcontextFix(b, owner, ownerName),
-			})
+			pass.Reportf(sel.Pos(), "field %s is owned by goroutine %s but %s is not proven to run on it (post through an //ocsml:looppost func, assert //ocsml:loopcontext %s, or //ocsml:loopexempt <why>)",
+				fld.Name(), ownerName, where, ownerName)
 		}
 		return true
 	})
@@ -516,31 +512,6 @@ func (c bodyCtx) describe() string {
 }
 
 // describeBody names a body for diagnostics.
-// loopcontextFix suggests asserting the body's context: a
-// //ocsml:loopcontext doc directive on the enclosing declaration. Only
-// offered when the assertion would resolve — the body is a declared
-// function (literals have no doc comment) in the same package as the
-// owner, so the Type.method grammar looks up in the right scope. The
-// developer must still judge the assertion true; the fix only spares
-// them the directive syntax.
-func loopcontextFix(b *vetkit.Body, owner *types.Func, ownerName string) *vetkit.SuggestedFix {
-	if b.Lit != nil || b.Decl == nil || owner.Pkg() != b.Fn.Obj.Pkg() {
-		return nil
-	}
-	var edit vetkit.TextEdit
-	if doc := b.Decl.Doc; doc != nil {
-		edit = vetkit.TextEdit{Pos: doc.End(), End: doc.End(),
-			NewText: "\n//ocsml:loopcontext " + ownerName}
-	} else {
-		edit = vetkit.TextEdit{Pos: b.Decl.Pos(), End: b.Decl.Pos(),
-			NewText: "//ocsml:loopcontext " + ownerName + "\n"}
-	}
-	return &vetkit.SuggestedFix{
-		Message: fmt.Sprintf("assert that %s runs on goroutine %s", funcDisplayName(b.Fn.Obj), ownerName),
-		Edits:   []vetkit.TextEdit{edit},
-	}
-}
-
 func describeBody(b *vetkit.Body) string {
 	name := funcDisplayName(b.Fn.Obj)
 	if b.Lit != nil {

@@ -9,14 +9,13 @@ import (
 // layer: a lightweight control-flow graph over the statements of one
 // function body, and a generic forward dataflow solver over it. The
 // graph is deliberately simple — basic blocks hold statement and
-// expression nodes in evaluation order, edges follow Go's structured
-// control flow, and branch conditions are exposed as entry guards so
-// value analyses (statemachine) can narrow on `if x == C` patterns.
+// expression nodes in evaluation order and edges follow Go's structured
+// control flow.
 //
 // Known simplifications, acceptable for a linter over this codebase:
-// goto ends its path (the repository has none); a switch containing
-// fallthrough drops its case guards; defer bodies run at their lexical
-// position (analyzers treat reads inside closures as uses).
+// goto ends its path (the repository has none); defer bodies run at
+// their lexical position (analyzers treat reads inside closures as
+// uses).
 
 // A CFG is the control-flow graph of one function body.
 type CFG struct {
@@ -35,16 +34,6 @@ type Block struct {
 	// Succs are the blocks control may reach next. A block that ends in
 	// panic (or return, for non-Exit successors) has none.
 	Succs []*Block
-	// Guards are conditions known to hold on entry to this block (the
-	// then-branch of `if cond` carries {cond, true}; the else-branch and
-	// the fall-through of a terminating then-branch carry {cond, false}).
-	Guards []Guard
-}
-
-// A Guard is one branch condition with the polarity it took.
-type Guard struct {
-	Cond ast.Expr
-	True bool
 }
 
 // NewCFG builds the control-flow graph of one function body.
@@ -72,8 +61,8 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-func (b *cfgBuilder) newBlock(guards ...Guard) *Block {
-	blk := &Block{Guards: guards}
+func (b *cfgBuilder) newBlock() *Block {
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -139,18 +128,15 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 			cur.Nodes = append(cur.Nodes, s.Init)
 		}
 		cur.Nodes = append(cur.Nodes, s.Cond)
-		then := b.newBlock(Guard{s.Cond, true})
+		then := b.newBlock()
 		b.edge(cur, then)
-		after := b.newBlock(Guard{s.Cond, false})
+		after := b.newBlock()
 		thenEnd := b.stmt(then, s.Body)
 		if thenEnd != nil {
 			b.edge(thenEnd, after)
-			// Control can also reach after via the then-branch, so the
-			// negative guard no longer holds there.
-			after.Guards = nil
 		}
 		if s.Else != nil {
-			els := b.newBlock(Guard{s.Cond, false})
+			els := b.newBlock()
 			b.edge(cur, els)
 			elseEnd := b.stmt(els, s.Else)
 			if elseEnd == nil && thenEnd == nil {
@@ -158,12 +144,6 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 			}
 			if elseEnd != nil {
 				b.edge(elseEnd, after)
-				if thenEnd != nil {
-					after.Guards = nil
-				} else {
-					// Only the else path falls through: its guard holds.
-					after.Guards = []Guard{{s.Cond, false}}
-				}
 			}
 			return after
 		}
@@ -179,14 +159,9 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
 		}
-		var body, after *Block
+		body, after := b.newBlock(), b.newBlock()
 		if s.Cond != nil {
-			body = b.newBlock(Guard{s.Cond, true})
-			after = b.newBlock(Guard{s.Cond, false})
 			b.edge(head, after)
-		} else {
-			body = b.newBlock()
-			after = b.newBlock()
 		}
 		b.edge(head, body)
 		cont := head
@@ -232,7 +207,7 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 		if s.Tag != nil {
 			cur.Nodes = append(cur.Nodes, s.Tag)
 		}
-		return b.switchBody(cur, s.Tag, s.Body)
+		return b.switchBody(cur, s.Body)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -258,21 +233,9 @@ func (b *cfgBuilder) stmt(cur *Block, s ast.Stmt) *Block {
 	}
 }
 
-// switchBody builds the clause graph of an expression switch. Each case
-// entry carries equality guards derived from the tag unless the switch
-// uses fallthrough (which would enter a body without its test).
-func (b *cfgBuilder) switchBody(cur *Block, tag ast.Expr, body *ast.BlockStmt) *Block {
-	hasFallthrough := false
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		for _, st := range cc.Body {
-			if br, ok := st.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
-				hasFallthrough = true
-			}
-		}
-	}
+// switchBody builds the clause graph of an expression switch.
+func (b *cfgBuilder) switchBody(cur *Block, body *ast.BlockStmt) *Block {
 	after := b.newBlock()
-	var negs []Guard
 	var prevEnd *Block // fallthrough source
 	hasDefault := false
 	for _, c := range body.List {
@@ -282,18 +245,13 @@ func (b *cfgBuilder) switchBody(cur *Block, tag ast.Expr, body *ast.BlockStmt) *
 		for _, e := range cc.List {
 			cur.Nodes = append(cur.Nodes, e)
 		}
-		var guards []Guard
-		if !hasFallthrough {
-			guards, negs = caseGuards(tag, cc, negs)
-		}
-		entry := b.newBlock(guards...)
+		entry := b.newBlock()
 		if cc.List == nil {
 			hasDefault = true
 		}
 		b.edge(cur, entry)
 		if prevEnd != nil {
 			b.edge(prevEnd, entry)
-			entry.Guards = nil
 			prevEnd = nil
 		}
 		b.pushSwitch(after)
@@ -313,29 +271,6 @@ func (b *cfgBuilder) switchBody(cur *Block, tag ast.Expr, body *ast.BlockStmt) *
 		b.edge(cur, after)
 	}
 	return after
-}
-
-// caseGuards derives entry guards for one case clause: the case's own
-// equality (single-expression cases only) plus the negations of every
-// preceding case.
-func caseGuards(tag ast.Expr, cc *ast.CaseClause, negs []Guard) (guards, negsOut []Guard) {
-	guards = append(guards, negs...)
-	if tag == nil {
-		// switch { case cond: ... }
-		if len(cc.List) == 1 {
-			guards = append(guards, Guard{cc.List[0], true})
-			negs = append(negs, Guard{cc.List[0], false})
-		}
-		return guards, negs
-	}
-	for _, e := range cc.List {
-		eq := &ast.BinaryExpr{X: tag, OpPos: e.Pos(), Op: token.EQL, Y: e}
-		if len(cc.List) == 1 {
-			guards = append(guards, Guard{eq, true})
-		}
-		negs = append(negs, Guard{eq, false})
-	}
-	return guards, negs
 }
 
 // clauseBodies wires the clauses of a type switch or select: every

@@ -6,11 +6,9 @@ import (
 	"strings"
 )
 
-// Directives is the shared //ocsml: comment index for one analysis run.
-// Every analyzer used to re-scan f.Comments itself (errflow,
-// statemachine and lockdiscipline each carried a private copy of the
-// line-keyed map); Directives parses each file once and answers the two
-// questions they all ask — "is position P covered by directive N?" and
+// Directives is the shared //ocsml: comment index for one analysis run:
+// it parses each file once and answers the two questions the
+// analyzers all ask — "is position P covered by directive N?" and
 // "what is N's argument?" — plus doc-comment lookups for declarations.
 //
 // Coverage follows the repository convention: a directive covers a
@@ -85,8 +83,8 @@ func (d *Directives) Arg(pos token.Pos, name string) (string, bool) {
 
 // DocDirectives parses every //ocsml: directive in a doc comment group,
 // in source order. Declarations (types, funcs, struct fields) annotate
-// themselves through their doc comment; statemachine's transition
-// tables and loopowned's ownership markers both read this form.
+// themselves through their doc comment; loopowned's ownership markers
+// read this form.
 func DocDirectives(cg *ast.CommentGroup) []Directive {
 	if cg == nil {
 		return nil
@@ -119,5 +117,5 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 	}
 	body := strings.TrimPrefix(text, directivePrefix)
 	name, arg, _ := strings.Cut(body, " ")
-	return Directive{Name: name, Arg: strings.TrimSpace(arg), Pos: c.Pos(), End: c.End()}, true
+	return Directive{Name: name, Arg: strings.TrimSpace(arg)}, true
 }

@@ -12,7 +12,7 @@ import (
 // analysis run: every package the loader resolved from source, plus the
 // interprocedural structures (callgraph) built lazily over them. The
 // per-package analyzers ignore it; the interprocedural ones (errflow,
-// piggybackcomplete, statemachine) key their cached summaries off the
+// loopowned, quitpath, allocfree) key their cached summaries off the
 // Program pointer, so one ocsmlvet invocation builds each structure
 // exactly once no matter how many packages it checks.
 type Program struct {
@@ -32,24 +32,6 @@ type Program struct {
 // NewProgram wraps a loader's package map.
 func NewProgram(pkgs map[string]*Package) *Program {
 	return &Program{Packages: pkgs}
-}
-
-// PackageBySuffix returns the source-loaded package whose import path
-// ends with the given slash-separated suffix, or nil. Analyzers use it
-// to locate well-known packages (internal/protocol, internal/checkpoint)
-// in both the real module and fixture trees.
-func (p *Program) PackageBySuffix(suffix string) *Package {
-	var best *Package
-	for path, pkg := range p.Packages {
-		if PathHasSuffix(path, suffix) {
-			// Prefer the shortest matching path so a fixture tree holding
-			// several roots resolves deterministically.
-			if best == nil || len(path) < len(best.PkgPath) {
-				best = pkg
-			}
-		}
-	}
-	return best
 }
 
 // CallGraph returns the static callgraph over every source-loaded
@@ -108,9 +90,6 @@ type FuncNode struct {
 	// Calls lists every call site inside Decl, in source order,
 	// including sites inside nested function literals (flagged InLit).
 	Calls []*CallSite
-	// CalledBy lists every static call site that resolves to this
-	// function.
-	CalledBy []*CallSite
 }
 
 // A CallSite is one call expression inside a function body.
@@ -120,9 +99,6 @@ type CallSite struct {
 	// Callee is the statically resolved target, nil for dynamic calls
 	// (interface methods, function values) and builtins.
 	Callee *FuncNode
-	// Iface is the interface method a dynamic call goes through, nil
-	// for static calls and non-interface dynamic calls.
-	Iface *types.Func
 	// Call is the call expression itself.
 	Call *ast.CallExpr
 	// InLit reports that the site sits inside a function literal nested
@@ -198,12 +174,8 @@ func collectCalls(pkg *Package, caller *FuncNode, root ast.Node, inLit bool, nod
 			return true
 		case *ast.CallExpr:
 			site := &CallSite{Caller: caller, Call: n, InLit: inLit}
-			fn, dynamic := resolveCallee(pkg, n)
-			if fn != nil && !dynamic {
+			if fn, dynamic := resolveCallee(pkg, n); fn != nil && !dynamic {
 				site.Callee = node(fn)
-				site.Callee.CalledBy = append(site.Callee.CalledBy, site)
-			} else if fn != nil {
-				site.Iface = fn
 			}
 			caller.Calls = append(caller.Calls, site)
 		}

@@ -21,8 +21,8 @@
 // collects every such comment once per program so analyzers share one
 // parse. See the individual analyzers for the directives they honor
 // (wallclock, unordered, guardedby, locked, nolock, nofsync,
-// wirepayload, errsink, nopiggyback, state, loopowned, looppost,
-// loopcontext, loopexempt, daemon, hotpath, alloc).
+// wirepayload, errsink, loopowned, looppost, loopcontext, loopexempt,
+// daemon, hotpath, alloc).
 package vetkit
 
 import (
@@ -63,59 +63,16 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records an error-severity diagnostic at pos.
+// Reportf records a diagnostic at pos. Every finding fails the build.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Report records a fully specified diagnostic (severity, range, fix).
-func (p *Pass) Report(d Diagnostic) {
-	p.report(d)
-}
-
-// Severity classifies a diagnostic. Errors fail the build; warnings
-// surface in reports (and code scanning) without failing it.
-type Severity uint8
-
-const (
-	// SevError is the default: the finding blocks the build.
-	SevError Severity = iota
-	// SevWarning is advisory: reported, uploaded to code scanning, but
-	// not a build failure.
-	SevWarning
-)
-
-func (s Severity) String() string {
-	if s == SevWarning {
-		return "warning"
-	}
-	return "error"
-}
-
-// A TextEdit is one replacement of the source range [Pos, End) with
-// NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// A SuggestedFix is a mechanical repair for a diagnostic, applied by
-// `ocsmlvet -fix`. Only diagnostics whose repair is purely syntactic
-// (a directive stub, an annotation) carry one.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
 }
 
 // A Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos // optional: end of the flagged range (NoPos = point)
 	Message  string
-	Analyzer string   // filled by Run
-	Severity Severity // zero value SevError
-	Fix      *SuggestedFix
+	Analyzer string // filled by Run
 }
 
 // A Package is one source-loaded, type-checked package.
@@ -169,9 +126,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package, program *Program) ([]Diagnostic
 }
 
 // dedupe drops diagnostics identical to their predecessor in a sorted
-// slice. Identity is (position, analyzer, message): interprocedural
-// analyzers report the same finding once per pass, each carrying its
-// own (equivalent) fix, so the Fix pointer is deliberately excluded.
+// slice: interprocedural analyzers report the same finding once per pass.
 func dedupe(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {
@@ -192,11 +147,8 @@ const directivePrefix = "ocsml:"
 
 // A Directive is one parsed //ocsml:<name> comment.
 type Directive struct {
-	Name string    // e.g. "wallclock"
-	Arg  string    // remainder of the line, trimmed (reason or argument)
-	Line int       // line the comment sits on (filled by FileDirectives)
-	Pos  token.Pos // position of the comment
-	End  token.Pos // end of the comment (suggested-fix insertion anchor)
+	Name string // e.g. "wallclock"
+	Arg  string // remainder of the line, trimmed (reason or argument)
 }
 
 // FileDirectives extracts every //ocsml: directive in the file, keyed by
@@ -210,8 +162,8 @@ func FileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
 			if !ok {
 				continue
 			}
-			d.Line = fset.Position(c.Pos()).Line
-			out[d.Line] = append(out[d.Line], d)
+			line := fset.Position(c.Pos()).Line
+			out[line] = append(out[line], d)
 		}
 	}
 	return out

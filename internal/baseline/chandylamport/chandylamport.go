@@ -54,7 +54,8 @@ type marker struct {
 
 // Protocol is one process's Chandy–Lamport state machine.
 //
-//ocsml:nopiggyback marker-based coordination: consistency comes from FIFO channel markers, not per-message indices
+// No piggyback: marker-based coordination, consistency comes from FIFO
+// channel markers, not per-message indices.
 type Protocol struct {
 	env protocol.Env
 	opt Options

@@ -60,7 +60,8 @@ type ctl struct {
 
 // Protocol is one process's Koo–Toueg state machine.
 //
-//ocsml:nopiggyback two-phase coordination over control messages only; app messages carry no index
+// No piggyback: two-phase coordination over control messages only; app
+// messages carry no index.
 type Protocol struct {
 	env protocol.Env
 	opt Options

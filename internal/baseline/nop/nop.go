@@ -8,7 +8,7 @@ import "ocsml/internal/protocol"
 
 // Protocol is the null protocol.
 //
-//ocsml:nopiggyback null baseline: no checkpointing, nothing to piggyback
+// No piggyback: null baseline, no checkpointing, nothing to attach.
 type Protocol struct {
 	env protocol.Env
 }

@@ -55,7 +55,8 @@ type ctl struct {
 
 // Protocol is one process's staggered-checkpointing state machine.
 //
-//ocsml:nopiggyback round-token coordination over control messages only; app messages carry no index
+// No piggyback: round-token coordination over control messages only; app
+// messages carry no index.
 type Protocol struct {
 	env protocol.Env
 	opt Options

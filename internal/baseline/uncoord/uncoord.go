@@ -30,7 +30,8 @@ func Factory(opt Options) func(i, n int) protocol.Protocol {
 
 // Protocol is one process's uncoordinated checkpointer.
 //
-//ocsml:nopiggyback uncoordinated baseline: independent checkpoints, no inter-process metadata
+// No piggyback: uncoordinated baseline, independent checkpoints, no
+// inter-process metadata.
 type Protocol struct {
 	env protocol.Env
 	opt Options

@@ -5,8 +5,10 @@ package core
 // case panics) that the engine-hosted scenario tests rarely reach.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocsml/internal/checkpoint"
@@ -27,6 +29,7 @@ type fakeEnv struct {
 	counters map[string]int64
 	queue    int
 	timers   []func()
+	notes    []string // "<kind> <seq>" per Note, in order
 	proto    *Protocol
 }
 
@@ -85,10 +88,12 @@ func (f *fakeEnv) DeliverApp(e *protocol.Envelope, pre, then func()) {
 	}
 }
 func (f *fakeEnv) Checkpoints() *checkpoint.ProcStore { return f.store }
-func (f *fakeEnv) Note(kind trace.Kind, seq int)      {}
-func (f *fakeEnv) Count(name string, d int64)         { f.counters[name] += d }
-func (f *fakeEnv) Metrics() *metrics.Registry         { return nil }
-func (f *fakeEnv) Draining() bool                     { return false }
+func (f *fakeEnv) Note(kind trace.Kind, seq int) {
+	f.notes = append(f.notes, fmt.Sprintf("%s %d", kind, seq))
+}
+func (f *fakeEnv) Count(name string, d int64) { f.counters[name] += d }
+func (f *fakeEnv) Metrics() *metrics.Registry { return nil }
+func (f *fakeEnv) Draining() bool             { return false }
 
 // mount builds a protocol on a fake env, started and optionally tentative
 // at csn 1.
@@ -289,6 +294,73 @@ func TestControlCsnFarAhead(t *testing.T) {
 			}
 			if len(env.sent) != 0 {
 				t.Fatalf("duplicate ahead frame re-nudged: %v", sentTags(env))
+			}
+		})
+	}
+}
+
+// TestTakeTentativeWhileTentative drives every caller of takeTentative
+// with the process already tentative at csn 1 and one send in its open
+// log. Paper §3.4: a tentative process takes no new checkpoint, so an
+// initiation is skipped and a join finalizes the current checkpoint
+// first; none may reach takeTentative's panic.
+func TestTakeTentativeWhileTentative(t *testing.T) {
+	const skip, join = "tentative 1", "tentative 1,finalize 1,tentative 2"
+	cases := []struct {
+		name        string
+		drive       func(p *Protocol)
+		wantNotes   string
+		wantTent    []int
+		wantSkipped int64
+	}{
+		{name: "Initiate", drive: func(p *Protocol) { p.Initiate() },
+			wantNotes: skip, wantTent: []int{1}},
+		{name: "basic timer", drive: func(p *Protocol) { p.OnTimer(protocol.TimerBasic, 0) },
+			wantNotes: skip, wantTent: []int{1}, wantSkipped: 1},
+		{name: "control message for csn+1", drive: func(p *Protocol) { p.OnDeliver(ctl(0, TagREQ, 2)) },
+			wantNotes: join, wantTent: []int{1}},
+		{name: "piggyback (Tentative, csn+1), Fig. 3 case 2c", drive: func(p *Protocol) {
+			from0 := protocol.NewProcSet(3)
+			from0.Add(0)
+			p.OnDeliver(&protocol.Envelope{ID: 8, Src: 0, Dst: 1, Kind: protocol.KindApp,
+				Payload: Piggyback{Csn: 2, Stat: Tentative, TentSet: from0}})
+		}, wantNotes: join, wantTent: []int{0, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, env := mount(t, 1, 3, Options{}, true)
+			p.OnAppSend(&protocol.Envelope{ID: 7, Src: 1, Dst: 2, Kind: protocol.KindApp})
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				tc.drive(p)
+			}()
+			if got := strings.Join(env.notes, ","); got != tc.wantNotes {
+				t.Fatalf("checkpoint events %q, want %q", got, tc.wantNotes)
+			}
+			if p.Status() != Tentative || !reflect.DeepEqual(p.TentProcs(), tc.wantTent) {
+				t.Fatalf("status %v tentSet %v, want tentative %v", p.Status(), p.TentProcs(), tc.wantTent)
+			}
+			if got := env.counters["basic_skipped"]; got != tc.wantSkipped {
+				t.Fatalf("basic_skipped = %d, want %d", got, tc.wantSkipped)
+			}
+			if tc.wantNotes == skip {
+				if p.Csn() != 1 || p.LogLen() != 1 {
+					t.Fatalf("skipped initiation moved state: csn=%d open log=%d, want 1 and 1", p.Csn(), p.LogLen())
+				}
+				return
+			}
+			// The join closed checkpoint 1 with the log it had, before the
+			// triggering message, and opened an empty one for csn 2.
+			rec, ok := env.store.Get(1)
+			if !ok || len(rec.Log) != 1 || rec.Log[0].ID != 7 {
+				t.Fatalf("finalized record 1 = %+v (found %v), want the one logged send", rec, ok)
+			}
+			if p.Csn() != 2 || p.LogLen() != 0 {
+				t.Fatalf("after join csn=%d open log=%d, want 2 and 0", p.Csn(), p.LogLen())
 			}
 		})
 	}

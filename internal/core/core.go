@@ -36,14 +36,11 @@ import (
 	"ocsml/internal/trace"
 )
 
-// Status is the paper's process status. The lifecycle is enforced by
-// the statemachine analyzer: only the declared transitions below may be
-// written to the `stat` field, and every write site must prove (via
-// guards) which states it can be entered from.
-//
-//ocsml:state stat Normal->Tentative
-//ocsml:state stat Tentative->Normal
-//ocsml:state stat *->Normal
+// Status is the paper's process status. The lifecycle is Fig. 3's
+// Normal -> Tentative (takeTentative), Tentative -> Normal (finalize) and
+// any -> Normal (Rollback). takeTentative and finalize panic when entered
+// from the wrong state; TestTakeTentativeWhileTentative drives every
+// caller of takeTentative to show none reaches it while tentative.
 type Status uint8
 
 const (

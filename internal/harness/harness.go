@@ -237,8 +237,6 @@ func All() []Experiment {
 	return []Experiment{
 		E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E10(), E11(),
 		A1(), A2(), A3(), A4(),
-		W1(), W2(),
-		D1(), D2(),
 	}
 }
 

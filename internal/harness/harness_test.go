@@ -46,8 +46,8 @@ func TestUnknownProtocolPanics(t *testing.T) {
 }
 
 func TestExperimentLookup(t *testing.T) {
-	if len(All()) != 19 {
-		t.Fatalf("expected 19 experiments, got %d", len(All()))
+	if len(All()) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(All()))
 	}
 	if _, ok := ByID("E1"); !ok {
 		t.Fatal("E1 missing")
@@ -56,7 +56,7 @@ func TestExperimentLookup(t *testing.T) {
 		t.Fatal("E99 should not exist")
 	}
 	ids := IDs()
-	if len(ids) != 19 || ids[0] != "A1" {
+	if len(ids) != 15 || ids[0] != "A1" {
 		t.Fatalf("IDs = %v", ids)
 	}
 }

@@ -185,6 +185,14 @@ func (l *lockstep) step(a Action) ([]Violation, error) {
 
 	for i := range l.model.procs {
 		mp, cp := &l.model.procs[i], l.cores.procs[i]
+		if mp.stat == Tentative {
+			// Paper §3.4: an initiation at a tentative process is skipped.
+			// The model does not enable it; core must make it a no-op, which
+			// the comparison below then confirms.
+			if _, panicked := l.cores.apply(Action{Op: OpInit, P: i}); panicked != nil {
+				return vs, fmt.Errorf("P%d: Initiate while tentative panicked: %v", i, panicked)
+			}
+		}
 		var logR, logS []int16
 		for _, e := range l.open[i] {
 			if e.dir == checkpoint.Received {

@@ -142,7 +142,7 @@ func TestPublicUncoordinatedRecovery(t *testing.T) {
 
 func TestPublicExperiments(t *testing.T) {
 	ids := ocsml.Experiments()
-	if len(ids) != 19 {
+	if len(ids) != 15 {
 		t.Fatalf("Experiments = %v", ids)
 	}
 	out, err := ocsml.RunExperiment("A2", true)
