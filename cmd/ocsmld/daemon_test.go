@@ -1,10 +1,10 @@
 package main
 
-// Multi-OS-process recovery integration test: three real ocsmld daemons
-// on localhost TCP, one SIGKILLed mid-run and restarted with -recover.
-// The restarted daemon must drive the wire-level recovery handshake to
-// completion and the cluster must then finalize new global checkpoints
-// past the agreed line.
+// Multi-OS-process restart integration tests: three real ocsmld daemons
+// on localhost TCP. One is SIGKILLed mid-run and restarted with -recover —
+// it must drive the wire-level recovery handshake to completion; or all
+// stop and restart from the datadir with -resume. Either way the cluster
+// must then finalize new global checkpoints past the line.
 
 import (
 	"fmt"
@@ -48,70 +48,126 @@ func buildOcsmld(t *testing.T) string {
 	return bin
 }
 
-func TestDaemonClusterRecover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real OS processes")
-	}
-	bin := buildOcsmld(t)
-	datadir := t.TempDir()
-	const n = 3
-	addrs := freeAddrs(t, n)
-	peers := addrs[0] + "," + addrs[1] + "," + addrs[2]
+// daemons is a cluster of three real ocsmld OS processes on one datadir.
+type daemons struct {
+	t                   *testing.T
+	bin, datadir, peers string
+	procs               [3]*exec.Cmd
+}
 
-	spawn := func(id int, extra ...string) *exec.Cmd {
-		args := append([]string{
-			"-id", fmt.Sprint(id), "-peers", peers, "-datadir", datadir,
-			"-seed", "17", "-steps", "1000000", // effectively endless
-			"-interval", "150ms", "-timeout", "60ms",
-			"-run-for", "120s",
-		}, extra...)
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting P%d: %v", id, err)
-		}
-		return cmd
+func newDaemons(t *testing.T) *daemons {
+	t.Helper()
+	addrs := freeAddrs(t, 3)
+	d := &daemons{
+		t: t, bin: buildOcsmld(t), datadir: t.TempDir(),
+		peers: addrs[0] + "," + addrs[1] + "," + addrs[2],
 	}
-	procs := make([]*exec.Cmd, n)
-	for i := 0; i < n; i++ {
-		procs[i] = spawn(i)
-	}
-	defer func() {
-		for _, p := range procs {
-			if p != nil && p.Process != nil {
+	t.Cleanup(func() {
+		for _, p := range d.procs {
+			if p != nil {
 				p.Process.Kill()
 				p.Wait()
 			}
 		}
-	}()
+	})
+	return d
+}
 
-	// fsstore.LastCompleteSeq reads manifests only — safe to poll a
-	// datadir with live writers.
-	waitLine := func(want int, timeout time.Duration) int {
-		deadline := time.Now().Add(timeout)
-		for {
-			line, err := fsstore.LastCompleteSeq(datadir, n)
-			if err == nil && line >= want {
-				return line
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("durable line %d (err=%v), want >= %d within %v", line, err, want, timeout)
-			}
-			time.Sleep(50 * time.Millisecond)
+// spawn starts (or restarts) daemon id on an effectively endless workload.
+func (d *daemons) spawn(id int, extra ...string) {
+	d.t.Helper()
+	args := append([]string{
+		"-id", fmt.Sprint(id), "-peers", d.peers, "-datadir", d.datadir,
+		"-seed", "17", "-steps", "1000000",
+		"-interval", "150ms", "-timeout", "60ms",
+		"-run-for", "120s",
+	}, extra...)
+	cmd := exec.Command(d.bin, args...)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		d.t.Fatalf("starting P%d: %v", id, err)
+	}
+	d.procs[id] = cmd
+}
+
+// waitLine polls until the durable line reaches want and returns it.
+// fsstore.LastCompleteSeq reads manifests only — safe to poll a datadir
+// with live writers.
+func (d *daemons) waitLine(want int) int {
+	d.t.Helper()
+	const timeout = 45 * time.Second
+	deadline := time.Now().Add(timeout)
+	for {
+		line, err := fsstore.LastCompleteSeq(d.datadir, len(d.procs))
+		if err == nil && line >= want {
+			return line
+		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("durable line %d (err=%v), want >= %d within %v", line, err, want, timeout)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// terminate shuts the cluster down gracefully: every daemon exits 0 on
+// SIGTERM.
+func (d *daemons) terminate() {
+	d.t.Helper()
+	for i, p := range d.procs {
+		if err := p.Process.Signal(syscall.SIGTERM); err != nil {
+			d.t.Fatalf("terminating P%d: %v", i, err)
 		}
 	}
-	waitLine(2, 45*time.Second)
+	for i, p := range d.procs {
+		if err := p.Wait(); err != nil {
+			d.t.Fatalf("P%d exit: %v", i, err)
+		}
+		d.procs[i] = nil
+	}
+}
+
+// validateAbove recovers the datadir and checks that every process's
+// durable checkpoints reach past line and that every durable record
+// replay-validates: folding the logged messages over the restored state
+// reproduces the fold recorded at finalization.
+func (d *daemons) validateAbove(line int) {
+	d.t.Helper()
+	st, err := fsstore.RecoverStore(d.datadir, len(d.procs))
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if got := st.MaxCompleteSeq(); got <= line {
+		d.t.Fatalf("recovered MaxCompleteSeq = %d, want > %d", got, line)
+	}
+	for p := range d.procs {
+		for _, r := range st.Proc(p).All() {
+			if got := checkpoint.FoldLog(r.Fold, r.Log); got != r.CFEFold {
+				d.t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, got, r.CFEFold)
+			}
+		}
+	}
+}
+
+func TestDaemonClusterRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
+	}
+	d := newDaemons(t)
+	for i := range d.procs {
+		d.spawn(i)
+	}
+	d.waitLine(2)
 
 	// Crash P1 hard: no cleanup, no goodbye — only its datadir survives.
 	const victim = 1
-	if err := procs[victim].Process.Signal(syscall.SIGKILL); err != nil {
+	if err := d.procs[victim].Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	procs[victim].Wait()
-	procs[victim] = nil
+	d.procs[victim].Wait()
+	d.procs[victim] = nil
 	time.Sleep(100 * time.Millisecond) // let in-flight traffic hit the dead socket
 
-	line, err := fsstore.LastCompleteSeq(datadir, n)
+	line, err := fsstore.LastCompleteSeq(d.datadir, len(d.procs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,37 +175,50 @@ func TestDaemonClusterRecover(t *testing.T) {
 	// Restart the victim with -recover: it coordinates the handshake,
 	// the survivors roll back, and the cluster must advance past the
 	// line again.
-	procs[victim] = spawn(victim, "-recover")
-	waitLine(line+1, 45*time.Second)
+	d.spawn(victim, "-recover")
+	d.waitLine(line + 1)
+	d.terminate()
+	d.validateAbove(line)
+}
 
-	// Graceful shutdown: every daemon exits 0 on SIGTERM.
-	for i, p := range procs {
-		if err := p.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatalf("terminating P%d: %v", i, err)
-		}
+// TestDaemonClusterColdRestart is the manual restart path: the whole
+// cluster stops, and every daemon comes back with -resume L, L being the
+// durable line the datadir holds. Each truncates its store above L and
+// refills its checkpoint store from it, the protocol continues from the
+// last record it finds there, and the sequence numbers go on past L.
+func TestDaemonClusterColdRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
 	}
-	for i, p := range procs {
-		if err := p.Wait(); err != nil {
-			t.Fatalf("P%d exit: %v", i, err)
-		}
-		procs[i] = nil
+	d := newDaemons(t)
+	for i := range d.procs {
+		d.spawn(i)
 	}
+	d.waitLine(2)
+	d.terminate()
 
-	// Every durable record replay-validates after the whole episode:
-	// folding the logged messages over the restored state reproduces the
-	// fold recorded at finalization.
-	st, err := fsstore.RecoverStore(datadir, n)
-	if err != nil {
-		t.Fatal(err)
+	line, err := fsstore.LastCompleteSeq(d.datadir, len(d.procs))
+	if err != nil || line < 2 {
+		t.Fatalf("durable line after the stop = %d, %v", line, err)
 	}
-	if got := st.MaxCompleteSeq(); got < line+1 {
-		t.Fatalf("recovered MaxCompleteSeq = %d, want >= %d", got, line+1)
+	for i := range d.procs {
+		d.spawn(i, "-resume", fmt.Sprint(line))
 	}
-	for p := 0; p < n; p++ {
-		for _, r := range st.Proc(p).All() {
-			if got := checkpoint.FoldLog(r.Fold, r.Log); got != r.CFEFold {
-				t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, got, r.CFEFold)
+	d.waitLine(line + 1)
+	d.terminate()
+	d.validateAbove(line)
+	for p := range d.procs {
+		m, err := fsstore.ReadManifest(d.datadir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seq := range m.Seqs {
+			if seq != m.Seqs[0]+i {
+				t.Fatalf("P%d manifest %v has a gap", p, m.Seqs)
 			}
+		}
+		if last := m.Seqs[len(m.Seqs)-1]; last <= line {
+			t.Fatalf("P%d manifest ends at %d, want above the resume line %d", p, last, line)
 		}
 	}
 }

@@ -272,7 +272,7 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 
 	// Fresh start (resume < 0) or the restart-from-disk sequence the
 	// in-process cluster runs too: truncate above the line, reload, resume.
-	pr, resumeRec, err := transport.ResumeProtocol(opt, rel, fs, ckpts.Proc(id), resume)
+	pr, err := transport.ResumeProtocol(opt, rel, fs, ckpts.Proc(id), resume)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -283,7 +283,7 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 	doneCh := make(chan struct{}, 1)
 	node, err := transport.NewNode(transport.NodeConfig{
 		ID: id, N: n, Addrs: addrs, Listener: ln,
-		Seed: seed, Epoch: epoch, Resume: resume, ResumeRec: resumeRec,
+		Seed: seed, Epoch: epoch, Resume: resume,
 		Proto: pr, App: workload.Factory(wl)(id, n),
 		Rec: rec, Ckpts: ckpts, Metrics: reg,
 		FS: fs,

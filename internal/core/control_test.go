@@ -450,3 +450,39 @@ func TestRollbackResetsState(t *testing.T) {
 	}
 	_ = env
 }
+
+// flushEnv serves a finalization flush the way the TCP runtime's storage
+// goroutine does — by persisting what the checkpoint store holds — so the
+// record being flushed must be in the store by the time its write is
+// issued, and the synchronous completion must find it there to mark.
+type flushEnv struct {
+	*fakeEnv
+	t *testing.T
+}
+
+func (f flushEnv) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
+	if _, ok := f.store.Get(f.proto.csn); tag != "ct" && !ok {
+		f.t.Errorf("%q flush of checkpoint %d issued before the record is in the store", tag, f.proto.csn)
+	}
+	done(f.Now(), f.Now()+1)
+}
+
+func TestFinalizeStoresRecordBeforeFlush(t *testing.T) {
+	for _, early := range []bool{false, true} {
+		// early: the tentative checkpoint reaches storage first, so only
+		// the "log" write remains; otherwise one combined "ct+log" write.
+		p := New(Options{EarlyFlush: early})
+		env := flushEnv{newFakeEnv(1, 3), t}
+		env.proto = p
+		p.Start(env)
+		p.Initiate()
+		env.sim.Run() // the early-flush poll, if any
+		if p.tent.ctDone != early {
+			t.Fatalf("early=%v: CT flushed %v", early, p.tent.ctDone)
+		}
+		p.finalize()
+		if rec, ok := env.store.Get(1); !ok || rec.StableAt == 0 {
+			t.Fatalf("early=%v: checkpoint 1 in store %v, stable at %v: its flush completed", early, ok, rec.StableAt)
+		}
+	}
+}

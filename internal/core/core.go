@@ -188,7 +188,6 @@ type Protocol struct {
 	reqSentCsn int // highest csn for which this process sent/forwarded CK_REQ
 	endSentCsn int // highest csn for which this process broadcast CK_END
 	aheadNudge int // highest own csn for which an ahead-frame CK_BGN nudge was sent
-	resumeSeq  int // checkpoint seq to resume from at Start (-1 = fresh)
 
 	// pendingFlush queues finalization writes awaiting a convenient
 	// (idle-server) moment; each entry issues the write when executed.
@@ -214,16 +213,8 @@ func New(opt Options) *Protocol {
 	if opt.FlushPoll <= 0 {
 		opt.FlushPoll = 100 * des.Millisecond
 	}
-	return &Protocol{opt: opt, reqSentCsn: -1, endSentCsn: -1, aheadNudge: -1, resumeSeq: -1}
+	return &Protocol{opt: opt}
 }
-
-// SetResume arranges for Start to resume from an already-finalized
-// checkpoint with the given sequence number instead of from the initial
-// state: csn starts at seq and the implicit sequence-0 record is not
-// re-added to the store (the caller restored the store from stable
-// storage). Used by the real-network runtime when a crashed process
-// restarts from disk. Must be called before Start.
-func (p *Protocol) SetResume(seq int) { p.resumeSeq = seq }
 
 var _ protocol.Protocol = (*Protocol)(nil)
 
@@ -248,9 +239,10 @@ func (p *Protocol) TentProcs() []int {
 	return p.tentSet.Members()
 }
 
-// Start implements protocol.Protocol: record the initial checkpoint
-// (sequence 0, assumed already on stable storage) and arm the periodic
-// basic-checkpoint timer with a small per-process phase jitter.
+// Start implements protocol.Protocol: continue from whatever the process's
+// checkpoint store holds — its last record when it was refilled from disk
+// (a restarted process), else the initial checkpoint (sequence 0, assumed
+// already on stable storage), which a fresh process records first.
 func (p *Protocol) Start(env protocol.Env) {
 	p.env = env
 	p.tentSet = protocol.NewProcSet(env.N())
@@ -263,30 +255,16 @@ func (p *Protocol) Start(env protocol.Env) {
 		p.mLogged = reg.MustCounterVec("ocsml_ckpt_logged_msgs_total",
 			"Application messages added to the selective message log.", "proc").With(proc)
 	}
-	if p.resumeSeq >= 0 {
-		// Restart after a crash: the store was restored from stable
-		// storage up to resumeSeq; continue from there.
-		p.csn = p.resumeSeq
-		p.reqSentCsn = p.resumeSeq
-		p.endSentCsn = p.resumeSeq
-		p.aheadNudge = p.resumeSeq
-		p.lastTentAt = env.Now()
-		if p.opt.Interval > 0 {
-			first := p.opt.Interval + des.Duration(env.Rand().Int63n(int64(p.opt.Interval/20)+1))
-			env.SetTimer(first, protocol.TimerBasic, 0)
-		}
-		return
+	store := env.Checkpoints()
+	if store.MaxSeq() < 0 {
+		store.Add(checkpoint.Record{
+			Tentative: checkpoint.Tentative{Proc: env.ID(), Seq: 0},
+			// The initial state is part of the program image; it needs no
+			// stable-storage write. StableAt=1ns marks it durable.
+			StableAt: 1,
+		})
 	}
-	env.Checkpoints().Add(checkpoint.Record{
-		Tentative: checkpoint.Tentative{Proc: env.ID(), Seq: 0},
-		// The initial state is part of the program image; it needs no
-		// stable-storage write. StableAt=1ns marks it durable.
-		StableAt: 1,
-	})
-	if p.opt.Interval > 0 {
-		first := p.opt.Interval + des.Duration(env.Rand().Int63n(int64(p.opt.Interval/20)+1))
-		env.SetTimer(first, protocol.TimerBasic, 0)
-	}
+	p.reset(store.MaxSeq())
 }
 
 // OnTimer implements protocol.Protocol.
@@ -378,11 +356,14 @@ func (p *Protocol) onFinalFlushPoll() {
 func (p *Protocol) Finish() {}
 
 // Rollback implements protocol.Rewinder: reset to the state right after
-// finalizing checkpoint seq. The engine has already invalidated all
-// timers; volatile protocol state (tentative checkpoint, in-memory log,
-// pending deferred flushes of rolled-back checkpoints) is discarded and
-// the basic-checkpoint timer re-armed.
-func (p *Protocol) Rollback(seq int) {
+// finalizing checkpoint seq. The host has already invalidated all timers.
+func (p *Protocol) Rollback(seq int) { p.reset(seq) }
+
+// reset is where Start begins and where Rollback returns to, the state
+// right after finalizing checkpoint seq: volatile state (tentative
+// checkpoint, in-memory log, pending deferred flushes) is discarded and the
+// basic-checkpoint timer armed afresh, with a small per-process jitter.
+func (p *Protocol) reset(seq int) {
 	p.csn = seq
 	p.stat = Normal
 	p.tentSet.Clear()
@@ -395,7 +376,7 @@ func (p *Protocol) Rollback(seq int) {
 	p.aheadNudge = seq
 	p.pendingFlush = nil
 	p.flushPolling = false
-	p.lastTentAt = p.env.Now() // the restore starts a fresh interval
+	p.lastTentAt = p.env.Now()
 	if p.opt.Interval > 0 {
 		first := p.opt.Interval + des.Duration(p.env.Rand().Int63n(int64(p.opt.Interval/20)+1))
 		p.env.SetTimer(first, protocol.TimerBasic, 0)
@@ -544,7 +525,10 @@ func (p *Protocol) finalize() {
 	for i := range rec.Log {
 		logBytes += rec.Log[i].Bytes
 	}
+	// In the store before the flush is issued: the write's completion marks
+	// the record stable there, and a driver serving the flush persists it.
 	store := p.env.Checkpoints()
+	store.Add(rec)
 	switch {
 	case !t.ctIssued:
 		// CT still in memory: one combined write of state + log, at a
@@ -583,7 +567,6 @@ func (p *Protocol) finalize() {
 			p.env.WriteStable("log", logBytes, func(start, end des.Time) { logEnd = end; maybe() })
 		})
 	}
-	store.Add(rec)
 
 	// §3.5.1 case 1: with CK_BGN suppression, the paper requires P0 to
 	// broadcast CK_END whenever it finalizes, so that processes that

@@ -66,27 +66,6 @@ func (c *Cluster) failProcess(proc int) {
 	c.count("recovery.failures", 1)
 }
 
-// recoveryLine picks the highest sequence number whose checkpoints are
-// complete and already on stable storage at this instant.
-func (c *Cluster) recoveryLine() int {
-	now := c.Sim.Now()
-	best := 0
-	for seq := 1; seq <= c.Ckpts.MaxCompleteSeq(); seq++ {
-		ok := true
-		for p := 0; p < c.cfg.N; p++ {
-			r, found := c.Ckpts.Proc(p).Get(seq)
-			if !found || r.StableAt == 0 || r.StableAt > now {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			best = seq
-		}
-	}
-	return best
-}
-
 // recoverAll performs the coordinated rollback and resumption. Like
 // failProcess it fires from the simulator event scheduled by
 // InjectFailure, inside Cluster.Run.
@@ -100,7 +79,7 @@ func (c *Cluster) recoverAll() {
 		return
 	}
 	now := c.Sim.Now()
-	seq := c.recoveryLine()
+	seq := c.Ckpts.MaxStableSeq() // the line: on stable storage everywhere, now
 	c.count("recovery.line_seq", int64(seq))
 
 	// New epoch: every pre-failure timer, stall, deferred action and
@@ -109,34 +88,27 @@ func (c *Cluster) recoverAll() {
 	c.epoch++
 	c.doneN = 0
 
-	for p := 0; p < c.cfg.N; p++ {
-		n := c.nodes[p]
-		rec, ok := c.Ckpts.Proc(p).Get(seq)
+	// The host's rollback step discards the checkpoints above the line,
+	// restores the state at the cut point (CT state plus the logged message
+	// replay) and rewinds the protocol. The applications restart below,
+	// once the channel contents are back.
+	line := make([]checkpoint.Record, c.cfg.N)
+	for p, n := range c.nodes {
+		rec, _, ok := n.h.Rollback(seq, c.epoch)
 		if !ok {
 			panic(fmt.Sprintf("engine: recovery line %d missing on P%d", seq, p))
 		}
-		// Checkpoints above the line are rolled back; the protocol will
-		// legitimately regenerate those sequence numbers.
-		if removed := c.Ckpts.Proc(p).TruncateAfter(seq); removed > 0 {
-			c.count("recovery.ckpts_discarded", int64(removed))
-		}
-
 		c.Net.SetDown(p, false)
 		n.lineCFE = rec.FinalizedAt
 		n.restoreAt = now
-		// Restore the state at the cut point — CT state plus the logged
-		// message replay, verified against the fold recorded at CFE — and
-		// rewind the protocol. The application restarts below, once the
-		// channel contents are back.
-		n.h.Rollback(seq, c.epoch, &rec)
+		line[p] = rec
 	}
 
 	// Reconstruct the channel state: every message logged as Sent whose
 	// receive is not part of the recovery line is re-injected. Receiver-
 	// side dedup (processApp) drops the ones already inside the line, so
 	// we simply re-inject all logged sends.
-	for p := 0; p < c.cfg.N; p++ {
-		rec, _ := c.Ckpts.Proc(p).Get(seq)
+	for _, rec := range line {
 		for _, m := range rec.Log {
 			if m.Dir != checkpoint.Sent {
 				continue
@@ -158,8 +130,7 @@ func (c *Cluster) recoverAll() {
 	}
 
 	// Resume the applications from the progress recorded at the cut.
-	for p := 0; p < c.cfg.N; p++ {
-		rec, _ := c.Ckpts.Proc(p).Get(seq)
+	for p, rec := range line {
 		c.nodes[p].h.RestartApp(rec.CFEProgress)
 	}
 	c.count("recovery.recoveries", 1)

@@ -7,6 +7,7 @@ package engine_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ocsml/internal/core"
@@ -208,4 +209,54 @@ func TestFailureInvalidProcPanics(t *testing.T) {
 		}
 	}()
 	c.InjectFailure(engine.FailurePlan{At: des.Second, Proc: 9})
+}
+
+// TestRecoveryPathPinned pins what the DES recovery path does, number for
+// number: results-check cannot (no E/A experiment injects a failure), so a
+// refactor of recoverAll or host.Rollback that moves the line, the
+// truncation, the re-injection, the dedup or the RNG order shows up here.
+// The rows were recorded at the commit before host.Rollback took over the
+// fetch and the truncation.
+func TestRecoveryPathPinned(t *testing.T) {
+	type plan struct {
+		at   des.Time
+		proc int
+	}
+	rows := []struct {
+		name                                    string
+		seed, steps                             int64
+		plans                                   []plan
+		line, discarded, reinjected, dup, stale int64
+		makespan                                des.Time
+		traceLen                                int
+	}{
+		{"seed1", 1, 400, []plan{{2500 * des.Millisecond, 1}}, 2, 0, 12, 12, 1, 4629815189, 5567},
+		{"seed2", 2, 400, []plan{{2500 * des.Millisecond, 2}}, 2, 0, 16, 14, 1, 4669898678, 5539},
+		{"seed3", 3, 400, []plan{{2500 * des.Millisecond, 3}}, 2, 0, 18, 17, 1, 4567119400, 5499},
+		{"seed4", 4, 400, []plan{{2500 * des.Millisecond, 4}}, 2, 0, 18, 15, 0, 4676950575, 5530},
+		{"seed5", 5, 400, []plan{{2500 * des.Millisecond, 5}}, 2, 0, 16, 16, 3, 4699315321, 5560},
+		// A crash with round 2 finalized but not yet stable everywhere:
+		// the line is 1 and six finalized records are thrown away.
+		{"mid-round", 3, 600, []plan{{2100 * des.Millisecond, 1}}, 1, 6, 20, 19, 1, 7205437117, 8734},
+		// TestRepeatedFailures' schedule; line_seq sums the two lines.
+		{"repeated", 9, 500, []plan{{1800 * des.Millisecond, 1}, {3600 * des.Millisecond, 4}}, 3, 0, 36, 27, 2, 6751833112, 8017},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c, _ := failureCluster(row.seed, 6, row.steps)
+			for _, p := range row.plans {
+				c.InjectFailure(engine.FailurePlan{At: p.at, Proc: p.proc})
+			}
+			r := c.Run()
+			got := []int64{
+				r.Counter("recovery.line_seq"), r.Counter("recovery.ckpts_discarded"),
+				r.Counter("recovery.reinjected"), r.Counter("recovery.dup_dropped"),
+				r.Counter("recovery.stale_dropped"), int64(r.Makespan), int64(r.Trace.Len()),
+			}
+			want := []int64{row.line, row.discarded, row.reinjected, row.dup, row.stale, int64(row.makespan), int64(row.traceLen)}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("(line, discarded, reinjected, dup, stale, makespan, trace) = %v, want %v", got, want)
+			}
+		})
+	}
 }

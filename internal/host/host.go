@@ -172,26 +172,36 @@ func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
 	return len(rec.Log)
 }
 
-// Rollback rewinds the process to the recovery line: the new epoch voids
-// every timer, stall and deferred action of the old one, the state is
-// restored from the line's record, and the protocol resets itself as if
-// the line's checkpoint had just been finalized. The application stays
-// parked until RestartApp, so a driver can rebuild channel contents in
-// between. Returns Restore's replay count.
-func (h *Host) Rollback(line, epoch int, rec *checkpoint.Record) (replayed int) {
-	rew, ok := h.p.Proto.(protocol.Rewinder)
-	if !ok {
+// Rollback puts the process at the recovery line: the line's record is
+// fetched from the store and the checkpoints above it are discarded (the
+// protocol will legitimately regenerate those sequence numbers), the new
+// epoch voids every timer, stall and deferred action of the old one, the
+// state is restored from the record, and the protocol resets itself as
+// if the line's checkpoint had just been finalized. The application
+// stays parked until RestartApp, so a driver can rebuild channel contents
+// in between. Line 0 with no record is the initial state, the zero
+// record; any other line this process never finalized leaves it
+// untouched, with ok == false.
+func (h *Host) Rollback(line, epoch int) (rec checkpoint.Record, replayed int, ok bool) {
+	rew, isRew := h.p.Proto.(protocol.Rewinder)
+	if !isRew {
 		panic(fmt.Sprintf("host: protocol %q does not support rollback", h.p.Proto.Name()))
+	}
+	if rec, ok = h.p.Ckpts.Get(line); !ok && line != 0 {
+		return rec, 0, false
+	}
+	if removed := h.p.Ckpts.TruncateAfter(line); removed > 0 {
+		h.count("recovery.ckpts_discarded", int64(removed))
 	}
 	h.epoch = epoch
 	h.down = false
 	h.stall = 0
 	h.deferred = nil
 	h.appDone = false
-	replayed = h.Restore(rec)
+	replayed = h.Restore(&rec)
 	rew.Rollback(line)
 	h.p.Rec.Record(trace.Event{T: h.drv.Now(), Kind: trace.KRestore, Proc: h.p.ID, Peer: -1, Seq: line})
-	return replayed
+	return rec, replayed, true
 }
 
 // RestartApp resumes the application from the progress a checkpoint

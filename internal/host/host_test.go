@@ -91,8 +91,9 @@ func (a fakeApp) Restore(_ protocol.AppCtx, progress int64) {
 	a.f.restored = append(a.f.restored, progress)
 }
 
-// recordFor builds a line record whose log replays to CFEFold.
-func recordFor(work int64) checkpoint.Record {
+// lineRecord puts a line record whose log replays to CFEFold at seq 2 of
+// the fixture's store, below a seq-3 record a rollback must discard.
+func (f *fixture) lineRecord(work int64, logLen int) checkpoint.Record {
 	rec := checkpoint.Record{
 		Tentative: checkpoint.Tentative{Seq: 2, Fold: 77},
 		Log: []checkpoint.LoggedMsg{
@@ -102,6 +103,9 @@ func recordFor(work int64) checkpoint.Record {
 		CFEWork: work, CFEProgress: 41,
 	}
 	rec.CFEFold = checkpoint.FoldLog(rec.Fold, rec.Log)
+	rec.Log = rec.Log[:logLen]
+	f.h.Checkpoints().Add(rec)
+	f.h.Checkpoints().Add(checkpoint.Record{Tentative: checkpoint.Tentative{Seq: 3}})
 	return rec
 }
 
@@ -159,8 +163,8 @@ func TestHost(t *testing.T) {
 			f.h.SetTimer(des.Millisecond, protocol.TimerBasic, 0)
 			f.h.After(des.Millisecond, func() { f.log = append(f.log, "after") })
 			f.h.StallAppFor(des.Millisecond)
-			rec := recordFor(0)
-			f.h.Rollback(2, 1, &rec)
+			f.lineRecord(0, 2)
+			f.h.Rollback(2, 1)
 			f.log = nil
 			f.h.StallApp() // a fresh stall the stale StallAppFor resume must not undo
 			f.sim.Run()
@@ -186,9 +190,13 @@ func TestHost(t *testing.T) {
 			f.deliver(1)
 			f.h.Done()
 			f.h.DoWork(99)
-			rec := recordFor(7)
-			if got := f.h.Rollback(2, 3, &rec); got != 2 {
-				t.Fatalf("replayed %d logged messages, want 2", got)
+			rec := f.lineRecord(7, 2)
+			got, replayed, ok := f.h.Rollback(2, 3)
+			if !ok || replayed != 2 || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("rollback = (%+v, %d, %v), want the store's record, 2 replayed", got, replayed, ok)
+			}
+			if ps := f.h.Checkpoints(); ps.MaxSeq() != 2 || f.reg.EventCounts()["recovery.ckpts_discarded"] != 1 {
+				t.Fatalf("store ends at %d after a rollback to 2, counters %v", ps.MaxSeq(), f.reg.EventCounts())
 			}
 			if f.h.IsStalled() || f.h.Finished() || f.h.Epoch() != 3 {
 				t.Fatalf("after rollback: stalled %v finished %v epoch %d", f.h.IsStalled(), f.h.Finished(), f.h.Epoch())
@@ -211,16 +219,38 @@ func TestHost(t *testing.T) {
 			}
 		}},
 		{"a log that does not reproduce CFEFold is flagged", func(t *testing.T, f *fixture) {
-			rec := recordFor(0)
-			rec.Log = rec.Log[:1]
-			if got := f.h.Rollback(2, 1, &rec); got != 0 {
-				t.Fatalf("replayed %d messages from a diverging log", got)
+			rec := f.lineRecord(0, 1)
+			if _, replayed, ok := f.h.Rollback(2, 1); !ok || replayed != 0 {
+				t.Fatalf("replayed %d messages from a diverging log (ok %v)", replayed, ok)
 			}
 			if f.h.Fold() != rec.CFEFold {
 				t.Fatalf("fold %#x, want the recorded %#x", f.h.Fold(), rec.CFEFold)
 			}
 			if ev := f.reg.EventCounts(); ev["recovery.replay_mismatch"] != 1 || ev["recovery.replayed_msgs"] != 0 {
 				t.Fatalf("counters %v", ev)
+			}
+		}},
+		{"a line the process never finalized is refused, untouched", func(t *testing.T, f *fixture) {
+			f.lineRecord(0, 2)
+			f.h.DoWork(5)
+			if _, _, ok := f.h.Rollback(4, 1); ok {
+				t.Fatal("rolled back to a line the store does not hold")
+			}
+			if f.h.Epoch() != 0 || f.h.Work() != 5 || f.h.Checkpoints().MaxSeq() != 3 || len(f.log) != 0 {
+				t.Fatalf("refused rollback left epoch %d work %d store max %d log %v",
+					f.h.Epoch(), f.h.Work(), f.h.Checkpoints().MaxSeq(), f.log)
+			}
+		}},
+		{"line 0 without a record is the initial state", func(t *testing.T, f *fixture) {
+			f.lineRecord(0, 2)
+			f.h.DoWork(5)
+			rec, replayed, ok := f.h.Rollback(0, 1)
+			if !ok || replayed != 0 || !reflect.DeepEqual(rec, checkpoint.Record{}) {
+				t.Fatalf("rollback to line 0 = (%+v, %d, %v), want the zero record", rec, replayed, ok)
+			}
+			if f.h.Fold() != 0 || f.h.Work() != 0 || f.h.Checkpoints().Len() != 0 || f.h.Epoch() != 1 {
+				t.Fatalf("after line 0: fold %#x work %d, %d records, epoch %d",
+					f.h.Fold(), f.h.Work(), f.h.Checkpoints().Len(), f.h.Epoch())
 			}
 		}},
 		{"send stamps the envelope and broadcast reaches every peer", func(t *testing.T, f *fixture) {

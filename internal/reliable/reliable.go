@@ -178,14 +178,6 @@ func (p *Protocol) Rollback(seq int) {
 	rew.Rollback(seq)
 }
 
-// SetResume forwards the resume-from-checkpoint request to the inner
-// protocol when it supports one (see core.Protocol.SetResume).
-func (p *Protocol) SetResume(seq int) {
-	if r, ok := p.inner.(interface{ SetResume(int) }); ok {
-		r.SetResume(seq)
-	}
-}
-
 // track registers an envelope for retransmission until acknowledged.
 func (p *Protocol) track(e *protocol.Envelope) {
 	pm := &pendingMsg{env: e, rto: p.opt.RTO}

@@ -153,7 +153,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // buildNode assembles one node: fresh when line < 0, otherwise
 // restarted from its on-disk store at the recovery line.
 func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
-	proto, rec, err := ResumeProtocol(c.cfg.Opt, c.cfg.Reliable, c.FS(i), c.Ckpts.Proc(i), line)
+	proto, err := ResumeProtocol(c.cfg.Opt, c.cfg.Reliable, c.FS(i), c.Ckpts.Proc(i), line)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +161,8 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 	return NewNode(NodeConfig{
 		ID: i, N: c.cfg.N, Addrs: c.addrs, Listener: ln,
 		Seed: c.cfg.Seed, Epoch: c.epoch,
-		Resume: line, ResumeRec: rec,
-		Proto: proto, App: app,
+		Resume: line,
+		Proto:  proto, App: app,
 		Rec: c.Rec, Ckpts: c.Ckpts,
 		Metrics:    c.Metrics,
 		Hook:       c.cfg.Hook,

@@ -254,3 +254,59 @@ func TestClusterKillRestart(t *testing.T) {
 		t.Fatalf("in-memory complete seq %d, want >= %d", max, line+1)
 	}
 }
+
+// TestClusterKillRestartAtLineZero crashes a process before the cluster
+// has any durable checkpoint: the manifests intersect to nothing, the
+// agreed line is 0 — the initial state, which has no record on disk — and
+// the victim must come back exactly like a process that never ran, the
+// initial checkpoint in its store as in every survivor's. The round
+// triggered afterwards is the first one anybody takes.
+func TestClusterKillRestartAtLineZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 13)
+	cfg.Opt.Interval = 0 // no round until the test triggers one
+	cfg.Workload.Steps = 100000
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 10*time.Second, func() bool { return c.Counter("app_msgs") > 40 })
+
+	const victim = 2
+	c.Kill(victim)
+	line, err := c.Recover(victim)
+	if err != nil || line != 0 {
+		t.Fatalf("recover: line %d, %v; want line 0", line, err)
+	}
+	st, err := c.Node(victim).StatusSnapshot(5 * time.Second)
+	if err != nil || st.Csn != 0 || st.RecoveredLine != 0 || st.Epoch != 1 {
+		t.Fatalf("restarted victim: %+v, %v; want csn 0 at line 0 in epoch 1", st, err)
+	}
+	for p := 0; p < cfg.N; p++ {
+		if rec, ok := c.Ckpts.Proc(p).Get(0); !ok || rec.StableAt == 0 || c.Ckpts.Proc(p).Len() != 1 {
+			t.Fatalf("P%d after the recovery holds %d record(s), initial checkpoint %v stable at %v",
+				p, c.Ckpts.Proc(p).Len(), ok, rec.StableAt)
+		}
+	}
+
+	if _, err := c.Node(0).TriggerCheckpoint(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= 1
+	})
+	c.Stop()
+	if seqs, err := c.CheckGlobals(); err != nil || len(seqs) == 0 {
+		t.Fatalf("globals after a line-0 recovery: %v, %v", seqs, err)
+	}
+	if got := c.Counter("recovery.rollbacks"); got != int64(cfg.N-1) {
+		t.Fatalf("rollbacks counter = %d, want %d", got, cfg.N-1)
+	}
+	validateDisk(t, dir, cfg.N, 1)
+}

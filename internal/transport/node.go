@@ -30,11 +30,11 @@ type NodeConfig struct {
 	// Epoch is the node's starting epoch; envelopes from older epochs
 	// are dropped on delivery (stale pre-rollback traffic).
 	Epoch int
-	// Resume, when >= 0, restarts the protocol from an already-durable
-	// checkpoint with that sequence number (see core.Protocol.SetResume)
-	// and rewinds the application to ResumeRec's recorded progress.
-	Resume    int
-	ResumeRec *checkpoint.Record
+	// Resume, when >= 0, restarts the process at that recovery line: Ckpts
+	// holds its durable checkpoints up to the line (ResumeProtocol sees to
+	// it), the protocol continues from the last of them and the application
+	// from the progress that record holds. Negative starts a fresh process.
+	Resume int
 
 	// Proto and App are this process's protocol and application.
 	Proto protocol.Protocol
@@ -104,10 +104,13 @@ type Node struct {
 	// host's own state is proven in internal/host): persisted is the
 	// highest seq written to FS; held the completions of flushes that
 	// left a finalized record off the disk; recLine the last committed
-	// rollback/resume line (-1: never).
+	// rollback/resume line (-1: never); rbQueued and rbDurable the epoch of
+	// the last RB_CMT whose disk truncation was queued and has landed (0: none).
 	persisted int         //ocsml:loopowned storageLoop
 	held      []heldWrite //ocsml:loopowned storageLoop
 	recLine   int         //ocsml:loopowned loop
+	rbQueued  int         //ocsml:loopowned loop
+	rbDurable int         //ocsml:loopowned loop
 
 	staleDropped atomic.Int64
 	decodeErrors atomic.Int64
@@ -144,9 +147,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Proto == nil || cfg.App == nil || cfg.Rec == nil || cfg.Ckpts == nil {
 		return nil, fmt.Errorf("transport: node needs proto, app, recorder and store")
 	}
-	if cfg.Resume >= 0 && cfg.ResumeRec == nil {
-		return nil, fmt.Errorf("transport: resume from seq %d needs its checkpoint record", cfg.Resume)
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -182,9 +182,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.mesh = mesh
 	n.registerMetrics()
-	if cfg.Resume >= 0 {
-		n.mReplayed.Add(int64(n.h.Restore(cfg.ResumeRec)))
-	}
 	return n, nil
 }
 
@@ -227,7 +224,8 @@ func (n *Node) registerMetrics() {
 }
 
 // Start launches the node: mesh, loop and storage goroutines, then the
-// protocol and application (or their resumed equivalents).
+// protocol — which continues from what the checkpoint store holds — and
+// the application, fresh or restored from the Resume line's record.
 func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
 		return
@@ -239,8 +237,11 @@ func (n *Node) Start() {
 	// delivery can reach OnDeliver ahead of Start.
 	n.post(n.h.StartProtocol)
 	if n.cfg.Resume >= 0 {
-		progress := n.cfg.ResumeRec.CFEProgress
-		n.post(func() { n.h.RestartApp(progress) })
+		n.post(func() {
+			rec, _ := n.cfg.Ckpts.Proc(n.cfg.ID).Latest() // the one the protocol continues from
+			n.mReplayed.Add(int64(n.h.Restore(&rec)))
+			n.h.RestartApp(rec.CFEProgress)
+		})
 	} else {
 		n.post(n.h.StartApp)
 	}

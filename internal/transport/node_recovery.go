@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"ocsml/internal/checkpoint"
-	"ocsml/internal/protocol"
-)
+import "ocsml/internal/protocol"
 
 // handleRecovery processes one RB_* frame on the node's loop goroutine.
 // Recovery frames bypass the protocol stack entirely — no reliable-layer
@@ -22,17 +19,38 @@ func (n *Node) handleRecovery(e *protocol.Envelope) {
 			Round: rb.Round, Epoch: n.h.Epoch(), Seqs: n.durableSeqs(),
 		})
 	case protocol.TagRbCommit:
-		if rb.Epoch <= n.h.Epoch() {
-			// Rebroadcast of a commit we already executed (or a commit
-			// superseded by a newer epoch): re-ACK so a lost ACK cannot
-			// stall the coordinator, but do not roll back again.
-			n.sendRb(e.Src, protocol.TagRbAck, protocol.RbMsg{Round: rb.Round, Line: rb.Line, Epoch: rb.Epoch})
-			return
+		if rb.Epoch > n.h.Epoch() {
+			n.rollbackTo(rb.Line, rb.Epoch)
 		}
-		src, ack := e.Src, protocol.RbMsg{Round: rb.Round, Line: rb.Line, Epoch: rb.Epoch}
-		n.rollbackTo(rb.Line, rb.Epoch, func() {
-			n.post(func() { n.sendRb(src, protocol.TagRbAck, ack) })
-		})
+		if rb.Epoch != n.h.Epoch() {
+			return // refused, or superseded by a newer epoch (its coordinator is gone)
+		}
+		// The commit just executed, or a rebroadcast of it. The ACK promises
+		// the on-disk truncation, which lands after the in-memory rollback
+		// that raised the epoch: a duplicate is re-ACKed (a lost ACK must
+		// not stall the coordinator) only once it has landed, is ignored
+		// while it is queued, and queues it again after a failure.
+		ack := func() {
+			n.sendRb(e.Src, protocol.TagRbAck, protocol.RbMsg{Round: rb.Round, Line: rb.Line, Epoch: rb.Epoch})
+		}
+		switch rb.Epoch {
+		case n.rbDurable:
+			ack()
+		case n.rbQueued: // its ACK follows the truncation
+		default:
+			n.rbQueued = rb.Epoch
+			n.postStorage(func() {
+				ok := n.truncateDisk(rb.Line)
+				n.post(func() {
+					if ok {
+						n.rbDurable = rb.Epoch
+						ack()
+					} else if n.rbQueued == rb.Epoch {
+						n.rbQueued = 0
+					}
+				})
+			})
+		}
 	default:
 		// RB_LINE/RB_ACK are coordinator-bound; a running node sees them
 		// only as leftovers of a round it did not coordinate.
@@ -60,42 +78,19 @@ func (n *Node) durableSeqs() []int {
 	return seqs
 }
 
-// rollbackTo executes a committed rollback on this node: truncate
-// checkpoints above the line in memory and on disk, then the host's
-// rollback step (fence the epoch, replay the line's durable message log,
-// rewind the protocol) and the application restart. onDurable fires once
-// the on-disk truncation has committed (immediately when the node has no
-// store) — the signal that it is safe to acknowledge the coordinator.
-func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
-	rec, ok := n.recordAt(line)
+// rollbackTo executes a committed rollback in memory: the host's rollback
+// step (fetch the line's record, discard the checkpoints above it, fence
+// the epoch, replay the line's message log, rewind the protocol) and the
+// application restart. A line this process never finalized is refused:
+// the commit stays unacknowledged, so the coordinator's timeout surfaces
+// the inconsistency instead of the cluster silently diverging.
+func (n *Node) rollbackTo(line, epoch int) {
+	rec, replayed, ok := n.h.Rollback(line, epoch)
 	if !ok {
-		// A line this process never finalized cannot be restored; leave
-		// the commit unacknowledged so the coordinator's timeout surfaces
-		// the inconsistency instead of silently diverging.
 		n.count("recovery.line_missing", 1)
 		return
 	}
-	n.cfg.Ckpts.Proc(n.cfg.ID).TruncateAfter(line)
-	if fs := n.cfg.FS; fs != nil {
-		// Disk truncation runs on the storage goroutine, after any persist
-		// already in its queue, so a rolled-back checkpoint cannot be
-		// written back post-truncate.
-		n.postStorage(func() {
-			if err := fs.TruncateAfter(line); err != nil {
-				n.count("fsstore.errors", 1)
-				return // no ACK: the truncation must land before we commit
-			}
-			n.persisted = line
-			n.completeDurable()
-			n.held = nil // what is left waited on the records just discarded
-			if onDurable != nil {
-				onDurable()
-			}
-		})
-	} else if onDurable != nil {
-		onDurable()
-	}
-	n.mReplayed.Add(int64(n.h.Rollback(line, epoch, &rec)))
+	n.mReplayed.Add(int64(replayed))
 	n.h.RestartApp(rec.CFEProgress)
 	n.recLine = line
 	n.count("recovery.rollbacks", 1)
@@ -105,20 +100,18 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 	}
 }
 
-// recordAt fetches the checkpoint record at the recovery line, preferring
-// the in-memory store and falling back to disk. Line 0 is the initial
-// state and needs no record.
-func (n *Node) recordAt(line int) (checkpoint.Record, bool) {
-	if rec, ok := n.cfg.Ckpts.Proc(n.cfg.ID).Get(line); ok {
-		return rec, true
-	}
-	if n.cfg.FS != nil {
-		if rec, err := n.cfg.FS.Load(line); err == nil {
-			return rec, true
+// truncateDisk makes a rollback durable (vacuously without a store). It
+// runs on the storage goroutine, after any persist already in its queue, so
+// a rolled-back checkpoint cannot be written back post-truncate.
+func (n *Node) truncateDisk(line int) bool {
+	if fs := n.cfg.FS; fs != nil {
+		if err := fs.TruncateAfter(line); err != nil {
+			n.count("fsstore.errors", 1)
+			return false
 		}
+		n.persisted = line
+		n.completeDurable()
+		n.held = nil // what is left waited on the records just discarded
 	}
-	if line == 0 {
-		return checkpoint.Record{}, true
-	}
-	return checkpoint.Record{}, false
+	return true
 }

@@ -1,0 +1,193 @@
+package transport
+
+// The survivor side of the RB_* handshake against one real node: an RB_ACK
+// promises that the rollback's on-disk truncation has committed, for the
+// first RB_CMT and for every rebroadcast of it.
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"ocsml/internal/checkpoint"
+	"ocsml/internal/core"
+	"ocsml/internal/fsstore"
+	"ocsml/internal/metrics"
+	"ocsml/internal/protocol"
+	"ocsml/internal/trace"
+	"ocsml/internal/wire"
+)
+
+// rbRig is process 0 as a real node on a real fsstore, holding checkpoints
+// 1..3, and process 1 as a bare mesh standing in for the coordinator: it
+// sends RB_* frames and collects the node's replies.
+type rbRig struct {
+	t       *testing.T
+	node    *Node
+	fs      *fsstore.Store
+	dir     string // process 0's store directory
+	peer    *Mesh
+	replies chan *protocol.Envelope
+}
+
+func newRbRig(t *testing.T) *rbRig {
+	t.Helper()
+	r := &rbRig{t: t, replies: make(chan *protocol.Envelope, 64)}
+	datadir := t.TempDir()
+	r.dir = filepath.Join(datadir, "p0")
+	fs, err := fsstore.Open(datadir, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fs = fs
+	ckpts := checkpoint.NewStore(2)
+	lns, addrs := listenLocal(t, 2)
+	r.node, err = NewNode(NodeConfig{
+		ID: 0, N: 2, Addrs: addrs, Listener: lns[0], Seed: 1, Resume: -1,
+		Proto: core.New(core.Options{}), App: rewindApp{}, FS: fs,
+		Rec: trace.NewRecorder(), Ckpts: ckpts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.peer, err = NewMesh(MeshConfig{ID: 1, Addrs: addrs, Seed: 1}, lns[1], func(int) func([]byte) {
+		return func(frame []byte) {
+			if e, err := wire.Decode(frame); err == nil && protocol.IsRecoveryTag(e.CtlTag) {
+				r.replies <- e
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.node.Start()
+	r.peer.Start()
+	t.Cleanup(func() { r.node.Close(); r.peer.Close() })
+	// Checkpoints 1..3, in memory and on disk, once the protocol has
+	// started and recorded the initial one.
+	r.waitEpoch(0)
+	for seq := 1; seq <= 3; seq++ {
+		rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 0, Seq: seq}, FinalizedAt: 1}
+		ckpts.Proc(0).Add(rec)
+		if err := fs.Finalize(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+func (r *rbRig) send(tag string, rb protocol.RbMsg) {
+	r.t.Helper()
+	frame, err := wire.Encode(&protocol.Envelope{
+		Src: 1, Dst: 0, Kind: protocol.KindCtl, CtlTag: tag, Payload: rb,
+	})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.peer.Send(0, wire.RawFrame(frame))
+}
+
+// acksBeforeLine sends RB_BGN and counts the RB_ACKs that arrive ahead of
+// its RB_LINE answer. One connection and one loop keep the order, so
+// everything the node did with the frames sent earlier is counted.
+func (r *rbRig) acksBeforeLine() (acks int) {
+	r.t.Helper()
+	r.send(protocol.TagRbBegin, protocol.RbMsg{Round: 1})
+	for {
+		select {
+		case e := <-r.replies:
+			if e.CtlTag == protocol.TagRbLine {
+				return acks
+			}
+			acks++
+		case <-time.After(10 * time.Second):
+			r.t.Fatal("no RB_LINE from the node")
+		}
+	}
+}
+
+// storageIdle returns once the storage goroutine has run everything queued
+// before the call.
+func (r *rbRig) storageIdle() {
+	idle := make(chan struct{})
+	r.node.postStorage(func() { close(idle) })
+	<-idle
+}
+
+func (r *rbRig) waitEpoch(epoch int) {
+	r.t.Helper()
+	waitFor(r.t, 10*time.Second, func() bool {
+		st, err := r.node.StatusSnapshot(time.Second)
+		return err == nil && st.Epoch == epoch
+	})
+}
+
+// rewindApp is the idle application of a process that can be rolled back.
+type rewindApp struct{ nopApp }
+
+func (rewindApp) Progress() int64                { return 0 }
+func (rewindApp) Restore(protocol.AppCtx, int64) {}
+
+// TestDuplicateCommitAckWaitsForTruncation: the in-memory rollback raises
+// the epoch at once, the disk follows on the storage goroutine. A
+// rebroadcast RB_CMT arriving in between must not be acknowledged.
+func TestDuplicateCommitAckWaitsForTruncation(t *testing.T) {
+	r := newRbRig(t)
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(free) // runs before the rig's cleanup: a held disk would hang Close
+
+	r.node.postStorage(func() { <-release }) // the disk is busy
+	cmt := protocol.RbMsg{Round: 1, Line: 1, Epoch: 1}
+	r.send(protocol.TagRbCommit, cmt)
+	r.waitEpoch(1)
+	r.send(protocol.TagRbCommit, cmt)
+	if acks := r.acksBeforeLine(); acks != 0 {
+		t.Fatalf("RB_ACK sent %d time(s) while the truncation was still queued", acks)
+	}
+	if got := r.fs.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("manifest %v while the disk is held, want [1 2 3]", got)
+	}
+	free()
+	// One truncation was queued, so one ACK follows it; from then on every
+	// duplicate is answered.
+	waitFor(t, 10*time.Second, func() bool { return len(r.replies) == 1 })
+	if got := r.fs.Manifest().Seqs; !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("manifest %v at the ACK, want [1]", got)
+	}
+	r.send(protocol.TagRbCommit, cmt)
+	if acks := r.acksBeforeLine(); acks != 2 {
+		t.Fatalf("%d RB_ACK(s) for one landed truncation and one duplicate after it, want 2", acks)
+	}
+}
+
+// TestDuplicateCommitRetriesFailedTruncation: a truncation that failed is
+// not acknowledged either; the next rebroadcast runs it again.
+func TestDuplicateCommitRetriesFailedTruncation(t *testing.T) {
+	r := newRbRig(t)
+	away := r.dir + ".away"
+	if err := os.Rename(r.dir, away); err != nil { // the manifest commit has nowhere to write
+		t.Fatal(err)
+	}
+	cmt := protocol.RbMsg{Round: 1, Line: 1, Epoch: 1}
+	r.send(protocol.TagRbCommit, cmt)
+	r.waitEpoch(1)
+	r.storageIdle()
+	if v, _ := r.node.cfg.Metrics.Value(metrics.EventFamily, "fsstore.errors"); v != 1 {
+		t.Fatalf("fsstore.errors = %d, want the one failed truncation", v)
+	}
+	if acks := r.acksBeforeLine(); acks != 0 {
+		t.Fatalf("RB_ACK sent %d time(s) after a failed truncation", acks)
+	}
+	if err := os.Rename(away, r.dir); err != nil {
+		t.Fatal(err)
+	}
+	r.send(protocol.TagRbCommit, cmt)
+	waitFor(t, 10*time.Second, func() bool { return len(r.replies) == 1 })
+	if got := r.fs.Manifest().Seqs; !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("manifest %v at the ACK, want [1]", got)
+	}
+}

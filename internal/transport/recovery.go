@@ -215,44 +215,37 @@ func Coordinate(cfg CoordinatorConfig, ln net.Listener) (RecoveryDecision, error
 
 // ResumeProtocol builds a process's protocol stack — fresh when line < 0,
 // otherwise restarted from its on-disk store at the recovery line:
-// checkpoints above the line are truncated on disk, ps (the process's
+// checkpoints above the line are truncated on disk and ps (the process's
 // in-memory view of its durable checkpoints) is reloaded from what
-// remains, and the protocol resumes from the line. The returned record
-// is the one the node rewinds the application to (the zero Record at
-// line 0, the initial state); together with line it fills
-// NodeConfig.Resume/ResumeRec. This is the one restart-from-disk
-// sequence: Cluster.Recover and the ocsmld daemon (-recover, -resume)
-// both run it, so the two cannot drift.
-func ResumeProtocol(opt core.Options, rel bool, fs *fsstore.Store, ps *checkpoint.ProcStore, line int) (protocol.Protocol, *checkpoint.Record, error) {
-	cp := core.New(opt)
-	var proto protocol.Protocol = cp
+// remains, which must end at the line (or be empty at line 0, the initial
+// state). The protocol needs no telling: at Start it continues from the
+// last checkpoint its store holds. With line as NodeConfig.Resume this is
+// the one restart-from-disk sequence: Cluster.Recover and the ocsmld
+// daemon (-recover, -resume) both run it, so the two cannot drift.
+func ResumeProtocol(opt core.Options, rel bool, fs *fsstore.Store, ps *checkpoint.ProcStore, line int) (protocol.Protocol, error) {
+	var proto protocol.Protocol = core.New(opt)
 	if rel {
-		proto = reliable.Wrap(cp, reliable.Options{})
+		proto = reliable.Wrap(proto, reliable.Options{})
 	}
 	if line < 0 {
-		return proto, nil, nil
+		return proto, nil
 	}
 	if fs == nil {
-		return nil, nil, fmt.Errorf("transport: resuming at line %d needs a datadir", line)
+		return nil, fmt.Errorf("transport: resuming at line %d needs a datadir", line)
 	}
 	if err := fs.TruncateAfter(line); err != nil {
-		return nil, nil, fmt.Errorf("transport: truncating above recovery line %d: %w", line, err)
+		return nil, fmt.Errorf("transport: truncating above recovery line %d: %w", line, err)
 	}
 	recs, err := fs.LoadAll()
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: loading durable checkpoints: %w", err)
+		return nil, fmt.Errorf("transport: loading durable checkpoints: %w", err)
 	}
 	ps.TruncateAfter(-1)
-	rec := &checkpoint.Record{}
-	for i := range recs {
-		ps.Add(recs[i])
-		if recs[i].Seq == line {
-			rec = &recs[i]
-		}
+	for _, rec := range recs {
+		ps.Add(rec)
 	}
-	if rec.Seq != line {
-		return nil, nil, fmt.Errorf("transport: P%d has no durable checkpoint at line %d", ps.Proc(), line)
+	if max(ps.MaxSeq(), 0) != line {
+		return nil, fmt.Errorf("transport: P%d has no durable checkpoint at line %d", ps.Proc(), line)
 	}
-	cp.SetResume(line)
-	return proto, rec, nil
+	return proto, nil
 }
