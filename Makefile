@@ -65,9 +65,10 @@ chaos:
 
 # ctl is the control-plane smoke: three real ocsmld daemons with
 # -admin-addr, driven by the real ocsmlctl binary (trigger a round,
-# poll it durable, scrape /metrics), then SIGTERM'd to exit 0.
+# poll it durable, scrape /metrics), then SIGTERM'd to exit 0 — and a
+# -spawn-all cluster SIGTERM'd mid-run, which must take the same stop.
 ctl:
-	$(GO) test -run TestDaemonControlPlane -v ./cmd/ocsmld/
+	$(GO) test -run 'TestDaemonControlPlane|TestSpawnAllSigterm' -v ./cmd/ocsmld/
 
 # soak mirrors .github/workflows/soak.yml; tune with SOAK_SEED_BASE,
 # SOAK_SEEDS, SOAK_FAULT_MS, SOAK_ARTIFACT_DIR.

@@ -95,11 +95,6 @@ func main() {
 		fmt.Printf(" (%.1f bytes/msg)", float64(r.PiggybackBytes)/float64(r.AppMsgs))
 	}
 	fmt.Println()
-	// Wire-level metrics stay zero on the simulator (envelopes never
-	// serialize); ocsmld populates them. Printed here so simulated and
-	// real runs render comparably.
-	fmt.Printf("frames sent         %d\n", r.Counter("wire.app_frames"))
-	fmt.Printf("reconnects          %d\n", r.Counter("wire.reconnects"))
 	fmt.Printf("global checkpoints  %d\n", r.GlobalCheckpoints())
 	fmt.Printf("finalize latency    %.3fs mean\n", r.MeanFinalizationLatency())
 	fmt.Printf("message log bytes   %d\n", r.TotalLogBytes())

@@ -38,9 +38,8 @@ import (
 
 // Config parameterizes the control-plane server.
 type Config struct {
-	// Nodes returns the locally hosted transport nodes, called per
-	// request so a node replaced by Restart is observed. A daemon hosts
-	// one; a spawn-all cluster hosts all N.
+	// Nodes returns the locally hosted transport nodes (Cluster.Nodes),
+	// called per request so a node replaced by Recover is observed.
 	Nodes func() []*transport.Node
 	// Registry is the shared metric registry served at /metrics.
 	Registry *metrics.Registry
@@ -50,14 +49,16 @@ type Config struct {
 	// N is the cluster size (manifest intersection spans all N procs,
 	// not just the locally hosted ones).
 	N int
-	// StatusTimeout bounds each per-node snapshot or trigger (default
-	// 2s). A node whose loop cannot answer within it is reported as an
-	// error, not waited on.
-	StatusTimeout time.Duration
-	// ShutdownTimeout bounds the graceful drain in Close before
-	// in-flight requests are cut off (default 2s).
-	ShutdownTimeout time.Duration
 }
+
+const (
+	// statusTimeout bounds each per-node snapshot or trigger. A node whose
+	// loop cannot answer within it is reported as an error, not waited on.
+	statusTimeout = 2 * time.Second
+	// shutdownTimeout bounds the graceful drain in Close before in-flight
+	// requests are cut off.
+	shutdownTimeout = 2 * time.Second
+)
 
 // Server is the embedded control-plane HTTP server.
 type Server struct {
@@ -74,12 +75,6 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
-	}
-	if cfg.StatusTimeout <= 0 {
-		cfg.StatusTimeout = 2 * time.Second
-	}
-	if cfg.ShutdownTimeout <= 0 {
-		cfg.ShutdownTimeout = 2 * time.Second
 	}
 	if cfg.Nodes == nil {
 		cfg.Nodes = func() []*transport.Node { return nil }
@@ -133,7 +128,7 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close drains in-flight requests for up to ShutdownTimeout, then cuts
+// Close drains in-flight requests for up to shutdownTimeout, then cuts
 // stragglers off. It is safe to call before Start (a no-op) and leaves
 // no goroutines behind — the leak checker of every test binary that
 // embeds a Server holds it to that.
@@ -141,7 +136,7 @@ func (s *Server) Close() error {
 	if s.ln == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()
@@ -170,7 +165,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp statusResponse
 	for _, n := range s.cfg.Nodes() {
-		st, err := n.StatusSnapshot(s.cfg.StatusTimeout)
+		st, err := n.StatusSnapshot(statusTimeout)
 		if err != nil {
 			resp.Nodes = append(resp.Nodes, nodeEntry{Error: err.Error()})
 			continue
@@ -246,7 +241,7 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := recoveryResponse{Line: -1, Counters: map[string]int64{}}
 	for _, n := range s.cfg.Nodes() {
-		st, err := n.StatusSnapshot(s.cfg.StatusTimeout)
+		st, err := n.StatusSnapshot(statusTimeout)
 		if err != nil {
 			continue
 		}
@@ -294,12 +289,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var resp checkpointResponse
 	failed := 0
 	for _, n := range nodes {
-		st, serr := n.StatusSnapshot(s.cfg.StatusTimeout)
+		st, serr := n.StatusSnapshot(statusTimeout)
 		id := -1
 		if serr == nil {
 			id = st.ID
 		}
-		csn, err := n.TriggerCheckpoint(s.cfg.StatusTimeout)
+		csn, err := n.TriggerCheckpoint(statusTimeout)
 		if err != nil {
 			failed++
 			resp.Triggered = append(resp.Triggered, checkpointEntry{ID: id, Csn: -1, Error: err.Error()})
@@ -326,7 +321,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.requests.With("/v1/readyz").Inc()
 	for _, n := range s.cfg.Nodes() {
-		if _, err := n.StatusSnapshot(s.cfg.StatusTimeout); err != nil {
+		if _, err := n.StatusSnapshot(statusTimeout); err != nil {
 			s.writeError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -15,13 +16,21 @@ import (
 	"ocsml/internal/workload"
 )
 
-// ClusterConfig parameterizes an in-process spawn-all cluster: N nodes
-// in one OS process, talking to each other over real localhost TCP
-// connections — the -spawn-all mode of cmd/ocsmld and the harness of
-// the transport integration tests.
+// ClusterConfig parameterizes a Cluster: the host of k of the N processes
+// in one OS process, talking to the others over real TCP connections. With
+// Addrs and Local left empty it is the whole cluster on fresh localhost
+// ports (ocsmld -spawn-all, the chaos runner, the transport integration
+// tests); with both set it is one member of a deployment spread over
+// several OS processes or machines (ocsmld -id/-peers).
 type ClusterConfig struct {
 	N    int
 	Seed int64
+	// Addrs is the cluster's address table, one TCP address per process.
+	// Empty: every process is hosted here, each on a fresh localhost port.
+	Addrs []string
+	// Local lists the processes hosted here (empty: all N); their entries
+	// of Addrs are bound locally. Hosting a subset needs Addrs.
+	Local []int
 	// Datadir, when non-empty, enables file-backed stable storage (one
 	// fsstore directory per process).
 	Datadir string
@@ -40,32 +49,35 @@ type ClusterConfig struct {
 	// Hook, when non-nil, filters every outgoing frame of every node —
 	// the chaos runner's fault-injection point (internal/faultnet).
 	Hook SendHook
-	// Metrics is the shared named-metric registry of the cluster's nodes
-	// (a fresh one when nil). The free-form counter namespace lands in
-	// its events family; Counter/Counters read from there.
-	Metrics *metrics.Registry
 	// FSOptions tunes the durability engine of every node's store (the
 	// segment size). The zero value selects the fsstore default.
 	FSOptions fsstore.Options
 	// GCInterval, when positive, runs the storage garbage collector: a
 	// cluster goroutine periodically intersects the durable manifests and
-	// prunes every store below the globally finalized S_k watermark.
-	// Requires Datadir. Zero disables collection.
+	// prunes every hosted store below the globally finalized S_k watermark
+	// (the datadir must hold all N manifests). Requires Datadir. Zero
+	// disables collection.
 	GCInterval time.Duration
 }
 
-// Cluster is a set of transport nodes sharing one recorder, checkpoint
-// store and metric registry, connected by real TCP.
+// Cluster is the set of transport nodes hosted in this OS process,
+// sharing one recorder, checkpoint store and metric registry, connected
+// to each other and to the rest of the cluster by real TCP.
 type Cluster struct {
-	cfg   ClusterConfig
+	cfg ClusterConfig
+	// Rec records only when all N processes are hosted here: a global cut
+	// cannot be checked from a subset's events, and a recorder nobody reads
+	// would grow for the life of a daemon.
 	Rec   *trace.Recorder
 	Ckpts *checkpoint.Store
-	// Metrics is the shared registry (ClusterConfig.Metrics or a fresh
-	// one); the admin server serves it at /metrics.
+	// Metrics is the hosted nodes' shared registry; the admin server serves
+	// it at /metrics. The free-form counter namespace lands in its events
+	// family, which Counter/Counters read.
 	Metrics *metrics.Registry
 
 	addrs []string
-	nodes []*Node // elements replaced under mu by Recover
+	local []int   // hosted process ids
+	nodes []*Node // indexed by process id, nil when hosted elsewhere; elements replaced under mu by Recover
 	//ocsml:guardedby mu
 	fss   []*fsstore.Store // elements replaced under mu by Recover
 	base  time.Time
@@ -92,11 +104,23 @@ type Cluster struct {
 	gcWG   sync.WaitGroup
 }
 
-// NewCluster binds N localhost listeners and builds the nodes. Nothing
-// runs until Start.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.N < 2 {
+// NewCluster binds the hosted processes' listeners, opens their stores
+// and builds their nodes, each a fresh process. Nothing runs until Start.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return NewClusterAt(cfg, -1) }
+
+// NewClusterAt is NewCluster for a cluster that stopped: every hosted
+// process restarts from its store at the recovery line (see
+// ResumeProtocol) instead of starting fresh. It rolls back nobody, so
+// every host of the cluster must be given the same line — the operator's
+// cold restart, ocsmld -resume. A negative line is a fresh start.
+func NewClusterAt(cfg ClusterConfig, line int) (*Cluster, error) {
+	switch {
+	case cfg.N < 2:
 		return nil, fmt.Errorf("transport: cluster needs at least 2 processes")
+	case len(cfg.Addrs) == 0 && len(cfg.Local) > 0:
+		return nil, fmt.Errorf("transport: hosting a subset of the cluster needs its address table")
+	case len(cfg.Addrs) > 0 && len(cfg.Addrs) != cfg.N:
+		return nil, fmt.Errorf("transport: %d addresses for %d processes", len(cfg.Addrs), cfg.N)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
@@ -104,50 +128,78 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Drain <= 0 {
 		cfg.Drain = 500 * time.Millisecond
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	c := &Cluster{
 		cfg:     cfg,
 		Rec:     trace.NewRecorder(),
 		Ckpts:   checkpoint.NewStore(cfg.N),
-		Metrics: cfg.Metrics,
+		Metrics: reg,
+		addrs:   make([]string, cfg.N),
+		local:   cfg.Local,
 		base:    time.Now(), //ocsml:wallclock shared time origin of the real-network cluster
-		count:   cfg.Metrics.EventSink(),
+		count:   reg.EventSink(),
 		done:    make([]bool, cfg.N),
 		doneCh:  make(chan struct{}, 1),
 		nodes:   make([]*Node, cfg.N),
 		fss:     make([]*fsstore.Store, cfg.N),
 		gcQuit:  make(chan struct{}),
 	}
+	if len(c.local) == 0 {
+		for i := 0; i < cfg.N; i++ {
+			c.local = append(c.local, i)
+		}
+	}
+	c.Rec.SetEnabled(len(c.local) == cfg.N)
 	listeners := make([]net.Listener, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
+	fail := func(err error) (*Cluster, error) {
+		for _, ln := range listeners {
+			if ln != nil {
+				ln.Close()
 			}
-			return nil, err
+		}
+		return nil, err
+	}
+	for i := range c.addrs {
+		c.addrs[i] = "127.0.0.1:0"
+	}
+	copy(c.addrs, cfg.Addrs)
+	for _, i := range c.local {
+		if i < 0 || i >= cfg.N || listeners[i] != nil {
+			return fail(fmt.Errorf("transport: hosted process ids %v: want distinct ids in [0,%d)", c.local, cfg.N))
+		}
+		ln, err := net.Listen("tcp", c.addrs[i])
+		if err != nil {
+			return fail(err)
 		}
 		listeners[i] = ln
-		c.addrs = append(c.addrs, ln.Addr().String())
+		if len(cfg.Addrs) == 0 {
+			c.addrs[i] = ln.Addr().String() // the port the kernel picked
+		}
 	}
-	for i := 0; i < cfg.N; i++ {
+	for _, i := range c.local {
+		var err error
 		if cfg.Datadir != "" {
-			fs, err := fsstore.OpenWith(cfg.Datadir, i, cfg.N, cfg.FSOptions)
-			if err != nil {
-				return nil, err
+			if c.fss[i], err = c.openStore(i); err != nil {
+				return fail(err)
 			}
-			fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
-			c.fss[i] = fs
 		}
-		n, err := c.buildNode(i, listeners[i], -1)
-		if err != nil {
-			return nil, err
+		if c.nodes[i], err = c.buildNode(i, listeners[i], line); err != nil {
+			return fail(err)
 		}
-		c.nodes[i] = n
 	}
 	return c, nil
+}
+
+// openStore opens process i's store exactly as a fresh OS process would:
+// Open clears crash debris (torn temp files, orphan segments, torn batch
+// tails) and rebuilds a corrupt manifest.
+func (c *Cluster) openStore(i int) (*fsstore.Store, error) {
+	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
+	if err != nil {
+		return nil, err
+	}
+	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
+	return fs, nil
 }
 
 // buildNode assembles one node: fresh when line < 0, otherwise
@@ -173,9 +225,6 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 	})
 }
 
-// Addrs returns the cluster's TCP addresses.
-func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
-
 // Node returns process i's node (the current incarnation — Recover
 // replaces the element).
 func (c *Cluster) Node(i int) *Node {
@@ -184,13 +233,17 @@ func (c *Cluster) Node(i int) *Node {
 	return c.nodes[i]
 }
 
-// Nodes snapshots the current node set — the admin server's view of the
-// locally hosted processes (called per request, so a restarted node is
-// observed).
+// Nodes snapshots the hosted processes' current nodes, in id order of
+// ClusterConfig.Local — the admin server's view (called per request, so a
+// restarted node is observed).
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*Node(nil), c.nodes...)
+	out := make([]*Node, len(c.local))
+	for k, i := range c.local {
+		out[k] = c.nodes[i]
+	}
+	return out
 }
 
 // FS returns process i's on-disk store (nil without a datadir; the
@@ -215,9 +268,10 @@ func (c *Cluster) setRecovering(v bool) {
 	c.mu.Unlock()
 }
 
-// Start launches every node, plus the storage GC loop when configured.
+// Start launches every hosted node (one Recover already started is left
+// alone), plus the storage GC loop when configured.
 func (c *Cluster) Start() {
-	for _, n := range c.nodes {
+	for _, n := range c.Nodes() {
 		n.Start()
 	}
 	if c.cfg.Datadir != "" && c.cfg.GCInterval > 0 {
@@ -226,11 +280,13 @@ func (c *Cluster) Start() {
 	}
 }
 
-// gcLoop periodically prunes every store below the globally finalized
-// S_k watermark: the intersection of the durable manifests is the last
-// checkpoint line recovery can ever need, so everything strictly below
-// it is dead weight (the paper's retention argument). Collection skips
-// ticks while a recovery is reloading a store.
+// gcLoop periodically prunes every hosted store below the globally
+// finalized S_k watermark: the intersection of the durable manifests is
+// the last checkpoint line recovery can ever need, so everything strictly
+// below it is dead weight (the paper's retention argument). The datadir is
+// shared, so the line is readable from any host and each prunes only its
+// own processes' directories. Collection skips ticks while a recovery is
+// reloading a store, and while a peer's manifest is missing or torn.
 func (c *Cluster) gcLoop() {
 	defer c.gcWG.Done()
 	ticker := time.NewTicker(c.cfg.GCInterval)
@@ -251,12 +307,8 @@ func (c *Cluster) gcLoop() {
 		if err != nil || wm <= 0 {
 			continue
 		}
-		for i := 0; i < c.cfg.N; i++ {
-			fs := c.FS(i)
-			if fs == nil {
-				continue
-			}
-			if err := fs.GCTo(wm); err != nil {
+		for _, i := range c.local {
+			if err := c.FS(i).GCTo(wm); err != nil {
 				c.count("fsstore.gc_errors", 1)
 			}
 		}
@@ -264,56 +316,54 @@ func (c *Cluster) gcLoop() {
 	}
 }
 
-// WaitDone blocks until every process has completed its workload quota
-// or the deadline passes.
-func (c *Cluster) WaitDone(timeout time.Duration) error {
-	deadline := time.After(timeout)
-	for {
+// Run executes the hosted processes start-to-finish: start, wait for the
+// workload to complete, keep serving through the drain (peers may still be
+// finishing their quotas and the last round finalizing), then stop
+// gracefully. ClusterConfig.Timeout or a cancelled ctx (the daemon's
+// SIGINT/SIGTERM) cuts either wait short and goes straight to the same
+// stop; Report says whether the workload completed.
+func (c *Cluster) Run(ctx context.Context, beforeClose func()) {
+	c.Start()
+	defer c.stop(beforeClose)
+	deadline := time.After(c.cfg.Timeout)
+	for !c.allDone() {
 		select {
 		case <-c.doneCh:
-			if c.allDone() {
-				return nil
-			}
 		case <-deadline:
-			return fmt.Errorf("transport: workload did not complete within %v", timeout)
+			return
+		case <-ctx.Done():
+			return
 		}
-	}
-}
-
-// Run executes the cluster start-to-finish: start, wait for the
-// workload, drain, stop.
-func (c *Cluster) Run() error { return c.RunThen(nil) }
-
-// RunThen is Run with a pre-stop hook: beforeStop (when non-nil) runs
-// after the drain and before the nodes close. The daemon shuts its
-// admin server down there, so an in-flight status read still observes a
-// live mesh — the shutdown ordering the control plane requires.
-func (c *Cluster) RunThen(beforeStop func()) error {
-	c.Start()
-	defer c.Stop()
-	if beforeStop != nil {
-		defer beforeStop() // deferred after Stop, so it runs first (LIFO)
-	}
-	if err := c.WaitDone(c.cfg.Timeout); err != nil {
-		return err
 	}
 	//ocsml:wallclock makespan of a real-network run is wall time by definition
 	makespan := time.Since(c.base)
 	c.mu.Lock()
 	c.makespan = makespan
 	c.mu.Unlock()
-	time.Sleep(c.cfg.Drain)
-	return nil
+	select {
+	case <-time.After(c.cfg.Drain):
+	case <-ctx.Done():
+	}
 }
 
-// Stop closes every node and stops the GC loop.
-func (c *Cluster) Stop() {
+// Stop stops the hosted processes gracefully. Safe to call again.
+func (c *Cluster) Stop() { c.stop(nil) }
+
+// stop is the one graceful stop, in dependency order: the GC loop ends,
+// beforeClose (when non-nil) runs while the nodes still answer — the
+// daemon closes its admin server there, so an in-flight status read never
+// observes a dying node — then each node's queued stable-storage writes
+// reach the disk and the node closes. A SIGTERM therefore never abandons a
+// finalization the manifest was about to record.
+func (c *Cluster) stop(beforeClose func()) {
 	c.gcOnce.Do(func() { close(c.gcQuit) })
 	c.gcWG.Wait()
+	if beforeClose != nil {
+		beforeClose()
+	}
 	for _, n := range c.Nodes() {
-		if n != nil {
-			n.Close()
-		}
+		n.WaitStorageIdle(2 * time.Second)
+		n.Close()
 	}
 }
 
@@ -327,32 +377,31 @@ func (c *Cluster) Kill(i int) {
 	c.count("recovery.failures", 1)
 }
 
-// Recover drives the wire-level recovery protocol for the crashed
-// process: reopen its store, rebind its address, coordinate the recovery
-// line from the cluster's durable manifests (RB_BGN -> RB_LINE -> RB_CMT
-// -> RB_ACK, see Coordinate), then restart the victim from that store at
-// the agreed line (ResumeProtocol, the sequence a restarted daemon
-// runs). The survivors roll back through the same RB_* handlers a
-// standalone ocsmld daemon uses — the cluster does not reach into their
-// state directly, so the in-process cluster and a multi-OS-process
-// deployment exercise one recovery code path. Returns the agreed line.
+// Recover drives the wire-level recovery protocol for a crashed process
+// hosted here: reopen its store, rebind its address, coordinate the
+// recovery line from the cluster's durable manifests (RB_BGN -> RB_LINE ->
+// RB_CMT -> RB_ACK, see Coordinate), then restart the victim from that
+// store at the agreed line (ResumeProtocol). The crash was a Kill, or the
+// death of the OS process that hosted the victim before this one (ocsmld
+// -recover: the node NewCluster built in its place never started). The
+// survivors, hosted here or elsewhere, roll back through their nodes' RB_*
+// handlers — the cluster does not reach into their state directly, so one
+// OS process and many exercise one recovery code path. Returns the agreed
+// line.
 func (c *Cluster) Recover(victim int) (int, error) {
 	if c.FS(victim) == nil {
-		return -1, fmt.Errorf("transport: recovery of P%d needs a datadir", victim)
+		return -1, fmt.Errorf("transport: recovery needs P%d hosted here with a datadir", victim)
 	}
 	// Pause the GC loop for the whole recovery: a sweep racing the
 	// reload below could collect records the restart is about to read.
 	c.setRecovering(true)
 	defer c.setRecovering(false)
-	// Reopen the store exactly as a fresh OS process would — Open clears
-	// crash debris (torn temp files, orphan segments, torn batch tails)
-	// and rebuilds a corrupt manifest — before voting with its manifest
-	// in the line intersection.
-	fs, err := fsstore.OpenWith(c.cfg.Datadir, victim, c.cfg.N, c.cfg.FSOptions)
+	c.Node(victim).Close() // releases the address when Kill has not
+	// The reopened store votes with its manifest in the line intersection.
+	fs, err := c.openStore(victim)
 	if err != nil {
 		return -1, err
 	}
-	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, victim))
 	c.setFS(victim, fs)
 	ln, err := net.Listen("tcp", c.addrs[victim])
 	if err != nil {
@@ -411,8 +460,8 @@ func (c *Cluster) nodeDone(id int) {
 func (c *Cluster) allDone() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, d := range c.done {
-		if !d {
+	for _, i := range c.local {
+		if !c.done[i] {
 			return false
 		}
 	}
@@ -472,7 +521,9 @@ type Report struct {
 	Counters map[string]int64
 }
 
-// Report builds the run summary (call after Run or Stop).
+// Report builds the run summary (call after Run or Stop) of the hosted
+// processes. Global checkpoints are counted and verified only when all N
+// are hosted here: a subset's store never holds a complete one.
 func (c *Cluster) Report() (*Report, error) {
 	seqs, err := c.CheckGlobals()
 	if err != nil {

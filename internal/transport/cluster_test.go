@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -166,9 +168,7 @@ func TestClusterRun(t *testing.T) {
 			if activate != nil {
 				activate(c)
 			}
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
+			c.Run(context.Background(), nil)
 			rep, err := c.Report()
 			if err != nil {
 				t.Fatal(err)
@@ -179,8 +179,10 @@ func TestClusterRun(t *testing.T) {
 			if rep.GlobalCheckpoints < 2 {
 				t.Fatalf("global checkpoints = %d, want >= 2 (seqs %v)", rep.GlobalCheckpoints, rep.ConsistentSeqs)
 			}
-			if c.Counter("wire.decode_errors") != 0 {
-				t.Fatalf("decode errors: %d", c.Counter("wire.decode_errors"))
+			for p := 0; p < cfg.N; p++ {
+				if got, ok := c.Metrics.Value("ocsml_wire_decode_errors_total", fmt.Sprint(p)); !ok || got != 0 {
+					t.Fatalf("P%d decode errors: %d (series registered: %v)", p, got, ok)
+				}
 			}
 			tc.check(t, c, rep)
 		})
@@ -309,4 +311,95 @@ func TestClusterKillRestartAtLineZero(t *testing.T) {
 		t.Fatalf("rollbacks counter = %d, want %d", got, cfg.N-1)
 	}
 	validateDisk(t, dir, cfg.N, 1)
+}
+
+// TestClusterSplitAcrossHosts is the daemon deployment under go test (and
+// so under -race): N = 3 as three one-process Clusters that share only the
+// address table and a datadir, as three `ocsmld -id -peers` invocations
+// do. One host dies abruptly, a fresh Cluster takes its place and recovers
+// the process over the wire, and the cluster must advance past the line
+// again — with every host pruning its own store below S_k meanwhile.
+func TestClusterSplitAcrossHosts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	const n, victim = 3, 1
+	dir := t.TempDir()
+	// Reserve the ports, then let each host bind its own (the window between
+	// Close and the rebind is racy in principle, reliable on loopback).
+	lns, addrs := listenLocal(t, n)
+	for _, ln := range lns {
+		ln.Close()
+	}
+	host := func(i int) *Cluster {
+		cfg := testClusterConfig(dir, 29)
+		cfg.N, cfg.Addrs, cfg.Local = n, addrs, []int{i}
+		cfg.Workload.Steps = 100000 // effectively endless; the test stops the hosts
+		cfg.GCInterval = 25 * time.Millisecond
+		c, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Stop)
+		return c
+	}
+	durableLine := func(want int) {
+		t.Helper()
+		waitFor(t, 20*time.Second, func() bool {
+			last, err := fsstore.LastCompleteSeq(dir, n)
+			return err == nil && last >= want
+		})
+	}
+	hosts := make([]*Cluster, n)
+	for i := range hosts {
+		hosts[i] = host(i)
+		hosts[i].Start()
+	}
+	durableLine(2)
+
+	hosts[victim].Kill(victim)
+	time.Sleep(50 * time.Millisecond) // let in-flight traffic hit the dead socket
+	back := host(victim)
+	line, err := back.Recover(victim)
+	if err != nil || line < 2 {
+		t.Fatalf("recover: line %d, %v; want a line >= 2", line, err)
+	}
+	back.Start() // the recovered node is running; this starts the host's GC loop
+	durableLine(line + 1)
+	all := append(hosts, back)
+	for _, c := range all {
+		c.Stop()
+	}
+
+	if got := back.Counter("recovery.coordinated"); got != 1 {
+		t.Fatalf("coordinated counter = %d, want 1", got)
+	}
+	for i, c := range hosts {
+		if i != victim && c.Counter("recovery.rollbacks") != 1 {
+			t.Fatalf("P%d rollbacks counter = %d, want 1", i, c.Counter("recovery.rollbacks"))
+		}
+	}
+	for i, c := range all {
+		// A host of one process records nothing: no global cut can be
+		// checked from its events, and nobody would read them.
+		if c.Counter("app_msgs") == 0 || c.Rec.Len() != 0 {
+			t.Fatalf("host %d: %d app messages, %d recorded events; want traffic and an empty recorder",
+				i, c.Counter("app_msgs"), c.Rec.Len())
+		}
+		if c.Counter("fsstore.gc_sweeps") == 0 {
+			t.Fatalf("host %d never ran a GC sweep", i)
+		}
+	}
+	for p := 0; p < n; p++ {
+		m, err := fsstore.ReadManifest(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, seq := range m.Seqs {
+			if seq != m.Seqs[0]+k {
+				t.Fatalf("P%d manifest %v has a gap", p, m.Seqs)
+			}
+		}
+	}
+	validateDisk(t, dir, n, line+1)
 }

@@ -11,9 +11,10 @@
 //   - mesh.go: the peer mesh — one listener plus N−1 dialed connections
 //     per process, per-peer writer goroutines, reconnect with jittered
 //     exponential backoff.
-//   - node.go / cluster.go: protocol.Env hosts on real time, either as a
-//     standalone daemon process (cmd/ocsmld) or as an in-process
-//     spawn-all cluster that talks to itself over localhost TCP.
+//   - node.go / cluster.go: protocol.Env hosts on real time, and the
+//     Cluster that hosts k of the N of them in one OS process — one
+//     process of a deployment (ocsmld -id/-peers) or the whole cluster
+//     talking to itself over localhost TCP (ocsmld -spawn-all).
 package transport
 
 import (

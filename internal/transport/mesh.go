@@ -33,12 +33,12 @@ type MeshConfig struct {
 	Seed int64
 	// Hook, when non-nil, filters every outgoing frame (fault injection).
 	Hook SendHook
-	// DialBackoff is the initial reconnect delay (default 20ms); it
-	// doubles per failure up to dialBackoffCap and resets on success.
-	DialBackoff time.Duration
 }
 
 const (
+	// dialBackoff is the initial reconnect delay; it doubles per failure
+	// up to dialBackoffCap and resets on success.
+	dialBackoff    = 20 * time.Millisecond
 	dialBackoffCap = 2 * time.Second
 	// peerQueueLen is the per-peer outgoing frame queue. Frames offered
 	// to a full queue are dropped and counted — the reliable middleware
@@ -143,9 +143,6 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 	}
 	if ln == nil {
 		return nil, fmt.Errorf("transport: mesh needs a bound listener")
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 20 * time.Millisecond
 	}
 	m := &Mesh{
 		cfg:    cfg,
@@ -328,7 +325,7 @@ func (m *Mesh) serveConn(c net.Conn) {
 func (m *Mesh) writerLoop(p *peer) {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(jitterSeed(m.cfg.Seed, m.cfg.ID, p.id)))
-	backoff := m.cfg.DialBackoff
+	backoff := dialBackoff
 	everConnected := false
 	var conn net.Conn
 	var pe wire.PeerEncoder
@@ -376,7 +373,7 @@ func (m *Mesh) writerLoop(p *peer) {
 			// forget the delta base so the next piggyback goes out whole.
 			pe.Reset()
 			p.connected.Store(true)
-			backoff = m.cfg.DialBackoff // reset on success
+			backoff = dialBackoff // reset on success
 			if everConnected {
 				m.reconnects.Add(1)
 			}

@@ -158,7 +158,7 @@ func TestMeshReconnect(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	m0, err := NewMesh(MeshConfig{ID: 0, Addrs: addrs, Seed: 1, DialBackoff: 5 * time.Millisecond},
+	m0, err := NewMesh(MeshConfig{ID: 0, Addrs: addrs, Seed: 1},
 		ln0, func(int) func([]byte) { return func([]byte) {} })
 	if err != nil {
 		t.Fatal(err)

@@ -40,15 +40,14 @@ type NodeConfig struct {
 	Proto protocol.Protocol
 	App   protocol.App
 
-	// Rec and Ckpts may be shared across nodes (in-process cluster) or
-	// private (daemon).
+	// Rec and Ckpts are shared by the nodes one Cluster hosts.
 	Rec   *trace.Recorder
 	Ckpts *checkpoint.Store
 
 	// Metrics is the named-metric registry the node registers its wire
-	// and recovery series into (shared across the nodes of an in-process
-	// cluster, private to a daemon); its event sink takes the free-form
-	// statistics. A nil Metrics gets a fresh registry.
+	// and recovery series into (shared by the nodes one Cluster hosts);
+	// its event sink takes the free-form statistics. A nil Metrics gets a
+	// fresh registry.
 	Metrics *metrics.Registry
 
 	// FS, when non-nil, persists every finalized checkpoint to disk at
@@ -69,8 +68,7 @@ type NodeConfig struct {
 	OnDone func(id int)
 
 	// OnRollback fires after a wire-committed rollback (RB_CMT) rewound
-	// this node to the given line — the in-process cluster's bookkeeping
-	// hook (a standalone daemon needs none).
+	// this node to the given line — the Cluster's bookkeeping hook.
 	OnRollback func(id, line int)
 }
 
@@ -261,12 +259,6 @@ func (n *Node) Close() {
 // Mesh exposes the wire fabric (stats).
 func (n *Node) Mesh() *Mesh { return n.mesh }
 
-// StaleDropped counts envelopes dropped at the epoch boundary.
-func (n *Node) StaleDropped() int64 { return n.staleDropped.Load() }
-
-// DecodeErrors counts frames the wire codec rejected.
-func (n *Node) DecodeErrors() int64 { return n.decodeErrors.Load() }
-
 // Post schedules fn on the node's serialized loop (cluster rollback
 // uses it to mutate protocol state safely).
 //
@@ -323,7 +315,6 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 	e, err := dec.DecodeOwned(frame)
 	if err != nil {
 		n.decodeErrors.Add(1)
-		n.count("wire.decode_errors", 1)
 		return
 	}
 	n.post(func() {
@@ -341,7 +332,6 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		}
 		if e.Epoch < n.h.Epoch() {
 			n.staleDropped.Add(1)
-			n.count("wire.stale_dropped", 1)
 			return
 		}
 		n.h.Deliver(e)
@@ -429,7 +419,6 @@ func (n *Node) persistFinalized() (finalized int) {
 	// retries from it.
 	if committed > 0 {
 		n.persisted = batch[committed-1].Seq
-		n.count("fsstore.finalized", int64(committed))
 	}
 	if err != nil {
 		n.count("fsstore.errors", 1)
@@ -463,7 +452,6 @@ func (n *Node) Transmit(e *protocol.Envelope) {
 		panic(fmt.Sprintf("transport: P%d cannot encode envelope: %v", n.cfg.ID, err))
 	}
 	if e.Kind == protocol.KindApp {
-		n.count("wire.app_frames", 1)
 		n.mAppFrames.Inc()
 	}
 	// Piggyback bytes are accounted by the mesh at write time, where the

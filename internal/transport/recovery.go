@@ -220,8 +220,9 @@ func Coordinate(cfg CoordinatorConfig, ln net.Listener) (RecoveryDecision, error
 // remains, which must end at the line (or be empty at line 0, the initial
 // state). The protocol needs no telling: at Start it continues from the
 // last checkpoint its store holds. With line as NodeConfig.Resume this is
-// the one restart-from-disk sequence: Cluster.Recover and the ocsmld
-// daemon (-recover, -resume) both run it, so the two cannot drift.
+// the one restart-from-disk sequence, and Cluster.buildNode its one
+// caller: Recover passes the line the handshake agreed (ocsmld -recover),
+// NewClusterAt the operator's (ocsmld -resume).
 func ResumeProtocol(opt core.Options, rel bool, fs *fsstore.Store, ps *checkpoint.ProcStore, line int) (protocol.Protocol, error) {
 	var proto protocol.Protocol = core.New(opt)
 	if rel {

@@ -6,6 +6,7 @@ package transport
 // finalize-retry watermark, and storage-queue accounting across shutdown.
 
 import (
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -238,9 +239,7 @@ func TestNodeFinalizeRetry(t *testing.T) {
 		}
 		return nil
 	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c.Run(context.Background(), nil)
 	if attempts.Load() != 2 {
 		t.Fatalf("seq 1 reached FinalizeBatch %d times, want a failure and one retry", attempts.Load())
 	}

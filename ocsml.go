@@ -205,12 +205,6 @@ type Report struct {
 	// message: the simulator's modeled bytes here, or exact encoded
 	// wire bytes for runs on the TCP runtime (internal/transport).
 	PiggybackBytesPerMsg float64
-	// FramesSent and Reconnects are wire-level metrics; they are zero
-	// for simulated runs (envelopes never serialize) and populated from
-	// the "wire.app_frames" / "wire.reconnects" counters when the run
-	// went over a real transport.
-	FramesSent int64
-	Reconnects int64
 
 	// Storage contention at the shared file server.
 	StoragePeakQueue  int64
@@ -348,8 +342,6 @@ func Run(cfg Config) (*Report, error) {
 	if rep.AppMessages > 0 {
 		rep.PiggybackBytesPerMsg = float64(rep.PiggybackBytes) / float64(rep.AppMessages)
 	}
-	rep.FramesSent = r.Counter("wire.app_frames")
-	rep.Reconnects = r.Counter("wire.reconnects")
 	if rc.Trace && cfg.Protocol != ProtoUncoordinated && cfg.Protocol != ProtoNone {
 		seqs, err := r.CheckAllGlobals()
 		if err != nil {
