@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz model-check results-check bench-check loc
+.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz model-check results-check bench-check bench-gate loc
 
 all: build test
 
@@ -17,9 +17,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own eight analyzers
+# vet runs the standard toolchain vet plus the repo's own seven analyzers
 # (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
-# discipline, fsync ordering, durability error flow, goroutine field
+# discipline, durability error flow, goroutine field
 # ownership (loopowned), goroutine termination (quitpath) and hot-path
 # allocation freedom (allocfree). See DESIGN.md §10-11 and §15. The second ocsmlvet
 # pass adds the soak build tag so tag-gated code (the long-running
@@ -126,6 +126,17 @@ results-check:
 # breaks the benchmark would only surface in the benchmark run.
 bench-check:
 	cd bench/_src && $(GO) vet ./... && $(GO) test -short ./...
+
+# bench-gate runs the benchmark's storage-bound workload for 5 s and
+# checks what does not depend on how fast the host is: the outputs are
+# correct, no operation failed, and a durable round costs exactly four
+# fsyncs at N = 4 — one per process's commit, none for the manifest hint.
+bench-gate:
+	@out="$$(bash bench/run.sh --workload ckpt-storm --seed 1 --seconds 5 | tail -n 1)"; \
+	echo "$$out"; \
+	for want in '"correct":true' '"failed":0,' '"fsyncs_per_round":{"value":4,'; do \
+		case "$$out" in *"$$want"*) ;; *) echo "bench-gate: the last line lacks $$want"; exit 1;; esac; \
+	done
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and analyzer fixtures. CI's test job prints it

@@ -1,4 +1,4 @@
-// Command ocsmlvet is the repository's analysis suite: eight custom
+// Command ocsmlvet is the repository's analysis suite: seven custom
 // analyzers that mechanically enforce the invariants the runtime
 // depends on but the compiler cannot see.
 //
@@ -12,7 +12,6 @@
 //	lockdiscipline     *Locked functions are called with the lock held;
 //	                   //ocsml:guardedby fields are accessed under their
 //	                   mutex
-//	fsyncorder         fsstore renames follow write→fsync→rename→dirsync
 //	errflow            errors from the durability paths (Finalize,
 //	                   WriteStable, fsync, rename) reach a return or a
 //	                   counted metric; discards need //ocsml:errsink
@@ -58,7 +57,6 @@ import (
 	"ocsml/internal/analysis/allocfree"
 	"ocsml/internal/analysis/detclean"
 	"ocsml/internal/analysis/errflow"
-	"ocsml/internal/analysis/fsyncorder"
 	"ocsml/internal/analysis/lockdiscipline"
 	"ocsml/internal/analysis/loopowned"
 	"ocsml/internal/analysis/quitpath"
@@ -71,7 +69,6 @@ var analyzers = []*vetkit.Analyzer{
 	wireexhaustive.Analyzer,
 	detclean.Analyzer,
 	lockdiscipline.Analyzer,
-	fsyncorder.Analyzer,
 	errflow.Analyzer,
 	loopowned.Analyzer,
 	quitpath.Analyzer,

@@ -20,8 +20,8 @@
 // doc comment of the declaration. The Directives index (directives.go)
 // collects every such comment once per program so analyzers share one
 // parse. See the individual analyzers for the directives they honor
-// (wallclock, unordered, guardedby, locked, nolock, nofsync,
-// wirepayload, errsink, loopowned, looppost, loopcontext, loopexempt,
+// (wallclock, unordered, guardedby, locked, nolock, wirepayload,
+// errsink, loopowned, looppost, loopcontext, loopexempt,
 // daemon, hotpath, alloc).
 package vetkit
 

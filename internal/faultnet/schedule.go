@@ -69,24 +69,28 @@ func (p Partition) String() string {
 }
 
 // Tear kinds: crash debris planted in the victim's fsstore directory
-// before its restart, one per commit boundary of the durability engine.
-// Recovery must ignore each of them (internal/fsstore on Open).
+// before its restart, one per commit boundary of the durability engine
+// plus the unsynced hint. Recovery must ignore each of them
+// (internal/fsstore on Open).
 const (
 	// TearNone plants nothing.
 	TearNone = ""
 	// TearTemp: partially written ".tmp-" file — a crash between the
-	// atomic-write temp file and its rename.
+	// hint's temp file and its rename.
 	TearTemp = "temp"
 	// TearSegHeader: truncated header of a fresh segment file — a crash
-	// while rotating to a new segment, before any manifest references it.
+	// while rotating to a new segment, before its first commit's sync.
 	TearSegHeader = "seghdr"
 	// TearSegTail: garbage appended beyond the active segment's durable
 	// size — a crash mid group-commit batch, after some bytes hit disk
-	// but before the batch's single fsync and manifest commit.
+	// but before the batch's single fsync.
 	TearSegTail = "segtail"
-	// TearGCSeg: a valid but unreferenced segment file — a crash between
-	// the GC's manifest commit and the unlink of the dead segment.
+	// TearGCSeg: a segment file that is none of the log's — a crash
+	// between the GC's hint publication and the unlink of a dead segment.
 	TearGCSeg = "gcseg"
+	// TearHint: MANIFEST.json is never synced, so a power cut may leave
+	// any earlier published version of it, an empty file or none.
+	TearHint = "hint"
 )
 
 // Crash kills a process at At, keeps it down for Down, then restarts it
@@ -206,9 +210,9 @@ func Generate(seed int64, p Profile) *Schedule {
 	for i := 0; i < p.Crashes; i++ {
 		slot := float64(dur) * 0.60 / float64(p.Crashes)
 		at := float64(dur)*0.35 + slot*(float64(i)+0.2+rng.Float64()*0.5)
-		// Half the crashes land on a clean store; the rest cycle through
-		// the commit-boundary debris kinds so every seed range covers the
-		// whole crash-point matrix.
+		// A quarter of the crashes land on a clean store; the rest cycle
+		// through the debris kinds so every seed range covers the whole
+		// crash-point matrix.
 		tear := TearNone
 		if p.Tear {
 			switch rng.Intn(8) {
@@ -220,6 +224,8 @@ func Generate(seed int64, p Profile) *Schedule {
 				tear = TearSegTail
 			case 4:
 				tear = TearGCSeg
+			case 5:
+				tear = TearHint
 			}
 		}
 		s.Crashes = append(s.Crashes, Crash{

@@ -5,19 +5,30 @@
 //
 // Layout, one directory per process under a shared data directory:
 //
-//	<datadir>/p<id>/seg_000001.wal     segmented append-only checkpoint log
-//	<datadir>/p<id>/MANIFEST.json      finalized seqs + durable segment sizes
+//	<datadir>/p<id>/seg_000001.wal     segmented append-only log: the durable truth
+//	<datadir>/p<id>/MANIFEST.json      published hint: finalized seqs + segment sizes
 //
-// There is one kind of record and one commit path. FinalizeBatch encodes
-// every record of its batch as a self-contained CRC-framed frame (the
-// checkpoint state plus its selective message log), appends the frames
-// to the active segment with ONE fsync for the whole batch, then
-// rewrites the manifest (sequence numbers plus the durable byte length
-// of each segment) via temp file + fsync + rename + directory sync. A
-// crash at any point leaves either the previous manifest (the batch
-// invisible: its bytes sit beyond the recorded segment size and are
-// truncated on Open) or the new one (every referenced byte durable) —
-// never a manifest pointing at missing data.
+// The segment log alone says what is durable. It holds two kinds of
+// CRC-framed record: a full record (one checkpoint's state plus its
+// selective message log, self-contained) binds its sequence number, and
+// a truncation record unbinds every sequence number above its line (a
+// rollback). A commit — FinalizeBatch or TruncateAfter — appends its
+// frames to the active segment, cuts the file to end at them and issues
+// ONE fsync; that sync is the commit. Open replays the segment files
+// present, in order, each up to its first frame that does not verify,
+// and so arrives at exactly the acknowledged history (plus, at most, a
+// commit that was durable but interrupted before it was acknowledged).
+//
+// MANIFEST.json is what pollers of a live datadir read (ReadManifest,
+// CompleteSeqs, LastCompleteSeq): after the sync, every commit rewrites
+// it by temp file + rename with no sync of its own, so it names a
+// sequence number only once that number's frame is durable, and is
+// visible before the commit returns. It is a hint, not a commit record:
+// a crash may leave an older version of it, an empty file or none, and
+// Open then loses nothing. Open takes two things from it that the log
+// does not carry: the owner check, and the GC floor (its first sequence
+// number), below which frames in the part of the log the hint had seen
+// stay collected.
 //
 // The manifest of every process, intersected (Intersect,
 // LastCompleteSeq), yields the last finalized global checkpoint S_k on
@@ -27,8 +38,8 @@
 package fsstore
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,8 +54,8 @@ import (
 )
 
 // SegmentMeta records one segment file's durable extent: Size is the
-// byte length the last committed batch covered. Bytes beyond Size are
-// an interrupted group commit and are never read.
+// byte length the last commit left the file at, and the offset the next
+// one appends at.
 type SegmentMeta struct {
 	Index int   `json:"index"`
 	Size  int64 `json:"size"`
@@ -131,9 +142,9 @@ func NewStoreMetrics(reg *metrics.Registry, proc int) *StoreMetrics {
 	p := strconv.Itoa(proc)
 	return &StoreMetrics{
 		Finalizes: reg.MustCounterVec("ocsml_fsstore_finalized_total",
-			"Checkpoints durably finalized (segment append + manifest committed).", "proc").With(p),
+			"Checkpoints durably finalized (segment append synced, hint published).", "proc").With(p),
 		FinalizeErrors: reg.MustCounterVec("ocsml_fsstore_finalize_errors_total",
-			"Finalize attempts that failed before the manifest commit.", "proc").With(p),
+			"Finalize attempts that failed before the commit was acknowledged.", "proc").With(p),
 		Fsyncs: reg.MustCounterVec("ocsml_fsstore_fsyncs_total",
 			"File and directory fsync syscalls issued by the durability protocol.", "proc").With(p),
 		BytesWritten: reg.MustCounterVec("ocsml_fsstore_bytes_written_total",
@@ -151,8 +162,7 @@ func (s *Store) SetMetrics(m *StoreMetrics) {
 	s.mu.Unlock()
 }
 
-// noteWriteLocked accounts one completed durable write. Caller holds mu
-// (or the store has not escaped its constructor).
+// noteWriteLocked accounts one completed write. Caller holds mu.
 func (s *Store) noteWriteLocked(bytes, fsyncs int64) {
 	if m := s.metrics; m != nil {
 		m.Fsyncs.Add(fsyncs)
@@ -177,24 +187,28 @@ func ProcDir(datadir string, proc int) string {
 }
 
 // Open creates (or reopens) the store for one process with default
-// Options. An existing manifest is loaded, so a restarted process sees
-// what it had finalized before the crash.
+// Options. The segment log is replayed, so a restarted process sees what
+// it had finalized before the crash.
 func Open(datadir string, proc, n int) (*Store, error) {
 	return OpenWith(datadir, proc, n, DefaultOptions())
 }
 
 // OpenWith is Open with explicit engine Options.
 //
-// Open is also the crash-recovery entry point: temp files left by a
-// crash between an atomic write and its rename are deleted, segment
-// files the manifest does not reference (a crash between segment
-// creation or GC and the manifest commit) are removed, segment tails
-// beyond the manifest's durable sizes (an interrupted group commit) are
-// truncated away, and a manifest that is itself unreadable — or that
-// disagrees with the bytes on disk — is rebuilt from the records that
-// verify. A durable frame of a kind this build does not read (a delta
-// record of an older build) is none of those: Open refuses the
-// directory with an error and repairs nothing in it.
+// Open is also the crash-recovery entry point. It derives the manifest
+// from one in-order scan of the segment files present: a full frame
+// binds (or re-binds) its seq, a truncation frame unbinds every seq
+// above its line (as does a full frame above its own seq, since a
+// commit only extends the last one), and the first frame that fails to
+// verify ends the scan of its segment. MANIFEST.json, when it parses,
+// adds the owner check and the GC floor (for the part of the log it had
+// seen); torn, empty or missing it adds nothing and costs nothing. Then
+// the debris goes: temp files of an interrupted hint publication,
+// segment tails beyond the last verifying frame (cut and synced) and
+// segment files the scan found nothing valid in, and the hint is
+// republished if it differs from the log. A CRC-valid frame of a kind
+// this build does not read is none of those: Open refuses the directory
+// with an error and repairs nothing in it.
 func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 	if proc < 0 || n < 2 || proc >= n {
 		return nil, fmt.Errorf("fsstore: invalid proc %d of %d", proc, n)
@@ -208,128 +222,115 @@ func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 		man:   Manifest{Proc: proc, N: n},
 		index: map[int]recLoc{},
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
-	switch {
-	case os.IsNotExist(err):
-		// Nothing durable: any segment file present is debris from a
-		// crash before the very first manifest commit (swept below).
-	case err != nil:
-		return nil, err
-	default:
-		var m Manifest
-		rebuild := false
-		if err := json.Unmarshal(raw, &m); err != nil {
-			rebuild = true // torn/partially written manifest
-		} else if m.Proc != proc {
-			return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, m.Proc, proc)
-		} else {
-			s.man = m
-			if err := s.loadSegments(); errors.Is(err, errRecordKind) {
-				return nil, err
-			} else if err != nil {
-				rebuild = true // manifest references bytes the disk cannot prove
-			}
-		}
-		if rebuild {
-			if err := s.rebuildManifest(); err != nil {
-				return nil, fmt.Errorf("fsstore: corrupt manifest in %s and rebuild failed: %w", dir, err)
-			}
-		}
-	}
-	// Debris goes last, so a refused directory is left exactly as found.
-	if err := s.clearDebris(); err != nil {
+	hint, err := os.ReadFile(filepath.Join(dir, hintName))
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if err := s.sweepSegments(); err != nil {
+	var old Manifest
+	if json.Unmarshal(hint, &old) != nil {
+		old = Manifest{Proc: proc} // torn, empty or absent: the hint says nothing
+	} else if old.Proc != proc {
+		return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, old.Proc, proc)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.replayLocked(old, hint); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// clearDebris removes temp files a crash may have stranded (writeAtomic
-// names them ".tmp-*"; only a completed rename makes data visible).
-func (s *Store) clearDebris() error {
+// replayLocked is Open's loader: scan every segment file in index order
+// into the manifest and the seq -> location index, drop what the hint
+// (old, parsed from the bytes hint) says GC had collected, then repair
+// the directory. Every segment scans before anything is repaired, so a
+// refused directory is left exactly as found.
+func (s *Store) replayLocked(old Manifest, hint []byte) error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
+	var segIdxs []int
+	var debris []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-") {
-			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !os.IsNotExist(err) {
-				return err
+		if idx, ok := parseSegmentName(e.Name()); ok {
+			segIdxs = append(segIdxs, idx)
+		} else if !e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-") {
+			debris = append(debris, filepath.Join(s.dir, e.Name())) // an interrupted hint publication
+		}
+	}
+	sort.Ints(segIdxs)
+	// The hint's GC floor is its first seq, and it covers the log as far
+	// as the hint had seen it, its last segment entry: a frame committed
+	// after an older hint was published is not below that hint's floor.
+	floor, seen := 0, SegmentMeta{}
+	if len(old.Seqs) > 0 && len(old.Segments) > 0 {
+		floor, seen = old.Seqs[0], old.Segments[len(old.Segments)-1]
+	}
+	collect := func() {
+		for q := range s.index {
+			if q < floor {
+				delete(s.index, q)
 			}
 		}
+		floor = 0
 	}
-	return nil
-}
-
-// sweepSegments removes segment files the manifest does not reference:
-// the debris of a crash between creating a fresh segment (or unlinking
-// a GC'd one) and the manifest commit that would have recorded it.
-// Runs at Open-time, before the store escapes its constructor.
-func (s *Store) sweepSegments() error {
-	known := map[int]bool{}
-	for _, meta := range s.man.Segments { //ocsml:nolock Open-time sweep: the store has not escaped its constructor yet
-		known[meta.Index] = true
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		idx, ok := parseSegmentName(e.Name())
-		if !ok || known[idx] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadSegments scans every manifested segment up to its durable size,
-// builds the seq -> location index, and then truncates tails an
-// interrupted group commit left beyond the durable sizes (only once
-// every segment has scanned, so a refused directory is left untouched).
-// An error means the manifest references bytes the disk cannot prove
-// (missing file, torn or corrupt frame inside a durable prefix) and the
-// caller falls back to a full rebuild. Runs at Open-time, before the
-// store escapes.
-func (s *Store) loadSegments() error {
-	manifested := map[int]bool{}
-	for _, q := range s.man.Seqs { //ocsml:nolock Open-time load: the store has not escaped its constructor yet
-		manifested[q] = true
-	}
-	index := map[int]recLoc{}
-	for _, meta := range s.man.Segments { //ocsml:nolock Open-time load, as above
-		frames, valid, err := scanSegment(SegmentFile(s.dir, meta.Index), s.proc, meta.Index, meta.Size, true)
+	last := -1 // no seq above it is bound
+	for _, idx := range segIdxs {
+		frames, valid, err := scanSegment(SegmentFile(s.dir, idx), s.proc, idx)
 		if err != nil {
 			return err
 		}
-		if valid < meta.Size {
-			return fmt.Errorf("fsstore: segment %d: durable prefix %d short of manifest size %d", meta.Index, valid, meta.Size)
+		if len(frames) == 0 {
+			// Torn header, a header naming another proc or index, or no
+			// whole frame: nothing the file holds was ever acknowledged.
+			debris = append(debris, SegmentFile(s.dir, idx))
+			continue
 		}
-		// Later occurrences win: a seq truncated by a rollback and then
-		// re-finalized appears twice, and only the newest frame is live.
+		s.man.Segments = append(s.man.Segments, SegmentMeta{Index: idx, Size: valid})
 		for _, fr := range frames {
-			if manifested[fr.rec.Seq] {
-				index[fr.rec.Seq] = fr.loc
+			if floor > 0 && (idx > seen.Index || idx == seen.Index && fr.loc.off >= seen.Size) {
+				collect()
+			}
+			// A truncation frame unbinds what lies above its line. So does
+			// a full frame: a commit only ever extends the store's last
+			// seq, so whatever the log still binds above a committed seq
+			// had been rolled back or collected by then.
+			if fr.seq < last {
+				for q := range s.index {
+					if q > fr.seq {
+						delete(s.index, q)
+					}
+				}
+				last = fr.seq
+			}
+			if fr.kind == segFull {
+				s.index[fr.seq] = fr.loc // later occurrences win: a re-finalized seq
+				last = max(last, fr.seq)
 			}
 		}
 	}
-	for _, q := range s.man.Seqs { //ocsml:nolock Open-time load, as above
-		if _, ok := index[q]; !ok {
-			return fmt.Errorf("fsstore: manifested seq %d is in no segment", q)
-		}
+	collect()
+	for q := range s.index {
+		s.man.Seqs = append(s.man.Seqs, q)
 	}
-	for _, meta := range s.man.Segments { //ocsml:nolock Open-time load, as above
+	sort.Ints(s.man.Seqs)
+
+	for _, meta := range s.man.Segments {
 		if err := truncateTail(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
 			return err
 		}
 	}
-	s.index = index //ocsml:nolock Open-time load, as above
-	return nil
+	for _, path := range debris {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	mdata, err := json.Marshal(&s.man)
+	if err != nil || bytes.Equal(mdata, hint) {
+		return err
+	}
+	return s.writeHintLocked(mdata)
 }
 
 // truncateTail cuts a segment file back to its durable size and syncs
@@ -357,60 +358,6 @@ func truncateTail(path string, size int64) error {
 	return f.Close()
 }
 
-// rebuildManifest reconstructs the manifest from the bytes on disk: the
-// segments are scanned tolerantly (stopping each at its first torn
-// frame), and a sequence number is recovered only if its newest frame
-// decodes to a whole record. The durability protocol commits bytes
-// before the manifest, so every previously manifested checkpoint
-// verifies; a checkpoint whose manifest commit was interrupted verifies
-// too and is safely re-admitted. Torn tails are cut and the rebuilt
-// manifest is written back atomically — after every segment has
-// scanned, so a refused directory is left untouched.
-func (s *Store) rebuildManifest() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	var segIdxs []int
-	for _, e := range entries {
-		if idx, ok := parseSegmentName(e.Name()); ok {
-			segIdxs = append(segIdxs, idx)
-		}
-	}
-	sort.Ints(segIdxs)
-	man := Manifest{Proc: s.proc, N: s.n}
-	newest := map[int]scannedFrame{}
-	for _, idx := range segIdxs {
-		frames, valid, err := scanSegment(SegmentFile(s.dir, idx), s.proc, idx, -1, false)
-		if err != nil {
-			return err
-		}
-		if valid <= int64(segHeaderSize) {
-			continue // torn header or empty: sweepSegments removes the file
-		}
-		for _, fr := range frames {
-			newest[fr.rec.Seq] = fr // later occurrences win
-		}
-		man.Segments = append(man.Segments, SegmentMeta{Index: idx, Size: valid})
-	}
-	index := map[int]recLoc{}
-	for q, fr := range newest {
-		if _, err := fr.rec.record(); err != nil {
-			continue // state and log disagree: not provably durable
-		}
-		index[q] = fr.loc
-		man.Seqs = append(man.Seqs, q)
-	}
-	sort.Ints(man.Seqs)
-	for _, meta := range man.Segments {
-		if err := truncateTail(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
-			return err
-		}
-	}
-	s.man, s.index = man, index    //ocsml:nolock Open-time rebuild: the store has not escaped its constructor yet
-	return s.writeManifestLocked() //ocsml:nolock Open-time rebuild, as above
-}
-
 // Dir returns the process's storage directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -431,43 +378,51 @@ func (s *Store) LastSeq() int {
 	return s.man.LastSeq()
 }
 
-// writeAtomic writes data to path via a temp file + fsync + rename, then
-// fsyncs the directory so the rename itself is durable.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// hintName is the published hint's file name in a process directory.
+const hintName = "MANIFEST.json"
+
+// writeHintLocked publishes data as MANIFEST.json by temp file + rename,
+// so a poller reads the old hint or the new one and never a torn one.
+// Nothing is synced, on purpose: the segment log is the durable truth,
+// and Open survives whatever a crash makes of this file. The bytes still
+// count as handed to stable storage.
+func (s *Store) writeHintLocked(data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(s.dir, hintName))
+	}
+	if err != nil {
 		//ocsml:errsink best-effort temp cleanup; the primary write error is returned
-		os.Remove(tmpName)
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		//ocsml:errsink best-effort temp cleanup; the primary write error is returned
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		//ocsml:errsink best-effort temp cleanup; the primary write error is returned
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		//ocsml:errsink best-effort temp cleanup; the primary write error is returned
-		os.Remove(tmpName)
-		return err
-	}
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	// temp-file fsync + directory fsync
-	//ocsml:nolock every caller holds mu except the Open-time manifest rebuild, before the store escapes
-	s.noteWriteLocked(int64(len(data)), 2)
+	s.noteWriteLocked(int64(len(data)), 0)
 	return nil
+}
+
+// publishLocked makes seqs and segs the manifest, in memory and in the
+// published hint. The caller has already synced every frame they name.
+// If the publication fails the in-memory manifest is put back, so it
+// never runs ahead of what pollers can read and a retry starts from the
+// same state.
+func (s *Store) publishLocked(seqs []int, segs []SegmentMeta) error {
+	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
+	s.man.Seqs, s.man.Segments = seqs, segs
+	mdata, err := json.Marshal(&s.man)
+	if err == nil {
+		err = s.writeHintLocked(mdata)
+	}
+	if err != nil {
+		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
+	}
+	return err
 }
 
 func (s *Store) syncDir() error {
@@ -527,14 +482,14 @@ func (s *Store) Finalize(rec checkpoint.Record) error {
 // FinalizeBatch is the commit path: it persists recs (this process's
 // records, seqs ascending and above LastSeq) as one group commit — every
 // frame appended to the active segment under a single file fsync, then
-// one manifest commit — and returns how long a prefix committed. The
+// the hint published — and returns how long a prefix committed. The
 // first record that fails validation, the error hook or encoding stops
 // the batch: the records before it commit, it and every record behind
 // it do not (committing past it would gap the manifest), and err is
-// that first failure. A failed segment write or manifest commit commits
-// nothing: the in-memory manifest is left matching disk, and the
-// appended bytes sit beyond the durable size for the next commit to
-// overwrite.
+// that first failure. A failed segment write or hint publication
+// commits nothing in memory, and the appended bytes sit beyond the
+// durable size for the next commit to overwrite; frames that did reach
+// disk may be re-admitted by a later Open.
 func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,27 +504,11 @@ func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err erro
 }
 
 // commitLocked is FinalizeBatch under mu: validate and encode the
-// committable prefix, one segment append, one manifest commit.
+// committable prefix, one segment append, one hint publication.
 func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
-	// Choose the target segment before encoding so frame offsets are
-	// final: append to the active segment, or rotate to a fresh one.
-	segs := append([]SegmentMeta(nil), s.man.Segments...)
-	newSeg := len(segs) == 0 || segs[len(segs)-1].Size >= s.opts.SegmentMaxBytes
-	if newSeg {
-		next := 1
-		if len(segs) > 0 {
-			next = segs[len(segs)-1].Index + 1
-		}
-		segs = append(segs, SegmentMeta{Index: next})
-	}
-	active := &segs[len(segs)-1]
-	var buf []byte
-	if newSeg {
-		buf = segmentHeader(s.proc, active.Index)
-	}
-
 	var (
-		locs    []recLoc
+		buf     []byte
+		ends    []int // ends[i]: where recs[i]'s frame ends in buf
 		stopErr error
 	)
 	tail := s.man.LastSeq()
@@ -591,52 +530,70 @@ func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 			stopErr = err
 			break
 		}
-		start := len(buf)
 		buf = appendFrame(buf, payload)
-		locs = append(locs, recLoc{seg: active.Index, off: active.Size + int64(start), size: int64(len(buf) - start)})
+		ends = append(ends, len(buf))
 		tail = rec.Seq
 	}
-	if len(locs) == 0 {
+	if len(ends) == 0 {
 		return 0, stopErr
 	}
-
-	// One segment fsync covers the whole batch — the amortization the
-	// group commit exists for. A fresh segment also needs its directory
-	// entry durable before the manifest may reference it.
-	if err := writeSegment(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
+	segs, off, err := s.appendLocked(buf)
+	if err != nil {
 		return 0, err
+	}
+	seqs := s.man.Seqs
+	for _, rec := range recs[:len(ends)] {
+		seqs = append(seqs, rec.Seq)
+	}
+	if err := s.publishLocked(seqs, segs); err != nil {
+		return 0, err
+	}
+	start := 0
+	for i, end := range ends {
+		s.index[recs[i].Seq] = recLoc{seg: segs[len(segs)-1].Index, off: off + int64(start), size: int64(end - start)}
+		start = end
+	}
+	return len(ends), stopErr
+}
+
+// appendLocked is the durability point of every commit: frames go to
+// the active segment — or, once that has reached SegmentMaxBytes, to a
+// fresh one behind its header — under ONE file fsync (plus the directory
+// sync that makes a fresh segment's name durable). It returns the
+// segment list as the append leaves it and the file offset frames
+// landed at; nothing in memory changes until the caller publishes.
+func (s *Store) appendLocked(frames []byte) (segs []SegmentMeta, off int64, err error) {
+	segs = append(segs, s.man.Segments...)
+	newSeg := len(segs) == 0 || segs[len(segs)-1].Size >= s.opts.SegmentMaxBytes
+	buf := frames
+	if newSeg {
+		next := 1
+		if len(segs) > 0 {
+			next = segs[len(segs)-1].Index + 1
+		}
+		segs = append(segs, SegmentMeta{Index: next})
+		buf = append(segmentHeader(s.proc, next), frames...)
+	}
+	active := &segs[len(segs)-1]
+	if err := writeSegment(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
+		return nil, 0, err
 	}
 	s.noteWriteLocked(int64(len(buf)), 1)
 	if newSeg {
 		if err := s.syncDir(); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		s.noteWriteLocked(0, 1)
 	}
 	active.Size += int64(len(buf))
-
-	// Manifest commit. On failure, roll the in-memory manifest back so
-	// it matches disk — a phantom Seqs entry surviving here would let
-	// the next successful commit publish a seq whose bytes were never
-	// covered by a manifest.
-	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
-	seqs := append([]int(nil), oldSeqs...)
-	for _, rec := range recs[:len(locs)] {
-		seqs = append(seqs, rec.Seq)
-	}
-	s.man.Seqs, s.man.Segments = seqs, segs
-	if err := s.writeManifestLocked(); err != nil {
-		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
-		return 0, err
-	}
-	for i, loc := range locs {
-		s.index[recs[i].Seq] = loc
-	}
-	return len(locs), stopErr
+	return segs, active.Size - int64(len(frames)), nil
 }
 
-// writeSegment appends buf at off and fsyncs the file — the single
-// durability point of a group commit's data.
+// writeSegment writes buf at off, ends the file there and fsyncs it —
+// the single durability point of a commit. The cut matters because Open
+// scans to the first frame that fails to verify: frames an earlier,
+// longer attempt left beyond off (its sync or its publication failed)
+// must not verify behind this batch.
 func writeSegment(path string, buf []byte, off int64) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -646,22 +603,15 @@ func writeSegment(path string, buf []byte, off int64) error {
 		f.Close()
 		return err
 	}
+	if err := f.Truncate(off + int64(len(buf))); err != nil {
+		f.Close()
+		return err
+	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// writeManifestLocked commits the in-memory manifest to disk. The file
-// is machine-read (ocsmlctl renders it from the API), so it is written
-// compactly: it is rewritten whole on every commit.
-func (s *Store) writeManifestLocked() error {
-	mdata, err := json.Marshal(&s.man)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(filepath.Join(s.dir, "MANIFEST.json"), mdata)
 }
 
 // Load reads one finalized checkpoint back from disk.
@@ -706,31 +656,32 @@ func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 	return rec, nil
 }
 
-// TruncateAfter removes finalized checkpoints with Seq > seq from the
-// manifest — a cluster-wide rollback discards checkpoints above the
-// recovery line so the restarted run can legitimately re-produce those
-// sequence numbers. Truncated segment bytes stay in place (unreferenced,
-// reclaimed by GCTo; a re-finalized seq's newer frame wins over them).
+// TruncateAfter removes finalized checkpoints with Seq > seq — a
+// cluster-wide rollback discards checkpoints above the recovery line so
+// the restarted run can legitimately re-produce those sequence numbers.
+// The rollback is a commit like any other: a truncation frame carrying
+// the line is appended and synced, then the hint is published, so no
+// later Open serves a dropped seq whatever became of the hint. The
+// dropped frames stay in place (reclaimed by GCTo; a re-finalized seq's
+// newer frame wins over them). If the call fails after its frame reached
+// disk, a later Open may still apply the rollback that was asked for.
 func (s *Store) TruncateAfter(seq int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keep := s.man.Seqs[:0]
-	var drop []int
-	for _, q := range s.man.Seqs {
-		if q <= seq {
-			keep = append(keep, q)
-		} else {
-			drop = append(drop, q)
-		}
-	}
+	keep := sort.SearchInts(s.man.Seqs, seq+1)
+	drop := s.man.Seqs[keep:]
 	if len(drop) == 0 {
 		return nil
 	}
-	s.man.Seqs = keep
-	// Once the manifest no longer references the dropped seqs, their
-	// bytes are invisible garbage.
-	if err := s.writeManifestLocked(); err != nil {
-		s.man.Seqs = append(s.man.Seqs, drop...)
+	payload, err := json.Marshal(&segRecord{Seq: seq, Kind: segTruncate})
+	if err != nil {
+		return err
+	}
+	segs, _, err := s.appendLocked(appendFrame(nil, payload))
+	if err != nil {
+		return err
+	}
+	if err := s.publishLocked(s.man.Seqs[:keep], segs); err != nil {
 		return err
 	}
 	for _, q := range drop {
@@ -741,67 +692,49 @@ func (s *Store) TruncateAfter(seq int) error {
 
 // GCTo garbage-collects checkpoints below the globally finalized
 // watermark wm (the last complete S_k across all manifests): records
-// with Seq < wm leave the manifest and segments no live record
-// references are unlinked. Seqs the store never had — or a watermark it
-// does not hold — make GCTo a no-op, so callers may poll with whatever
-// line the manifests intersect to.
+// with Seq < wm leave the manifest and the leading segments no live
+// record is left in are unlinked. Seqs the store never had — or a
+// watermark it does not hold — make GCTo a no-op, so callers may poll
+// with whatever line the manifests intersect to.
+//
+// The floor lives in the hint alone. If a crash loses it, Open serves
+// the collected records whose segment survived again: more than was
+// asked for, never less, and never a rolled-back record, because the
+// truncation frame that covers one outlives it (see below).
 func (s *Store) GCTo(wm int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if wm <= 0 || len(s.man.Seqs) == 0 || s.man.Seqs[0] >= wm {
+	first := sort.SearchInts(s.man.Seqs, wm)
+	if wm <= 0 || first == 0 || first == len(s.man.Seqs) || s.man.Seqs[first] != wm {
 		return nil
 	}
-	hasWm := false
-	for _, q := range s.man.Seqs {
-		if q == wm {
-			hasWm = true
-			break
-		}
-	}
-	if !hasWm {
-		return nil
-	}
-
-	// Drop the collected seqs from the manifest and prune segments no
-	// surviving record lives in.
-	keep := make([]int, 0, len(s.man.Seqs))
-	var drop []int
-	for _, q := range s.man.Seqs {
-		if q >= wm {
-			keep = append(keep, q)
-		} else {
-			drop = append(drop, q)
-		}
-	}
+	drop, keep := s.man.Seqs[:first], append([]int(nil), s.man.Seqs[first:]...)
+	// Only leading segments may go, and never the last (active) one: a
+	// truncation frame unbinds seqs in every segment before its own, so
+	// removing a segment from the middle could resurrect a rolled-back
+	// record at the next Open that finds no hint.
 	live := map[int]bool{}
 	for _, q := range keep {
 		live[s.index[q].seg] = true
 	}
-	keptSegs := make([]SegmentMeta, 0, len(s.man.Segments))
-	var deadSegs []int
-	for i, meta := range s.man.Segments {
-		if live[meta.Index] || i == len(s.man.Segments)-1 {
-			keptSegs = append(keptSegs, meta) // the active segment always stays
-		} else {
-			deadSegs = append(deadSegs, meta.Index)
-		}
+	dead := 0
+	for dead < len(s.man.Segments)-1 && !live[s.man.Segments[dead].Index] {
+		dead++
 	}
-	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
-	s.man.Seqs, s.man.Segments = keep, keptSegs
+	deadSegs := s.man.Segments[:dead]
 
-	// Manifest first: after it commits, the dead segments are
-	// unreferenced garbage; a crash mid-removal leaves orphans Open's
-	// sweep deletes.
-	if err := s.writeManifestLocked(); err != nil {
-		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
+	// Hint first: pollers stop seeing the collected seqs before their
+	// bytes go. The segments go oldest first, so what a crash mid-removal
+	// leaves is still a suffix of the log, which is all Open needs.
+	if err := s.publishLocked(keep, s.man.Segments[dead:]); err != nil {
 		return err
 	}
 	for _, q := range drop {
 		delete(s.index, q)
 	}
-	for _, idx := range deadSegs {
-		//ocsml:errsink manifest no longer references this segment; removal is opportunistic GC
-		os.Remove(SegmentFile(s.dir, idx))
+	for _, meta := range deadSegs {
+		//ocsml:errsink the hint no longer references this segment; removal is opportunistic GC
+		os.Remove(SegmentFile(s.dir, meta.Index))
 	}
 	if m := s.metrics; m != nil {
 		m.GCRemoved.Add(int64(len(drop)))
@@ -831,14 +764,15 @@ func RecoverStore(datadir string, n int) (*checkpoint.Store, error) {
 	return cs, nil
 }
 
-// ReadManifest reads a process's manifest without opening the store: no
-// directory creation, no debris sweep, no rebuild. This is the safe way
-// to poll a datadir that live processes are still writing to — Open's
-// sweep would delete the temp file of an atomic write in flight and fail
-// that process's rename. A missing directory or manifest yields an empty
-// manifest (the process has durably finalized nothing yet).
+// ReadManifest reads a process's published hint without opening the
+// store: no directory creation, no replay, no repair. This is the safe
+// way to poll a datadir that live processes are still writing to —
+// Open's sweep would delete the temp file of a publication in flight and
+// fail that process's rename. A commit publishes only after its sync, so
+// every seq read here is durable. A missing directory or manifest yields
+// an empty manifest (the process has published nothing yet).
 func ReadManifest(datadir string, proc int) (Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(ProcDir(datadir, proc), "MANIFEST.json"))
+	raw, err := os.ReadFile(filepath.Join(ProcDir(datadir, proc), hintName))
 	switch {
 	case os.IsNotExist(err):
 		return Manifest{Proc: proc}, nil

@@ -12,8 +12,9 @@ import (
 	"ocsml/internal/checkpoint"
 )
 
-// The segmented append-only log. Finalized checkpoints are framed
-// records appended to numbered segment files:
+// The segmented append-only log: the only durable description of what
+// a process has finalized. Records are framed and appended to numbered
+// segment files:
 //
 //	<datadir>/p<id>/seg_000001.wal
 //
@@ -22,13 +23,21 @@ import (
 //
 //	[u32le payload length][u32le CRC-32 (IEEE) of payload][JSON payload]
 //
-// Every frame is a self-contained checkpoint record (segRecord). The
-// manifest's Segments list records, per segment, the durable byte
-// length the last group commit covered. Bytes beyond that length are an
-// interrupted batch — never referenced, overwritten by the next commit,
-// truncated away on Open. Scanning a segment therefore reads exactly
-// the manifest's durable prefix; a CRC mismatch inside it means
-// external corruption and triggers a manifest rebuild.
+// A frame is one of two kinds of segRecord. A full record is a
+// self-contained checkpoint and binds its seq to that frame; a
+// truncation record carries a rollback's line and unbinds every seq
+// above it (and since a commit only extends the store's last seq, a
+// full record implies the same of its own). Replaying the files in
+// index order, each up to its first frame that fails to verify,
+// therefore reproduces the history of commits and rollbacks with nothing
+// else to consult. A commit cuts the file to end at its last frame
+// before the one fsync, so whatever lies beyond the last verifying frame
+// is an interrupted commit: never acknowledged, overwritten by the next
+// commit, cut away on Open.
+//
+// MANIFEST.json beside the segments is a hint published after each
+// commit for pollers of a live datadir. It is not synced and Open does
+// not trust it for what is durable (see the package comment).
 
 const (
 	segMagic       = "OCSMSEG1"
@@ -37,20 +46,25 @@ const (
 	maxFrameLength = 1 << 30
 )
 
-// segFull is the one record kind: a self-contained checkpoint. The
-// field and its value are what every build since the segmented log has
-// written for a full record, so no format version is needed; the delta
-// kind older builds interleaved is refused (errRecordKind).
-const segFull = "full"
+// The record kinds. segFull's field and value are what every build since
+// the segmented log has written for a full record, so no format version
+// is needed. segTruncate is newer: a build that predates it refuses a
+// directory holding one, untouched, exactly as this build refuses the
+// delta kind older builds interleaved (errRecordKind).
+const (
+	segFull     = "full"
+	segTruncate = "truncate"
+)
 
 // errRecordKind marks a CRC-valid frame whose kind this build does not
 // read. It is a refusal, not a tear: Open returns it and repairs nothing.
 var errRecordKind = errors.New("unsupported record kind")
 
-// segRecord is one framed entry of a segment: a finalized checkpoint's
-// state and its message log. The log always travels complete —
-// selective logging already minimized it, and replay needs the exact
-// entries.
+// segRecord is one framed entry of a segment. A full record is a
+// finalized checkpoint's state and its message log; the log always
+// travels complete — selective logging already minimized it, and replay
+// needs the exact entries. A truncation record has neither, and its Seq
+// is the line: the highest seq the rollback kept.
 type segRecord struct {
 	Seq   int                    `json:"seq"`
 	Kind  string                 `json:"kind"`
@@ -127,67 +141,58 @@ type recLoc struct {
 	size int64 // frame length including the frame header
 }
 
-// scannedFrame is one decoded frame of a segment scan.
+// scannedFrame is what a segment scan keeps of one frame: where it sits
+// and what replay needs of its payload (the checkpoint itself is read
+// back by Load).
 type scannedFrame struct {
-	loc recLoc
-	rec segRecord
+	loc  recLoc
+	seq  int
+	kind string
 }
 
-// scanSegment reads one segment file up to limit bytes (limit < 0 means
-// the whole file) and decodes its frames. strict scans must parse every
-// byte of the limit — a short or corrupt frame inside the durable
-// prefix is an error; tolerant scans (manifest rebuild) stop at the
-// first bad frame and report the valid prefix length instead. Either
-// way a frame that verifies but is not a full record fails the scan
-// with errRecordKind: it is durable data of another build, never a tear.
-func scanSegment(path string, proc, index int, limit int64, strict bool) (frames []scannedFrame, valid int64, err error) {
+// scanSegment reads one segment file and decodes its frames up to the
+// first that fails to verify (short, CRC mismatch, not JSON), reporting
+// the length of the verified prefix. A header that is torn or names
+// another proc or index yields no frames. A frame that verifies but is
+// of no kind this build reads fails the scan with errRecordKind: it is
+// durable data of another build, never a tear.
+func scanSegment(path string, proc, index int) (frames []scannedFrame, valid int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if limit >= 0 && int64(len(data)) > limit {
-		data = data[:limit]
-	}
-	if err := parseSegmentHeader(data, proc, index); err != nil {
-		if strict {
-			return nil, 0, err
-		}
+	if parseSegmentHeader(data, proc, index) != nil {
 		return nil, 0, nil
 	}
 	off := int64(segHeaderSize)
 	for off < int64(len(data)) {
 		rest := data[off:]
-		bad := func(format string, args ...any) ([]scannedFrame, int64, error) {
-			if strict {
-				return nil, off, fmt.Errorf("fsstore: segment %d offset %d: %s", index, off, fmt.Sprintf(format, args...))
-			}
-			return frames, off, nil
-		}
 		if len(rest) < frameHeader {
-			return bad("torn frame header")
+			break
 		}
 		n := binary.LittleEndian.Uint32(rest[0:])
 		crc := binary.LittleEndian.Uint32(rest[4:])
 		if n > maxFrameLength || int64(frameHeader)+int64(n) > int64(len(rest)) {
-			return bad("torn frame body (%d bytes claimed)", n)
+			break
 		}
 		payload := rest[frameHeader : frameHeader+int(n)]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return bad("frame CRC mismatch")
+			break
 		}
-		var rec segRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return bad("frame payload: %v", err)
+		var rec struct {
+			Seq  int    `json:"seq"`
+			Kind string `json:"kind"`
 		}
-		if rec.Kind != segFull {
-			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %q (this build reads only %q records; the directory was written by an older build and is left untouched)",
-				path, off, errRecordKind, rec.Kind, segFull)
+		if json.Unmarshal(payload, &rec) != nil {
+			break
 		}
-		frames = append(frames, scannedFrame{
-			loc: recLoc{seg: index, off: off, size: int64(frameHeader) + int64(n)},
-			rec: rec,
-		})
-		off += int64(frameHeader) + int64(n)
+		if rec.Kind != segFull && rec.Kind != segTruncate {
+			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %q (this build reads only %q and %q records; the directory was written by another build and is left untouched)",
+				path, off, errRecordKind, rec.Kind, segFull, segTruncate)
+		}
+		size := int64(frameHeader) + int64(n)
+		frames = append(frames, scannedFrame{loc: recLoc{seg: index, off: off, size: size}, seq: rec.Seq, kind: rec.Kind})
+		off += size
 	}
 	return frames, off, nil
 }

@@ -164,15 +164,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	convergeOK := true
 	var convergeDetail string
 	for _, cr := range sched.Crashes {
-		sleepUntil(c.base, cr.At)
 		// A rollback needs a durable recovery line; wait for the first
 		// complete global checkpoint if the cluster hasn't one yet.
 		if _, err := waitLineAtLeast(datadir, n, 1, cfg.Converge); err != nil {
 			return rep, fmt.Errorf("before crash of P%d: %w", cr.Proc, err)
 		}
+		// The victim's hint as published now is, by the crash, an earlier
+		// version of it: what TearHint may put back.
+		oldHint, err := os.ReadFile(filepath.Join(fsstore.ProcDir(datadir, cr.Proc), "MANIFEST.json"))
+		if err != nil {
+			return rep, err
+		}
+		sleepUntil(c.base, cr.At)
 		c.Kill(cr.Proc)
 		time.Sleep(50 * time.Millisecond) // let in-flight traffic hit the dead socket
-		if err := plantDebris(datadir, cr.Proc, cr.Tear); err != nil {
+		if err := plantDebris(datadir, cr.Proc, cr.Tear, sched.Seed, oldHint); err != nil {
 			return rep, err
 		}
 		if cr.Down > 0 {
@@ -344,16 +350,29 @@ func verifyWireRecovery(counters map[string]int64, restarts, n int) Invariant {
 
 // plantDebris plants the crash-point debris the schedule picked for a
 // crash: what the victim's store directory looks like when the process
-// dies exactly on one of the durability engine's commit boundaries.
-// fsstore.Open must neutralize every kind on restart (sweep, truncate,
-// or rebuild) without ever losing a manifested record.
-func plantDebris(datadir string, proc int, kind string) error {
+// dies exactly on one of the durability engine's commit boundaries, or
+// when a power cut takes the unsynced hint with it. fsstore.Open must
+// neutralize every kind on restart (sweep, truncate, or replay past it)
+// without ever losing an acknowledged record.
+func plantDebris(datadir string, proc int, kind string, seed int64, oldHint []byte) error {
 	dir := fsstore.ProcDir(datadir, proc)
 	switch kind {
 	case faultnet.TearNone:
 		return nil
+	case faultnet.TearHint:
+		// The seed picks what the power cut left of MANIFEST.json: an
+		// earlier published version, an empty file, or nothing.
+		hint := filepath.Join(dir, "MANIFEST.json")
+		switch seed % 3 {
+		case 0:
+			return os.WriteFile(hint, oldHint, 0o644)
+		case 1:
+			return os.Truncate(hint, 0)
+		default:
+			return os.Remove(hint)
+		}
 	case faultnet.TearTemp:
-		// Crash between an atomic write and its rename: a partially
+		// Crash between the hint's temp file and its rename: a partially
 		// written manifest in a ".tmp-" file.
 		man, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
 		if err != nil {
@@ -362,8 +381,7 @@ func plantDebris(datadir string, proc int, kind string) error {
 		torn := man[:len(man)/2] // cut mid-JSON: unparseable by construction
 		return os.WriteFile(filepath.Join(dir, ".tmp-chaos-torn"), torn, 0o644)
 	case faultnet.TearSegHeader:
-		// Crash while rotating to a fresh segment: half a header, no
-		// manifest reference.
+		// Crash while rotating to a fresh segment: half a header.
 		m, err := fsstore.ReadManifest(datadir, proc)
 		if err != nil {
 			return err
@@ -392,8 +410,9 @@ func plantDebris(datadir string, proc int, kind string) error {
 		}
 		return f.Close()
 	case faultnet.TearGCSeg:
-		// Crash between the GC's manifest commit and the segment unlink: a
-		// valid but unreferenced segment file (cloned from a live one).
+		// Crash between the GC's hint publication and the segment unlink:
+		// a segment file outside the log (a live one cloned under an
+		// index its header does not name).
 		m, err := fsstore.ReadManifest(datadir, proc)
 		if err != nil || len(m.Segments) == 0 {
 			return err

@@ -191,8 +191,9 @@ func NewClusterAt(cfg ClusterConfig, line int) (*Cluster, error) {
 }
 
 // openStore opens process i's store exactly as a fresh OS process would:
-// Open clears crash debris (torn temp files, orphan segments, torn batch
-// tails) and rebuilds a corrupt manifest.
+// Open replays the segment log, whatever became of the manifest hint,
+// and clears crash debris (torn temp files, orphan segments, torn batch
+// tails).
 func (c *Cluster) openStore(i int) (*fsstore.Store, error) {
 	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
 	if err != nil {

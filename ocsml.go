@@ -20,7 +20,7 @@
 // mapping and cmd/experiments for the full evaluation suite.
 //
 // The repo's structural invariants (wire codec exhaustiveness, seed
-// purity of the simulator, lock discipline, fsync ordering) are enforced
+// purity of the simulator, lock discipline, durability error flow) are enforced
 // mechanically by cmd/ocsmlvet; `go generate .` runs it.
 package ocsml
 
