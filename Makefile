@@ -127,16 +127,21 @@ results-check:
 bench-check:
 	cd bench/_src && $(GO) vet ./... && $(GO) test -short ./...
 
-# bench-gate runs the benchmark's storage-bound workload for 5 s and
-# checks what does not depend on how fast the host is: the outputs are
-# correct, no operation failed, and a durable round costs exactly four
-# fsyncs at N = 4 — one per process's commit, none for the manifest hint.
+# bench-gate runs two of the benchmark's workloads for 5 s each and checks
+# what does not depend on how fast the host is. The storage-bound one:
+# the outputs are correct, no operation failed, and a durable round costs
+# exactly four fsyncs at N = 4 — one per process's commit, none for the
+# manifest hint. Then crash-recover, the only workload that executes kill
+# -> RB_* handshake -> truncate -> replay end to end (about three cycles):
+# correct, and no operation failed.
 bench-gate:
-	@out="$$(bash bench/run.sh --workload ckpt-storm --seed 1 --seconds 5 | tail -n 1)"; \
-	echo "$$out"; \
-	for want in '"correct":true' '"failed":0,' '"fsyncs_per_round":{"value":4,'; do \
-		case "$$out" in *"$$want"*) ;; *) echo "bench-gate: the last line lacks $$want"; exit 1;; esac; \
-	done
+	@gate() { workload="$$1"; shift; \
+		out="$$(bash bench/run.sh --workload "$$workload" --seed 1 --seconds 5 | tail -n 1)"; \
+		echo "$$out"; \
+		for want in '"correct":true' '"failed":0,' "$$@"; do \
+			case "$$out" in *"$$want"*) ;; *) echo "bench-gate: the last line of $$workload lacks $$want"; exit 1;; esac; \
+		done; }; \
+	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && gate crash-recover
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and analyzer fixtures. CI's test job prints it

@@ -5,7 +5,8 @@
 // map-iteration-ordered output.
 //
 // Rules, in the deterministic packages (internal/des, internal/engine,
-// internal/netsim, internal/model, internal/faultnet):
+// internal/host, internal/netsim, internal/model, internal/faultnet,
+// internal/handshake):
 //
 //   - no wall-clock or timer calls (time.Now, time.Since, time.Sleep,
 //     time.After, time.AfterFunc, time.Tick, time.NewTimer,
@@ -48,6 +49,7 @@ var DeterministicSuffixes = []string{
 	"internal/netsim",
 	"internal/model",
 	"internal/faultnet",
+	"internal/handshake",
 }
 
 // wallClockFuncs are the package-level time functions that read or wait

@@ -32,7 +32,7 @@
 //
 // The manifest of every process, intersected (Intersect,
 // LastCompleteSeq), yields the last finalized global checkpoint S_k on
-// disk; the recovery handshake (transport.Coordinate) agrees on it as the
+// disk; the recovery handshake (internal/handshake) agrees on it as the
 // line and transport.ResumeProtocol restarts a process from it, and GCTo
 // garbage-collects everything below that watermark.
 package fsstore

@@ -381,7 +381,7 @@ func (c *Cluster) Kill(i int) {
 // Recover drives the wire-level recovery protocol for a crashed process
 // hosted here: reopen its store, rebind its address, coordinate the
 // recovery line from the cluster's durable manifests (RB_BGN -> RB_LINE ->
-// RB_CMT -> RB_ACK, see Coordinate), then restart the victim from that
+// RB_CMT -> RB_ACK, see coordinate), then restart the victim from that
 // store at the agreed line (ResumeProtocol). The crash was a Kill, or the
 // death of the OS process that hosted the victim before this one (ocsmld
 // -recover: the node NewCluster built in its place never started). The
@@ -408,33 +408,28 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	dec, err := Coordinate(CoordinatorConfig{
-		ID: victim, Addrs: c.addrs, Seed: c.cfg.Seed,
-		Seqs: fs.Manifest().Seqs, Epoch: c.epoch,
-		Hook: c.cfg.Hook, Count: c.count,
-	}, ln) // closes ln, so the node below can rebind
+	line, err := c.coordinate(victim, ln, fs.Manifest().Seqs) // closes ln, so the node below can rebind
 	if err != nil {
 		return -1, err
 	}
-	c.epoch = dec.Epoch
 	c.count("recovery.recoveries", 1)
 	// The handshake has rolled the survivors back to the line and
 	// advanced the epoch; bring the victim back at the same line.
 	if ln, err = net.Listen("tcp", c.addrs[victim]); err != nil {
-		return dec.Line, err
+		return line, err
 	}
 	c.clearDone(victim)
-	n, err := c.buildNode(victim, ln, dec.Line)
+	n, err := c.buildNode(victim, ln, line)
 	if err != nil {
 		ln.Close()
-		return dec.Line, err
+		return line, err
 	}
 	c.mu.Lock()
 	c.nodes[victim] = n
 	c.mu.Unlock()
 	n.Start()
 	c.count("recovery.restarts", 1)
-	return dec.Line, nil
+	return line, nil
 }
 
 // Counter reads one free-form counter from the registry's events family.

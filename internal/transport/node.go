@@ -11,6 +11,7 @@ import (
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
+	"ocsml/internal/handshake"
 	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
@@ -102,13 +103,12 @@ type Node struct {
 	// host's own state is proven in internal/host): persisted is the
 	// highest seq written to FS; held the completions of flushes that
 	// left a finalized record off the disk; recLine the last committed
-	// rollback/resume line (-1: never); rbQueued and rbDurable the epoch of
-	// the last RB_CMT whose disk truncation was queued and has landed (0: none).
-	persisted int         //ocsml:loopowned storageLoop
-	held      []heldWrite //ocsml:loopowned storageLoop
-	recLine   int         //ocsml:loopowned loop
-	rbQueued  int         //ocsml:loopowned loop
-	rbDurable int         //ocsml:loopowned loop
+	// rollback/resume line (-1: never); rb this process's side of the RB_*
+	// handshake.
+	persisted int                    //ocsml:loopowned storageLoop
+	held      []heldWrite            //ocsml:loopowned storageLoop
+	recLine   int                    //ocsml:loopowned loop
+	rb        *handshake.Participant //ocsml:loopowned loop
 
 	staleDropped atomic.Int64
 	decodeErrors atomic.Int64
@@ -160,6 +160,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 	}
+	n.rb = &handshake.Participant{Proc: rbProcess{n}} //ocsml:loopexempt pre-spawn construction
 	n.h = host.New(host.Process{
 		ID: cfg.ID, N: cfg.N, Proto: cfg.Proto, App: cfg.App,
 		Rand: rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),

@@ -1,66 +1,52 @@
 package transport
 
-import "ocsml/internal/protocol"
+import (
+	"ocsml/internal/handshake"
+	"ocsml/internal/protocol"
+)
 
-// handleRecovery processes one RB_* frame on the node's loop goroutine.
-// Recovery frames bypass the protocol stack entirely — no reliable-layer
-// dedup or acks, no epoch fencing (the coordinator predates the epoch it
-// is about to establish) — so every handler here must be idempotent
-// against the coordinator's rebroadcast.
+// handleRecovery feeds one RB_* frame, on the node's loop goroutine, to
+// the handshake's Participant, which holds the whole survivor policy
+// (DESIGN.md §9). Recovery frames bypass the protocol stack entirely — no
+// reliable-layer dedup or acks, no epoch fencing (the coordinator predates
+// the epoch it is about to establish). What stays here is the I/O: send
+// what it answers, run the truncation it asks for on the storage
+// goroutine and report the outcome back on the loop.
 func (n *Node) handleRecovery(e *protocol.Envelope) {
 	rb, ok := e.Payload.(protocol.RbMsg)
 	if !ok {
 		n.count("recovery.bad_frames", 1)
 		return
 	}
-	switch e.CtlTag {
-	case protocol.TagRbBegin:
-		n.sendRb(e.Src, protocol.TagRbLine, protocol.RbMsg{
-			Round: rb.Round, Epoch: n.h.Epoch(), Seqs: n.durableSeqs(),
-		})
-	case protocol.TagRbCommit:
-		if rb.Epoch > n.h.Epoch() {
-			n.rollbackTo(rb.Line, rb.Epoch)
-		}
-		if rb.Epoch != n.h.Epoch() {
-			return // refused, or superseded by a newer epoch (its coordinator is gone)
-		}
-		// The commit just executed, or a rebroadcast of it. The ACK promises
-		// the on-disk truncation, which lands after the in-memory rollback
-		// that raised the epoch: a duplicate is re-ACKed (a lost ACK must
-		// not stall the coordinator) only once it has landed, is ignored
-		// while it is queued, and queues it again after a failure.
-		ack := func() {
-			n.sendRb(e.Src, protocol.TagRbAck, protocol.RbMsg{Round: rb.Round, Line: rb.Line, Epoch: rb.Epoch})
-		}
-		switch rb.Epoch {
-		case n.rbDurable:
-			ack()
-		case n.rbQueued: // its ACK follows the truncation
-		default:
-			n.rbQueued = rb.Epoch
-			n.postStorage(func() {
-				ok := n.truncateDisk(rb.Line)
-				n.post(func() {
-					if ok {
-						n.rbDurable = rb.Epoch
-						ack()
-					} else if n.rbQueued == rb.Epoch {
-						n.rbQueued = 0
-					}
-				})
-			})
-		}
-	default:
+	if e.CtlTag != protocol.TagRbBegin && e.CtlTag != protocol.TagRbCommit {
 		// RB_LINE/RB_ACK are coordinator-bound; a running node sees them
 		// only as leftovers of a round it did not coordinate.
 		n.count("recovery.stray_frames", 1)
+		return
+	}
+	f := handshake.Frame{Peer: e.Src, Tag: e.CtlTag, Msg: rb}
+	out, truncate := n.rb.Receive(f)
+	n.sendRb(out)
+	if truncate {
+		n.postStorage(func() {
+			ok := n.truncateDisk(rb.Line)
+			n.post(func() { n.sendRb(n.rb.Truncated(f, ok)) })
+		})
 	}
 }
 
-func (n *Node) sendRb(dst int, tag string, rb protocol.RbMsg) {
-	n.h.Send(&protocol.Envelope{Dst: dst, Kind: protocol.KindCtl, CtlTag: tag, Payload: rb})
+func (n *Node) sendRb(frames []handshake.Frame) {
+	for _, f := range frames {
+		n.h.Send(&protocol.Envelope{Dst: f.Peer, Kind: protocol.KindCtl, CtlTag: f.Tag, Payload: f.Msg})
+	}
 }
+
+// rbProcess is the node as its Participant reaches it.
+type rbProcess struct{ n *Node }
+
+func (p rbProcess) Epoch() int               { return p.n.h.Epoch() }
+func (p rbProcess) DurableSeqs() []int       { return p.n.durableSeqs() }
+func (p rbProcess) Rollback(line, epoch int) { p.n.rollbackTo(line, epoch) }
 
 // durableSeqs is this process's vote in the recovery-line intersection:
 // the on-disk manifest when the node has one, otherwise the in-memory
@@ -83,7 +69,10 @@ func (n *Node) durableSeqs() []int {
 // the epoch, replay the line's message log, rewind the protocol) and the
 // application restart. A line this process never finalized is refused:
 // the commit stays unacknowledged, so the coordinator's timeout surfaces
-// the inconsistency instead of the cluster silently diverging.
+// the inconsistency instead of the cluster silently diverging. The
+// Participant calls it, through rbProcess, from handleRecovery only.
+//
+//ocsml:loopcontext loop
 func (n *Node) rollbackTo(line, epoch int) {
 	rec, replayed, ok := n.h.Rollback(line, epoch)
 	if !ok {

@@ -17,6 +17,7 @@ import (
 	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
+	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/wire"
 )
@@ -79,10 +80,10 @@ func newRbRig(t *testing.T) *rbRig {
 	return r
 }
 
-func (r *rbRig) send(tag string, rb protocol.RbMsg) {
+func (r *rbRig) send(tag string, payload any) {
 	r.t.Helper()
 	frame, err := wire.Encode(&protocol.Envelope{
-		Src: 1, Dst: 0, Kind: protocol.KindCtl, CtlTag: tag, Payload: rb,
+		Src: 1, Dst: 0, Kind: protocol.KindCtl, CtlTag: tag, Payload: payload,
 	})
 	if err != nil {
 		r.t.Fatal(err)
@@ -189,5 +190,32 @@ func TestDuplicateCommitRetriesFailedTruncation(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return len(r.replies) == 1 })
 	if got := r.fs.Manifest().Seqs; !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("manifest %v at the ACK, want [1]", got)
+	}
+}
+
+// TestRecoveryFramesRefused: what is not a commit the node can execute
+// changes nothing and is counted — RB_LINE and RB_ACK (leftovers of a
+// round some other incarnation coordinated), an RB_* tag on a payload that
+// is no RbMsg, and a commit to a line the node never finalized, which also
+// gets no ACK.
+func TestRecoveryFramesRefused(t *testing.T) {
+	r := newRbRig(t)
+	r.send(protocol.TagRbLine, protocol.RbMsg{Round: 1, Epoch: 5, Seqs: []int{1}})
+	r.send(protocol.TagRbAck, protocol.RbMsg{Round: 1, Line: 1, Epoch: 5})
+	r.send(protocol.TagRbCommit, reliable.Ack{})
+	r.send(protocol.TagRbCommit, protocol.RbMsg{Round: 1, Line: 7, Epoch: 1})
+	if acks := r.acksBeforeLine(); acks != 0 {
+		t.Fatalf("%d answer(s) to frames the node refuses", acks)
+	}
+	for name, want := range map[string]int64{
+		"recovery.stray_frames": 2, "recovery.bad_frames": 1, "recovery.line_missing": 1, "recovery.rollbacks": 0,
+	} {
+		if v, _ := r.node.cfg.Metrics.Value(metrics.EventFamily, name); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+	r.waitEpoch(0)
+	if got := r.fs.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("manifest %v, want [1 2 3]", got)
 	}
 }

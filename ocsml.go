@@ -381,8 +381,8 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Experiments lists the evaluation suite's experiment ids (E1..E8 and
-// ablations A1..A3); see DESIGN.md for the index.
+// Experiments lists the evaluation suite's experiment ids (E1–E11 and
+// ablations A1–A4); see DESIGN.md for the index.
 func Experiments() []string { return harness.IDs() }
 
 // RunExperiment executes one experiment and returns its rendered table.
@@ -394,6 +394,3 @@ func RunExperiment(id string, quick bool) (string, error) {
 	}
 	return e.Execute(harness.Scale{Quick: quick}).Render(), nil
 }
-
-// internal escape hatch used by cmd/ and examples/ within this module.
-func rawRun(rc harness.RunCfg) *engine.Result { return harness.Run(rc) }
