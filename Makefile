@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz model-check results-check bench-check bench-gate loc
+.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fs-soak fuzz model-check results-check bench-check bench-gate loc
 
 all: build test
 
@@ -17,13 +17,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own seven analyzers
+# vet runs the standard toolchain vet plus the repo's own five analyzers
 # (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
-# discipline, durability error flow, goroutine field
-# ownership (loopowned), goroutine termination (quitpath) and hot-path
-# allocation freedom (allocfree). See DESIGN.md §10-11 and §15. The second ocsmlvet
-# pass adds the soak build tag so tag-gated code (the long-running
-# transport soak harness) is analyzed too.
+# discipline, goroutine field ownership (loopowned) and hot-path
+# allocation freedom (allocfree). See DESIGN.md §10 and §15. The second
+# ocsmlvet pass adds the soak build tag so tag-gated code (the
+# long-running transport soak harness) is analyzed too.
 vet: ocsmlvet-bin
 	$(GO) vet ./...
 	bin/ocsmlvet ./...
@@ -74,6 +73,13 @@ ctl:
 # SOAK_SEEDS, SOAK_FAULT_MS, SOAK_ARTIFACT_DIR.
 soak:
 	$(GO) test -race -tags soak -timeout 20m -run TestSoak -v ./internal/transport/
+
+# fs-soak repeats the store's fault sweep, concurrency and crash-point
+# tests under the race detector: an interleaving bug there can need tens
+# of runs to show (PR 20's GC-floor bug: about 1 in 40 of
+# TestStoreConcurrentUse, and in nothing else). The nightly soak runs it.
+fs-soak:
+	$(GO) test -race -count=30 -run 'TestEveryFaultSurfaces|TestStoreConcurrentUse|TestLostHintMatrix|TestCrashPointMatrix' ./internal/fsstore/
 
 fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/wire/

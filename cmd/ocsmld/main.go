@@ -183,7 +183,7 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 		}
 		fmt.Fprintf(os.Stderr, "ocsmld: admin control plane on %s\n", srv.Addr())
 		closeAdmin = func() {
-			//ocsml:errsink shutdown path; a failed drain still force-closes the listener
+			// shutdown path; a failed drain still force-closes the listener
 			srv.Close()
 		}
 	}

@@ -1,4 +1,4 @@
-// Command ocsmlvet is the repository's analysis suite: seven custom
+// Command ocsmlvet is the repository's analysis suite: five custom
 // analyzers that mechanically enforce the invariants the runtime
 // depends on but the compiler cannot see.
 //
@@ -12,15 +12,9 @@
 //	lockdiscipline     *Locked functions are called with the lock held;
 //	                   //ocsml:guardedby fields are accessed under their
 //	                   mutex
-//	errflow            errors from the durability paths (Finalize,
-//	                   WriteStable, fsync, rename) reach a return or a
-//	                   counted metric; discards need //ocsml:errsink
 //	loopowned          //ocsml:loopowned fields are read and written only
 //	                   on their owning event-loop goroutine or in closures
 //	                   posted to it (//ocsml:looppost, //ocsml:loopcontext)
-//	quitpath           every spawned goroutine has a proven termination
-//	                   path — a quit-channel select, a bounded loop, an
-//	                   error return — or an //ocsml:daemon opt-out
 //	allocfree          //ocsml:hotpath functions and everything they call
 //	                   stay allocation-free; cold paths carry
 //	                   //ocsml:alloc <why>
@@ -56,10 +50,8 @@ import (
 
 	"ocsml/internal/analysis/allocfree"
 	"ocsml/internal/analysis/detclean"
-	"ocsml/internal/analysis/errflow"
 	"ocsml/internal/analysis/lockdiscipline"
 	"ocsml/internal/analysis/loopowned"
-	"ocsml/internal/analysis/quitpath"
 	"ocsml/internal/analysis/vetkit"
 	"ocsml/internal/analysis/wireexhaustive"
 	"ocsml/internal/wire"
@@ -69,9 +61,7 @@ var analyzers = []*vetkit.Analyzer{
 	wireexhaustive.Analyzer,
 	detclean.Analyzer,
 	lockdiscipline.Analyzer,
-	errflow.Analyzer,
 	loopowned.Analyzer,
-	quitpath.Analyzer,
 	allocfree.Analyzer,
 }
 

@@ -30,7 +30,7 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string, exit 
 
 // TestToolOverModule drives the real binary: the module vets clean with
 // nothing but inline directives to suppress findings, the suite is the
-// seven analyzers, and the flags that served the deleted model
+// five analyzers, and the flags that served the deleted model
 // extractor, baseline file, SARIF writer and fix engine are gone.
 func TestToolOverModule(t *testing.T) {
 	if testing.Short() {
@@ -56,7 +56,7 @@ func TestToolOverModule(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "wireexhaustive detclean lockdiscipline errflow loopowned quitpath allocfree"
+	want := "wireexhaustive detclean lockdiscipline loopowned allocfree"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names\n got %s\nwant %s", got, want)
 	}

@@ -114,7 +114,6 @@ func (s *Server) Start(addr string) error {
 	go func() {
 		// ErrServerClosed is the normal Close path; anything else has
 		// already surfaced to a client as a failed request.
-		//ocsml:errsink Serve's error after Close is the expected ErrServerClosed
 		s.srv.Serve(ln)
 	}()
 	return nil
@@ -312,7 +311,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.requests.With("/v1/healthz").Inc()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	//ocsml:errsink client gone mid-response; nothing to durably undo
+	// client gone mid-response; nothing to durably undo
 	if _, err := w.Write([]byte("ok\n")); err != nil {
 		s.writeErrs.Inc()
 	}
@@ -327,7 +326,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	//ocsml:errsink client gone mid-response; nothing to durably undo
+	// client gone mid-response; nothing to durably undo
 	if _, err := w.Write([]byte("ready\n")); err != nil {
 		s.writeErrs.Inc()
 	}
@@ -340,7 +339,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	//ocsml:errsink scrape aborted by the client; the next scrape re-reads everything
+	// scrape aborted by the client; the next scrape re-reads everything
 	if err := s.cfg.Registry.WritePrometheus(w); err != nil {
 		s.writeErrs.Inc()
 	}
@@ -353,7 +352,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	//ocsml:errsink client gone mid-response; nothing to durably undo
+	// client gone mid-response; nothing to durably undo
 	if err := enc.Encode(v); err != nil {
 		s.writeErrs.Inc()
 	}

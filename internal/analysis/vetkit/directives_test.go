@@ -21,9 +21,9 @@ type s struct {
 //ocsml:hotpath
 func hot() {}
 
-// spin runs forever by design.
+// spin allocates by design.
 //
-//ocsml:daemon metrics ticker
+//ocsml:alloc metrics ticker
 func spin() {}
 
 func uses() {
@@ -118,18 +118,18 @@ func TestDocDirectives(t *testing.T) {
 	if dir, ok := vetkit.DocDirective(hotDoc, "hotpath"); !ok || dir.Arg != "" {
 		t.Fatalf("DocDirective(hot, hotpath) = %+v, %v", dir, ok)
 	}
-	if dir, ok := vetkit.DocDirective(spinDoc, "daemon"); !ok || dir.Arg != "metrics ticker" {
-		t.Fatalf("DocDirective(spin, daemon) = %+v, %v", dir, ok)
+	if dir, ok := vetkit.DocDirective(spinDoc, "alloc"); !ok || dir.Arg != "metrics ticker" {
+		t.Fatalf("DocDirective(spin, alloc) = %+v, %v", dir, ok)
 	}
-	// Exact-name matching: "daemon" must not match "daemons" etc.
-	if _, ok := vetkit.DocDirective(spinDoc, "daem"); ok {
+	// Exact-name matching: "alloc" must not match "allocs" etc.
+	if _, ok := vetkit.DocDirective(spinDoc, "allo"); ok {
 		t.Fatal("DocDirective matched a name prefix")
 	}
 	all := vetkit.DocDirectives(spinDoc)
-	if len(all) != 1 || all[0].Name != "daemon" {
+	if len(all) != 1 || all[0].Name != "alloc" {
 		t.Fatalf("DocDirectives(spin) = %+v", all)
 	}
-	if !vetkit.CommentGroupHas(spinDoc, "daemon") || vetkit.CommentGroupHas(hotDoc, "daemon") {
+	if !vetkit.CommentGroupHas(spinDoc, "alloc") || vetkit.CommentGroupHas(hotDoc, "alloc") {
 		t.Fatal("CommentGroupHas mismatch")
 	}
 }

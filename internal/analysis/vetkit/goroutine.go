@@ -7,17 +7,18 @@ import (
 	"sort"
 )
 
-// Goroutine attribution: the structural layer under the v3 concurrency
-// analyzers (loopowned, quitpath). It enumerates every executable body
-// in the program — each function declaration plus each function literal
-// nested inside one — classifies how every literal's value is consumed
-// (spawned, deferred, invoked in place, posted as an argument, stored
-// into a field, escaped), resolves every `go` statement to the function
-// it spawns (through method selectors, single-assignment method values
-// and generic instantiations), and records the static calls each body
-// makes. The analyzers layer goroutine-context reasoning on top: which
-// named goroutine a body runs on is a fixpoint over these edges plus
-// their own directive-provided seeds.
+// Goroutine attribution: the structural layer under loopowned (which
+// goroutine runs a body) and allocfree (what a hot path reaches). It
+// enumerates every executable body in the program — each function
+// declaration plus each function literal nested inside one — classifies
+// how every literal's value is consumed (spawned, deferred, invoked in
+// place, posted as an argument, stored into a field, escaped), resolves
+// every `go` statement to the function it spawns (through method
+// selectors, single-assignment method values and generic instantiations),
+// and records the static calls each body makes. The analyzers layer
+// goroutine-context reasoning on top: which named goroutine a body runs
+// on is a fixpoint over these edges plus their own directive-provided
+// seeds.
 
 // An Attribution is the per-Program body/spawn index.
 type Attribution struct {

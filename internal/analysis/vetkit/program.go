@@ -11,10 +11,10 @@ import (
 // A Program is the whole-program view shared by every pass of one
 // analysis run: every package the loader resolved from source, plus the
 // interprocedural structures (callgraph) built lazily over them. The
-// per-package analyzers ignore it; the interprocedural ones (errflow,
-// loopowned, quitpath, allocfree) key their cached summaries off the
-// Program pointer, so one ocsmlvet invocation builds each structure
-// exactly once no matter how many packages it checks.
+// per-package analyzers ignore it; the interprocedural ones (loopowned,
+// allocfree) key their cached summaries off the Program pointer, so one
+// ocsmlvet invocation builds each structure exactly once no matter how
+// many packages it checks.
 type Program struct {
 	// Packages maps import path to every source-loaded package.
 	Packages map[string]*Package
@@ -88,7 +88,7 @@ type FuncNode struct {
 	// Pkg is the source package the declaration lives in (nil with Decl).
 	Pkg *Package
 	// Calls lists every call site inside Decl, in source order,
-	// including sites inside nested function literals (flagged InLit).
+	// including sites inside nested function literals.
 	Calls []*CallSite
 }
 
@@ -101,10 +101,6 @@ type CallSite struct {
 	Callee *FuncNode
 	// Call is the call expression itself.
 	Call *ast.CallExpr
-	// InLit reports that the site sits inside a function literal nested
-	// in Caller: the call runs when the closure runs, not when Caller's
-	// body reaches it.
-	InLit bool
 }
 
 // Node returns the callgraph node for fn, or nil when fn has no source
@@ -153,7 +149,7 @@ func buildCallGraph(p *Program) *CallGraph {
 				n := node(obj)
 				n.Decl = fd
 				n.Pkg = pkg
-				collectCalls(pkg, n, fd.Body, false, node)
+				collectCalls(pkg, n, fd.Body, node)
 			}
 		}
 	}
@@ -161,19 +157,10 @@ func buildCallGraph(p *Program) *CallGraph {
 }
 
 // collectCalls appends every call site under root to caller.Calls.
-func collectCalls(pkg *Package, caller *FuncNode, root ast.Node, inLit bool, node func(*types.Func) *FuncNode) {
+func collectCalls(pkg *Package, caller *FuncNode, root ast.Node, node func(*types.Func) *FuncNode) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if !inLit {
-				// Descend once with the flag set; returning false here
-				// stops this walk, so recurse explicitly.
-				collectCalls(pkg, caller, n.Body, true, node)
-				return false
-			}
-			return true
-		case *ast.CallExpr:
-			site := &CallSite{Caller: caller, Call: n, InLit: inLit}
+		if n, ok := n.(*ast.CallExpr); ok {
+			site := &CallSite{Caller: caller, Call: n}
 			if fn, dynamic := resolveCallee(pkg, n); fn != nil && !dynamic {
 				site.Callee = node(fn)
 			}
@@ -203,21 +190,4 @@ func resolveCallee(pkg *Package, call *ast.CallExpr) (fn *types.Func, dynamic bo
 		}
 	}
 	return nil, false
-}
-
-// ErrorResultIndex returns the position of the (single) error result in
-// fn's signature, or -1 when fn does not return an error.
-func ErrorResultIndex(fn *types.Func) int {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return -1
-	}
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok &&
-			named.Obj().Pkg() == nil && named.Obj().Name() == "error" {
-			return i
-		}
-	}
-	return -1
 }

@@ -347,7 +347,7 @@ func (ps *ProcStore) GC(keepSeq int) (removed int, bytes int64) {
 	defer ps.mu.Unlock()
 	i := 0
 	for i < len(ps.recs) && ps.recs[i].Seq < keepSeq {
-		bytes += ps.recs[i].StateBytes + recLogBytes(&ps.recs[i])
+		bytes += ps.recs[i].StateBytes + ps.recs[i].LogBytes()
 		i++
 	}
 	removed = i
@@ -357,14 +357,6 @@ func (ps *ProcStore) GC(keepSeq int) (removed int, bytes int64) {
 	return removed, bytes
 }
 
-func recLogBytes(r *Record) int64 {
-	var total int64
-	for _, m := range r.Log {
-		total += m.Bytes
-	}
-	return total
-}
-
 // RetainedBytes sums the stable-storage footprint of the records this
 // process still holds.
 func (ps *ProcStore) RetainedBytes() int64 {
@@ -372,7 +364,7 @@ func (ps *ProcStore) RetainedBytes() int64 {
 	defer ps.mu.Unlock()
 	var total int64
 	for i := range ps.recs {
-		total += ps.recs[i].StateBytes + recLogBytes(&ps.recs[i])
+		total += ps.recs[i].StateBytes + ps.recs[i].LogBytes()
 	}
 	return total
 }

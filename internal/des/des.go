@@ -95,13 +95,12 @@ func (h *eventHeap) Pop() any {
 // It is not safe for concurrent use; protocols hosted on it run strictly
 // sequentially, one event at a time.
 type Simulator struct {
-	now       Time
-	seq       uint64
-	events    eventHeap
-	rng       *rand.Rand
-	stopped   bool
-	processed uint64
-	horizon   Time // 0 = unbounded
+	now     Time
+	seq     uint64
+	events  eventHeap
+	rng     *rand.Rand
+	stopped bool
+	horizon Time // 0 = unbounded
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -115,9 +114,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Rand returns the simulation's deterministic random source. All protocol
 // and workload randomness must come from here to keep runs reproducible.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Processed reports how many events have fired so far.
-func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are scheduled and not yet fired
 // (including canceled timers that have not been popped).
@@ -186,7 +182,6 @@ func (s *Simulator) Step() bool {
 			return false
 		}
 		s.now = e.at
-		s.processed++
 		e.fn()
 		return true
 	}

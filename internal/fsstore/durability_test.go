@@ -516,11 +516,12 @@ func TestCrashPointMatrix(t *testing.T) {
 	})
 }
 
-// TestFinalizeBatch: whatever stops a batch — an injected write failure,
-// a record of another process, a seq not above LastSeq, a descending
-// pair — exactly the prefix before the failing record commits
-// (committing past it would gap the manifest), the first error is
-// returned and counted once, and the rest commits on retry.
+// TestFinalizeBatch: whatever stops a batch — a record of another
+// process, a seq not above LastSeq, a descending pair — exactly the
+// prefix before the failing record commits (committing past it would gap
+// the manifest); a batch whose one fsync fails commits nothing. Either
+// way the first error is returned and counted once, and the rest commits
+// on retry.
 func TestFinalizeBatch(t *testing.T) {
 	batch := func(proc int, seqs ...int) []checkpoint.Record {
 		recs := make([]checkpoint.Record, 0, len(seqs))
@@ -535,13 +536,13 @@ func TestFinalizeBatch(t *testing.T) {
 		name     string
 		pre      []checkpoint.Record // committed before the batch under test
 		recs     []checkpoint.Record
-		failSeq  int // the error hook fails this seq (0: no hook)
+		failOp   string // the fault hook fails the first call of this kind
 		want     int
 		wantSeqs []int
 		retry    []checkpoint.Record
 	}{
-		{name: "injected write failure", recs: batch(0, 1, 2, 3, 4, 5, 6), failSeq: 4,
-			want: 3, wantSeqs: []int{1, 2, 3}, retry: batch(0, 4, 5, 6)},
+		{name: "injected write failure", recs: batch(0, 1, 2, 3), failOp: "sync",
+			want: 0, wantSeqs: nil, retry: batch(0, 1, 2, 3)},
 		{name: "wrong proc", recs: foreign,
 			want: 2, wantSeqs: []int{1, 2}, retry: batch(0, 3, 4)},
 		{name: "seq not above LastSeq", pre: batch(0, 1, 2), recs: batch(0, 2, 3),
@@ -561,13 +562,8 @@ func TestFinalizeBatch(t *testing.T) {
 			if n, err := s.FinalizeBatch(tc.pre); err != nil || n != len(tc.pre) {
 				t.Fatalf("pre-commit = (%d, %v)", n, err)
 			}
-			if tc.failSeq != 0 {
-				s.SetFinalizeErrHook(func(r checkpoint.Record) error {
-					if r.Seq == tc.failSeq {
-						return os.ErrDeadlineExceeded
-					}
-					return nil
-				})
+			if tc.failOp != "" {
+				s.SetFaultHook(failFirst(tc.failOp))
 			}
 			committed, err := s.FinalizeBatch(tc.recs)
 			if err == nil {
@@ -585,7 +581,6 @@ func TestFinalizeBatch(t *testing.T) {
 			if got, want := sm.Finalizes.Value(), int64(len(tc.pre)+tc.want); got != want {
 				t.Fatalf("finalized counter = %d, want %d", got, want)
 			}
-			s.SetFinalizeErrHook(nil)
 			if n, err := s.FinalizeBatch(tc.retry); err != nil || n != len(tc.retry) {
 				t.Fatalf("retry batch = (%d, %v), want (%d, nil)", n, err, len(tc.retry))
 			}

@@ -118,10 +118,10 @@ type Store struct {
 	// index locates every manifested checkpoint in the segmented log.
 	//ocsml:guardedby mu
 	index map[int]recLoc
-	// finalizeErr, when set, is consulted before each record's bytes are
-	// written — the error-injection hook of the durability tests.
+	// fault, when set, is consulted before every call that changes the
+	// directory (see SetFaultHook). Nil in production.
 	//ocsml:guardedby mu
-	finalizeErr func(checkpoint.Record) error
+	fault func(op, path string) error
 	// metrics, when set, receives this store's durability instruments.
 	//ocsml:guardedby mu
 	metrics *StoreMetrics
@@ -170,15 +170,30 @@ func (s *Store) noteWriteLocked(bytes, fsyncs int64) {
 	}
 }
 
-// SetFinalizeErrHook installs (or, with nil, removes) a hook consulted
-// before each record's bytes are written; a non-nil return fails that
-// record (and, in a batch, every record queued behind it) before any of
-// its bytes reach the segment. Tests use it to prove a failed write is
-// retried and never skipped past.
-func (s *Store) SetFinalizeErrHook(fn func(checkpoint.Record) error) {
+// SetFaultHook installs (or, with nil, removes) the package's one test
+// seam: fn is consulted, under the store's mutex, immediately before
+// every file-system call that changes the directory — op is one of
+// "mkdir", "create", "write", "truncate", "sync", "syncdir", "rename",
+// "remove", path the file or directory the call names. A non-nil return
+// stands for that call failing without having happened: the call is
+// skipped and the error takes the path the call's own error would. Tests
+// use it to execute every durability error path (TestEveryFaultSurfaces).
+func (s *Store) SetFaultHook(fn func(op, path string) error) {
 	s.mu.Lock()
-	s.finalizeErr = fn
+	s.fault = fn
 	s.mu.Unlock()
+}
+
+// doLocked makes one call that changes the directory, unless the fault
+// hook fails it first. Every such call in the package goes through here,
+// so an injected error and a real one leave by the same return.
+func (s *Store) doLocked(op, path string, call func() error) error {
+	if s.fault != nil {
+		if err := s.fault(op, path); err != nil {
+			return err
+		}
+	}
+	return call()
 }
 
 // ProcDir returns the directory a process's store lives in.
@@ -210,17 +225,26 @@ func Open(datadir string, proc, n int) (*Store, error) {
 // this build does not read is none of those: Open refuses the directory
 // with an error and repairs nothing in it.
 func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
+	return openWith(datadir, proc, n, opts, nil)
+}
+
+// openWith is OpenWith with the fault hook already installed, so a test
+// can fail the calls Open itself makes.
+func openWith(datadir string, proc, n int, opts Options, fault func(op, path string) error) (*Store, error) {
 	if proc < 0 || n < 2 || proc >= n {
 		return nil, fmt.Errorf("fsstore: invalid proc %d of %d", proc, n)
 	}
 	dir := ProcDir(datadir, proc)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	s := &Store{
 		dir: dir, proc: proc, n: n, opts: opts.withDefaults(),
 		man:   Manifest{Proc: proc, N: n},
 		index: map[int]recLoc{},
+		fault: fault,
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.doLocked("mkdir", dir, func() error { return os.MkdirAll(dir, 0o755) }); err != nil {
+		return nil, err
 	}
 	hint, err := os.ReadFile(filepath.Join(dir, hintName))
 	if err != nil && !os.IsNotExist(err) {
@@ -232,8 +256,6 @@ func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 	} else if old.Proc != proc {
 		return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, old.Proc, proc)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.replayLocked(old, hint); err != nil {
 		return nil, err
 	}
@@ -317,12 +339,13 @@ func (s *Store) replayLocked(old Manifest, hint []byte) error {
 	sort.Ints(s.man.Seqs)
 
 	for _, meta := range s.man.Segments {
-		if err := truncateTail(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
+		if err := s.truncateTailLocked(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
 			return err
 		}
 	}
 	for _, path := range debris {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		err := s.doLocked("remove", path, func() error { return os.Remove(path) })
+		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
@@ -333,9 +356,10 @@ func (s *Store) replayLocked(old Manifest, hint []byte) error {
 	return s.writeHintLocked(mdata)
 }
 
-// truncateTail cuts a segment file back to its durable size and syncs
-// the truncation, so garbage from an interrupted batch cannot linger.
-func truncateTail(path string, size int64) error {
+// truncateTailLocked cuts a segment file back to its durable size and
+// syncs the truncation, so garbage from an interrupted batch cannot
+// linger.
+func (s *Store) truncateTailLocked(path string, size int64) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -347,11 +371,11 @@ func truncateTail(path string, size int64) error {
 	if err != nil {
 		return err
 	}
-	if err := f.Truncate(size); err != nil {
+	if err := s.doLocked("truncate", path, func() error { return f.Truncate(size) }); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := s.doLocked("sync", path, f.Sync); err != nil {
 		f.Close()
 		return err
 	}
@@ -387,20 +411,26 @@ const hintName = "MANIFEST.json"
 // and Open survives whatever a crash makes of this file. The bytes still
 // count as handed to stable storage.
 func (s *Store) writeHintLocked(data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	var tmp *os.File
+	err := s.doLocked("create", filepath.Join(s.dir, ".tmp-*"), func() (err error) {
+		tmp, err = os.CreateTemp(s.dir, ".tmp-*")
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	err = s.doLocked("write", tmp.Name(), func() error { _, err := tmp.Write(data); return err })
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(s.dir, hintName))
+		hint := filepath.Join(s.dir, hintName)
+		err = s.doLocked("rename", hint, func() error { return os.Rename(tmp.Name(), hint) })
 	}
 	if err != nil {
-		//ocsml:errsink best-effort temp cleanup; the primary write error is returned
-		os.Remove(tmp.Name())
+		// Best-effort temp cleanup: the primary write error is returned,
+		// and Open removes what this leaves.
+		_ = s.doLocked("remove", tmp.Name(), func() error { return os.Remove(tmp.Name()) })
 		return err
 	}
 	s.noteWriteLocked(int64(len(data)), 0)
@@ -425,13 +455,13 @@ func (s *Store) publishLocked(seqs []int, segs []SegmentMeta) error {
 	return err
 }
 
-func (s *Store) syncDir() error {
+func (s *Store) syncDirLocked() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return s.doLocked("syncdir", s.dir, d.Sync)
 }
 
 // ckptState is the on-disk checkpoint state: the Record minus its log,
@@ -483,10 +513,10 @@ func (s *Store) Finalize(rec checkpoint.Record) error {
 // records, seqs ascending and above LastSeq) as one group commit — every
 // frame appended to the active segment under a single file fsync, then
 // the hint published — and returns how long a prefix committed. The
-// first record that fails validation, the error hook or encoding stops
-// the batch: the records before it commit, it and every record behind
-// it do not (committing past it would gap the manifest), and err is
-// that first failure. A failed segment write or hint publication
+// first record that fails validation or encoding stops the batch: the
+// records before it commit, it and every record behind it do not
+// (committing past it would gap the manifest), and err is that first
+// failure. A failed segment write or hint publication
 // commits nothing in memory, and the appended bytes sit beyond the
 // durable size for the next commit to overwrite; frames that did reach
 // disk may be re-admitted by a later Open.
@@ -518,8 +548,6 @@ func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 			stopErr = fmt.Errorf("fsstore: record for P%d written to store of P%d", rec.Proc, s.proc)
 		case rec.Seq <= tail:
 			stopErr = fmt.Errorf("fsstore: P%d finalize seq %d not above last accepted %d", s.proc, rec.Seq, tail)
-		case s.finalizeErr != nil:
-			stopErr = s.finalizeErr(rec)
 		}
 		if stopErr != nil {
 			break
@@ -575,12 +603,12 @@ func (s *Store) appendLocked(frames []byte) (segs []SegmentMeta, off int64, err 
 		buf = append(segmentHeader(s.proc, next), frames...)
 	}
 	active := &segs[len(segs)-1]
-	if err := writeSegment(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
+	if err := s.writeSegmentLocked(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
 		return nil, 0, err
 	}
 	s.noteWriteLocked(int64(len(buf)), 1)
 	if newSeg {
-		if err := s.syncDir(); err != nil {
+		if err := s.syncDirLocked(); err != nil {
 			return nil, 0, err
 		}
 		s.noteWriteLocked(0, 1)
@@ -589,25 +617,29 @@ func (s *Store) appendLocked(frames []byte) (segs []SegmentMeta, off int64, err 
 	return segs, active.Size - int64(len(frames)), nil
 }
 
-// writeSegment writes buf at off, ends the file there and fsyncs it —
+// writeSegmentLocked writes buf at off, ends the file there and fsyncs it —
 // the single durability point of a commit. The cut matters because Open
 // scans to the first frame that fails to verify: frames an earlier,
 // longer attempt left beyond off (its sync or its publication failed)
 // must not verify behind this batch.
-func writeSegment(path string, buf []byte, off int64) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+func (s *Store) writeSegmentLocked(path string, buf []byte, off int64) error {
+	var f *os.File
+	err := s.doLocked("create", path, func() (err error) {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(buf, off); err != nil {
+	if err := s.doLocked("write", path, func() error { _, err := f.WriteAt(buf, off); return err }); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Truncate(off + int64(len(buf))); err != nil {
+	if err := s.doLocked("truncate", path, func() error { return f.Truncate(off + int64(len(buf))) }); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := s.doLocked("sync", path, f.Sync); err != nil {
 		f.Close()
 		return err
 	}
@@ -733,13 +765,15 @@ func (s *Store) GCTo(wm int) error {
 		delete(s.index, q)
 	}
 	for _, meta := range deadSegs {
-		//ocsml:errsink the hint no longer references this segment; removal is opportunistic GC
-		os.Remove(SegmentFile(s.dir, meta.Index))
+		// Best-effort: the hint no longer references this segment, and a
+		// later Open or GCTo finds a file this leaves.
+		path := SegmentFile(s.dir, meta.Index)
+		_ = s.doLocked("remove", path, func() error { return os.Remove(path) })
 	}
 	if m := s.metrics; m != nil {
 		m.GCRemoved.Add(int64(len(drop)))
 	}
-	return s.syncDir()
+	return s.syncDirLocked()
 }
 
 // RecoverStore loads every process's finalized checkpoints from disk into

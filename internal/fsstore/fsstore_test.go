@@ -173,17 +173,10 @@ func TestFinalizeErrorRetried(t *testing.T) {
 	if err := s.Finalize(rec(0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Inject a one-shot failure for seq 2: the store must be left exactly
-	// as it was — no partial files, no manifest entry — so the caller's
-	// retry of the same record succeeds without a gap.
-	fails := 1
-	s.SetFinalizeErrHook(func(r checkpoint.Record) error {
-		if r.Seq == 2 && fails > 0 {
-			fails--
-			return os.ErrDeadlineExceeded
-		}
-		return nil
-	})
+	// Seq 2's commit fails at its one fsync: the store must be left
+	// exactly as it was — no manifest entry — so the caller's retry of the
+	// same record succeeds without a gap.
+	s.SetFaultHook(failFirst("sync"))
 	if err := s.Finalize(rec(0, 2, 2)); err == nil {
 		t.Fatal("injected finalize error not surfaced")
 	}

@@ -12,9 +12,11 @@ import (
 // truncations land late or fail, with ticks interleaved at random. In some
 // seeds the coordinator abandons a first round midway (its frames stay in
 // flight) and starts over. No commit may name a line some process lacks,
-// the last round must finish, and when it does the ACKs have to mean what
-// the restarted process will rely on: every survivor is at the decision's
-// epoch and its truncation for that epoch has landed at the decision's line.
+// no vote a seq its sender has rolled back in memory (it would refuse that
+// line), the last round must finish, and when it does the ACKs have to
+// mean what the restarted process will rely on: every survivor is at the
+// decision's epoch and its truncation for that epoch has landed at the
+// decision's line.
 func TestClosedLoop(t *testing.T) {
 	for n := 2; n <= 4; n++ {
 		for seed := int64(1); seed <= 250; seed++ {
@@ -57,6 +59,9 @@ func closedLoop(t *testing.T, n int, seed int64) {
 				if line := f.Msg.Line; f.Tag == rbCmt && line != 0 && !slices.Contains(seqs, line) {
 					t.Fatalf("N=%d seed %d: RB_CMT for line %d, which is not in P%d's manifest %v", n, seed, line, i, seqs)
 				}
+			}
+			if f.Tag == rbLine && slices.ContainsFunc(f.Msg.Seqs, func(q int) bool { return !slices.Contains(procs[from].mem, q) }) {
+				t.Fatalf("N=%d seed %d: P%d votes %v in RB_LINE while its memory is rolled back to %v", n, seed, from, f.Msg.Seqs, procs[from].mem)
 			}
 		}
 	}

@@ -114,26 +114,35 @@ type Process interface {
 // Participant is a survivor's side. Its RB_ACK promises that the
 // rollback's truncation is durable, which happens after the in-memory
 // rollback that raised the epoch, so it tracks per commit epoch whether
-// that truncation is queued or has landed (0: none).
+// that truncation is queued or has landed (0: none). Until it has landed
+// the disk still holds what memory rolled back, so a vote in between
+// stops at the line of that commit, the one in force.
 type Participant struct {
 	Proc           Process // the process it speaks for
 	queued, landed int
+	epoch, line    int // the commit in force (epoch 0: none since this incarnation started)
 }
 
 // Receive takes one frame off the wire and returns what to send for it.
-// RB_BGN is always answered with the vote. RB_CMT rolls the process back
-// iff its epoch is newer; a commit the process refused, or one a newer
-// epoch has superseded (its coordinator is gone), gets no answer.
-// Otherwise it is the commit in force or a rebroadcast of it: re-ACKed
-// once its truncation has landed (a lost ACK must not stall the
-// coordinator), ignored while that is queued, and with truncate set when
-// there is none — the caller then truncates the disk above f.Msg.Line and
-// reports through Truncated.
+// RB_BGN is always answered with the vote: the durable seqs, less those
+// above the line of a rollback whose truncation has not landed — the
+// process no longer holds them, and would refuse a line among them.
+// RB_CMT rolls the process back iff its epoch is newer; a commit the
+// process refused, or one a newer epoch has superseded (its coordinator is
+// gone), gets no answer. Otherwise it is the commit in force or a
+// rebroadcast of it: re-ACKed once its truncation has landed (a lost ACK
+// must not stall the coordinator), ignored while that is queued, and with
+// truncate set when there is none — the caller then truncates the disk
+// above f.Msg.Line and reports through Truncated.
 func (p *Participant) Receive(f Frame) (out []Frame, truncate bool) {
 	switch f.Tag {
 	case protocol.TagRbBegin:
+		seqs := p.Proc.DurableSeqs()
+		if p.epoch != p.landed {
+			seqs = slices.DeleteFunc(slices.Clone(seqs), func(q int) bool { return q > p.line })
+		}
 		return []Frame{{Peer: f.Peer, Tag: protocol.TagRbLine, Msg: protocol.RbMsg{
-			Round: f.Msg.Round, Epoch: p.Proc.Epoch(), Seqs: p.Proc.DurableSeqs(),
+			Round: f.Msg.Round, Epoch: p.Proc.Epoch(), Seqs: seqs,
 		}}}, false
 	case protocol.TagRbCommit:
 		if f.Msg.Epoch > p.Proc.Epoch() {
@@ -142,6 +151,7 @@ func (p *Participant) Receive(f Frame) (out []Frame, truncate bool) {
 		if f.Msg.Epoch != p.Proc.Epoch() {
 			return nil, false
 		}
+		p.epoch, p.line = f.Msg.Epoch, f.Msg.Line
 		switch f.Msg.Epoch {
 		case p.landed:
 			return ack(f), false

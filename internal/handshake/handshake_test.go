@@ -210,7 +210,7 @@ func TestParticipant(t *testing.T) {
 		{"acks once the truncation has landed, and every rebroadcast after it", []step{
 			{in: c3, truncate: true, epoch: 3},
 			{in: c3, epoch: 3}, // queued: its ACK follows the truncation
-			{in: frame(5, rbBgn, 9, 0, 0), want: vote(9, 3, 1, 2, 3), epoch: 3}, // still answered, disk untouched
+			{in: frame(5, rbBgn, 9, 0, 0), want: vote(9, 3, 1, 2), epoch: 3}, // still answered, with what memory holds
 			{in: c3, epoch: 3},
 			{in: c3, outcome: "landed", want: acked(c3), epoch: 3},
 			{in: c3, want: acked(c3), epoch: 3},
@@ -222,6 +222,18 @@ func TestParticipant(t *testing.T) {
 			{in: c3, truncate: true, epoch: 3},
 			{in: c3, epoch: 3},
 			{in: c3, outcome: "landed", want: acked(c3), epoch: 3},
+		}},
+		{"votes no seq above a rollback whose truncation has not landed", []step{
+			{in: c3, truncate: true, epoch: 3}, // memory is at line 2, the disk still holds 3
+			{in: frame(6, rbBgn, 8, 0, 0), want: []Frame{frame(6, rbLine, 8, 0, 3, 1, 2)}, epoch: 3},
+			{in: c3, outcome: "failed", epoch: 3},
+			{in: frame(6, rbBgn, 8, 0, 0), want: []Frame{frame(6, rbLine, 8, 0, 3, 1, 2)}, epoch: 3},
+			{in: c3, truncate: true, epoch: 3},
+			{in: c3, outcome: "landed", want: acked(c3), epoch: 3},
+			{in: c4, truncate: true, epoch: 4}, // a second round's commit: memory at line 1, the disk at 2
+			{in: frame(6, rbBgn, 9, 0, 0), want: []Frame{frame(6, rbLine, 9, 0, 4, 1)}, epoch: 4},
+			{in: c4, outcome: "landed", want: acked(c4), epoch: 4},
+			{in: frame(6, rbBgn, 9, 0, 0), want: []Frame{frame(6, rbLine, 9, 0, 4, 1)}, epoch: 4},
 		}},
 		{"refuses a line it never finalized", []step{
 			{in: frame(5, rbCmt, 7, 4, 3), epoch: 2},

@@ -1,7 +1,7 @@
 // Package harness defines and runs the evaluation suite: the experiments
-// E1–E8 reconstruct the performance evaluation the paper describes in
+// E1–E11 reconstruct the performance evaluation the paper describes in
 // prose (its numeric section was omitted for space, see DESIGN.md), and
-// the ablations A1–A3 quantify the paper's §3.5.1/§1 optimizations.
+// the ablations A1–A4 quantify the paper's §3.5.1/§1 optimizations.
 // cmd/experiments regenerates every table; bench_test.go exposes one
 // benchmark per experiment.
 package harness

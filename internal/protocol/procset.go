@@ -209,7 +209,7 @@ func (s ProcSet) String() string {
 // (one bit per process, rounded to bytes). Used for overhead accounting.
 func (s ProcSet) ByteSize() int64 { return int64((s.n + 7) / 8) }
 
-// MaxUniverse bounds the universe size DecodeProcSet accepts, protecting
+// MaxUniverse bounds the universe size DecodeInto accepts, protecting
 // decoders from allocating unbounded memory on corrupt input.
 const MaxUniverse = 1 << 20
 
@@ -230,17 +230,6 @@ func (s ProcSet) AppendBinary(b []byte) []byte {
 		b = append(b, byte(s.words[i/8]>>(uint(i%8)*8)))
 	}
 	return b
-}
-
-// DecodeProcSet decodes a set produced by AppendBinary from the front of
-// b, returning the set and the number of bytes consumed.
-func DecodeProcSet(b []byte) (ProcSet, int, error) {
-	var s ProcSet
-	k, err := s.DecodeInto(b)
-	if err != nil {
-		return ProcSet{}, 0, err
-	}
-	return s, k, nil
 }
 
 // DecodeInto decodes a set produced by AppendBinary from the front of b

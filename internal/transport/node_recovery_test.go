@@ -5,8 +5,6 @@ package transport
 // first RB_CMT and for every rebroadcast of it.
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,7 +27,6 @@ type rbRig struct {
 	t       *testing.T
 	node    *Node
 	fs      *fsstore.Store
-	dir     string // process 0's store directory
 	peer    *Mesh
 	replies chan *protocol.Envelope
 }
@@ -38,7 +35,6 @@ func newRbRig(t *testing.T) *rbRig {
 	t.Helper()
 	r := &rbRig{t: t, replies: make(chan *protocol.Envelope, 64)}
 	datadir := t.TempDir()
-	r.dir = filepath.Join(datadir, "p0")
 	fs, err := fsstore.Open(datadir, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +165,7 @@ func TestDuplicateCommitAckWaitsForTruncation(t *testing.T) {
 // not acknowledged either; the next rebroadcast runs it again.
 func TestDuplicateCommitRetriesFailedTruncation(t *testing.T) {
 	r := newRbRig(t)
-	away := r.dir + ".away"
-	if err := os.Rename(r.dir, away); err != nil { // the manifest commit has nowhere to write
-		t.Fatal(err)
-	}
+	r.fs.SetFaultHook(failFirstSync()) // the truncation frame's fsync fails
 	cmt := protocol.RbMsg{Round: 1, Line: 1, Epoch: 1}
 	r.send(protocol.TagRbCommit, cmt)
 	r.waitEpoch(1)
@@ -182,9 +175,6 @@ func TestDuplicateCommitRetriesFailedTruncation(t *testing.T) {
 	}
 	if acks := r.acksBeforeLine(); acks != 0 {
 		t.Fatalf("RB_ACK sent %d time(s) after a failed truncation", acks)
-	}
-	if err := os.Rename(away, r.dir); err != nil {
-		t.Fatal(err)
 	}
 	r.send(protocol.TagRbCommit, cmt)
 	waitFor(t, 10*time.Second, func() bool { return len(r.replies) == 1 })

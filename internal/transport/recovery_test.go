@@ -1,19 +1,25 @@
 package transport
 
-// Unit tests for the node-side persistence fixes wire recovery depends on:
-// the finalize-retry watermark, and storage-queue accounting across
-// shutdown. The handshake's policy is tested in internal/handshake.
+// Unit tests for the node-side persistence fixes wire recovery depends on
+// — the finalize-retry watermark, and storage-queue accounting across
+// shutdown — and for the two callers of the store whose error paths only
+// an injected disk fault reaches (Cluster.Recover, Cluster.gcLoop). The
+// handshake's policy is tested in internal/handshake.
 
 import (
 	"context"
+	"errors"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/protocol"
 	"ocsml/internal/trace"
+	"ocsml/internal/wire"
 )
 
 // listenLocal binds n ephemeral localhost listeners and returns them with
@@ -34,9 +40,9 @@ func listenLocal(t *testing.T, n int) ([]net.Listener, []string) {
 }
 
 // TestNodeFinalizeRetry drives the watermark fix through a live node: a
-// one-shot injected Finalize failure must be retried on a later flush,
-// leaving the on-disk manifest gap-free, and while the failure is
-// outstanding the record must not be reported stable.
+// commit whose fsync fails once must be retried on a later flush, leaving
+// the on-disk manifest gap-free, and while the failure is outstanding the
+// record must not be reported stable.
 func TestNodeFinalizeRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -57,24 +63,26 @@ func TestNodeFinalizeRetry(t *testing.T) {
 		}
 		return rec.StableAt != 0, len(m.Seqs) > 0 && m.Seqs[0] == 1
 	}
-	var attempts atomic.Int32
-	c.FS(0).SetFinalizeErrHook(func(rec checkpoint.Record) error {
-		if rec.Seq != 1 {
+	var syncs atomic.Int32
+	c.FS(0).SetFaultHook(func(op, _ string) error {
+		if op != "sync" {
 			return nil
 		}
-		if attempts.Add(1) == 1 {
+		switch syncs.Add(1) {
+		case 1: // the commit that carries seq 1
 			return errInjected
-		}
-		// The retry, a later flush's batch: until it commits, the failure
-		// is outstanding.
-		if stable, manifested := durable(); stable || manifested {
-			t.Errorf("seq 1 before its retry commits: stable %v, manifested %v, want neither", stable, manifested)
+		case 2:
+			// The retry, a later flush's batch: until it commits, the failure
+			// is outstanding.
+			if stable, manifested := durable(); stable || manifested {
+				t.Errorf("seq 1 before its retry commits: stable %v, manifested %v, want neither", stable, manifested)
+			}
 		}
 		return nil
 	})
 	c.Run(context.Background(), nil)
-	if attempts.Load() != 2 {
-		t.Fatalf("seq 1 reached FinalizeBatch %d times, want a failure and one retry", attempts.Load())
+	if syncs.Load() < 2 {
+		t.Fatalf("P0 synced %d commit(s), want a failure and its retry", syncs.Load())
 	}
 	if got := c.Counter("fsstore.errors"); got != 1 {
 		t.Fatalf("fsstore.errors = %d, want 1", got)
@@ -95,7 +103,113 @@ func TestNodeFinalizeRetry(t *testing.T) {
 	validateDisk(t, dir, 4, 1)
 }
 
-var errInjected = &net.AddrError{Err: "injected", Addr: "finalize"}
+var errInjected = &net.AddrError{Err: "injected", Addr: "fsstore"}
+
+// failFirstSync is an fsstore fault hook: the next fsync fails, once.
+func failFirstSync() func(op, path string) error {
+	var failed atomic.Bool
+	return func(op, _ string) error {
+		if op == "sync" && failed.CompareAndSwap(false, true) {
+			return errInjected
+		}
+		return nil
+	}
+}
+
+// TestRecoverSurfacesFailedTruncation: the victim's own rollback — the
+// TruncateAfter inside ResumeProtocol — fails at its fsync. Recover must
+// return that error, not restart the victim above the line, and release
+// the GC pause; the operator's retry then recovers.
+func TestRecoverSurfacesFailedTruncation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	const victim = 2
+	var c *Cluster
+	var killed atomic.Bool
+	fault := failFirstSync()
+	cfg := testClusterConfig(t.TempDir(), 29)
+	cfg.Opt.Interval = 0 // no round: the survivors hold nothing durable, so the line is 0
+	cfg.Workload.Steps = 100000
+	cfg.Hook = func(src, dst int, f *wire.Frame, deliver func(*wire.Frame)) {
+		// Between Kill and restart only the coordinator sends as the victim,
+		// and by then Recover has reopened the store it will truncate.
+		if src == victim && killed.Load() {
+			c.FS(victim).SetFaultHook(fault)
+		}
+		deliver(f)
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 10*time.Second, func() bool { return c.Counter("app_msgs") > 40 })
+	c.Kill(victim)
+	// A checkpoint only the victim has durable lies above any line.
+	rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: victim, Seq: 1}, FinalizedAt: 1}
+	if err := c.FS(victim).Finalize(rec); err != nil {
+		t.Fatal(err)
+	}
+	killed.Store(true)
+
+	if _, err := c.Recover(victim); !errors.Is(err, errInjected) {
+		t.Fatalf("Recover = %v, want the injected truncation failure", err)
+	}
+	c.mu.Lock()
+	paused := c.recovering
+	c.mu.Unlock()
+	if paused || c.Counter("recovery.restarts") != 0 {
+		t.Fatalf("after the failed recovery: GC paused %v, restarts %d; want neither", paused, c.Counter("recovery.restarts"))
+	}
+	line, err := c.Recover(victim)
+	if err != nil || line != 0 {
+		t.Fatalf("retried Recover = (line %d, %v), want line 0", line, err)
+	}
+	killed.Store(false)
+	if got := c.FS(victim).Manifest().Seqs; len(got) != 0 {
+		t.Fatalf("victim restarted at line 0 with %v on disk", got)
+	}
+}
+
+// TestGCErrorCountedAndRetried: a sweep whose GCTo fails counts
+// fsstore.gc_errors and leaves that store's manifest as it was; the next
+// tick collects it.
+func TestGCErrorCountedAndRetried(t *testing.T) {
+	cfg := testClusterConfig(t.TempDir(), 31)
+	cfg.GCInterval = 5 * time.Millisecond
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	// No node runs: the GC loop is the only thing touching the stores.
+	for p := 0; p < cfg.N; p++ {
+		for seq := 1; seq <= 3; seq++ {
+			rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: p, Seq: seq}, FinalizedAt: 1}
+			if err := c.FS(p).Finalize(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var diskBad atomic.Bool
+	diskBad.Store(true)
+	c.FS(0).SetFaultHook(func(op, _ string) error {
+		if op == "rename" && diskBad.Load() {
+			return errInjected // GCTo cannot publish the collected hint
+		}
+		return nil
+	})
+	c.gcWG.Add(1)
+	go c.gcLoop()
+	waitFor(t, 10*time.Second, func() bool { return c.Counter("fsstore.gc_errors") > 0 })
+	if got := c.FS(0).Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("P0's manifest after a failed GC = %v, want it untouched", got)
+	}
+	diskBad.Store(false)
+	waitFor(t, 10*time.Second, func() bool { return reflect.DeepEqual(c.FS(0).Manifest().Seqs, []int{3}) })
+}
 
 // TestWriteStableShutdownAccounting exercises the storageQ quit path:
 // writes racing a shutdown must not leave StorageQueueLen drifted.
