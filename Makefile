@@ -79,7 +79,7 @@ soak:
 # of runs to show (PR 20's GC-floor bug: about 1 in 40 of
 # TestStoreConcurrentUse, and in nothing else). The nightly soak runs it.
 fs-soak:
-	$(GO) test -race -count=30 -run 'TestEveryFaultSurfaces|TestStoreConcurrentUse|TestLostHintMatrix|TestCrashPointMatrix' ./internal/fsstore/
+	$(GO) test -race -count=30 -run 'TestEveryFaultSurfaces|TestStoreConcurrentUse|TestLostHintMatrix|TestCrashPointMatrix|TestHintFlatInHistory|TestHostileHints' ./internal/fsstore/
 
 fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/wire/
@@ -137,9 +137,15 @@ bench-check:
 # what does not depend on how fast the host is. The storage-bound one:
 # the outputs are correct, no operation failed, and a durable round costs
 # exactly four fsyncs at N = 4 — one per process's commit, none for the
-# manifest hint. Then crash-recover, the only workload that executes kill
-# -> RB_* handshake -> truncate -> replay end to end (about three cycles):
-# correct, and no operation failed.
+# manifest hint. Two ceilings on the same run guard "a checkpoint costs its
+# own bytes, not the history's", each with a third of headroom over what
+# the tree measures and each failing once the cost creeps with the round
+# number again: stable_bytes_per_round <= 2600 (about 1,860 here; 4,970 to
+# 5,350 when the hint listed every seq on every commit) and peak_rss_mb
+# <= 40 (the run's total allocation, the collector being off: about 28
+# here; 57 when every flush copied the process's whole checkpoint store). Then crash-recover,
+# the only workload that executes kill -> RB_* handshake -> truncate ->
+# replay end to end (about three cycles): correct, and no operation failed.
 bench-gate:
 	@gate() { workload="$$1"; shift; \
 		out="$$(bash bench/run.sh --workload "$$workload" --seed 1 --seconds 5 | tail -n 1)"; \
@@ -147,7 +153,12 @@ bench-gate:
 		for want in '"correct":true' '"failed":0,' "$$@"; do \
 			case "$$out" in *"$$want"*) ;; *) echo "bench-gate: the last line of $$workload lacks $$want"; exit 1;; esac; \
 		done; }; \
-	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && gate crash-recover
+	ceiling() { v="$$(printf '%s' "$$out" | sed -n 's/.*"'"$$1"'":{"value":\([0-9.eE+-]*\).*/\1/p')"; \
+		awk -v v="$$v" -v max="$$2" 'BEGIN { exit !(v != "" && v + 0 <= max) }' || \
+			{ echo "bench-gate: $$workload $$1 = $$v, over its ceiling of $$2"; exit 1; }; }; \
+	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && \
+		ceiling stable_bytes_per_round 2600 && ceiling peak_rss_mb 40 && \
+		gate crash-recover
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and analyzer fixtures. CI's test job prints it

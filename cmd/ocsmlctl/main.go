@@ -214,11 +214,31 @@ func (c *ctl) manifest() int {
 	}
 	fmt.Fprintf(c.stdout, "datadir        %s\n", resp.Datadir)
 	for _, m := range resp.Manifests {
-		fmt.Fprintf(c.stdout, "P%-3d durable   %v\n", m.Proc, m.Seqs)
+		fmt.Fprintf(c.stdout, "P%-3d durable   %s\n", m.Proc, formatRuns(m.Seqs))
 	}
-	fmt.Fprintf(c.stdout, "complete S_k   %v\n", resp.CompleteSeqs)
+	fmt.Fprintf(c.stdout, "complete S_k   %s\n", formatRuns(resp.CompleteSeqs))
 	fmt.Fprintf(c.stdout, "last complete  %d\n", resp.LastComplete)
 	return 0
+}
+
+// formatRuns prints ascending sequence numbers as comma-separated closed
+// runs ("1-920", "1-3,5-6", "7"; "none" when empty), so a long-running
+// cluster's manifest stays one line.
+func formatRuns(seqs []int) string {
+	if len(seqs) == 0 {
+		return "none"
+	}
+	var runs []string
+	for i, j := 0, 0; i < len(seqs); i = j + 1 {
+		for j = i; j+1 < len(seqs) && seqs[j+1] == seqs[j]+1; j++ {
+		}
+		if j > i {
+			runs = append(runs, fmt.Sprintf("%d-%d", seqs[i], seqs[j]))
+		} else {
+			runs = append(runs, fmt.Sprint(seqs[i]))
+		}
+	}
+	return strings.Join(runs, ",")
 }
 
 func (c *ctl) recovery() int {

@@ -173,3 +173,19 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
 }
+
+func TestFormatRuns(t *testing.T) {
+	for _, tc := range []struct {
+		seqs []int
+		want string
+	}{
+		{nil, "none"},
+		{[]int{7}, "7"},
+		{[]int{1, 2, 3, 4}, "1-4"},
+		{[]int{1, 2, 3, 5, 6, 9}, "1-3,5-6,9"},
+	} {
+		if got := formatRuns(tc.seqs); got != tc.want {
+			t.Errorf("formatRuns(%v) = %q, want %q", tc.seqs, got, tc.want)
+		}
+	}
+}

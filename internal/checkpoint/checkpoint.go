@@ -181,20 +181,22 @@ func (ps *ProcStore) TruncateAfter(seq int) int {
 func (ps *ProcStore) MarkStable(seq int, at des.Time) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	for i := range ps.recs {
-		if ps.recs[i].Seq == seq {
-			ps.recs[i].StableAt = at
-			return
-		}
+	if i := ps.searchLocked(seq); i < len(ps.recs) && ps.recs[i].Seq == seq {
+		ps.recs[i].StableAt = at
 	}
+}
+
+// searchLocked returns the index of the first record with Seq >= seq
+// (recs is ascending by Seq). Caller holds mu.
+func (ps *ProcStore) searchLocked(seq int) int {
+	return sort.Search(len(ps.recs), func(i int) bool { return ps.recs[i].Seq >= seq })
 }
 
 // Get returns the record with the given sequence number.
 func (ps *ProcStore) Get(seq int) (Record, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	i := sort.Search(len(ps.recs), func(i int) bool { return ps.recs[i].Seq >= seq })
-	if i < len(ps.recs) && ps.recs[i].Seq == seq {
+	if i := ps.searchLocked(seq); i < len(ps.recs) && ps.recs[i].Seq == seq {
 		return ps.recs[i], true
 	}
 	return Record{}, false
@@ -217,6 +219,15 @@ func (ps *ProcStore) All() []Record {
 	out := make([]Record, len(ps.recs))
 	copy(out, ps.recs)
 	return out
+}
+
+// After returns a copy of the records with Seq > seq, ascending by Seq:
+// the tail a flush still owes the disk, found by binary search and
+// copied alone, so its cost does not grow with the history below seq.
+func (ps *ProcStore) After(seq int) []Record {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return append([]Record(nil), ps.recs[ps.searchLocked(seq+1):]...)
 }
 
 // Len returns the number of finalized checkpoints.

@@ -142,3 +142,80 @@ func TestDirectionString(t *testing.T) {
 		t.Fatal("Direction.String wrong")
 	}
 }
+
+// TestProcStoreAfter: After(seq) is the records above seq, whatever the
+// store went through, and a copy — a flush ranges over it while the
+// protocol loop goes on adding, truncating and marking.
+func TestProcStoreAfter(t *testing.T) {
+	fill := func(seqs ...int) *ProcStore {
+		ps := NewStore(1).Proc(0)
+		for _, q := range seqs {
+			ps.Add(rec(0, q, des.Time(q), des.Time(q)))
+		}
+		return ps
+	}
+	truncated := fill(1, 2, 3, 4, 5)
+	truncated.TruncateAfter(3)
+	truncated.Add(rec(0, 4, 40, 41)) // re-finalized above the line
+	collected := fill(1, 2, 3, 4, 5)
+	collected.GC(3)
+
+	for _, tc := range []struct {
+		name string
+		ps   *ProcStore
+		seq  int
+		want []int
+	}{
+		{"empty store", fill(), 0, nil},
+		{"below the first record", fill(3, 4, 5), 1, []int{3, 4, 5}},
+		{"between records", fill(3, 4, 5), 3, []int{4, 5}},
+		{"in a gap", fill(1, 2, 5, 6), 3, []int{5, 6}},
+		{"at the last record", fill(3, 4, 5), 5, nil},
+		{"above the last record", fill(3, 4, 5), 9, nil},
+		{"the whole store", fill(0, 1, 2), -1, []int{0, 1, 2}},
+		{"after TruncateAfter and a re-Add, from the line", truncated, 3, []int{4}},
+		{"after TruncateAfter and a re-Add, from above the old tail", truncated, 5, nil},
+		{"after GC, from below the floor", collected, 1, []int{3, 4, 5}},
+		{"after GC, from the floor", collected, 3, []int{4, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.ps.After(tc.seq)
+			if len(got) != len(tc.want) {
+				t.Fatalf("After(%d) = %d records, want seqs %v", tc.seq, len(got), tc.want)
+			}
+			for i, r := range got {
+				if r.Seq != tc.want[i] {
+					t.Fatalf("After(%d)[%d].Seq = %d, want seqs %v", tc.seq, i, r.Seq, tc.want)
+				}
+				// Scribble on the result: the store must not see it.
+				got[i].StableAt = -1
+				if kept, _ := tc.ps.Get(r.Seq); kept.StableAt == -1 {
+					t.Fatalf("After(%d)[%d] aliases the store's record of seq %d", tc.seq, i, r.Seq)
+				}
+			}
+		})
+	}
+	if got := truncated.After(3); got[0].TakenAt != 40 {
+		t.Fatalf("After the line serves TakenAt %d, want the re-finalized record's 40", got[0].TakenAt)
+	}
+}
+
+// TestMarkStable: the binary search marks exactly the named record and
+// ignores a seq the store does not hold.
+func TestMarkStable(t *testing.T) {
+	ps := NewStore(1).Proc(0)
+	for _, q := range []int{2, 3, 5} {
+		ps.Add(rec(0, q, des.Time(q), des.Time(q)))
+	}
+	for _, q := range []int{1, 3, 4, 5, 6} {
+		ps.MarkStable(q, des.Time(100+q))
+	}
+	for _, want := range []struct {
+		seq int
+		at  des.Time
+	}{{2, 0}, {3, 103}, {5, 105}} {
+		if r, _ := ps.Get(want.seq); r.StableAt != want.at {
+			t.Errorf("seq %d StableAt = %d, want %d", want.seq, r.StableAt, want.at)
+		}
+	}
+}

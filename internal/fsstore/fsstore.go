@@ -6,7 +6,7 @@
 // Layout, one directory per process under a shared data directory:
 //
 //	<datadir>/p<id>/seg_000001.wal     segmented append-only log: the durable truth
-//	<datadir>/p<id>/MANIFEST.json      published hint: finalized seqs + segment sizes
+//	<datadir>/p<id>/MANIFEST.json      published hint: finalized seqs as runs + segment sizes
 //
 // The segment log alone says what is durable. It holds two kinds of
 // CRC-framed record: a full record (one checkpoint's state plus its
@@ -23,12 +23,16 @@
 // CompleteSeqs, LastCompleteSeq): after the sync, every commit rewrites
 // it by temp file + rename with no sync of its own, so it names a
 // sequence number only once that number's frame is durable, and is
-// visible before the commit returns. It is a hint, not a commit record:
-// a crash may leave an older version of it, an empty file or none, and
-// Open then loses nothing. Open takes two things from it that the log
-// does not carry: the owner check, and the GC floor (its first sequence
-// number), below which frames in the part of the log the hint had seen
-// stay collected.
+// visible before the commit returns. It lists the finalized sequence
+// numbers as closed runs [first, last] — one run under OCSML, more only
+// after a rebuild over a damaged log left a gap — so what a commit
+// writes there does not grow with the checkpoints already taken. It is
+// a hint, not a commit record: a crash may leave an older version of it,
+// an empty file or none, and Open then loses nothing; the same goes for
+// a file of another shape (a build that listed every seq wrote "seqs").
+// Open takes two things from it that the log does not carry: the owner
+// check, and the GC floor (the first run's start), below which frames in
+// the part of the log the hint had seen stay collected.
 //
 // The manifest of every process, intersected (Intersect,
 // LastCompleteSeq), yields the last finalized global checkpoint S_k on
@@ -61,14 +65,17 @@ type SegmentMeta struct {
 	Size  int64 `json:"size"`
 }
 
-// Manifest records what a process has durably finalized.
+// Manifest records what a process has durably finalized: the store's
+// in-memory view and the admin API's response body. MANIFEST.json holds
+// the same thing with Seqs folded into runs (hintFile).
 type Manifest struct {
 	// Proc is the owning process id.
 	Proc int `json:"proc"`
 	// N is the cluster size the process was configured with.
 	N int `json:"n"`
 	// Seqs lists every finalized checkpoint sequence number on disk,
-	// ascending (gap-free from the first entry under OCSML).
+	// strictly ascending (gap-free from the first entry under OCSML; a
+	// rebuild over a damaged log can leave gaps).
 	Seqs []int `json:"seqs"`
 	// Segments lists the segmented log's files and their durable byte
 	// lengths, ascending by index; the last entry is the active segment.
@@ -250,13 +257,20 @@ func openWith(datadir string, proc, n int, opts Options, fault func(op, path str
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	var old Manifest
-	if json.Unmarshal(hint, &old) != nil {
-		old = Manifest{Proc: proc} // torn, empty or absent: the hint says nothing
-	} else if old.Proc != proc {
-		return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, old.Proc, proc)
+	// A hint that does not decode — torn, empty, absent, or written by a
+	// build that listed "seqs" — says nothing. One that does is never
+	// expanded: Open takes the owner, the GC floor (the first run's start)
+	// and how far into the log the hint had seen (its last segment entry).
+	floor, seen := 0, SegmentMeta{}
+	if old, err := decodeHint(hint); err == nil {
+		if old.Proc != proc {
+			return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, old.Proc, proc)
+		}
+		if len(old.Runs) > 0 && len(old.Segments) > 0 {
+			floor, seen = old.Runs[0][0], old.Segments[len(old.Segments)-1]
+		}
 	}
-	if err := s.replayLocked(old, hint); err != nil {
+	if err := s.replayLocked(floor, seen, hint); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -264,10 +278,11 @@ func openWith(datadir string, proc, n int, opts Options, fault func(op, path str
 
 // replayLocked is Open's loader: scan every segment file in index order
 // into the manifest and the seq -> location index, drop what the hint
-// (old, parsed from the bytes hint) says GC had collected, then repair
-// the directory. Every segment scans before anything is repaired, so a
-// refused directory is left exactly as found.
-func (s *Store) replayLocked(old Manifest, hint []byte) error {
+// says GC had collected (seqs below floor, in the log up to seen), then
+// repair the directory and republish the hint unless its bytes, hint,
+// already say what the log does. Every segment scans before anything is
+// repaired, so a refused directory is left exactly as found.
+func (s *Store) replayLocked(floor int, seen SegmentMeta, hint []byte) error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
@@ -282,13 +297,9 @@ func (s *Store) replayLocked(old Manifest, hint []byte) error {
 		}
 	}
 	sort.Ints(segIdxs)
-	// The hint's GC floor is its first seq, and it covers the log as far
-	// as the hint had seen it, its last segment entry: a frame committed
-	// after an older hint was published is not below that hint's floor.
-	floor, seen := 0, SegmentMeta{}
-	if len(old.Seqs) > 0 && len(old.Segments) > 0 {
-		floor, seen = old.Seqs[0], old.Segments[len(old.Segments)-1]
-	}
+	// The hint's GC floor covers the log as far as the hint had seen it: a
+	// frame committed after an older hint was published is not below that
+	// hint's floor.
 	collect := func() {
 		for q := range s.index {
 			if q < floor {
@@ -349,11 +360,10 @@ func (s *Store) replayLocked(old Manifest, hint []byte) error {
 			return err
 		}
 	}
-	mdata, err := json.Marshal(&s.man)
-	if err != nil || bytes.Equal(mdata, hint) {
-		return err
+	if mdata := encodeHint(&s.man); !bytes.Equal(mdata, hint) {
+		return s.writeHintLocked(mdata)
 	}
-	return s.writeHintLocked(mdata)
+	return nil
 }
 
 // truncateTailLocked cuts a segment file back to its durable size and
@@ -405,6 +415,85 @@ func (s *Store) LastSeq() int {
 // hintName is the published hint's file name in a process directory.
 const hintName = "MANIFEST.json"
 
+// maxHintSeqs bounds how many seqs a reader expands a hint's runs into:
+// the bound wire.maxRbSeqs puts on the same list in an RB_LINE.
+const maxHintSeqs = 1 << 20
+
+// hintFile is MANIFEST.json: the manifest with its seqs as closed runs
+// [first, last], ascending — one run under OCSML, more only where a
+// rebuild left a gap — so the file's size follows the number of gaps and
+// segments, not the number of checkpoints. encodeHint and decodeHint are
+// the only code that knows the shape.
+type hintFile struct {
+	Proc     int           `json:"proc"`
+	N        int           `json:"n"`
+	Runs     [][2]int      `json:"runs"`
+	Segments []SegmentMeta `json:"segments,omitempty"`
+}
+
+// encodeHint renders m as the hint file's bytes.
+func encodeHint(m *Manifest) []byte {
+	h := hintFile{Proc: m.Proc, N: m.N, Runs: [][2]int{}, Segments: m.Segments}
+	if k := len(m.Seqs); k > 0 && m.Seqs[k-1]-m.Seqs[0] == k-1 {
+		// Seqs ascend strictly, so the endpoints alone say they are
+		// contiguous: the common case costs nothing per seq.
+		h.Runs = append(h.Runs, [2]int{m.Seqs[0], m.Seqs[k-1]})
+	} else {
+		for _, q := range m.Seqs {
+			if last := len(h.Runs) - 1; last >= 0 && h.Runs[last][1]+1 == q {
+				h.Runs[last][1] = q
+			} else {
+				h.Runs = append(h.Runs, [2]int{q, q})
+			}
+		}
+	}
+	data, _ := json.Marshal(&h) // a struct of ints and slices of ints: cannot fail
+	return data
+}
+
+// decodeHint parses a hint file and checks its runs are well formed:
+// bounds non-negative, first <= last, each run above the one before. It
+// allocates in proportion to the bytes given, never to what the runs
+// claim. A hint of the previous format ("seqs") decodes to one with no
+// runs: it says nothing.
+func decodeHint(raw []byte) (hintFile, error) {
+	var h hintFile
+	if err := json.Unmarshal(raw, &h); err != nil {
+		return hintFile{}, err
+	}
+	prev := -1
+	for _, run := range h.Runs {
+		if run[0] <= prev || run[1] < run[0] {
+			return hintFile{}, fmt.Errorf("run %v is not a non-negative [first, last] above the run before it", run)
+		}
+		prev = run[1]
+	}
+	return h, nil
+}
+
+// seqs expands the runs, refusing — before allocating — more than
+// maxHintSeqs in total: a poller must not be made to allocate what a
+// few bytes of hint claim.
+func (h *hintFile) seqs() ([]int, error) {
+	total := 0
+	for _, run := range h.Runs {
+		if run[1]-run[0] >= maxHintSeqs-total {
+			return nil, fmt.Errorf("runs name more than %d seqs", maxHintSeqs)
+		}
+		total += run[1] - run[0] + 1
+	}
+	if total == 0 {
+		return nil, nil // as a hint without seqs always read: /v1/manifest prints it
+	}
+	seqs := make([]int, 0, total)
+	for _, run := range h.Runs {
+		for q := run[0]; q <= run[1]; q++ {
+			seqs = append(seqs, q)
+		}
+	}
+	return seqs, nil
+}
+
 // writeHintLocked publishes data as MANIFEST.json by temp file + rename,
 // so a poller reads the old hint or the new one and never a torn one.
 // Nothing is synced, on purpose: the segment log is the durable truth,
@@ -445,10 +534,7 @@ func (s *Store) writeHintLocked(data []byte) error {
 func (s *Store) publishLocked(seqs []int, segs []SegmentMeta) error {
 	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
 	s.man.Seqs, s.man.Segments = seqs, segs
-	mdata, err := json.Marshal(&s.man)
-	if err == nil {
-		err = s.writeHintLocked(mdata)
-	}
+	err := s.writeHintLocked(encodeHint(&s.man))
 	if err != nil {
 		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
 	}
@@ -804,7 +890,10 @@ func RecoverStore(datadir string, n int) (*checkpoint.Store, error) {
 // Open's sweep would delete the temp file of a publication in flight and
 // fail that process's rename. A commit publishes only after its sync, so
 // every seq read here is durable. A missing directory or manifest yields
-// an empty manifest (the process has published nothing yet).
+// an empty manifest (the process has published nothing yet). This is the
+// one place a hint's runs are expanded into Seqs: malformed runs, or runs
+// naming more than maxHintSeqs seqs, are a corrupt manifest, refused
+// before anything is allocated for them.
 func ReadManifest(datadir string, proc int) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(ProcDir(datadir, proc), hintName))
 	switch {
@@ -813,11 +902,15 @@ func ReadManifest(datadir string, proc int) (Manifest, error) {
 	case err != nil:
 		return Manifest{}, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
+	h, err := decodeHint(raw)
+	var seqs []int
+	if err == nil {
+		seqs, err = h.seqs()
+	}
+	if err != nil {
 		return Manifest{}, fmt.Errorf("fsstore: corrupt manifest for P%d: %w", proc, err)
 	}
-	return m, nil
+	return Manifest{Proc: h.Proc, N: h.N, Seqs: seqs, Segments: h.Segments}, nil
 }
 
 // Intersect returns the sequence numbers present in every one of the

@@ -1,7 +1,6 @@
 package fsstore
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,10 +15,7 @@ func writeManifest(t *testing.T, datadir string, proc, n int, seqs []int) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(&Manifest{Proc: proc, N: n, Seqs: seqs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeHint(&Manifest{Proc: proc, N: n, Seqs: seqs})
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +171,13 @@ func TestTornManifestRebuild(t *testing.T) {
 		t.Fatalf("rebuilt manifest seqs = %v, want [1 2 3]", got)
 	}
 	// The rebuild is written back: a third open must not rebuild again.
-	var m Manifest
 	raw, err = os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("rebuilt manifest not valid JSON: %v", err)
+	m, err := decodeHint(raw)
+	if err != nil {
+		t.Fatalf("rebuilt manifest does not decode: %v", err)
 	}
 	if m.Proc != 1 || m.N != 3 {
 		t.Fatalf("rebuilt manifest header = P%d/n=%d, want P1/n=3", m.Proc, m.N)

@@ -390,14 +390,17 @@ func (n *Node) completeDurable() {
 // group commit: every finalized-but-unpersisted record joins a single
 // FinalizeBatch, so a backlog of k checkpoints costs one fsync chain,
 // not k. It returns the highest finalized seq it found, which is above
-// the persisted watermark exactly when a record stayed off the disk. Runs
-// on the storage goroutine; the ProcStore is mutex-protected and the
-// persisted watermark is only touched here.
+// the persisted watermark exactly when a record stayed off the disk. Only
+// the records above the watermark are read, so a flush costs its batch,
+// not the history. Runs on the storage goroutine, as does truncateDisk,
+// the one other place that sets the watermark (a rollback lowers it to
+// the line, and the next flush picks the re-finalized seqs up from
+// there); the ProcStore is mutex-protected.
 func (n *Node) persistFinalized() (finalized int) {
 	finalized = n.persisted
 	var batch []checkpoint.Record
-	for _, rec := range n.cfg.Ckpts.Proc(n.cfg.ID).All() {
-		if rec.Seq <= n.persisted || rec.FinalizedAt == 0 {
+	for _, rec := range n.cfg.Ckpts.Proc(n.cfg.ID).After(n.persisted) {
+		if rec.FinalizedAt == 0 {
 			continue
 		}
 		finalized = rec.Seq

@@ -11,11 +11,13 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ocsml/internal/checkpoint"
+	"ocsml/internal/core"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/protocol"
 	"ocsml/internal/trace"
@@ -101,6 +103,67 @@ func TestNodeFinalizeRetry(t *testing.T) {
 		}
 	}
 	validateDisk(t, dir, 4, 1)
+}
+
+// TestPersistFinalizedCostsItsBatch: a flush reads the records above the
+// persisted watermark and nothing else, so what it allocates does not
+// depend on how many checkpoints the process has behind it. (At the
+// parent it copied the whole ProcStore and the hint listed every seq: a
+// flush over 16 records of history allocated 4,656 B, over 4,096 records
+// 554,960 B.)
+func TestPersistFinalizedCostsItsBatch(t *testing.T) {
+	rec := func(seq int) checkpoint.Record {
+		return checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 0, Seq: seq}, FinalizedAt: 1}
+	}
+	// flushAlloc builds an unstarted node whose ProcStore and store hold
+	// history finalized-and-persisted records, then finalizes one record
+	// more and runs the flush on this goroutine. The cheapest of four such
+	// flushes is reported: the seq list and the index grow by doubling, and
+	// one flush in many pays for that.
+	flushAlloc := func(history int) uint64 {
+		fs, err := fsstore.Open(t.TempDir(), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts := checkpoint.NewStore(2)
+		lns, addrs := listenLocal(t, 2)
+		lns[1].Close()
+		n, err := NewNode(NodeConfig{
+			ID: 0, N: 2, Addrs: addrs, Listener: lns[0], Seed: 1, Resume: -1,
+			Proto: core.New(core.Options{}), App: rewindApp{}, FS: fs,
+			Rec: trace.NewRecorder(), Ckpts: ckpts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		batch := make([]checkpoint.Record, 0, history)
+		for seq := 1; seq <= history; seq++ {
+			ckpts.Proc(0).Add(rec(seq))
+			batch = append(batch, rec(seq))
+		}
+		if _, err := fs.FinalizeBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		n.persisted = history
+		least := ^uint64(0)
+		for seq := history + 1; seq <= history+4; seq++ {
+			ckpts.Proc(0).Add(rec(seq))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			finalized := n.persistFinalized()
+			runtime.ReadMemStats(&after)
+			if finalized != seq || n.persisted != seq || fs.LastSeq() != seq {
+				t.Fatalf("flush of seq %d: finalized %d, persisted %d, on disk %d", seq, finalized, n.persisted, fs.LastSeq())
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	short, long := flushAlloc(16), flushAlloc(4096)
+	if diff := int64(long) - int64(short); diff > 1<<10 || diff < -1<<10 {
+		t.Fatalf("a flush allocated %d B over 16 records of history and %d B over 4096: want them within 1 KiB", short, long)
+	}
 }
 
 var errInjected = &net.AddrError{Err: "injected", Addr: "fsstore"}
