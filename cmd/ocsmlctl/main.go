@@ -253,6 +253,10 @@ func (c *ctl) recovery() int {
 		Line     int              `json:"line"`
 		Epoch    int              `json:"epoch"`
 		Counters map[string]int64 `json:"counters"`
+		Phases   []struct {
+			Phase  string  `json:"phase"`
+			LastMs float64 `json:"lastMs"`
+		} `json:"phases"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		fmt.Fprintf(c.stderr, "ocsmlctl: decoding recovery: %v\n", err)
@@ -260,6 +264,9 @@ func (c *ctl) recovery() int {
 	}
 	fmt.Fprintf(c.stdout, "last line  %d\n", resp.Line)
 	fmt.Fprintf(c.stdout, "epoch      %d\n", resp.Epoch)
+	for _, ph := range resp.Phases {
+		fmt.Fprintf(c.stdout, "last %-10s %.2f ms\n", ph.Phase, ph.LastMs)
+	}
 	names := make([]string, 0, len(resp.Counters))
 	for name := range resp.Counters {
 		names = append(names, name)

@@ -15,8 +15,8 @@ import (
 )
 
 // startCluster stands up an in-process 3-node cluster with an admin
-// server, returning the admin address the CLI should dial.
-func startCluster(t *testing.T) string {
+// server, returning it and the admin address the CLI should dial.
+func startCluster(t *testing.T) (*transport.Cluster, string) {
 	t.Helper()
 	dir := t.TempDir()
 	c, err := transport.NewCluster(transport.ClusterConfig{
@@ -51,7 +51,7 @@ func startCluster(t *testing.T) string {
 		srv.Close()
 		c.Stop()
 	})
-	return srv.Addr()
+	return c, srv.Addr()
 }
 
 // runCtl invokes the CLI's run with captured output.
@@ -66,8 +66,13 @@ func TestStatusHuman(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
 	}
-	addr := startCluster(t)
+	_, addr := startCluster(t)
 	code, out, errb := runCtl(t, "-node", addr, "status")
+	// The nodes have only just started dialling each other.
+	for i := 0; i < 100 && code == 0 && strings.Count(out, "2/2 up") < 3; i++ {
+		time.Sleep(10 * time.Millisecond)
+		code, out, errb = runCtl(t, "-node", addr, "status")
+	}
 	if code != 0 {
 		t.Fatalf("status exit %d, stderr: %s", code, errb)
 	}
@@ -82,7 +87,7 @@ func TestStatusJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
 	}
-	addr := startCluster(t)
+	_, addr := startCluster(t)
 	code, out, errb := runCtl(t, "-node", addr, "-json", "status")
 	if code != 0 {
 		t.Fatalf("status exit %d, stderr: %s", code, errb)
@@ -107,7 +112,7 @@ func TestCheckpointManifestRecoveryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
 	}
-	addr := startCluster(t)
+	c, addr := startCluster(t)
 
 	code, out, errb := runCtl(t, "-node", addr, "checkpoint")
 	if code != 0 {
@@ -133,8 +138,18 @@ func TestCheckpointManifestRecoveryMetrics(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("recovery exit %d, stderr: %s", code, errb)
 	}
-	if !strings.Contains(out, "last line  -1") {
+	if !strings.Contains(out, "last line  -1") || strings.Contains(out, "ms") {
 		t.Fatalf("recovery output (no rollback expected):\n%s", out)
+	}
+	c.Kill(2)
+	if _, err := c.Recover(2); err != nil {
+		t.Fatal(err)
+	}
+	_, out, _ = runCtl(t, "-node", addr, "recovery")
+	for _, want := range []string{"last line  1", "last reopen ", "last handshake ", "last restart "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("recovery output after a recovery missing %q:\n%s", want, out)
+		}
 	}
 
 	code, out, errb = runCtl(t, "-node", addr, "metrics")

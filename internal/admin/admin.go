@@ -15,7 +15,7 @@
 //
 //	GET  /v1/status      per-node protocol snapshots + peer liveness
 //	GET  /v1/manifest    durable manifests and the complete global seqs
-//	GET  /v1/recovery    last committed line, fence epoch, replay counters
+//	GET  /v1/recovery    last committed line, fence epoch, replay counters, last recovery's phases
 //	POST /v1/checkpoint  trigger a tentative checkpoint round
 //	GET  /v1/healthz     liveness (the server itself is up)
 //	GET  /v1/readyz      readiness (every local node answers a snapshot)
@@ -230,6 +230,14 @@ type recoveryResponse struct {
 	// Counters are the free-form "recovery.*" events (rollbacks,
 	// replayed_msgs, dup_dropped, ...) accumulated since start.
 	Counters map[string]int64 `json:"counters"`
+	// Phases is what the last recovery this host coordinated spent where,
+	// in transport.RecoveryPhaseNames order (absent: it coordinated none).
+	Phases []recoveryPhase `json:"phases,omitempty"`
+}
+
+type recoveryPhase struct {
+	Phase  string  `json:"phase"`
+	LastMs float64 `json:"lastMs"`
 }
 
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
@@ -251,11 +259,15 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 			resp.Epoch = st.Epoch
 		}
 	}
-	if s.cfg.Registry != nil {
-		for name, v := range s.cfg.Registry.EventCounts() {
-			if strings.HasPrefix(name, "recovery.") {
-				resp.Counters[name] = v
-			}
+	for name, v := range s.cfg.Registry.EventCounts() {
+		if strings.HasPrefix(name, "recovery.") {
+			resp.Counters[name] = v
+		}
+	}
+	phases := transport.RecoveryPhases(s.cfg.Registry)
+	for _, name := range transport.RecoveryPhaseNames {
+		if sm := phases.With(name); sm.Count() > 0 {
+			resp.Phases = append(resp.Phases, recoveryPhase{Phase: name, LastMs: sm.Last() * 1e3})
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

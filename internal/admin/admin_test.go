@@ -99,7 +99,7 @@ func TestControlPlane(t *testing.T) {
 		t.Skip("real-time cluster test")
 	}
 	dir := t.TempDir()
-	_, srv := testCluster(t, dir)
+	c, srv := testCluster(t, dir)
 
 	if code, body := get(t, srv, "/v1/healthz"); code != http.StatusOK || !bytes.Contains(body, []byte("ok")) {
 		t.Fatalf("healthz: code %d body %q", code, body)
@@ -189,8 +189,25 @@ func TestControlPlane(t *testing.T) {
 	if rc.Line != -1 {
 		t.Fatalf("recovery: line = %d, want -1 (no rollback happened)", rc.Line)
 	}
-	if rc.Counters["recovery.rollbacks"] != 0 {
-		t.Fatalf("recovery: unexpected rollbacks: %v", rc.Counters)
+	if rc.Counters["recovery.rollbacks"] != 0 || len(rc.Phases) != 0 {
+		t.Fatalf("recovery: unexpected rollbacks or phases: %+v", rc)
+	}
+
+	// One kill and recovery later the endpoint says where it went and
+	// what it spent on each stage, in stage order.
+	c.Kill(1)
+	line, err := c.Recover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc = recoveryResponse{}
+	if _, body = get(t, srv, "/v1/recovery"); json.Unmarshal(body, &rc) != nil || rc.Line != line || len(rc.Phases) != 3 {
+		t.Fatalf("recovery after a recovery to line %d: %s", line, body)
+	}
+	for k, ph := range rc.Phases {
+		if ph.Phase != transport.RecoveryPhaseNames[k] || ph.LastMs <= 0 {
+			t.Fatalf("recovery: phase %d is %+v, want a positive %s", k, ph, transport.RecoveryPhaseNames[k])
+		}
 	}
 
 	checkMetricsExposition(t, srv)
@@ -242,6 +259,7 @@ func checkMetricsExposition(t *testing.T, srv *Server) {
 		"ocsml_events_total",            // free-form counter namespace
 		"ocsml_wire_piggyback_bytes_total",
 		"ocsml_node_storage_queue",
+		"ocsml_recovery_phase_seconds",
 	} {
 		if !families[want] {
 			t.Fatalf("metrics: missing family %s; have %v", want, families)

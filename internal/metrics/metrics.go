@@ -73,6 +73,8 @@ type Summary struct {
 	sum float64
 	//ocsml:guardedby mu
 	sorted bool
+	//ocsml:guardedby mu
+	last float64
 }
 
 // Observe records one sample.
@@ -81,7 +83,15 @@ func (s *Summary) Observe(v float64) {
 	defer s.mu.Unlock()
 	s.samples = append(s.samples, v)
 	s.sum += v
+	s.last = v
 	s.sorted = false
+}
+
+// Last returns the most recent observation, or 0 with no samples.
+func (s *Summary) Last() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.last
 }
 
 // Count returns the number of observations.

@@ -10,6 +10,7 @@ import (
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/core"
+	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
 	"ocsml/internal/trace"
@@ -368,6 +369,20 @@ func (c *Cluster) stop(beforeClose func()) {
 	}
 }
 
+// RecoveryPhaseNames are the stages of one Cluster.Recover, in order:
+// reopen (close the dead incarnation, replay its store, rebind its
+// address), handshake (the RB_* round, see coordinate) and restart
+// (truncate and reload at the line, build and start the node).
+var RecoveryPhaseNames = [...]string{"reopen", "handshake", "restart"}
+
+// RecoveryPhases registers (or retrieves) the family Recover observes its
+// stages into, one series per RecoveryPhaseNames entry — the one coordinator
+// probe, read back by the admin API's /v1/recovery.
+func RecoveryPhases(reg *metrics.Registry) *metrics.SummaryVec {
+	return reg.MustSummaryVec("ocsml_recovery_phase_seconds",
+		"Wall time of each stage of a recovery this host coordinated.", "phase")
+}
+
 // Kill crashes process i: its node stops abruptly, volatile state (the
 // in-memory protocol state, unflushed tentative checkpoints and logs)
 // is gone; only its fsstore directory survives.
@@ -397,6 +412,8 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	// reload below could collect records the restart is about to read.
 	c.setRecovering(true)
 	defer c.setRecovering(false)
+	now := c.Node(victim).Now // the cluster's clock; it outlives the node
+	t0 := now()
 	c.Node(victim).Close() // releases the address when Kill has not
 	// The reopened store votes with its manifest in the line intersection.
 	fs, err := c.openStore(victim)
@@ -408,7 +425,9 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
+	t1 := now()
 	line, err := c.coordinate(victim, ln, fs.Manifest().Seqs) // closes ln, so the node below can rebind
+	t2 := now()
 	if err != nil {
 		return -1, err
 	}
@@ -429,6 +448,10 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	c.mu.Unlock()
 	n.Start()
 	c.count("recovery.restarts", 1)
+	phases := RecoveryPhases(c.Metrics)
+	for k, d := range []des.Time{t1 - t0, t2 - t1, now() - t2} {
+		phases.With(RecoveryPhaseNames[k]).Observe(time.Duration(d).Seconds())
+	}
 	return line, nil
 }
 

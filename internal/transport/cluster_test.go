@@ -11,6 +11,7 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/faultnet"
 	"ocsml/internal/fsstore"
+	"ocsml/internal/trace"
 	"ocsml/internal/workload"
 )
 
@@ -254,6 +255,61 @@ func TestClusterKillRestart(t *testing.T) {
 	// The in-memory store must agree with disk about the new line.
 	if max := c.Ckpts.MaxCompleteSeq(); max < line+1 {
 		t.Fatalf("in-memory complete seq %d, want >= %d", max, line+1)
+	}
+}
+
+// TestRecoverNeedsNoRetryTick: with traffic running, a recovery begun the
+// moment after the kill completes its first exchange without a resend —
+// the coordinator sends each survivor one RB_BGN, not two. The survivors'
+// answers used to be written into their connections to the victim's dead
+// incarnation, so every recovery waited out one rbRetry. RB_BGN only: its
+// answer needs no disk, whereas RB_ACK follows a survivor's fsync and may
+// legitimately outlast a tick under -race.
+func TestRecoverNeedsNoRetryTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 17)
+	cfg.Workload.Steps = 100000 // effectively endless; the test stops the cluster
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	pre := 0
+	waitFor(t, 20*time.Second, func() bool {
+		pre, err = fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && pre >= 2
+	})
+
+	const victim = 2
+	c.Kill(victim)
+	line, err := c.Recover(victim)
+	if err != nil || line < pre {
+		t.Fatalf("recover: line %d, %v; want a line >= %d, durable before the kill", line, err, pre)
+	}
+	if got := c.Counter("ctl.RB_BGN"); got != int64(cfg.N-1) {
+		t.Fatalf("coordinator sent %d RB_BGN, want %d: an answer waited for the retry tick", got, cfg.N-1)
+	}
+	for _, name := range RecoveryPhaseNames {
+		if sm := RecoveryPhases(c.Metrics).With(name); sm.Count() != 1 || sm.Last() <= 0 {
+			t.Fatalf("phase %s: %d observation(s), last %v; want one, positive", name, sm.Count(), sm.Last())
+		}
+	}
+	mark := c.Rec.Len()
+	waitFor(t, 10*time.Second, func() bool {
+		for _, e := range c.Rec.Events()[mark:] {
+			if e.Kind == trace.KRecv && e.Proc == victim {
+				return true
+			}
+		}
+		return false
+	})
+	c.Stop()
+	if _, err := c.CheckGlobals(); err != nil {
+		t.Fatal(err)
 	}
 }
 

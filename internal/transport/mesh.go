@@ -74,6 +74,9 @@ type Mesh struct {
 	accept func(src int) func(frame []byte)
 
 	peers []*peer // indexed by process id; peers[ID] is nil
+	// incarnation tells this mesh from an earlier one at the same address;
+	// every hello carries it (never 0).
+	incarnation uint64
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -99,6 +102,12 @@ type peer struct {
 	// connected tracks whether the writer currently holds an established
 	// outbound connection — the liveness bit the admin API reports.
 	connected atomic.Bool
+	// hello is the incarnation the peer announced in its latest inbound
+	// hello (0: none, or heeded) and wake a token serveConn offers with each
+	// (see writerLoop). One token is enough, and one left over costs at most
+	// a single immediate redial later.
+	hello atomic.Uint64
+	wake  chan struct{}
 }
 
 // PeerInfo is one peer's liveness snapshot as the admin API reports it.
@@ -151,12 +160,14 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 		peers:  make([]*peer, n),
 		quit:   make(chan struct{}),
 		conns:  map[net.Conn]struct{}{},
+		//ocsml:wallclock incarnations need uniqueness across OS processes, never replayed
+		incarnation: uint64(time.Now().UnixNano()),
 	}
 	for j := 0; j < n; j++ {
 		if j == cfg.ID {
 			continue
 		}
-		m.peers[j] = &peer{id: j, out: make(chan *wire.Frame, peerQueueLen)}
+		m.peers[j] = &peer{id: j, out: make(chan *wire.Frame, peerQueueLen), wake: make(chan struct{}, 1)}
 	}
 	return m, nil
 }
@@ -285,15 +296,25 @@ func (m *Mesh) acceptLoop() {
 	}
 }
 
-// serveConn reads the hello frame identifying the dialing peer, then
-// passes every subsequent frame to the connection's handler. The frame
-// buffer is reused between reads, so handlers must finish with (or
-// copy) a frame before returning.
+// serveConn reads the hello frame identifying the dialing peer, tells the
+// writer toward that peer (the return rule, see writerLoop), answers with
+// this mesh's own hello, then passes every subsequent frame to the
+// connection's handler. The frame buffer is reused between reads, so
+// handlers must finish with (or copy) a frame before returning.
 func (m *Mesh) serveConn(c net.Conn) {
 	defer m.wg.Done()
 	defer m.untrackConn(c)
-	src, err := readHello(c, len(m.cfg.Addrs))
+	src, incarnation, err := readHello(c, len(m.cfg.Addrs))
 	if err != nil || src == m.cfg.ID {
+		return
+	}
+	p := m.peers[src]
+	p.hello.Store(incarnation)
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+	if writeHello(c, m.cfg.ID, m.incarnation) != nil { // the reply, all we ever write here
 		return
 	}
 	handler := m.accept(src)
@@ -317,6 +338,17 @@ func (m *Mesh) serveConn(c net.Conn) {
 // connection, where it is re-encoded from scratch (the new
 // connection's decoder has no delta base).
 //
+// Connection liveness is two rules (DESIGN.md §13.2). Death from the
+// socket: after its hello reply the peer never writes on a connection we
+// dialled, so the watcher's Read returning is the death notice, and the
+// writer drops the connection before offering it another frame — a write
+// into a socket whose peer has closed succeeds in the kernel and the frame
+// vanishes. Return from the hello: a process binds its listener before it
+// dials, so a peer's inbound hello (serveConn) ends the backoff sleep at
+// once; and it names the peer's incarnation, so a connection whose far end
+// answered as another one is dropped even while its death notice is still
+// on its way to the watcher.
+//
 // The steady-state batch encode+write is a hot path: all its buffers
 // (wbuf, bufs, ends, pbs, batch, carry) amortize to zero allocations.
 // The dial/backoff preamble is annotated cold where it allocates.
@@ -328,6 +360,7 @@ func (m *Mesh) writerLoop(p *peer) {
 	backoff := dialBackoff
 	everConnected := false
 	var conn net.Conn
+	var lk *link // conn's watcher state
 	var pe wire.PeerEncoder
 	var carry []*wire.Frame // frames whose write failed, resent first on reconnect
 	var batch []*wire.Frame // frames encoded into the current write
@@ -336,9 +369,8 @@ func (m *Mesh) writerLoop(p *peer) {
 	var ends []int64        // cumulative wire bytes through each frame
 	var pbs []int64         // per-frame piggyback payload bytes
 	defer func() {
-		p.connected.Store(false)
 		if conn != nil {
-			m.untrackConn(conn)
+			m.hangUp(p, conn)
 		}
 	}()
 	for {
@@ -346,29 +378,36 @@ func (m *Mesh) writerLoop(p *peer) {
 		for conn == nil {
 			c, err := net.DialTimeout("tcp", m.cfg.Addrs[p.id], backoff+time.Second)
 			if err == nil {
-				err = writeHello(c, m.cfg.ID)
+				err = writeHello(c, m.cfg.ID, m.incarnation)
 			}
 			if err != nil {
 				if c != nil {
 					c.Close()
 				}
 				// Jittered exponential backoff: sleep uniform in
-				// [backoff/2, 3*backoff/2), then double up to the cap.
+				// [backoff/2, 3*backoff/2), then double up to the cap —
+				// unless the peer's hello says it is back.
 				d := backoff/2 + time.Duration(rng.Int63n(int64(backoff)+1))
 				select {
 				case <-time.After(d):
+					if backoff *= 2; backoff > dialBackoffCap {
+						backoff = dialBackoffCap
+					}
+				case <-p.wake:
+					backoff = dialBackoff
 				case <-m.quit:
 					return
-				}
-				if backoff *= 2; backoff > dialBackoffCap {
-					backoff = dialBackoffCap
 				}
 				continue
 			}
 			if !m.trackConn(c) {
 				return
 			}
-			conn = c
+			conn, lk = c, m.watch(c, p.id)
+			select {
+			case <-p.wake: // the hello that announced this connection's listener
+			default:
+			}
 			// A fresh connection means a fresh decoder on the far side:
 			// forget the delta base so the next piggyback goes out whole.
 			pe.Reset()
@@ -388,6 +427,8 @@ func (m *Mesh) writerLoop(p *peer) {
 			select {
 			case f := <-p.out:
 				batch = append(batch, f)
+			case <-p.wake:
+			case <-lk.dead:
 			case <-m.quit:
 				return
 			}
@@ -400,6 +441,22 @@ func (m *Mesh) writerLoop(p *peer) {
 			default:
 				break drain
 			}
+		}
+		far, hello := lk.incarnation.Load(), p.hello.Load()
+		gone := far != 0 && hello != 0 && far != hello
+		select {
+		case <-lk.dead:
+			gone = true
+		default:
+		}
+		if gone {
+			// A hello is heeded once: what answers the redial is the truth,
+			// whoever else claims the peer's id.
+			p.hello.CompareAndSwap(hello, 0)
+			carry = append(carry, batch...)
+			m.hangUp(p, conn)
+			conn = nil
+			continue
 		}
 
 		// Encode the batch into one buffer: per frame a 4-byte length
@@ -458,11 +515,47 @@ func (m *Mesh) writerLoop(p *peer) {
 			// reader abandons the stream mid-frame); it is re-encoded in
 			// full on the next connection, like the rest of the tail.
 			carry = append(carry[:0], enc[sent:]...)
-			p.connected.Store(false)
-			m.untrackConn(conn)
+			m.hangUp(p, conn)
 			conn = nil
 		}
 	}
+}
+
+// hangUp closes the writer's connection to p (which also ends its
+// watcher) and clears the liveness bit; only p's writer calls it.
+func (m *Mesh) hangUp(p *peer, conn net.Conn) {
+	p.connected.Store(false)
+	m.untrackConn(conn)
+}
+
+// link is what the watcher of one outbound connection tells the writer.
+type link struct {
+	// incarnation is the far end's, from its hello reply (0: not read yet).
+	incarnation atomic.Uint64
+	// dead is closed when the connection dies.
+	dead chan struct{}
+}
+
+// watch starts the watcher of one outbound connection to dst: it reads
+// the acceptor's hello reply, then blocks in a Read that returns only for
+// EOF, a reset or our own Close (hangUp, Mesh.Close), because nothing else
+// is ever sent to us on a connection we dialled — and a stray byte, like a
+// bad reply, ends the connection just the same.
+//
+//ocsml:alloc once per connection
+func (m *Mesh) watch(c net.Conn, dst int) *link {
+	lk := &link{dead: make(chan struct{})}
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		defer close(lk.dead)
+		if id, incarnation, err := readHello(c, len(m.cfg.Addrs)); err == nil && id == dst {
+			lk.incarnation.Store(incarnation)
+			var b [1]byte
+			c.Read(b[:])
+		}
+	}()
+	return lk
 }
 
 // jitterSeed derives the backoff-jitter stream of one writer goroutine
@@ -478,30 +571,36 @@ func jitterSeed(seed int64, id, peer int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// The hello frame opens every outbound connection: a 1-byte version and
-// the dialer's process id as a uvarint, framed like any other payload.
-const helloVersion = 1
+// The hello frame opens every connection in both directions, the dialer's
+// first and the acceptor's in reply: a 1-byte version, then the sender's
+// process id and its mesh's incarnation as uvarints, framed like any other
+// payload.
+const helloVersion = 2
 
 // writeHello frames and writes the hello; it runs once per established
-// connection, so its small buffer is off the steady-state write path.
+// connection and side, so its small buffer is off the steady-state write path.
 //
 //ocsml:alloc once per connection
-func writeHello(c net.Conn, id int) error {
+func writeHello(c net.Conn, id int, incarnation uint64) error {
 	buf := binary.AppendUvarint([]byte{helloVersion}, uint64(id))
-	return writeFrame(c, buf)
+	return writeFrame(c, binary.AppendUvarint(buf, incarnation))
 }
 
-func readHello(c net.Conn, n int) (int, error) {
+func readHello(c net.Conn, n int) (id int, incarnation uint64, err error) {
 	frame, err := readFrame(c)
 	if err != nil {
-		return -1, err
+		return -1, 0, err
 	}
-	if len(frame) < 2 || frame[0] != helloVersion {
-		return -1, fmt.Errorf("transport: bad hello frame")
+	if len(frame) < 3 || frame[0] != helloVersion {
+		return -1, 0, fmt.Errorf("transport: bad hello frame")
 	}
-	id, k := binary.Uvarint(frame[1:])
-	if k <= 0 || int(id) >= n {
-		return -1, fmt.Errorf("transport: bad hello id")
+	src, k := binary.Uvarint(frame[1:])
+	if k <= 0 || src >= uint64(n) {
+		return -1, 0, fmt.Errorf("transport: bad hello id")
 	}
-	return int(id), nil
+	incarnation, k = binary.Uvarint(frame[1+k:])
+	if k <= 0 || incarnation == 0 {
+		return -1, 0, fmt.Errorf("transport: bad hello incarnation")
+	}
+	return int(src), incarnation, nil
 }

@@ -16,7 +16,12 @@ import (
 
 // rbTimeout bounds a whole handshake; every rbRetry its current frame goes
 // again to the survivors that have not answered. Recovery frames bypass the
-// reliable middleware, so a lost one is recovered by this idempotent resend.
+// reliable middleware, so a lost one is recovered by this idempotent resend:
+// a frame written before its connection's death was known, or a survivor
+// slow to answer (its RB_ACK follows an fsync). It is not the common path.
+// It was, until the mesh learnt connection liveness (DESIGN.md §13.2): every
+// survivor wrote its RB_LINE into the connection it still held to the
+// victim's dead incarnation, where a first write succeeds and vanishes.
 const (
 	rbTimeout = 20 * time.Second
 	rbRetry   = 150 * time.Millisecond
