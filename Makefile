@@ -84,6 +84,7 @@ fs-soak:
 fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeV2 -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzRecordRoundTrip -fuzztime 30s ./internal/wire/
 
 # model-check is the bounded model-checking gate (DESIGN.md §16). First
 # the differential test, at its full bounds, ties the model to the code:
@@ -140,10 +141,11 @@ bench-check:
 # manifest hint. Two ceilings on the same run guard "a checkpoint costs its
 # own bytes, not the history's", each with a third of headroom over what
 # the tree measures and each failing once the cost creeps with the round
-# number again: stable_bytes_per_round <= 2600 (about 1,860 here; 4,970 to
-# 5,350 when the hint listed every seq on every commit) and peak_rss_mb
-# <= 40 (the run's total allocation, the collector being off: about 28
-# here; 57 when every flush copied the process's whole checkpoint store). Then crash-recover,
+# number again: stable_bytes_per_round <= 800 (about 580 here; about 1,850
+# when records were framed as JSON, 4,970 to 5,350 when the hint also
+# listed every seq on every commit) and peak_rss_mb <= 40 (the run's total
+# allocation, the collector being off: about 27 here; 57 when every flush
+# copied the process's whole checkpoint store). Then crash-recover,
 # the only workload that executes kill -> RB_* handshake -> truncate ->
 # replay end to end (about three cycles): correct, and no operation failed.
 bench-gate:
@@ -157,7 +159,7 @@ bench-gate:
 		awk -v v="$$v" -v max="$$2" 'BEGIN { exit !(v != "" && v + 0 <= max) }' || \
 			{ echo "bench-gate: $$workload $$1 = $$v, over its ceiling of $$2"; exit 1; }; }; \
 	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && \
-		ceiling stable_bytes_per_round 2600 && ceiling peak_rss_mb 40 && \
+		ceiling stable_bytes_per_round 800 && ceiling peak_rss_mb 40 && \
 		gate crash-recover
 
 # loc prints the size figure PRs quote: non-test Go lines outside the

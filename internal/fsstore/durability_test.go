@@ -7,8 +7,8 @@ package fsstore
 // orphan segment).
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +19,7 @@ import (
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/metrics"
+	"ocsml/internal/wire"
 )
 
 // TestGroupCommitAmortizesFsyncs is the acceptance gate of the engine:
@@ -158,48 +159,45 @@ func TestManifestRollbackOnFailedCommit(t *testing.T) {
 	}
 }
 
-// TestLoadLogMismatchMessage is the satellite-2 regression: the
-// log-entry mismatch comes from the checkpoint state's own count, and
-// the error must say so (the old message blamed the manifest, which
-// holds no counts at all).
-func TestLoadLogMismatchMessage(t *testing.T) {
-	dir := t.TempDir()
+// TestLoadUndecodableRecord: a frame whose CRC verifies but whose record
+// does not decode opens (the scan reads only a frame's kind and seq) and
+// fails to Load, with an error that names the process, the seq and the
+// segment.
+func TestLoadUndecodableRecord(t *testing.T) {
 	r := rec(0, 1, 3)
-	// A well-formed frame whose log lost a line: the state still claims 3.
-	st := stateOf(r)
-	payload, err := json.Marshal(&segRecord{Seq: 1, Kind: segFull, State: &st, Log: r.Log[:2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := appendFrame(segmentHeader(0, 1), payload)
-	pdir := ProcDir(dir, 0)
-	if err := os.MkdirAll(pdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(SegmentFile(pdir, 1), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	man, err := json.Marshal(&Manifest{Proc: 0, N: 2, Seqs: []int{1},
-		Segments: []SegmentMeta{{Index: 1, Size: int64(len(seg))}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(pdir, "MANIFEST.json"), man, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Load(1)
-	if err == nil {
-		t.Fatal("mismatched log loaded without error")
-	}
-	if !strings.Contains(err.Error(), "checkpoint state says 3") {
-		t.Fatalf("mismatch error %q does not name the checkpoint state as the count's source", err)
-	}
-	if strings.Contains(err.Error(), "manifest says") {
-		t.Fatalf("mismatch error %q still blames the manifest", err)
+	body := wire.AppendRecord(nil, &r)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"record cut short", body[:len(body)-1]},
+		{"bytes behind the record", append(slices.Clone(body), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg, start := openFrame(segmentHeader(0, 1), kindFull)
+			seg = sealFrame(append(append(seg, 1), tc.body...), start) // seq 1
+			pdir := ProcDir(dir, 0)
+			if err := os.MkdirAll(pdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(SegmentFile(pdir, 1), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Load(1)
+			if err == nil {
+				t.Fatal("an undecodable record loaded without error")
+			}
+			for _, want := range []string{"P0", "seq 1", "segment 1"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("Load error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -249,7 +247,7 @@ func TestManifestedSeqInNoSegment(t *testing.T) {
 func TestGCToWatermark(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SegmentMaxBytes = 1024 // force rotation so old segments can die
+	opts.SegmentMaxBytes = 3 * int64(len(frame(rec(0, 1, 2)))) // force rotation so old segments can die
 	s, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +321,7 @@ func TestGCToWatermark(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SegmentMaxBytes = 512
+	opts.SegmentMaxBytes = 2 * int64(len(frame(rec(0, 1, 2))))
 	s, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +408,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Helper()
 		dir := t.TempDir()
 		opts := DefaultOptions()
-		opts.SegmentMaxBytes = 1024
+		opts.SegmentMaxBytes = 3 * int64(len(frame(rec(0, 1, 2))))
 		s, err := OpenWith(dir, 0, 2, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -609,7 +607,7 @@ func TestFinalizeBatch(t *testing.T) {
 func TestStoreConcurrentUse(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SegmentMaxBytes = 2048 // rotate, so GC has segments to unlink
+	opts.SegmentMaxBytes = 5 * int64(len(frame(rec(0, 1, 2)))) // rotate, so GC has segments to unlink
 	s, err := OpenWith(dir, 0, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -696,10 +694,10 @@ func TestStoreConcurrentUse(t *testing.T) {
 }
 
 // copyDatadir copies a checked-in process directory into a fresh
-// datadir and returns it with a snapshot of the file contents.
-func copyDatadir(t *testing.T, fixture string) (datadir string, files map[string][]byte) {
+// datadir and returns it.
+func copyDatadir(t *testing.T, fixture string) string {
 	t.Helper()
-	datadir = t.TempDir()
+	datadir := t.TempDir()
 	dst := ProcDir(datadir, 0)
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
@@ -718,7 +716,7 @@ func copyDatadir(t *testing.T, fixture string) (datadir string, files map[string
 			t.Fatal(err)
 		}
 	}
-	return datadir, readDir(t, dst)
+	return datadir
 }
 
 func readDir(t *testing.T, dir string) map[string][]byte {
@@ -739,78 +737,80 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreviousFormatDatadirs pins the on-disk compatibility contract
-// against directories the previous build wrote (testdata/parent-*: seqs
-// 1..5 of the rec fixture, 5 full records vs 1 full + 4 deltas). Full
-// records open and load unchanged, and this build writes the very same
-// segment bytes. A delta record is durable data this build cannot read:
-// Open must fail naming the kind and the segment — through the
-// manifest-led scan and through the torn-manifest rebuild scan alike —
-// and must not truncate, sweep or rewrite anything.
+// against directories the previous format's builds wrote
+// (testdata/parent-*: seqs 1..5 of the rec fixture under an OCSMSEG1
+// header, 5 full JSON records vs 1 full + 4 deltas), and against a log
+// of this format that ends in a frame of a kind this build does not
+// know. Each is durable data this build cannot read: Open must fail
+// naming the format or the kind, and the segment — through the
+// manifest-led scan and through the scan under a torn hint alike — and
+// must not truncate, sweep or rewrite anything. (Before the refusal, a
+// header of another format was debris: the first Open unlinked every
+// acknowledged checkpoint.)
 func TestPreviousFormatDatadirs(t *testing.T) {
-	t.Run("full records load and are byte-compatible", func(t *testing.T) {
-		dir, before := copyDatadir(t, "parent-full")
+	fixture := func(name string) func(*testing.T) string {
+		return func(t *testing.T) string { return copyDatadir(t, name) }
+	}
+	laterKind := func(t *testing.T) string {
+		dir := t.TempDir()
 		s, err := Open(dir, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := s.LoadAll()
+		finalizeUpTo(t, s, 3)
+		active := s.Manifest().Segments[0]
+		f, err := os.OpenFile(SegmentFile(s.Dir(), active.Index), os.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Open(t.TempDir(), 0, 2)
-		if err != nil {
+		defer f.Close()
+		if _, err := f.WriteAt(sealFrame(openFrame(nil, kindTruncate+1)), active.Size); err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range recs {
-			want := rec(0, i+1, (i+1)%3)
-			if !reflect.DeepEqual(r, want) {
-				t.Fatalf("seq %d of the previous build's datadir loads as %+v, want %+v", i+1, r, want)
+		return dir
+	}
+	seg := filepath.Base(SegmentFile("", 1))
+	for _, tc := range []struct {
+		name    string
+		datadir func(*testing.T) string
+		want    []string
+	}{
+		{"parent-full", fixture("parent-full"), []string{`"OCSMSEG1"`, seg}},
+		{"parent-delta", fixture("parent-delta"), []string{`"OCSMSEG1"`, seg}},
+		{"a later record kind", laterKind, []string{fmt.Sprintf("unsupported record kind %d", kindTruncate+1), seg}},
+	} {
+		for _, tornHint := range []bool{false, true} {
+			name := tc.name + " refused by the manifest-led scan"
+			if tornHint {
+				name = tc.name + " refused by the torn-hint scan"
 			}
-			if err := fresh.Finalize(want); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(recs) != 5 {
-			t.Fatalf("loaded %d records, want 5", len(recs))
-		}
-		seg := filepath.Base(SegmentFile("", 1))
-		if got := readDir(t, fresh.Dir())[seg]; !bytes.Equal(got, before[seg]) {
-			t.Fatalf("this build's segment bytes differ from the previous build's full-record segment:\n got %q\nwant %q", got, before[seg])
-		}
-		if after := readDir(t, s.Dir()); !reflect.DeepEqual(after[seg], before[seg]) {
-			t.Fatal("opening a full-record datadir changed its segment")
-		}
-	})
-	for _, tornManifest := range []bool{false, true} {
-		name := "delta record refused by the manifest-led scan"
-		if tornManifest {
-			name = "delta record refused by the rebuild scan"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir, before := copyDatadir(t, "parent-delta")
-			pdir := ProcDir(dir, 0)
-			// Crash debris a successful Open would sweep stays too.
-			if err := os.WriteFile(filepath.Join(pdir, ".tmp-stale"), []byte("x"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if tornManifest {
-				if err := os.WriteFile(filepath.Join(pdir, "MANIFEST.json"), before["MANIFEST.json"][:40], 0o644); err != nil {
+			t.Run(name, func(t *testing.T) {
+				dir := tc.datadir(t)
+				pdir := ProcDir(dir, 0)
+				// Crash debris a successful Open would sweep stays too.
+				if err := os.WriteFile(filepath.Join(pdir, ".tmp-stale"), []byte("x"), 0o644); err != nil {
 					t.Fatal(err)
 				}
-			}
-			before = readDir(t, pdir)
-			_, err := Open(dir, 0, 2)
-			if err == nil {
-				t.Fatal("a datadir holding a delta record opened")
-			}
-			for _, want := range []string{`"delta"`, filepath.Base(SegmentFile("", 1))} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("refusal %q does not name %s", err, want)
+				if tornHint {
+					hint := readDir(t, pdir)[hintName]
+					if err := os.WriteFile(filepath.Join(pdir, hintName), hint[:40], 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			if after := readDir(t, pdir); !reflect.DeepEqual(after, before) {
-				t.Fatal("the refused directory was modified")
-			}
-		})
+				before := readDir(t, pdir)
+				_, err := Open(dir, 0, 2)
+				if err == nil {
+					t.Fatal("the datadir opened")
+				}
+				for _, want := range tc.want {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("refusal %q does not name %s", err, want)
+					}
+				}
+				if after := readDir(t, pdir); !reflect.DeepEqual(after, before) {
+					t.Fatal("the refused directory was modified")
+				}
+			})
+		}
 	}
 }

@@ -54,7 +54,7 @@ const (
 )
 
 // faultOptions rotate the log after three records.
-var faultOptions = Options{SegmentMaxBytes: 1000}
+var faultOptions = Options{SegmentMaxBytes: 3 * int64(len(frame(rec(0, 1, 1))))}
 
 var faultScript = []faultStep{
 	{name: "open fresh", open: true, calls: "mkdir " + hintCalls},

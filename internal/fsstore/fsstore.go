@@ -9,10 +9,12 @@
 //	<datadir>/p<id>/MANIFEST.json      published hint: finalized seqs as runs + segment sizes
 //
 // The segment log alone says what is durable. It holds two kinds of
-// CRC-framed record: a full record (one checkpoint's state plus its
-// selective message log, self-contained) binds its sequence number, and
-// a truncation record unbinds every sequence number above its line (a
-// rollback). A commit — FinalizeBatch or TruncateAfter — appends its
+// CRC-framed binary record: a full record (one checkpoint's state plus
+// its selective message log, self-contained, in internal/wire's record
+// encoding) binds its sequence number, and a truncation record unbinds
+// every sequence number above its line (a rollback). Segments of the
+// previous format, which framed JSON records, make Open fail, untouched.
+// A commit — FinalizeBatch or TruncateAfter — appends its
 // frames to the active segment, cuts the file to end at them and issues
 // ONE fsync; that sync is the commit. Open replays the segment files
 // present, in order, each up to its first frame that does not verify,
@@ -53,8 +55,8 @@ import (
 	"sync"
 
 	"ocsml/internal/checkpoint"
-	"ocsml/internal/des"
 	"ocsml/internal/metrics"
+	"ocsml/internal/wire"
 )
 
 // SegmentMeta records one segment file's durable extent: Size is the
@@ -125,6 +127,10 @@ type Store struct {
 	// index locates every manifested checkpoint in the segmented log.
 	//ocsml:guardedby mu
 	index map[int]recLoc
+	// frames is the batch buffer commits encode their frames into, kept
+	// from one commit to the next so a commit allocates nothing for them.
+	//ocsml:guardedby mu
+	frames []byte
 	// fault, when set, is consulted before every call that changes the
 	// directory (see SetFaultHook). Nil in production.
 	//ocsml:guardedby mu
@@ -337,7 +343,7 @@ func (s *Store) replayLocked(floor int, seen SegmentMeta, hint []byte) error {
 				}
 				last = fr.seq
 			}
-			if fr.kind == segFull {
+			if fr.kind == kindFull {
 				s.index[fr.seq] = fr.loc // later occurrences win: a re-finalized seq
 				last = max(last, fr.seq)
 			}
@@ -550,44 +556,6 @@ func (s *Store) syncDirLocked() error {
 	return s.doLocked("syncdir", s.dir, d.Sync)
 }
 
-// ckptState is the on-disk checkpoint state: the Record minus its log,
-// which travels in the same segment frame.
-type ckptState struct {
-	checkpoint.Tentative
-	FinalizedAt int64  `json:"finalizedAt"`
-	CFEFold     uint64 `json:"cfeFold"`
-	CFEWork     int64  `json:"cfeWork"`
-	CFEProgress int64  `json:"cfeProgress"`
-	StableAt    int64  `json:"stableAt"`
-	LogEntries  int    `json:"logEntries"`
-}
-
-// stateOf projects a Record onto its on-disk state.
-func stateOf(rec checkpoint.Record) ckptState {
-	return ckptState{
-		Tentative:   rec.Tentative,
-		FinalizedAt: int64(rec.FinalizedAt),
-		CFEFold:     rec.CFEFold,
-		CFEWork:     rec.CFEWork,
-		CFEProgress: rec.CFEProgress,
-		StableAt:    int64(rec.StableAt),
-		LogEntries:  len(rec.Log),
-	}
-}
-
-// recordOf rehydrates a Record from its state and log.
-func recordOf(st ckptState, log []checkpoint.LoggedMsg) checkpoint.Record {
-	return checkpoint.Record{
-		Tentative:   st.Tentative,
-		Log:         log,
-		FinalizedAt: des.Time(st.FinalizedAt),
-		CFEFold:     st.CFEFold,
-		CFEWork:     st.CFEWork,
-		CFEProgress: st.CFEProgress,
-		StableAt:    des.Time(st.StableAt),
-	}
-}
-
 // Finalize durably persists one finalized checkpoint: FinalizeBatch of
 // one.
 func (s *Store) Finalize(rec checkpoint.Record) error {
@@ -599,7 +567,7 @@ func (s *Store) Finalize(rec checkpoint.Record) error {
 // records, seqs ascending and above LastSeq) as one group commit — every
 // frame appended to the active segment under a single file fsync, then
 // the hint published — and returns how long a prefix committed. The
-// first record that fails validation or encoding stops the batch: the
+// first record that fails validation stops the batch: the
 // records before it commit, it and every record behind it do not
 // (committing past it would gap the manifest), and err is that first
 // failure. A failed segment write or hint publication
@@ -623,12 +591,13 @@ func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err erro
 // committable prefix, one segment append, one hint publication.
 func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 	var (
-		buf     []byte
+		buf     = s.frames[:0]
 		ends    []int // ends[i]: where recs[i]'s frame ends in buf
 		stopErr error
 	)
 	tail := s.man.LastSeq()
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		switch {
 		case rec.Proc != s.proc:
 			stopErr = fmt.Errorf("fsstore: record for P%d written to store of P%d", rec.Proc, s.proc)
@@ -638,16 +607,11 @@ func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 		if stopErr != nil {
 			break
 		}
-		st := stateOf(rec)
-		payload, err := json.Marshal(&segRecord{Seq: rec.Seq, Kind: segFull, State: &st, Log: rec.Log})
-		if err != nil {
-			stopErr = err
-			break
-		}
-		buf = appendFrame(buf, payload)
+		buf = appendFullFrame(buf, rec)
 		ends = append(ends, len(buf))
 		tail = rec.Seq
 	}
+	s.frames = buf
 	if len(ends) == 0 {
 		return 0, stopErr
 	}
@@ -760,16 +724,21 @@ func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 	if !ok {
 		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d seq %d is in no segment", s.proc, seq)
 	}
-	sr, err := s.readSegRecord(loc)
+	payload, err := s.readFrame(loc)
 	if err != nil {
 		return checkpoint.Record{}, err
 	}
-	if sr.Seq != seq {
-		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d index points seq %d at a frame holding seq %d", s.proc, seq, sr.Seq)
+	kind, q, body, ok := parseFrame(payload)
+	if !ok || kind != kindFull || q != seq {
+		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d index points seq %d at segment %d offset %d, which holds no full record of it",
+			s.proc, seq, loc.seg, loc.off)
 	}
-	rec, err := sr.record()
+	rec, err := wire.DecodeRecord(body)
+	if err == nil && rec.Seq != seq {
+		err = fmt.Errorf("the frame of seq %d holds the record of seq %d", seq, rec.Seq)
+	}
 	if err != nil {
-		return rec, fmt.Errorf("fsstore: P%d %w", s.proc, err)
+		return checkpoint.Record{}, fmt.Errorf("fsstore: P%d seq %d, segment %d offset %d: %w", s.proc, seq, loc.seg, loc.off, err)
 	}
 	return rec, nil
 }
@@ -791,11 +760,7 @@ func (s *Store) TruncateAfter(seq int) error {
 	if len(drop) == 0 {
 		return nil
 	}
-	payload, err := json.Marshal(&segRecord{Seq: seq, Kind: segTruncate})
-	if err != nil {
-		return err
-	}
-	segs, _, err := s.appendLocked(appendFrame(nil, payload))
+	segs, _, err := s.appendLocked(appendTruncateFrame(nil, seq))
 	if err != nil {
 		return err
 	}

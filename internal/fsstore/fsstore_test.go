@@ -33,6 +33,13 @@ func rec(proc, seq int, logn int) checkpoint.Record {
 	return r
 }
 
+// frame is the segment frame a commit writes for r. Tests state segment
+// size limits in frames of a fixture record, so a rotation lands on the
+// same record whatever the encoding makes a frame cost.
+func frame(r checkpoint.Record) []byte {
+	return appendFullFrame(nil, &r)
+}
+
 func TestFinalizeLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1, 4)

@@ -31,17 +31,6 @@ func finalizeUpTo(t *testing.T, s *Store, last int) {
 	}
 }
 
-// fullFrame is the segment frame a commit writes for r.
-func fullFrame(t *testing.T, r checkpoint.Record) []byte {
-	t.Helper()
-	st := stateOf(r)
-	payload, err := json.Marshal(&segRecord{Seq: r.Seq, Kind: segFull, State: &st, Log: r.Log})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return appendFrame(nil, payload)
-}
-
 // TestMissingManifestKeepsSegments: segments without a MANIFEST.json are
 // a lost hint, not debris. (The parent treated every segment as
 // unreferenced and swept them all: the reopened store was empty.)
@@ -98,7 +87,7 @@ func TestCommittedBatchEndsTheFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stale := append(fullFrame(t, rec(0, 7, 2)), fullFrame(t, rec(0, 8, 2))...)
+			stale := append(frame(rec(0, 7, 2)), frame(rec(0, 8, 2))...)
 			if _, err := f.WriteAt(stale, active.Size); err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +132,7 @@ func TestCommittedBatchEndsTheFile(t *testing.T) {
 // arise (the manifest was synced before the commit returned).
 func TestLostHintMatrix(t *testing.T) {
 	opts := DefaultOptions()
-	opts.SegmentMaxBytes = 1024 // three rec(0, seq, 2) frames to a segment
+	opts.SegmentMaxBytes = 3 * int64(len(frame(rec(0, 1, 2)))) // three rec(0, seq, 2) frames to a segment
 	type op func(*Store) error
 	finalize := func(r checkpoint.Record) op { return func(s *Store) error { return s.Finalize(r) } }
 	oneToSix := func() []op {
@@ -449,7 +438,7 @@ func TestHintFormats(t *testing.T) {
 		}
 		seg := segmentHeader(0, 1)
 		for _, q := range []int{1, 2, 3, 5, 6} {
-			seg = append(seg, fullFrame(t, rec(0, q, 2))...)
+			seg = append(seg, frame(rec(0, q, 2))...)
 		}
 		if err := os.WriteFile(SegmentFile(pdir, 1), seg, 0o644); err != nil {
 			t.Fatal(err)
@@ -486,16 +475,26 @@ func TestHintFormats(t *testing.T) {
 	})
 
 	t.Run("previous-format hint is republished as runs", func(t *testing.T) {
-		dir, before := copyDatadir(t, "parent-full")
-		if !bytes.Contains(before[hintName], []byte(`"seqs"`)) {
-			t.Fatal("testdata/parent-full no longer holds a previous-format hint")
+		dir := t.TempDir()
+		s, err := Open(dir, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 1; seq <= 5; seq++ {
+			if err := s.Finalize(rec(0, seq, seq%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs := s.Manifest().Segments
+		if err := os.WriteFile(filepath.Join(s.Dir(), hintName), oldFormat(t, s.Manifest()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 		// Pollers of a directory no build has reopened see a hint that
 		// says nothing, not an error.
 		if m, err := ReadManifest(dir, 0); err != nil || len(m.Seqs) != 0 {
 			t.Fatalf("ReadManifest of the previous format = (%v, %v), want no seqs and no error", m.Seqs, err)
 		}
-		s, err := Open(dir, 0, 2)
+		s, err = Open(dir, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +505,7 @@ func TestHintFormats(t *testing.T) {
 			t.Fatalf("LoadAll = (%d records, %v), want 5", len(recs), err)
 		}
 		after := readDir(t, s.Dir())
-		if want := `{"proc":0,"n":2,"runs":[[1,5]],"segments":[{"index":1,"size":1804}]}`; string(after[hintName]) != want {
+		if want := fmt.Sprintf(`{"proc":0,"n":2,"runs":[[1,5]],"segments":[{"index":1,"size":%d}]}`, segs[0].Size); string(after[hintName]) != want {
 			t.Fatalf("republished hint = %s, want %s", after[hintName], want)
 		}
 		if _, ops := writesOfOpen(t, dir, DefaultOptions()); len(ops) != 0 {
@@ -516,7 +515,7 @@ func TestHintFormats(t *testing.T) {
 
 	t.Run("previous-format hint that carried a GC floor", func(t *testing.T) {
 		opts := DefaultOptions()
-		opts.SegmentMaxBytes = 1024 // three rec(0, seq, 2) frames to a segment
+		opts.SegmentMaxBytes = 3 * int64(len(frame(rec(0, 1, 2)))) // three rec(0, seq, 2) frames to a segment
 		dir := t.TempDir()
 		s, err := OpenWith(dir, 0, 2, opts)
 		if err != nil {

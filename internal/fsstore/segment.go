@@ -2,7 +2,6 @@ package fsstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +9,7 @@ import (
 	"path/filepath"
 
 	"ocsml/internal/checkpoint"
+	"ocsml/internal/wire"
 )
 
 // The segmented append-only log: the only durable description of what
@@ -21,70 +21,51 @@ import (
 // Each file starts with a fixed header (magic, owning proc, segment
 // index) and then carries CRC-framed records:
 //
-//	[u32le payload length][u32le CRC-32 (IEEE) of payload][JSON payload]
+//	[u32le payload length][u32le CRC-32 (IEEE) of payload][payload]
 //
-// A frame is one of two kinds of segRecord. A full record is a
+// A payload is a kind byte and then, for a full record, the uvarint seq
+// and the checkpoint in wire's record encoding (wire.AppendRecord), or,
+// for a truncation record, the line as a fixed u64le. A full record is a
 // self-contained checkpoint and binds its seq to that frame; a
-// truncation record carries a rollback's line and unbinds every seq
-// above it (and since a commit only extends the store's last seq, a
-// full record implies the same of its own). Replaying the files in
-// index order, each up to its first frame that fails to verify,
-// therefore reproduces the history of commits and rollbacks with nothing
-// else to consult. A commit cuts the file to end at its last frame
-// before the one fsync, so whatever lies beyond the last verifying frame
-// is an interrupted commit: never acknowledged, overwritten by the next
-// commit, cut away on Open.
+// truncation record unbinds every seq above its line (and since a commit
+// only extends the store's last seq, a full record implies the same of
+// its own). Replaying the files in index order, each up to its first
+// frame that fails to verify, therefore reproduces the history of commits
+// and rollbacks with nothing else to consult. A commit cuts the file to
+// end at its last frame before the one fsync, so whatever lies beyond the
+// last verifying frame is an interrupted commit: never acknowledged,
+// overwritten by the next commit, cut away on Open.
 //
-// MANIFEST.json beside the segments is a hint published after each
+// The manifest beside the segments is a hint published after each
 // commit for pollers of a live datadir. It is not synced and Open does
 // not trust it for what is durable (see the package comment).
 
 const (
-	segMagic       = "OCSMSEG1"
+	segMagic       = "OCSMSEG2"
 	segHeaderSize  = len(segMagic) + 8 // magic + u32 proc + u32 index
 	frameHeader    = 8                 // u32 length + u32 crc
 	maxFrameLength = 1 << 30
+	// prevSegMagic headed the segments of builds that framed JSON records.
+	// This build refuses them (errPreviousFormat); it never reads them.
+	prevSegMagic = "OCSMSEG1"
 )
 
-// The record kinds. segFull's field and value are what every build since
-// the segmented log has written for a full record, so no format version
-// is needed. segTruncate is newer: a build that predates it refuses a
-// directory holding one, untouched, exactly as this build refuses the
-// delta kind older builds interleaved (errRecordKind).
+// The record kinds, the first byte of every payload. A build that meets
+// a kind it does not know refuses the directory, untouched
+// (errRecordKind), so a kind can be added without a new magic.
 const (
-	segFull     = "full"
-	segTruncate = "truncate"
+	kindFull     byte = 1
+	kindTruncate byte = 2
 )
 
 // errRecordKind marks a CRC-valid frame whose kind this build does not
 // read. It is a refusal, not a tear: Open returns it and repairs nothing.
 var errRecordKind = errors.New("unsupported record kind")
 
-// segRecord is one framed entry of a segment. A full record is a
-// finalized checkpoint's state and its message log; the log always
-// travels complete — selective logging already minimized it, and replay
-// needs the exact entries. A truncation record has neither, and its Seq
-// is the line: the highest seq the rollback kept.
-type segRecord struct {
-	Seq   int                    `json:"seq"`
-	Kind  string                 `json:"kind"`
-	State *ckptState             `json:"state,omitempty"`
-	Log   []checkpoint.LoggedMsg `json:"log,omitempty"`
-}
-
-// record rehydrates the checkpoint a frame holds, checking the frame is
-// whole: a state, and as many log entries as the state counted.
-func (sr *segRecord) record() (checkpoint.Record, error) {
-	if sr.Kind != segFull || sr.State == nil {
-		return checkpoint.Record{}, fmt.Errorf("seq %d: frame is not a full record with state (kind %q)", sr.Seq, sr.Kind)
-	}
-	rec := recordOf(*sr.State, sr.Log)
-	if len(rec.Log) != sr.State.LogEntries {
-		return rec, fmt.Errorf("seq %d log has %d entries, checkpoint state says %d",
-			sr.Seq, len(rec.Log), sr.State.LogEntries)
-	}
-	return rec, nil
-}
+// errPreviousFormat marks a whole segment header of the previous format.
+// Like errRecordKind it is a refusal: the segment holds acknowledged
+// checkpoints, so it must not be swept as debris.
+var errPreviousFormat = errors.New("segment of the previous format")
 
 // SegmentFile returns the path of segment index inside a process's
 // store directory (dir is ProcDir(datadir, proc)). Exported for the
@@ -125,13 +106,61 @@ func parseSegmentHeader(b []byte, proc, index int) error {
 	return nil
 }
 
-// appendFrame frames payload onto buf: length, CRC, bytes.
-func appendFrame(buf, payload []byte) []byte {
+// appendFullFrame frames rec onto buf as a full record, encoding it in
+// place: no payload is built apart from buf.
+func appendFullFrame(buf []byte, rec *checkpoint.Record) []byte {
+	buf, start := openFrame(buf, kindFull)
+	buf = binary.AppendUvarint(buf, uint64(rec.Seq))
+	return sealFrame(wire.AppendRecord(buf, rec), start)
+}
+
+// appendTruncateFrame frames a rollback to line onto buf.
+func appendTruncateFrame(buf []byte, line int) []byte {
+	buf, start := openFrame(buf, kindTruncate)
+	return sealFrame(binary.LittleEndian.AppendUint64(buf, uint64(line)), start)
+}
+
+// openFrame starts a frame of kind at the end of buf with its header left
+// blank. The payload is appended behind the kind byte, and sealFrame(buf,
+// start) then fills the header in.
+func openFrame(buf []byte, kind byte) (_ []byte, start int) {
 	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, h[:]...)
-	return append(buf, payload...)
+	return append(append(buf, h[:]...), kind), len(buf)
+}
+
+// sealFrame fills in the header of the frame that starts at buf[start]
+// and runs to the end of buf: length and CRC of the payload behind it.
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// parseFrame splits a CRC-verified payload into its kind, its seq (a full
+// record's own, a truncation record's line) and, for a full record, the
+// record's encoding. ok is false for a payload no writer produces, which
+// the scan treats like a frame that fails to verify; a payload of a kind
+// this build does not know parses, and the caller refuses it.
+func parseFrame(payload []byte) (kind byte, seq int, body []byte, ok bool) {
+	if len(payload) == 0 {
+		return 0, 0, nil, false
+	}
+	kind, rest := payload[0], payload[1:]
+	switch kind {
+	case kindFull:
+		q, n := binary.Uvarint(rest)
+		if n <= 0 || int(q) < 0 {
+			return kind, 0, nil, false
+		}
+		return kind, int(q), rest[n:], true
+	case kindTruncate:
+		if len(rest) != 8 {
+			return kind, 0, nil, false
+		}
+		return kind, int(int64(binary.LittleEndian.Uint64(rest))), nil, true
+	}
+	return kind, 0, nil, true
 }
 
 // recLoc locates one checkpoint record inside the segmented log.
@@ -147,80 +176,78 @@ type recLoc struct {
 type scannedFrame struct {
 	loc  recLoc
 	seq  int
-	kind string
+	kind byte
 }
 
-// scanSegment reads one segment file and decodes its frames up to the
-// first that fails to verify (short, CRC mismatch, not JSON), reporting
-// the length of the verified prefix. A header that is torn or names
-// another proc or index yields no frames. A frame that verifies but is
-// of no kind this build reads fails the scan with errRecordKind: it is
-// durable data of another build, never a tear.
+// scanSegment reads one segment file and parses its frames up to the
+// first that fails to verify (short, CRC mismatch, a payload no writer
+// produces), reporting the length of the verified prefix. A header that
+// is torn or names another proc or index yields no frames. Two things
+// fail the scan instead, as durable data of another build, never a tear:
+// a whole header of the previous format (errPreviousFormat) and a frame
+// that verifies but is of no kind this build reads (errRecordKind).
 func scanSegment(path string, proc, index int) (frames []scannedFrame, valid int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
+	}
+	if len(data) >= segHeaderSize && string(data[:len(prevSegMagic)]) == prevSegMagic {
+		return nil, 0, fmt.Errorf("fsstore: %s: %w %q (JSON records; this build reads only %q segments, and the directory is left untouched)",
+			path, errPreviousFormat, prevSegMagic, segMagic)
 	}
 	if parseSegmentHeader(data, proc, index) != nil {
 		return nil, 0, nil
 	}
 	off := int64(segHeaderSize)
 	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < frameHeader {
+		payload, ok := frameAt(data[off:])
+		if !ok {
 			break
 		}
-		n := binary.LittleEndian.Uint32(rest[0:])
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxFrameLength || int64(frameHeader)+int64(n) > int64(len(rest)) {
+		kind, seq, _, ok := parseFrame(payload)
+		if !ok {
 			break
 		}
-		payload := rest[frameHeader : frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
+		if kind != kindFull && kind != kindTruncate {
+			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %d (this build reads only full (%d) and truncation (%d) records; the directory was written by another build and is left untouched)",
+				path, off, errRecordKind, kind, kindFull, kindTruncate)
 		}
-		var rec struct {
-			Seq  int    `json:"seq"`
-			Kind string `json:"kind"`
-		}
-		if json.Unmarshal(payload, &rec) != nil {
-			break
-		}
-		if rec.Kind != segFull && rec.Kind != segTruncate {
-			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %q (this build reads only %q and %q records; the directory was written by another build and is left untouched)",
-				path, off, errRecordKind, rec.Kind, segFull, segTruncate)
-		}
-		size := int64(frameHeader) + int64(n)
-		frames = append(frames, scannedFrame{loc: recLoc{seg: index, off: off, size: size}, seq: rec.Seq, kind: rec.Kind})
+		size := int64(frameHeader + len(payload))
+		frames = append(frames, scannedFrame{loc: recLoc{seg: index, off: off, size: size}, seq: seq, kind: kind})
 		off += size
 	}
 	return frames, off, nil
 }
 
-// readSegRecord re-reads one framed record from disk and verifies its
-// CRC — the Load-time counterpart of scanSegment for a single frame.
-func (s *Store) readSegRecord(loc recLoc) (segRecord, error) {
-	var rec segRecord
+// readFrame re-reads one frame from disk, verifies it as scanSegment did
+// and returns its payload.
+func (s *Store) readFrame(loc recLoc) ([]byte, error) {
 	f, err := os.Open(SegmentFile(s.dir, loc.seg))
 	if err != nil {
-		return rec, err
+		return nil, err
 	}
 	defer f.Close()
 	buf := make([]byte, loc.size)
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
-		return rec, fmt.Errorf("fsstore: P%d segment %d offset %d: %w", s.proc, loc.seg, loc.off, err)
+		return nil, fmt.Errorf("fsstore: P%d segment %d offset %d: %w", s.proc, loc.seg, loc.off, err)
 	}
-	n := binary.LittleEndian.Uint32(buf[0:])
-	crc := binary.LittleEndian.Uint32(buf[4:])
-	if int64(frameHeader)+int64(n) != loc.size {
-		return rec, fmt.Errorf("fsstore: P%d segment %d offset %d: frame length changed under the index", s.proc, loc.seg, loc.off)
+	payload, ok := frameAt(buf)
+	if !ok || len(payload) != len(buf)-frameHeader {
+		return nil, fmt.Errorf("fsstore: P%d segment %d offset %d: the frame no longer verifies (length or CRC changed under the index)", s.proc, loc.seg, loc.off)
 	}
-	payload := buf[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return rec, fmt.Errorf("fsstore: P%d segment %d offset %d: frame CRC mismatch", s.proc, loc.seg, loc.off)
+	return payload, nil
+}
+
+// frameAt returns the payload of the frame b starts with, or ok false if
+// b does not start with a whole frame whose CRC verifies.
+func frameAt(b []byte) (payload []byte, ok bool) {
+	if len(b) < frameHeader {
+		return nil, false
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("fsstore: P%d segment %d offset %d: %w", s.proc, loc.seg, loc.off, err)
+	n := binary.LittleEndian.Uint32(b)
+	if n > maxFrameLength || int64(frameHeader)+int64(n) > int64(len(b)) {
+		return nil, false
 	}
-	return rec, nil
+	payload = b[frameHeader : frameHeader+int(n)]
+	return payload, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(b[4:])
 }

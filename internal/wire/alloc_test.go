@@ -95,3 +95,13 @@ func TestDecodeZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// TestAppendRecordZeroAlloc: encoding a checkpoint record into a buffer
+// that already has room (fsstore's batch buffer) performs no allocations.
+func TestAppendRecordZeroAlloc(t *testing.T) {
+	rec := sampleRecords()[1]
+	buf := make([]byte, 0, 256)
+	allocsPerRun(t, "AppendRecord(record with a selective log)", 0, func() {
+		buf = AppendRecord(buf[:0], &rec)
+	})
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,6 +53,23 @@ func corpusEntries(t testing.TB) [][]byte {
 		delta[:len(delta)-1], // truncated delta block
 	)
 	return entries
+}
+
+// corpusDirRecord seeds FuzzRecordRoundTrip, the checkpoint-record codec.
+const corpusDirRecord = "testdata/fuzz/FuzzRecordRoundTrip"
+
+// recordCorpusEntries returns the canonical encoding of every sample
+// record plus, for each, a truncation and a trailing byte, an empty
+// input, and a log count of 2^31 with nothing behind it.
+func recordCorpusEntries() [][]byte {
+	entries := [][]byte{{}}
+	for _, rec := range sampleRecords() {
+		b := AppendRecord(nil, &rec)
+		entries = append(entries, b, b[:len(b)-3], append(b[:len(b):len(b)], 0xff))
+	}
+	noLog := sampleRecords()[0]
+	b := AppendRecord(nil, &noLog)
+	return append(entries, binary.AppendUvarint(b[:len(b)-1], 1<<31))
 }
 
 // corpusEntriesV2 returns the (base, frame) pairs seeding FuzzDecodeV2:
@@ -122,11 +140,15 @@ func TestCorpusIsCurrent(t *testing.T) {
 // corpusWant maps each corpus directory to its generated file contents.
 func corpusWant(t testing.TB) map[string]map[string]bool {
 	want := map[string]map[string]bool{
-		corpusDir:   {},
-		corpusDirV2: {},
+		corpusDir:       {},
+		corpusDirV2:     {},
+		corpusDirRecord: {},
 	}
 	for _, b := range corpusEntries(t) {
 		want[corpusDir][corpusFile(b)] = true
+	}
+	for _, b := range recordCorpusEntries() {
+		want[corpusDirRecord][corpusFile(b)] = true
 	}
 	for _, p := range corpusEntriesV2(t) {
 		want[corpusDirV2][corpusFile2(p[0], p[1])] = true

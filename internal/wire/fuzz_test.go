@@ -43,6 +43,28 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzRecordRoundTrip is FuzzWireRoundTrip for the checkpoint-record
+// codec: arbitrary input never panics, and whatever decodes survives an
+// encode/decode cycle unchanged.
+func FuzzRecordRoundTrip(f *testing.F) {
+	for _, b := range recordCorpusEntries() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rec, err := DecodeRecord(raw)
+		if err != nil {
+			return
+		}
+		again, err := DecodeRecord(AppendRecord(nil, &rec))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(rec, again) {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", again, rec)
+		}
+	})
+}
+
 // FuzzDecodeV2 drives the stateful decoder with an arbitrary (base,
 // frame) pair: the base may or may not establish a delta base, the frame
 // may be absolute, a delta, or garbage. Nothing panics; whatever decodes

@@ -237,6 +237,14 @@ func (r *reader) varint() (int64, error) {
 	return v, nil
 }
 
+func (r *reader) u64() (uint64, error) {
+	b, err := r.bytes(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
 func (r *reader) bytes(n int) ([]byte, error) {
 	if n < 0 || len(r.b)-r.off < n {
 		return nil, ErrTruncated
