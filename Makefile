@@ -134,7 +134,7 @@ results-check:
 bench-check:
 	cd bench/_src && $(GO) vet ./... && $(GO) test -short ./...
 
-# bench-gate runs two of the benchmark's workloads for 5 s each and checks
+# bench-gate runs three of the benchmark's workloads for 5 s each and checks
 # what does not depend on how fast the host is. The storage-bound one:
 # the outputs are correct, no operation failed, and a durable round costs
 # exactly four fsyncs at N = 4 — one per process's commit, none for the
@@ -148,6 +148,10 @@ bench-check:
 # copied the process's whole checkpoint store). Then crash-recover,
 # the only workload that executes kill -> RB_* handshake -> truncate ->
 # replay end to end (about three cycles): correct, and no operation failed.
+# Then steady-uniform, where every message is an app frame plus its ACK:
+# correct, no operation failed, and "a message pays for its piggyback, not
+# its envelope" — wire_bytes_per_app_msg <= 52 (about 38 here; about 74.5
+# with absolute headers, literal control tags and a 4-byte length prefix).
 bench-gate:
 	@gate() { workload="$$1"; shift; \
 		out="$$(bash bench/run.sh --workload "$$workload" --seed 1 --seconds 5 | tail -n 1)"; \
@@ -160,7 +164,8 @@ bench-gate:
 			{ echo "bench-gate: $$workload $$1 = $$v, over its ceiling of $$2"; exit 1; }; }; \
 	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && \
 		ceiling stable_bytes_per_round 800 && ceiling peak_rss_mb 40 && \
-		gate crash-recover
+		gate crash-recover && \
+		gate steady-uniform && ceiling wire_bytes_per_app_msg 52
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and analyzer fixtures. CI's test job prints it

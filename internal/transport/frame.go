@@ -7,7 +7,7 @@
 //
 // Three layers:
 //
-//   - frame.go: length-prefixed framing over a TCP stream.
+//   - frame.go: uvarint-length-prefixed framing over a TCP stream.
 //   - mesh.go: the peer mesh — one listener plus N−1 dialed connections
 //     per process, per-peer writer goroutines, reconnect with jittered
 //     exponential backoff.
@@ -23,22 +23,22 @@ import (
 	"io"
 )
 
-// MaxFrame bounds a frame's payload size; a peer announcing a larger
+// MaxFrame bounds a frame's body size; a peer announcing a larger
 // frame is corrupt (or hostile) and the connection is dropped rather
 // than the memory allocated.
 const MaxFrame = 1 << 20
 
-// frameHeader is the length prefix size (big-endian uint32).
-const frameHeader = 4
+// maxPrefix is the longest length prefix: a uvarint up to MaxFrame takes
+// three bytes, so a fourth is a corrupt stream.
+const maxPrefix = 3
 
-// appendFrame appends the 4-byte length prefix and the payload to buf.
+// appendFrame appends the payload's length as a uvarint, then the
+// payload, to buf.
 func appendFrame(buf, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds max %d", len(payload), MaxFrame)
 	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	return append(buf, payload...), nil
 }
 
@@ -55,22 +55,45 @@ func writeFrame(w io.Writer, payload []byte) error {
 // readFrame reads one length-prefixed frame from r. It returns io.EOF
 // cleanly only when the stream ends exactly on a frame boundary.
 func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
+	frame, _, err := readFrameInto(r, nil)
+	return frame, err
 }
 
-// readFrameInto reads one length-prefixed frame from r into buf's
-// storage, growing it only when the frame doesn't fit — the
-// allocation-free read path of a connection's reader loop. The returned
-// slice aliases buf (when capacity sufficed) and is valid until the
-// next readFrameInto with the same buffer.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return buf, err
+// readFrameInto reads one frame from r into buf's storage, growing it
+// only when the frame doesn't fit — the allocation-free read path of a
+// connection's reader loop — and returns it with the number of bytes it
+// took off the stream, prefix included. The prefix comes off r a byte at
+// a time, so a frame under 128 bytes (every app frame and ACK) costs a
+// 1-byte read and a body read with no buffer between socket and decoder;
+// a prefix longer than maxPrefix or announcing more than MaxFrame is
+// refused before any of the body is read or allocated. The returned slice
+// aliases buf (when capacity sufficed) and is valid until the next
+// readFrameInto with the same buffer.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, int, error) {
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, 64)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	buf = buf[:1]
+	var n uint64
+	prefix := 0
+	for {
+		if prefix == maxPrefix {
+			return buf, prefix, fmt.Errorf("transport: frame length prefix longer than %d bytes", maxPrefix)
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
+			if prefix > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, prefix, err
+		}
+		n |= uint64(buf[0]&0x7f) << (7 * prefix)
+		prefix++
+		if buf[0] < 0x80 {
+			break
+		}
+	}
 	if n > MaxFrame {
-		return buf, fmt.Errorf("transport: incoming frame of %d bytes exceeds max %d", n, MaxFrame)
+		return buf, prefix, fmt.Errorf("transport: incoming frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
@@ -81,7 +104,7 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return buf, err
+		return buf, prefix, err
 	}
-	return buf, nil
+	return buf, prefix + int(n), nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -65,9 +66,10 @@ type MeshStats struct {
 // it writes to).
 //
 // The write path is frame-batched: a writer wakeup drains the peer
-// queue (up to maxWriteBatch frames), delta-encodes the piggybacks
-// against the connection's previous frame (wire.PeerEncoder), and
-// hands the whole batch to the kernel as one vectored write.
+// queue (up to maxWriteBatch frames), rewrites each into a stream frame
+// against the connection's previous one (wire.PeerEncoder: header
+// fields and piggyback as deltas), and hands the whole batch to the
+// kernel as one vectored write.
 type Mesh struct {
 	cfg    MeshConfig
 	ln     net.Listener
@@ -320,23 +322,24 @@ func (m *Mesh) serveConn(c net.Conn) {
 	handler := m.accept(src)
 	var buf []byte
 	for {
-		buf, err = readFrameInto(c, buf)
+		var n int
+		buf, n, err = readFrameInto(c, buf)
 		if err != nil {
 			return
 		}
 		m.framesRecv.Add(1)
-		m.bytesRecv.Add(int64(len(buf)) + frameHeader)
+		m.bytesRecv.Add(int64(n))
 		handler(buf)
 	}
 }
 
 // writerLoop owns the outbound connection to one peer: dial (with
 // jittered exponential backoff), send the hello frame, then drain the
-// queue in batches. Each batch is delta-encoded against the
-// connection's running piggyback state and written with one vectored
-// write; a write failure carries the unwritten tail over to the next
-// connection, where it is re-encoded from scratch (the new
-// connection's decoder has no delta base).
+// queue in batches. Each batch is stream-encoded against the
+// connection's base and written with one vectored write; a write failure
+// carries the unwritten tail over to the next connection, where it is
+// re-encoded from the zero base (where the new connection's decoder
+// starts).
 //
 // Connection liveness is two rules (DESIGN.md §13.2). Death from the
 // socket: after its hello reply the peer never writes on a connection we
@@ -409,7 +412,7 @@ func (m *Mesh) writerLoop(p *peer) {
 			default:
 			}
 			// A fresh connection means a fresh decoder on the far side:
-			// forget the delta base so the next piggyback goes out whole.
+			// back to the zero base, so the next piggyback goes out whole.
 			pe.Reset()
 			p.connected.Store(true)
 			backoff = dialBackoff // reset on success
@@ -459,8 +462,10 @@ func (m *Mesh) writerLoop(p *peer) {
 			continue
 		}
 
-		// Encode the batch into one buffer: per frame a 4-byte length
-		// prefix, then the (possibly delta-rewritten) wire bytes.
+		// Encode the batch into one buffer: per frame maxPrefix bytes of
+		// room, the stream-rewritten wire bytes, then the uvarint length
+		// written right-aligned into that room, where the frame's chunk
+		// starts.
 		wbuf = wbuf[:0]
 		bufs = bufs[:0]
 		ends = ends[:0]
@@ -468,8 +473,8 @@ func (m *Mesh) writerLoop(p *peer) {
 		enc := batch[:0] // frames actually encoded, in order
 		var total int64
 		for _, f := range batch {
-			if f.Len() > MaxFrame && pe.EncodedSize(f) > MaxFrame {
-				// Unframeable: dropping it here (before any delta state
+			if f.Len() > MaxFrame-wire.MaxStreamGrowth && pe.EncodedSize(f) > MaxFrame {
+				// Unframeable: dropping it here (before the stream state
 				// advances) is the queue-overflow failure mode — the
 				// retransmission layer recovers.
 				m.dropped.Add(1)
@@ -477,10 +482,13 @@ func (m *Mesh) writerLoop(p *peer) {
 				continue
 			}
 			start := len(wbuf)
-			wbuf = append(wbuf, 0, 0, 0, 0)
+			wbuf = append(wbuf, 0, 0, 0)
 			var pb int
 			wbuf, pb = pe.AppendFrame(wbuf, f)
-			binary.BigEndian.PutUint32(wbuf[start:], uint32(len(wbuf)-start-frameHeader))
+			var pre [maxPrefix]byte
+			k := binary.PutUvarint(pre[:], uint64(len(wbuf)-start-maxPrefix))
+			start += maxPrefix - k
+			copy(wbuf[start:], pre[:k])
 			// Chunk slices survive wbuf reallocation: they alias the old
 			// backing array, whose bytes were already written.
 			bufs = append(bufs, wbuf[start:len(wbuf):len(wbuf)])
@@ -574,8 +582,10 @@ func jitterSeed(seed int64, id, peer int) int64 {
 // The hello frame opens every connection in both directions, the dialer's
 // first and the acceptor's in reply: a 1-byte version, then the sender's
 // process id and its mesh's incarnation as uvarints, framed like any other
-// payload.
-const helloVersion = 2
+// payload. The version names the whole connection format — framing and
+// wire.VersionLatest — so a peer of an older build is refused here, before
+// any frame of its is misread (DESIGN.md §13.1).
+const helloVersion = 3
 
 // writeHello frames and writes the hello; it runs once per established
 // connection and side, so its small buffer is off the steady-state write path.
@@ -586,7 +596,7 @@ func writeHello(c net.Conn, id int, incarnation uint64) error {
 	return writeFrame(c, binary.AppendUvarint(buf, incarnation))
 }
 
-func readHello(c net.Conn, n int) (id int, incarnation uint64, err error) {
+func readHello(c io.Reader, n int) (id int, incarnation uint64, err error) {
 	frame, err := readFrame(c)
 	if err != nil {
 		return -1, 0, err

@@ -2,49 +2,221 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ocsml/internal/core"
+	"ocsml/internal/protocol"
 	"ocsml/internal/wire"
 )
 
+// frameSizes straddle every prefix length: 1, 2 and 3 bytes, up to MaxFrame.
+var frameSizes = []int{0, 1, 127, 128, 16383, 16384, MaxFrame}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 1000)}
-	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+	for _, n := range frameSizes {
+		if err := writeFrame(&buf, bytes.Repeat([]byte{0xab}, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, want := range payloads {
-		got, err := readFrame(&buf)
+	for _, n := range frameSizes {
+		got, took, err := readFrameInto(&buf, nil)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("frame of %d bytes: %v", n, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d mismatch", i)
+		if !bytes.Equal(got, bytes.Repeat([]byte{0xab}, n)) {
+			t.Fatalf("frame of %d bytes mismatch", n)
+		}
+		if want := len(binary.AppendUvarint(nil, uint64(n))) + n; took != want {
+			t.Fatalf("frame of %d bytes took %d bytes off the stream, want %d", n, took, want)
 		}
 	}
 }
 
+// TestFrameOversizedRejected: a frame over MaxFrame is refused on write.
+// On read, a prefix the format cannot carry — a fourth continuation byte,
+// a length over MaxFrame — is refused before any of the body is read or
+// allocated, a truncated body errors, and a hello of the retired framing
+// (a 4-byte big-endian length) is no hello.
 func TestFrameOversizedRejected(t *testing.T) {
 	if err := writeFrame(&bytes.Buffer{}, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized frame accepted on write")
 	}
-	// A corrupt header announcing a huge frame must be rejected before
-	// allocation, and a truncated body must error.
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("oversized header accepted on read")
+	for name, in := range map[string][]byte{
+		"a 4th continuation byte": {0xff, 0xff, 0xff, 0x01},
+		"a length above MaxFrame": binary.AppendUvarint(nil, MaxFrame+1),
+	} {
+		buf := make([]byte, 0, 16)
+		got, _, err := readFrameInto(bytes.NewReader(in), buf)
+		if err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want the prefix refused", name, err)
+		}
+		if cap(got) != cap(buf) {
+			t.Fatalf("%s: a %d-byte body was allocated", name, cap(got))
+		}
 	}
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("truncated frame accepted on read")
+	if _, err := readFrame(bytes.NewReader([]byte{10, 1, 2})); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, _, err := readHello(bytes.NewReader(oldHello), 2); err == nil {
+		t.Fatal("a hello of the retired framing was accepted")
+	}
+}
+
+// oldHello is what a build of the retired framing opens a connection
+// with: a 4-byte big-endian length, hello version 2, id 1, incarnation 7.
+var oldHello = []byte{0, 0, 0, 3, 2, 1, 7}
+
+// TestMeshDropsUnreadablePrefix: a connection whose dialer sends a hello
+// of the retired framing, or a prefix the format cannot carry after a
+// good hello, is closed by the acceptor — without a hello reply in the
+// first case — and nothing of it reaches the handler.
+func TestMeshDropsUnreadablePrefix(t *testing.T) {
+	var handled atomic.Int64
+	meshes := meshRig(t, 2, func(int) func(int, []byte) {
+		return func(int, []byte) { handled.Add(1) }
+	})
+	defer meshes[1].Close()
+	defer meshes[0].Close()
+	for name, tc := range map[string]struct {
+		hello bool
+		in    []byte
+	}{
+		"an old 4-byte-prefixed hello": {false, oldHello},
+		"a 4th continuation byte":      {true, []byte{0x80, 0x80, 0x80, 0x01}},
+		"a length above MaxFrame":      {true, binary.AppendUvarint(nil, MaxFrame+1)},
+	} {
+		c, err := net.Dial("tcp", meshes[0].cfg.Addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		if tc.hello {
+			if err := writeHello(c, 1, 7); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := readHello(c, 2); err != nil {
+				t.Fatalf("%s: no hello reply: %v", name, err)
+			}
+		}
+		if _, err := c.Write(tc.in); err != nil {
+			t.Fatal(err)
+		}
+		// EOF, or a reset when the acceptor closed with our bytes unread.
+		n, err := c.Read(make([]byte, 64))
+		if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+			t.Fatalf("%s: read %d bytes, err %v; want the connection closed", name, n, err)
+		}
+		c.Close()
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("%d frames reached the handler", n)
+	}
+}
+
+// TestMeshByteConservation: after a drained exchange of frames of every
+// prefix length, what the meshes counted as sent equals what they counted
+// as received — frames and bytes, each prefix at its real length — and
+// the bytes are exactly the frames plus their prefixes.
+func TestMeshByteConservation(t *testing.T) {
+	var frames atomic.Int64
+	meshes := meshRig(t, 2, func(int) func(int, []byte) {
+		return func(int, []byte) { frames.Add(1) }
+	})
+	defer meshes[1].Close()
+	defer meshes[0].Close()
+	var want int64
+	for i, m := range meshes {
+		for _, n := range frameSizes {
+			m.Send(1-i, wire.RawFrame(make([]byte, n)))
+			want += int64(len(binary.AppendUvarint(nil, uint64(n))) + n)
+		}
+	}
+	sent := int64(2 * len(frameSizes))
+	waitFor(t, 10*time.Second, func() bool { return frames.Load() == sent })
+	var s MeshStats
+	for _, m := range meshes {
+		st := m.Stats()
+		s.FramesSent += st.FramesSent
+		s.FramesRecv += st.FramesRecv
+		s.BytesSent += st.BytesSent
+		s.BytesRecv += st.BytesRecv
+	}
+	if s.FramesSent != sent || s.FramesRecv != sent {
+		t.Fatalf("frames sent %d, received %d, want %d each", s.FramesSent, s.FramesRecv, sent)
+	}
+	if s.BytesSent != want || s.BytesRecv != want {
+		t.Fatalf("bytes sent %d, received %d, want %d each", s.BytesSent, s.BytesRecv, want)
+	}
+}
+
+// TestUnframeableFrameDropped: a frame whose stateless encoding is a few
+// bytes under MaxFrame but whose stream encoding is not — its ID lies far
+// behind the base the previous frame set — is dropped before the
+// connection's base moves, and never written as a frame the reader
+// refuses: the frames around it arrive intact on the same connection.
+func TestUnframeableFrameDropped(t *testing.T) {
+	var mu sync.Mutex
+	var got []*protocol.Envelope
+	dec := new(wire.Decoder) // one connection, 0 -> 1
+	meshes := meshRig(t, 2, func(int) func(int, []byte) {
+		return func(_ int, frame []byte) {
+			e, err := dec.DecodeOwned(frame)
+			if err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			mu.Lock()
+			got = append(got, e)
+			mu.Unlock()
+		}
+	})
+	defer meshes[1].Close()
+	defer meshes[0].Close()
+
+	req := func(id int64) *protocol.Envelope {
+		return &protocol.Envelope{ID: id, Src: 0, Dst: 1, Kind: protocol.KindCtl,
+			CtlTag: core.TagREQ, Bytes: 8, SentAt: 5, Payload: core.CtlMsg{Csn: 3}}
+	}
+	big := &protocol.Envelope{ID: 1, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: protocol.TagRbLine, SentAt: 5}
+	for seqs := MaxFrame - 64; ; seqs++ {
+		big.Payload = protocol.RbMsg{Seqs: make([]int, seqs)}
+		if n, err := wire.EncodedSize(big); err != nil {
+			t.Fatal(err)
+		} else if n >= MaxFrame-2 {
+			break
+		}
+	}
+	want := []*protocol.Envelope{req(1 << 62), req(1<<62 + 1), req(1<<62 + 2)}
+	var enc wire.Encoder
+	for _, e := range []*protocol.Envelope{want[0], big, want[1], want[2]} {
+		f := wire.AcquireFrame()
+		if err := enc.EncodeFrame(f, e); err != nil {
+			t.Fatal(err)
+		}
+		meshes[0].Send(1, f)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) >= len(want)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("received %v, want %v", got, want)
+	}
+	if s := meshes[0].Stats(); s.Dropped != 1 || s.Reconnects != 0 {
+		t.Fatalf("dropped %d, reconnects %d; want the big frame dropped on a kept connection", s.Dropped, s.Reconnects)
 	}
 }
 

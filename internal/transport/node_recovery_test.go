@@ -51,8 +51,9 @@ func newRbRig(t *testing.T) *rbRig {
 		t.Fatal(err)
 	}
 	r.peer, err = NewMesh(MeshConfig{ID: 1, Addrs: addrs, Seed: 1}, lns[1], func(int) func([]byte) {
+		dec := new(wire.Decoder) // the node writes stream frames: one decoder per connection
 		return func(frame []byte) {
-			if e, err := wire.Decode(frame); err == nil && protocol.IsRecoveryTag(e.CtlTag) {
+			if e, err := dec.DecodeOwned(frame); err == nil && protocol.IsRecoveryTag(e.CtlTag) {
 				r.replies <- e
 			}
 		}

@@ -3,26 +3,31 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ocsml/internal/protocol"
 )
 
 // corpusDir is the checked-in seed corpus for FuzzWireRoundTrip; go test
 // runs every entry through the fuzz target even without -fuzz.
 const corpusDir = "testdata/fuzz/FuzzWireRoundTrip"
 
-// corpusDirV2 seeds FuzzDecodeV2, whose entries are (base, frame) pairs
-// exercising the stateful delta decoder.
+// corpusDirV2 seeds FuzzDecodeV2, whose entries are frame streams for
+// one stateful decoder.
 const corpusDirV2 = "testdata/fuzz/FuzzDecodeV2"
 
 // corpusEntries returns the minimized corpus: the canonical encodings of
 // every sample envelope plus the interesting malformed shapes the fuzzer
-// found worth keeping — truncations, a bad version, trailing garbage, an
-// unknown payload discriminator, and an oversized control-tag length.
+// found worth keeping — truncations, bad versions (the retired v1 and v2
+// among them), trailing garbage, a tag code past the table, an unknown
+// payload discriminator, an oversized control-tag length, and stream
+// frames, which the stateless decoder refuses.
 func corpusEntries(t testing.TB) [][]byte {
 	var entries [][]byte
 	for _, e := range sampleEnvelopes() {
@@ -43,13 +48,14 @@ func corpusEntries(t testing.TB) [][]byte {
 		[]byte{VersionLatest},        // version byte only
 		[]byte{0, 0},                 // version 0
 		[]byte{1, 0},                 // the retired v1
+		[]byte{VersionLatest - 1, 0}, // the retired v2
 		[]byte{VersionLatest + 1, 0}, // the next version
-		[]byte{VersionLatest, 7},     // invalid kind
-		[]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9}, // unknown payload discriminator
-		// A control-tag length varint far beyond MaxCtlTag.
-		[]byte{VersionLatest, 1, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0x7f},
-		full,                 // Encoder frame, absolute piggyback block
-		delta,                // delta block (stateless decode: ErrDeltaBase)
+		[]byte{VersionLatest, 9 << tagShift, 0, 0, 0, 0}, // a tag code past the table
+		[]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 9},    // unknown payload discriminator
+		// A literal control tag whose length varint is far beyond MaxCtlTag.
+		[]byte{VersionLatest, flagCtl | tagLiteral<<tagShift, 0, 0, 0, 0, 0xff, 0xff, 0x7f},
+		full,                 // stream frame (stateless decode: ErrDeltaBase)
+		delta,                // piggyback delta block, likewise
 		delta[:len(delta)-1], // truncated delta block
 	)
 	return entries
@@ -72,39 +78,73 @@ func recordCorpusEntries() [][]byte {
 	return append(entries, binary.AppendUvarint(b[:len(b)-1], 1<<31))
 }
 
-// corpusEntriesV2 returns the (base, frame) pairs seeding FuzzDecodeV2:
-// a valid delta chain plus the interesting broken chains — no base, a
-// non-piggyback base, a cross-epoch base, and corrupted delta bytes.
-func corpusEntriesV2(t testing.TB) [][2][]byte {
+// corpusEntriesV2 returns the frame streams seeding FuzzDecodeV2: a
+// connection's stream frames, stateless frames, and the interesting broken
+// streams — a delta without its base, a base of another kind or epoch,
+// corrupted and truncated frames before a good one, raw frames mid-stream,
+// header fields that go backwards, and a restamped version.
+func corpusEntriesV2(t testing.TB) [][]byte {
 	full, delta := v2ChainFrames(t)
-	ack, err := Encode(sampleEnvelopes()[3])
-	if err != nil {
-		t.Fatal(err)
+	samples := sampleEnvelopes()
+	var stateless [][]byte
+	for _, e := range samples {
+		b, err := Encode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateless = append(stateless, b)
 	}
-	var enc Encoder
-	f := AcquireFrame()
-	defer f.Release()
 	e5 := sampleEnvelopes()[0]
 	e5.Epoch = 5
-	if err := enc.EncodeFrame(f, e5); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(5))
+	backwards := make([]*protocol.Envelope, 4)
+	for i := range backwards {
+		backwards[i] = randomEnvelope(rng)
 	}
-	fullE5 := append([]byte(nil), f.Bytes()...)
-
 	corrupt := append([]byte(nil), delta...)
 	corrupt[len(corrupt)-1] ^= 0xff
-
-	return [][2][]byte{
-		{full, delta},                // happy chain
-		{full, full},                 // two absolutes
-		{nil, full},                  // absolute needs no base
-		{nil, delta},                 // delta without base
-		{ack, delta},                 // base frame carries no piggyback
-		{fullE5, delta},              // base from another epoch
-		{full, corrupt},              // corrupted flip bytes
-		{full, delta[:len(delta)-2]}, // truncated delta
-		{delta, full},                // delta first, then recover
+	v2 := append([]byte{VersionLatest - 1}, full[1:]...)
+	return [][]byte{
+		joinStream(streamFrames(t, samples...)...),          // every shape, one connection
+		joinStream(stateless...),                            // stateless frames only
+		joinStream(full, delta),                             // happy chain
+		joinStream(delta),                                   // delta without base
+		joinStream(stateless[3], delta),                     // base frame carries no piggyback
+		joinStream(streamFrames(t, e5)[0], delta),           // base from another epoch
+		joinStream(full, corrupt, delta),                    // corrupted flip bytes, then a good frame
+		joinStream(full, delta[:len(delta)-2], delta),       // truncated delta, then the same delta whole
+		joinStream(delta, full),                             // delta first, then recover
+		joinStream(full, stateless[0], stateless[2], delta), // raw frames mid-stream
+		joinStream(streamFrames(t, backwards...)...),        // ID, SentAt, seq, ack ID going backwards
+		joinStream(full, v2),                                // the retired v2
 	}
+}
+
+// joinStream lays frames out the way a connection carries them, each
+// behind its uvarint length.
+func joinStream(frames ...[]byte) []byte {
+	var out []byte
+	for _, f := range frames {
+		out = binary.AppendUvarint(out, uint64(len(f)))
+		out = append(out, f...)
+	}
+	return out
+}
+
+// splitStream is joinStream's inverse over arbitrary input: it returns
+// the frames before the first length prefix that is malformed or runs
+// past the end.
+func splitStream(b []byte) [][]byte {
+	var frames [][]byte
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			break
+		}
+		frames = append(frames, b[k:k+int(n)])
+		b = b[k+int(n):]
+	}
+	return frames
 }
 
 // TestCorpusIsCurrent fails when the checked-in corpus drifts from the
@@ -150,8 +190,8 @@ func corpusWant(t testing.TB) map[string]map[string]bool {
 	for _, b := range recordCorpusEntries() {
 		want[corpusDirRecord][corpusFile(b)] = true
 	}
-	for _, p := range corpusEntriesV2(t) {
-		want[corpusDirV2][corpusFile2(p[0], p[1])] = true
+	for _, b := range corpusEntriesV2(t) {
+		want[corpusDirV2][corpusFile(b)] = true
 	}
 	return want
 }
@@ -159,11 +199,6 @@ func corpusWant(t testing.TB) map[string]map[string]bool {
 // corpusFile renders one entry in the go-fuzz corpus file format.
 func corpusFile(b []byte) string {
 	return "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-}
-
-// corpusFile2 renders a two-parameter fuzz entry (base, frame).
-func corpusFile2(a, b []byte) string {
-	return "go test fuzz v1\n[]byte(" + strconv.Quote(string(a)) + ")\n[]byte(" + strconv.Quote(string(b)) + ")\n"
 }
 
 func writeCorpus(t *testing.T) {
@@ -214,26 +249,27 @@ func TestCorpusDecodesWithoutPanic(t *testing.T) {
 	}
 }
 
-// TestCorpusV2DecodesWithoutPanic replays every checked-in (base, frame)
-// pair through a stateful decoder chain.
+// TestCorpusV2DecodesWithoutPanic replays every checked-in frame stream
+// through one stateful decoder.
 func TestCorpusV2DecodesWithoutPanic(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(corpusDirV2, "seed-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatal("no v2 corpus entries checked in")
+		t.Fatal("no stream corpus entries checked in")
 	}
 	for _, f := range files {
 		args := parseCorpusFile(t, f)
-		if len(args) != 2 {
-			t.Fatalf("%s: want 2 fuzz arguments, got %d", f, len(args))
+		if len(args) != 1 {
+			t.Fatalf("%s: want 1 fuzz argument, got %d", f, len(args))
 		}
 		dec := new(Decoder)
-		dec.Decode(args[0])
-		if e, err := dec.DecodeOwned(args[1]); err == nil {
-			if _, err := Encode(e); err != nil {
-				t.Fatalf("%s: decoded envelope does not re-encode: %v", f, err)
+		for _, frame := range splitStream(args[0]) {
+			if e, err := dec.DecodeOwned(frame); err == nil {
+				if _, err := Encode(e); err != nil {
+					t.Fatalf("%s: decoded envelope does not re-encode: %v", f, err)
+				}
 			}
 		}
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // Decoder parses the frames of one connection. It keeps the
-// per-connection state delta frames decode against (the last
-// piggyback seen) and reuses its own storage across calls, so the
-// steady-state decode of an application frame performs no allocations.
+// per-connection base stream frames decode against (the header fields of
+// the last stream frame and the last piggyback it carried) and reuses its
+// own storage across calls, so the steady-state decode of an application
+// frame performs no allocations.
 //
 // Decode returns a view: the envelope and its payload point into the
 // decoder and stay valid only until the next Decode/DecodeOwned call.
@@ -33,16 +34,20 @@ type Decoder struct {
 	flips []int
 	delta core.PiggybackDelta
 
-	// Delta base: the last piggyback decoded on this connection.
+	// Stream base: the header fields of the last stream frame decoded on
+	// this connection, and the last piggyback one carried.
+	base      header
 	prevOK    bool
 	prevEpoch int
 	prev      core.Piggyback
+
+	stateless bool // the package-level Decode: no base, stream frames refused
 }
 
 // Decode parses one envelope from data. The entire input must be
 // consumed: trailing bytes are an error (frames are already delimited
 // by the transport's length prefix). Corrupt input returns an error,
-// never panics; a failed decode does not advance the delta base.
+// never panics; only a stream frame that decoded in full moves the base.
 //
 // The returned envelope is a zero-allocation view into the decoder:
 // it, its payload pointer, and any slices they carry are invalidated by
@@ -60,18 +65,22 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	if ver != VersionLatest {
 		return nil, errf("%w: got %d, want %d", ErrVersion, ver, VersionLatest)
 	}
-	kind, err := r.byte()
+	flags, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
-	if kind > byte(protocol.KindCtl) {
-		return nil, errf("wire: invalid kind %d", kind)
+	// A stream frame's deltas are against the connection's base, any other
+	// frame's against the zero base.
+	stream := flags&flagStream != 0
+	var base header
+	if stream {
+		if d.stateless {
+			return nil, errf("%w: a stream frame needs its connection's Decoder", ErrDeltaBase)
+		}
+		base = d.base
 	}
 	e := &d.env
-	*e = protocol.Envelope{Kind: protocol.Kind(kind)}
-	if e.ID, err = r.varint(); err != nil {
-		return nil, err
-	}
+	*e = protocol.Envelope{Kind: protocol.Kind(flags & flagCtl)}
 	src, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -84,14 +93,6 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 		return nil, errf("wire: endpoint out of range %d->%d", src, dst)
 	}
 	e.Src, e.Dst = int(src), int(dst)
-	if e.Bytes, err = r.varint(); err != nil {
-		return nil, err
-	}
-	sentAt, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
-	e.SentAt = des.Time(sentAt)
 	epoch, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -100,35 +101,65 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 		return nil, errf("wire: epoch %d out of range", epoch)
 	}
 	e.Epoch = int(epoch)
-	tagLen, err := r.uvarint()
+	if e.Bytes, err = r.varint(); err != nil {
+		return nil, err
+	}
+	switch code := int(flags >> tagShift); {
+	case code < len(ctlTags):
+		e.CtlTag = ctlTags[code]
+	case code == tagLiteral:
+		tagLen, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if tagLen > MaxCtlTag {
+			return nil, errf("wire: control tag length %d exceeds %d", tagLen, MaxCtlTag)
+		}
+		tag, err := r.bytes(int(tagLen))
+		if err != nil {
+			return nil, err
+		}
+		e.CtlTag = internTag(tag)
+	default:
+		return nil, errf("wire: unknown control tag code %d", code)
+	}
+	id, err := r.varint()
 	if err != nil {
 		return nil, err
 	}
-	if tagLen > MaxCtlTag {
-		return nil, errf("wire: control tag length %d exceeds %d", tagLen, MaxCtlTag)
-	}
-	tag, err := r.bytes(int(tagLen))
+	e.ID = base.id + id
+	sentAt, err := r.varint()
 	if err != nil {
 		return nil, err
 	}
-	e.CtlTag = internTag(tag)
-	if e.App.Seq, err = r.varint(); err != nil {
-		return nil, err
+	e.SentAt = des.Time(base.sentAt + sentAt)
+	app := flags&flagApp != 0
+	if app {
+		seq, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.App.Seq = base.seq + seq
+		if e.App.Bytes, err = r.varint(); err != nil {
+			return nil, err
+		}
+		if e.App.Tag, err = r.uvarint(); err != nil {
+			return nil, err
+		}
 	}
-	if e.App.Bytes, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if e.App.Tag, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if e.Payload, err = decodePayload(r, d); err != nil {
+	if e.Payload, err = decodePayload(r, d, stream, base.ack); err != nil {
 		return nil, err
 	}
 	if r.off != len(data) {
 		return nil, errf("%w: %d byte(s)", ErrTrailing, len(data)-r.off)
 	}
-	// The frame decoded in full: if it carried a piggyback (absolute or
-	// reconstructed from a delta), it becomes the connection's new base.
+	if !stream {
+		return e, nil
+	}
+	// The stream frame decoded in full: it becomes the connection's base,
+	// and so does its piggyback (absolute or reconstructed from a delta).
+	_, ack := e.Payload.(*reliable.Ack)
+	d.base.move(header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, ack: d.ack.ID}, app, ack)
 	if _, ok := e.Payload.(*core.Piggyback); ok {
 		d.prev.Csn = d.cur.Csn
 		d.prev.Stat = d.cur.Stat
@@ -150,6 +181,12 @@ func (d *Decoder) DecodeOwned(data []byte) (*protocol.Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
+	return owned(v), nil
+}
+
+// owned copies a Decode view into an independent envelope with the
+// canonical value payload.
+func owned(v *protocol.Envelope) *protocol.Envelope {
 	e := new(protocol.Envelope)
 	*e = *v
 	switch p := v.Payload.(type) {
@@ -171,13 +208,14 @@ func (d *Decoder) DecodeOwned(data []byte) (*protocol.Envelope, error) {
 	default:
 		panic(fmt.Sprintf("wire: decoder produced unregistered payload %T", v.Payload))
 	}
-	return e, nil
+	return e
 }
 
 // decodePayload parses the payload block into the decoder's reusable
-// payload storage and returns a pointer view of it. The delta block
-// reconstructs an absolute piggyback from the connection's base.
-func decodePayload(r *reader, d *Decoder) (any, error) {
+// payload storage and returns a pointer view of it. In a stream frame an
+// ACK's ID is a delta against ackBase, and the delta block reconstructs an
+// absolute piggyback from the connection's base.
+func decodePayload(r *reader, d *Decoder, stream bool, ackBase int64) (any, error) {
 	pt, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -223,7 +261,7 @@ func decodePayload(r *reader, d *Decoder) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.ack = reliable.Ack{ID: id}
+		d.ack = reliable.Ack{ID: ackBase + id}
 		return &d.ack, nil
 	case ptRb:
 		round, err := r.varint()
@@ -269,7 +307,7 @@ func decodePayload(r *reader, d *Decoder) (any, error) {
 		d.rb = protocol.RbMsg{Round: round, Line: int(line), Epoch: int(epoch), Seqs: seqs}
 		return &d.rb, nil
 	case ptPiggybackDelta:
-		if !d.prevOK {
+		if !stream || !d.prevOK {
 			return nil, ErrDeltaBase
 		}
 		if d.env.Epoch != d.prevEpoch {
@@ -337,29 +375,13 @@ func decodePayload(r *reader, d *Decoder) (any, error) {
 	}
 }
 
-// internTag maps the control tags the in-tree protocols use onto their
-// compile-time string constants, so decoding a control frame does not
-// allocate. Unknown tags fall back to a fresh string.
+// internTag maps a literal control tag onto its constant in ctlTags, so
+// decoding it does not allocate. Unknown tags fall back to a fresh string.
 func internTag(b []byte) string {
-	switch string(b) { //ocsml:alloc comparison-only conversion, not materialized by the compiler
-	case "":
-		return ""
-	case core.TagBGN:
-		return core.TagBGN
-	case core.TagREQ:
-		return core.TagREQ
-	case core.TagEND:
-		return core.TagEND
-	case reliable.AckTag:
-		return reliable.AckTag
-	case protocol.TagRbBegin:
-		return protocol.TagRbBegin
-	case protocol.TagRbLine:
-		return protocol.TagRbLine
-	case protocol.TagRbCommit:
-		return protocol.TagRbCommit
-	case protocol.TagRbAck:
-		return protocol.TagRbAck
+	for _, t := range ctlTags {
+		if string(b) == t { //ocsml:alloc comparison-only conversion, not materialized by the compiler
+			return t
+		}
 	}
 	return string(b) //ocsml:alloc unknown tag: an interning miss is a cold path
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"ocsml/internal/core"
+	"ocsml/internal/des"
 	"ocsml/internal/protocol"
+	"ocsml/internal/reliable"
 )
 
 // pbEnvelope builds a deterministic app envelope carrying pb.
@@ -112,6 +114,163 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 	t.Logf("chain: %d delta frames, %d full frames", deltas, fulls)
 }
 
+// TestStreamChainMatchesAbsolute is TestDeltaChainMatchesAbsolute for the
+// header deltas: one connection's traffic — app frames with piggybacks,
+// ACKs, control and recovery frames — reordered, duplicated and
+// retransmitted upstream of the writer, so that IDs, SentAt, App.Seq and
+// acknowledged IDs go backwards, with raw stateless frames interleaved,
+// resets at random points, and truncated copies of frames fed to the
+// decoder first. Every frame must decode to exactly the stateless round
+// trip of its envelope (so a truncated frame moved no base),
+// PeerEncoder.EncodedSize must predict every append, and no append may
+// outgrow the frame's stateless length by more than MaxStreamGrowth.
+func TestStreamChainMatchesAbsolute(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	envs := connectionTraffic(rng, 2000)
+	var backwards [4]int // ID, SentAt, App.Seq, acknowledged ID
+	var last header
+	for i := 1; i < len(envs); i++ {
+		e := envs[i]
+		if e.ID < last.id {
+			backwards[0]++
+		}
+		if int64(e.SentAt) < last.sentAt {
+			backwards[1]++
+		}
+		last.id, last.sentAt = e.ID, int64(e.SentAt)
+		if e.App != (protocol.AppMsg{}) {
+			if e.App.Seq < last.seq {
+				backwards[2]++
+			}
+			last.seq = e.App.Seq
+		}
+		if a, ok := e.Payload.(reliable.Ack); ok {
+			if a.ID < last.ack {
+				backwards[3]++
+			}
+			last.ack = a.ID
+		}
+	}
+	for field, n := range backwards {
+		if n == 0 {
+			t.Fatalf("field %d never went backwards; the traffic does not exercise negative deltas", field)
+		}
+	}
+
+	var enc Encoder
+	var pe PeerEncoder
+	dec := new(Decoder)
+	f := AcquireFrame()
+	defer f.Release()
+	var out []byte
+	resets, raws, truncs := 0, 0, 0
+	for i, e := range envs {
+		want, err := Encode(e)
+		if err != nil {
+			t.Fatalf("step %d: encode: %v", i, err)
+		}
+		abs, err := Decode(want)
+		if err != nil {
+			t.Fatalf("step %d: stateless decode: %v", i, err)
+		}
+		switch ev := rng.Intn(40); {
+		case ev == 0: // reconnect: both sides restart
+			pe.Reset()
+			dec = new(Decoder)
+			resets++
+		case ev < 4: // a stateless producer's frame on the same connection
+			out, _ = pe.AppendFrame(out[:0], RawFrame(want))
+			if !bytes.Equal(out, want) {
+				t.Fatalf("step %d: raw frame rewritten", i)
+			}
+			if got, err := dec.DecodeOwned(out); err != nil || !reflect.DeepEqual(got, abs) {
+				t.Fatalf("step %d: raw frame mid-stream decodes to %#v, %v", i, got, err)
+			}
+			raws++
+			continue
+		}
+		if err := enc.EncodeFrame(f, e); err != nil {
+			t.Fatalf("step %d: EncodeFrame: %v", i, err)
+		}
+		size := pe.EncodedSize(f)
+		out, _ = pe.AppendFrame(out[:0], f)
+		if len(out) != size {
+			t.Fatalf("step %d: EncodedSize predicted %d, AppendFrame wrote %d", i, size, len(out))
+		}
+		if len(out) > f.Len()+MaxStreamGrowth {
+			t.Fatalf("step %d: stream frame of %d bytes outgrew its stateless %d by more than %d", i, len(out), f.Len(), MaxStreamGrowth)
+		}
+		if rng.Intn(10) == 0 {
+			if _, err := dec.Decode(out[:rng.Intn(len(out))]); err == nil {
+				t.Fatalf("step %d: a truncated stream frame decoded", i)
+			}
+			truncs++
+		}
+		got, err := dec.DecodeOwned(out)
+		if err != nil {
+			t.Fatalf("step %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, abs) {
+			t.Fatalf("step %d: stream decode and the stateless round trip disagree:\n got %#v\nwant %#v", i, got, abs)
+		}
+	}
+	if resets == 0 || raws == 0 || truncs == 0 {
+		t.Fatalf("resets %d, raw frames %d, truncations %d: an event never fired", resets, raws, truncs)
+	}
+}
+
+// connectionTraffic returns n envelopes the way one connection's writer
+// can receive them: a process's app frames with evolving piggybacks,
+// ACKs of the peer's messages, control and recovery frames, then
+// reordered in adjacent pairs, with earlier envelopes sent again
+// (retransmits, duplicates) and now and then one with arbitrary fields.
+func connectionTraffic(rng *rand.Rand, n int) []*protocol.Envelope {
+	const idBase, peerBase = 1 << 40, 2 << 40
+	pb := core.Piggyback{TentSet: protocol.NewProcSet(4)}
+	var id, peerID, seq, epoch int64
+	var now des.Time = 1 << 34
+	var envs []*protocol.Envelope
+	for len(envs) < n {
+		id++
+		now += des.Time(rng.Int63n(3e6))
+		e := &protocol.Envelope{ID: idBase + id, Src: 0, Dst: 1, SentAt: now, Epoch: int(epoch)}
+		switch k := rng.Intn(20); {
+		case k < 10:
+			seq++
+			pb.Csn += rng.Intn(2)
+			pb.Stat = core.Status(rng.Intn(2))
+			pb.TentSet.Toggle(rng.Intn(4))
+			e.Kind, e.Bytes = protocol.KindApp, 262
+			e.App = protocol.AppMsg{Seq: seq, Bytes: 256, Tag: uint64(now) - uint64(rng.Int63n(1e5))}
+			e.Payload = core.Piggyback{Csn: pb.Csn, Stat: pb.Stat, TentSet: pb.TentSet.Clone()}
+		case k < 17:
+			peerID += 1 + rng.Int63n(3)
+			e.Kind, e.CtlTag, e.Bytes = protocol.KindCtl, reliable.AckTag, 12
+			e.Payload = reliable.Ack{ID: peerBase + peerID}
+		case k < 19:
+			e.Kind, e.CtlTag, e.Bytes = protocol.KindCtl, core.TagREQ, 8
+			e.Payload = core.CtlMsg{Csn: pb.Csn}
+		case rng.Intn(4) == 0:
+			epoch++
+			e.Kind, e.CtlTag = protocol.KindCtl, protocol.TagRbLine
+			e.Payload = protocol.RbMsg{Round: rng.Int63(), Line: pb.Csn, Epoch: int(epoch), Seqs: []int{1, 2, 3}}
+		default:
+			e = randomEnvelope(rng)
+		}
+		envs = append(envs, e)
+		if len(envs) > 8 && rng.Intn(8) == 0 {
+			envs = append(envs, envs[len(envs)-1-rng.Intn(8)])
+		}
+	}
+	for i := 0; i+1 < len(envs); i++ {
+		if rng.Intn(6) == 0 {
+			envs[i], envs[i+1] = envs[i+1], envs[i]
+			i++
+		}
+	}
+	return envs[:n]
+}
+
 // TestDeltaIsChangedBitsNotUniverse pins the acceptance bound: at N=64,
 // a steady-state piggyback delta costs O(changed bits), not O(N) — the
 // absolute block carries an 8-byte bitmap, the delta a couple of bytes.
@@ -145,9 +304,9 @@ func TestDeltaIsChangedBitsNotUniverse(t *testing.T) {
 }
 
 // TestEncoderMatchesPackageEncode: an Encoder must emit byte-identical
-// frames to the stateless package Encode, and a PeerEncoder without a
-// base must pass them through verbatim while still accounting their
-// piggyback bytes.
+// frames to the stateless package Encode, and a PeerEncoder at the zero
+// base must rewrite them into stream frames that differ from those bytes
+// in the stream flag alone, while still accounting their piggyback bytes.
 func TestEncoderMatchesPackageEncode(t *testing.T) {
 	var enc Encoder
 	var pe PeerEncoder
@@ -166,8 +325,13 @@ func TestEncoderMatchesPackageEncode(t *testing.T) {
 		}
 		pe.Reset()
 		out, pbLen := pe.AppendFrame(nil, f)
-		if !bytes.Equal(out, want) {
-			t.Fatalf("envelope %d: AppendFrame without a base rewrote the frame", i)
+		stream := append([]byte(nil), want...)
+		stream[1] |= flagStream
+		if !bytes.Equal(out, stream) {
+			t.Fatalf("envelope %d: AppendFrame at the zero base:\n got %x\nwant %x", i, out, stream)
+		}
+		if got, err := new(Decoder).DecodeOwned(out); err != nil || !reflect.DeepEqual(got, e) {
+			t.Fatalf("envelope %d: stream frame decodes to %#v, %v", i, got, err)
 		}
 		if _, ok := e.Payload.(core.Piggyback); ok {
 			p, err := PayloadSize(e)
@@ -184,13 +348,18 @@ func TestEncoderMatchesPackageEncode(t *testing.T) {
 }
 
 // TestDecoderRejectsOtherVersions is the version guarantee: exactly one
-// version byte decodes. A frame — full or delta — restamped with any
-// other version (0, the retired v1, the next one) fails with ErrVersion
-// through every decode entry point, and never panics or misparses.
+// version byte decodes. A frame — stateless, stream, or piggyback delta —
+// restamped with any other version (0, the retired v1 and v2, the next
+// one) fails with ErrVersion through every decode entry point, and never
+// panics or misparses.
 func TestDecoderRejectsOtherVersions(t *testing.T) {
 	full, delta := v2ChainFrames(t)
-	for _, ver := range []byte{0, 1, VersionLatest + 1, 0xff} {
-		for name, frame := range map[string][]byte{"full": full, "delta": delta} {
+	plain, err := Encode(sampleEnvelopes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []byte{0, 1, VersionLatest - 1, VersionLatest + 1, 0xff} {
+		for name, frame := range map[string][]byte{"stateless": plain, "full": full, "delta": delta} {
 			bad := append([]byte{ver}, frame[1:]...)
 			dec := new(Decoder)
 			if _, err := dec.Decode(full); err != nil {
@@ -208,10 +377,6 @@ func TestDecoderRejectsOtherVersions(t *testing.T) {
 		}
 	}
 	// The one emitted version is the one accepted, by every producer.
-	plain, err := Encode(sampleEnvelopes()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	if plain[0] != VersionLatest || full[0] != VersionLatest || delta[0] != VersionLatest {
 		t.Fatalf("emitted versions %d/%d/%d, want %d", plain[0], full[0], delta[0], VersionLatest)
 	}
@@ -262,32 +427,42 @@ func TestEpochBumpForcesFullBlock(t *testing.T) {
 	defer f.Release()
 	set := protocol.NewProcSet(32)
 	set.Add(1)
+	full := func(e *protocol.Envelope) int {
+		t.Helper()
+		n, err := PayloadSize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 
-	if err := enc.EncodeFrame(f, pbEnvelope(1, 0, core.Piggyback{Csn: 1, TentSet: set})); err != nil {
+	first := pbEnvelope(1, 0, core.Piggyback{Csn: 1, TentSet: set})
+	if err := enc.EncodeFrame(f, first); err != nil {
 		t.Fatal(err)
 	}
 	pe.AppendFrame(nil, f)
 
-	if err := enc.EncodeFrame(f, pbEnvelope(2, 1, core.Piggyback{Csn: 1, TentSet: set})); err != nil {
+	bumped := pbEnvelope(2, 1, core.Piggyback{Csn: 1, TentSet: set})
+	if err := enc.EncodeFrame(f, bumped); err != nil {
 		t.Fatal(err)
 	}
-	out, _ := pe.AppendFrame(nil, f)
-	if len(out) != f.Len() {
-		t.Fatalf("post-epoch-bump frame was delta-encoded (%d < %d bytes)", len(out), f.Len())
+	if _, pb := pe.AppendFrame(nil, f); pb != full(bumped) {
+		t.Fatalf("post-epoch-bump piggyback took %d bytes, want the full block's %d", pb, full(bumped))
 	}
 
 	// Same epoch again: deltas resume.
-	if err := enc.EncodeFrame(f, pbEnvelope(3, 1, core.Piggyback{Csn: 2, TentSet: set})); err != nil {
+	again := pbEnvelope(3, 1, core.Piggyback{Csn: 2, TentSet: set})
+	if err := enc.EncodeFrame(f, again); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = pe.AppendFrame(nil, f)
-	if len(out) >= f.Len() {
+	if _, pb := pe.AppendFrame(nil, f); pb >= full(again) {
 		t.Fatal("delta encoding did not resume after the base caught up with the epoch")
 	}
 }
 
-// v2ChainFrames returns a v2 full piggyback frame and a delta frame whose
-// base is that full frame, as one PeerEncoder emits them.
+// v2ChainFrames returns the first two stream frames one PeerEncoder
+// emits: a full piggyback frame, and one whose piggyback is a delta
+// against it.
 func v2ChainFrames(t testing.TB) (full, delta []byte) {
 	t.Helper()
 	var enc Encoder

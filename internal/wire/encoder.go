@@ -5,142 +5,162 @@ import (
 
 	"ocsml/internal/core"
 	"ocsml/internal/protocol"
+	"ocsml/internal/reliable"
 )
 
 // Encoder serializes envelopes into reusable Frames. Unlike the
 // package-level Encode, which always produces a fresh buffer, an
 // Encoder reuses the frame's storage (allocation-free in steady state)
-// and records the piggyback sidecar the per-connection PeerEncoder
-// needs to rewrite the frame into a delta at write time.
+// and records the sidecar the per-connection PeerEncoder needs to
+// rewrite the frame into a stream frame at write time.
 //
 // An Encoder is not safe for concurrent use; the transport runs one per
 // node, on the node's loop goroutine. The zero Encoder is ready to use.
 type Encoder struct{}
 
 // EncodeFrame serializes e into f, reusing f's storage. The frame holds
-// a self-contained encoding (absolute piggyback block) plus the sidecar
-// PeerEncoder.AppendFrame needs to delta-rewrite it per connection. On
-// error the frame is left empty.
+// the stateless encoding plus the sidecar PeerEncoder.AppendFrame needs
+// to rewrite it per connection. On error the frame is left empty.
 //
 //ocsml:hotpath
 func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
-	f.hasPB = false
-	buf, err := appendHeader(f.data[:0], e)
+	f.coded = false
+	buf, err := appendHeader(f.data[:0], e, &f.lay)
 	if err != nil {
 		f.data = f.data[:0]
 		return err
 	}
-	if pb, ok := e.Payload.(core.Piggyback); ok {
-		f.hasPB = true
-		f.pbOff = len(buf)
+	f.hdr = header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq}
+	switch p := e.Payload.(type) {
+	case core.Piggyback:
 		f.epoch = e.Epoch
-		f.pb.Csn = pb.Csn
-		f.pb.Stat = pb.Stat
-		f.pb.TentSet.CopyFrom(pb.TentSet)
+		f.pb.Csn = p.Csn
+		f.pb.Stat = p.Stat
+		f.pb.TentSet.CopyFrom(p.TentSet)
+	case reliable.Ack:
+		f.hdr.ack = p.ID
 	}
 	buf, err = appendPayload(buf, e.Payload)
 	if err != nil {
 		f.data = f.data[:0]
-		f.hasPB = false
 		return err
 	}
 	f.data = buf
+	f.coded = true
 	return nil
 }
 
-// PeerEncoder is the delta state of one peer connection: the last
-// piggyback written on it. It rewrites piggyback frames into delta
-// blocks when that is strictly smaller, and must be Reset on every
-// (re)connect so the first piggyback of a connection always travels as
-// a full block — the receiving Decoder starts with no base.
+// PeerEncoder is the stream state of one peer connection: the header
+// fields and the piggyback of the last frame written on it. It rewrites
+// every encoded frame into a stream frame — header fields as deltas
+// against that base, the piggyback as a delta block when that is strictly
+// smaller — and must be Reset on every (re)connect, because the receiving
+// Decoder starts from the zero base.
 //
 // The state advances only on AppendFrame, i.e. only for bytes actually
-// handed to the connection's writer, so dropped or re-sent frames
-// upstream of the writer cannot desynchronize the two sides.
+// handed to the connection's writer, so dropped, duplicated or reordered
+// frames upstream of the writer cannot desynchronize the two sides.
 type PeerEncoder struct {
-	has     bool
+	base    header
+	has     bool // base piggyback valid
 	epoch   int
 	pb      core.Piggyback
 	delta   core.PiggybackDelta
-	scratch []byte
+	scratch []byte // EncodedSize's dry run
 }
 
-// Reset forgets the delta base. Call when (re)establishing the
+// Reset returns to the zero base. Call when (re)establishing the
 // connection this encoder writes to.
-func (pe *PeerEncoder) Reset() { pe.has = false }
+func (pe *PeerEncoder) Reset() {
+	pe.base = header{}
+	pe.has = false
+}
 
-// AppendFrame appends f's wire encoding onto dst — rewriting the
-// piggyback block into a delta against the previous piggyback written
-// through this PeerEncoder when that is smaller — and returns the
+// AppendFrame appends f's stream encoding onto dst and returns the
 // extended buffer plus the number of payload-block bytes written (the
-// piggyback overhead accounting for this frame; 0 for frames without
-// a piggyback).
+// piggyback overhead accounting for this frame; 0 for frames without a
+// piggyback). A RawFrame is appended verbatim and moves no base.
 //
 //ocsml:hotpath
 func (pe *PeerEncoder) AppendFrame(dst []byte, f *Frame) ([]byte, int) {
-	if !f.hasPB {
+	if !f.coded {
 		return append(dst, f.data...), 0
 	}
-	full := len(f.data) - f.pbOff
-	if delta, ok := pe.tryDelta(f); ok && len(delta) < full {
-		dst = append(dst, f.data[:f.pbOff]...)
-		dst = append(dst, delta...)
-		pe.commit(f)
-		return dst, len(delta)
+	dst, pb := pe.appendStream(dst, f)
+	pt := f.data[f.lay.pay]
+	pe.base.move(f.hdr, f.data[1]&flagApp != 0, pt == ptAck)
+	if pt == ptPiggyback {
+		pe.has = true
+		pe.epoch = f.epoch
+		pe.pb.Csn = f.pb.Csn
+		pe.pb.Stat = f.pb.Stat
+		pe.pb.TentSet.CopyFrom(f.pb.TentSet)
 	}
-	dst = append(dst, f.data...)
-	pe.commit(f)
-	return dst, full
+	return dst, pb
 }
 
 // EncodedSize returns the exact number of bytes the next
-// AppendFrame(dst, f) would append, without advancing the delta state.
+// AppendFrame(dst, f) would append, without advancing the stream state.
 //
 //ocsml:hotpath
 func (pe *PeerEncoder) EncodedSize(f *Frame) int {
-	if !f.hasPB {
+	if !f.coded {
 		return len(f.data)
 	}
-	full := len(f.data) - f.pbOff
-	if delta, ok := pe.tryDelta(f); ok && len(delta) < full {
-		return f.pbOff + len(delta)
-	}
-	return len(f.data)
+	pe.scratch, _ = pe.appendStream(pe.scratch[:0], f)
+	return len(pe.scratch)
 }
 
-// tryDelta encodes f's piggyback as a delta block into pe.scratch. It
-// fails (full block required) when there is no base, the epoch changed,
-// or the universes differ.
-func (pe *PeerEncoder) tryDelta(f *Frame) ([]byte, bool) {
-	if !pe.has || pe.epoch != f.epoch {
-		return nil, false
+// appendStream appends f's stream encoding — its stateless bytes with the
+// stream flag set and the header fields as deltas against the base, the
+// piggyback as a delta block when that is smaller — and returns the
+// piggyback bytes it wrote. It does not move the base.
+func (pe *PeerEncoder) appendStream(dst []byte, f *Frame) ([]byte, int) {
+	b, lay := f.data, f.lay
+	start := len(dst)
+	dst = append(dst, b[:lay.vary]...)
+	dst[start+1] |= flagStream
+	dst = binary.AppendVarint(dst, f.hdr.id-pe.base.id)
+	dst = binary.AppendVarint(dst, f.hdr.sentAt-pe.base.sentAt)
+	if b[1]&flagApp != 0 {
+		dst = binary.AppendVarint(dst, f.hdr.seq-pe.base.seq)
+		dst = append(dst, b[lay.app:lay.pay]...)
 	}
-	if !pe.delta.From(pe.pb, f.pb) {
-		return nil, false
+	switch b[lay.pay] {
+	case ptAck:
+		dst = append(dst, ptAck)
+		return binary.AppendVarint(dst, f.hdr.ack-pe.base.ack), 0
+	case ptPiggyback:
+		full := len(b) - lay.pay
+		mark := len(dst)
+		if pe.has && pe.epoch == f.epoch && pe.delta.From(pe.pb, f.pb) {
+			dst = pe.appendDelta(dst)
+			if n := len(dst) - mark; n < full {
+				return dst, n
+			}
+			dst = dst[:mark]
+		}
+		return append(dst, b[lay.pay:]...), full
 	}
-	buf := append(pe.scratch[:0], ptPiggybackDelta)
-	buf = binary.AppendVarint(buf, int64(pe.delta.DCsn))
-	buf = append(buf, byte(pe.delta.Stat))
-	buf = binary.AppendUvarint(buf, uint64(len(pe.delta.Flips)))
+	return append(dst, b[lay.pay:]...), 0
+}
+
+// appendDelta appends pe.delta as a ptPiggybackDelta block.
+func (pe *PeerEncoder) appendDelta(dst []byte) []byte {
+	dst = append(dst, ptPiggybackDelta)
+	dst = binary.AppendVarint(dst, int64(pe.delta.DCsn))
+	dst = append(dst, byte(pe.delta.Stat))
+	dst = binary.AppendUvarint(dst, uint64(len(pe.delta.Flips)))
 	// Gap encoding: first index absolute, then (gap-1) to the next —
 	// ascending runs of flipped bits cost one byte each.
 	prev := -1
 	for _, fl := range pe.delta.Flips {
 		if prev < 0 {
-			buf = binary.AppendUvarint(buf, uint64(fl))
+			dst = binary.AppendUvarint(dst, uint64(fl))
 		} else {
-			buf = binary.AppendUvarint(buf, uint64(fl-prev-1))
+			dst = binary.AppendUvarint(dst, uint64(fl-prev-1))
 		}
 		prev = fl
 	}
-	pe.scratch = buf
-	return buf, true
-}
-
-func (pe *PeerEncoder) commit(f *Frame) {
-	pe.has = true
-	pe.epoch = f.epoch
-	pe.pb.Csn = f.pb.Csn
-	pe.pb.Stat = f.pb.Stat
-	pe.pb.TentSet.CopyFrom(f.pb.TentSet)
+	return dst
 }

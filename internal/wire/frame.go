@@ -7,38 +7,44 @@ import (
 )
 
 // Frame is one encoded envelope in flight between an Encoder and the
-// peer link that writes it. The frame's bytes always hold a
-// self-contained encoding (for piggyback frames, the absolute payload
-// block); the per-connection delta rewrite happens only at
-// write time, in PeerEncoder.AppendFrame, because only the writer knows
-// what the previous frame on that connection carried.
+// peer link that writes it. The frame's bytes always hold the stateless
+// encoding; the per-connection stream rewrite happens only at write time,
+// in PeerEncoder.AppendFrame, because only the writer knows what the
+// previous frame on that connection carried.
 //
-// A Frame also carries the encode-time sidecar AppendFrame needs to
-// compute the delta — the absolute piggyback and where its block starts
-// — so the write path never re-decodes its own bytes.
+// A Frame also carries the encode-time sidecar AppendFrame needs for the
+// rewrite — where the parts it copies start, the header fields it
+// delta-codes, and the absolute piggyback — so the write path never
+// re-decodes its own bytes.
 type Frame struct {
 	data []byte
 
-	hasPB  bool
-	pbOff  int // offset of the piggyback payload block in data
+	coded  bool   // the sidecar below is valid (false: a RawFrame)
+	lay    layout // where data's parts start
+	hdr    header // ID, SentAt, App.Seq and the acknowledged ID, absolute
 	epoch  int
 	pb     core.Piggyback // absolute piggyback (storage reused across encodes)
 	pooled bool
 }
 
-// Bytes returns the frame's self-contained encoding. The slice aliases
-// the frame's internal buffer: it is invalidated by the next
-// EncodeFrame into this frame and by Release.
+// Bytes returns the frame's stateless encoding. The slice aliases the
+// frame's internal buffer: it is invalidated by the next EncodeFrame into
+// this frame and by Release.
 func (f *Frame) Bytes() []byte { return f.data }
 
-// Len returns the self-contained encoding's length in bytes. A delta
-// rewrite by PeerEncoder.AppendFrame can only shrink it.
+// Len returns the stateless encoding's length in bytes. The stream
+// rewrite of PeerEncoder.AppendFrame usually shortens a frame, but can
+// lengthen it by up to MaxStreamGrowth bytes when a header field lies far
+// from its base (an ID, SentAt or seq that went backwards upstream of the
+// writer).
 func (f *Frame) Len() int { return len(f.data) }
 
 // RawFrame wraps already-encoded bytes — the pass-through for producers
 // that hold finished wire bytes (the recovery coordinator, tests,
 // fault-injection hooks replaying captures). Raw frames are written
-// verbatim: never delta-rewritten, never pooled (Release is a no-op).
+// verbatim: never rewritten, never pooled (Release is a no-op). They must
+// hold stateless encodings, which move no base on either side of the
+// connection.
 func RawFrame(b []byte) *Frame {
 	return &Frame{data: b}
 }
@@ -64,9 +70,7 @@ func (f *Frame) Release() {
 		return
 	}
 	f.data = f.data[:0]
-	f.hasPB = false
-	f.pbOff = 0
-	f.epoch = 0
+	f.coded = false
 	f.pooled = false
 	framePool.Put(f)
 }

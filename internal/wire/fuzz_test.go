@@ -22,7 +22,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{VersionLatest})
-	f.Add([]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := Decode(raw)
@@ -65,53 +65,46 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeV2 drives the stateful decoder with an arbitrary (base,
-// frame) pair: the base may or may not establish a delta base, the frame
-// may be absolute, a delta, or garbage. Nothing panics; whatever decodes
-// must canonicalize — the zero-copy view, the owned copy, and a
-// stateless re-encode of the owned copy all agree — and carries the one
-// supported version byte.
+// FuzzDecodeV2 is the stream fuzzer of the format: an arbitrary frame
+// sequence, each frame behind its uvarint length as on a connection,
+// through one stateful Decoder — stream frames, stateless frames, deltas
+// with and without their base, and garbage. Nothing panics; the view
+// decoder and an owned decoder fed the same frames agree on every frame;
+// whatever decodes carries the one supported version byte and
+// canonicalizes: a stateless re-encode of the owned envelope round-trips.
 func FuzzDecodeV2(f *testing.F) {
-	for _, p := range corpusEntriesV2(f) {
-		f.Add(p[0], p[1])
+	for _, s := range corpusEntriesV2(f) {
+		f.Add(s)
 	}
 
-	f.Fuzz(func(t *testing.T, base, frame []byte) {
-		dec := new(Decoder)
-		dec.Decode(base) // errors are fine; it may seed a delta base
-		view, err := dec.Decode(frame)
-
-		// The owned decode over an identical chain must agree exactly.
-		own := new(Decoder)
-		own.Decode(base)
-		owned, errOwned := own.DecodeOwned(frame)
-		if (err == nil) != (errOwned == nil) {
-			t.Fatalf("Decode err=%v but DecodeOwned err=%v", err, errOwned)
-		}
-		if err == nil {
-			bare := *view
-			bare.Payload = nil
-			bareOwned := *owned
-			bareOwned.Payload = nil
-			if !reflect.DeepEqual(bare, bareOwned) {
-				t.Fatalf("view and owned headers disagree:\n view %#v\nowned %#v", bare, bareOwned)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		viewDec, ownDec := new(Decoder), new(Decoder)
+		for i, frame := range splitStream(stream) {
+			v, err := viewDec.Decode(frame)
+			e, errOwned := ownDec.DecodeOwned(frame)
+			if (err == nil) != (errOwned == nil) {
+				t.Fatalf("frame %d: Decode err=%v but DecodeOwned err=%v", i, err, errOwned)
 			}
-			// The owned envelope is canonical: a re-encode round-trips.
-			out, err := Encode(owned)
 			if err != nil {
-				t.Fatalf("re-encode of decoded envelope failed: %v (%#v)", err, owned)
+				continue
+			}
+			if frame[0] != VersionLatest {
+				t.Fatalf("frame %d: decoder accepted version byte %d", i, frame[0])
+			}
+			if got := owned(v); !reflect.DeepEqual(got, e) {
+				t.Fatalf("frame %d: view and owned decodes disagree:\n view %#v\nowned %#v", i, got, e)
+			}
+			out, err := Encode(e)
+			if err != nil {
+				t.Fatalf("frame %d: re-encode of decoded envelope failed: %v (%#v)", i, err, e)
 			}
 			again, err := Decode(out)
 			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
+				t.Fatalf("frame %d: re-decode failed: %v", i, err)
 			}
-			if !reflect.DeepEqual(owned, again) {
-				t.Fatalf("round trip changed envelope:\n got %#v\nwant %#v", again, owned)
+			if !reflect.DeepEqual(e, again) {
+				t.Fatalf("frame %d: round trip changed envelope:\n got %#v\nwant %#v", i, again, e)
 			}
-		}
-
-		if err == nil && frame[0] != VersionLatest {
-			t.Fatalf("decoder accepted a frame with version byte %d", frame[0])
 		}
 	})
 }

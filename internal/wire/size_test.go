@@ -60,13 +60,13 @@ func randomEnvelope(rng *rand.Rand) *protocol.Envelope {
 	return e
 }
 
-// TestEncodedSizePropertyRandomized is the v1 size property: for
+// TestEncodedSizePropertyRandomized is the stateless size property: for
 // randomized envelopes, EncodedSize must exactly match the bytes Encode
 // produces, PayloadSize must account exactly for the payload suffix, and
-// the round trip must be lossless. The v2 extension of this property —
-// PeerEncoder.EncodedSize against AppendFrame over delta chains,
-// reconnect full-frame fallback included — is TestDeltaChainMatchesAbsolute
-// in delta_test.go.
+// the round trip must be lossless. The stream extension of this property —
+// PeerEncoder.EncodedSize against AppendFrame over one connection's
+// frames, reconnects included — is TestDeltaChainMatchesAbsolute and
+// TestStreamChainMatchesAbsolute in delta_test.go.
 func TestEncodedSizePropertyRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for i := 0; i < 5000; i++ {

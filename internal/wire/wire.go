@@ -4,9 +4,16 @@
 // The simulator accounts wire traffic with the synthetic Envelope.Bytes
 // field; this package produces the actual bytes, so piggyback overhead can
 // finally be measured on a real wire. The encoding is compact (varints
-// everywhere, one bit per process in the tentSet) and versioned: the first
-// byte of every frame is the format version, so a node rejects a frame
-// of any other version instead of misinterpreting it.
+// everywhere, one bit per process in the tentSet, control tags as a code
+// in the header byte) and versioned: the first byte of every frame is the
+// format version, so a node rejects a frame of any other version instead
+// of misinterpreting it. The field table is DESIGN.md §13.1.
+//
+// A frame is stateless (Encode, Encoder.EncodeFrame: decodable anywhere)
+// or a stream frame, which a PeerEncoder writes onto one connection with
+// ID, SentAt, App.Seq, an ACK's acknowledged ID and the piggyback coded as
+// deltas against that connection's previous frames; only the
+// connection's stateful Decoder reads it.
 //
 // Invariants:
 //
@@ -17,6 +24,13 @@
 //   - EncodedSize(e) == len(Encode(e)), and PayloadSize(e) is the exact
 //     number of encoded bytes attributable to the protocol payload (the
 //     OCSML piggyback block, a control message body, or a transport ACK).
+//   - A PeerEncoder's frames decode, through the Decoder of the same
+//     connection, to exactly what Decode(Encode(e)) returns, whatever was
+//     dropped, duplicated or reordered before the encoder and with
+//     stateless frames interleaved: only stream frames move a base, the
+//     encoder's when appended, the decoder's once decoded in full.
+//   - PeerEncoder.EncodedSize(f) is exactly what the next AppendFrame(dst,
+//     f) appends, and at most f.Len()+MaxStreamGrowth.
 //
 // Payloads are polymorphic (Envelope.Payload is `any`); the codec knows
 // the concrete types the in-tree protocols use: core.Piggyback,
@@ -39,16 +53,39 @@ import (
 
 // VersionLatest is the frame format version, the first byte of every
 // encoded envelope. It is the only version ever emitted, and a decoder
-// rejects every other version byte with ErrVersion. Frames are
-// self-contained except for the ptPiggybackDelta payload block, which
-// encodes a piggyback as the difference against the previous piggyback
-// written on the same connection (see Encoder/PeerEncoder/Decoder); the
-// package-level Encode/Append never produce it, so stateless producers
-// (tests, the recovery coordinator) decode anywhere.
-const VersionLatest = 2
+// rejects every other version byte with ErrVersion: there is no
+// compatibility reader, so a peer of another version is refused rather
+// than misread (DESIGN.md §13.1).
+const VersionLatest = 3
 
 // MaxCtlTag bounds the control-tag string length on the wire.
 const MaxCtlTag = 64
+
+// The header byte, second in every frame.
+const (
+	flagCtl    = 1 << 0 // Kind is KindCtl (else KindApp)
+	flagStream = 1 << 1 // a stream frame: deltas against the connection's base
+	flagApp    = 1 << 2 // the App block follows (else App is zero)
+	tagShift   = 3      // bits 3..7: the control tag's index in ctlTags, or tagLiteral
+	tagLiteral = 31     // the tag follows as a uvarint length and its bytes
+)
+
+// ctlTags is the control-tag code table: a tag in it travels as its index
+// in the header byte, any other as tagLiteral and its bytes. The decoder
+// interns through it, so no frame carrying one of these tags allocates
+// its tag. The codes are part of the format: changing the table changes
+// VersionLatest.
+var ctlTags = [...]string{
+	"", reliable.AckTag, core.TagBGN, core.TagREQ, core.TagEND,
+	protocol.TagRbBegin, protocol.TagRbLine, protocol.TagRbCommit, protocol.TagRbAck,
+}
+
+// MaxStreamGrowth bounds how many bytes PeerEncoder.AppendFrame can add to
+// a frame's stateless length. Each of the four delta-coded fields (ID,
+// SentAt, App.Seq, the acknowledged ID) is a zig-zag varint of 1 to 10
+// bytes either way, so a delta against a base far from the value costs at
+// most 9 bytes more than the value; the piggyback rewrite only shrinks.
+const MaxStreamGrowth = 4 * (binary.MaxVarintLen64 - 1)
 
 // Payload type discriminators.
 const (
@@ -70,10 +107,11 @@ var (
 	ErrVersion   = errors.New("wire: unsupported frame version")
 	ErrPayload   = errors.New("wire: unknown payload type")
 	ErrTrailing  = errors.New("wire: trailing bytes after envelope")
-	// ErrDeltaBase rejects a piggyback-delta frame arriving before any
-	// full piggyback established the connection's base state (or through
-	// the stateless Decode, which never has one).
-	ErrDeltaBase = errors.New("wire: piggyback delta without a base frame")
+	// ErrDeltaBase rejects a frame that needs a base the decoder does not
+	// have: any stream frame through the stateless Decode, and a piggyback
+	// delta before a piggyback of the same epoch established the
+	// connection's base.
+	ErrDeltaBase = errors.New("wire: delta frame without its base")
 )
 
 // PayloadKind names a payload's kind: "nil" for the empty payload,
@@ -104,18 +142,50 @@ func Encode(e *protocol.Envelope) ([]byte, error) {
 
 // Append serializes the envelope onto buf, returning the extended buffer.
 func Append(buf []byte, e *protocol.Envelope) ([]byte, error) {
-	buf, err := appendHeader(buf, e)
+	var lay layout
+	buf, err := appendHeader(buf, e, &lay)
 	if err != nil {
 		return nil, err
 	}
 	return appendPayload(buf, e.Payload)
 }
 
+// header holds the fields a stream frame codes as deltas, as values or as
+// a connection's base.
+type header struct {
+	id, sentAt, seq, ack int64
+}
+
+// move advances a base past a stream frame carrying v: ID and SentAt
+// always, App.Seq only with an App block, the acknowledged ID only with an
+// ACK payload. The encoder and the decoder of a connection both move
+// theirs through it, so they cannot disagree on the rule.
+func (b *header) move(v header, app, ack bool) {
+	b.id, b.sentAt = v.id, v.sentAt
+	if app {
+		b.seq = v.seq
+	}
+	if ack {
+		b.ack = v.ack
+	}
+}
+
+// layout locates, in a stateless encoding, the parts PeerEncoder copies
+// around the fields it delta-codes: [0, vary) is everything before ID,
+// [app, pay) is App.Bytes and App.Tag, and [pay, end) the payload block.
+type layout struct {
+	vary, app, pay int
+}
+
 // appendHeader writes the version byte and the envelope header (all
-// fields up to but excluding the payload block).
-func appendHeader(buf []byte, e *protocol.Envelope) ([]byte, error) {
+// fields up to but excluding the payload block) against the zero base,
+// and records where its parts start in lay.
+func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error) {
 	if e.Src < 0 || e.Dst < 0 {
 		return nil, errf("wire: negative endpoint %d->%d", e.Src, e.Dst)
+	}
+	if e.Kind > protocol.KindCtl {
+		return nil, errf("wire: invalid kind %d", e.Kind)
 	}
 	if len(e.CtlTag) > MaxCtlTag {
 		return nil, errf("wire: control tag %q exceeds %d bytes", e.CtlTag, MaxCtlTag)
@@ -123,18 +193,37 @@ func appendHeader(buf []byte, e *protocol.Envelope) ([]byte, error) {
 	if e.Epoch < 0 {
 		return nil, errf("wire: negative epoch %d", e.Epoch)
 	}
-	buf = append(buf, VersionLatest, byte(e.Kind))
-	buf = binary.AppendVarint(buf, e.ID)
+	start := len(buf)
+	code := tagLiteral
+	for i, t := range ctlTags {
+		if t == e.CtlTag {
+			code = i
+			break
+		}
+	}
+	flags := byte(code<<tagShift) | byte(e.Kind)
+	if e.App != (protocol.AppMsg{}) {
+		flags |= flagApp
+	}
+	buf = append(buf, VersionLatest, flags)
 	buf = binary.AppendUvarint(buf, uint64(e.Src))
 	buf = binary.AppendUvarint(buf, uint64(e.Dst))
-	buf = binary.AppendVarint(buf, e.Bytes)
-	buf = binary.AppendVarint(buf, int64(e.SentAt))
 	buf = binary.AppendUvarint(buf, uint64(e.Epoch))
-	buf = binary.AppendUvarint(buf, uint64(len(e.CtlTag)))
-	buf = append(buf, e.CtlTag...)
-	buf = binary.AppendVarint(buf, e.App.Seq)
-	buf = binary.AppendVarint(buf, e.App.Bytes)
-	buf = binary.AppendUvarint(buf, e.App.Tag)
+	buf = binary.AppendVarint(buf, e.Bytes)
+	if code == tagLiteral {
+		buf = binary.AppendUvarint(buf, uint64(len(e.CtlTag)))
+		buf = append(buf, e.CtlTag...)
+	}
+	lay.vary = len(buf) - start
+	buf = binary.AppendVarint(buf, e.ID)
+	buf = binary.AppendVarint(buf, int64(e.SentAt))
+	if flags&flagApp != 0 {
+		buf = binary.AppendVarint(buf, e.App.Seq)
+		lay.app = len(buf) - start
+		buf = binary.AppendVarint(buf, e.App.Bytes)
+		buf = binary.AppendUvarint(buf, e.App.Tag)
+	}
+	lay.pay = len(buf) - start
 	return buf, nil
 }
 
@@ -259,11 +348,11 @@ func (r *reader) bytes(n int) ([]byte, error) {
 // transport's length prefix). Corrupt input returns an error, never
 // panics.
 //
-// Decode is stateless, so it accepts any self-contained frame but
-// rejects delta frames with ErrDeltaBase; those need the
-// connection-scoped Decoder that tracked the base. Payloads come back in
-// their canonical value forms.
+// Decode is stateless, so it accepts any stateless frame but rejects
+// stream frames with ErrDeltaBase; those need the connection-scoped
+// Decoder that tracked the base. Payloads come back in their canonical
+// value forms.
 func Decode(data []byte) (*protocol.Envelope, error) {
-	var d Decoder
+	d := Decoder{stateless: true}
 	return d.DecodeOwned(data)
 }

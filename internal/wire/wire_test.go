@@ -139,10 +139,11 @@ func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad version":  {99, 0, 0},
-		"bad kind":     {VersionLatest, 7},
+		"bad tag code": {VersionLatest, 9 << tagShift, 0, 0, 0, 0},
+		"stream frame": {VersionLatest, flagStream, 0, 0, 0, 0, 0, 0, 0},
 		"truncated":    valid[:len(valid)/2],
 		"trailing":     append(append([]byte{}, valid...), 0),
-		"bad payload":  {VersionLatest, 0, 2, 1, 3, 2, 2, 2, 0, 2, 2, 2, 250},
+		"bad payload":  {VersionLatest, 0, 2, 1, 3, 2, 2, 2, 250},
 		"only version": {VersionLatest},
 	}
 	for name, in := range cases {
