@@ -17,10 +17,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own five analyzers
-# (cmd/ocsmlvet): wire-codec exhaustiveness, determinism, lock
-# discipline, goroutine field ownership (loopowned) and hot-path
-# allocation freedom (allocfree). See DESIGN.md §10 and §15. The second
+# vet runs the standard toolchain vet plus the repo's own three analyzers
+# (cmd/ocsmlvet): wire-codec exhaustiveness, determinism and lock
+# discipline, and reports any //ocsml: directive none of them reads.
+# See DESIGN.md §10 and §15.5. The second
 # ocsmlvet pass adds the soak build tag so tag-gated code (the
 # long-running transport soak harness) is analyzed too.
 vet: ocsmlvet-bin

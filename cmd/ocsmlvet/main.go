@@ -1,4 +1,4 @@
-// Command ocsmlvet is the repository's analysis suite: five custom
+// Command ocsmlvet is the repository's analysis suite: three custom
 // analyzers that mechanically enforce the invariants the runtime
 // depends on but the compiler cannot see.
 //
@@ -12,12 +12,12 @@
 //	lockdiscipline     *Locked functions are called with the lock held;
 //	                   //ocsml:guardedby fields are accessed under their
 //	                   mutex
-//	loopowned          //ocsml:loopowned fields are read and written only
-//	                   on their owning event-loop goroutine or in closures
-//	                   posted to it (//ocsml:looppost, //ocsml:loopcontext)
-//	allocfree          //ocsml:hotpath functions and everything they call
-//	                   stay allocation-free; cold paths carry
-//	                   //ocsml:alloc <why>
+//
+// Beside them it reports every //ocsml: directive that none of the
+// three reads, so a misspelled directive cannot switch a check off
+// unseen. Goroutine ownership and hot-path allocation freedom are not
+// argued here: the race detector (make race) and the per-payload
+// allocation gate (internal/wire TestEveryPayloadZeroAlloc) execute them.
 //
 // Usage:
 //
@@ -48,10 +48,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"ocsml/internal/analysis/allocfree"
 	"ocsml/internal/analysis/detclean"
 	"ocsml/internal/analysis/lockdiscipline"
-	"ocsml/internal/analysis/loopowned"
 	"ocsml/internal/analysis/vetkit"
 	"ocsml/internal/analysis/wireexhaustive"
 	"ocsml/internal/wire"
@@ -61,8 +59,6 @@ var analyzers = []*vetkit.Analyzer{
 	wireexhaustive.Analyzer,
 	detclean.Analyzer,
 	lockdiscipline.Analyzer,
-	loopowned.Analyzer,
-	allocfree.Analyzer,
 }
 
 // finding is the -json wire format: one object per diagnostic, one per
@@ -121,7 +117,8 @@ func main() {
 	}
 	program := vetkit.NewProgram(loader.Packages)
 
-	diags, err := vetkit.Run(analyzers, pkgs, program)
+	checks := append([]*vetkit.Analyzer{vetkit.UnknownDirectives(analyzers)}, analyzers...)
+	diags, err := vetkit.Run(checks, pkgs, program)
 	if err != nil {
 		fatal(err)
 	}

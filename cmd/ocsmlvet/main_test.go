@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ocsml/internal/analysis/vetkit"
+	"ocsml/internal/analysis/vetkit/vettest"
 )
 
 // run executes the built tool from the module root and returns its
@@ -30,7 +33,7 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string, exit 
 
 // TestToolOverModule drives the real binary: the module vets clean with
 // nothing but inline directives to suppress findings, the suite is the
-// five analyzers, and the flags that served the deleted model
+// three analyzers, and the flags that served the deleted model
 // extractor, baseline file, SARIF writer and fix engine are gone.
 func TestToolOverModule(t *testing.T) {
 	if testing.Short() {
@@ -56,7 +59,7 @@ func TestToolOverModule(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "wireexhaustive detclean lockdiscipline loopowned allocfree"
+	want := "wireexhaustive detclean lockdiscipline"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names\n got %s\nwant %s", got, want)
 	}
@@ -67,4 +70,12 @@ func TestToolOverModule(t *testing.T) {
 			t.Errorf("%s: exit %d, stderr %q; want the flag package's unknown-flag error", flag, exit, stderr)
 		}
 	}
+}
+
+// TestUnknownDirectives: a directive none of the registered analyzers
+// reads is a finding — a guardedby typo would otherwise switch the field
+// out of lockdiscipline silently, and a directive of a deleted analyzer
+// would linger unseen.
+func TestUnknownDirectives(t *testing.T) {
+	vettest.Run(t, "testdata", vetkit.UnknownDirectives(analyzers), "typo")
 }

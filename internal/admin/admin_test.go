@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -306,20 +305,31 @@ func TestManifestWithoutDatadir(t *testing.T) {
 }
 
 // TestCloseStopsServing: Close ends the Serve goroutine by closing its
-// listener — the address refuses connections afterwards. (leakcheck cannot
+// listener — after it, no request reaches this server. (leakcheck cannot
 // see a goroutine parked in Accept, so this is that goroutine's witness.)
+// The witness is the server's own request counter, not the address: the
+// freed port may be rebound at once by another test binary running
+// beside this one, and reaching that listener says nothing about this
+// server.
 func TestCloseStopsServing(t *testing.T) {
 	srv := NewServer(Config{N: 2})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+	served := srv.requests.With("/v1/healthz")
+	if code, _ := do(t, srv, http.MethodGet, "/v1/healthz"); code != http.StatusOK || served.Value() != 1 {
+		t.Fatalf("before Close: code %d, %d request(s) counted; want 200 and 1", code, served.Value())
+	}
 	addr := srv.Addr()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-		c.Close()
-		t.Fatalf("%s still accepts connections after Close", addr)
+	client := &http.Client{Timeout: time.Second}
+	if resp, err := client.Get("http://" + addr + "/v1/healthz"); err == nil {
+		resp.Body.Close()
+	}
+	if n := served.Value(); n != 1 {
+		t.Fatalf("%s still serves after Close: %d requests counted, want 1", addr, n)
 	}
 }
 

@@ -79,6 +79,8 @@ var Analyzer = &vetkit.Analyzer{
 	Name: "detclean",
 	Doc:  "forbid wall-clock reads, global rand and unordered map iteration in the deterministic packages",
 	Run:  run,
+
+	Directives: []string{"realtime", "wallclock", "unordered"},
 }
 
 func run(pass *vetkit.Pass) error {

@@ -53,6 +53,8 @@ var Analyzer = &vetkit.Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "enforce the *Locked naming convention and //ocsml:guardedby field annotations",
 	Run:  run,
+
+	Directives: []string{"guardedby", "locked", "nolock"},
 }
 
 // lockMethods classifies sync.Mutex / sync.RWMutex method names.

@@ -7,15 +7,14 @@ import (
 )
 
 // Directives is the shared //ocsml: comment index for one analysis run:
-// it parses each file once and answers the two questions the
-// analyzers all ask — "is position P covered by directive N?" and
-// "what is N's argument?" — plus doc-comment lookups for declarations.
+// it parses each file once and answers the question the analyzers all
+// ask: "is position P covered by directive N?".
 //
 // Coverage follows the repository convention: a directive covers a
 // position when it sits on the same line or on the line directly above
 // (a comment on its own line annotating the statement below). For
-// declarations the directive lives in the doc comment instead; use the
-// Doc helpers.
+// declarations the directive lives in the doc comment instead; use
+// CommentGroupHas.
 type Directives struct {
 	fset   *token.FileSet
 	byFile map[string]map[int][]Directive
@@ -73,40 +72,6 @@ func (d *Directives) FileHas(pos token.Pos, name string) bool {
 		}
 	}
 	return false
-}
-
-// Arg returns the argument of the named directive covering pos.
-func (d *Directives) Arg(pos token.Pos, name string) (string, bool) {
-	dir, ok := d.Covering(pos, name)
-	return dir.Arg, ok
-}
-
-// DocDirectives parses every //ocsml: directive in a doc comment group,
-// in source order. Declarations (types, funcs, struct fields) annotate
-// themselves through their doc comment; loopowned's ownership markers
-// read this form.
-func DocDirectives(cg *ast.CommentGroup) []Directive {
-	if cg == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range cg.List {
-		if dir, ok := parseDirective(c); ok {
-			out = append(out, dir)
-		}
-	}
-	return out
-}
-
-// DocDirective returns the first directive of the given name in a doc
-// comment group.
-func DocDirective(cg *ast.CommentGroup, name string) (Directive, bool) {
-	for _, dir := range DocDirectives(cg) {
-		if dir.Name == name {
-			return dir, true
-		}
-	}
-	return Directive{}, false
 }
 
 // parseDirective parses one //ocsml:<name> [arg] comment.

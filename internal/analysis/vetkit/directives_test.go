@@ -12,22 +12,22 @@ import (
 const directiveSrc = `package p
 
 type s struct {
-	a int //ocsml:loopowned loop
-	//ocsml:loopowned Cluster.Run
+	a int //ocsml:guardedby mu
+	//ocsml:guardedby rw
 	b int
 	c int // plain comment, not a directive
 }
 
-//ocsml:hotpath
-func hot() {}
+//ocsml:locked
+func held() {}
 
-// spin allocates by design.
+// clock reads the wall clock by design.
 //
-//ocsml:alloc metrics ticker
-func spin() {}
+//ocsml:wallclock metrics ticker
+func clock() {}
 
 func uses() {
-	_ = s{} //ocsml:loopexempt constructor runs before the loop starts
+	_ = s{} //ocsml:nolock constructed before it is shared
 }
 `
 
@@ -64,27 +64,26 @@ func TestDirectivesCovering(t *testing.T) {
 	})
 
 	// Trailing same-line directive.
-	if got, ok := d.Covering(aPos, "loopowned"); !ok || got.Arg != "loop" {
-		t.Fatalf("Covering(a) = %+v, %v; want loopowned loop", got, ok)
+	if got, ok := d.Covering(aPos, "guardedby"); !ok || got.Arg != "mu" {
+		t.Fatalf("Covering(a) = %+v, %v; want guardedby mu", got, ok)
 	}
 	// Directive on the line above.
-	if got, ok := d.Covering(bPos, "loopowned"); !ok || got.Arg != "Cluster.Run" {
-		t.Fatalf("Covering(b) = %+v, %v; want loopowned Cluster.Run", got, ok)
+	if got, ok := d.Covering(bPos, "guardedby"); !ok || got.Arg != "rw" {
+		t.Fatalf("Covering(b) = %+v, %v; want guardedby rw", got, ok)
 	}
 	// Plain comment is not a directive.
-	if _, ok := d.Covering(cPos, "loopowned"); ok {
+	if _, ok := d.Covering(cPos, "guardedby"); ok {
 		t.Fatal("Covering(c) found a directive in a plain comment")
 	}
 	// Wrong name does not match.
-	if d.Has(aPos, "hotpath") {
-		t.Fatal("Has(a, hotpath) matched a loopowned directive")
-	}
-	if arg, ok := d.Arg(aPos, "loopowned"); !ok || arg != "loop" {
-		t.Fatalf("Arg(a, loopowned) = %q, %v", arg, ok)
+	if d.Has(aPos, "locked") {
+		t.Fatal("Has(a, locked) matched a guardedby directive")
 	}
 }
 
-func TestDirectivesLoopexemptStatement(t *testing.T) {
+// A trailing directive on a statement covers the expression on its line,
+// and its reason keeps its spaces.
+func TestDirectivesStatement(t *testing.T) {
 	fset, f := parseDirectiveFile(t)
 	d := vetkit.NewDirectives(fset, f)
 	var pos token.Pos
@@ -94,43 +93,36 @@ func TestDirectivesLoopexemptStatement(t *testing.T) {
 		}
 		return true
 	})
-	arg, ok := d.Arg(pos, "loopexempt")
-	if !ok || arg != "constructor runs before the loop starts" {
-		t.Fatalf("loopexempt arg = %q, %v", arg, ok)
+	got, ok := d.Covering(pos, "nolock")
+	if !ok || got.Arg != "constructed before it is shared" {
+		t.Fatalf("nolock = %+v, %v", got, ok)
 	}
 }
 
 func TestDocDirectives(t *testing.T) {
 	_, f := parseDirectiveFile(t)
-	var hotDoc, spinDoc *ast.CommentGroup
+	var heldDoc, clockDoc *ast.CommentGroup
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok {
 			continue
 		}
 		switch fd.Name.Name {
-		case "hot":
-			hotDoc = fd.Doc
-		case "spin":
-			spinDoc = fd.Doc
+		case "held":
+			heldDoc = fd.Doc
+		case "clock":
+			clockDoc = fd.Doc
 		}
 	}
-	if dir, ok := vetkit.DocDirective(hotDoc, "hotpath"); !ok || dir.Arg != "" {
-		t.Fatalf("DocDirective(hot, hotpath) = %+v, %v", dir, ok)
+	if !vetkit.CommentGroupHas(heldDoc, "locked") || !vetkit.CommentGroupHas(clockDoc, "wallclock") {
+		t.Fatal("CommentGroupHas missed a doc directive")
 	}
-	if dir, ok := vetkit.DocDirective(spinDoc, "alloc"); !ok || dir.Arg != "metrics ticker" {
-		t.Fatalf("DocDirective(spin, alloc) = %+v, %v", dir, ok)
+	// Exact-name matching, and only the declaration's own doc.
+	if vetkit.CommentGroupHas(clockDoc, "wall") || vetkit.CommentGroupHas(heldDoc, "wallclock") {
+		t.Fatal("CommentGroupHas matched a name prefix or another declaration's directive")
 	}
-	// Exact-name matching: "alloc" must not match "allocs" etc.
-	if _, ok := vetkit.DocDirective(spinDoc, "allo"); ok {
-		t.Fatal("DocDirective matched a name prefix")
-	}
-	all := vetkit.DocDirectives(spinDoc)
-	if len(all) != 1 || all[0].Name != "alloc" {
-		t.Fatalf("DocDirectives(spin) = %+v", all)
-	}
-	if !vetkit.CommentGroupHas(spinDoc, "alloc") || vetkit.CommentGroupHas(hotDoc, "alloc") {
-		t.Fatal("CommentGroupHas mismatch")
+	if vetkit.CommentGroupHas(nil, "locked") {
+		t.Fatal("CommentGroupHas matched a missing doc comment")
 	}
 }
 
@@ -145,8 +137,8 @@ func TestDirectivesIdempotentAdd(t *testing.T) {
 		}
 		return true
 	})
-	got, ok := d.Covering(aPos, "loopowned")
-	if !ok || got.Arg != "loop" {
+	got, ok := d.Covering(aPos, "guardedby")
+	if !ok || got.Arg != "mu" {
 		t.Fatalf("after re-Add: Covering(a) = %+v, %v", got, ok)
 	}
 }

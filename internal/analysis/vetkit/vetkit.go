@@ -19,10 +19,9 @@
 // placed on the flagged line, on the line directly above it, or in the
 // doc comment of the declaration. The Directives index (directives.go)
 // collects every such comment once per program so analyzers share one
-// parse. See the individual analyzers for the directives they honor
-// (wallclock, unordered, guardedby, locked, nolock, wirepayload,
-// errsink, loopowned, looppost, loopcontext, loopexempt,
-// daemon, hotpath, alloc).
+// parse. Each analyzer declares the directive names it reads
+// (Analyzer.Directives), and UnknownDirectives reports any other name,
+// so a misspelled directive is a finding rather than a silent no-op.
 package vetkit
 
 import (
@@ -40,6 +39,8 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
+	// Directives lists the //ocsml: names the analyzer reads.
+	Directives []string
 }
 
 // A Pass is one analyzer applied to one type-checked package.
@@ -55,9 +56,7 @@ type Pass struct {
 	Dir string
 
 	// Program exposes the whole-program view: every package the loader
-	// resolved from source plus the lazily built callgraph. Analyzers
-	// that need cross-package context (wireexhaustive's payload registry,
-	// the interprocedural analyzers' summaries) read it; most ignore it.
+	// resolved from source plus the shared directive index.
 	Program *Program
 
 	report func(Diagnostic)
@@ -89,8 +88,7 @@ type Package struct {
 // diagnostics in deterministic order — sorted by (position, analyzer,
 // message), with exact duplicates removed. Two analyzers flagging the
 // same position therefore always print in the same order, and one
-// finding reported through two packages (interprocedural analyzers see
-// the whole program from every pass) prints once.
+// finding reported through two packages prints once.
 func Run(analyzers []*Analyzer, pkgs []*Package, program *Program) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -126,7 +124,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package, program *Program) ([]Diagnostic
 }
 
 // dedupe drops diagnostics identical to their predecessor in a sorted
-// slice: interprocedural analyzers report the same finding once per pass.
+// slice.
 func dedupe(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {
@@ -173,8 +171,49 @@ func FileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
 // directive (used for declarations, where the directive lives in the doc
 // comment rather than on the statement line).
 func CommentGroupHas(cg *ast.CommentGroup, name string) bool {
-	_, ok := DocDirective(cg, name)
-	return ok
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if dir, ok := parseDirective(c); ok && dir.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// UnknownDirectives returns the check ocsmlvet runs beside the given
+// analyzers: it reports every //ocsml: comment whose name none of them
+// declares in Directives. Without it a misspelled directive (a
+// guardedby typo) switches a check off with no finding, and a retired
+// one lingers unseen.
+func UnknownDirectives(analyzers []*Analyzer) *Analyzer {
+	known := map[string]bool{}
+	var names []string
+	for _, a := range analyzers {
+		for _, name := range a.Directives {
+			known[name] = true
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return &Analyzer{
+		Name: "directives",
+		Doc:  "every //ocsml: directive is one a registered analyzer reads",
+		Run: func(pass *Pass) error {
+			for _, f := range pass.Files {
+				for _, cg := range f.Comments {
+					for _, c := range cg.List {
+						if dir, ok := parseDirective(c); ok && !known[dir.Name] {
+							pass.Reportf(c.Pos(), "unknown directive //ocsml:%s: no analyzer reads it (known: %s)",
+								dir.Name, strings.Join(names, ", "))
+						}
+					}
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // PathHasSuffix reports whether an import path ends with the given

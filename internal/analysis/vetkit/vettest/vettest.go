@@ -7,7 +7,9 @@
 //
 //	// want "regexp"
 //
-// (several regexps may follow one want). The test fails when a want
+// (several regexps may follow one want; a line whose own comment runs
+// to its end, like a directive's, carries the want before it as
+// /* want "regexp" */). The test fails when a want
 // matches no diagnostic on that line, and when a diagnostic matches no
 // want.
 package vettest
@@ -63,7 +65,7 @@ func Run(t *testing.T, testdata string, a *vetkit.Analyzer, importPaths ...strin
 			tf := loader.Fset.File(f.Pos())
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
 					if !strings.HasPrefix(text, "want ") {
 						continue
 					}

@@ -45,6 +45,8 @@ var Analyzer = &vetkit.Analyzer{
 	Name: "wireexhaustive",
 	Doc:  "cross-check //ocsml:wirepayload types against the wire codec's encode and decode switches",
 	Run:  run,
+
+	Directives: []string{"wirepayload"},
 }
 
 func run(pass *vetkit.Pass) error {

@@ -48,12 +48,12 @@ func (d *PiggybackDelta) From(prev, cur Piggyback) bool {
 func (d *PiggybackDelta) Apply(pb *Piggyback) error {
 	csn := pb.Csn + d.DCsn
 	if csn < 0 {
-		return fmt.Errorf("core: piggyback delta underflows csn (%d%+d)", pb.Csn, d.DCsn) //ocsml:alloc corrupt-delta abort path
+		return fmt.Errorf("core: piggyback delta underflows csn (%d%+d)", pb.Csn, d.DCsn)
 	}
 	n := pb.TentSet.Universe()
 	for _, f := range d.Flips {
 		if f < 0 || f >= n {
-			return fmt.Errorf("core: piggyback delta flips bit %d outside universe [0,%d)", f, n) //ocsml:alloc corrupt-delta abort path
+			return fmt.Errorf("core: piggyback delta flips bit %d outside universe [0,%d)", f, n)
 		}
 	}
 	pb.Csn = csn

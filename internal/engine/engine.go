@@ -95,10 +95,10 @@ type Cluster struct {
 	// Run-state mutated only while the simulation executes, i.e. on the
 	// goroutine inside Cluster.Run. epoch is the recovery epoch, bumped
 	// on rollback.
-	doneN    int      //ocsml:loopowned Cluster.Run
-	draining bool     //ocsml:loopowned Cluster.Run
-	makespan des.Time //ocsml:loopowned Cluster.Run
-	epoch    int      //ocsml:loopowned Cluster.Run
+	doneN    int
+	draining bool
+	makespan des.Time
+	epoch    int
 
 	// Metrics is the run's named-metric registry. The free-form Count
 	// namespace lands here as the events family (the DES and the live
@@ -191,8 +191,6 @@ func (c *Cluster) Run() *Result {
 // deliver routes an arriving envelope to its destination protocol. It
 // is the network's delivery callback, invoked from the simulator's
 // event queue inside Cluster.Run.
-//
-//ocsml:loopcontext Cluster.Run
 func (c *Cluster) deliver(e *protocol.Envelope) {
 	if e.Epoch != c.epoch {
 		// Sent before a rollback: the channel contents of the old epoch

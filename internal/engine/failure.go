@@ -45,9 +45,10 @@ func (c *Cluster) InjectFailure(plan FailurePlan) {
 	c.failure = &plan
 	// Enable dedup bookkeeping from the start: the restored cluster must
 	// recognize messages that are already part of the recovery line.
+	// This is pre-Run setup, before the simulation starts.
 	for _, n := range c.nodes {
-		if n.processed == nil { //ocsml:loopexempt pre-Run setup, before the simulation starts
-			n.processed = map[int64]des.Time{} //ocsml:loopexempt pre-Run setup, before the simulation starts
+		if n.processed == nil {
+			n.processed = map[int64]des.Time{}
 		}
 	}
 	c.Sim.At(plan.At, func() { c.failProcess(plan.Proc) })
@@ -57,8 +58,6 @@ func (c *Cluster) InjectFailure(plan FailurePlan) {
 // failProcess crashes one process: its volatile state is gone, the
 // network stops delivering to and from it. It fires from the simulator
 // event scheduled by InjectFailure, inside Cluster.Run.
-//
-//ocsml:loopcontext Cluster.Run
 func (c *Cluster) failProcess(proc int) {
 	c.nodes[proc].h.Crash()
 	c.Net.SetDown(proc, true)
@@ -69,8 +68,6 @@ func (c *Cluster) failProcess(proc int) {
 // recoverAll performs the coordinated rollback and resumption. Like
 // failProcess it fires from the simulator event scheduled by
 // InjectFailure, inside Cluster.Run.
-//
-//ocsml:loopcontext Cluster.Run
 func (c *Cluster) recoverAll() {
 	if c.draining {
 		// The workload already completed; there is nothing to resume.

@@ -17,26 +17,23 @@ import (
 //
 // The engine is a single-threaded discrete-event simulation: every
 // callback fires inside Sim.Run, on the goroutine executing
-// Cluster.Run. The type-wide assertion below is the engine's side of
-// the host's ownership contract: the host calls the Driver methods
-// through an interface the ownership analyzer cannot follow.
-//
-//ocsml:loopcontext Cluster.Run
+// Cluster.Run. The package starts no goroutine, so that is the host's
+// ownership contract kept on the engine's side.
 type Node struct {
 	h     *host.Host
 	c     *Cluster
 	proto protocol.Protocol
 
-	stallStart   des.Time     //ocsml:loopowned Cluster.Run
-	stalledTotal des.Duration //ocsml:loopowned Cluster.Run
+	stallStart   des.Time
+	stalledTotal des.Duration
 
 	// Recovery dedup (only used when a failure is injected): processed
 	// maps envelope id → processing time; lineCFE is the recovery-line
 	// cut time after a restore; restoreAt is when this node was last
 	// restored (0 = never).
-	processed map[int64]des.Time //ocsml:loopowned Cluster.Run
-	lineCFE   des.Time           //ocsml:loopowned Cluster.Run
-	restoreAt des.Time           //ocsml:loopowned Cluster.Run
+	processed map[int64]des.Time
+	lineCFE   des.Time
+	restoreAt des.Time
 }
 
 var _ host.Driver = (*Node)(nil)

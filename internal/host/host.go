@@ -79,13 +79,10 @@ type Process struct {
 
 // Host is one process. It is single-threaded by contract: all of its
 // state is owned by the driver's loop — the goroutine on which
-// Driver.After runs its callbacks, which is the name the ownership
-// analyzer knows that goroutine by. Protocol and application reach the
-// methods below through the Env and AppCtx interfaces, a dispatch the
-// analyzer cannot follow, so the type-wide assertion states the contract
-// once; each driver asserts its own side where it calls in.
-//
-//ocsml:loopcontext Driver.After
+// Driver.After runs its callbacks. Protocol and application reach the
+// methods below through the Env and AppCtx interfaces, from that loop
+// only; each driver keeps its side where it calls in, and the race
+// tests of the TCP driver (the only one with goroutines) execute it.
 type Host struct {
 	p     Process
 	drv   Driver
@@ -94,21 +91,19 @@ type Host struct {
 	// epoch fences timers and callbacks: whatever was scheduled before
 	// a rollback never fires. down silences a crashed process until the
 	// rollback that revives it.
-	epoch int  //ocsml:loopowned Driver.After
-	down  bool //ocsml:loopowned Driver.After
+	epoch int
+	down  bool
 
 	// Application state: a deterministic fold over processed events plus
 	// a work counter. This is what checkpoints capture.
-	fold    uint64 //ocsml:loopowned Driver.After
-	work    int64  //ocsml:loopowned Driver.After
-	appSeq  int64  //ocsml:loopowned Driver.After
-	appDone bool   //ocsml:loopowned Driver.After
+	fold    uint64
+	work    int64
+	appSeq  int64
+	appDone bool
 
 	// While stall > 0 the application makes no progress; its deliveries
 	// and timer callbacks queue in deferred and replay on the loop.
-	stall int //ocsml:loopowned Driver.After
-	//ocsml:loopowned Driver.After
-	//ocsml:looppost Driver.After
+	stall    int
 	deferred []func()
 }
 
@@ -229,10 +224,7 @@ func (h *Host) Finished() bool { return h.appDone }
 // IsStalled reports whether the application is stalled right now.
 func (h *Host) IsStalled() bool { return h.stall > 0 }
 
-// later schedules fn on the owning loop — Driver.After, through the one
-// wrapper that carries the ownership fact to the analyzer.
-//
-//ocsml:looppost Driver.After
+// later schedules fn on the owning loop through Driver.After.
 func (h *Host) later(d des.Duration, fn func()) *des.Timer { return h.drv.After(d, fn) }
 
 // ---- protocol.Env ----

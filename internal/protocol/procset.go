@@ -56,7 +56,7 @@ func (s ProcSet) Toggle(id int) {
 
 func (s ProcSet) check(id int) {
 	if id < 0 || id >= s.n {
-		panic(fmt.Sprintf("protocol: process id %d outside universe [0,%d)", id, s.n)) //ocsml:alloc bounds panic, unreachable on validated input
+		panic(fmt.Sprintf("protocol: process id %d outside universe [0,%d)", id, s.n))
 	}
 }
 
@@ -116,7 +116,7 @@ func (s *ProcSet) CopyFrom(other ProcSet) {
 	if cap(s.words) >= nw {
 		s.words = s.words[:nw]
 	} else {
-		s.words = make([]uint64, nw) //ocsml:alloc grows only when the universe widens
+		s.words = make([]uint64, nw) // grows only when the universe widens
 	}
 	copy(s.words, other.words)
 	s.n = other.n
@@ -127,7 +127,7 @@ func (s *ProcSet) CopyFrom(other ProcSet) {
 // wire codec's piggyback delta encoding. The universes must match.
 func (s ProcSet) AppendDiffIndices(dst []int, prev ProcSet) []int {
 	if s.n != prev.n {
-		panic(fmt.Sprintf("protocol: diff of mismatched universes %d and %d", s.n, prev.n)) //ocsml:alloc mismatched-universe panic, programming error
+		panic(fmt.Sprintf("protocol: diff of mismatched universes %d and %d", s.n, prev.n))
 	}
 	for i := range s.words {
 		w := s.words[i] ^ prev.words[i]
@@ -242,7 +242,7 @@ func (s *ProcSet) DecodeInto(b []byte) (int, error) {
 		return 0, errShortUniverse
 	}
 	if n > MaxUniverse {
-		return 0, fmt.Errorf("protocol: ProcSet universe %d exceeds limit", n) //ocsml:alloc corrupt-input abort path
+		return 0, fmt.Errorf("protocol: ProcSet universe %d exceeds limit", n)
 	}
 	nb := (int(n) + 7) / 8
 	if len(b) < k+nb {
@@ -255,7 +255,7 @@ func (s *ProcSet) DecodeInto(b []byte) (int, error) {
 			s.words[i] = 0
 		}
 	} else {
-		s.words = make([]uint64, nw) //ocsml:alloc grows only when the universe widens
+		s.words = make([]uint64, nw) // grows only when the universe widens
 	}
 	s.n = int(n)
 	for i := 0; i < nb; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"ocsml/internal/core"
 	"ocsml/internal/protocol"
+	"ocsml/internal/reliable"
 	"ocsml/internal/wire"
 )
 
@@ -63,9 +64,11 @@ func twoMesh(tb testing.TB, delivered *atomic.Int64) (sender, receiver *Mesh) {
 }
 
 // TestMeshSendAllocs locks in the send-side allocation budget: encoding
-// an app-message frame into a pooled frame and handing it to the mesh
-// costs at most one allocation per message (a frame-pool miss when the
-// writer has not yet recycled a frame; everything else is reuse).
+// a frame into a pooled frame and handing it to the mesh costs at most
+// one allocation per message (a frame-pool miss when the writer has not
+// yet recycled a frame; everything else is reuse). One row per frame
+// shape the mesh carries: an app message with its piggyback, a CK_REQ
+// control frame, and a transport ACK.
 func TestMeshSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -75,32 +78,46 @@ func TestMeshSendAllocs(t *testing.T) {
 	defer s.Close()
 	defer r.Close()
 
-	var enc wire.Encoder
-	e := appEnvelope(64)
-	send := func() {
-		f := wire.AcquireFrame()
-		if err := enc.EncodeFrame(f, e); err != nil {
-			t.Fatal(err)
-		}
-		s.Send(1, f)
+	rows := []struct {
+		name string
+		e    *protocol.Envelope
+	}{
+		{"app", appEnvelope(64)},
+		{"ck_req", &protocol.Envelope{ID: 2, Src: 0, Dst: 1, Kind: protocol.KindCtl,
+			CtlTag: core.TagREQ, Bytes: 8, SentAt: 1, Payload: core.CtlMsg{Csn: 3}}},
+		{"ack", &protocol.Envelope{ID: 3, Src: 0, Dst: 1, Kind: protocol.KindCtl,
+			CtlTag: reliable.AckTag, Bytes: 12, SentAt: 1, Payload: reliable.Ack{ID: 42}}},
 	}
-	// Warm up: fill the frame pool, grow the writer's batch buffers, and
-	// let the connection reach steady state.
-	for i := 0; i < 2000; i++ {
-		send()
-	}
-	waitFor(t, 10*time.Second, func() bool { return delivered.Load() >= 2000 })
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var enc wire.Encoder
+			send := func() {
+				f := wire.AcquireFrame()
+				if err := enc.EncodeFrame(f, row.e); err != nil {
+					t.Fatal(err)
+				}
+				s.Send(1, f)
+			}
+			// Warm up: fill the frame pool, grow the writer's batch buffers,
+			// and let the connection reach steady state.
+			want := delivered.Load() + 2000
+			for i := 0; i < 2000; i++ {
+				send()
+			}
+			waitFor(t, 10*time.Second, func() bool { return delivered.Load() >= want })
 
-	// AllocsPerRun counts the process's mallocs, so what the mesh's reader
-	// and writer goroutines allocate while a measurement runs lands in it
-	// too; the minimum of a few measurements is the one the scheduler
-	// disturbed least.
-	n := testing.AllocsPerRun(2000, send)
-	for i := 1; i < 5; i++ {
-		n = min(n, testing.AllocsPerRun(2000, send))
-	}
-	if n > 1 {
-		t.Errorf("mesh send: %.2f allocs/op at best of 5, want <= 1", n)
+			// AllocsPerRun counts the process's mallocs, so what the mesh's
+			// reader and writer goroutines allocate while a measurement runs
+			// lands in it too; the minimum of a few measurements is the one
+			// the scheduler disturbed least.
+			n := testing.AllocsPerRun(2000, send)
+			for i := 1; i < 5; i++ {
+				n = min(n, testing.AllocsPerRun(2000, send))
+			}
+			if n > 1 {
+				t.Errorf("mesh send: %.2f allocs/op at best of 5, want <= 1", n)
+			}
+		})
 	}
 	if d := s.Stats().Dropped; d > 0 {
 		t.Logf("note: %d frames dropped during measurement (queue overflow)", d)

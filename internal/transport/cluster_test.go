@@ -313,6 +313,83 @@ func TestRecoverNeedsNoRetryTick(t *testing.T) {
 	}
 }
 
+// TestAdminReadsDuringRecovery is the observer race test: one goroutine
+// calls every entry point the admin API reaches (StatusSnapshot,
+// TriggerCheckpoint, Counters, CheckGlobals) in a loop while a live
+// cluster runs traffic, triggered rounds, a kill and a recovery. Under
+// -race, a read of any loop-owned Node or Host field off the loop — say
+// the host's epoch hoisted out of StatusSnapshot's posted closure —
+// fails it, because the survivors' rollbacks write those fields.
+func TestAdminReadsDuringRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 23)
+	cfg.Workload.Steps = 100000 // effectively endless; the test stops the cluster
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors are expected: a killed node is closed, and a round
+			// can be incomplete while the loop reads it.
+			for _, n := range c.Nodes() {
+				n.StatusSnapshot(time.Second)
+				n.TriggerCheckpoint(time.Second)
+			}
+			// Rarely: CheckGlobals takes the trace recorder's mutex, which
+			// every loop also takes, and each such edge orders the loops'
+			// earlier writes before this goroutine's later reads.
+			if i%32 == 0 {
+				c.Counters()
+				c.CheckGlobals()
+			}
+		}
+	}()
+	for _, victim := range []int{3, 1, 2, 0} {
+		mark := c.Rec.Len()
+		waitFor(t, 10*time.Second, func() bool {
+			for _, e := range c.Rec.Events()[mark:] {
+				if e.Kind == trace.KFinalize {
+					return true
+				}
+			}
+			return false
+		})
+		c.Kill(victim)
+		if _, err := c.Recover(victim); err != nil {
+			t.Fatalf("recover P%d: %v", victim, err)
+		}
+		mark = c.Rec.Len()
+		waitFor(t, 10*time.Second, func() bool {
+			for _, e := range c.Rec.Events()[mark:] {
+				if e.Kind == trace.KRecv && e.Proc == victim {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	close(stop)
+	<-done
+	c.Stop()
+	if _, err := c.CheckGlobals(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterKillRestartAtLineZero crashes a process before the cluster
 // has any durable checkpoint: the manifests intersect to nothing, the
 // agreed line is 0 — the initial state, which has no record on disk — and

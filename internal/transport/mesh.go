@@ -192,14 +192,12 @@ func (m *Mesh) Start() {
 // (unless a Hook is installed — see SendHook). A full queue (peer down
 // long enough to exhaust the buffer) drops the frame — the loss is
 // counted and left to the retransmission layer.
-//
-//ocsml:hotpath
 func (m *Mesh) Send(dst int, f *wire.Frame) {
 	if m.peers[dst] == nil {
-		panic(fmt.Sprintf("transport: P%d sending to itself", dst)) //ocsml:alloc misuse panic, unreachable in production
+		panic(fmt.Sprintf("transport: P%d sending to itself", dst))
 	}
 	if h := m.cfg.Hook; h != nil {
-		h(m.cfg.ID, dst, f, func(g *wire.Frame) { m.enqueue(dst, g) }) //ocsml:alloc fault-injection hook path, tests only
+		h(m.cfg.ID, dst, f, func(g *wire.Frame) { m.enqueue(dst, g) }) // fault-injection hook path, tests only
 		return
 	}
 	m.enqueue(dst, f)
@@ -207,8 +205,6 @@ func (m *Mesh) Send(dst int, f *wire.Frame) {
 
 // enqueue places one frame on the peer's outgoing queue (the post-hook
 // half of Send; delayed fault-injected frames land here from timers).
-//
-//ocsml:hotpath
 func (m *Mesh) enqueue(dst int, f *wire.Frame) {
 	p := m.peers[dst]
 	select {
@@ -354,9 +350,7 @@ func (m *Mesh) serveConn(c net.Conn) {
 //
 // The steady-state batch encode+write is a hot path: all its buffers
 // (wbuf, bufs, ends, pbs, batch, carry) amortize to zero allocations.
-// The dial/backoff preamble is annotated cold where it allocates.
-//
-//ocsml:hotpath
+// The dial/backoff preamble allocates once per connection.
 func (m *Mesh) writerLoop(p *peer) {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(jitterSeed(m.cfg.Seed, m.cfg.ID, p.id)))
@@ -549,8 +543,6 @@ type link struct {
 // EOF, a reset or our own Close (hangUp, Mesh.Close), because nothing else
 // is ever sent to us on a connection we dialled — and a stray byte, like a
 // bad reply, ends the connection just the same.
-//
-//ocsml:alloc once per connection
 func (m *Mesh) watch(c net.Conn, dst int) *link {
 	lk := &link{dead: make(chan struct{})}
 	m.wg.Add(1)
@@ -589,8 +581,6 @@ const helloVersion = 3
 
 // writeHello frames and writes the hello; it runs once per established
 // connection and side, so its small buffer is off the steady-state write path.
-//
-//ocsml:alloc once per connection
 func writeHello(c net.Conn, id int, incarnation uint64) error {
 	buf := binary.AppendUvarint([]byte{helloVersion}, uint64(id))
 	return writeFrame(c, binary.AppendUvarint(buf, incarnation))

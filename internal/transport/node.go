@@ -85,7 +85,7 @@ type Node struct {
 	count func(name string, delta int64) // cfg.Metrics' event sink
 	// enc serializes outgoing envelopes into pooled frames; all Sends
 	// run on the loop goroutine, so its scratch state is single-owner.
-	enc wire.Encoder //ocsml:loopowned loop
+	enc wire.Encoder
 
 	inbox chan func()
 	quit  chan struct{}
@@ -99,16 +99,17 @@ type Node struct {
 	started atomic.Bool
 	closed  atomic.Bool
 
-	// Single-goroutine state, proven by the loopowned analyzer (the
-	// host's own state is proven in internal/host): persisted is the
-	// highest seq written to FS; held the completions of flushes that
+	// Single-goroutine state, touched lock-free: persisted and held belong
+	// to the storage goroutine, recLine and rb to the loop (reads from
+	// elsewhere post to their owner, as StatusSnapshot does). persisted is
+	// the highest seq written to FS; held the completions of flushes that
 	// left a finalized record off the disk; recLine the last committed
 	// rollback/resume line (-1: never); rb this process's side of the RB_*
 	// handshake.
-	persisted int                    //ocsml:loopowned storageLoop
-	held      []heldWrite            //ocsml:loopowned storageLoop
-	recLine   int                    //ocsml:loopowned loop
-	rb        *handshake.Participant //ocsml:loopowned loop
+	persisted int
+	held      []heldWrite
+	recLine   int
+	rb        *handshake.Participant
 
 	staleDropped atomic.Int64
 	decodeErrors atomic.Int64
@@ -160,7 +161,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 	}
-	n.rb = &handshake.Participant{Proc: rbProcess{n}} //ocsml:loopexempt pre-spawn construction
+	n.rb = &handshake.Participant{Proc: rbProcess{n}} // pre-spawn construction
 	n.h = host.New(host.Process{
 		ID: cfg.ID, N: cfg.N, Proto: cfg.Proto, App: cfg.App,
 		Rand: rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
@@ -262,15 +263,11 @@ func (n *Node) Mesh() *Mesh { return n.mesh }
 
 // Post schedules fn on the node's serialized loop (cluster rollback
 // uses it to mutate protocol state safely).
-//
-//ocsml:looppost loop
 func (n *Node) Post(fn func()) { n.post(fn) }
 
 // postStorage schedules fn on the storage goroutine, serialized with
 // the disk persistence of finalized checkpoints. Returns false when the
 // node is already shut down (fn will not run).
-//
-//ocsml:looppost storageLoop
 func (n *Node) postStorage(fn func()) bool {
 	select {
 	case n.storageCh <- storeReq{fn: fn}:
@@ -292,7 +289,6 @@ func (n *Node) loop() {
 	}
 }
 
-//ocsml:looppost loop
 func (n *Node) post(fn func()) {
 	select {
 	case n.inbox <- fn:
@@ -447,8 +443,6 @@ func (n *Node) NextID() int64 { return n.idBase | n.idCtr.Add(1) }
 // not the simulator's synthetic Bytes estimate — is what travels. This
 // is the node's side of the host's ownership contract: the host calls
 // it through the Driver interface, from loop callbacks only.
-//
-//ocsml:loopcontext loop
 func (n *Node) Transmit(e *protocol.Envelope) {
 	f := wire.AcquireFrame()
 	if err := n.enc.EncodeFrame(f, e); err != nil {

@@ -71,8 +71,6 @@ func (n *Node) durableSeqs() []int {
 // the commit stays unacknowledged, so the coordinator's timeout surfaces
 // the inconsistency instead of the cluster silently diverging. The
 // Participant calls it, through rbProcess, from handleRecovery only.
-//
-//ocsml:loopcontext loop
 func (n *Node) rollbackTo(line, epoch int) {
 	rec, replayed, ok := n.h.Rollback(line, epoch)
 	if !ok {

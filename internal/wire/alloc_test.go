@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"ocsml/internal/core"
@@ -19,6 +20,85 @@ func allocsPerRun(t *testing.T, what string, max float64, fn func()) {
 	fn() // warm pools and grow scratch buffers before measuring
 	if n := testing.AllocsPerRun(200, fn); n > max {
 		t.Errorf("%s: %.1f allocs/op, want <= %.0f", what, n, max)
+	}
+}
+
+// TestEveryPayloadZeroAlloc is the message path's allocation gate. For
+// every envelope shape the protocols emit (sampleEnvelopes, which
+// TestPayloadRegistryComplete keeps at one per registered payload or
+// more) and every record shape fsstore persists, each steady-state call
+// performs zero allocations: the encode into a pooled frame, the
+// per-connection rewrite on its delta path and its full path, the size
+// dry run, the decode of a stateless and of a stream frame, and the
+// record append. A payload arm that allocates fails on its own row.
+func TestEveryPayloadZeroAlloc(t *testing.T) {
+	set := protocol.NewProcSet(64)
+	set.Add(5)
+	wide := set.Clone()
+	wide.Add(41)
+	envs := append(sampleEnvelopes(),
+		pbEnvelope(1, 0, core.Piggyback{Csn: 12, Stat: core.Tentative, TentSet: set}),
+		pbEnvelope(1, 0, core.Piggyback{Csn: 12, Stat: core.Tentative, TentSet: wide}))
+	for i, e := range envs {
+		t.Run(fmt.Sprintf("%d_%s", i, PayloadKind(e.Payload)), func(t *testing.T) {
+			var enc Encoder
+			var pe PeerEncoder
+			f := AcquireFrame()
+			defer f.Release()
+			allocsPerRun(t, "Encoder.EncodeFrame", 0, func() {
+				if err := enc.EncodeFrame(f, e); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// g differs from f in one tentSet bit when e carries a
+			// piggyback, so alternating the two runs the delta path with a
+			// flip to code; for any other payload g repeats f.
+			g := AcquireFrame()
+			defer g.Release()
+			if err := enc.EncodeFrame(g, flipped(e)); err != nil {
+				t.Fatal(err)
+			}
+			var wbuf []byte
+			allocsPerRun(t, "PeerEncoder.AppendFrame(delta)", 0, func() {
+				wbuf, _ = pe.AppendFrame(wbuf[:0], f)
+				wbuf, _ = pe.AppendFrame(wbuf[:0], g)
+			})
+			allocsPerRun(t, "PeerEncoder.AppendFrame(full)", 0, func() {
+				pe.Reset()
+				wbuf, _ = pe.AppendFrame(wbuf[:0], f)
+			})
+			allocsPerRun(t, "PeerEncoder.EncodedSize", 0, func() { pe.EncodedSize(f) })
+
+			stateless, err := Encode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The second stream frame repeats the first, so its deltas are
+			// zero and every decode of it leaves the base where it was.
+			pe.Reset()
+			first, _ := pe.AppendFrame(nil, f)
+			stream, _ := pe.AppendFrame(nil, f)
+			for _, c := range []struct {
+				what  string
+				frame []byte
+			}{{"Decoder.Decode(stateless)", stateless}, {"Decoder.Decode(stream)", stream}} {
+				dec := new(Decoder)
+				if _, err := dec.Decode(first); err != nil {
+					t.Fatal(err)
+				}
+				allocsPerRun(t, c.what, 0, func() {
+					if _, err := dec.Decode(c.frame); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		})
+	}
+	for i, rec := range sampleRecords() {
+		t.Run(fmt.Sprintf("record_%d", i), func(t *testing.T) {
+			var buf []byte
+			allocsPerRun(t, "AppendRecord", 0, func() { buf = AppendRecord(buf[:0], &rec) })
+		})
 	}
 }
 
@@ -61,6 +141,22 @@ func TestAppendFrameZeroAlloc(t *testing.T) {
 		pe.Reset()
 		wbuf, _ = pe.AppendFrame(wbuf[:0], f)
 	})
+}
+
+// TestDecodeZeroAlloc: steady-state decode of app-message frames — full
+
+// flipped returns e with bit 0 of its piggyback's tentSet toggled, or e
+// itself when it carries no piggyback.
+func flipped(e *protocol.Envelope) *protocol.Envelope {
+	pb, ok := e.Payload.(core.Piggyback)
+	if !ok {
+		return e
+	}
+	pb.TentSet = pb.TentSet.Clone()
+	pb.TentSet.Toggle(0)
+	c := *e
+	c.Payload = pb
+	return &c
 }
 
 // TestDecodeZeroAlloc: steady-state decode of app-message frames — full

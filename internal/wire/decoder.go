@@ -53,8 +53,6 @@ type Decoder struct {
 // it, its payload pointer, and any slices they carry are invalidated by
 // the next Decode/DecodeOwned call. Callers that retain the envelope
 // must use DecodeOwned.
-//
-//ocsml:hotpath
 func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	d.r = reader{b: data}
 	r := &d.r
@@ -379,9 +377,9 @@ func decodePayload(r *reader, d *Decoder, stream bool, ackBase int64) (any, erro
 // decoding it does not allocate. Unknown tags fall back to a fresh string.
 func internTag(b []byte) string {
 	for _, t := range ctlTags {
-		if string(b) == t { //ocsml:alloc comparison-only conversion, not materialized by the compiler
+		if string(b) == t { // comparison-only conversion, not materialized by the compiler
 			return t
 		}
 	}
-	return string(b) //ocsml:alloc unknown tag: an interning miss is a cold path
+	return string(b)
 }

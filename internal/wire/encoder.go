@@ -21,8 +21,6 @@ type Encoder struct{}
 // EncodeFrame serializes e into f, reusing f's storage. The frame holds
 // the stateless encoding plus the sidecar PeerEncoder.AppendFrame needs
 // to rewrite it per connection. On error the frame is left empty.
-//
-//ocsml:hotpath
 func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 	f.coded = false
 	buf, err := appendHeader(f.data[:0], e, &f.lay)
@@ -80,8 +78,6 @@ func (pe *PeerEncoder) Reset() {
 // extended buffer plus the number of payload-block bytes written (the
 // piggyback overhead accounting for this frame; 0 for frames without a
 // piggyback). A RawFrame is appended verbatim and moves no base.
-//
-//ocsml:hotpath
 func (pe *PeerEncoder) AppendFrame(dst []byte, f *Frame) ([]byte, int) {
 	if !f.coded {
 		return append(dst, f.data...), 0
@@ -101,8 +97,6 @@ func (pe *PeerEncoder) AppendFrame(dst []byte, f *Frame) ([]byte, int) {
 
 // EncodedSize returns the exact number of bytes the next
 // AppendFrame(dst, f) would append, without advancing the stream state.
-//
-//ocsml:hotpath
 func (pe *PeerEncoder) EncodedSize(f *Frame) int {
 	if !f.coded {
 		return len(f.data)

@@ -20,8 +20,6 @@ const minLogEntry = 8 + 8
 // hashes (Fold, CFEFold, a log entry's Tag) as fixed u64le, and the log
 // as a uvarint count followed by its entries. It cannot fail, and
 // DecodeRecord gives rec back exactly (an empty log as nil).
-//
-//ocsml:hotpath
 func AppendRecord(buf []byte, rec *checkpoint.Record) []byte {
 	buf = binary.AppendVarint(buf, int64(rec.Proc))
 	buf = binary.AppendVarint(buf, int64(rec.Seq))

@@ -125,12 +125,11 @@ func PayloadKind(payload any) string {
 	return reflect.TypeOf(payload).String()
 }
 
-// errf builds a corrupt-input or misconfiguration error. Every call is
-// an abort path — a failed encode or decode discards the whole frame —
-// so the formatting allocations (and the boxing of the operands) are
-// off the steady-state path by construction.
-//
-//ocsml:alloc error construction, abort paths only
+// errf builds a corrupt-input or misconfiguration error. It is
+// deliberately cold: every call is an abort path — a failed encode or
+// decode discards the whole frame — so the formatting allocations (and
+// the boxing of the operands) are off the steady-state path by
+// construction.
 func errf(format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
