@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fs-soak fuzz model-check results-check bench-check bench-gate loc
+.PHONY: all build test race vet fmt lint staticcheck vuln chaos ctl soak fs-soak fuzz model-check results-check bench-check bench-gate loc
 
 all: build test
 
@@ -17,21 +17,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the standard toolchain vet plus the repo's own three analyzers
-# (cmd/ocsmlvet): wire-codec exhaustiveness, determinism and lock
-# discipline, and reports any //ocsml: directive none of them reads.
-# See DESIGN.md §10 and §15.5. The second
-# ocsmlvet pass adds the soak build tag so tag-gated code (the
-# long-running transport soak harness) is analyzed too.
-vet: ocsmlvet-bin
+# vet runs the toolchain's vet twice: the second pass adds the soak build
+# tag, so the tag-gated transport soak harness is type-checked and vetted
+# too. The conventions a custom analyzer once argued (codec completeness,
+# seed purity, lock discipline) are executed tests now: DESIGN.md §10.
+vet:
 	$(GO) vet ./...
-	bin/ocsmlvet ./...
-	bin/ocsmlvet -tags soak ./...
-
-# ocsmlvet-bin compiles the vet tool to bin/ocsmlvet, so the two passes
-# share one build; the go build cache makes a rebuild cheap.
-ocsmlvet-bin:
-	$(GO) build -o bin/ocsmlvet ./cmd/ocsmlvet
+	$(GO) vet -tags soak ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -50,9 +42,6 @@ vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else echo "govulncheck not installed; skipped (CI runs it)"; fi
-
-generate:
-	$(GO) generate ./...
 
 # chaos is the CI smoke: five seeds of in-process crash + fault
 # injection + wire recovery against the real TCP runtime.
@@ -168,7 +157,7 @@ bench-gate:
 		gate steady-uniform && ceiling wire_bytes_per_app_msg 52
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
-# nested benchmark module and analyzer fixtures. CI's test job prints it
+# nested benchmark module and testdata. CI's test job prints it
 # too, so the number has one definition.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l

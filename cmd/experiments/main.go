@@ -70,9 +70,9 @@ func main() {
 		}
 	}
 	for _, e := range selected {
-		start := time.Now() //ocsml:wallclock benchmark timing, reported not simulated
+		start := time.Now()
 		tab := e.Execute(scale)
-		elapsed := time.Since(start) //ocsml:wallclock benchmark timing, reported not simulated
+		elapsed := time.Since(start)
 		fmt.Fprint(w, tab.Render())
 		fmt.Fprintf(w, "(%.1fs)\n\n", elapsed.Seconds())
 		if *csvDir != "" {

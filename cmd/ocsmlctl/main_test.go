@@ -122,13 +122,13 @@ func TestCheckpointManifestRecoveryMetrics(t *testing.T) {
 		t.Fatalf("checkpoint output:\n%s", out)
 	}
 
-	deadline := time.Now().Add(15 * time.Second) //ocsml:wallclock test poll deadline
+	deadline := time.Now().Add(15 * time.Second)
 	for {
 		code, out, _ = runCtl(t, "-node", addr, "manifest")
 		if code == 0 && strings.Contains(out, "last complete  1") {
 			break
 		}
-		if time.Now().After(deadline) { //ocsml:wallclock test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("round never reached the manifests:\n%s", out)
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -216,14 +216,14 @@ func TestControlPlane(t *testing.T) {
 // durable (the triggered round finalized cluster-wide).
 func waitLastComplete(t *testing.T, srv *Server, seq int, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout) //ocsml:wallclock test poll deadline
+	deadline := time.Now().Add(timeout)
 	for {
 		_, body := get(t, srv, "/v1/manifest")
 		var man manifestResponse
 		if err := json.Unmarshal(body, &man); err == nil && man.LastComplete >= seq {
 			return
 		}
-		if time.Now().After(deadline) { //ocsml:wallclock test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("triggered round did not reach durable seq %d within %v (last body: %s)", seq, timeout, body)
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -139,8 +139,7 @@ func (r *Record) FinalizationLatency() des.Duration {
 type ProcStore struct {
 	proc int
 	mu   sync.Mutex
-	//ocsml:guardedby mu
-	recs []Record // ascending Seq, gap-free from the first stored seq
+	recs []Record // guarded by mu; ascending Seq, gap-free from the first stored seq
 }
 
 // Proc returns the owning process id.

@@ -128,8 +128,6 @@ func Factory(opt Options) func(i, n int) protocol.Protocol {
 // Piggyback is the protocol state attached to every application message:
 // M.csn, M.stat and M.tentSet in the paper's notation. It is exported so
 // the real-network runtime (internal/wire) can serialize it.
-//
-//ocsml:wirepayload
 type Piggyback struct {
 	Csn     int
 	Stat    Status
@@ -149,8 +147,6 @@ const (
 )
 
 // CtlMsg is the body of a control message: CM.csn in the paper.
-//
-//ocsml:wirepayload
 type CtlMsg struct {
 	Csn int
 }

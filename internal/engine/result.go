@@ -96,7 +96,6 @@ func (r *Result) Counter(name string) int64 { return r.Counters[name] }
 // CounterNames returns the sorted counter keys.
 func (r *Result) CounterNames() []string {
 	names := make([]string, 0, len(r.Counters))
-	//ocsml:unordered collects the key set; sorted before returning
 	for k := range r.Counters {
 		names = append(names, k)
 	}

@@ -3,7 +3,6 @@ package faultnet
 // This file is the real-time half of faultnet: it applies the seeded,
 // deterministic schedules (schedule.go) to a live TCP mesh, so timers
 // and elapsed real time are its working material.
-//ocsml:realtime injector delays/reorders frames on the wall clock
 
 import (
 	"math/rand"
@@ -42,10 +41,8 @@ type Stats struct {
 type Injector struct {
 	sched *Schedule
 
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	base time.Time
-	//ocsml:guardedby mu
+	mu     sync.Mutex // guards base and active
+	base   time.Time
 	active bool
 
 	links map[[2]int]*linkState
@@ -57,16 +54,12 @@ type Injector struct {
 
 // linkState is the per-directed-link fault state.
 type linkState struct {
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	rng *rand.Rand
-	//ocsml:guardedby mu
+	mu sync.Mutex // guards every field below
+
+	rng    *rand.Rand
 	faults []LinkFault // windows on this link, by From
-	//ocsml:guardedby mu
-	parts []Window // partition windows covering this pair
-	//ocsml:guardedby mu
-	held *wire.Frame // frame held back for an adjacent-swap reorder
-	//ocsml:guardedby mu
+	parts  []Window    // partition windows covering this pair
+	held   *wire.Frame // frame held back for an adjacent-swap reorder
 	heldFn func(*wire.Frame)
 }
 
@@ -82,14 +75,14 @@ func NewInjector(s *Schedule) *Injector {
 		}
 		return ls
 	}
+	// No lock below: the injector has not escaped yet.
 	for _, f := range s.Links {
 		ls := link(f.Src, f.Dst)
-		ls.faults = append(ls.faults, f) //ocsml:nolock construction: the injector has not escaped yet
+		ls.faults = append(ls.faults, f)
 	}
 	for _, p := range s.Parts {
-		//ocsml:nolock construction: the injector has not escaped yet
 		link(p.A, p.B).parts = append(link(p.A, p.B).parts, p.Window)
-		link(p.B, p.A).parts = append(link(p.B, p.A).parts, p.Window) //ocsml:nolock construction, as above
+		link(p.B, p.A).parts = append(link(p.B, p.A).parts, p.Window)
 	}
 	return inj
 }
@@ -128,7 +121,7 @@ func (inj *Injector) Apply(src, dst int, frame *wire.Frame, deliver func(frame *
 		deliver(frame)
 		return
 	}
-	t := time.Since(base) //ocsml:wallclock fault windows are positions on the real chaos timeline
+	t := time.Since(base) // fault windows are positions on the real chaos timeline
 
 	ls.mu.Lock()
 	for _, w := range ls.parts {

@@ -122,21 +122,18 @@ type Store struct {
 	proc int
 	n    int
 	opts Options
-	//ocsml:guardedby mu
+
+	// guarded by mu
 	man Manifest
 	// index locates every manifested checkpoint in the segmented log.
-	//ocsml:guardedby mu
 	index map[int]recLoc
 	// frames is the batch buffer commits encode their frames into, kept
 	// from one commit to the next so a commit allocates nothing for them.
-	//ocsml:guardedby mu
 	frames []byte
 	// fault, when set, is consulted before every call that changes the
 	// directory (see SetFaultHook). Nil in production.
-	//ocsml:guardedby mu
 	fault func(op, path string) error
 	// metrics, when set, receives this store's durability instruments.
-	//ocsml:guardedby mu
 	metrics *StoreMetrics
 }
 

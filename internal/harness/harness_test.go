@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ocsml/internal/des"
+	"ocsml/internal/engine"
+	"ocsml/internal/trace"
 )
 
 func TestRegistryAndRun(t *testing.T) {
@@ -20,20 +24,44 @@ func TestRegistryAndRun(t *testing.T) {
 	}
 }
 
+// TestHarnessDeterminism runs one seeded OCSML simulation, with a crash
+// and its recovery, twice in one process and compares what it outputs
+// byte for byte: the trace as JSON Lines, the counters in CounterNames
+// order, and each process's final state fold. Go randomises map iteration
+// order on every range, and the global rand source and the wall clock
+// differ between the two runs, so any of them reaching an output fails
+// here.
 func TestHarnessDeterminism(t *testing.T) {
 	rc := RunCfg{Proto: "ocsml", N: 6, Seed: 17, Steps: 250,
-		Think: 10 * des.Millisecond, StateBytes: 4 << 20, Trace: true}
-	a, b := Run(rc), Run(rc)
-	if a.Makespan != b.Makespan || a.AppMsgs != b.AppMsgs ||
-		a.CtlMsgs != b.CtlMsgs || a.TotalLogBytes() != b.TotalLogBytes() ||
-		a.Trace.Len() != b.Trace.Len() {
-		t.Fatal("identical RunCfg diverged")
+		Think: 10 * des.Millisecond, StateBytes: 4 << 20, Trace: true,
+		Failure: &engine.FailurePlan{At: 1500 * des.Millisecond, Proc: 2}}
+	output := func() []byte {
+		r := Run(rc)
+		if got := r.Counter("recovery.recoveries"); got != 1 {
+			t.Fatalf("recoveries = %d, want 1", got)
+		}
+		var b bytes.Buffer
+		if err := trace.WriteJSON(&b, r.Trace.Events()); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range r.CounterNames() {
+			fmt.Fprintf(&b, "%s %d\n", name, r.Counters[name])
+		}
+		fmt.Fprintf(&b, "folds %v works %v makespan %d log bytes %d\n",
+			r.Folds, r.Works, r.Makespan, r.TotalLogBytes())
+		return b.Bytes()
 	}
-	for name, v := range a.Counters {
-		if b.Counters[name] != v {
-			t.Fatalf("counter %s diverged: %d vs %d", name, v, b.Counters[name])
+	a, b := output(), output()
+	if bytes.Equal(a, b) {
+		return
+	}
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			t.Fatalf("identical RunCfg diverged at output line %d:\n  %s\n  %s", i+1, la[i], lb[i])
 		}
 	}
+	t.Fatalf("identical RunCfg diverged: %d vs %d output lines", len(la), len(lb))
 }
 
 func TestUnknownProtocolPanics(t *testing.T) {

@@ -33,9 +33,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge tracks a level and its high-water mark.
 type Gauge struct {
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	cur, max int64
+	mu       sync.Mutex
+	cur, max int64 // guarded by mu
 }
 
 // Add moves the level by delta (may be negative).
@@ -66,15 +65,12 @@ func (g *Gauge) Max() int64 {
 // It stores all samples; simulations are bounded, so this is fine and
 // keeps percentiles exact.
 type Summary struct {
-	mu sync.Mutex
-	//ocsml:guardedby mu
+	mu sync.Mutex // guards every field below
+
 	samples []float64
-	//ocsml:guardedby mu
-	sum float64
-	//ocsml:guardedby mu
-	sorted bool
-	//ocsml:guardedby mu
-	last float64
+	sum     float64
+	sorted  bool
+	last    float64
 }
 
 // Observe records one sample.

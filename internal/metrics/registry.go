@@ -49,9 +49,8 @@ const EventFamily = "ocsml_events_total"
 // Registry is a named-metric catalog: name -> family (kind, help,
 // labels) -> labeled series. Safe for concurrent use.
 type Registry struct {
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	families map[string]*family
+	mu       sync.Mutex
+	families map[string]*family // guarded by mu
 }
 
 // family is one named metric with a fixed kind, help string and label
@@ -62,9 +61,8 @@ type family struct {
 	kind   Kind
 	labels []string
 
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	series map[string]*series
+	mu     sync.Mutex
+	series map[string]*series // guarded by mu
 }
 
 // series is one labeled instrument of a family. Exactly one of c/g/s/fn
@@ -377,7 +375,6 @@ func (r *Registry) FamilyNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
-	//ocsml:unordered collects the key set; sorted before returning
 	for name := range r.families {
 		names = append(names, name)
 	}
@@ -406,7 +403,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func (f *family) render(b *strings.Builder) {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.series))
-	//ocsml:unordered collects the key set; sorted before rendering
 	for k := range f.series {
 		keys = append(keys, k)
 	}

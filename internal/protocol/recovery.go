@@ -27,8 +27,6 @@ const (
 func IsRecoveryTag(tag string) bool { return strings.HasPrefix(tag, "RB_") }
 
 // RbMsg is the payload of every RB_* control message.
-//
-//ocsml:wirepayload
 type RbMsg struct {
 	// Round identifies one coordination attempt. Replies echo it; the
 	// coordinator ignores frames from any other round, so leftovers of an

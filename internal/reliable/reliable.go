@@ -53,8 +53,6 @@ const (
 
 // Ack is the acknowledgement payload: the envelope id being confirmed.
 // Exported so the real-network runtime (internal/wire) can serialize it.
-//
-//ocsml:wirepayload
 type Ack struct {
 	ID int64
 }

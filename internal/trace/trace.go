@@ -86,12 +86,10 @@ type Event struct {
 // (goroutine-based) runtime can share it; the discrete-event engine uses
 // it single-threaded.
 type Recorder struct {
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	events []Event
-	//ocsml:guardedby mu
-	gseq int64
-	//ocsml:guardedby mu
+	mu sync.Mutex // guards every field below
+
+	events  []Event
+	gseq    int64
 	enabled bool
 }
 

@@ -432,7 +432,6 @@ func plantDebris(datadir string, proc int, kind string, seed int64, oldHint []by
 // sleepUntil sleeps until the chaos timeline (anchored at base) reaches
 // at; it returns immediately if that instant already passed.
 func sleepUntil(base time.Time, at time.Duration) {
-	//ocsml:wallclock chaos schedule runs on the real clock, anchored at base
 	if d := at - time.Since(base); d > 0 {
 		time.Sleep(d)
 	}
@@ -441,7 +440,7 @@ func sleepUntil(base time.Time, at time.Duration) {
 // waitLineAtLeast polls the durable manifests until their intersection
 // reaches want, returning the line found.
 func waitLineAtLeast(datadir string, n, want int, timeout time.Duration) (int, error) {
-	deadline := time.Now().Add(timeout) //ocsml:wallclock polling deadline for durable manifests
+	deadline := time.Now().Add(timeout)
 	for {
 		line, err := fsstore.LastCompleteSeq(datadir, n)
 		if err != nil {
@@ -450,7 +449,7 @@ func waitLineAtLeast(datadir string, n, want int, timeout time.Duration) (int, e
 		if line >= want {
 			return line, nil
 		}
-		if time.Now().After(deadline) { //ocsml:wallclock polling deadline for durable manifests
+		if time.Now().After(deadline) {
 			return line, fmt.Errorf("transport: durable line %d did not reach %d within %v", line, want, timeout)
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -77,27 +77,23 @@ type Cluster struct {
 	Metrics *metrics.Registry
 
 	addrs []string
-	local []int   // hosted process ids
-	nodes []*Node // indexed by process id, nil when hosted elsewhere; elements replaced under mu by Recover
-	//ocsml:guardedby mu
-	fss   []*fsstore.Store // elements replaced under mu by Recover
+	local []int            // hosted process ids
+	nodes []*Node          // indexed by process id, nil when hosted elsewhere; elements replaced under mu by Recover
+	fss   []*fsstore.Store // guarded by mu: elements replaced by Recover
 	base  time.Time
 	epoch int
 
 	count func(name string, delta int64)
 
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	done   []bool
+	mu     sync.Mutex
+	done   []bool // guarded by mu
 	doneCh chan struct{}
 
-	//ocsml:guardedby mu
-	makespan time.Duration
+	makespan time.Duration // guarded by mu
 
 	// recovering pauses the GC loop while Recover reloads a
 	// victim's store — collecting below the line mid-reload would pull
-	// records the restart is about to read.
-	//ocsml:guardedby mu
+	// records the restart is about to read. Guarded by mu.
 	recovering bool
 
 	gcQuit chan struct{}
@@ -137,7 +133,7 @@ func NewClusterAt(cfg ClusterConfig, line int) (*Cluster, error) {
 		Metrics: reg,
 		addrs:   make([]string, cfg.N),
 		local:   cfg.Local,
-		base:    time.Now(), //ocsml:wallclock shared time origin of the real-network cluster
+		base:    time.Now(),
 		count:   reg.EventSink(),
 		done:    make([]bool, cfg.N),
 		doneCh:  make(chan struct{}, 1),
@@ -337,7 +333,6 @@ func (c *Cluster) Run(ctx context.Context, beforeClose func()) {
 			return
 		}
 	}
-	//ocsml:wallclock makespan of a real-network run is wall time by definition
 	makespan := time.Since(c.base)
 	c.mu.Lock()
 	c.makespan = makespan

@@ -190,6 +190,47 @@ func TestClusterRun(t *testing.T) {
 	}
 }
 
+// TestReportDuringRun is Report's observer race test: one goroutine
+// builds reports in a loop while Run takes the cluster from start to its
+// stop. Run writes the makespan under the cluster's mutex when the
+// workload completes; under -race a Report that read it without the
+// mutex fails here.
+func TestReportDuringRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	cfg := testClusterConfig("", 5)
+	cfg.Drain = 0 // the default drain
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors are expected: a round can be incomplete while the
+			// loop reads it.
+			c.Report()
+		}
+	}()
+	c.Run(context.Background(), nil)
+	close(stop)
+	<-done
+	rep, err := c.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.Makespan <= 0 {
+		t.Fatalf("completed %v, makespan %v: want a completed run with its makespan", rep.Completed, rep.Makespan)
+	}
+}
+
 // TestClusterKillRestart is the crash-recovery integration test: a
 // 4-process TCP cluster with file-backed storage reaches at least two
 // durable global checkpoints, one process is killed, the survivors roll

@@ -84,8 +84,7 @@ type Mesh struct {
 	wg      sync.WaitGroup
 	once    sync.Once
 	connsMu sync.Mutex
-	//ocsml:guardedby connsMu
-	conns map[net.Conn]struct{}
+	conns   map[net.Conn]struct{} // guarded by connsMu
 
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
@@ -162,7 +161,7 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 		peers:  make([]*peer, n),
 		quit:   make(chan struct{}),
 		conns:  map[net.Conn]struct{}{},
-		//ocsml:wallclock incarnations need uniqueness across OS processes, never replayed
+		// wall clock: incarnations must be unique across OS processes
 		incarnation: uint64(time.Now().UnixNano()),
 	}
 	for j := 0; j < n; j++ {

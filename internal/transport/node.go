@@ -150,7 +150,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	if cfg.Base.IsZero() {
-		cfg.Base = time.Now() //ocsml:wallclock standalone node anchors its own time origin
+		cfg.Base = time.Now()
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -431,8 +431,6 @@ var _ host.Driver = (*Node)(nil)
 // ---- host.Driver ----
 
 // Now implements host.Driver: real time since the shared base.
-//
-//ocsml:wallclock the real-network runtime's virtual clock IS elapsed real time
 func (n *Node) Now() des.Time { return des.Time(time.Since(n.cfg.Base)) }
 
 // NextID implements host.Driver (see idBase for the bit layout).

@@ -69,7 +69,7 @@ func (c *Cluster) coordinate(victim int, ln net.Listener, seqs []int) (line int,
 	// abandoned attempt's leftovers carry a different round and are
 	// ignored. Wall-clock uniqueness across incarnations suffices —
 	// rounds never appear in deterministic reports.
-	round := time.Now().UnixNano() //ocsml:wallclock round ids need cross-incarnation uniqueness, never replayed
+	round := time.Now().UnixNano()
 	hs := handshake.NewCoordinator(victim, len(c.addrs), round, seqs, c.epoch)
 	send := func(frames []handshake.Frame) {
 		for _, f := range frames {

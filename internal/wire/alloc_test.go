@@ -25,8 +25,8 @@ func allocsPerRun(t *testing.T, what string, max float64, fn func()) {
 
 // TestEveryPayloadZeroAlloc is the message path's allocation gate. For
 // every envelope shape the protocols emit (sampleEnvelopes, which
-// TestPayloadRegistryComplete keeps at one per registered payload or
-// more) and every record shape fsstore persists, each steady-state call
+// TestPayloadRegistryComplete keeps at one per payload arm of the codec
+// or more) and every record shape fsstore persists, each steady-state call
 // performs zero allocations: the encode into a pooled frame, the
 // per-connection rewrite on its delta path and its full path, the size
 // dry run, the decode of a stateless and of a stream frame, and the

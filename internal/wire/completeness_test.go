@@ -1,67 +1,85 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
-	"ocsml/internal/analysis/vetkit"
-	"ocsml/internal/analysis/wireexhaustive"
+	"ocsml/internal/protocol"
 )
 
-// TestPayloadRegistryComplete cross-checks the //ocsml:wirepayload
-// registry — collected from source exactly the way cmd/ocsmlvet does —
-// against what this package actually exercises:
-//
-//  1. every registered payload type round-trips through Encode/Decode
-//     via at least one sample envelope, and comes back as the same kind;
-//  2. the checked-in fuzz corpus holds at least one decodable seed per
-//     registered kind (plus the empty payload), so a new payload type
-//     cannot ship without fuzz coverage.
+// TestPayloadRegistryComplete reads the payload registry out of the codec
+// itself: every payload discriminator byte, behind a valid header, goes to
+// the decoder, and the codes it does not refuse as unknown must be exactly
+// the codes that encoding sampleEnvelopes() produces — stateless, and
+// through a PeerEncoder that sends each sample twice, so a repeated
+// piggyback takes its delta form. A codec arm that no sample exercises
+// fails here, and so does a sample whose payload the codec cannot encode.
 func TestPayloadRegistryComplete(t *testing.T) {
-	loader, modPath, err := vetkit.ModuleLoader(".")
+	var lay layout
+	header, err := appendHeader(nil, &protocol.Envelope{Src: 0, Dst: 1}, &lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loader.LoadPackage(modPath + "/internal/wire"); err != nil {
-		t.Fatal(err)
-	}
-	registry := wireexhaustive.PayloadNames(vetkit.NewProgram(loader.Packages))
-	if len(registry) == 0 {
-		t.Fatal("no //ocsml:wirepayload types found in the program")
+	decoded := map[byte]bool{}
+	for code := 0; code < 256; code++ {
+		frame := append(header[:len(header):len(header)], byte(code))
+		if _, err := Decode(frame); !errors.Is(err, ErrPayload) {
+			decoded[byte(code)] = true
+		}
 	}
 
-	sampled := map[string]bool{}
-	for _, e := range sampleEnvelopes() {
+	produced := map[byte]bool{}
+	var enc Encoder
+	var pe PeerEncoder
+	f := AcquireFrame()
+	defer f.Release()
+	for i, e := range sampleEnvelopes() {
 		b, err := Encode(e)
 		if err != nil {
-			t.Fatalf("encode %+v: %v", e, err)
+			t.Fatalf("sample %d (%s): %v", i, PayloadKind(e.Payload), err)
 		}
-		d, err := Decode(b)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", e, err)
-		}
-		if got, want := PayloadKind(d.Payload), PayloadKind(e.Payload); got != want {
-			t.Errorf("round trip changed payload kind: sent %s, got %s", want, got)
-		}
-		sampled[PayloadKind(d.Payload)] = true
-	}
-	for _, kind := range registry {
-		if !sampled[kind] {
-			t.Errorf("registered payload %s has no sample envelope: add one to sampleEnvelopes so it round-trips and seeds the corpus", kind)
+		h, _ := appendHeader(nil, e, &lay)
+		produced[b[len(h)]] = true
+		for range 2 {
+			if err := enc.EncodeFrame(f, e); err != nil {
+				t.Fatal(err)
+			}
+			// Only a piggyback's block can change form on a connection;
+			// AppendFrame reports its length, and it ends the frame.
+			if b, pb := pe.AppendFrame(nil, f); pb > 0 {
+				produced[b[len(b)-pb]] = true
+			}
 		}
 	}
 
-	want := append(append([]string{}, registry...), "nil")
-	missing, err := wireexhaustive.CheckCorpus(corpusDir, func(b []byte) (string, bool) {
-		e, err := Decode(b)
-		if err != nil {
-			return "", false
+	for code := range decoded {
+		if !produced[code] {
+			t.Errorf("the decoder accepts payload code %d, but no sample envelope produces it: add one to sampleEnvelopes", code)
 		}
-		return PayloadKind(e.Payload), true
-	}, want)
-	if err != nil {
-		t.Fatal(err)
 	}
-	for _, kind := range missing {
-		t.Errorf("fuzz corpus has no seed decoding to payload kind %s: regenerate with WIRE_REGEN_CORPUS=1 go test ./internal/wire", kind)
+	for code := range produced {
+		if !decoded[code] {
+			t.Errorf("a sample envelope produces payload code %d, which the decoder refuses as unknown", code)
+		}
+	}
+}
+
+// TestCtlTagTable checks the control-tag code table: each tag fits the
+// codec's bound, no two entries share a value (handlers dispatch on the
+// string, and the decoder interns through the first match), and every
+// index fits the header's tag field below the literal escape.
+func TestCtlTagTable(t *testing.T) {
+	if len(ctlTags) >= tagLiteral {
+		t.Fatalf("%d control tags do not fit below the literal code %d", len(ctlTags), tagLiteral)
+	}
+	seen := map[string]int{}
+	for i, tag := range ctlTags {
+		if len(tag) > MaxCtlTag {
+			t.Errorf("ctlTags[%d] = %q is %d bytes, over MaxCtlTag (%d)", i, tag, len(tag), MaxCtlTag)
+		}
+		if j, dup := seen[tag]; dup {
+			t.Errorf("ctlTags[%d] and ctlTags[%d] are both %q", j, i, tag)
+		}
+		seen[tag] = i
 	}
 }

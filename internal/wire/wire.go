@@ -115,9 +115,8 @@ var (
 )
 
 // PayloadKind names a payload's kind: "nil" for the empty payload,
-// otherwise the package-qualified type name ("core.Piggyback"). The
-// names line up with the //ocsml:wirepayload registry that
-// cmd/ocsmlvet's wireexhaustive analyzer checks against the corpus.
+// otherwise the package-qualified type name ("core.Piggyback"), as the
+// allocation gate's subtest names print it.
 func PayloadKind(payload any) string {
 	if payload == nil {
 		return "nil"

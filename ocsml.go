@@ -18,13 +18,7 @@
 // control traffic, finalization latency) plus the verified consistency of
 // every global checkpoint the run produced. See DESIGN.md for the paper
 // mapping and cmd/experiments for the full evaluation suite.
-//
-// The repo's structural invariants (wire codec exhaustiveness, seed
-// purity of the simulator, lock discipline, durability error flow) are enforced
-// mechanically by cmd/ocsmlvet; `go generate .` runs it.
 package ocsml
-
-//go:generate go run ./cmd/ocsmlvet ./...
 
 import (
 	"fmt"
