@@ -133,14 +133,18 @@ bench-check:
 # number again: stable_bytes_per_round <= 800 (about 580 here; about 1,850
 # when records were framed as JSON, 4,970 to 5,350 when the hint also
 # listed every seq on every commit) and peak_rss_mb <= 40 (the run's total
-# allocation, the collector being off: about 27 here; 57 when every flush
+# allocation, the collector being off: about 24 here; 57 when every flush
 # copied the process's whole checkpoint store). Then crash-recover,
 # the only workload that executes kill -> RB_* handshake -> truncate ->
 # replay end to end (about three cycles): correct, and no operation failed.
 # Then steady-uniform, where every message is an app frame plus its ACK:
 # correct, no operation failed, and "a message pays for its piggyback, not
 # its envelope" — wire_bytes_per_app_msg <= 52 (about 38 here; about 74.5
-# with absolute headers, literal control tags and a 4-byte length prefix).
+# with absolute headers, literal control tags and a 4-byte length prefix)
+# — and "a delivered message costs no heap": peak_rss_mb <= 48 (the run's
+# total allocation with the collector off: about 36 here; 56 when the
+# receive path decoded into fresh envelopes, posted closures and armed a
+# runtime timer per timeout).
 bench-gate:
 	@gate() { workload="$$1"; shift; \
 		out="$$(bash bench/run.sh --workload "$$workload" --seed 1 --seconds 5 | tail -n 1)"; \
@@ -154,7 +158,7 @@ bench-gate:
 	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && \
 		ceiling stable_bytes_per_round 800 && ceiling peak_rss_mb 40 && \
 		gate crash-recover && \
-		gate steady-uniform && ceiling wire_bytes_per_app_msg 52
+		gate steady-uniform && ceiling wire_bytes_per_app_msg 52 && ceiling peak_rss_mb 48
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and testdata. CI's test job prints it

@@ -20,6 +20,8 @@
 //	GET  /v1/healthz     liveness (the server itself is up)
 //	GET  /v1/readyz      readiness (every local node answers a snapshot)
 //	GET  /metrics        Prometheus text exposition of the registry
+//	GET  /debug/pprof/   the runtime's profiles (net/http/pprof), e.g.
+//	                     allocs for what a message costs the heap
 package admin
 
 import (
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"strings"
 	"time"
 
@@ -94,6 +97,7 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	s.srv = &http.Server{
 		Handler: mux,
 		// A peer that opens a connection and never sends a request must

@@ -354,3 +354,30 @@ func TestCheckpointWithoutNodes(t *testing.T) {
 		t.Fatalf("checkpoint without nodes: code %d body %s", code, body)
 	}
 }
+
+// TestPprof: the runtime's profiles are served under /debug/pprof/ (an
+// allocation profile of a running daemon is how the message path's heap
+// cost is found), beside the /v1 routes, which answer as before.
+func TestPprof(t *testing.T) {
+	srv := NewServer(Config{N: 2})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	code, body := get(t, srv, "/debug/pprof/allocs?debug=1")
+	if code != http.StatusOK || !bytes.HasPrefix(body, []byte("heap profile:")) {
+		t.Fatalf("allocs profile: code %d, body %.40q", code, body)
+	}
+	for _, c := range []struct {
+		path string
+		code int
+	}{
+		{"/v1/healthz", http.StatusOK},
+		{"/v1/manifest", http.StatusNotFound},
+		{"/v1/nosuch", http.StatusNotFound},
+	} {
+		if code, _ := get(t, srv, c.path); code != c.code {
+			t.Errorf("%s: code %d, want %d", c.path, code, c.code)
+		}
+	}
+}

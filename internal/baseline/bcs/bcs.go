@@ -167,5 +167,5 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 	if pb.csn > p.csn {
 		p.takeCheckpoint(pb.csn, trace.KForced, p.opt.BlockingForced)
 	}
-	p.env.DeliverApp(e, nil, nil)
+	p.env.DeliverApp(e, nil)
 }

@@ -179,7 +179,7 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 			Bytes: e.App.Bytes, Tag: e.App.Tag, AppSeq: e.App.Seq,
 		})
 	}
-	p.env.DeliverApp(e, nil, nil)
+	p.env.DeliverApp(e, nil)
 }
 
 // onMarker implements the marker rule.

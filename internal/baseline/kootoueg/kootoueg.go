@@ -195,7 +195,7 @@ func (p *Protocol) OnAppSend(e *protocol.Envelope) {}
 // OnDeliver implements protocol.Protocol.
 func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 	if e.Kind == protocol.KindApp {
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 		return
 	}
 	m := e.Payload.(ctl)

@@ -30,7 +30,7 @@ func (p *Protocol) OnAppSend(e *protocol.Envelope) {}
 // OnDeliver implements protocol.Protocol.
 func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 	if e.IsApp() {
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 	}
 }
 

@@ -191,7 +191,7 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 				Bytes: e.App.Bytes, Tag: e.App.Tag, AppSeq: e.App.Seq,
 			})
 		}
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 		return
 	}
 	m := e.Payload.(ctl)

@@ -100,5 +100,5 @@ func (p *Protocol) OnAppSend(e *protocol.Envelope) {}
 
 // OnDeliver implements protocol.Protocol.
 func (p *Protocol) OnDeliver(e *protocol.Envelope) {
-	p.env.DeliverApp(e, nil, nil)
+	p.env.DeliverApp(e, nil)
 }

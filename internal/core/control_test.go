@@ -79,12 +79,10 @@ func (f *fakeEnv) ResumeApp()                  {}
 func (f *fakeEnv) StallAppFor(d des.Duration)  {}
 func (f *fakeEnv) Snapshot() protocol.Snapshot { return protocol.Snapshot{Bytes: 100} }
 func (f *fakeEnv) Peek() protocol.Snapshot     { return protocol.Snapshot{Bytes: 100} }
-func (f *fakeEnv) DeliverApp(e *protocol.Envelope, pre, then func()) {
-	if pre != nil {
-		pre()
-	}
-	if then != nil {
-		then()
+func (f *fakeEnv) DeliverApp(e *protocol.Envelope, hooks protocol.AppHooks) {
+	if hooks != nil {
+		hooks.BeforeApp(e)
+		hooks.AfterApp(e)
 	}
 }
 func (f *fakeEnv) Checkpoints() *checkpoint.ProcStore { return f.store }

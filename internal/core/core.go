@@ -618,22 +618,25 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 	}
 
 	// Process the message first (paper: no checkpoint is taken before
-	// processing a received message), then take the remaining actions.
-	// The hooks re-examine protocol state at processing time, which may
-	// be later than delivery time if the application was stalled. The
-	// pre hook logs the received message ahead of any replies the
-	// application sends while handling it, keeping the log in state-
-	// evolution order (required for exact replay).
-	p.env.DeliverApp(e, func() {
-		if p.stat == Tentative {
-			p.logMsg(e, checkpoint.Received) // Fig. 3: log every message received while tentative
-		}
-	}, func() { p.afterProcess(pb, e) })
+	// processing a received message), then take the remaining actions in
+	// the hooks below, which re-examine protocol state at processing time
+	// (later than delivery time if the application was stalled).
+	p.env.DeliverApp(e, p)
 }
 
-// afterProcess applies the Figure-3 receive rules that follow message
-// processing.
-func (p *Protocol) afterProcess(pb Piggyback, e *protocol.Envelope) {
+// BeforeApp implements protocol.AppHooks: log the received message ahead
+// of any replies the application sends while handling it, keeping the log
+// in state-evolution order (required for exact replay).
+func (p *Protocol) BeforeApp(e *protocol.Envelope) {
+	if p.stat == Tentative {
+		p.logMsg(e, checkpoint.Received) // Fig. 3: log every message received while tentative
+	}
+}
+
+// AfterApp implements protocol.AppHooks: the Figure-3 receive rules that
+// follow message processing.
+func (p *Protocol) AfterApp(e *protocol.Envelope) {
+	pb, _ := AsPiggyback(e.Payload) // OnDeliver checked it
 	switch p.stat {
 	case Tentative:
 		if pb.Stat == Tentative && pb.Csn == p.csn {

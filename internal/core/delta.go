@@ -64,6 +64,15 @@ func (d *PiggybackDelta) Apply(pb *Piggyback) error {
 	return nil
 }
 
+// Own implements protocol.Owner for the decoder's view: a value with its
+// own tentSet.
+func (p *Piggyback) Own() any {
+	return Piggyback{Csn: p.Csn, Stat: p.Stat, TentSet: p.TentSet.Clone()}
+}
+
+// Own implements protocol.Owner for the decoder's view.
+func (m *CtlMsg) Own() any { return *m }
+
 // AsPiggyback extracts a Piggyback payload in either its canonical value
 // form or the pointer form the wire codec's zero-copy decoder hands out.
 func AsPiggyback(payload any) (Piggyback, bool) {

@@ -97,7 +97,7 @@ func (p *stallProto) Start(env protocol.Env)       { p.env = env; env.StallAppFo
 func (p *stallProto) OnAppSend(*protocol.Envelope) {}
 func (p *stallProto) OnDeliver(e *protocol.Envelope) {
 	if e.IsApp() {
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 	}
 }
 func (p *stallProto) OnTimer(kind, gen int) {}
@@ -142,7 +142,7 @@ func (p *writerProto) Start(env protocol.Env) {
 func (p *writerProto) OnAppSend(*protocol.Envelope) {}
 func (p *writerProto) OnDeliver(e *protocol.Envelope) {
 	if e.IsApp() {
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 	}
 }
 func (p *writerProto) OnTimer(kind, gen int) {}
@@ -203,7 +203,7 @@ func (p *broadcastProto) Start(env protocol.Env) {
 func (p *broadcastProto) OnAppSend(*protocol.Envelope) {}
 func (p *broadcastProto) OnDeliver(e *protocol.Envelope) {
 	if e.IsApp() {
-		p.env.DeliverApp(e, nil, nil)
+		p.env.DeliverApp(e, nil)
 		return
 	}
 	p.env.Count("hello."+e.CtlTag, 1)

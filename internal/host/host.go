@@ -84,9 +84,10 @@ type Process struct {
 // only; each driver keeps its side where it calls in, and the race
 // tests of the TCP driver (the only one with goroutines) execute it.
 type Host struct {
-	p     Process
-	drv   Driver
-	count func(name string, delta int64) // p.Metrics' event sink
+	p        Process
+	drv      Driver
+	count    func(name string, delta int64) // p.Metrics' event sink
+	ctlNames map[string]string              // "ctl."+tag, built once: every ACK is counted
 
 	// epoch fences timers and callbacks: whatever was scheduled before
 	// a rollback never fires. down silences a crashed process until the
@@ -122,7 +123,7 @@ var (
 // New builds the host of one process; nothing runs until the driver
 // calls StartProtocol and StartApp (or RestartApp).
 func New(p Process, drv Driver) *Host {
-	return &Host{p: p, drv: drv, count: p.Metrics.EventSink(), epoch: p.Epoch}
+	return &Host{p: p, drv: drv, count: p.Metrics.EventSink(), ctlNames: map[string]string{}, epoch: p.Epoch}
 }
 
 // ---- driver-facing steps ----
@@ -252,7 +253,12 @@ func (h *Host) Send(e *protocol.Envelope) {
 	e.Epoch = h.epoch
 	e.SentAt = h.drv.Now()
 	if e.Kind == protocol.KindCtl {
-		h.count("ctl."+e.CtlTag, 1)
+		name, ok := h.ctlNames[e.CtlTag]
+		if !ok {
+			name = "ctl." + e.CtlTag
+			h.ctlNames[e.CtlTag] = name
+		}
+		h.count(name, 1)
 		h.p.Rec.Record(trace.Event{
 			T: e.SentAt, Kind: trace.KCtlSend, Proc: h.p.ID, Peer: e.Dst,
 			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
@@ -366,19 +372,21 @@ func (h *Host) Peek() protocol.Snapshot {
 }
 
 // DeliverApp implements protocol.Env: hand an application envelope to the
-// application, deferring if the app is stalled.
-func (h *Host) DeliverApp(e *protocol.Envelope, pre, then func()) {
+// application, deferring if the app is stalled. The deferred delivery is
+// the one path that outlives OnDeliver, so it keeps an owned copy of e.
+func (h *Host) DeliverApp(e *protocol.Envelope, hooks protocol.AppHooks) {
 	if e.Kind != protocol.KindApp {
 		panic("host: DeliverApp on control envelope")
 	}
 	if h.stall > 0 {
-		h.deferred = append(h.deferred, func() { h.processApp(e, pre, then) })
+		own := e.Owned()
+		h.deferred = append(h.deferred, func() { h.processApp(own, hooks) })
 		return
 	}
-	h.processApp(e, pre, then)
+	h.processApp(e, hooks)
 }
 
-func (h *Host) processApp(e *protocol.Envelope, pre, then func()) {
+func (h *Host) processApp(e *protocol.Envelope, hooks protocol.AppHooks) {
 	if !h.drv.Admit(e) {
 		return
 	}
@@ -386,12 +394,12 @@ func (h *Host) processApp(e *protocol.Envelope, pre, then func()) {
 		T: h.drv.Now(), Kind: trace.KRecv, Proc: h.p.ID, Peer: e.Src, MsgID: e.ID, Seq: -1,
 	})
 	h.fold = checkpoint.FoldEvent(h.fold, checkpoint.Received, e.Src, e.Dst, e.App.Tag, e.App.Seq)
-	if pre != nil {
-		pre()
+	if hooks != nil {
+		hooks.BeforeApp(e)
 	}
 	h.p.App.OnMessage(appCtx{h}, e.Src, e.App)
-	if then != nil {
-		then()
+	if hooks != nil {
+		hooks.AfterApp(e)
 	}
 }
 

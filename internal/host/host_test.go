@@ -67,7 +67,7 @@ func (f *fixture) deliver(tag uint64) {
 	f.h.DeliverApp(&protocol.Envelope{
 		ID: int64(tag), Src: 1, Dst: 0, Kind: protocol.KindApp,
 		App: protocol.AppMsg{Seq: int64(tag), Tag: tag},
-	}, nil, nil)
+	}, nil)
 }
 
 type fakeProto struct{ f *fixture }

@@ -79,14 +79,8 @@ type Env interface {
 	// controls *when* this happens: the paper's algorithm processes the
 	// message before acting; CIC takes a forced checkpoint first.
 	//
-	// The optional hooks bracket the processing: pre runs right after
-	// the engine applies the receive to the application state and right
-	// before the application handler runs (protocols log the received
-	// message here, so it precedes any replies the handler sends); then
-	// runs right after the handler returns (protocols put their "after
-	// processing" case analysis here). Both run at processing time,
-	// which is later than delivery time if the application was stalled.
-	DeliverApp(e *Envelope, pre, then func())
+	// hooks, when non-nil, brackets the processing (see AppHooks).
+	DeliverApp(e *Envelope, hooks AppHooks)
 
 	// Checkpoints returns this process's checkpoint store.
 	Checkpoints() *checkpoint.ProcStore
@@ -108,6 +102,19 @@ type Env interface {
 	Draining() bool
 }
 
+// AppHooks brackets the application's processing of a delivered message
+// (Env.DeliverApp). BeforeApp runs right after the host applies the
+// receive to the application state and right before the application
+// handler runs (protocols log the received message here, so it precedes
+// any replies the handler sends); AfterApp runs right after the handler
+// returns (protocols put their "after processing" case analysis here).
+// Both run at processing time, later than delivery time if the
+// application was stalled, and then on the host's copy of the envelope.
+type AppHooks interface {
+	BeforeApp(e *Envelope)
+	AfterApp(e *Envelope)
+}
+
 // Protocol is a checkpointing algorithm hosted by an engine. One instance
 // exists per process. Implementations must not retain goroutines or locks:
 // the engine serializes all callbacks.
@@ -124,7 +131,10 @@ type Protocol interface {
 	OnAppSend(e *Envelope)
 	// OnDeliver is invoked when any envelope (application or control)
 	// arrives. For application envelopes the protocol must eventually
-	// call Env.DeliverApp exactly once.
+	// call Env.DeliverApp exactly once. e, and any payload view it points
+	// to, is valid only during the call: the TCP runtime decodes into
+	// storage it reuses once OnDeliver returns. A protocol that keeps the
+	// envelope keeps e.Owned().
 	OnDeliver(e *Envelope)
 	// OnTimer is invoked when a timer set via Env.SetTimer fires.
 	OnTimer(kind, gen int)

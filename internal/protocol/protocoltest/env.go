@@ -110,13 +110,11 @@ func (f *FakeEnv) Snapshot() protocol.Snapshot { return protocol.Snapshot{Bytes:
 func (f *FakeEnv) Peek() protocol.Snapshot { return protocol.Snapshot{Bytes: 64} }
 
 // DeliverApp implements protocol.Env: runs the hooks immediately.
-func (f *FakeEnv) DeliverApp(e *protocol.Envelope, pre, then func()) {
+func (f *FakeEnv) DeliverApp(e *protocol.Envelope, hooks protocol.AppHooks) {
 	f.Delivered++
-	if pre != nil {
-		pre()
-	}
-	if then != nil {
-		then()
+	if hooks != nil {
+		hooks.BeforeApp(e)
+		hooks.AfterApp(e)
 	}
 }
 

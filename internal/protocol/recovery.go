@@ -41,3 +41,10 @@ type RbMsg struct {
 	// (RB_LINE) — its vote in the recovery-line intersection.
 	Seqs []int
 }
+
+// Own implements Owner for the decoder's view; empty Seqs become nil.
+func (m *RbMsg) Own() any {
+	c := *m
+	c.Seqs = append([]int(nil), m.Seqs...)
+	return c
+}

@@ -441,7 +441,7 @@ func (s *state) send(p, q int, em *emitter) {
 }
 
 // deliver pops the head of the Q->P channel and applies the Figure-3
-// receive rules (core.OnDeliver + afterProcess). The P1 orphan check
+// receive rules (core.OnDeliver + AfterApp). The P1 orphan check
 // runs after the pre-delivery rule, at the moment the receive event is
 // committed: the sender's piggyback proves how many cuts the sender had
 // finalized at send time, and the receive is an orphan of cut S_k when
@@ -516,7 +516,7 @@ func (s *state) deliver(p, q int, em *emitter) []Violation {
 		vs = append(vs, s.finalize(p, em)...)
 	}
 
-	// afterProcess (cases 2b and 4b).
+	// AfterApp (cases 2b and 4b).
 	switch pr.stat {
 	case Tentative:
 		if m.pbStat == Tentative && m.pbCsn == pr.csn {

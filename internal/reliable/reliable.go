@@ -57,6 +57,9 @@ type Ack struct {
 	ID int64
 }
 
+// Own implements protocol.Owner for the decoder's view.
+func (a *Ack) Own() any { return *a }
+
 type pendingMsg struct {
 	env     *protocol.Envelope
 	rto     des.Duration

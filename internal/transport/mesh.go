@@ -364,6 +364,11 @@ func (m *Mesh) writerLoop(p *peer) {
 	var bufs net.Buffers    // one chunk per frame, aliasing wbuf's storage
 	var ends []int64        // cumulative wire bytes through each frame
 	var pbs []int64         // per-frame piggyback payload bytes
+	// WriteTo consumes the vector it is called on, length and capacity,
+	// and the vector escapes through its pointer receiver: written is that
+	// vector, declared once so that neither bufs nor a per-batch copy is
+	// reallocated.
+	var written net.Buffers
 	defer func() {
 		if conn != nil {
 			m.hangUp(p, conn)
@@ -494,7 +499,8 @@ func (m *Mesh) writerLoop(p *peer) {
 			continue
 		}
 
-		n, err := bufs.WriteTo(conn)
+		written = bufs
+		n, err := written.WriteTo(conn)
 
 		// Account the fully-written prefix; the rest is carried over.
 		sent := 0

@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"ocsml/internal/checkpoint"
+	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
 	"ocsml/internal/handshake"
 	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
+	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/wire"
 )
@@ -87,9 +89,16 @@ type Node struct {
 	// run on the loop goroutine, so its scratch state is single-owner.
 	enc wire.Encoder
 
-	inbox chan func()
+	inbox chan inboxItem
 	quit  chan struct{}
 	wg    sync.WaitGroup
+
+	// Loop-owned timers: one runtime clock, armed for the earliest deadline
+	// in timers (armed; 0: disarmed), posts runDue, built once, on firing.
+	timers timerHeap
+	clock  *time.Timer
+	armed  des.Time
+	runDue func()
 
 	storageCh chan storeReq
 	storageQ  atomic.Int32
@@ -119,6 +128,24 @@ type Node struct {
 	mRollbacks *metrics.Counter
 	mReplayed  *metrics.Counter
 }
+
+// inboxItem is one unit of loop work: a delivered frame's slot, or fn.
+type inboxItem struct {
+	fn func()
+	rx *rxSlot
+}
+
+// rxSlot is a received frame's copy, made on its reader goroutine so that
+// it crosses to the loop without a heap allocation: env's payload points
+// at pb or ack. The loop clears env and returns the slot to rxPool once
+// the delivery has returned, as the OnDeliver contract allows.
+type rxSlot struct {
+	env protocol.Envelope
+	pb  core.Piggyback
+	ack reliable.Ack
+}
+
+var rxPool = sync.Pool{New: func() any { return new(rxSlot) }}
 
 type storeReq struct {
 	tag  string
@@ -155,13 +182,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		count:     cfg.Metrics.EventSink(),
-		inbox:     make(chan func(), 4096),
+		inbox:     make(chan inboxItem, 4096),
 		quit:      make(chan struct{}),
 		storageCh: make(chan storeReq, 1024),
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 	}
 	n.rb = &handshake.Participant{Proc: rbProcess{n}} // pre-spawn construction
+	n.runDue = n.runTimers
+	n.clock = time.AfterFunc(time.Hour, func() { n.post(n.runDue) })
+	n.clock.Stop()
 	n.h = host.New(host.Process{
 		ID: cfg.ID, N: cfg.N, Proto: cfg.Proto, App: cfg.App,
 		Rand: rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
@@ -256,6 +286,7 @@ func (n *Node) Close() {
 	close(n.quit)
 	n.mesh.Close()
 	n.wg.Wait()
+	n.clock.Stop()
 }
 
 // Mesh exposes the wire fabric (stats).
@@ -283,15 +314,23 @@ func (n *Node) loop() {
 		select {
 		case <-n.quit:
 			return
-		case fn := <-n.inbox:
-			fn()
+		case it := <-n.inbox:
+			if it.rx == nil {
+				it.fn()
+				continue
+			}
+			n.deliver(&it.rx.env)
+			it.rx.env = protocol.Envelope{}
+			rxPool.Put(it.rx)
 		}
 	}
 }
 
-func (n *Node) post(fn func()) {
+func (n *Node) post(fn func()) { n.enqueue(inboxItem{fn: fn}) }
+
+func (n *Node) enqueue(it inboxItem) {
 	select {
-	case n.inbox <- fn:
+	case n.inbox <- it:
 	case <-n.quit:
 	}
 }
@@ -305,34 +344,50 @@ func (n *Node) acceptConn(src int) func(frame []byte) {
 	return func(frame []byte) { n.onFrame(dec, frame) }
 }
 
-// onFrame runs on a mesh reader goroutine: decode, then hop onto the
-// loop for delivery. DecodeOwned, because the envelope outlives this
-// call (the loop closure) and the protocols assert value payloads.
+// onFrame runs on a mesh reader goroutine: decode a view into a pooled
+// slot (the next frame overwrites the decoder's), then hop onto the loop.
 func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
-	e, err := dec.DecodeOwned(frame)
+	v, err := dec.Decode(frame)
 	if err != nil {
 		n.decodeErrors.Add(1)
 		return
 	}
-	n.post(func() {
-		// Recovery frames are handled ahead of the epoch fence: the
-		// coordinator of a crashed process cannot know the post-rollback
-		// epoch it is about to establish, so its frames would otherwise
-		// be dropped as stale.
-		if protocol.IsRecoveryTag(e.CtlTag) {
-			n.cfg.Rec.Record(trace.Event{
-				T: n.Now(), Kind: trace.KCtlRecv, Proc: n.cfg.ID, Peer: e.Src,
-				MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-			})
-			n.handleRecovery(e)
-			return
-		}
-		if e.Epoch < n.h.Epoch() {
-			n.staleDropped.Add(1)
-			return
-		}
-		n.h.Deliver(e)
-	})
+	rx := rxPool.Get().(*rxSlot)
+	rx.env = *v
+	switch p := v.Payload.(type) {
+	case *core.Piggyback:
+		rx.pb.Csn, rx.pb.Stat = p.Csn, p.Stat
+		rx.pb.TentSet.CopyFrom(p.TentSet)
+		rx.env.Payload = &rx.pb
+	case *reliable.Ack:
+		rx.ack = *p
+		rx.env.Payload = &rx.ack
+	case protocol.Owner:
+		// Control and recovery frames are rare, and their handlers (core's
+		// onControl, handleRecovery) assert value payloads.
+		rx.env.Payload = p.Own()
+	}
+	n.enqueue(inboxItem{rx: rx})
+}
+
+func (n *Node) deliver(e *protocol.Envelope) {
+	// Recovery frames are handled ahead of the epoch fence: the
+	// coordinator of a crashed process cannot know the post-rollback
+	// epoch it is about to establish, so its frames would otherwise be
+	// dropped as stale.
+	if protocol.IsRecoveryTag(e.CtlTag) {
+		n.cfg.Rec.Record(trace.Event{
+			T: n.Now(), Kind: trace.KCtlRecv, Proc: n.cfg.ID, Peer: e.Src,
+			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
+		})
+		n.handleRecovery(e)
+		return
+	}
+	if e.Epoch < n.h.Epoch() {
+		n.staleDropped.Add(1)
+		return
+	}
+	n.h.Deliver(e)
 }
 
 // storageLoop serializes this process's stable-storage writes: the
@@ -455,11 +510,68 @@ func (n *Node) Transmit(e *protocol.Envelope) {
 	n.mesh.Send(e.Dst, f)
 }
 
-// After implements host.Driver. The host fences the callback by epoch,
-// so a timer from before a rollback is dropped at fire time.
+// After implements host.Driver: fn joins the timer heap, and the clock is
+// re-armed only when fn is due first. The host fences the callback by
+// epoch, so a timer from before a rollback is dropped at fire time.
 func (n *Node) After(d des.Duration, fn func()) *des.Timer {
-	time.AfterFunc(time.Duration(d), func() { n.post(fn) })
+	at := n.Now() + des.Time(d)
+	n.timers.push(timerEntry{at, fn})
+	if n.armed == 0 || at < n.armed {
+		n.arm(at)
+	}
 	return nil
+}
+
+func (n *Node) arm(at des.Time) {
+	n.armed = at
+	n.clock.Reset(time.Duration(at - n.Now()))
+}
+
+// runTimers is runDue: run every entry due by now, in deadline order, then
+// re-arm the clock for the earliest one left.
+func (n *Node) runTimers() {
+	n.armed = 0
+	now := n.Now()
+	for len(n.timers) > 0 && n.timers[0].at <= now {
+		n.timers.pop().fn()
+	}
+	if len(n.timers) > 0 && (n.armed == 0 || n.timers[0].at < n.armed) {
+		n.arm(n.timers[0].at)
+	}
+}
+
+type timerEntry struct {
+	at des.Time
+	fn func()
+}
+
+// timerHeap is a binary min-heap on at, by hand: container/heap would box
+// every entry pushed.
+type timerHeap []timerEntry
+
+func (h *timerHeap) push(t timerEntry) {
+	*h = append(*h, t)
+	for s, i := *h, len(*h)-1; i > 0 && s[i].at < s[(i-1)/2].at; i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+}
+
+func (h *timerHeap) pop() timerEntry {
+	s, last := *h, len(*h)-1
+	top := s[0]
+	s[0], s[last] = s[last], timerEntry{} // the vacated slot drops its callback
+	s = s[:last]
+	for i, c := 0, 1; c < len(s); i, c = c, 2*c+1 {
+		if c+1 < len(s) && s[c+1].at < s[c].at {
+			c++
+		}
+		if s[i].at <= s[c].at {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+	}
+	*h = s
+	return top
 }
 
 // WriteStable implements host.Driver.

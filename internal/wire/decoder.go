@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"fmt"
-
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/protocol"
@@ -179,34 +177,7 @@ func (d *Decoder) DecodeOwned(data []byte) (*protocol.Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	return owned(v), nil
-}
-
-// owned copies a Decode view into an independent envelope with the
-// canonical value payload.
-func owned(v *protocol.Envelope) *protocol.Envelope {
-	e := new(protocol.Envelope)
-	*e = *v
-	switch p := v.Payload.(type) {
-	case nil:
-	case *core.Piggyback:
-		e.Payload = core.Piggyback{Csn: p.Csn, Stat: p.Stat, TentSet: p.TentSet.Clone()}
-	case *core.CtlMsg:
-		e.Payload = *p
-	case *reliable.Ack:
-		e.Payload = *p
-	case *protocol.RbMsg:
-		rb := *p
-		if len(rb.Seqs) == 0 {
-			rb.Seqs = nil
-		} else {
-			rb.Seqs = append([]int(nil), rb.Seqs...)
-		}
-		e.Payload = rb
-	default:
-		panic(fmt.Sprintf("wire: decoder produced unregistered payload %T", v.Payload))
-	}
-	return e
+	return v.Owned(), nil
 }
 
 // decodePayload parses the payload block into the decoder's reusable

@@ -91,7 +91,7 @@ func FuzzDecodeV2(f *testing.F) {
 			if frame[0] != VersionLatest {
 				t.Fatalf("frame %d: decoder accepted version byte %d", i, frame[0])
 			}
-			if got := owned(v); !reflect.DeepEqual(got, e) {
+			if got := v.Owned(); !reflect.DeepEqual(got, e) {
 				t.Fatalf("frame %d: view and owned decodes disagree:\n view %#v\nowned %#v", i, got, e)
 			}
 			out, err := Encode(e)
