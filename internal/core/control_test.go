@@ -50,7 +50,8 @@ func (f *fakeEnv) Send(e *protocol.Envelope) {
 	if e.ID == 0 {
 		e.ID = int64(len(f.sent) + 1)
 	}
-	f.sent = append(f.sent, e)
+	cp := *e // the caller may reuse e
+	f.sent = append(f.sent, &cp)
 }
 func (f *fakeEnv) Broadcast(e *protocol.Envelope) {
 	for dst := 0; dst < f.n; dst++ {

@@ -127,7 +127,9 @@ func Factory(opt Options) func(i, n int) protocol.Protocol {
 
 // Piggyback is the protocol state attached to every application message:
 // M.csn, M.stat and M.tentSet in the paper's notation. It is exported so
-// the real-network runtime (internal/wire) can serialize it.
+// the real-network runtime (internal/wire) can serialize it. A sent
+// envelope carries it as an immutable *Piggyback snapshot (OnAppSend); read
+// it with AsPiggyback, which accepts either form.
 type Piggyback struct {
 	Csn     int
 	Stat    Status
@@ -177,6 +179,11 @@ type Protocol struct {
 	tent       *pendingTent
 	lastTentAt des.Time // when the latest tentative checkpoint was taken
 	tookAny    bool
+
+	// sendPB is the piggyback the last send carried: a snapshot of (csn,
+	// stat, tentSet) that is never mutated, so every envelope carrying it
+	// (a retransmission, the DES's in-flight copy) may share it.
+	sendPB *Piggyback
 
 	convTimer *des.Timer
 	escalated bool // current csn's CK_BGN was suppressed once (EscalateBGN)
@@ -574,9 +581,14 @@ func (p *Protocol) finalize() {
 }
 
 // OnAppSend implements protocol.Protocol: piggyback (csn, stat, tentSet)
-// on every application message and, while tentative, log the send.
+// on every application message and, while tentative, log the send. The
+// piggyback is a new snapshot only when the state moved since the last
+// send; comparing on every send leaves no invalidation site to miss.
 func (p *Protocol) OnAppSend(e *protocol.Envelope) {
-	e.Payload = Piggyback{Csn: p.csn, Stat: p.stat, TentSet: p.tentSet.Clone()}
+	if pb := p.sendPB; pb == nil || pb.Csn != p.csn || pb.Stat != p.stat || !pb.TentSet.Equal(p.tentSet) {
+		p.sendPB = &Piggyback{Csn: p.csn, Stat: p.stat, TentSet: p.tentSet.Clone()}
+	}
+	e.Payload = p.sendPB
 	e.Bytes += piggyFixedBytes + p.tentSet.ByteSize()
 	if p.stat == Tentative {
 		p.logMsg(e, checkpoint.Sent)

@@ -51,6 +51,11 @@ func (n *Node) Transmit(e *protocol.Envelope) { n.c.Net.Send(e) }
 // callbacks all fire inside Sim.Run on the goroutine of Cluster.Run.
 func (n *Node) After(d des.Duration, fn func()) *des.Timer { return n.c.Sim.After(d, fn) }
 
+// AfterTick implements host.Driver: one simulator event, as After.
+func (n *Node) AfterTick(d des.Duration, t host.Tick) *des.Timer {
+	return n.c.Sim.After(d, func() { n.h.Fire(t) })
+}
+
 // WriteStable implements host.Driver.
 func (n *Node) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
 	id := n.h.ID()

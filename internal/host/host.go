@@ -30,11 +30,15 @@ type Driver interface {
 	// NextID allocates an envelope id, unique per run.
 	NextID() int64
 	// Transmit puts a stamped envelope (Src, ID, Epoch, SentAt set) on
-	// the link to e.Dst.
+	// the link to e.Dst. e is valid only during the call: the host reuses
+	// it for its next send, so a driver that keeps it keeps a copy.
 	Transmit(e *protocol.Envelope)
 	// After runs fn on the driver's loop once d has elapsed. The loop
 	// that runs these callbacks is the goroutine that owns the Host.
 	After(d des.Duration, fn func()) *des.Timer
+	// AfterTick calls Host.Fire(t) on the same loop once d has elapsed:
+	// a protocol timer, scheduled as a value rather than a closure.
+	AfterTick(d des.Duration, t Tick) *des.Timer
 	// WriteStable enqueues an asynchronous stable-storage write; done
 	// (which may be nil) runs on the loop when it completes.
 	WriteStable(tag string, bytes int64, done func(start, end des.Time))
@@ -106,6 +110,16 @@ type Host struct {
 	// and timer callbacks queue in deferred and replay on the loop.
 	stall    int
 	deferred []func()
+
+	// out is the envelope of every application send, reused: the protocol
+	// and the driver see it only during the send (Env.Send's contract).
+	out protocol.Envelope
+}
+
+// Tick is a protocol timer as a value: the epoch that set it, and the kind
+// and generation OnTimer receives.
+type Tick struct {
+	Epoch, Kind, Gen int
 }
 
 // appCtx is the application's view of a Host. It shadows Env.Send with
@@ -281,15 +295,18 @@ func (h *Host) Broadcast(e *protocol.Envelope) {
 }
 
 // SetTimer implements protocol.Env. Timers die with the epoch that set
-// them: a rollback invalidates everything scheduled before it.
+// them: a rollback invalidates everything scheduled before it (Fire).
 func (h *Host) SetTimer(d des.Duration, kind, gen int) *des.Timer {
-	ep := h.epoch
-	return h.later(d, func() {
-		if h.epoch != ep || h.down {
-			return
-		}
-		h.p.Proto.OnTimer(kind, gen)
-	})
+	return h.drv.AfterTick(d, Tick{Epoch: h.epoch, Kind: kind, Gen: gen})
+}
+
+// Fire runs a protocol timer the driver scheduled with AfterTick, unless a
+// rollback voided its epoch or the process is down.
+func (h *Host) Fire(t Tick) {
+	if t.Epoch != h.epoch || h.down {
+		return
+	}
+	h.p.Proto.OnTimer(t.Kind, t.Gen)
 }
 
 // WriteStable implements protocol.Env.
@@ -434,11 +451,12 @@ func (h *Host) sendApp(dst int, m protocol.AppMsg) {
 	if m.Tag == 0 {
 		m.Tag = h.p.Rand.Uint64() | 1
 	}
-	e := &protocol.Envelope{
+	h.out = protocol.Envelope{
 		ID: h.drv.NextID(), Src: h.p.ID, Dst: dst,
 		Kind: protocol.KindApp, Bytes: m.Bytes, App: m,
 		Epoch: h.epoch,
 	}
+	e := &h.out
 	h.fold = checkpoint.FoldEvent(h.fold, checkpoint.Sent, h.p.ID, dst, m.Tag, m.Seq)
 	h.p.Rec.Record(trace.Event{
 		T: h.drv.Now(), Kind: trace.KSend, Proc: h.p.ID, Peer: dst, MsgID: e.ID, Seq: -1,

@@ -46,9 +46,12 @@ func newFixture() *fixture {
 
 func (f *fixture) Now() des.Time                 { return f.sim.Now() }
 func (f *fixture) NextID() int64                 { f.nextID++; return f.nextID }
-func (f *fixture) Transmit(e *protocol.Envelope) { f.sent = append(f.sent, e) }
+func (f *fixture) Transmit(e *protocol.Envelope) { cp := *e; f.sent = append(f.sent, &cp) }
 func (f *fixture) After(d des.Duration, fn func()) *des.Timer {
 	return f.sim.After(d, fn)
+}
+func (f *fixture) AfterTick(d des.Duration, t host.Tick) *des.Timer {
+	return f.sim.After(d, func() { f.h.Fire(t) })
 }
 func (f *fixture) WriteStable(_ string, _ int64, done func(start, end des.Time)) {
 	f.writes = append(f.writes, done)

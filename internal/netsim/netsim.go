@@ -166,7 +166,7 @@ func (nw *Network) AllocID() int64 {
 func (nw *Network) SetDown(proc int, down bool) { nw.down[proc] = down }
 
 // Send transmits the envelope. It assigns the envelope ID and SentAt and
-// schedules delivery after a model-drawn delay. Self-sends panic:
+// schedules delivery of a copy after a model-drawn delay. Self-sends panic:
 // processes are sequential and talk to themselves directly.
 func (nw *Network) Send(e *protocol.Envelope) {
 	if e.Src == e.Dst {
@@ -207,14 +207,14 @@ func (nw *Network) Send(e *protocol.Envelope) {
 		nw.lastArrival[ch] = at
 	}
 	nw.InFlight.Add(1)
-	env := e
+	env := *e // the sender may reuse e once Send returns
 	nw.sim.At(at, func() {
 		nw.InFlight.Add(-1)
 		nw.Latency.Observe((nw.sim.Now() - env.SentAt).Seconds())
 		if nw.down[env.Dst] {
 			return
 		}
-		nw.deliver(env)
+		nw.deliver(&env)
 	})
 }
 

@@ -143,6 +143,35 @@ func TestDownProcess(t *testing.T) {
 	}
 }
 
+// TestSendCopiesEnvelope: an envelope handed to Send is valid only during
+// the call. A sender that reuses one envelope for two sends before either
+// is delivered gets each delivery its own ID, message and payload.
+func TestSendCopiesEnvelope(t *testing.T) {
+	sim := des.New(1)
+	var got []protocol.Envelope
+	nw := New(sim, Config{N: 2, Latency: Fixed{D: des.Millisecond}}, func(e *protocol.Envelope) {
+		got = append(got, *e)
+	})
+	var out protocol.Envelope
+	for seq := int64(1); seq <= 2; seq++ {
+		out = protocol.Envelope{
+			Src: 0, Dst: 1, Kind: protocol.KindApp,
+			App: protocol.AppMsg{Seq: seq, Tag: uint64(10 * seq)}, Payload: seq,
+		}
+		nw.Send(&out)
+	}
+	sim.Run()
+	if len(got) != 2 {
+		t.Fatalf("delivered %d of 2", len(got))
+	}
+	for i, e := range got {
+		seq := int64(i + 1)
+		if e.ID != seq || e.App.Seq != seq || e.App.Tag != uint64(10*seq) || e.Payload != seq {
+			t.Errorf("delivery %d: id %d, %+v, payload %v; want its own send, seq %d", i, e.ID, e.App, e.Payload, seq)
+		}
+	}
+}
+
 func TestInjectKeepsID(t *testing.T) {
 	sim := des.New(1)
 	var got *protocol.Envelope

@@ -34,7 +34,10 @@ type Env interface {
 
 	// Send transmits an envelope. The engine assigns ID and SentAt,
 	// records trace events and accounts wire bytes. Dst must differ
-	// from ID.
+	// from ID. e is valid only during the call, so the caller may reuse
+	// it once Send returns; whatever keeps it (a network in flight, a
+	// retransmission buffer) keeps a copy. A copy may share e's payload:
+	// a sent payload is never mutated.
 	Send(e *Envelope)
 	// Broadcast sends a copy of the control envelope to every other
 	// process (Dst is overwritten per copy).
@@ -127,7 +130,10 @@ type Protocol interface {
 	// OnAppSend is invoked when the application emits a message. The
 	// envelope has Src/Dst/App filled in; the protocol attaches its
 	// piggyback (Payload, extra Bytes) and MAY log the message. The
-	// engine sends the envelope after this returns.
+	// engine sends the envelope after this returns. As with Env.Send, e
+	// is valid only during the call: the host reuses it for its next
+	// send, so a protocol that keeps it keeps a copy, and the payload it
+	// attaches must never be mutated afterwards.
 	OnAppSend(e *Envelope)
 	// OnDeliver is invoked when any envelope (application or control)
 	// arrives. For application envelopes the protocol must eventually

@@ -51,13 +51,14 @@ func (f *FakeEnv) Now() des.Time { return f.Sim.Now() }
 // Rand implements protocol.Env.
 func (f *FakeEnv) Rand() *rand.Rand { return f.Sim.Rand() }
 
-// Send implements protocol.Env.
+// Send implements protocol.Env. It records a copy: the caller may reuse e.
 func (f *FakeEnv) Send(e *protocol.Envelope) {
 	e.Src = f.Id
 	if e.ID == 0 {
 		e.ID = int64(len(f.Sent) + 1)
 	}
-	f.Sent = append(f.Sent, e)
+	cp := *e
+	f.Sent = append(f.Sent, &cp)
 }
 
 // Broadcast implements protocol.Env.

@@ -13,10 +13,10 @@
 //     protocol sees each envelope exactly once, in possibly-reordered
 //     order — precisely the paper's channel model.
 //
-// Retransmissions reuse the original envelope (same ID, same piggyback):
-// the piggybacked state is the state at first transmission, which is what
-// the paper's correctness argument assumes of a channel that delivers
-// late.
+// A retransmission sends a copy of the envelope as first transmitted (same
+// ID, same piggyback): the piggybacked state is the state at first
+// transmission, which is what the paper's correctness argument assumes of
+// a channel that delivers late.
 //
 // The wrapper composes with the engine's live failure injection when the
 // inner protocol supports rollback: transport state is reset at recovery
@@ -61,7 +61,7 @@ type Ack struct {
 func (a *Ack) Own() any { return *a }
 
 type pendingMsg struct {
-	env     *protocol.Envelope
+	env     protocol.Envelope // a copy: the sender reuses its envelope
 	rto     des.Duration
 	retries int
 }
@@ -72,8 +72,11 @@ type Protocol struct {
 	opt   Options
 	env   protocol.Env // the engine's env
 
-	pending map[int64]*pendingMsg
+	pending map[int64]pendingMsg
 	seen    map[int64]bool
+	// ack is the envelope of every ACK and retransmission, reused: Env.Send
+	// keeps nothing of it once it returns.
+	ack protocol.Envelope
 }
 
 // Wrap builds the middleware around an inner protocol instance.
@@ -87,7 +90,7 @@ func Wrap(inner protocol.Protocol, opt Options) *Protocol {
 	return &Protocol{
 		inner:   inner,
 		opt:     opt,
-		pending: map[int64]*pendingMsg{},
+		pending: map[int64]pendingMsg{},
 		seen:    map[int64]bool{},
 	}
 }
@@ -110,8 +113,8 @@ func (p *Protocol) Start(env protocol.Env) {
 }
 
 // OnAppSend implements protocol.Protocol: the engine transmits the
-// original envelope itself right after this returns; the transport only
-// has to track it for retransmission.
+// envelope itself right after this returns; the transport only has to
+// track a copy for retransmission.
 func (p *Protocol) OnAppSend(e *protocol.Envelope) {
 	p.inner.OnAppSend(e)
 	if e.ID == 0 {
@@ -137,10 +140,11 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 	}
 	// Acknowledge every delivery, including duplicates — the earlier ACK
 	// may itself have been lost.
-	p.env.Send(&protocol.Envelope{
+	p.ack = protocol.Envelope{
 		Dst: e.Src, Kind: protocol.KindCtl, CtlTag: AckTag,
 		Bytes: ackBytes, Payload: Ack{ID: e.ID},
-	})
+	}
+	p.env.Send(&p.ack)
 	if p.seen[e.ID] {
 		p.env.Count("reliable.dup_dropped", 1)
 		return
@@ -174,16 +178,16 @@ func (p *Protocol) Rollback(seq int) {
 	if !ok {
 		panic(fmt.Sprintf("reliable: inner protocol %q does not support rollback", p.inner.Name()))
 	}
-	p.pending = map[int64]*pendingMsg{}
+	p.pending = map[int64]pendingMsg{}
 	p.seen = map[int64]bool{}
 	rew.Rollback(seq)
 }
 
-// track registers an envelope for retransmission until acknowledged.
+// track registers a copy of an envelope for retransmission until
+// acknowledged.
 func (p *Protocol) track(e *protocol.Envelope) {
-	pm := &pendingMsg{env: e, rto: p.opt.RTO}
-	p.pending[e.ID] = pm
-	p.env.SetTimer(pm.rto, timerKind, int(e.ID))
+	p.pending[e.ID] = pendingMsg{env: *e, rto: p.opt.RTO}
+	p.env.SetTimer(p.opt.RTO, timerKind, int(e.ID))
 }
 
 func (p *Protocol) retransmit(id int64) {
@@ -192,12 +196,11 @@ func (p *Protocol) retransmit(id int64) {
 		return // acknowledged
 	}
 	pm.retries++
-	pm.rto *= 2
-	if pm.rto > p.opt.MaxRTO {
-		pm.rto = p.opt.MaxRTO
-	}
+	pm.rto = min(2*pm.rto, p.opt.MaxRTO)
+	p.pending[id] = pm
 	p.env.Count("reliable.retransmits", 1)
-	p.env.Send(pm.env)
+	p.ack = pm.env
+	p.env.Send(&p.ack)
 	p.env.SetTimer(pm.rto, timerKind, int(id))
 }
 

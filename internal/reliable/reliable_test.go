@@ -10,6 +10,7 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/engine"
 	"ocsml/internal/protocol"
+	"ocsml/internal/protocol/protocoltest"
 	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
@@ -176,6 +177,41 @@ func TestWrapperBookkeeping(t *testing.T) {
 	}
 	if w.PendingCount() != 0 || w.Retries(42) != 0 {
 		t.Fatal("fresh wrapper should be empty")
+	}
+}
+
+// TestRetransmitSendsFirstTransmission: the host reuses one envelope for
+// every application send, and the inner protocol's state moves on between
+// sends. A retransmission must still carry what the first transmission
+// did: its ID and its piggyback.
+func TestRetransmitSendsFirstTransmission(t *testing.T) {
+	env := protocoltest.New(0, 3)
+	w := reliable.Wrap(core.New(core.Options{}), reliable.Options{})
+	env.Proto = w
+	w.Start(env)
+	var out protocol.Envelope // the host's reused send envelope
+	send := func(id int64) {
+		out = protocol.Envelope{ID: id, Dst: 1, Kind: protocol.KindApp, App: protocol.AppMsg{Seq: id}}
+		w.OnAppSend(&out)
+		env.Send(&out)
+	}
+	send(1)
+	w.Inner().(*core.Protocol).Initiate() // csn 0 normal -> csn 1 tentative
+	send(2)
+	env.Sim.RunUntil(reliable.DefaultOptions().RTO)
+	var resent []*protocol.Envelope
+	for _, e := range env.Sent[2:] {
+		if e.ID == 1 {
+			resent = append(resent, e)
+		}
+	}
+	if len(resent) != 1 {
+		t.Fatalf("message 1 retransmitted %d times by one RTO, want once", len(resent))
+	}
+	pb, ok := core.AsPiggyback(resent[0].Payload)
+	if !ok || pb.Csn != 0 || pb.Stat != core.Normal || !pb.TentSet.Empty() || resent[0].App.Seq != 1 {
+		t.Fatalf("retransmission of message 1 carries seq %d, csn %d, %v, %v; want seq 1, csn 0, normal, {}",
+			resent[0].App.Seq, pb.Csn, pb.Stat, pb.TentSet)
 	}
 }
 

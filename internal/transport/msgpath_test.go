@@ -40,12 +40,11 @@ func (a *ringApp) OnMessage(ctx protocol.AppCtx, _ int, _ protocol.AppMsg) {
 // TestNodeMessagePathAllocs pins what a delivered application message costs
 // the heap on the TCP runtime: four OCSML nodes pass tokens round a ring,
 // and once the pools, heaps and maps have grown, the process's mallocs per
-// delivered message are read over a window (best of 5). What is left is
-// the sender's: the envelope, its boxed piggyback and that piggyback's
-// tentSet (3); with reliable on, also its pendingMsg and retransmit timer
-// closure, and the receiver's ACK envelope with its boxed Ack (7; DESIGN.md
-// §15.1). Checkpointing is off (Interval 0), so no round's cost lands in
-// the window.
+// delivered message are read over a window (best of 5). Neither side
+// allocates: the sender reuses its envelope and piggyback snapshot, the
+// receiver its pooled slot. With reliable on, what is left is the ACK's
+// boxed Ack (1) and the dedup set's map growth (DESIGN.md §15.1).
+// Checkpointing is off (Interval 0), so no round's cost lands in the window.
 func TestNodeMessagePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -58,8 +57,8 @@ func TestNodeMessagePathAllocs(t *testing.T) {
 		reliable bool
 		budget   float64
 	}{
-		{"reliable", true, 7.5},
-		{"bare", false, 3.5},
+		{"reliable", true, 1.5},
+		{"bare", false, 0.5},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			const n = 4

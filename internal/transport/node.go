@@ -514,10 +514,19 @@ func (n *Node) Transmit(e *protocol.Envelope) {
 // re-armed only when fn is due first. The host fences the callback by
 // epoch, so a timer from before a rollback is dropped at fire time.
 func (n *Node) After(d des.Duration, fn func()) *des.Timer {
-	at := n.Now() + des.Time(d)
-	n.timers.push(timerEntry{at, fn})
-	if n.armed == 0 || at < n.armed {
-		n.arm(at)
+	return n.schedule(timerEntry{at: n.Now() + des.Time(d), fn: fn})
+}
+
+// AfterTick implements host.Driver: After, with the tick held in the entry
+// and fired through Host.Fire.
+func (n *Node) AfterTick(d des.Duration, t host.Tick) *des.Timer {
+	return n.schedule(timerEntry{at: n.Now() + des.Time(d), tick: t})
+}
+
+func (n *Node) schedule(t timerEntry) *des.Timer {
+	n.timers.push(t)
+	if n.armed == 0 || t.at < n.armed {
+		n.arm(t.at)
 	}
 	return nil
 }
@@ -533,16 +542,23 @@ func (n *Node) runTimers() {
 	n.armed = 0
 	now := n.Now()
 	for len(n.timers) > 0 && n.timers[0].at <= now {
-		n.timers.pop().fn()
+		if t := n.timers.pop(); t.fn != nil {
+			t.fn()
+		} else {
+			n.h.Fire(t.tick)
+		}
 	}
 	if len(n.timers) > 0 && (n.armed == 0 || n.timers[0].at < n.armed) {
 		n.arm(n.timers[0].at)
 	}
 }
 
+// timerEntry is an application callback (fn) or, when fn is nil, a
+// protocol timer (tick).
 type timerEntry struct {
-	at des.Time
-	fn func()
+	at   des.Time
+	fn   func()
+	tick host.Tick
 }
 
 // timerHeap is a binary min-heap on at, by hand: container/heap would box

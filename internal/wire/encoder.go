@@ -29,16 +29,24 @@ func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 		return err
 	}
 	f.hdr = header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq}
+	var pb *core.Piggyback
 	switch p := e.Payload.(type) {
 	case core.Piggyback:
-		f.epoch = e.Epoch
-		f.pb.Csn = p.Csn
-		f.pb.Stat = p.Stat
-		f.pb.TentSet.CopyFrom(p.TentSet)
+		pb = &p
+	case *core.Piggyback:
+		pb = p
 	case reliable.Ack:
 		f.hdr.ack = p.ID
 	}
-	buf, err = appendPayload(buf, e.Payload)
+	if pb != nil {
+		f.epoch = e.Epoch
+		f.pb.Csn = pb.Csn
+		f.pb.Stat = pb.Stat
+		f.pb.TentSet.CopyFrom(pb.TentSet)
+		buf, err = appendPiggyback(buf, pb)
+	} else {
+		buf, err = appendPayload(buf, e.Payload)
+	}
 	if err != nil {
 		f.data = f.data[:0]
 		return err

@@ -33,8 +33,9 @@
 //     f) appends, and at most f.Len()+MaxStreamGrowth.
 //
 // Payloads are polymorphic (Envelope.Payload is `any`); the codec knows
-// the concrete types the in-tree protocols use: core.Piggyback,
-// core.CtlMsg, reliable.Ack and protocol.RbMsg (the recovery
+// the concrete types the in-tree protocols use: core.Piggyback (by value,
+// or as the *core.Piggyback snapshot a sender attaches; both encode the
+// same bytes), core.CtlMsg, reliable.Ack and protocol.RbMsg (the recovery
 // coordinator's handshake). Foreign payload types are an encode-time
 // error — a protocol that wants to run on the TCP mesh must register its
 // payload here.
@@ -230,13 +231,9 @@ func appendPayload(buf []byte, payload any) ([]byte, error) {
 	case nil:
 		return append(buf, ptNone), nil
 	case core.Piggyback:
-		if p.Csn < 0 {
-			return nil, errf("wire: negative piggyback csn %d", p.Csn)
-		}
-		buf = append(buf, ptPiggyback)
-		buf = binary.AppendUvarint(buf, uint64(p.Csn))
-		buf = append(buf, byte(p.Stat))
-		return p.TentSet.AppendBinary(buf), nil
+		return appendPiggyback(buf, &p)
+	case *core.Piggyback:
+		return appendPiggyback(buf, p)
 	case core.CtlMsg:
 		if p.Csn < 0 {
 			return nil, errf("wire: negative control csn %d", p.Csn)
@@ -268,6 +265,19 @@ func appendPayload(buf []byte, payload any) ([]byte, error) {
 	default:
 		return nil, errf("wire: unregistered payload type %T", payload)
 	}
+}
+
+// appendPiggyback writes an absolute piggyback block. Both forms of the
+// payload reach it by pointer: dereferencing a *core.Piggyback into an any
+// would box it again.
+func appendPiggyback(buf []byte, p *core.Piggyback) ([]byte, error) {
+	if p.Csn < 0 {
+		return nil, errf("wire: negative piggyback csn %d", p.Csn)
+	}
+	buf = append(buf, ptPiggyback)
+	buf = binary.AppendUvarint(buf, uint64(p.Csn))
+	buf = append(buf, byte(p.Stat))
+	return p.TentSet.AppendBinary(buf), nil
 }
 
 // EncodedSize returns the exact length Encode would produce.
