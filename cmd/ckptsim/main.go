@@ -33,7 +33,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 		steps     = flag.Int64("steps", 1000, "work steps per process")
 		think     = flag.Duration("think", 10*time.Millisecond, "mean computation per step (virtual)")
-		pattern   = flag.String("pattern", "uniform", "workload: uniform|ring|client-server|mesh|bursty")
+		pattern   = flag.String("pattern", "uniform", "workload: uniform|ring|client-server|mesh|bursty|stencil")
 		interval  = flag.Duration("interval", 5*time.Second, "checkpoint period (virtual)")
 		timeout   = flag.Duration("timeout", 500*time.Millisecond, "OCSML convergence timeout (virtual)")
 		state     = flag.Int64("state", 16<<20, "process state size in bytes")
@@ -50,9 +50,9 @@ func main() {
 	)
 	flag.Parse()
 
-	pat, ok := patterns[*pattern]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown pattern %q\n", *pattern)
+	pat, err := workload.ParsePattern(*pattern)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	rc := harness.RunCfg{
@@ -160,13 +160,4 @@ func main() {
 		}
 		fmt.Printf("trace               %s (%d events)\n", *traceOut, r.Trace.Len())
 	}
-}
-
-var patterns = map[string]workload.Pattern{
-	"uniform":       workload.UniformRandom,
-	"ring":          workload.Ring,
-	"client-server": workload.ClientServer,
-	"mesh":          workload.Mesh,
-	"bursty":        workload.Bursty,
-	"stencil":       workload.BSPStencil,
 }

@@ -44,15 +44,6 @@ import (
 	"ocsml/internal/workload"
 )
 
-var patterns = map[string]workload.Pattern{
-	"uniform":       workload.UniformRandom,
-	"ring":          workload.Ring,
-	"client-server": workload.ClientServer,
-	"mesh":          workload.Mesh,
-	"bursty":        workload.Bursty,
-	"stencil":       workload.BSPStencil,
-}
-
 func main() {
 	var (
 		spawnAll  = flag.Bool("spawn-all", false, "launch an N-process localhost cluster in this one command")
@@ -80,9 +71,9 @@ func main() {
 	)
 	flag.Parse()
 
-	pat, ok := patterns[*pattern]
-	if !ok {
-		fatalf("unknown pattern %q", *pattern)
+	pat, err := workload.ParsePattern(*pattern)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	opt := core.DefaultOptions()
 	opt.Interval = des.Duration(*interval)

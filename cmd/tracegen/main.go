@@ -33,15 +33,9 @@ func main() {
 	)
 	flag.Parse()
 
-	pats := map[string]workload.Pattern{
-		"uniform": workload.UniformRandom,
-		"ring":    workload.Ring,
-		"mesh":    workload.Mesh,
-		"bursty":  workload.Bursty,
-	}
-	pat, ok := pats[*pattern]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown pattern %q (reactive patterns cannot be scripted)\n", *pattern)
+	pat, err := workload.ParsePattern(*pattern)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg := workload.Config{

@@ -3,15 +3,13 @@ package bcs
 import (
 	"testing"
 
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 )
 
-func mount(id, n int) (*Protocol, *protocoltest.FakeEnv) {
+func mount(id, n int) (*Protocol, *hosttest.Driver) {
 	p := New(Options{})
-	env := protocoltest.New(id, n)
-	env.Proto = p
-	p.Start(env)
+	env := hosttest.New(id, n, p)
 	env.Sent = nil
 	return p, env
 }
@@ -30,15 +28,15 @@ func TestForcedCheckpointBeforeProcessing(t *testing.T) {
 	if p.csn != 2 {
 		t.Fatalf("csn = %d, want forced to 2", p.csn)
 	}
-	if env.Counters["forced"] != 1 {
+	if env.Counter("forced") != 1 {
 		t.Fatal("forced not counted")
 	}
 	// The skipped index 1 exists as an alias record.
-	if env.Counters["alias"] != 1 {
+	if env.Counter("alias") != 1 {
 		t.Fatal("alias not counted")
 	}
 	for _, seq := range []int{0, 1, 2} {
-		if _, ok := env.Store.Get(seq); !ok {
+		if _, ok := env.Store().Get(seq); !ok {
 			t.Fatalf("index %d missing (aliases must fill gaps)", seq)
 		}
 	}
@@ -46,8 +44,8 @@ func TestForcedCheckpointBeforeProcessing(t *testing.T) {
 		t.Fatal("message must still be processed")
 	}
 	// Alias records carry no storage bytes.
-	r1, _ := env.Store.Get(1)
-	r2, _ := env.Store.Get(2)
+	r1, _ := env.Store().Get(1)
+	r2, _ := env.Store().Get(2)
 	if r1.StateBytes != 0 || r2.StateBytes == 0 {
 		t.Fatalf("alias/real bytes wrong: %d %d", r1.StateBytes, r2.StateBytes)
 	}
@@ -56,8 +54,8 @@ func TestForcedCheckpointBeforeProcessing(t *testing.T) {
 func TestEqualOrLowerIndexDoesNotForce(t *testing.T) {
 	p, env := mount(1, 3)
 	p.OnDeliver(appMsg(0, 0))
-	if p.csn != 0 || env.Counters["forced"] != 0 {
-		t.Fatalf("csn=%d forced=%d", p.csn, env.Counters["forced"])
+	if p.csn != 0 || env.Counter("forced") != 0 {
+		t.Fatalf("csn=%d forced=%d", p.csn, env.Counter("forced"))
 	}
 	if env.Delivered != 1 {
 		t.Fatal("message must be processed")

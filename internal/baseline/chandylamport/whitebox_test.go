@@ -3,15 +3,13 @@ package chandylamport
 import (
 	"testing"
 
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 )
 
-func mount(id, n int) (*Protocol, *protocoltest.FakeEnv) {
+func mount(id, n int) (*Protocol, *hosttest.Driver) {
 	p := New(Options{Interval: 0}) // constructor defaults the interval
-	env := protocoltest.New(id, n)
-	env.Proto = p
-	p.Start(env)
+	env := hosttest.New(id, n, p)
 	env.Sent = nil
 	return p, env
 }
@@ -43,7 +41,7 @@ func TestFirstMarkerRecordsAndFloods(t *testing.T) {
 	if p.recording {
 		t.Fatal("round should be complete")
 	}
-	if _, ok := env.Store.Get(1); !ok {
+	if _, ok := env.Store().Get(1); !ok {
 		t.Fatal("checkpoint 1 not stored")
 	}
 }
@@ -58,7 +56,7 @@ func TestChannelStateCapturedBetweenRecordAndMarker(t *testing.T) {
 	p.OnDeliver(&protocol.Envelope{ID: 6, Src: 0, Dst: 1, Kind: protocol.KindApp,
 		App: protocol.AppMsg{Bytes: 100, Seq: 2, Tag: 10}})
 	p.OnDeliver(mark(2, 1))
-	rec, _ := env.Store.Get(1)
+	rec, _ := env.Store().Get(1)
 	if len(rec.Log) != 1 || rec.Log[0].ID != 5 {
 		t.Fatalf("channel state = %+v, want exactly msg 5", rec.Log)
 	}

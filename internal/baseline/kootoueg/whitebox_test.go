@@ -3,15 +3,13 @@ package kootoueg
 import (
 	"testing"
 
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 )
 
-func mount(id, n int) (*Protocol, *protocoltest.FakeEnv) {
+func mount(id, n int) (*Protocol, *hosttest.Driver) {
 	p := New(Options{})
-	env := protocoltest.New(id, n)
-	env.Proto = p
-	p.Start(env)
+	env := hosttest.New(id, n, p)
 	env.Sent = nil
 	return p, env
 }
@@ -36,7 +34,7 @@ func TestTwoPhaseParticipant(t *testing.T) {
 	if p.blocked {
 		t.Fatal("commit (with synchronous write) should unblock")
 	}
-	if _, ok := env.Store.Get(1); !ok {
+	if _, ok := env.Store().Get(1); !ok {
 		t.Fatal("checkpoint 1 not stored")
 	}
 	// The participant reports completion to the coordinator.

@@ -3,15 +3,13 @@ package nop
 import (
 	"testing"
 
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 )
 
 func TestNopIsTransparent(t *testing.T) {
 	p := Factory()(0, 2)
-	env := protocoltest.New(0, 2)
-	env.Proto = p
-	p.Start(env)
+	env := hosttest.New(0, 2, p)
 	if p.Name() != "none" {
 		t.Fatalf("Name = %q", p.Name())
 	}
@@ -30,7 +28,7 @@ func TestNopIsTransparent(t *testing.T) {
 	}
 	p.OnTimer(0, 0)
 	p.Finish()
-	if len(env.Sent) != 0 || env.Store.Len() != 0 {
+	if len(env.Sent) != 0 || env.Store().Len() != 0 {
 		t.Fatal("nop produced output")
 	}
 }

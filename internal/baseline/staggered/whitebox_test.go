@@ -3,15 +3,13 @@ package staggered
 import (
 	"testing"
 
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 )
 
-func mount(id, n int) (*Protocol, *protocoltest.FakeEnv) {
+func mount(id, n int) (*Protocol, *hosttest.Driver) {
 	p := New(Options{})
-	env := protocoltest.New(id, n)
-	env.Proto = p
-	p.Start(env)
+	env := hosttest.New(id, n, p)
 	env.Sent = nil
 	return p, env
 }
@@ -33,7 +31,7 @@ func TestMarkCutThenTokenWrite(t *testing.T) {
 	if p.recording {
 		t.Fatal("cut should be complete")
 	}
-	if _, ok := env.Store.Get(1); !ok {
+	if _, ok := env.Store().Get(1); !ok {
 		t.Fatal("record missing after cut")
 	}
 	// No physical write yet — it waits for the token.
@@ -49,7 +47,7 @@ func TestMarkCutThenTokenWrite(t *testing.T) {
 	if last.CtlTag != tagToken || last.Dst != 2 {
 		t.Fatalf("token should pass to P2: %+v", last)
 	}
-	rec, _ := env.Store.Get(1)
+	rec, _ := env.Store().Get(1)
 	if rec.StableAt == 0 {
 		t.Fatal("record should be stable after write + cut")
 	}

@@ -38,11 +38,11 @@ func (p *Protocol) broadcastEND(csn int) {
 	})
 }
 
-// onConvergeTimeout handles the expiry of the convergence timer armed when
-// the tentative checkpoint with sequence number gen was taken.
+// onConvergeTimeout handles the expiry of the convergence timer of
+// generation gen (convGen).
 func (p *Protocol) onConvergeTimeout(gen int) {
-	if p.stat != Tentative || p.csn != gen {
-		return // finalized or superseded; the timer is moot
+	if p.stat != Tentative || p.convGen != gen {
+		return // canceled, finalized or superseded; the timer is moot
 	}
 	if p.env.ID() == 0 {
 		// P0 initiates CK_REQ messages directly (Fig. 4).

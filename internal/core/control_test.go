@@ -6,109 +6,29 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
-	"ocsml/internal/metrics"
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/trace"
 )
 
-// fakeEnv is a minimal synchronous protocol.Env: sends are recorded,
-// stable writes complete immediately, timers are real des timers that the
-// test fires by running the embedded simulator.
-type fakeEnv struct {
-	sim      *des.Simulator
-	id, n    int
-	sent     []*protocol.Envelope
-	store    *checkpoint.ProcStore
-	counters map[string]int64
-	queue    int
-	timers   []func()
-	notes    []string // "<kind> <seq>" per Note, in order
-	proto    *Protocol
-}
-
-func newFakeEnv(id, n int) *fakeEnv {
-	return &fakeEnv{
-		sim: des.New(1), id: id, n: n,
-		store:    checkpoint.NewStore(n).Proc(id),
-		counters: map[string]int64{},
-	}
-}
-
-func (f *fakeEnv) ID() int          { return f.id }
-func (f *fakeEnv) N() int           { return f.n }
-func (f *fakeEnv) Now() des.Time    { return f.sim.Now() }
-func (f *fakeEnv) Rand() *rand.Rand { return f.sim.Rand() }
-func (f *fakeEnv) Send(e *protocol.Envelope) {
-	e.Src = f.id
-	if e.ID == 0 {
-		e.ID = int64(len(f.sent) + 1)
-	}
-	cp := *e // the caller may reuse e
-	f.sent = append(f.sent, &cp)
-}
-func (f *fakeEnv) Broadcast(e *protocol.Envelope) {
-	for dst := 0; dst < f.n; dst++ {
-		if dst == f.id {
-			continue
-		}
-		cp := *e
-		cp.Dst = dst
-		f.Send(&cp)
-	}
-}
-func (f *fakeEnv) SetTimer(d des.Duration, kind, gen int) *des.Timer {
-	return f.sim.After(d, func() { f.proto.OnTimer(kind, gen) })
-}
-func (f *fakeEnv) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
-	if done != nil {
-		done(f.Now(), f.Now())
-	}
-}
-func (f *fakeEnv) WriteStableBlocking(tag string, bytes int64, done func(start, end des.Time)) {
-	f.WriteStable(tag, bytes, done)
-}
-func (f *fakeEnv) StorageQueueLen() int        { return f.queue }
-func (f *fakeEnv) StallApp()                   {}
-func (f *fakeEnv) ResumeApp()                  {}
-func (f *fakeEnv) StallAppFor(d des.Duration)  {}
-func (f *fakeEnv) Snapshot() protocol.Snapshot { return protocol.Snapshot{Bytes: 100} }
-func (f *fakeEnv) Peek() protocol.Snapshot     { return protocol.Snapshot{Bytes: 100} }
-func (f *fakeEnv) DeliverApp(e *protocol.Envelope, hooks protocol.AppHooks) {
-	if hooks != nil {
-		hooks.BeforeApp(e)
-		hooks.AfterApp(e)
-	}
-}
-func (f *fakeEnv) Checkpoints() *checkpoint.ProcStore { return f.store }
-func (f *fakeEnv) Note(kind trace.Kind, seq int) {
-	f.notes = append(f.notes, fmt.Sprintf("%s %d", kind, seq))
-}
-func (f *fakeEnv) Count(name string, d int64) { f.counters[name] += d }
-func (f *fakeEnv) Metrics() *metrics.Registry { return nil }
-func (f *fakeEnv) Draining() bool             { return false }
-
-// mount builds a protocol on a fake env, started and optionally tentative
-// at csn 1.
-func mount(t *testing.T, id, n int, opt Options, tentative bool) (*Protocol, *fakeEnv) {
+// mount hosts a started protocol on a simulated driver, optionally
+// tentative at csn 1.
+func mount(t *testing.T, id, n int, opt Options, tentative bool) (*Protocol, *hosttest.Driver) {
 	t.Helper()
 	p := New(opt)
-	env := newFakeEnv(id, n)
-	env.proto = p
-	p.Start(env)
+	env := hosttest.New(id, n, p)
 	if tentative {
 		p.Initiate()
 		if p.Status() != Tentative || p.Csn() != 1 {
 			t.Fatalf("setup: %v csn=%d", p.Status(), p.Csn())
 		}
 	}
-	env.sent = nil // discard setup traffic
+	env.Sent = nil // discard setup traffic
 	return p, env
 }
 
@@ -119,12 +39,23 @@ func ctl(src int, tag string, csn int) *protocol.Envelope {
 	}
 }
 
-func sentTags(env *fakeEnv) []string {
+func sentTags(env *hosttest.Driver) []string {
 	var out []string
-	for _, e := range env.sent {
+	for _, e := range env.Sent {
 		out = append(out, e.CtlTag)
 	}
 	return out
+}
+
+// notes lists the checkpoint events env traced, "<kind> <seq>" in order.
+func notes(env *hosttest.Driver) string {
+	var out []string
+	for _, ev := range env.Rec.Events() {
+		if ev.Kind.IsCut() {
+			out = append(out, fmt.Sprintf("%s %d", ev.Kind, ev.Seq))
+		}
+	}
+	return strings.Join(out, ",")
 }
 
 func TestStaleBGNGetsTargetedEND(t *testing.T) {
@@ -136,19 +67,19 @@ func TestStaleBGNGetsTargetedEND(t *testing.T) {
 		p.tentSet.Add(i)
 	}
 	p.finalize()
-	env.sent = nil
+	env.Sent = nil
 
 	p.OnDeliver(ctl(3, TagBGN, 0))
-	if env.counters["ctl_stale"] != 1 {
+	if env.Counter("ctl_stale") != 1 {
 		t.Fatal("stale counter not bumped")
 	}
-	if len(env.sent) != 1 || env.sent[0].CtlTag != TagEND || env.sent[0].Dst != 3 {
+	if len(env.Sent) != 1 || env.Sent[0].CtlTag != TagEND || env.Sent[0].Dst != 3 {
 		t.Fatalf("expected targeted CK_END to P3, got %v", sentTags(env))
 	}
 	// Stale CK_END gets no reply.
-	env.sent = nil
+	env.Sent = nil
 	p.OnDeliver(ctl(3, TagEND, 0))
-	if len(env.sent) != 0 {
+	if len(env.Sent) != 0 {
 		t.Fatalf("stale CK_END must not be answered: %v", sentTags(env))
 	}
 }
@@ -159,11 +90,11 @@ func TestBGNAtFinalizedCoordinatorBroadcastsEND(t *testing.T) {
 		p.tentSet.Add(i)
 	}
 	p.finalize()
-	env.sent = nil
+	env.Sent = nil
 
 	p.OnDeliver(ctl(2, TagBGN, 1))
 	ends := 0
-	for _, e := range env.sent {
+	for _, e := range env.Sent {
 		if e.CtlTag == TagEND {
 			ends++
 		}
@@ -172,9 +103,9 @@ func TestBGNAtFinalizedCoordinatorBroadcastsEND(t *testing.T) {
 		t.Fatalf("P0 should broadcast CK_END to 2 peers, sent %v", sentTags(env))
 	}
 	// Second BGN for the same csn: END already sent, stay silent.
-	env.sent = nil
+	env.Sent = nil
 	p.OnDeliver(ctl(1, TagBGN, 1))
-	if len(env.sent) != 0 {
+	if len(env.Sent) != 0 {
 		t.Fatalf("duplicate BGN must not rebroadcast: %v", sentTags(env))
 	}
 }
@@ -187,23 +118,23 @@ func TestREQAtFinalizedProcessForwardsToCoordinator(t *testing.T) {
 		p.tentSet.Add(i)
 	}
 	p.finalize()
-	env.sent = nil
+	env.Sent = nil
 
 	p.OnDeliver(ctl(1, TagREQ, 1))
-	if len(env.sent) != 1 || env.sent[0].CtlTag != TagREQ || env.sent[0].Dst != 0 {
-		t.Fatalf("finalized process should forward REQ to P0: %v", env.sent)
+	if len(env.Sent) != 1 || env.Sent[0].CtlTag != TagREQ || env.Sent[0].Dst != 0 {
+		t.Fatalf("finalized process should forward REQ to P0: %v", env.Sent)
 	}
 }
 
 func TestDuplicateREQSuppressed(t *testing.T) {
 	p, env := mount(t, 2, 5, Options{Timeout: des.Second}, true)
 	p.OnDeliver(ctl(1, TagREQ, 1))
-	first := len(env.sent)
-	if first != 1 || env.sent[0].CtlTag != TagREQ {
+	first := len(env.Sent)
+	if first != 1 || env.Sent[0].CtlTag != TagREQ {
 		t.Fatalf("expected one forwarded REQ, got %v", sentTags(env))
 	}
 	p.OnDeliver(ctl(0, TagREQ, 1))
-	if len(env.sent) != first {
+	if len(env.Sent) != first {
 		t.Fatalf("duplicate REQ must be suppressed: %v", sentTags(env))
 	}
 }
@@ -216,7 +147,7 @@ func TestENDNextCsnAtNormalFinalizesImmediately(t *testing.T) {
 	if p.Csn() != 1 || p.Status() != Normal {
 		t.Fatalf("csn=%d status=%v", p.Csn(), p.Status())
 	}
-	if _, ok := env.store.Get(1); !ok {
+	if _, ok := env.Store().Get(1); !ok {
 		t.Fatal("checkpoint 1 not finalized")
 	}
 }
@@ -227,8 +158,8 @@ func TestREQNextCsnJoinsAndForwards(t *testing.T) {
 	if p.Csn() != 1 || p.Status() != Tentative {
 		t.Fatalf("should join round 1: csn=%d %v", p.Csn(), p.Status())
 	}
-	if len(env.sent) != 1 || env.sent[0].CtlTag != TagREQ || env.sent[0].Dst != 2 {
-		t.Fatalf("should forward REQ to P2: %v", env.sent)
+	if len(env.Sent) != 1 || env.Sent[0].CtlTag != TagREQ || env.Sent[0].Dst != 2 {
+		t.Fatalf("should forward REQ to P2: %v", env.Sent)
 	}
 }
 
@@ -272,26 +203,26 @@ func TestControlCsnFarAhead(t *testing.T) {
 			p, env := mount(t, tc.id, 3, Options{Timeout: des.Second}, tc.tentative)
 			wantCsn, wantStat := p.Csn(), p.Status()
 			p.OnDeliver(ctl((tc.id+1)%3, tc.tag, tc.csn))
-			if env.counters["ctl_ahead_dropped"] != 1 {
-				t.Fatalf("ahead-drop counter = %d, want 1", env.counters["ctl_ahead_dropped"])
+			if env.Counter("ctl_ahead_dropped") != 1 {
+				t.Fatalf("ahead-drop counter = %d, want 1", env.Counter("ctl_ahead_dropped"))
 			}
 			if got := sentTags(env); !reflect.DeepEqual(got, tc.wantSent) {
 				t.Fatalf("sent %v, want %v", got, tc.wantSent)
 			}
-			if len(tc.wantSent) > 0 && (env.sent[0].Dst != 0 || env.sent[0].Payload.(CtlMsg).Csn != wantCsn) {
-				t.Fatalf("nudge %v, want CK_BGN(csn=%d) to P0", env.sent[0], wantCsn)
+			if len(tc.wantSent) > 0 && (env.Sent[0].Dst != 0 || env.Sent[0].Payload.(CtlMsg).Csn != wantCsn) {
+				t.Fatalf("nudge %v, want CK_BGN(csn=%d) to P0", env.Sent[0], wantCsn)
 			}
 			if p.Csn() != wantCsn || p.Status() != wantStat {
 				t.Fatalf("state moved to csn=%d %v, want csn=%d %v", p.Csn(), p.Status(), wantCsn, wantStat)
 			}
 			// The same frame again must not re-nudge (the round for this
 			// csn is already initiated).
-			env.sent = nil
+			env.Sent = nil
 			p.OnDeliver(ctl((tc.id+1)%3, tc.tag, tc.csn))
-			if env.counters["ctl_ahead_dropped"] != 2 {
+			if env.Counter("ctl_ahead_dropped") != 2 {
 				t.Fatalf("second drop not counted")
 			}
-			if len(env.sent) != 0 {
+			if len(env.Sent) != 0 {
 				t.Fatalf("duplicate ahead frame re-nudged: %v", sentTags(env))
 			}
 		})
@@ -337,13 +268,13 @@ func TestTakeTentativeWhileTentative(t *testing.T) {
 				}()
 				tc.drive(p)
 			}()
-			if got := strings.Join(env.notes, ","); got != tc.wantNotes {
+			if got := notes(env); got != tc.wantNotes {
 				t.Fatalf("checkpoint events %q, want %q", got, tc.wantNotes)
 			}
 			if p.Status() != Tentative || !reflect.DeepEqual(p.TentProcs(), tc.wantTent) {
 				t.Fatalf("status %v tentSet %v, want tentative %v", p.Status(), p.TentProcs(), tc.wantTent)
 			}
-			if got := env.counters["basic_skipped"]; got != tc.wantSkipped {
+			if got := env.Counter("basic_skipped"); got != tc.wantSkipped {
 				t.Fatalf("basic_skipped = %d, want %d", got, tc.wantSkipped)
 			}
 			if tc.wantNotes == skip {
@@ -354,7 +285,7 @@ func TestTakeTentativeWhileTentative(t *testing.T) {
 			}
 			// The join closed checkpoint 1 with the log it had, before the
 			// triggering message, and opened an empty one for csn 2.
-			rec, ok := env.store.Get(1)
+			rec, ok := env.Store().Get(1)
 			if !ok || len(rec.Log) != 1 || rec.Log[0].ID != 7 {
 				t.Fatalf("finalized record 1 = %+v (found %v), want the one logged send", rec, ok)
 			}
@@ -387,14 +318,14 @@ func TestUnknownTagPanics(t *testing.T) {
 
 func TestCoordinatorTimeoutStartsRound(t *testing.T) {
 	p, env := mount(t, 0, 3, Options{Timeout: 100 * des.Millisecond}, true)
-	env.sim.Run() // fire the convergence timer
-	if len(env.sent) == 0 || env.sent[0].CtlTag != TagREQ || env.sent[0].Dst != 1 {
+	env.Sim.Run() // fire the convergence timer
+	if len(env.Sent) == 0 || env.Sent[0].CtlTag != TagREQ || env.Sent[0].Dst != 1 {
 		t.Fatalf("P0 timeout should send CK_REQ to P1: %v", sentTags(env))
 	}
 	// A second expiry (re-armed manually) must not duplicate the round.
-	env.sent = nil
-	p.onConvergeTimeout(1)
-	if len(env.sent) != 0 {
+	env.Sent = nil
+	p.onConvergeTimeout(p.convGen)
+	if len(env.Sent) != 0 {
 		t.Fatalf("duplicate round initiated: %v", sentTags(env))
 	}
 }
@@ -404,16 +335,16 @@ func TestTimeoutSuppressionAndEscalation(t *testing.T) {
 		Timeout: 100 * des.Millisecond, SuppressBGN: true, EscalateBGN: true,
 	}, true)
 	p.tentSet.Add(1) // a lower-id process is known tentative
-	p.onConvergeTimeout(1)
-	if len(env.sent) != 0 {
+	p.onConvergeTimeout(p.convGen)
+	if len(env.Sent) != 0 {
 		t.Fatalf("first expiry should suppress: %v", sentTags(env))
 	}
-	if env.counters["bgn_suppressed"] != 1 {
+	if env.Counter("bgn_suppressed") != 1 {
 		t.Fatal("suppression not counted")
 	}
 	// Escalation: the re-armed timer sends unconditionally.
-	p.onConvergeTimeout(1)
-	if len(env.sent) != 1 || env.sent[0].CtlTag != TagBGN || env.sent[0].Dst != 0 {
+	p.onConvergeTimeout(p.convGen)
+	if len(env.Sent) != 1 || env.Sent[0].CtlTag != TagBGN || env.Sent[0].Dst != 0 {
 		t.Fatalf("escalated expiry should send CK_BGN: %v", sentTags(env))
 	}
 }
@@ -438,7 +369,7 @@ func TestFactoryAndFinish(t *testing.T) {
 }
 
 func TestRollbackResetsState(t *testing.T) {
-	p, env := mount(t, 1, 3, Options{Timeout: des.Second, Interval: des.Second}, true)
+	p, _ := mount(t, 1, 3, Options{Timeout: des.Second, Interval: des.Second}, true)
 	p.logSet = append(p.logSet, checkpoint.LoggedMsg{ID: 1})
 	p.Rollback(0)
 	if p.Status() != Normal || p.Csn() != 0 || p.LogLen() != 0 {
@@ -447,41 +378,50 @@ func TestRollbackResetsState(t *testing.T) {
 	if !p.tentSet.Empty() {
 		t.Fatal("tentSet not cleared")
 	}
-	_ = env
 }
 
-// flushEnv serves a finalization flush the way the TCP runtime's storage
-// goroutine does — by persisting what the checkpoint store holds — so the
-// record being flushed must be in the store by the time its write is
-// issued, and the synchronous completion must find it there to mark.
-type flushEnv struct {
-	*fakeEnv
-	t *testing.T
-}
-
-func (f flushEnv) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {
-	if _, ok := f.store.Get(f.proto.csn); tag != "ct" && !ok {
-		f.t.Errorf("%q flush of checkpoint %d issued before the record is in the store", tag, f.proto.csn)
-	}
-	done(f.Now(), f.Now()+1)
-}
-
+// TestFinalizeStoresRecordBeforeFlush: the TCP runtime's storage
+// goroutine serves a finalization flush by persisting what the checkpoint
+// store holds, so the record being flushed must be in the store by the
+// time its write is issued. The driver completes a write before it
+// returns, and the completion marks the record stable only if it finds it
+// there.
 func TestFinalizeStoresRecordBeforeFlush(t *testing.T) {
 	for _, early := range []bool{false, true} {
 		// early: the tentative checkpoint reaches storage first, so only
 		// the "log" write remains; otherwise one combined "ct+log" write.
-		p := New(Options{EarlyFlush: early})
-		env := flushEnv{newFakeEnv(1, 3), t}
-		env.proto = p
-		p.Start(env)
-		p.Initiate()
-		env.sim.Run() // the early-flush poll, if any
+		p, env := mount(t, 1, 3, Options{EarlyFlush: early}, true)
+		env.Sim.Run() // the early-flush poll, if any
 		if p.tent.ctDone != early {
 			t.Fatalf("early=%v: CT flushed %v", early, p.tent.ctDone)
 		}
 		p.finalize()
-		if rec, ok := env.store.Get(1); !ok || rec.StableAt == 0 {
+		if rec, ok := env.Store().Get(1); !ok || rec.StableAt == 0 {
 			t.Fatalf("early=%v: checkpoint 1 in store %v, stable at %v: its flush completed", early, ok, rec.StableAt)
 		}
+	}
+}
+
+// TestControlMessageCancelsConvergenceTimer: §3.5.1 cancels a process's
+// convergence timer when a control message for its current csn arrives.
+// No driver can cancel a timer; the cancel is the generation the expiry
+// carries. So P1, tentative at csn 1, forwards the round's CK_REQ to P2 and
+// sends no CK_BGN when its timeout elapses.
+func TestControlMessageCancelsConvergenceTimer(t *testing.T) {
+	for _, tag := range []string{TagREQ, TagBGN} {
+		t.Run(tag, func(t *testing.T) {
+			p, env := mount(t, 1, 3, Options{Timeout: 100 * des.Millisecond}, true)
+			p.OnDeliver(ctl(0, tag, 1))
+			env.Sim.RunUntil(500 * des.Millisecond)
+			bgn := 0
+			for _, e := range env.Sent {
+				if e.CtlTag == TagBGN {
+					bgn++
+				}
+			}
+			if bgn != 0 || len(env.Sent) == 0 || env.Sent[0].CtlTag != TagREQ || env.Sent[0].Dst != 2 {
+				t.Fatalf("sent %v (%d CK_BGN), want CK_REQ to P2 and no CK_BGN", sentTags(env), bgn)
+			}
+		})
 	}
 }

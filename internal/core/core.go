@@ -185,7 +185,10 @@ type Protocol struct {
 	// (a retransmission, the DES's in-flight copy) may share it.
 	sendPB *Piggyback
 
-	convTimer *des.Timer
+	// convGen is the generation of the armed convergence timer, the gen its
+	// TimerConverge tick carries: arming and canceling both bump it, so a
+	// canceled timer fires and is ignored, on every driver.
+	convGen   int
 	escalated bool // current csn's CK_BGN was suppressed once (EscalateBGN)
 
 	reqSentCsn int // highest csn for which this process sent/forwarded CK_REQ
@@ -249,15 +252,13 @@ func (p *Protocol) TentProcs() []int {
 func (p *Protocol) Start(env protocol.Env) {
 	p.env = env
 	p.tentSet = protocol.NewProcSet(env.N())
-	if reg := env.Metrics(); reg != nil {
-		proc := strconv.Itoa(env.ID())
-		p.mTent = reg.MustCounterVec("ocsml_ckpt_tentative_total",
-			"Tentative checkpoints taken (phase one).", "proc").With(proc)
-		p.mFinal = reg.MustCounterVec("ocsml_ckpt_finalized_total",
-			"Checkpoints finalized to stable storage (phase two, CFE).", "proc").With(proc)
-		p.mLogged = reg.MustCounterVec("ocsml_ckpt_logged_msgs_total",
-			"Application messages added to the selective message log.", "proc").With(proc)
-	}
+	reg, proc := env.Metrics(), strconv.Itoa(env.ID())
+	p.mTent = reg.MustCounterVec("ocsml_ckpt_tentative_total",
+		"Tentative checkpoints taken (phase one).", "proc").With(proc)
+	p.mFinal = reg.MustCounterVec("ocsml_ckpt_finalized_total",
+		"Checkpoints finalized to stable storage (phase two, CFE).", "proc").With(proc)
+	p.mLogged = reg.MustCounterVec("ocsml_ckpt_logged_msgs_total",
+		"Application messages added to the selective message log.", "proc").With(proc)
 	store := env.Checkpoints()
 	if store.MaxSeq() < 0 {
 		store.Add(checkpoint.Record{
@@ -372,7 +373,6 @@ func (p *Protocol) reset(seq int) {
 	p.tentSet.Clear()
 	p.logSet = nil
 	p.tent = nil
-	p.convTimer = nil
 	p.escalated = false
 	p.reqSentCsn = seq
 	p.endSentCsn = seq
@@ -421,9 +421,7 @@ func (p *Protocol) takeTentative() {
 	}}
 	p.env.Note(trace.KTentative, p.csn)
 	p.env.Count("tentative", 1)
-	if p.mTent != nil {
-		p.mTent.Inc()
-	}
+	p.mTent.Inc()
 
 	if p.opt.Timeout > 0 {
 		p.armConvTimer()
@@ -433,19 +431,15 @@ func (p *Protocol) takeTentative() {
 	}
 }
 
+// armConvTimer arms the convergence timer, canceling the one armed before.
 func (p *Protocol) armConvTimer() {
-	if p.convTimer != nil {
-		p.convTimer.Cancel()
-	}
-	p.convTimer = p.env.SetTimer(p.opt.Timeout, protocol.TimerConverge, p.csn)
+	p.convGen++
+	p.env.SetTimer(p.opt.Timeout, protocol.TimerConverge, p.convGen)
 }
 
-func (p *Protocol) cancelConvTimer() {
-	if p.convTimer != nil {
-		p.convTimer.Cancel()
-		p.convTimer = nil
-	}
-}
+// cancelConvTimer voids the armed convergence timer: its expiry no longer
+// matches convGen.
+func (p *Protocol) cancelConvTimer() { p.convGen++ }
 
 // onFlushPoll opportunistically flushes the tentative checkpoint when the
 // stable-storage server is idle.
@@ -485,9 +479,7 @@ func (p *Protocol) logMsg(e *protocol.Envelope, dir checkpoint.Direction) {
 		SentAt: sentAt, LoggedAt: p.env.Now(),
 		Bytes: e.App.Bytes, Tag: e.App.Tag, AppSeq: e.App.Seq,
 	})
-	if p.mLogged != nil {
-		p.mLogged.Inc()
-	}
+	p.mLogged.Inc()
 }
 
 // finalize performs the paper's "Flush logSet_i and CT_{i,csn_i} to the
@@ -520,9 +512,7 @@ func (p *Protocol) finalize() {
 
 	p.env.Note(trace.KFinalize, seq)
 	p.env.Count("finalized", 1)
-	if p.mFinal != nil {
-		p.mFinal.Inc()
-	}
+	p.mFinal.Inc()
 
 	var logBytes int64
 	for i := range rec.Log {

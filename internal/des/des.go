@@ -54,11 +54,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // event is a single scheduled callback.
 type event struct {
-	at       Time
-	seq      uint64 // tie-break: schedule order
-	fn       func()
-	canceled bool
-	index    int // heap index, -1 once popped
+	at  Time
+	seq uint64 // tie-break: schedule order
+	fn  func()
 }
 
 // eventHeap orders events by (at, seq).
@@ -71,22 +69,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -115,54 +104,29 @@ func (s *Simulator) Now() Time { return s.now }
 // and workload randomness must come from here to keep runs reproducible.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Pending reports how many events are scheduled and not yet fired
-// (including canceled timers that have not been popped).
-func (s *Simulator) Pending() int { return len(s.events) }
-
 // SetHorizon caps the virtual time: events scheduled after t never fire.
 // A zero horizon means unbounded.
 func (s *Simulator) SetHorizon(t Time) { s.horizon = t }
 
-// Timer is a handle to a scheduled event that can be canceled.
-type Timer struct {
-	ev *event
-}
-
-// Cancel prevents the timer's callback from running. Canceling an
-// already-fired or already-canceled timer is a no-op. It reports whether
-// the cancellation took effect.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.canceled || t.ev.index == -1 {
-		return false
-	}
-	t.ev.canceled = true
-	return true
-}
-
-// Stopped reports whether the timer was canceled or has already fired.
-func (t *Timer) Stopped() bool {
-	return t == nil || t.ev == nil || t.ev.canceled || t.ev.index == -1
-}
-
 // At schedules fn to run at absolute virtual time at. Scheduling in the
-// past (at < Now) panics: it would silently reorder causality.
-func (s *Simulator) At(at Time, fn func()) *Timer {
+// past (at < Now) panics: it would silently reorder causality. An event
+// cannot be canceled: whoever scheduled it ignores a stale one when it
+// fires (host.Host fences by epoch, core's convergence timer by gen).
+func (s *Simulator) At(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", at, s.now))
 	}
-	e := &event{at: at, seq: s.seq, fn: fn}
+	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.events, e)
-	return &Timer{ev: e}
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
 // A negative d panics.
-func (s *Simulator) After(d Duration, fn func()) *Timer {
+func (s *Simulator) After(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", d))
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -171,21 +135,18 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Step fires the single next event, advancing the clock. It reports false
 // when no events remain (or the horizon was reached).
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.canceled {
-			continue
-		}
-		if s.horizon > 0 && e.at > s.horizon {
-			// Past the horizon: drop this and everything later.
-			s.events = nil
-			return false
-		}
-		s.now = e.at
-		e.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.events).(*event)
+	if s.horizon > 0 && e.at > s.horizon {
+		// Past the horizon: drop this and everything later.
+		s.events = nil
+		return false
+	}
+	s.now = e.at
+	e.fn()
+	return true
 }
 
 // Run fires events until the queue is exhausted, the horizon is reached,
@@ -200,19 +161,7 @@ func (s *Simulator) Run() Time {
 // RunUntil fires events with at <= t, then advances the clock to exactly t.
 func (s *Simulator) RunUntil(t Time) Time {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.events) == 0 {
-			break
-		}
-		// Peek.
-		next := s.events[0]
-		if next.canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for !s.stopped && len(s.events) > 0 && s.events[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {

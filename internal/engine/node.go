@@ -47,14 +47,9 @@ func (n *Node) NextID() int64 { return n.c.Net.AllocID() }
 // Transmit implements host.Driver.
 func (n *Node) Transmit(e *protocol.Envelope) { n.c.Net.Send(e) }
 
-// After implements host.Driver: the simulator's event queue, whose
+// After implements host.Driver: one event on the simulator's queue, whose
 // callbacks all fire inside Sim.Run on the goroutine of Cluster.Run.
-func (n *Node) After(d des.Duration, fn func()) *des.Timer { return n.c.Sim.After(d, fn) }
-
-// AfterTick implements host.Driver: one simulator event, as After.
-func (n *Node) AfterTick(d des.Duration, t host.Tick) *des.Timer {
-	return n.c.Sim.After(d, func() { n.h.Fire(t) })
-}
+func (n *Node) After(d des.Duration, t host.Tick) { n.c.Sim.After(d, func() { n.h.Fire(t) }) }
 
 // WriteStable implements host.Driver.
 func (n *Node) WriteStable(tag string, bytes int64, done func(start, end des.Time)) {

@@ -33,12 +33,10 @@ type Driver interface {
 	// the link to e.Dst. e is valid only during the call: the host reuses
 	// it for its next send, so a driver that keeps it keeps a copy.
 	Transmit(e *protocol.Envelope)
-	// After runs fn on the driver's loop once d has elapsed. The loop
-	// that runs these callbacks is the goroutine that owns the Host.
-	After(d des.Duration, fn func()) *des.Timer
-	// AfterTick calls Host.Fire(t) on the same loop once d has elapsed:
-	// a protocol timer, scheduled as a value rather than a closure.
-	AfterTick(d des.Duration, t Tick) *des.Timer
+	// After calls Host.Fire(t) on the driver's loop once d has elapsed.
+	// The loop that fires ticks is the goroutine that owns the Host. A
+	// tick cannot be canceled: Fire drops the stale ones.
+	After(d des.Duration, t Tick)
 	// WriteStable enqueues an asynchronous stable-storage write; done
 	// (which may be nil) runs on the loop when it completes.
 	WriteStable(tag string, bytes int64, done func(start, end des.Time))
@@ -83,7 +81,7 @@ type Process struct {
 
 // Host is one process. It is single-threaded by contract: all of its
 // state is owned by the driver's loop — the goroutine on which
-// Driver.After runs its callbacks. Protocol and application reach the
+// Driver.After fires its ticks. Protocol and application reach the
 // methods below through the Env and AppCtx interfaces, from that loop
 // only; each driver keeps its side where it calls in, and the race
 // tests of the TCP driver (the only one with goroutines) execute it.
@@ -93,8 +91,8 @@ type Host struct {
 	count    func(name string, delta int64) // p.Metrics' event sink
 	ctlNames map[string]string              // "ctl."+tag, built once: every ACK is counted
 
-	// epoch fences timers and callbacks: whatever was scheduled before
-	// a rollback never fires. down silences a crashed process until the
+	// epoch fences every tick: whatever was scheduled before a rollback
+	// never fires (Fire). down silences a crashed process until the
 	// rollback that revives it.
 	epoch int
 	down  bool
@@ -116,10 +114,14 @@ type Host struct {
 	out protocol.Envelope
 }
 
-// Tick is a protocol timer as a value: the epoch that set it, and the kind
-// and generation OnTimer receives.
+// Tick is one timer as a value, which a driver holds and hands back to
+// Fire: the epoch that set it and what it runs — an application callback
+// (app), the end of a timed stall (resume), or else the protocol's
+// OnTimer(kind, gen).
 type Tick struct {
-	Epoch, Kind, Gen int
+	epoch, kind, gen int
+	app              func()
+	resume           bool
 }
 
 // appCtx is the application's view of a Host. It shadows Env.Send with
@@ -239,9 +241,6 @@ func (h *Host) Finished() bool { return h.appDone }
 // IsStalled reports whether the application is stalled right now.
 func (h *Host) IsStalled() bool { return h.stall > 0 }
 
-// later schedules fn on the owning loop through Driver.After.
-func (h *Host) later(d des.Duration, fn func()) *des.Timer { return h.drv.After(d, fn) }
-
 // ---- protocol.Env ----
 
 // ID implements protocol.Env and protocol.AppCtx.
@@ -296,17 +295,28 @@ func (h *Host) Broadcast(e *protocol.Envelope) {
 
 // SetTimer implements protocol.Env. Timers die with the epoch that set
 // them: a rollback invalidates everything scheduled before it (Fire).
-func (h *Host) SetTimer(d des.Duration, kind, gen int) *des.Timer {
-	return h.drv.AfterTick(d, Tick{Epoch: h.epoch, Kind: kind, Gen: gen})
+func (h *Host) SetTimer(d des.Duration, kind, gen int) {
+	h.drv.After(d, Tick{epoch: h.epoch, kind: kind, gen: gen})
 }
 
-// Fire runs a protocol timer the driver scheduled with AfterTick, unless a
-// rollback voided its epoch or the process is down.
+// Fire runs a tick the driver scheduled with After. Every tick dies with
+// the epoch that set it. A stall's end runs even on a crashed process; a
+// protocol timer or application callback stays silent while the process
+// is down, and an application callback waits while the application is
+// stalled.
 func (h *Host) Fire(t Tick) {
-	if t.Epoch != h.epoch || h.down {
-		return
+	switch {
+	case t.epoch != h.epoch: // voided by a rollback
+	case t.resume:
+		h.ResumeApp()
+	case h.down: // silent until the rollback that revives it
+	case t.app == nil:
+		h.p.Proto.OnTimer(t.kind, t.gen)
+	case h.stall > 0:
+		h.deferred = append(h.deferred, t.app)
+	default:
+		t.app()
 	}
-	h.p.Proto.OnTimer(t.Kind, t.Gen)
 }
 
 // WriteStable implements protocol.Env.
@@ -360,13 +370,7 @@ func (h *Host) StallAppFor(d des.Duration) {
 		return
 	}
 	h.StallApp()
-	ep := h.epoch
-	h.later(d, func() {
-		if h.epoch != ep {
-			return // the stall was wiped by a rollback
-		}
-		h.ResumeApp()
-	})
+	h.drv.After(d, Tick{epoch: h.epoch, resume: true})
 }
 
 // Snapshot implements protocol.Env. Taking a snapshot stalls the
@@ -469,19 +473,9 @@ func (h *Host) sendApp(dst int, m protocol.AppMsg) {
 // After implements protocol.AppCtx. The callback is deferred while the
 // application is stalled — this is how blocking checkpoints inflate the
 // makespan. Like protocol timers, application callbacks die with their
-// epoch on rollback.
-func (h *Host) After(d des.Duration, fn func()) *des.Timer {
-	ep := h.epoch
-	return h.later(d, func() {
-		if h.epoch != ep || h.down {
-			return
-		}
-		if h.stall > 0 {
-			h.deferred = append(h.deferred, fn)
-			return
-		}
-		fn()
-	})
+// epoch on rollback (Fire).
+func (h *Host) After(d des.Duration, fn func()) {
+	h.drv.After(d, Tick{epoch: h.epoch, app: fn})
 }
 
 // DoWork implements protocol.AppCtx.

@@ -14,8 +14,9 @@ import (
 )
 
 // fixture is one Host on a fake driver: a bare simulator supplies the
-// clock and the "run fn on my loop after d" contract, transmissions are
-// recorded, stable writes complete when the test says so.
+// clock and the "fire this tick on my loop after d" contract,
+// transmissions are recorded, stable writes complete when the test says
+// so.
 type fixture struct {
 	sim    *des.Simulator
 	h      *host.Host
@@ -47,11 +48,8 @@ func newFixture() *fixture {
 func (f *fixture) Now() des.Time                 { return f.sim.Now() }
 func (f *fixture) NextID() int64                 { f.nextID++; return f.nextID }
 func (f *fixture) Transmit(e *protocol.Envelope) { cp := *e; f.sent = append(f.sent, &cp) }
-func (f *fixture) After(d des.Duration, fn func()) *des.Timer {
-	return f.sim.After(d, fn)
-}
-func (f *fixture) AfterTick(d des.Duration, t host.Tick) *des.Timer {
-	return f.sim.After(d, func() { f.h.Fire(t) })
+func (f *fixture) After(d des.Duration, t host.Tick) {
+	f.sim.After(d, func() { f.h.Fire(t) })
 }
 func (f *fixture) WriteStable(_ string, _ int64, done func(start, end des.Time)) {
 	f.writes = append(f.writes, done)
@@ -182,10 +180,15 @@ func TestHost(t *testing.T) {
 		}},
 		{"a crashed process stays silent until rollback", func(t *testing.T, f *fixture) {
 			f.h.SetTimer(des.Millisecond, protocol.TimerBasic, 0)
+			f.h.After(des.Millisecond, func() { f.log = append(f.log, "after") })
+			f.h.StallAppFor(des.Millisecond)
 			f.h.Crash()
 			f.sim.Run()
 			if len(f.log) != 0 {
-				t.Fatalf("timer fired on a crashed process: %v", f.log)
+				t.Fatalf("timer or callback fired on a crashed process: %v", f.log)
+			}
+			if f.h.IsStalled() {
+				t.Fatal("a timed stall outlived its duration on a crashed process")
 			}
 		}},
 		{"rollback resets the process and replays the log", func(t *testing.T, f *fixture) {

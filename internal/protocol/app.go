@@ -29,8 +29,9 @@ type AppCtx interface {
 	// After schedules local application work. Stalled processes (blocked
 	// by a synchronous checkpoint write, or muted by a blocking
 	// protocol) have their callbacks deferred until resumed — this is
-	// how blocking inflates the makespan.
-	After(d des.Duration, fn func()) *des.Timer
+	// how blocking inflates the makespan. A callback cannot be canceled;
+	// a rollback voids those scheduled before it.
+	After(d des.Duration, fn func())
 	// DoWork accounts units of application progress.
 	DoWork(units int64)
 	// Done signals that this process finished its workload quota. The

@@ -43,9 +43,9 @@ type Env interface {
 	// process (Dst is overwritten per copy).
 	Broadcast(e *Envelope)
 
-	// SetTimer schedules OnTimer(kind, gen) after d. The returned timer
-	// may be canceled.
-	SetTimer(d des.Duration, kind, gen int) *des.Timer
+	// SetTimer schedules OnTimer(kind, gen) after d. A timer cannot be
+	// canceled: a protocol ignores a stale expiry by its gen.
+	SetTimer(d des.Duration, kind, gen int)
 
 	// WriteStable enqueues an asynchronous write of size bytes at the
 	// shared stable-storage server. The process keeps computing; done

@@ -9,8 +9,8 @@ import (
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/core"
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 	"ocsml/internal/trace"
 )
 
@@ -19,10 +19,10 @@ import (
 // performed on N real core.Protocol instances too, and after each step
 // the two must agree on everything the model has an opinion about.
 
-// cores is N real core.Protocol instances, each on its own FakeEnv, plus
-// the FIFO channels the model assumes between them.
+// cores is N real core.Protocol instances, each on its own host, plus the
+// FIFO channels the model assumes between them.
 type cores struct {
-	envs   []*protocoltest.FakeEnv
+	envs   []*hosttest.Driver
 	procs  []*core.Protocol
 	chans  [][]*protocol.Envelope // src*N+dst, in step with state.chans
 	nextID int64
@@ -31,14 +31,11 @@ type cores struct {
 func newCores(n int) *cores {
 	c := &cores{chans: make([][]*protocol.Envelope, n*n)}
 	for i := 0; i < n; i++ {
-		env := protocoltest.New(i, n)
 		// The zero Options are the pure Figure-3 algorithm the model
 		// describes: no periodic initiation, no control messages, the
 		// flush issued at finalization.
 		p := core.New(core.Options{})
-		env.Proto = p
-		p.Start(env)
-		c.envs = append(c.envs, env)
+		c.envs = append(c.envs, hosttest.New(i, n, p))
 		c.procs = append(c.procs, p)
 	}
 	return c
@@ -68,18 +65,14 @@ func (c *cores) apply(a Action) (sent *protocol.Envelope, panicked any) {
 		c.procs[a.P].OnDeliver(ch[0])
 	case OpCrash:
 		// What the runtime's recovery does: the line is the highest
-		// sequence number every process has finalized, every process
-		// rolls back to it and drops the records above it, and whatever
-		// was in flight is lost.
-		line := c.envs[0].Store.MaxSeq()
+		// sequence number every process has finalized, every host rolls
+		// back to it in a new epoch, and whatever was in flight is lost.
+		line := c.envs[0].Store().MaxSeq()
 		for _, env := range c.envs[1:] {
-			if m := env.Store.MaxSeq(); m < line {
-				line = m
-			}
+			line = min(line, env.Store().MaxSeq())
 		}
-		for i, p := range c.procs {
-			p.Rollback(line)
-			c.envs[i].Store.TruncateAfter(line)
+		for _, env := range c.envs {
+			env.Host.Rollback(line, env.Host.Epoch()+1)
 		}
 		for i := range c.chans {
 			c.chans[i] = nil
@@ -168,7 +161,7 @@ func (l *lockstep) step(a Action) ([]Violation, error) {
 		case trace.KFinalize:
 			want := l.open[ev.Proc]
 			l.open[ev.Proc] = nil
-			rec, ok := l.cores.envs[ev.Proc].Store.Get(ev.Seq)
+			rec, ok := l.cores.envs[ev.Proc].Store().Get(ev.Seq)
 			if !ok {
 				return vs, fmt.Errorf("P%d: model finalized S_%d, core has no such record", ev.Proc, ev.Seq)
 			}
@@ -207,7 +200,7 @@ func (l *lockstep) step(a Action) ([]Violation, error) {
 		modelSide := fmt.Sprintf("csn=%d stat=%s tentSet=%b log=%d finalized=%d",
 			mp.csn, mp.stat, mp.tent, len(mp.logR)+len(mp.logS), mp.fin)
 		coreSide := fmt.Sprintf("csn=%d stat=%s tentSet=%b log=%d finalized=%d",
-			cp.Csn(), cp.Status(), tentMask(cp.TentProcs()), cp.LogLen(), l.cores.envs[i].Store.MaxSeq())
+			cp.Csn(), cp.Status(), tentMask(cp.TentProcs()), cp.LogLen(), l.cores.envs[i].Store().MaxSeq())
 		if modelSide != coreSide {
 			return vs, fmt.Errorf("P%d: model %s, core %s", i, modelSide, coreSide)
 		}

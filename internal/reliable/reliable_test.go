@@ -9,8 +9,8 @@ import (
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/engine"
+	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
-	"ocsml/internal/protocol/protocoltest"
 	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
@@ -185,15 +185,13 @@ func TestWrapperBookkeeping(t *testing.T) {
 // sends. A retransmission must still carry what the first transmission
 // did: its ID and its piggyback.
 func TestRetransmitSendsFirstTransmission(t *testing.T) {
-	env := protocoltest.New(0, 3)
 	w := reliable.Wrap(core.New(core.Options{}), reliable.Options{})
-	env.Proto = w
-	w.Start(env)
+	env := hosttest.New(0, 3, w)
 	var out protocol.Envelope // the host's reused send envelope
 	send := func(id int64) {
 		out = protocol.Envelope{ID: id, Dst: 1, Kind: protocol.KindApp, App: protocol.AppMsg{Seq: id}}
 		w.OnAppSend(&out)
-		env.Send(&out)
+		env.Host.Send(&out)
 	}
 	send(1)
 	w.Inner().(*core.Protocol).Initiate() // csn 0 normal -> csn 1 tentative

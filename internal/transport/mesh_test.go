@@ -190,9 +190,9 @@ func TestUnframeableFrameDropped(t *testing.T) {
 	big := &protocol.Envelope{ID: 1, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: protocol.TagRbLine, SentAt: 5}
 	for seqs := MaxFrame - 64; ; seqs++ {
 		big.Payload = protocol.RbMsg{Seqs: make([]int, seqs)}
-		if n, err := wire.EncodedSize(big); err != nil {
+		if b, err := wire.Encode(big); err != nil {
 			t.Fatal(err)
-		} else if n >= MaxFrame-2 {
+		} else if len(b) >= MaxFrame-2 {
 			break
 		}
 	}

@@ -510,25 +510,15 @@ func (n *Node) Transmit(e *protocol.Envelope) {
 	n.mesh.Send(e.Dst, f)
 }
 
-// After implements host.Driver: fn joins the timer heap, and the clock is
-// re-armed only when fn is due first. The host fences the callback by
-// epoch, so a timer from before a rollback is dropped at fire time.
-func (n *Node) After(d des.Duration, fn func()) *des.Timer {
-	return n.schedule(timerEntry{at: n.Now() + des.Time(d), fn: fn})
-}
-
-// AfterTick implements host.Driver: After, with the tick held in the entry
-// and fired through Host.Fire.
-func (n *Node) AfterTick(d des.Duration, t host.Tick) *des.Timer {
-	return n.schedule(timerEntry{at: n.Now() + des.Time(d), tick: t})
-}
-
-func (n *Node) schedule(t timerEntry) *des.Timer {
+// After implements host.Driver: the tick joins the timer heap, and the
+// clock is re-armed only when it is due first. Host.Fire fences it, so a
+// tick from before a rollback is dropped at fire time.
+func (n *Node) After(d des.Duration, tick host.Tick) {
+	t := timerEntry{at: n.Now() + des.Time(d), tick: tick}
 	n.timers.push(t)
 	if n.armed == 0 || t.at < n.armed {
 		n.arm(t.at)
 	}
-	return nil
 }
 
 func (n *Node) arm(at des.Time) {
@@ -542,22 +532,16 @@ func (n *Node) runTimers() {
 	n.armed = 0
 	now := n.Now()
 	for len(n.timers) > 0 && n.timers[0].at <= now {
-		if t := n.timers.pop(); t.fn != nil {
-			t.fn()
-		} else {
-			n.h.Fire(t.tick)
-		}
+		n.h.Fire(n.timers.pop().tick)
 	}
 	if len(n.timers) > 0 && (n.armed == 0 || n.timers[0].at < n.armed) {
 		n.arm(n.timers[0].at)
 	}
 }
 
-// timerEntry is an application callback (fn) or, when fn is nil, a
-// protocol timer (tick).
+// timerEntry is one tick and its deadline.
 type timerEntry struct {
 	at   des.Time
-	fn   func()
 	tick host.Tick
 }
 

@@ -61,12 +61,12 @@ func randomEnvelope(rng *rand.Rand) *protocol.Envelope {
 }
 
 // TestEncodedSizePropertyRandomized is the stateless size property: for
-// randomized envelopes, EncodedSize must exactly match the bytes Encode
-// produces, PayloadSize must account exactly for the payload suffix, and
-// the round trip must be lossless. The stream extension of this property —
-// PeerEncoder.EncodedSize against AppendFrame over one connection's
-// frames, reconnects included — is TestDeltaChainMatchesAbsolute and
-// TestStreamChainMatchesAbsolute in delta_test.go.
+// randomized envelopes, PayloadSize must account exactly for the payload
+// suffix of what Encode produces, and the round trip must be lossless. The
+// stream extension of this property — PeerEncoder.EncodedSize against
+// AppendFrame over one connection's frames, reconnects included — is
+// TestDeltaChainMatchesAbsolute and TestStreamChainMatchesAbsolute in
+// delta_test.go.
 func TestEncodedSizePropertyRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for i := 0; i < 5000; i++ {
@@ -75,13 +75,7 @@ func TestEncodedSizePropertyRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: encode: %v (%#v)", i, err, e)
 		}
-		size, err := EncodedSize(e)
-		if err != nil {
-			t.Fatalf("case %d: EncodedSize: %v", i, err)
-		}
-		if size != len(b) {
-			t.Fatalf("case %d: EncodedSize = %d, Encode produced %d bytes (%#v)", i, size, len(b), e)
-		}
+		size := len(b)
 		psize, err := PayloadSize(e)
 		if err != nil {
 			t.Fatalf("case %d: PayloadSize: %v", i, err)
@@ -94,11 +88,11 @@ func TestEncodedSizePropertyRandomized(t *testing.T) {
 		// (the empty payload still costs its discriminator byte).
 		bare := *e
 		bare.Payload = nil
-		bareSize, err := EncodedSize(&bare)
+		bareBytes, err := Encode(&bare)
 		if err != nil {
-			t.Fatalf("case %d: bare EncodedSize: %v", i, err)
+			t.Fatalf("case %d: bare encode: %v", i, err)
 		}
-		if bareSize != size-psize+1 {
+		if bareSize := len(bareBytes); bareSize != size-psize+1 {
 			t.Fatalf("case %d: payload accounting off: total %d, payload %d, bare %d", i, size, psize, bareSize)
 		}
 		got, err := Decode(b)
@@ -112,7 +106,7 @@ func TestEncodedSizePropertyRandomized(t *testing.T) {
 }
 
 // TestEncodedSizeAppendMatches: Append onto a non-empty buffer adds
-// exactly EncodedSize bytes and leaves the prefix alone.
+// exactly the bytes Encode produces and leaves the prefix alone.
 func TestEncodedSizeAppendMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	prefix := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -123,12 +117,12 @@ func TestEncodedSizeAppendMatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: append: %v", i, err)
 		}
-		size, err := EncodedSize(e)
+		b, err := Encode(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(buf) != len(prefix)+size {
-			t.Fatalf("case %d: appended %d bytes, EncodedSize says %d", i, len(buf)-len(prefix), size)
+		if len(buf) != len(prefix)+len(b) {
+			t.Fatalf("case %d: appended %d bytes, Encode produces %d", i, len(buf)-len(prefix), len(b))
 		}
 		if got, err := Decode(buf[len(prefix):]); err != nil || !reflect.DeepEqual(got, e) {
 			t.Fatalf("case %d: suffix does not decode back: %v", i, err)

@@ -21,9 +21,9 @@
 //     envelope the protocols in this repository can emit.
 //   - Decode never panics: truncated, corrupt or oversized input returns
 //     an error.
-//   - EncodedSize(e) == len(Encode(e)), and PayloadSize(e) is the exact
-//     number of encoded bytes attributable to the protocol payload (the
-//     OCSML piggyback block, a control message body, or a transport ACK).
+//   - PayloadSize(e) is the exact number of encoded bytes attributable to
+//     the protocol payload (the OCSML piggyback block, a control message
+//     body, or a transport ACK).
 //   - A PeerEncoder's frames decode, through the Decoder of the same
 //     connection, to exactly what Decode(Encode(e)) returns, whatever was
 //     dropped, duplicated or reordered before the encoder and with
@@ -278,15 +278,6 @@ func appendPiggyback(buf []byte, p *core.Piggyback) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(p.Csn))
 	buf = append(buf, byte(p.Stat))
 	return p.TentSet.AppendBinary(buf), nil
-}
-
-// EncodedSize returns the exact length Encode would produce.
-func EncodedSize(e *protocol.Envelope) (int, error) {
-	b, err := Encode(e)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
 }
 
 // PayloadSize returns the exact number of encoded bytes the protocol

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"ocsml/internal/des"
 	"ocsml/internal/protocol"
@@ -40,23 +41,28 @@ const (
 	BSPStencil
 )
 
+// patternNames is the one table of pattern names: String prints it and
+// ParsePattern reads it, for every CLI flag and the public API.
+var patternNames = [...]string{
+	UniformRandom: "uniform", Ring: "ring", ClientServer: "client-server",
+	Mesh: "mesh", Bursty: "bursty", BSPStencil: "stencil",
+}
+
 func (p Pattern) String() string {
-	switch p {
-	case UniformRandom:
-		return "uniform"
-	case Ring:
-		return "ring"
-	case ClientServer:
-		return "client-server"
-	case Mesh:
-		return "mesh"
-	case Bursty:
-		return "bursty"
-	case BSPStencil:
-		return "bsp"
-	default:
-		return fmt.Sprintf("pattern(%d)", int(p))
+	if p >= 0 && int(p) < len(patternNames) {
+		return patternNames[p]
 	}
+	return fmt.Sprintf("pattern(%d)", int(p))
+}
+
+// ParsePattern returns the pattern whose String is name.
+func ParsePattern(name string) (Pattern, error) {
+	for p, s := range patternNames {
+		if s == name {
+			return Pattern(p), nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown pattern %q (want one of %s)", name, strings.Join(patternNames[:], ", "))
 }
 
 // Config parameterizes the synthetic application.

@@ -32,12 +32,9 @@ func (f *fakeCtx) Rand() *rand.Rand { return f.rng }
 func (f *fakeCtx) Send(dst int, m protocol.AppMsg) {
 	f.sends = append(f.sends, dst)
 }
-func (f *fakeCtx) After(d des.Duration, fn func()) *des.Timer {
-	f.pending = append(f.pending, fn)
-	return nil
-}
-func (f *fakeCtx) DoWork(units int64) { f.work += units }
-func (f *fakeCtx) Done()              { f.done = true }
+func (f *fakeCtx) After(d des.Duration, fn func()) { f.pending = append(f.pending, fn) }
+func (f *fakeCtx) DoWork(units int64)              { f.work += units }
+func (f *fakeCtx) Done()                           { f.done = true }
 
 // drain executes pending callbacks until quiescent (bounded).
 func (f *fakeCtx) drain(t *testing.T, maxSteps int) {
@@ -197,11 +194,15 @@ func TestScripted(t *testing.T) {
 func TestPatternString(t *testing.T) {
 	cases := map[Pattern]string{
 		UniformRandom: "uniform", Ring: "ring", ClientServer: "client-server",
-		Mesh: "mesh", Bursty: "bursty", Pattern(99): "pattern(99)",
+		Mesh: "mesh", Bursty: "bursty", BSPStencil: "stencil", Pattern(99): "pattern(99)",
 	}
 	for p, want := range cases {
 		if p.String() != want {
 			t.Fatalf("%v", p)
+		}
+		got, err := ParsePattern(want)
+		if named := p != 99; named != (err == nil) || named && got != p {
+			t.Fatalf("ParsePattern(%q) = %v, %v", want, got, err)
 		}
 	}
 }

@@ -81,22 +81,10 @@ const (
 )
 
 func (p Pattern) internal() (workload.Pattern, error) {
-	switch p {
-	case Uniform, "":
+	if p == "" {
 		return workload.UniformRandom, nil
-	case Ring:
-		return workload.Ring, nil
-	case ClientServer:
-		return workload.ClientServer, nil
-	case Mesh:
-		return workload.Mesh, nil
-	case Bursty:
-		return workload.Bursty, nil
-	case Stencil:
-		return workload.BSPStencil, nil
-	default:
-		return 0, fmt.Errorf("ocsml: unknown pattern %q", p)
 	}
+	return workload.ParsePattern(string(p))
 }
 
 // OCSMLOptions tunes the paper's algorithm (all other protocols ignore
