@@ -90,17 +90,13 @@ type Options struct {
 	// convenience", avoiding contention).
 	EarlyFlush bool
 	// FlushPoll is how often an unflushed tentative checkpoint re-checks
-	// for an idle storage server.
+	// for an idle storage server. A finalization write (paper §1:
+	// processes "choose their convenient time" for it) is issued inside
+	// finalize when the server is idle and no earlier write waits; a busy
+	// server defers it to the first idle poll, every FlushPoll/2 +
+	// U(0, FlushPoll/2), so finalizations sharing a server do not burst.
 	FlushPoll des.Duration
-	// DeferFlush extends the convenient-time policy to the finalization
-	// write itself (paper §1: processes "choose their convenient time
-	// for writing the tentative checkpoints and the associated message
-	// logs"): the finalize decision is immediate, but the physical
-	// flush waits for an idle storage server, bounded by MaxFlushDelay.
-	// Without it, near-simultaneous finalizations across the cluster
-	// recreate the write burst the paper is designed to avoid.
-	DeferFlush bool
-	// MaxFlushDelay bounds how long a deferred finalization flush may
+	// MaxFlushDelay bounds how long a deferred finalization write may
 	// wait for an idle server (default: Interval, or 1s if no periodic
 	// checkpointing).
 	MaxFlushDelay des.Duration
@@ -116,7 +112,6 @@ func DefaultOptions() Options {
 		SkipREQ:     true,
 		EarlyFlush:  true,
 		FlushPoll:   100 * des.Millisecond,
-		DeferFlush:  true,
 	}
 }
 
@@ -306,11 +301,12 @@ func (p *Protocol) OnTimer(kind, gen int) {
 	}
 }
 
-// enqueueFlush schedules a finalization write for a convenient moment: it
-// runs when the storage server is idle, or unconditionally once the
-// deadline passes.
+// enqueueFlush issues a finalization write at a convenient moment: now, if
+// the storage server is idle and no earlier write is waiting (which keeps
+// the writes in finalization order); otherwise at the first jittered poll
+// that finds the server idle, or unconditionally once the deadline passes.
 func (p *Protocol) enqueueFlush(issue func()) {
-	if !p.opt.DeferFlush {
+	if len(p.pendingFlush) == 0 && p.env.StorageQueueLen() == 0 {
 		issue()
 		return
 	}

@@ -296,6 +296,51 @@ func TestDeferFlushDeadline(t *testing.T) {
 	}
 }
 
+// TestFinalizationWriteOnSharedServer: on the simulator's shared storage
+// server, the first process to finalize finds the server idle and its
+// write starts at the finalization instant, so StableAt - FinalizedAt is
+// the write's service time; the second finds the server busy and defers
+// instead of queueing, so the queue never exceeds one write.
+//
+//	t=10  P0 initiates round 1 and sends M1 to P1 at t=20.
+//	t=21  P1 joins; its tentSet is full (N=2), so it finalizes at once.
+//	t=30  P1 replies; at t=31 P0 finalizes while P1's write is in service.
+func TestFinalizationWriteOnSharedServer(t *testing.T) {
+	ms := des.Millisecond
+	plans := map[int][]workload.ScriptedSend{
+		0: {{At: 20 * ms, Dst: 1, Bytes: 10}},
+		1: {{At: 30 * ms, Dst: 0, Bytes: 10}},
+	}
+	opt := core.DefaultOptions()
+	opt.Interval, opt.Timeout, opt.EarlyFlush = 0, 0, false
+	c, protos := scenario(t, 2, opt, plans, des.Second)
+	c.Sim.At(10*ms, protos[0].Initiate)
+	r := c.Run()
+	p0, ok0 := r.Ckpts.Proc(0).Get(1)
+	p1, ok1 := r.Ckpts.Proc(1).Get(1)
+	if !ok0 || !ok1 || p1.FinalizedAt >= p0.FinalizedAt {
+		t.Fatalf("want P1 to finalize round 1 before P0: %v %v", p1.FinalizedAt, p0.FinalizedAt)
+	}
+	bytes := p1.StateBytes
+	for _, m := range p1.Log {
+		bytes += m.Bytes
+	}
+	if got, want := p1.StableAt-p1.FinalizedAt, r.Storage.ServiceTimeFor(bytes); got != want {
+		t.Fatalf("P1: StableAt - FinalizedAt = %v, want the write's service time %v", got, want)
+	}
+	if p0.FinalizedAt >= p1.StableAt {
+		t.Fatalf("P0 finalized at %v, after P1's write ended at %v: no contention", p0.FinalizedAt, p1.StableAt)
+	}
+	for _, w := range r.Storage.Writes() {
+		if w.Proc == 0 && (w.Arrive < p1.StableAt || w.Queued != 0) {
+			t.Fatalf("P0's write arrived at %v behind %d writes, want after %v behind none", w.Arrive, w.Queued, p1.StableAt)
+		}
+	}
+	if got := r.Storage.PeakQueue(); got != 1 {
+		t.Fatalf("peak storage queue = %d, want 1", got)
+	}
+}
+
 // TestRandomizedScriptedRuns uses randomized scripted workloads (not the
 // engine's synthetic app) to fuzz message orderings against the protocol
 // invariants.

@@ -215,8 +215,9 @@ func TestFailureInvalidProcPanics(t *testing.T) {
 // number: results-check cannot (no E/A experiment injects a failure), so a
 // refactor of recoverAll or host.Rollback that moves the line, the
 // truncation, the re-injection, the dedup or the RNG order shows up here.
-// The rows were recorded at the commit before host.Rollback took over the
-// fetch and the truncation.
+// The lines and discards date from the commit before host.Rollback took over
+// the fetch and the truncation; the other columns moved once since, when an
+// idle disk began taking the finalization write inside finalize.
 func TestRecoveryPathPinned(t *testing.T) {
 	type plan struct {
 		at   des.Time
@@ -230,16 +231,16 @@ func TestRecoveryPathPinned(t *testing.T) {
 		makespan                                des.Time
 		traceLen                                int
 	}{
-		{"seed1", 1, 400, []plan{{2500 * des.Millisecond, 1}}, 2, 0, 12, 12, 1, 4629815189, 5567},
-		{"seed2", 2, 400, []plan{{2500 * des.Millisecond, 2}}, 2, 0, 16, 14, 1, 4669898678, 5539},
-		{"seed3", 3, 400, []plan{{2500 * des.Millisecond, 3}}, 2, 0, 18, 17, 1, 4567119400, 5499},
-		{"seed4", 4, 400, []plan{{2500 * des.Millisecond, 4}}, 2, 0, 18, 15, 0, 4676950575, 5530},
-		{"seed5", 5, 400, []plan{{2500 * des.Millisecond, 5}}, 2, 0, 16, 16, 3, 4699315321, 5560},
+		{"seed1", 1, 400, []plan{{2500 * des.Millisecond, 1}}, 2, 0, 28, 27, 0, 4567158670, 5497},
+		{"seed2", 2, 400, []plan{{2500 * des.Millisecond, 2}}, 2, 0, 15, 13, 2, 4676070988, 5541},
+		{"seed3", 3, 400, []plan{{2500 * des.Millisecond, 3}}, 2, 0, 22, 20, 0, 4621574167, 5519},
+		{"seed4", 4, 400, []plan{{2500 * des.Millisecond, 4}}, 2, 0, 16, 14, 1, 4665526678, 5555},
+		{"seed5", 5, 400, []plan{{2500 * des.Millisecond, 5}}, 2, 0, 17, 11, 1, 4616398864, 5580},
 		// A crash with round 2 finalized but not yet stable everywhere:
 		// the line is 1 and six finalized records are thrown away.
-		{"mid-round", 3, 600, []plan{{2100 * des.Millisecond, 1}}, 1, 6, 20, 19, 1, 7205437117, 8734},
+		{"mid-round", 3, 600, []plan{{2100 * des.Millisecond, 1}}, 1, 6, 19, 18, 1, 7208852987, 8716},
 		// TestRepeatedFailures' schedule; line_seq sums the two lines.
-		{"repeated", 9, 500, []plan{{1800 * des.Millisecond, 1}, {3600 * des.Millisecond, 4}}, 3, 0, 36, 27, 2, 6751833112, 8017},
+		{"repeated", 9, 500, []plan{{1800 * des.Millisecond, 1}, {3600 * des.Millisecond, 4}}, 3, 0, 28, 25, 3, 6773604812, 7988},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
