@@ -74,6 +74,8 @@ fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeV2 -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzRecordRoundTrip -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzCheckEvents -fuzztime 30s ./internal/trace/
 
 # model-check is the bounded model-checking gate (DESIGN.md §16). First
 # the differential test, at its full bounds, ties the model to the code:

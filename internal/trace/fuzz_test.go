@@ -21,6 +21,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"g":1,"t":5,"kind":"send","proc":0,"peer":1,"msg":3}`)
 	f.Add("")
 	f.Add(`{"kind":"martian"}`)
+	f.Add(`{"g":1,"kind":"send","proc":2147483648,"peer":1,"msg":3}`)
 	f.Add("{")
 
 	f.Fuzz(func(t *testing.T, in string) {
@@ -43,6 +44,19 @@ func FuzzReadJSON(f *testing.F) {
 		for i := range events {
 			if events[i] != again[i] {
 				t.Fatalf("round trip changed event %d", i)
+			}
+		}
+		// And it must fit a Recorder, which gives back every field but
+		// the GSeq it assigns.
+		r := NewRecorder()
+		for _, e := range events {
+			r.Record(e)
+		}
+		for i, e := range r.Events() {
+			want := events[i]
+			want.GSeq = int64(i) + 1
+			if e != want {
+				t.Fatalf("recorder changed event %d: %+v, want %+v", i, e, want)
 			}
 		}
 	})

@@ -46,10 +46,13 @@ func WriteJSON(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadJSON parses a JSON Lines trace written by WriteJSON.
+// ReadJSON parses a JSON Lines trace written by WriteJSON. It refuses a
+// trace a Recorder cannot hold: a proc, peer or seq beyond 32 bits, or
+// more than 65,535 distinct tags.
 func ReadJSON(r io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(r)
 	var out []Event
+	tags := map[string]bool{}
 	for {
 		var je jsonEvent
 		if err := dec.Decode(&je); err == io.EOF {
@@ -61,9 +64,19 @@ func ReadJSON(r io.Reader) ([]Event, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: unknown event kind %q at line %d", je.Kind, len(out)+1)
 		}
-		out = append(out, Event{
+		e := Event{
 			GSeq: je.G, T: des.Time(je.T), Kind: kind,
 			Proc: je.Proc, Peer: je.Peer, MsgID: je.Msg, Seq: je.Seq, Tag: je.Tag,
-		})
+		}
+		if err := narrowError(e); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", len(out)+1, err)
+		}
+		if e.Tag != "" && !tags[e.Tag] {
+			if len(tags) == maxTags {
+				return nil, fmt.Errorf("trace: line %d: more than %d distinct tags", len(out)+1, maxTags)
+			}
+			tags[e.Tag] = true
+		}
+		out = append(out, e)
 	}
 }

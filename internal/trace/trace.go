@@ -10,7 +10,10 @@ package trace
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ocsml/internal/des"
 )
@@ -82,55 +85,160 @@ type Event struct {
 	Tag   string // control tag for control events
 }
 
+// chunkLen is the number of events one chunk of a Recorder's history
+// holds. A chunk is allocated once and never copied or moved: the event
+// after a full chunk opens the next one.
+const chunkLen = 4096
+
+// maxTags is how many distinct non-empty control tags a Recorder interns.
+const maxTags = 1<<16 - 1
+
+// slot is a recorded Event in 32 bytes. The event's GSeq is its index in
+// the history plus one, and tag is its control tag's index in
+// Recorder.tags plus one (0: no tag).
+type slot struct {
+	t, msgID        int64
+	proc, peer, seq int32
+	kind            Kind
+	tag             uint16
+}
+
 // Recorder accumulates events. It is safe for concurrent use so the live
 // (goroutine-based) runtime can share it; the discrete-event engine uses
 // it single-threaded.
 type Recorder struct {
-	mu sync.Mutex // guards every field below
+	enabled atomic.Bool // read without mu, so a disabled Record takes no lock
 
-	events  []Event
-	gseq    int64
-	enabled bool
+	mu     sync.Mutex // guards every field below
+	chunks []*[chunkLen]slot
+	n      int               // events recorded
+	tags   []string          // interned control tags, in first-use order
+	tagIdx map[string]uint16 // tag -> its index in tags plus one
 }
 
 // NewRecorder returns an enabled recorder.
-func NewRecorder() *Recorder { return &Recorder{enabled: true} }
-
-// SetEnabled toggles recording (benchmarks disable it to avoid unbounded
-// memory growth).
-func (r *Recorder) SetEnabled(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.enabled = on
+func NewRecorder() *Recorder {
+	r := &Recorder{}
+	r.enabled.Store(true)
+	return r
 }
 
-// Record appends an event, assigning its GSeq. It returns the assigned
-// GSeq (0 when recording is disabled).
+// SetEnabled toggles recording. An enabled recorder keeps every event for
+// the life of the run, 32 bytes each in fixed chunks that are never
+// copied; a run that checks no cut disables it and records nothing.
+func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
+
+// Record appends an event, assigning its GSeq (e.GSeq is ignored). It
+// returns the assigned GSeq (0 when recording is disabled). Record panics
+// rather than truncate when e.Proc, e.Peer or e.Seq does not fit in 32
+// bits, or when e.Tag would be the recorder's 65,536th distinct tag.
 func (r *Recorder) Record(e Event) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.enabled {
+	if !r.enabled.Load() {
 		return 0
 	}
-	r.gseq++
-	e.GSeq = r.gseq
-	r.events = append(r.events, e)
-	return e.GSeq
+	if err := narrowError(e); err != nil {
+		panic("trace: Record: " + err.Error())
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := r.n
+	if i%chunkLen == 0 {
+		r.chunks = append(r.chunks, new([chunkLen]slot))
+	}
+	r.chunks[i/chunkLen][i%chunkLen] = slot{
+		t: int64(e.T), msgID: e.MsgID,
+		proc: int32(e.Proc), peer: int32(e.Peer), seq: int32(e.Seq),
+		kind: e.Kind, tag: r.internLocked(e.Tag),
+	}
+	r.n++
+	return int64(r.n)
+}
+
+// narrowError reports the first of e's Proc, Peer and Seq that a slot
+// cannot hold.
+func narrowError(e Event) error {
+	fits := func(v int) bool { return v == int(int32(v)) }
+	switch {
+	case !fits(e.Proc):
+		return fmt.Errorf("proc %d does not fit in 32 bits", e.Proc)
+	case !fits(e.Peer):
+		return fmt.Errorf("peer %d does not fit in 32 bits", e.Peer)
+	case !fits(e.Seq):
+		return fmt.Errorf("seq %d does not fit in 32 bits", e.Seq)
+	}
+	return nil
+}
+
+func (r *Recorder) internLocked(tag string) uint16 {
+	if tag == "" {
+		return 0
+	}
+	if x, ok := r.tagIdx[tag]; ok {
+		return x
+	}
+	if len(r.tags) == maxTags {
+		panic(fmt.Sprintf("trace: Record: more than %d distinct control tags", maxTags))
+	}
+	if r.tagIdx == nil {
+		r.tagIdx = map[string]uint16{}
+	}
+	r.tags = append(r.tags, tag)
+	r.tagIdx[tag] = uint16(len(r.tags))
+	return uint16(len(r.tags))
 }
 
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
+}
+
+// history is the first n events of a Recorder. Record only appends (to
+// the last chunk, to chunks and to tags) and never rewrites a slot, so a
+// history taken under mu is read without it while Record goes on.
+type history struct {
+	chunks []*[chunkLen]slot
+	n      int
+	tags   []string
+}
+
+func (r *Recorder) history() history {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return history{chunks: r.chunks, n: r.n, tags: r.tags}
+}
+
+func (h history) slot(i int) *slot { return &h.chunks[i/chunkLen][i%chunkLen] }
+
+func (h history) event(i int) Event {
+	s := h.slot(i)
+	e := Event{
+		GSeq: int64(i) + 1, T: des.Time(s.t), Kind: s.kind,
+		Proc: int(s.proc), Peer: int(s.peer), MsgID: s.msgID, Seq: int(s.seq),
+	}
+	if s.tag != 0 {
+		e.Tag = h.tags[s.tag-1]
+	}
+	return e
+}
+
+// all yields the events in GSeq order, one at a time.
+func (h history) all(yield func(Event) bool) {
+	for i := range h.n {
+		if !yield(h.event(i)) {
+			return
+		}
+	}
 }
 
 // Events returns a snapshot copy of all recorded events in GSeq order.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
+	h := r.history()
+	out := make([]Event, h.n)
+	for i := range out {
+		out[i] = h.event(i)
+	}
 	return out
 }
 
@@ -171,37 +279,46 @@ func (rep *Report) Consistent() bool { return len(rep.Orphans) == 0 }
 // state (the paper's consistency definition ranges over application
 // messages).
 func (r *Recorder) CheckCut(cut Cut) Report {
-	events := r.Events()
-	return CheckEvents(events, cut)
+	return checkCut(r.history().all, cut)
 }
 
 // CheckEvents is CheckCut over an explicit event slice (used by tests and
 // by offline trace files).
 func CheckEvents(events []Event, cut Cut) Report {
+	return checkCut(slices.Values(events), cut)
+}
+
+// checkCut is the checker behind CheckCut and CheckEvents. It walks the
+// events three times: to count the sends, to pair each message's send and
+// receive, and to report each crossing message at its first event.
+func checkCut(events iter.Seq[Event], cut Cut) Report {
 	type endpoints struct {
 		src, dst     int
 		sendG, recvG int64
 	}
-	msgs := map[int64]*endpoints{}
-	for _, e := range events {
+	sends := 0
+	for e := range events {
+		if e.Kind == KSend {
+			sends++
+		}
+	}
+	msgs := make(map[int64]endpoints, sends)
+	for e := range events {
 		switch e.Kind {
 		case KSend:
 			m := msgs[e.MsgID]
-			if m == nil {
-				m = &endpoints{}
-				msgs[e.MsgID] = m
-			}
 			m.src, m.sendG = e.Proc, e.GSeq
 			if m.recvG == 0 {
 				m.dst = e.Peer
 			}
+			msgs[e.MsgID] = m
 		case KRecv:
-			m := msgs[e.MsgID]
-			if m == nil {
-				m = &endpoints{src: e.Peer}
-				msgs[e.MsgID] = m
+			m, ok := msgs[e.MsgID]
+			if !ok {
+				m.src = e.Peer
 			}
 			m.dst, m.recvG = e.Proc, e.GSeq
+			msgs[e.MsgID] = m
 		}
 	}
 	inside := func(proc int, g int64) bool {
@@ -211,17 +328,17 @@ func CheckEvents(events []Event, cut Cut) Report {
 		return g != 0 && g <= cut.At[proc]
 	}
 	var rep Report
-	// Deterministic iteration: walk events, not the map.
-	seen := map[int64]bool{}
-	for _, e := range events {
+	// Deterministic iteration: walk events, not the map. A message leaves
+	// the map when it is reported, so its other event finds nothing.
+	for e := range events {
 		if e.Kind != KSend && e.Kind != KRecv {
 			continue
 		}
-		if seen[e.MsgID] {
+		m, ok := msgs[e.MsgID]
+		if !ok {
 			continue
 		}
-		seen[e.MsgID] = true
-		m := msgs[e.MsgID]
+		delete(msgs, e.MsgID)
 		sendIn := inside(m.src, m.sendG)
 		recvIn := inside(m.dst, m.recvG)
 		cross := MsgCrossing{MsgID: e.MsgID, Src: m.src, Dst: m.dst, SendG: m.sendG, RecvG: m.recvG}
@@ -245,11 +362,13 @@ func CheckEvents(events []Event, cut Cut) Report {
 func (r *Recorder) CutAt(n int, kind Kind, seq int) (Cut, bool) {
 	cut := NewCut(n)
 	found := make([]bool, n)
-	for _, e := range r.Events() {
-		match := e.Kind == kind || (kind == KCheckpoint && e.Kind == KForced)
-		if match && e.Seq == seq && e.Proc >= 0 && e.Proc < n {
-			cut.At[e.Proc] = e.GSeq
-			found[e.Proc] = true
+	h := r.history()
+	for i := range h.n {
+		s := h.slot(i)
+		match := s.kind == kind || (kind == KCheckpoint && s.kind == KForced)
+		if match && int(s.seq) == seq && s.proc >= 0 && int(s.proc) < n {
+			cut.At[s.proc] = int64(i) + 1
+			found[s.proc] = true
 		}
 	}
 	for _, ok := range found {
@@ -263,9 +382,10 @@ func (r *Recorder) CutAt(n int, kind Kind, seq int) (Cut, bool) {
 // ProcEvents returns process i's events in order.
 func (r *Recorder) ProcEvents(i int) []Event {
 	var out []Event
-	for _, e := range r.Events() {
-		if e.Proc == i {
-			out = append(out, e)
+	h := r.history()
+	for j := range h.n {
+		if int(h.slot(j).proc) == i {
+			out = append(out, h.event(j))
 		}
 	}
 	return out
@@ -274,8 +394,9 @@ func (r *Recorder) ProcEvents(i int) []Event {
 // CountKind returns how many events of the given kind were recorded.
 func (r *Recorder) CountKind(k Kind) int {
 	n := 0
-	for _, e := range r.Events() {
-		if e.Kind == k {
+	h := r.history()
+	for i := range h.n {
+		if h.slot(i).kind == k {
 			n++
 		}
 	}
