@@ -44,10 +44,14 @@ vuln:
 	else echo "govulncheck not installed; skipped (CI runs it)"; fi
 
 # chaos is the CI smoke: five seeds of in-process crash + fault
-# injection + wire recovery against the real TCP runtime.
+# injection + wire recovery against the real TCP runtime, each with the
+# default fault window and with a 1200ms one. The window sets where the
+# drain after it falls against the crash; the logged-sends-delivered
+# invariant counts the re-sends that drain carries to the restarted victim.
 chaos:
 	$(GO) build -o /tmp/ocsmld ./cmd/ocsmld
 	@for seed in 1 2 3 4 5; do \
+		/tmp/ocsmld -chaos -seed $$seed || exit 1; \
 		/tmp/ocsmld -chaos -seed $$seed -chaos-for 1200ms || exit 1; \
 	done
 
@@ -83,11 +87,11 @@ fuzz:
 # when the model runs a mutation. Then the theorems are checked on it: the
 # faithful protocol model must explore clean over every interleaving at
 # N=2..MODEL_N, every mutation fixture (drop-log, reorder-finalize,
-# skip-consume) must yield a counterexample trace, and each trace must
-# replay under tracecheck exhibiting the claimed orphan / replay-gap /
-# Z-cycle violation (tracecheck exiting 1 is the expected outcome per
-# trace). PR CI runs the small default bounds (~5 s); the nightly soak
-# passes MODEL_INITS=2 for the full sweep (~1 min).
+# skip-consume, forget-join) must yield a counterexample trace, and each
+# trace must replay under tracecheck exhibiting the claimed orphan /
+# replay-gap / unheld-join / Z-cycle violation (tracecheck exiting 1 is
+# the expected outcome per trace). PR CI runs the small default bounds
+# (~5 s); the nightly soak passes MODEL_INITS=2 for the full sweep (~1 min).
 MODEL_N ?= 3
 MODEL_MSGS ?= 4
 MODEL_INITS ?= 1

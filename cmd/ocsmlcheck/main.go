@@ -10,7 +10,7 @@
 //  1. verify: sweep the faithful model over N = 2..maxN; any violation
 //     is a protocol bug and fails the run;
 //  2. mutations: re-run with each injected implementation mistake
-//     (drop-log, reorder-finalize, skip-consume) and REQUIRE a
+//     (drop-log, reorder-finalize, skip-consume, forget-join) and REQUIRE a
 //     counterexample — if a known bug is not caught, the checker has
 //     lost its teeth and the run fails.
 //
@@ -36,7 +36,7 @@ import (
 )
 
 // mutationCfg returns the exploration bounds under which each injected
-// bug is reachable. All three are caught at N=2; skip-consume needs a
+// bug is reachable. All four are caught at N=2; skip-consume needs a
 // third message so the pre-delivery rule triggers again after the
 // one-shot mutation spent itself.
 func mutationCfg(m protomodel.Mutation) protomodel.Config {
@@ -54,7 +54,7 @@ func main() {
 		inits     = flag.Int("inits", 1, "spontaneous checkpoint-initiation budget")
 		crashes   = flag.Int("crashes", 1, "whole-system crash/rollback budget")
 		maxStates = flag.Int("max-states", 0, "visited-state cap (0 = package default)")
-		mutation  = flag.String("mutation", "", "check a single mutation fixture (drop-log|reorder-finalize|skip-consume) instead of the full run")
+		mutation  = flag.String("mutation", "", "check a single mutation fixture (drop-log|reorder-finalize|skip-consume|forget-join) instead of the full run")
 		expectBad = flag.Bool("expect-violation", false, "invert the exit status: succeed iff a counterexample is found (single-mutation runs)")
 		outDir    = flag.String("out", "", "directory for counterexample traces (JSON Lines, tracecheck-compatible)")
 		quiet     = flag.Bool("q", false, "suppress per-phase progress output")
@@ -75,7 +75,7 @@ func main() {
 	if *mutation != "" {
 		m, ok := protomodel.ParseMutation(*mutation)
 		if !ok || m == protomodel.MutNone {
-			fatal(fmt.Errorf("unknown mutation %q (have: drop-log, reorder-finalize, skip-consume)", *mutation))
+			fatal(fmt.Errorf("unknown mutation %q (have: drop-log, reorder-finalize, skip-consume, forget-join)", *mutation))
 		}
 		cfg := mutationCfg(m)
 		cfg.MaxStates = *maxStates

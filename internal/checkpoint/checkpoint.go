@@ -90,6 +90,11 @@ type Tentative struct {
 	// storage completed; zero while it still lives only in local memory.
 	// The paper allows flushing any time between taking and finalizing.
 	FlushedAt des.Time
+	// JoinedBy is the ID of the application message on which the process
+	// joined round Seq (Figure 3 case 4b): that receive is part of the
+	// recorded state, not of the log. 0 when the process initiated the
+	// round or joined it on a control message.
+	JoinedBy int64
 }
 
 // Record is a finalized checkpoint C_{i,k} = CT_{i,k} ∪ logSet_{i,k}.

@@ -651,8 +651,10 @@ func (p *Protocol) AfterApp(e *protocol.Envelope) {
 		if pb.Stat == Tentative && pb.Csn == p.csn+1 {
 			// Case 4b: first knowledge of a new initiation; join it.
 			// The just-processed message is included in the tentative
-			// checkpoint's state, not in the log.
+			// checkpoint's state, not in the log; the record names it so
+			// that recovery knows the line already holds it.
 			p.takeTentative()
+			p.tent.t.JoinedBy = e.ID
 			p.tentSet.UnionWith(pb.TentSet)
 			// Deviation (v), DESIGN.md: Fig. 3 case 4b omits the
 			// allPSet check after the merge, but the piggybacked set

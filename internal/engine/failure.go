@@ -5,7 +5,6 @@ import (
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
-	"ocsml/internal/protocol"
 	"ocsml/internal/trace"
 )
 
@@ -14,7 +13,8 @@ import (
 // in-memory logs, in-flight messages to and from it). After DetectDelay
 // the cluster performs a coordinated rollback to the most recent global
 // checkpoint that is complete on stable storage, reconstructs the channel
-// contents from the selective message logs, and resumes the computation.
+// contents from the selective message logs (host.Resume), and resumes the
+// computation.
 //
 // This is the paper's recovery model for its class of algorithms:
 // "recovery ... is simple since processes need only to roll back to the
@@ -43,14 +43,6 @@ func (c *Cluster) InjectFailure(plan FailurePlan) {
 			plan.At, prev.At+prev.DetectDelay))
 	}
 	c.failure = &plan
-	// Enable dedup bookkeeping from the start: the restored cluster must
-	// recognize messages that are already part of the recovery line.
-	// This is pre-Run setup, before the simulation starts.
-	for _, n := range c.nodes {
-		if n.processed == nil {
-			n.processed = map[int64]des.Time{}
-		}
-	}
 	c.Sim.At(plan.At, func() { c.failProcess(plan.Proc) })
 	c.Sim.At(plan.At+plan.DetectDelay, c.recoverAll)
 }
@@ -75,20 +67,19 @@ func (c *Cluster) recoverAll() {
 		c.count("recovery.skipped_after_completion", 1)
 		return
 	}
-	now := c.Sim.Now()
 	seq := c.Ckpts.MaxStableSeq() // the line: on stable storage everywhere, now
 	c.count("recovery.line_seq", int64(seq))
 
 	// New epoch: every pre-failure timer, stall, deferred action and
-	// in-flight envelope is void. Channel contents will be rebuilt from
-	// the logs below.
+	// in-flight envelope is void.
 	c.epoch++
 	c.doneN = 0
 
 	// The host's rollback step discards the checkpoints above the line,
 	// restores the state at the cut point (CT state plus the logged message
-	// replay) and rewinds the protocol. The applications restart below,
-	// once the channel contents are back.
+	// replay) and rewinds the protocol. Every process is at the line before
+	// any resumes: Resume re-sends the line's logged sends and restarts the
+	// application, and each send must find its receiver in the new epoch.
 	line := make([]checkpoint.Record, c.cfg.N)
 	for p, n := range c.nodes {
 		rec, _, ok := n.h.Rollback(seq, c.epoch)
@@ -96,39 +87,10 @@ func (c *Cluster) recoverAll() {
 			panic(fmt.Sprintf("engine: recovery line %d missing on P%d", seq, p))
 		}
 		c.Net.SetDown(p, false)
-		n.lineCFE = rec.FinalizedAt
-		n.restoreAt = now
 		line[p] = rec
 	}
-
-	// Reconstruct the channel state: every message logged as Sent whose
-	// receive is not part of the recovery line is re-injected. Receiver-
-	// side dedup (processApp) drops the ones already inside the line, so
-	// we simply re-inject all logged sends.
-	for _, rec := range line {
-		for _, m := range rec.Log {
-			if m.Dir != checkpoint.Sent {
-				continue
-			}
-			e := &protocol.Envelope{
-				ID: m.ID, Src: m.Src, Dst: m.Dst,
-				Kind: protocol.KindApp, Bytes: m.Bytes,
-				App:   protocol.AppMsg{Seq: m.AppSeq, Bytes: m.Bytes, Tag: m.Tag},
-				Epoch: c.epoch,
-			}
-			// The sender's (rolled-back) protocol wraps the replayed
-			// message with its current piggyback, exactly as it would a
-			// fresh send.
-			c.nodes[m.Src].proto.OnAppSend(e)
-			e.SentAt = now
-			c.Net.Inject(e)
-			c.count("recovery.reinjected", 1)
-		}
-	}
-
-	// Resume the applications from the progress recorded at the cut.
-	for p, rec := range line {
-		c.nodes[p].h.RestartApp(rec.CFEProgress)
+	for p, n := range c.nodes {
+		n.h.Resume(&line[p])
 	}
 	c.count("recovery.recoveries", 1)
 }

@@ -11,9 +11,7 @@ import (
 // and protocol.AppCtx, see internal/host) driven by the discrete-event
 // simulator. The Node itself is the host's Driver — virtual clock,
 // simulated network and storage server — plus what only the simulation
-// measures or models: stall time, send-to-process latency, and the
-// receiver-side dedup that stands in for channel reconstruction after a
-// rollback.
+// measures or models: stall time and send-to-process latency.
 //
 // The engine is a single-threaded discrete-event simulation: every
 // callback fires inside Sim.Run, on the goroutine executing
@@ -26,14 +24,6 @@ type Node struct {
 
 	stallStart   des.Time
 	stalledTotal des.Duration
-
-	// Recovery dedup (only used when a failure is injected): processed
-	// maps envelope id → processing time; lineCFE is the recovery-line
-	// cut time after a restore; restoreAt is when this node was last
-	// restored (0 = never).
-	processed map[int64]des.Time
-	lineCFE   des.Time
-	restoreAt des.Time
 }
 
 var _ host.Driver = (*Node)(nil)
@@ -75,23 +65,9 @@ func (n *Node) AppSent(e *protocol.Envelope) {
 	}
 }
 
-// Admit implements host.Driver: recovery dedup, then the latency sample.
-func (n *Node) Admit(e *protocol.Envelope) bool {
-	if n.processed != nil {
-		// Drop the message if it is already reflected in the restored
-		// state (processed at or before the recovery line) or was already
-		// re-processed since the restore. Messages processed between the
-		// line and the failure were rolled back, so re-processing them
-		// once is correct.
-		if t, ok := n.processed[e.ID]; ok && n.restoreAt > 0 &&
-			(t <= n.lineCFE || t >= n.restoreAt) {
-			n.c.count("recovery.dup_dropped", 1)
-			return false
-		}
-		n.processed[e.ID] = n.Now()
-	}
+// Admit implements host.Driver: the send-to-process latency sample.
+func (n *Node) Admit(e *protocol.Envelope) {
 	n.c.appLatency.Observe((n.Now() - e.SentAt).Seconds())
-	return true
 }
 
 // Stalled implements host.Driver: per-process stall-time accounting.

@@ -737,9 +737,10 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreviousFormatDatadirs pins the on-disk compatibility contract
-// against directories the previous format's builds wrote
+// against directories the previous formats' builds wrote
 // (testdata/parent-*: seqs 1..5 of the rec fixture under an OCSMSEG1
-// header, 5 full JSON records vs 1 full + 4 deltas), and against a log
+// header, 5 full JSON records vs 1 full + 4 deltas; and under this
+// header as kind-1 records, whose encoding lacks JoinedBy), and against a log
 // of this format that ends in a frame of a kind this build does not
 // know. Each is durable data this build cannot read: Open must fail
 // naming the format or the kind, and the segment — through the
@@ -764,7 +765,7 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, err := f.WriteAt(sealFrame(openFrame(nil, kindTruncate+1)), active.Size); err != nil {
+		if _, err := f.WriteAt(sealFrame(openFrame(nil, kindFull+1)), active.Size); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -777,7 +778,8 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 	}{
 		{"parent-full", fixture("parent-full"), []string{`"OCSMSEG1"`, seg}},
 		{"parent-delta", fixture("parent-delta"), []string{`"OCSMSEG1"`, seg}},
-		{"a later record kind", laterKind, []string{fmt.Sprintf("unsupported record kind %d", kindTruncate+1), seg}},
+		{"parent-kind1", fixture("parent-kind1"), []string{"unsupported record kind 1", seg}},
+		{"a later record kind", laterKind, []string{fmt.Sprintf("unsupported record kind %d", kindFull+1), seg}},
 	} {
 		for _, tornHint := range []bool{false, true} {
 			name := tc.name + " refused by the manifest-led scan"

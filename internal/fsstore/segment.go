@@ -52,10 +52,13 @@ const (
 
 // The record kinds, the first byte of every payload. A build that meets
 // a kind it does not know refuses the directory, untouched
-// (errRecordKind), so a kind can be added without a new magic.
+// (errRecordKind), so a kind can be added without a new magic. A change
+// to the checkpoint encoding takes a new full kind: kind 1 held records
+// without Tentative.JoinedBy, and this build refuses it as unknown, as a
+// build of kind 1 refuses kind 3.
 const (
-	kindFull     byte = 1
 	kindTruncate byte = 2
+	kindFull     byte = 3
 )
 
 // errRecordKind marks a CRC-valid frame whose kind this build does not

@@ -49,9 +49,9 @@ type Driver interface {
 	// AppSent observes a fresh application message after the protocol
 	// attached its piggyback and before it is transmitted.
 	AppSent(e *protocol.Envelope)
-	// Admit runs when an application envelope is about to be processed
-	// (after any stall) and reports whether to apply it; false drops it.
-	Admit(e *protocol.Envelope) bool
+	// Admit observes an application envelope about to be processed
+	// (after any stall and past the host's recovery filter).
+	Admit(e *protocol.Envelope)
 	// Stalled observes the application entering (true) and leaving
 	// (false) the stalled state.
 	Stalled(on bool)
@@ -112,6 +112,11 @@ type Host struct {
 	// out is the envelope of every application send, reused: the protocol
 	// and the driver see it only during the send (Env.Send's contract).
 	out protocol.Envelope
+
+	// held is the recovery filter: the IDs of the application messages
+	// the state Resume restored already reflects, dropped on arrival. Nil
+	// until the first Resume, which replaces it.
+	held map[int64]bool
 }
 
 // Tick is one timer as a value, which a driver holds and hands back to
@@ -137,7 +142,7 @@ var (
 )
 
 // New builds the host of one process; nothing runs until the driver
-// calls StartProtocol and StartApp (or RestartApp).
+// calls StartProtocol and StartApp (or Resume).
 func New(p Process, drv Driver) *Host {
 	return &Host{p: p, drv: drv, count: p.Metrics.EventSink(), ctlNames: map[string]string{}, epoch: p.Epoch}
 }
@@ -190,10 +195,10 @@ func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
 // epoch voids every timer, stall and deferred action of the old one, the
 // state is restored from the record, and the protocol resets itself as
 // if the line's checkpoint had just been finalized. The application
-// stays parked until RestartApp, so a driver can rebuild channel contents
-// in between. Line 0 with no record is the initial state, the zero
-// record; any other line this process never finalized leaves it
-// untouched, with ok == false.
+// stays parked until Resume, so a driver can roll every process it hosts
+// back before any of them sends again. Line 0 with no record is the
+// initial state, the zero record; any other line this process never
+// finalized leaves it untouched, with ok == false.
 func (h *Host) Rollback(line, epoch int) (rec checkpoint.Record, replayed int, ok bool) {
 	rew, isRew := h.p.Proto.(protocol.Rewinder)
 	if !isRew {
@@ -216,14 +221,41 @@ func (h *Host) Rollback(line, epoch int) (rec checkpoint.Record, replayed int, o
 	return rec, replayed, true
 }
 
-// RestartApp resumes the application from the progress a checkpoint
-// recorded (after Rollback, or when a restarted process resumes).
-func (h *Host) RestartApp(progress int64) {
+// Resume rebuilds the channel state of the checkpoint rec, which the
+// process was just put at (Rollback, or Restore when a restarted process
+// resumes), and restarts the application at rec.CFEProgress. A record is
+// C_{i,k} = CT_{i,k} ∪ logSet_{i,k}, so the sends it logged may have been
+// in flight across the line: each goes out again under its original ID,
+// with the protocol's current piggyback. It is not a fresh application
+// send: the state fold and the application sequence already count it.
+// The receive side is the filter: from now until the next Resume, an
+// application message rec already reflects — one it logged as received,
+// or the one it joined its round on — is dropped on arrival, so a re-sent
+// message the receiver's own line holds is not processed twice.
+func (h *Host) Resume(rec *checkpoint.Record) {
 	ra, ok := h.p.App.(protocol.RewindableApp)
 	if !ok {
 		panic(fmt.Sprintf("host: application on P%d does not support rollback", h.p.ID))
 	}
-	ra.Restore(appCtx{h}, progress)
+	h.held = map[int64]bool{}
+	if rec.JoinedBy != 0 {
+		h.held[rec.JoinedBy] = true
+	}
+	for i := range rec.Log {
+		m := &rec.Log[i]
+		if m.Dir == checkpoint.Received {
+			h.held[m.ID] = true
+			continue
+		}
+		h.out = protocol.Envelope{
+			ID: m.ID, Dst: m.Dst, Kind: protocol.KindApp, Bytes: m.Bytes,
+			App: protocol.AppMsg{Seq: m.AppSeq, Tag: m.Tag, Bytes: m.Bytes},
+		}
+		h.p.Proto.OnAppSend(&h.out)
+		h.count("recovery.reinjected", 1)
+		h.Send(&h.out)
+	}
+	ra.Restore(appCtx{h}, rec.CFEProgress)
 }
 
 // Epoch returns the current epoch.
@@ -408,9 +440,11 @@ func (h *Host) DeliverApp(e *protocol.Envelope, hooks protocol.AppHooks) {
 }
 
 func (h *Host) processApp(e *protocol.Envelope, hooks protocol.AppHooks) {
-	if !h.drv.Admit(e) {
+	if h.held[e.ID] {
+		h.count("recovery.dup_dropped", 1)
 		return
 	}
+	h.drv.Admit(e)
 	h.p.Rec.Record(trace.Event{
 		T: h.drv.Now(), Kind: trace.KRecv, Proc: h.p.ID, Peer: e.Src, MsgID: e.ID, Seq: -1,
 	})

@@ -20,12 +20,17 @@ import (
 type fixture struct {
 	sim    *des.Simulator
 	h      *host.Host
+	rec    *trace.Recorder
 	sent   []*protocol.Envelope
 	writes []func(start, end des.Time)
 	reg    *metrics.Registry
 	stalls []bool
 	doneN  int
 	nextID int64
+	// appSent and admitted count the driver's observation hooks; ctx is
+	// the application's view of the host, for sends.
+	appSent, admitted int
+	ctx               protocol.AppCtx
 
 	// proto and app record what the host called, in order.
 	log      []string
@@ -33,10 +38,10 @@ type fixture struct {
 }
 
 func newFixture() *fixture {
-	f := &fixture{sim: des.New(1), reg: metrics.NewRegistry()}
+	f := &fixture{sim: des.New(1), reg: metrics.NewRegistry(), rec: trace.NewRecorder()}
 	f.h = host.New(host.Process{
 		ID: 0, N: 3, Proto: fakeProto{f}, App: fakeApp{f},
-		Rand: rand.New(rand.NewSource(1)), Rec: trace.NewRecorder(),
+		Rand: rand.New(rand.NewSource(1)), Rec: f.rec,
 		Ckpts:   checkpoint.NewStore(3).Proc(0),
 		Metrics: f.reg,
 	}, f)
@@ -54,13 +59,13 @@ func (f *fixture) After(d des.Duration, t host.Tick) {
 func (f *fixture) WriteStable(_ string, _ int64, done func(start, end des.Time)) {
 	f.writes = append(f.writes, done)
 }
-func (f *fixture) StorageQueueLen() int          { return len(f.writes) }
-func (f *fixture) Image() (int64, des.Duration)  { return 64, 0 }
-func (f *fixture) AppSent(*protocol.Envelope)    {}
-func (f *fixture) Admit(*protocol.Envelope) bool { return true }
-func (f *fixture) Stalled(on bool)               { f.stalls = append(f.stalls, on) }
-func (f *fixture) Draining() bool                { return false }
-func (f *fixture) AppDone()                      { f.doneN++ }
+func (f *fixture) StorageQueueLen() int         { return len(f.writes) }
+func (f *fixture) Image() (int64, des.Duration) { return 64, 0 }
+func (f *fixture) AppSent(*protocol.Envelope)   { f.appSent++ }
+func (f *fixture) Admit(*protocol.Envelope)     { f.admitted++ }
+func (f *fixture) Stalled(on bool)              { f.stalls = append(f.stalls, on) }
+func (f *fixture) Draining() bool               { return false }
+func (f *fixture) AppDone()                     { f.doneN++ }
 
 // deliver hands the host an application envelope the way a protocol
 // does from OnDeliver.
@@ -73,17 +78,17 @@ func (f *fixture) deliver(tag uint64) {
 
 type fakeProto struct{ f *fixture }
 
-func (fakeProto) Name() string                 { return "fake" }
-func (fakeProto) Start(protocol.Env)           {}
-func (fakeProto) OnAppSend(*protocol.Envelope) {}
-func (fakeProto) OnDeliver(*protocol.Envelope) {}
-func (p fakeProto) OnTimer(kind, gen int)      { p.f.log = append(p.f.log, "timer") }
-func (fakeProto) Finish()                      {}
-func (p fakeProto) Rollback(seq int)           { p.f.log = append(p.f.log, "rollback") }
+func (fakeProto) Name() string                   { return "fake" }
+func (fakeProto) Start(protocol.Env)             {}
+func (p fakeProto) OnAppSend(*protocol.Envelope) { p.f.log = append(p.f.log, "appsend") }
+func (fakeProto) OnDeliver(*protocol.Envelope)   {}
+func (p fakeProto) OnTimer(kind, gen int)        { p.f.log = append(p.f.log, "timer") }
+func (fakeProto) Finish()                        {}
+func (p fakeProto) Rollback(seq int)             { p.f.log = append(p.f.log, "rollback") }
 
 type fakeApp struct{ f *fixture }
 
-func (fakeApp) Start(protocol.AppCtx) {}
+func (a fakeApp) Start(ctx protocol.AppCtx) { a.f.ctx = ctx }
 func (a fakeApp) OnMessage(_ protocol.AppCtx, _ int, m protocol.AppMsg) {
 	a.f.log = append(a.f.log, "msg"+string(rune('0'+m.Tag)))
 }
@@ -96,10 +101,10 @@ func (a fakeApp) Restore(_ protocol.AppCtx, progress int64) {
 // the fixture's store, below a seq-3 record a rollback must discard.
 func (f *fixture) lineRecord(work int64, logLen int) checkpoint.Record {
 	rec := checkpoint.Record{
-		Tentative: checkpoint.Tentative{Seq: 2, Fold: 77},
+		Tentative: checkpoint.Tentative{Seq: 2, Fold: 77, JoinedBy: 7},
 		Log: []checkpoint.LoggedMsg{
 			{ID: 1, Src: 1, Dst: 0, Dir: checkpoint.Received, Tag: 5, AppSeq: 1},
-			{ID: 2, Src: 0, Dst: 2, Dir: checkpoint.Sent, Tag: 9, AppSeq: 1},
+			{ID: 2, Src: 0, Dst: 2, Dir: checkpoint.Sent, Bytes: 300, Tag: 9, AppSeq: 1},
 		},
 		CFEWork: work, CFEProgress: 41,
 	}
@@ -214,14 +219,68 @@ func TestHost(t *testing.T) {
 				t.Fatalf("counters %v", ev)
 			}
 			// The parked delivery is gone, the application is parked until
-			// RestartApp, and Done counts again in the new incarnation.
+			// Resume, and Done counts again in the new incarnation.
 			if !reflect.DeepEqual(f.log, []string{"rollback"}) || len(f.restored) != 0 {
 				t.Fatalf("log %v restored %v", f.log, f.restored)
 			}
-			f.h.RestartApp(rec.CFEProgress)
+			f.h.Resume(&rec)
 			f.h.Done()
 			if !reflect.DeepEqual(f.restored, []int64{41}) || f.doneN != 2 {
 				t.Fatalf("restored %v doneN %d", f.restored, f.doneN)
+			}
+		}},
+		{"resume re-sends the line's logged sends under their own IDs", func(t *testing.T, f *fixture) {
+			f.ctx.Send(2, protocol.AppMsg{Bytes: 10})
+			rec := f.lineRecord(7, 2)
+			f.h.Rollback(2, 1)
+			fold, kSend := f.h.Fold(), f.rec.CountKind(trace.KSend)
+			f.sent, f.log, f.appSent = nil, nil, 0
+			f.h.Resume(&rec)
+			want := protocol.Envelope{
+				ID: 2, Src: 0, Dst: 2, Kind: protocol.KindApp, Bytes: 300, Epoch: 1,
+				App: protocol.AppMsg{Seq: 1, Tag: 9, Bytes: 300},
+			}
+			if len(f.sent) != 1 || !reflect.DeepEqual(*f.sent[0], want) {
+				t.Fatalf("re-sent %v, want only %+v", f.sent, want)
+			}
+			if !reflect.DeepEqual(f.log, []string{"appsend"}) || !reflect.DeepEqual(f.restored, []int64{41}) {
+				t.Fatalf("protocol saw %v, application restored at %v: want one OnAppSend, then progress 41", f.log, f.restored)
+			}
+			// Not a fresh send: no fold step, no KSend, no AppSent.
+			if f.h.Fold() != fold || f.rec.CountKind(trace.KSend) != kSend || f.appSent != 0 {
+				t.Fatalf("re-send moved fold %#x -> %#x, KSend %d -> %d, AppSent %d",
+					fold, f.h.Fold(), kSend, f.rec.CountKind(trace.KSend), f.appSent)
+			}
+			if ev := f.reg.EventCounts(); ev["recovery.reinjected"] != 1 {
+				t.Fatalf("counters %v", ev)
+			}
+			// The application's sequence goes on from its last fresh send.
+			f.ctx.Send(1, protocol.AppMsg{})
+			if got := f.sent[len(f.sent)-1]; got.App.Seq != 2 {
+				t.Fatalf("first fresh send after Resume: %+v, want seq 2", got)
+			}
+		}},
+		{"resume drops what the line holds, once each, and passes the rest", func(t *testing.T, f *fixture) {
+			rec := f.lineRecord(0, 2)
+			f.h.Rollback(2, 1)
+			f.h.Resume(&rec)
+			f.log = nil
+			f.deliver(1) // logged as received by the line
+			f.deliver(7) // the round's join
+			f.deliver(3) // fresh
+			if !reflect.DeepEqual(f.log, []string{"msg3"}) || f.admitted != 1 {
+				t.Fatalf("processed %v (%d admitted), want only msg3", f.log, f.admitted)
+			}
+			if ev := f.reg.EventCounts(); ev["recovery.dup_dropped"] != 2 {
+				t.Fatalf("counters %v", ev)
+			}
+			// The next Resume replaces the filter.
+			f.h.Rollback(0, 2)
+			f.h.Resume(&checkpoint.Record{})
+			f.log = nil
+			f.deliver(1)
+			if !reflect.DeepEqual(f.log, []string{"msg1"}) {
+				t.Fatalf("after a second Resume processed %v", f.log)
 			}
 		}},
 		{"a log that does not reproduce CFEFold is flagged", func(t *testing.T, f *fixture) {

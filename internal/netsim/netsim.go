@@ -165,8 +165,8 @@ func (nw *Network) AllocID() int64 {
 // deliveries are dropped at arrival time.
 func (nw *Network) SetDown(proc int, down bool) { nw.down[proc] = down }
 
-// Send transmits the envelope. It assigns the envelope ID and SentAt and
-// schedules delivery of a copy after a model-drawn delay. Self-sends panic:
+// Send transmits the envelope. It assigns SentAt, and an ID when e has
+// none (a recovery re-send keeps its original one), and schedules delivery of a copy after a model-drawn delay. Self-sends panic:
 // processes are sequential and talk to themselves directly.
 func (nw *Network) Send(e *protocol.Envelope) {
 	if e.Src == e.Dst {
@@ -215,24 +215,5 @@ func (nw *Network) Send(e *protocol.Envelope) {
 			return
 		}
 		nw.deliver(&env)
-	})
-}
-
-// Inject re-introduces a message during recovery: it re-enters the network
-// with a fresh delay but keeps its original envelope ID so receivers can
-// deduplicate.
-func (nw *Network) Inject(e *protocol.Envelope) {
-	if nw.down[e.Dst] {
-		return
-	}
-	delay := nw.lat.Delay(e.Src, e.Dst, e.Bytes, nw.sim.Rand())
-	nw.InFlight.Add(1)
-	env := e
-	nw.sim.After(delay, func() {
-		nw.InFlight.Add(-1)
-		if nw.down[env.Dst] {
-			return
-		}
-		nw.deliver(env)
 	})
 }

@@ -172,16 +172,18 @@ func TestSendCopiesEnvelope(t *testing.T) {
 	}
 }
 
-func TestInjectKeepsID(t *testing.T) {
+// TestSendKeepsID: an envelope that already has an ID (a recovery
+// re-send) keeps it.
+func TestSendKeepsID(t *testing.T) {
 	sim := des.New(1)
 	var got *protocol.Envelope
 	nw := New(sim, Config{N: 2, Latency: Fixed{D: des.Millisecond}}, func(e *protocol.Envelope) { got = e })
 	e := mkEnv(0, 1, 5)
 	e.ID = 777
-	nw.Inject(e)
+	nw.Send(e)
 	sim.Run()
 	if got == nil || got.ID != 777 {
-		t.Fatalf("Inject changed ID: %+v", got)
+		t.Fatalf("Send changed ID: %+v", got)
 	}
 }
 

@@ -29,7 +29,7 @@ type cores struct {
 }
 
 func newCores(n int) *cores {
-	c := &cores{chans: make([][]*protocol.Envelope, n*n)}
+	c := &cores{chans: make([][]*protocol.Envelope, n*n), nextID: 1} // the model's first id
 	for i := 0; i < n; i++ {
 		// The zero Options are the pure Figure-3 algorithm the model
 		// describes: no periodic initiation, no control messages, the
@@ -98,12 +98,14 @@ type lockstep struct {
 	// open is the model's selective log of each process's open tentative
 	// interval in append order, rebuilt from the log-send / log-recv
 	// events the model emits where it appends to logS / logR (finalize
-	// clears both, so the finalized log is visible nowhere else).
-	open [][]logged
+	// clears both, so the finalized log is visible nowhere else); joined
+	// is the message the interval was joined on, from the join event.
+	open   [][]logged
+	joined []int64
 }
 
 func newLockstep(cfg *Config) *lockstep {
-	return &lockstep{model: newState(cfg), cores: newCores(cfg.N), open: make([][]logged, cfg.N)}
+	return &lockstep{model: newState(cfg), cores: newCores(cfg.N), open: make([][]logged, cfg.N), joined: make([]int64, cfg.N)}
 }
 
 func tentMask(procs []int) uint16 {
@@ -154,6 +156,9 @@ func (l *lockstep) step(a Action) ([]Violation, error) {
 		switch ev.Kind {
 		case trace.KTentative, trace.KRestore:
 			l.open[ev.Proc] = nil
+			l.joined[ev.Proc] = 0
+		case trace.KJoin:
+			l.joined[ev.Proc] = ev.MsgID
 		case trace.KLogSend:
 			l.open[ev.Proc] = append(l.open[ev.Proc], logged{checkpoint.Sent, ev.MsgID})
 		case trace.KLogRecv:
@@ -171,6 +176,9 @@ func (l *lockstep) step(a Action) ([]Violation, error) {
 			}
 			if !slices.Equal(got, want) {
 				return vs, fmt.Errorf("P%d: finalized log of S_%d: model %v, core %v", ev.Proc, ev.Seq, want, got)
+			}
+			if rec.JoinedBy != l.joined[ev.Proc] {
+				return vs, fmt.Errorf("P%d: S_%d joined on: model %d, core %d", ev.Proc, ev.Seq, l.joined[ev.Proc], rec.JoinedBy)
 			}
 		}
 	}

@@ -91,6 +91,9 @@ func TestMutationsCaught(t *testing.T) {
 		// Skipping the piggyback examination misses the triggered
 		// finalization; the receive commits against a stale cut (P1).
 		{MutSkipConsume, Config{N: 2, MaxMsgs: 3, MaxInits: 2, MaxCrashes: 0}, PropOrphan},
+		// Joining a round without recording the join message leaves a
+		// receive the checkpoint's state holds unnamed by it (P4).
+		{MutForgetJoin, Config{N: 2, MaxMsgs: 2, MaxInits: 2, MaxCrashes: 0}, PropChannel},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mut.String(), func(t *testing.T) {
@@ -132,6 +135,11 @@ func TestMutationsCaught(t *testing.T) {
 				gaps := trace.CheckReplay(cex.Events)
 				if len(gaps) == 0 {
 					t.Error("trace shows no replay gap; expected one")
+				}
+			case PropChannel:
+				gaps := trace.CheckReplay(cex.Events)
+				if len(gaps) == 0 || !gaps[0].Unheld || gaps[0].MsgID != int64(cex.Violation.Msg) {
+					t.Errorf("trace gaps %v, want msg %d unheld", gaps, cex.Violation.Msg)
 				}
 			}
 		})

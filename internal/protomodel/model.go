@@ -18,13 +18,13 @@
 // the package's differential test performs every action on real
 // core.Protocol instances too and requires, after each step, equal
 // (csn, stat, tentSet), log length and finalized sequence number per
-// process, equal piggybacks on every send, equal finalized logs, and a
-// core panic exactly where the model reports PropInvariant — over every
-// reachable (state, action) pair at N=2 and random walks at N=3..4
-// (DESIGN.md §16.1). A theorem checked here is therefore a statement
+// process, equal piggybacks on every send, equal finalized logs and join
+// messages, and a core panic exactly where the model reports
+// PropInvariant — over every reachable (state, action) pair at N=2 and
+// random walks at N=3..4 (DESIGN.md §16.1). A theorem checked here is therefore a statement
 // about internal/core within those bounds, not about a look-alike.
 //
-// Three safety properties are checked during exploration and on the
+// Four safety properties are checked during exploration and on the
 // emitted traces:
 //
 //	P1 (cut consistency)  — delivering a message whose sender had
@@ -38,11 +38,17 @@
 //	P3 (Z-cycle freedom)  — the rollback-dependency graph of every
 //	    emitted trace is acyclic (trace.ZCycles), so recovery lines
 //	    never roll back past themselves.
+//	P4 (line channel state) — a message its sender logged in round k
+//	    and its receiver processed before finalizing k is in the
+//	    receiver's logR_k or is the message it joined round k on
+//	    (joined_k): the checkpoint holds that receive, so recovery, which
+//	    re-sends the line's logged sends, knows to drop it. A rule that
+//	    drops only logged receives would process the join message twice.
 //
 // Mutations inject the classic implementation mistakes (drop a log
 // append, reorder finalize against the receive, skip the piggyback
-// examination) to prove the checker bites; each must yield a
-// counterexample trace replayable by cmd/tracecheck.
+// examination, forget the join) to prove the checker bites; each must
+// yield a counterexample trace replayable by cmd/tracecheck.
 package protomodel
 
 import (
@@ -88,11 +94,16 @@ const (
 	// the receiver misses the finalize-before-receive rule and logs a
 	// message the sender excluded from the cut (P1).
 	MutSkipConsume
+	// MutForgetJoin has case 4b join a round without recording the
+	// message it joined on: the checkpoint's state holds that receive,
+	// but nothing says so, and recovery would process it again (P4).
+	MutForgetJoin
 )
 
 var mutationNames = map[Mutation]string{
 	MutNone: "none", MutDropLog: "drop-log",
 	MutReorderFinalize: "reorder-finalize", MutSkipConsume: "skip-consume",
+	MutForgetJoin: "forget-join",
 }
 
 func (m Mutation) String() string {
@@ -114,7 +125,7 @@ func ParseMutation(name string) (Mutation, bool) {
 
 // Mutations lists the injectable bugs (excluding MutNone).
 func Mutations() []Mutation {
-	return []Mutation{MutDropLog, MutReorderFinalize, MutSkipConsume}
+	return []Mutation{MutDropLog, MutReorderFinalize, MutSkipConsume, MutForgetJoin}
 }
 
 // Config bounds one exploration.
@@ -150,6 +161,13 @@ type proc struct {
 	processed []int16 // messages processed while tentative (since CT)
 	logR      []int16 // selective log, received entries
 	logS      []int16 // selective log, sent entries
+
+	// joined is the message this process joined its open round on (case
+	// 4b), 0 when it initiated the round or has none open. inflow lists
+	// the messages it processed, since its last finalization, that their
+	// senders logged in the round it is in or about to join (P4).
+	joined int16
+	inflow []int16
 }
 
 // state is one node of the explored transition system.
@@ -173,6 +191,8 @@ func newState(cfg *Config) *state {
 		msgs:  int16(cfg.MaxMsgs),
 		inits: int16(cfg.MaxInits),
 		crash: int16(cfg.MaxCrashes),
+		// Message ids start at 1: a record's JoinedBy 0 means "none".
+		nextID: 1,
 	}
 }
 
@@ -190,6 +210,7 @@ func (s *state) clone() *state {
 		p.processed = append([]int16(nil), p.processed...)
 		p.logR = append([]int16(nil), p.logR...)
 		p.logS = append([]int16(nil), p.logS...)
+		p.inflow = append([]int16(nil), p.inflow...)
 		c.procs[i] = p
 	}
 	for i, ch := range s.chans {
@@ -215,10 +236,11 @@ func (s *state) key() string {
 	for i := range s.procs {
 		p := &s.procs[i]
 		put(int16(p.csn), int16(p.stat), int16(p.tent), int16(p.fin))
-		put(int16(len(p.processed)), int16(len(p.logR)), int16(len(p.logS)))
+		put(int16(len(p.processed)), int16(len(p.logR)), int16(len(p.logS)), p.joined, int16(len(p.inflow)))
 		put(p.processed...)
 		put(p.logR...)
 		put(p.logS...)
+		put(p.inflow...)
 	}
 	for _, ch := range s.chans {
 		put(int16(len(ch)))
@@ -242,6 +264,9 @@ const (
 	// PropInvariant is an internal protocol invariant the
 	// implementation enforces with a panic (impossible piggyback).
 	PropInvariant
+	// PropChannel is P4: a checkpoint does not hold a logged send its
+	// state reflects.
+	PropChannel
 )
 
 func (p Prop) String() string {
@@ -250,6 +275,8 @@ func (p Prop) String() string {
 		return "orphan"
 	case PropReplay:
 		return "replay"
+	case PropChannel:
+		return "channel"
 	default:
 		return "invariant"
 	}
@@ -386,6 +413,7 @@ func (s *state) takeTentative(p int, em *emitter) {
 	pr.stat = Tentative
 	pr.tent = 1 << uint(p)
 	pr.processed, pr.logR, pr.logS = nil, nil, nil
+	pr.joined = 0
 	em.emit(trace.KTentative, p, -1, 0, int(pr.csn))
 }
 
@@ -414,10 +442,19 @@ func (s *state) finalize(p int, em *emitter) []Violation {
 			}
 		}
 	}
+	for _, id := range pr.inflow {
+		if id != pr.joined && !containsID(pr.logR, id) {
+			vs = append(vs, Violation{
+				Prop: PropChannel, Seq: int(pr.csn), Proc: p, Msg: int(id),
+				Desc: fmt.Sprintf("finalizing S_%d, whose state holds msg %d logged in round %d by its sender, with neither a log entry nor the join for it: recovery would process it again", pr.csn, id, pr.csn),
+			})
+		}
+	}
 	pr.stat = Normal
 	pr.tent = 0
 	pr.fin = pr.csn
 	pr.processed, pr.logR, pr.logS = nil, nil, nil
+	pr.joined, pr.inflow = 0, nil
 	em.emit(trace.KFinalize, p, -1, 0, int(pr.csn))
 	return vs
 }
@@ -502,6 +539,13 @@ func (s *state) deliver(p, q int, em *emitter) []Violation {
 	// Process the message; while tentative it joins the interval's
 	// processed set and (absent the drop-log bug) the selective log.
 	em.emit(trace.KRecv, p, q, int64(m.id), -1)
+	round := pr.csn
+	if pr.stat == Normal {
+		round++
+	}
+	if m.pbStat == Tentative && m.pbCsn == round {
+		pr.inflow = append(pr.inflow, m.id)
+	}
 	if pr.stat == Tentative {
 		pr.processed = append(pr.processed, m.id)
 		if s.cfg.Mutation == MutDropLog && !s.mutUsed {
@@ -528,6 +572,12 @@ func (s *state) deliver(p, q int, em *emitter) []Violation {
 	case Normal:
 		if m.pbStat == Tentative && m.pbCsn == pr.csn+1 {
 			s.takeTentative(p, em)
+			if s.cfg.Mutation == MutForgetJoin && !s.mutUsed {
+				s.mutUsed = true // bug: the join goes unrecorded
+			} else {
+				pr.joined = m.id
+				em.emit(trace.KJoin, p, q, int64(m.id), int(pr.csn))
+			}
 			pr.tent |= m.pbTent
 			if pr.tent == s.full() {
 				vs = append(vs, s.finalize(p, em)...)
@@ -560,6 +610,7 @@ func (s *state) doCrash(em *emitter) {
 		pr.tent = 0
 		pr.fin = line
 		pr.processed, pr.logR, pr.logS = nil, nil, nil
+		pr.joined, pr.inflow = 0, nil
 		em.emit(trace.KRestore, i, -1, 0, int(line))
 	}
 	for i := range s.chans {

@@ -18,9 +18,11 @@
 // transmission, which is what the paper's correctness argument assumes of
 // a channel that delivers late.
 //
-// The wrapper composes with the engine's live failure injection when the
-// inner protocol supports rollback: transport state is reset at recovery
-// and the engine's log re-injection is delivered outside the transport.
+// The wrapper composes with live recovery on either driver when the inner
+// protocol supports rollback: transport state is reset at the rollback,
+// and the host's re-sends of the line's logged messages go through
+// OnAppSend like any application send, so they are retransmitted until
+// acknowledged too.
 package reliable
 
 import (
@@ -169,10 +171,9 @@ func (p *Protocol) Finish() { p.inner.Finish() }
 // Rollback implements protocol.Rewinder when the inner protocol does:
 // transport state is volatile, so pending retransmissions are discarded
 // (their timers died with the engine epoch; pre-failure envelopes are
-// dropped at the epoch boundary) and the dedup set resets — post-rollback
-// duplicates are caught by the engine's recovery dedup instead. The
-// engine's log re-injection bypasses this transport and is delivered
-// reliably by construction.
+// dropped at the epoch boundary) and the dedup set resets. A re-sent
+// logged message the receiver's line already holds is dropped by the
+// host's recovery filter (host.Resume), not here.
 func (p *Protocol) Rollback(seq int) {
 	rew, ok := p.inner.(protocol.Rewinder)
 	if !ok {

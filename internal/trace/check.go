@@ -8,7 +8,10 @@ import "fmt"
 //
 //   - replay sufficiency: every message processed inside a tentative
 //     interval appears in the selective log (KLogRecv/KLogSend events),
-//     so replaying the log reproduces the interval exactly once;
+//     so replaying the log reproduces the interval exactly once, and
+//     every logged send its receiver processed before finalizing the same
+//     round is held by the receiver's checkpoint (logged, or joined on),
+//     so recovery, which re-sends the line's logged sends, drops it;
 //   - Z-cycle freedom: the rollback-dependency graph over checkpoint
 //     intervals (Netzer–Xu / Wang) is acyclic, so no finalized
 //     checkpoint is useless.
@@ -19,9 +22,17 @@ type ReplayGap struct {
 	Seq   int   // checkpoint sequence of the tentative interval
 	MsgID int64 // processed (or sent) message missing from the log
 	Sent  bool  // true: missing send-log entry; false: missing receive-log entry
+	// Unheld marks a message its sender logged in round Seq that Proc
+	// processed before finalizing Seq, and whose receive checkpoint Seq
+	// holds neither in its log nor as the message it joined the round on.
+	Unheld bool
 }
 
 func (g ReplayGap) String() string {
+	if g.Unheld {
+		return fmt.Sprintf("P%d processed msg %d, logged by its sender in round %d, before finalizing S_%d, but neither logged nor joined on it",
+			g.Proc, g.MsgID, g.Seq, g.Seq)
+	}
 	dir := "received"
 	if g.Sent {
 		dir = "sent"
@@ -36,7 +47,11 @@ func (g ReplayGap) String() string {
 // a matching KLogSend/KLogRecv event in the same interval. Messages
 // processed outside tentative intervals need no logging (the paper logs
 // only while tentative), and a rolled-back interval (KRestore before
-// the finalize) is exempt — its log died with the crash.
+// the finalize) is exempt — its log died with the crash. The same walk
+// reports, as Unheld gaps, the logged sends of round seq (KLogSend) that
+// a receiver processed since its previous finalization or restore and
+// before its KFinalize(seq) without a KLogRecv or KJoin for them in its
+// interval seq.
 func CheckReplay(events []Event) []ReplayGap {
 	// Per process, walk events in order tracking the open tentative
 	// interval and the pending (unlogged) messages inside it.
@@ -48,14 +63,18 @@ func CheckReplay(events []Event) []ReplayGap {
 	const (
 		loggedSend = 1 << iota
 		loggedRecv
+		joined
 	)
 	var gaps []ReplayGap
 	cur := map[int]*open{}
+	sentIn := map[int64]int{}  // message → the round its sender logged it in
+	since := map[int][]int64{} // process → messages processed since its last finalize or restore
 	for _, e := range events {
 		switch e.Kind {
 		case KTentative:
 			cur[e.Proc] = &open{seq: e.Seq, logged: map[int64]uint8{}}
 		case KLogSend:
+			sentIn[e.MsgID] = e.Seq
 			if o := cur[e.Proc]; o != nil {
 				o.logged[e.MsgID] |= loggedSend
 			}
@@ -63,18 +82,30 @@ func CheckReplay(events []Event) []ReplayGap {
 			if o := cur[e.Proc]; o != nil {
 				o.logged[e.MsgID] |= loggedRecv
 			}
+		case KJoin:
+			if o := cur[e.Proc]; o != nil {
+				o.logged[e.MsgID] |= joined
+			}
 		case KSend:
 			if o := cur[e.Proc]; o != nil {
 				o.pending = append(o.pending, ReplayGap{Proc: e.Proc, Seq: o.seq, MsgID: e.MsgID, Sent: true})
 			}
 		case KRecv:
+			since[e.Proc] = append(since[e.Proc], e.MsgID)
 			if o := cur[e.Proc]; o != nil {
 				o.pending = append(o.pending, ReplayGap{Proc: e.Proc, Seq: o.seq, MsgID: e.MsgID, Sent: false})
 			}
 		case KFinalize:
+			processed := since[e.Proc]
+			delete(since, e.Proc)
 			o := cur[e.Proc]
 			if o == nil || o.seq != e.Seq {
 				continue
+			}
+			for _, id := range processed {
+				if seq, ok := sentIn[id]; ok && seq == e.Seq && o.logged[id]&(loggedRecv|joined) == 0 {
+					gaps = append(gaps, ReplayGap{Proc: e.Proc, Seq: e.Seq, MsgID: id, Unheld: true})
+				}
 			}
 			for _, p := range o.pending {
 				want := uint8(loggedRecv)
@@ -88,6 +119,7 @@ func CheckReplay(events []Event) []ReplayGap {
 			delete(cur, e.Proc)
 		case KRestore:
 			delete(cur, e.Proc) // rolled back: the interval never finalized
+			delete(since, e.Proc)
 		}
 	}
 	return gaps

@@ -51,13 +51,17 @@ const (
 	KLogSend
 	// KLogRecv marks appending a received message to the selective log.
 	KLogRecv
+	// KJoin names the application message on which a process joined
+	// round Seq (Fig. 3 case 4b): its checkpoint holds that receive in
+	// its state, not in its log. Emitted by the model checker.
+	KJoin
 )
 
 var kindNames = [...]string{
 	KSend: "send", KRecv: "recv", KCtlSend: "ctl-send", KCtlRecv: "ctl-recv",
 	KTentative: "tentative", KFinalize: "finalize", KCheckpoint: "checkpoint",
 	KForced: "forced", KFail: "fail", KRestore: "restore",
-	KLogSend: "log-send", KLogRecv: "log-recv",
+	KLogSend: "log-send", KLogRecv: "log-recv", KJoin: "join",
 }
 
 func (k Kind) String() string {

@@ -120,8 +120,8 @@ func (r *ChaosReport) Render() string {
 
 // RunChaos executes one seeded chaos run: generate the schedule, wire
 // the injector into every mesh, run the cluster while executing the
-// crash plan, then verify the three invariants the paper's recovery
-// argument rests on:
+// crash plan, then verify the invariants the paper's recovery argument
+// rests on, among them:
 //
 //  1. no-orphans: every durable global checkpoint S_k (intersection of
 //     the fsstore manifests) is a consistent cut of the actually
@@ -134,6 +134,10 @@ func (r *ChaosReport) Render() string {
 //  3. post-restart-convergence: after every kill+restart the cluster
 //     finalizes a new durable global checkpoint beyond the recovery
 //     line.
+//  4. logged-sends-delivered: after every recovery, each send a line
+//     record logged is processed by its receiver exactly once in the new
+//     epoch, or not at all when the receiver's line record holds it
+//     (verifyLoggedSendsDelivered).
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Cluster.Datadir == "" {
 		return nil, fmt.Errorf("transport: chaos needs a datadir (crash/restart requires durable storage)")
@@ -163,6 +167,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	datadir, n := cfg.Cluster.Datadir, cfg.Cluster.N
 	convergeOK := true
 	var convergeDetail string
+	var lines [][]checkpoint.Record // per recovery, the records every process resumed from
 	for _, cr := range sched.Crashes {
 		// A rollback needs a durable recovery line; wait for the first
 		// complete global checkpoint if the cluster hasn't one yet.
@@ -192,6 +197,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return rep, fmt.Errorf("recovery of P%d: %w", cr.Proc, err)
 		}
 		rep.Restarts++
+		lines = append(lines, lineRecords(c.Ckpts, line))
 		if _, err := waitLineAtLeast(datadir, n, line+1, cfg.Converge); err != nil {
 			convergeOK = false
 			convergeDetail = fmt.Sprintf("after restart of P%d: no durable checkpoint beyond line %d", cr.Proc, line)
@@ -212,6 +218,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		verifyManifestIntegrity(datadir, n),
 		{Name: "post-restart-convergence", OK: convergeOK, Detail: convergeDetail},
 		verifyWireRecovery(rep.Counters, rep.Restarts, n),
+		verifyLoggedSendsDelivered(c.Rec, lines),
 	}
 	rep.FaultStats = inj.Stats()
 	return rep, nil
@@ -346,6 +353,96 @@ func verifyWireRecovery(counters map[string]int64, restarts, n int) Invariant {
 	}
 	iv.OK = true
 	return iv
+}
+
+// lineRecords returns the record of line every process holds in memory:
+// right after a recovery, the one it resumed from.
+func lineRecords(ckpts *checkpoint.Store, line int) []checkpoint.Record {
+	recs := make([]checkpoint.Record, ckpts.N())
+	for p := range recs {
+		recs[p], _ = ckpts.Proc(p).Get(line)
+	}
+	return recs
+}
+
+// verifyLoggedSendsDelivered checks that recovery rebuilt the channel
+// state of every line: lines[i] holds the records the processes resumed
+// from at the i-th recovery, the one that followed the i-th crash in the
+// trace. Each Sent entry of them is processed by its receiver exactly once
+// in the epoch that recovery opened — after the receiver's rollback (the
+// victim's: after its crash) and before its next rollback or crash —
+// unless the receiver's record holds it already (logged as received, or
+// the message the receiver joined its round on): then not at all.
+func verifyLoggedSendsDelivered(rec *trace.Recorder, lines [][]checkpoint.Record) Invariant {
+	iv := Invariant{Name: "logged-sends-delivered"}
+	if _, err := checkLoggedSends(rec.Events(), lines); err != nil {
+		iv.Detail = err.Error()
+		return iv
+	}
+	iv.OK = true
+	return iv
+}
+
+// checkLoggedSends is verifyLoggedSendsDelivered over a trace; it returns
+// how many logged sends were processed in a new epoch.
+func checkLoggedSends(events []trace.Event, lines [][]checkpoint.Record) (delivered int, err error) {
+	var crashes []int // the index in events of each KFail
+	for i, e := range events {
+		if e.Kind == trace.KFail {
+			crashes = append(crashes, i)
+		}
+	}
+	if len(crashes) < len(lines) {
+		return 0, fmt.Errorf("%d recoveries but %d crashes in the trace", len(lines), len(crashes))
+	}
+	for i, recs := range lines {
+		// epoch[p] is 1 while process p is in the epoch the recovery
+		// opened: from the victim's crash or a survivor's rollback to the
+		// process's next rollback or crash.
+		crash := events[crashes[i]]
+		epoch := make([]int, len(recs))
+		epoch[crash.Proc] = 1
+		processed := map[int64]int{}
+		for _, e := range events[crashes[i]+1:] {
+			switch {
+			case e.Kind == trace.KRestore, e.Kind == trace.KFail && epoch[e.Proc] > 0:
+				epoch[e.Proc]++
+			case e.Kind == trace.KRecv && epoch[e.Proc] == 1:
+				processed[e.MsgID]++
+			}
+		}
+		for s := range recs {
+			for _, m := range recs[s].Log {
+				if m.Dir != checkpoint.Sent {
+					continue
+				}
+				want := 1
+				if holds(&recs[m.Dst], m.ID) {
+					want = 0
+				}
+				if n := processed[m.ID]; n != want {
+					return delivered, fmt.Errorf("recovery %d to line %d: P%d's logged send %d processed %d times by P%d in the new epoch, want %d",
+						i+1, recs[s].Seq, s, m.ID, n, m.Dst, want)
+				}
+				delivered += want
+			}
+		}
+	}
+	return delivered, nil
+}
+
+// holds reports whether the state rec captured already reflects the
+// receive of message id.
+func holds(rec *checkpoint.Record, id int64) bool {
+	if rec.JoinedBy == id {
+		return true
+	}
+	for _, m := range rec.Log {
+		if m.Dir == checkpoint.Received && m.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // plantDebris plants the crash-point debris the schedule picked for a

@@ -299,6 +299,60 @@ func TestClusterKillRestart(t *testing.T) {
 	}
 }
 
+// TestRecoveryDeliversLoggedSends: a send the recovery line logged may
+// have been in flight across the line. After a kill and recover, each
+// such send whose receiver's line record does not hold it is processed by
+// the receiver exactly once in the new epoch. (Before the host re-sent
+// the line's log, every seed left some of them unprocessed for good.)
+func TestRecoveryDeliversLoggedSends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	var delivered [3]int
+	t.Run("seeds", func(t *testing.T) {
+		for seed := int64(1); seed <= int64(len(delivered)); seed++ {
+			t.Run(fmt.Sprint(seed), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				cfg := testClusterConfig(dir, seed)
+				cfg.Workload.Steps = 100000 // the test stops the cluster
+				c, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Start()
+				defer c.Stop()
+				waitFor(t, 20*time.Second, func() bool {
+					last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+					return err == nil && last >= 2
+				})
+				c.Kill(1)
+				time.Sleep(50 * time.Millisecond)
+				line, err := c.Recover(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := lineRecords(c.Ckpts, line)
+				waitFor(t, 20*time.Second, func() bool {
+					last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+					return err == nil && last >= line+1
+				})
+				time.Sleep(cfg.Drain) // the last retransmissions to the restarted victim
+				c.Stop()
+				n, err := checkLoggedSends(c.Rec.Events(), [][]checkpoint.Record{recs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered[seed-1] = n
+			})
+		}
+	})
+	if delivered == [3]int{} {
+		t.Fatal("no logged send of any line needed delivering: the test exercised nothing")
+	}
+	t.Logf("logged sends processed in the new epoch, by seed: %v", delivered)
+}
+
 // TestRecoverNeedsNoRetryTick: with traffic running, a recovery begun the
 // moment after the kill completes its first exchange without a resend —
 // the coordinator sends each survivor one RB_BGN, not two. The survivors'

@@ -270,7 +270,7 @@ func (n *Node) Start() {
 		n.post(func() {
 			rec, _ := n.cfg.Ckpts.Proc(n.cfg.ID).Latest() // the one the protocol continues from
 			n.mReplayed.Add(int64(n.h.Restore(&rec)))
-			n.h.RestartApp(rec.CFEProgress)
+			n.h.Resume(&rec)
 		})
 	} else {
 		n.post(n.h.StartApp)
@@ -597,9 +597,8 @@ func (n *Node) Image() (int64, des.Duration) { return 1 << 20, 0 }
 // AppSent implements host.Driver.
 func (n *Node) AppSent(*protocol.Envelope) { n.count("app_msgs", 1) }
 
-// Admit implements host.Driver: TCP connections neither duplicate nor
-// replay, so every delivered application message is processed.
-func (n *Node) Admit(*protocol.Envelope) bool { return true }
+// Admit implements host.Driver (nothing is measured here).
+func (n *Node) Admit(*protocol.Envelope) {}
 
 // Stalled implements host.Driver (stall time is not measured here).
 func (n *Node) Stalled(bool) {}

@@ -66,8 +66,9 @@ func (n *Node) durableSeqs() []int {
 
 // rollbackTo executes a committed rollback in memory: the host's rollback
 // step (fetch the line's record, discard the checkpoints above it, fence
-// the epoch, replay the line's message log, rewind the protocol) and the
-// application restart. A line this process never finalized is refused:
+// the epoch, replay the line's message log, rewind the protocol) and its
+// resumption (re-send the line's logged sends, filter what the line holds,
+// restart the application). A line this process never finalized is refused:
 // the commit stays unacknowledged, so the coordinator's timeout surfaces
 // the inconsistency instead of the cluster silently diverging. The
 // Participant calls it, through rbProcess, from handleRecovery only.
@@ -78,7 +79,7 @@ func (n *Node) rollbackTo(line, epoch int) {
 		return
 	}
 	n.mReplayed.Add(int64(replayed))
-	n.h.RestartApp(rec.CFEProgress)
+	n.h.Resume(&rec)
 	n.recLine = line
 	n.count("recovery.rollbacks", 1)
 	n.mRollbacks.Inc()

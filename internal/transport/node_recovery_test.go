@@ -5,6 +5,7 @@ package transport
 // first RB_CMT and for every rebroadcast of it.
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -29,11 +30,16 @@ type rbRig struct {
 	fs      *fsstore.Store
 	peer    *Mesh
 	replies chan *protocol.Envelope
+	apps    chan *protocol.Envelope // the application frames the node sent process 1
 }
 
-func newRbRig(t *testing.T) *rbRig {
+func newRbRig(t *testing.T) *rbRig { return newRbRigWith(t, rewindApp{}, nil) }
+
+// newRbRigWith is newRbRig with the node running app, and checkpoint seq
+// logging log[seq].
+func newRbRigWith(t *testing.T, app protocol.App, log map[int][]checkpoint.LoggedMsg) *rbRig {
 	t.Helper()
-	r := &rbRig{t: t, replies: make(chan *protocol.Envelope, 64)}
+	r := &rbRig{t: t, replies: make(chan *protocol.Envelope, 64), apps: make(chan *protocol.Envelope, 64)}
 	datadir := t.TempDir()
 	fs, err := fsstore.Open(datadir, 0, 2)
 	if err != nil {
@@ -44,7 +50,7 @@ func newRbRig(t *testing.T) *rbRig {
 	lns, addrs := listenLocal(t, 2)
 	r.node, err = NewNode(NodeConfig{
 		ID: 0, N: 2, Addrs: addrs, Listener: lns[0], Seed: 1, Resume: -1,
-		Proto: core.New(core.Options{}), App: rewindApp{}, FS: fs,
+		Proto: core.New(core.Options{}), App: app, FS: fs,
 		Rec: trace.NewRecorder(), Ckpts: ckpts,
 	})
 	if err != nil {
@@ -53,8 +59,13 @@ func newRbRig(t *testing.T) *rbRig {
 	r.peer, err = NewMesh(MeshConfig{ID: 1, Addrs: addrs, Seed: 1}, lns[1], func(int) func([]byte) {
 		dec := new(wire.Decoder) // the node writes stream frames: one decoder per connection
 		return func(frame []byte) {
-			if e, err := dec.DecodeOwned(frame); err == nil && protocol.IsRecoveryTag(e.CtlTag) {
+			e, err := dec.DecodeOwned(frame)
+			switch {
+			case err != nil:
+			case protocol.IsRecoveryTag(e.CtlTag):
 				r.replies <- e
+			case e.Kind == protocol.KindApp:
+				r.apps <- e
 			}
 		}
 	})
@@ -68,7 +79,7 @@ func newRbRig(t *testing.T) *rbRig {
 	// started and recorded the initial one.
 	r.waitEpoch(0)
 	for seq := 1; seq <= 3; seq++ {
-		rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 0, Seq: seq}, FinalizedAt: 1}
+		rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 0, Seq: seq}, FinalizedAt: 1, Log: log[seq]}
 		ckpts.Proc(0).Add(rec)
 		if err := fs.Finalize(rec); err != nil {
 			t.Fatal(err)
@@ -128,6 +139,45 @@ type rewindApp struct{ nopApp }
 
 func (rewindApp) Progress() int64                { return 0 }
 func (rewindApp) Restore(protocol.AppCtx, int64) {}
+
+// sendOnRestore is a rewindable application whose first act after a
+// rollback is one fresh send to process 1.
+type sendOnRestore struct{ rewindApp }
+
+func (sendOnRestore) Restore(ctx protocol.AppCtx, _ int64) { ctx.Send(1, protocol.AppMsg{Bytes: 8}) }
+
+// TestRollbackResendsLineLog: a survivor's rollback re-sends every Sent
+// entry of its line record, under its original ID and application
+// sequence number, in the new epoch and ahead of the restarted
+// application's first send. The entries of other lines and the received
+// ones are not sent.
+func TestRollbackResendsLineLog(t *testing.T) {
+	sent := func(id, appSeq int64) checkpoint.LoggedMsg {
+		return checkpoint.LoggedMsg{ID: id, Src: 0, Dst: 1, Dir: checkpoint.Sent, Bytes: 64, Tag: uint64(id), AppSeq: appSeq}
+	}
+	r := newRbRigWith(t, sendOnRestore{}, map[int][]checkpoint.LoggedMsg{
+		1: {sent(401, 3)},
+		2: {sent(501, 7), {ID: 9, Src: 1, Dst: 0, Dir: checkpoint.Received, Tag: 9}, sent(502, 8)},
+		3: {sent(601, 9)},
+	})
+	r.send(protocol.TagRbCommit, protocol.RbMsg{Round: 1, Line: 2, Epoch: 1})
+	var got []string
+	for len(got) < 3 {
+		select {
+		case e := <-r.apps:
+			got = append(got, fmt.Sprintf("id=%d seq=%d tag=%d epoch=%d", e.ID, e.App.Seq, e.App.Tag, e.Epoch))
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the node sent %v after the rollback, want three application frames", got)
+		}
+	}
+	want := []string{"id=501 seq=7 tag=501 epoch=1", "id=502 seq=8 tag=502 epoch=1"}
+	if !reflect.DeepEqual(got[:2], want) {
+		t.Fatalf("first frames after the rollback %v, want the line's logged sends %v", got, want)
+	}
+	if v, _ := r.node.cfg.Metrics.Value(metrics.EventFamily, "recovery.reinjected"); v != 2 {
+		t.Fatalf("recovery.reinjected = %d, want 2", v)
+	}
+}
 
 // TestDuplicateCommitAckWaitsForTruncation: the in-memory rollback raises
 // the epoch at once, the disk follows on the storage goroutine. A

@@ -29,6 +29,7 @@ func AppendRecord(buf []byte, rec *checkpoint.Record) []byte {
 	buf = binary.AppendVarint(buf, rec.Work)
 	buf = binary.AppendVarint(buf, rec.Progress)
 	buf = binary.AppendVarint(buf, int64(rec.FlushedAt))
+	buf = binary.AppendVarint(buf, rec.JoinedBy)
 	buf = binary.AppendVarint(buf, int64(rec.FinalizedAt))
 	buf = binary.LittleEndian.AppendUint64(buf, rec.CFEFold)
 	buf = binary.AppendVarint(buf, rec.CFEWork)
@@ -82,7 +83,7 @@ func DecodeRecord(data []byte) (checkpoint.Record, error) {
 	}
 	rec := checkpoint.Record{
 		Tentative: checkpoint.Tentative{Proc: int(vint()), Seq: int(vint()), TakenAt: des.Time(vint()),
-			StateBytes: vint(), Fold: u64(), Work: vint(), Progress: vint(), FlushedAt: des.Time(vint())},
+			StateBytes: vint(), Fold: u64(), Work: vint(), Progress: vint(), FlushedAt: des.Time(vint()), JoinedBy: vint()},
 		FinalizedAt: des.Time(vint()), CFEFold: u64(), CFEWork: vint(), CFEProgress: vint(), StableAt: des.Time(vint()),
 	}
 	var count uint64

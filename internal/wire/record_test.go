@@ -22,7 +22,7 @@ func sampleRecords() []checkpoint.Record {
 		},
 		{ // an OCSML record with its selective log
 			Tentative: checkpoint.Tentative{Proc: 3, Seq: 42, TakenAt: 42_000_000, StateBytes: 1 << 20,
-				Fold: 0x9e3779b97f4a7c15, Work: 420, Progress: 417, FlushedAt: 42_000_300},
+				Fold: 0x9e3779b97f4a7c15, Work: 420, Progress: 417, FlushedAt: 42_000_300, JoinedBy: 4199},
 			Log: []checkpoint.LoggedMsg{
 				{ID: 4200, Src: 3, Dst: 0, Dir: checkpoint.Sent, SentAt: 42_000_010, LoggedAt: 42_000_010, Bytes: 2048, Tag: 1, AppSeq: 90},
 				{ID: 4201, Src: 1, Dst: 3, Dir: checkpoint.Received, SentAt: 41_999_990, LoggedAt: 42_000_020, Bytes: 64, Tag: math.MaxUint64, AppSeq: 17},
@@ -31,7 +31,8 @@ func sampleRecords() []checkpoint.Record {
 		},
 		{ // extremes: every delta and varint at its limits
 			Tentative: checkpoint.Tentative{Proc: math.MaxInt32, Seq: math.MaxInt64, TakenAt: math.MinInt64,
-				StateBytes: -1, Fold: math.MaxUint64, Work: math.MinInt64, Progress: math.MaxInt64, FlushedAt: -1},
+				StateBytes: -1, Fold: math.MaxUint64, Work: math.MinInt64, Progress: math.MaxInt64, FlushedAt: -1,
+				JoinedBy: math.MinInt64},
 			Log: []checkpoint.LoggedMsg{
 				{ID: math.MinInt64, Src: -1, Dst: math.MaxInt64, Dir: checkpoint.Received,
 					SentAt: math.MaxInt64, LoggedAt: math.MinInt64, Bytes: math.MinInt64, AppSeq: math.MaxInt64},

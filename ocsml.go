@@ -224,11 +224,13 @@ type LiveRecoveryReport struct {
 	// CheckpointsDiscarded counts finalized checkpoints above the line
 	// that were rolled back.
 	CheckpointsDiscarded int64
-	// Reinjected counts logged messages re-delivered to rebuild the
-	// channel state.
+	// Reinjected counts the logged sends of the line's records that their
+	// senders re-sent, under their original IDs, to rebuild the channel
+	// state.
 	Reinjected int64
-	// DuplicatesDropped counts re-deliveries suppressed because the
-	// message was already inside the restored state.
+	// DuplicatesDropped counts the arrivals a receiver dropped because its
+	// own line record already holds them: logged as received, or the
+	// message it joined the round on.
 	DuplicatesDropped int64
 	// StaleDropped counts pre-failure in-flight envelopes discarded at
 	// the epoch boundary.
