@@ -90,8 +90,13 @@ fuzz:
 # skip-consume, forget-join) must yield a counterexample trace, and each
 # trace must replay under tracecheck exhibiting the claimed orphan /
 # replay-gap / unheld-join / Z-cycle violation (tracecheck exiting 1 is
-# the expected outcome per trace). PR CI runs the small default bounds
-# (~5 s); the nightly soak passes MODEL_INITS=2 for the full sweep (~1 min).
+# the expected outcome per trace). Last, tracecheck must also pass what is
+# correct, so a checker that flags everything fails the gate: a simulated
+# trace of every coordinated protocol (OCSML also with a crash and
+# rollback) must exit 0 with one "consistent" line per S_k the simulator
+# verified and no Z-cycle, and an uncoordinated trace must show a Z-cycle.
+# PR CI runs the small default bounds (~5 s); the nightly soak passes
+# MODEL_INITS=2 for the full sweep (~1 min).
 MODEL_N ?= 3
 MODEL_MSGS ?= 4
 MODEL_INITS ?= 1
@@ -110,6 +115,19 @@ model-check:
 			echo "$$f: tracecheck reproduced NO violation"; exit 1; \
 		else echo "$$f: violation reproduced under tracecheck"; fi; \
 	done
+	$(GO) build -o bin/ckptsim ./cmd/ckptsim
+	@for run in ocsml "ocsml -fail-at 2s" chandy-lamport koo-toueg staggered bcs-cic; do \
+		f=$(MODEL_OUT)/ok-$$(echo $$run | tr -c 'a-z0-9\n' '-').jsonl; \
+		want=$$(bin/ckptsim -proto $$run -n 6 -steps 400 -interval 1s -trace-out $$f | sed -n 's/^global checkpoints *//p'); \
+		out=$$(bin/tracecheck -n 6 -zcycle $$f) || { echo "$$out"; echo "$$f: tracecheck flagged a correct trace"; exit 1; }; \
+		got=$$(printf '%s\n' "$$out" | grep -c '^S_[0-9 ]* consistent '); \
+		if [ "$$got" != "$$want" ]; then echo "$$f: $$got consistent S_k, the simulator verified $$want"; exit 1; fi; \
+		echo "$$f: $$got S_k consistent, no Z-cycle"; \
+	done
+	@f=$(MODEL_OUT)/uncoordinated.jsonl; \
+	bin/ckptsim -proto uncoordinated -n 6 -steps 400 -interval 1s -trace-out $$f >/dev/null; \
+	if bin/tracecheck -n 6 -zcycle $$f | grep -q '^zcycle: Z-CYCLE'; then echo "$$f: Z-cycle reported"; \
+	else echo "$$f: tracecheck reported no Z-cycle in an uncoordinated trace"; exit 1; fi
 
 # results-check is the DES regression gate: the checked-in results/*.csv
 # are a pure function of the simulator (fixed seeds, virtual time), so a

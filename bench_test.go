@@ -43,16 +43,14 @@ func BenchmarkF1_Checker(b *testing.B) {
 			}
 		}
 	}
+	seqs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cut, ok := rec.CutAt(n, trace.KCheckpoint, 0)
-		if !ok {
-			b.Fatal("no cut")
-		}
-		rep := rec.CheckCut(cut)
-		if !rep.Consistent() {
-			b.Fatal("inconsistent")
+		for _, g := range rec.CheckGlobals(n, trace.KCheckpoint, seqs) {
+			if !g.Complete || !g.Consistent() {
+				b.Fatalf("S_%d: complete %v, %d orphans", g.Seq, g.Complete, len(g.Orphans))
+			}
 		}
 	}
 }

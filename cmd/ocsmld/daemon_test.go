@@ -141,8 +141,8 @@ func (d *daemons) validateAbove(line int) {
 	}
 	for p := range d.procs {
 		for _, r := range st.Proc(p).All() {
-			if got := checkpoint.FoldLog(r.Fold, r.Log); got != r.CFEFold {
-				d.t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, got, r.CFEFold)
+			if !r.Replays() {
+				d.t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, checkpoint.FoldLog(r.Fold, r.Log), r.CFEFold)
 			}
 		}
 	}

@@ -11,8 +11,9 @@
 //	         received inside a finalized tentative interval must have a
 //	         matching log-send/log-recv event (requires a trace with log
 //	         events, e.g. a counterexample from cmd/ocsmlcheck)
-//	-zcycle  Z-cycle freedom: the rollback-dependency graph over
-//	         checkpoint intervals must be acyclic (Netzer–Xu)
+//	-zcycle  Z-cycle freedom: no path in the rollback-dependency graph
+//	         over checkpoint intervals may lead back to an earlier
+//	         interval of the same process (Netzer–Xu)
 //
 // Usage:
 //
@@ -55,71 +56,29 @@ func main() {
 	}
 	fmt.Printf("%d events, %s\n", len(events), trace.Summarize(events))
 
-	cutKind := trace.KFinalize
-	switch *kind {
-	case "finalize":
-	case "checkpoint":
-		cutKind = trace.KCheckpoint
-	case "auto":
-		fin := 0
-		for _, e := range events {
-			if e.Kind == trace.KFinalize {
-				fin++
-			}
-		}
-		if fin == 0 {
-			cutKind = trace.KCheckpoint
-		}
-	default:
+	kinds := map[string]trace.Kind{"auto": trace.CutKind(events), "finalize": trace.KFinalize, "checkpoint": trace.KCheckpoint}
+	cutKind, ok := kinds[*kind]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown -kind %q\n", *kind)
 		os.Exit(2)
 	}
-
-	// Collect candidate sequence numbers.
-	seqSet := map[int]bool{}
-	for _, e := range events {
-		if (e.Kind == cutKind || (cutKind == trace.KCheckpoint && e.Kind == trace.KForced)) && e.Seq > 0 {
-			seqSet[e.Seq] = true
-		}
-	}
-	if len(seqSet) == 0 {
+	seqs := trace.CutSeqs(events, cutKind)
+	if len(seqs) == 0 {
 		fmt.Println("no checkpoint cut events in trace")
 		os.Exit(1)
 	}
-	maxSeq := 0
-	for s := range seqSet {
-		if s > maxSeq {
-			maxSeq = s
-		}
-	}
-
-	// A throwaway recorder re-hosting the events gives us CutAt.
-	rec := trace.NewRecorder()
-	for _, e := range events {
-		rec.Record(trace.Event{
-			T: e.T, Kind: e.Kind, Proc: e.Proc, Peer: e.Peer,
-			MsgID: e.MsgID, Seq: e.Seq, Tag: e.Tag,
-		})
-	}
-
 	bad := 0
-	for seq := 1; seq <= maxSeq; seq++ {
-		if !seqSet[seq] {
-			continue
-		}
-		cut, ok := rec.CutAt(*n, cutKind, seq)
-		if !ok {
-			fmt.Printf("S_%-3d incomplete (missing cut events on some processes)\n", seq)
-			continue
-		}
-		rep := rec.CheckCut(cut)
-		if rep.Consistent() {
-			fmt.Printf("S_%-3d consistent   in-flight=%d\n", seq, len(rep.InFlight))
-		} else {
+	for _, g := range trace.CheckGlobalEvents(events, *n, cutKind, seqs) {
+		switch {
+		case !g.Complete:
+			fmt.Printf("S_%-3d incomplete (missing cut events on some processes)\n", g.Seq)
+		case g.Consistent():
+			fmt.Printf("S_%-3d consistent   in-flight=%d\n", g.Seq, len(g.InFlight))
+		default:
 			bad++
 			fmt.Printf("S_%-3d INCONSISTENT orphans=%d in-flight=%d\n",
-				seq, len(rep.Orphans), len(rep.InFlight))
-			for _, o := range rep.Orphans {
+				g.Seq, len(g.Orphans), len(g.InFlight))
+			for _, o := range g.Orphans {
 				fmt.Printf("      orphan msg %d: P%d -> P%d\n", o.MsgID, o.Src, o.Dst)
 			}
 		}
@@ -140,6 +99,7 @@ func main() {
 
 	if *zcycle {
 		if cyc := trace.ZCycles(events, cutKind); cyc == nil {
+			// No Z-cycle; cycles of crossing messages are allowed.
 			fmt.Println("zcycle: rollback-dependency graph is acyclic")
 		} else {
 			bad++

@@ -163,16 +163,12 @@ func TestUncoordinatedCutsAreInconsistent(t *testing.T) {
 	// domino-effect setup the recovery analysis quantifies.
 	inconsistent := 0
 	checked := 0
-	for _, seq := range r.Ckpts.CompleteSeqs() {
-		if seq == 0 {
-			continue
-		}
-		cut, ok := r.Trace.CutAt(6, trace.KCheckpoint, seq)
-		if !ok {
+	for _, g := range r.Trace.CheckGlobals(6, trace.KCheckpoint, r.Ckpts.CompleteSeqs()) {
+		if g.Seq == 0 || !g.Complete {
 			continue
 		}
 		checked++
-		if rep := r.Trace.CheckCut(cut); !rep.Consistent() {
+		if !g.Consistent() {
 			inconsistent++
 		}
 	}

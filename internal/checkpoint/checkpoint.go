@@ -108,8 +108,8 @@ type Record struct {
 	// the effective cut point of the checkpoint (paper Eq. 1).
 	FinalizedAt des.Time
 	// CFEFold is the process's state fold at CFE. Replay validation
-	// checks FoldLog(Fold, Log) == CFEFold: restoring CT and replaying
-	// the message log reproduces the state at the cut point exactly.
+	// checks Replays: restoring CT and replaying the message log
+	// reproduces the state at the cut point exactly.
 	CFEFold uint64
 	// CFEWork and CFEProgress are bookkeeping snapshots of the work
 	// counter and application progress at CFE — the values a restored
@@ -123,6 +123,11 @@ type Record struct {
 	// run ended before the write finished.
 	StableAt des.Time
 }
+
+// Replays reports whether restoring the tentative state and replaying the
+// message log reproduces the state at the finalization event: the replay
+// rule recovery relies on (FoldLog(Fold, Log) == CFEFold).
+func (r *Record) Replays() bool { return FoldLog(r.Fold, r.Log) == r.CFEFold }
 
 // LogBytes returns the total payload bytes in the message log.
 func (r *Record) LogBytes() int64 {

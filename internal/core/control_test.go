@@ -14,6 +14,7 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/host/hosttest"
 	"ocsml/internal/protocol"
+	"ocsml/internal/trace"
 )
 
 // mount hosts a started protocol on a simulated driver, optionally
@@ -51,7 +52,8 @@ func sentTags(env *hosttest.Driver) []string {
 func notes(env *hosttest.Driver) string {
 	var out []string
 	for _, ev := range env.Rec.Events() {
-		if ev.Kind.IsCut() {
+		switch ev.Kind {
+		case trace.KTentative, trace.KFinalize, trace.KCheckpoint, trace.KForced:
 			out = append(out, fmt.Sprintf("%s %d", ev.Kind, ev.Seq))
 		}
 	}

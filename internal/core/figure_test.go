@@ -70,7 +70,7 @@ func TestFigure2(t *testing.T) {
 			t.Fatalf("P%d not back to normal", p)
 		}
 		// Replay exactness: CT fold + log replay == fold at CFE.
-		if got := checkpoint.FoldLog(rec.Fold, rec.Log); got != rec.CFEFold {
+		if !rec.Replays() {
 			t.Fatalf("P%d: log replay fold mismatch", p)
 		}
 	}

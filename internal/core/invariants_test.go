@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ocsml/internal/checkpoint"
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/engine"
@@ -71,7 +70,7 @@ func checkInvariants(t *testing.T, r *engine.Result, protos []*core.Protocol) {
 				t.Fatalf("P%d C_%d finalized before taken", p, rec.Seq)
 			}
 			// Replay exactness: CT state + log replay == state at CFE.
-			if got := checkpoint.FoldLog(rec.Fold, rec.Log); got != rec.CFEFold {
+			if !rec.Replays() {
 				t.Fatalf("P%d C_%d: replay fold mismatch (log len %d)", p, rec.Seq, len(rec.Log))
 			}
 		}

@@ -103,46 +103,32 @@ func (r *Result) CounterNames() []string {
 	return names
 }
 
-// CutKind returns the trace event kind that marks this protocol's cut
-// points: KFinalize for the paper's two-phase checkpoints, KCheckpoint for
-// monolithic baselines. It inspects the trace.
-func (r *Result) CutKind() trace.Kind {
-	if r.Trace.CountKind(trace.KFinalize) > 0 {
-		return trace.KFinalize
-	}
-	return trace.KCheckpoint
-}
-
 // CheckGlobal verifies the consistency of global checkpoint S_seq against
 // the trace. It returns an error when the cut cannot be constructed or is
 // inconsistent.
-func (r *Result) CheckGlobal(seq int) error {
-	kind := r.CutKind()
-	cut, ok := r.Trace.CutAt(r.Cfg.N, kind, seq)
-	if !ok {
-		return fmt.Errorf("no complete %v cut for seq %d", kind, seq)
-	}
-	rep := r.Trace.CheckCut(cut)
-	if !rep.Consistent() {
-		return fmt.Errorf("S_%d inconsistent: %d orphan message(s), first %+v",
-			seq, len(rep.Orphans), rep.Orphans[0])
-	}
-	return nil
-}
+func (r *Result) CheckGlobal(seq int) error { return r.checkGlobals([]int{seq}) }
 
-// CheckAllGlobals verifies every complete global checkpoint in the run.
-// It returns the checked sequence numbers.
+// CheckAllGlobals verifies every complete global checkpoint in the run, in
+// one walk of the trace. It returns the checked sequence numbers.
 func (r *Result) CheckAllGlobals() ([]int, error) {
 	seqs := r.Ckpts.CompleteSeqs()
-	for _, seq := range seqs {
-		if seq == 0 {
-			continue // initial state, no cut events exist
+	return seqs, r.checkGlobals(seqs)
+}
+
+// checkGlobals reports the first of seqs whose S_k the trace holds
+// incomplete or inconsistent.
+func (r *Result) checkGlobals(seqs []int) error {
+	kind := r.Trace.CutKind()
+	for _, g := range r.Trace.CheckGlobals(r.Cfg.N, kind, seqs) {
+		if !g.Complete {
+			return fmt.Errorf("no complete %v cut for seq %d", kind, g.Seq)
 		}
-		if err := r.CheckGlobal(seq); err != nil {
-			return seqs, err
+		if !g.Consistent() {
+			return fmt.Errorf("S_%d inconsistent: %d orphan message(s), first %+v",
+				g.Seq, len(g.Orphans), g.Orphans[0])
 		}
 	}
-	return seqs, nil
+	return nil
 }
 
 // GlobalCheckpoints returns how many complete global checkpoints the run

@@ -181,7 +181,7 @@ func (h *Host) Crash() { h.down = true }
 // divergence rather than inventing a new history.
 func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
 	h.fold, h.work = rec.CFEFold, rec.CFEWork
-	if checkpoint.FoldLog(rec.Fold, rec.Log) != rec.CFEFold {
+	if !rec.Replays() {
 		h.count("recovery.replay_mismatch", 1)
 		return 0
 	}

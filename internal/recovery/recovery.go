@@ -78,18 +78,6 @@ func (a *Analysis) LostWorkFraction() float64 {
 	return float64(a.LostWork) / float64(a.TotalWork)
 }
 
-// cutEventIndex maps (proc, seq) to the GSeq of its cut event.
-func cutEventIndex(events []trace.Event, kind trace.Kind) map[[2]int]int64 {
-	idx := map[[2]int]int64{}
-	for _, e := range events {
-		match := e.Kind == kind || (kind == trace.KCheckpoint && e.Kind == trace.KForced)
-		if match {
-			idx[[2]int{e.Proc, e.Seq}] = e.GSeq
-		}
-	}
-	return idx
-}
-
 // Coordinated analyzes recovery for a protocol whose equal-seq checkpoints
 // form consistent global checkpoints (the paper's algorithm and the
 // coordinated baselines). The failure is assumed to occur at the end of
@@ -125,7 +113,12 @@ func Coordinated(r *engine.Result) (*Analysis, error) {
 		}
 	}
 	if seq > 0 {
-		if err := classifyInFlight(r, a, r.CutKind(), a.LineSeqs); err != nil {
+		line := r.Trace.CheckGlobals(n, r.Trace.CutKind(), []int{seq})[0]
+		if !line.Complete || !line.Consistent() {
+			return nil, fmt.Errorf("recovery: line %d has no consistent cut (complete %v, %d orphans)",
+				seq, line.Complete, len(line.Orphans))
+		}
+		if err := classifyInFlight(r, a, line.Report); err != nil {
 			return nil, err
 		}
 	}
@@ -143,7 +136,6 @@ func Domino(r *engine.Result, kind trace.Kind) (*Analysis, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("recovery: empty trace (enable tracing)")
 	}
-	idx := cutEventIndex(events, kind)
 
 	// Latest checkpoint seq per process.
 	cur := make([]int, n)
@@ -153,25 +145,16 @@ func Domino(r *engine.Result, kind trace.Kind) (*Analysis, error) {
 			return nil, fmt.Errorf("recovery: P%d has no checkpoints", p)
 		}
 	}
-	cutOf := func() trace.Cut {
-		cut := trace.NewCut(n)
-		for p := 0; p < n; p++ {
-			if cur[p] > 0 {
-				g, ok := idx[[2]int{p, cur[p]}]
-				if !ok {
-					panic(fmt.Sprintf("recovery: no trace event for P%d checkpoint %d", p, cur[p]))
-				}
-				cut.At[p] = g
-			} // seq 0 = before all events → cut.At stays 0
-		}
-		return cut
-	}
 
 	a := &Analysis{Rollbacks: make([]int, n), TotalWork: r.TotalWork}
+	var rep trace.Report
 	for {
 		a.Iterations++
-		rep := trace.CheckEvents(events, cutOf())
-		if rep.Consistent() {
+		cut, ok := trace.LineCut(events, kind, cur)
+		if !ok {
+			return nil, fmt.Errorf("recovery: line %v has a checkpoint with no cut event", cur)
+		}
+		if rep = trace.CheckEvents(events, cut); rep.Consistent() {
 			break
 		}
 		rolled := false
@@ -197,37 +180,20 @@ func Domino(r *engine.Result, kind trace.Kind) (*Analysis, error) {
 			a.LostWork += w
 		}
 	}
-	if err := classifyInFlight(r, a, kind, cur); err != nil {
+	if err := classifyInFlight(r, a, rep); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// classifyInFlight finds messages crossing the recovery line and checks
-// which are reconstructible from stored logs.
-func classifyInFlight(r *engine.Result, a *Analysis, kind trace.Kind, seqs []int) error {
-	n := r.Cfg.N
-	events := r.Trace.Events()
-	idx := cutEventIndex(events, kind)
-	cut := trace.NewCut(n)
-	for p := 0; p < n; p++ {
-		if seqs[p] > 0 {
-			g, ok := idx[[2]int{p, seqs[p]}]
-			if !ok {
-				return fmt.Errorf("recovery: no cut event for P%d seq %d", p, seqs[p])
-			}
-			cut.At[p] = g
-		}
-	}
-	rep := trace.CheckEvents(events, cut)
-	if !rep.Consistent() {
-		return fmt.Errorf("recovery: selected line is inconsistent (%d orphans)", len(rep.Orphans))
-	}
+// classifyInFlight counts the messages rep finds crossing the recovery
+// line a.LineSeqs and which of them the line's logs can reconstruct.
+func classifyInFlight(r *engine.Result, a *Analysis, rep trace.Report) error {
 	logged := map[int64]bool{}
-	for p := 0; p < n; p++ {
-		rec, ok := r.Ckpts.Proc(p).Get(seqs[p])
+	for p, seq := range a.LineSeqs {
+		rec, ok := r.Ckpts.Proc(p).Get(seq)
 		if !ok {
-			return fmt.Errorf("recovery: missing record P%d seq %d", p, seqs[p])
+			return fmt.Errorf("recovery: missing record P%d seq %d", p, seq)
 		}
 		for _, m := range rec.Log {
 			logged[m.ID] = true
@@ -253,7 +219,7 @@ func ValidateReplay(r *engine.Result) error {
 			if rec.Seq == 0 {
 				continue
 			}
-			if got := checkpoint.FoldLog(rec.Fold, rec.Log); got != rec.CFEFold {
+			if !rec.Replays() {
 				return fmt.Errorf("replay mismatch at P%d seq %d (log %d entries)",
 					p, rec.Seq, len(rec.Log))
 			}

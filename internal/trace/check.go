@@ -1,6 +1,11 @@
 package trace
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // This file holds the two offline trace analyses behind the paper's
 // remaining safety claims, shared by cmd/tracecheck and the protomodel
@@ -12,9 +17,9 @@ import "fmt"
 //     every logged send its receiver processed before finalizing the same
 //     round is held by the receiver's checkpoint (logged, or joined on),
 //     so recovery, which re-sends the line's logged sends, drops it;
-//   - Z-cycle freedom: the rollback-dependency graph over checkpoint
-//     intervals (Netzer–Xu / Wang) is acyclic, so no finalized
-//     checkpoint is useless.
+//   - Z-cycle freedom: no path in the rollback-dependency graph over
+//     checkpoint intervals (Netzer–Xu / Wang) leads back to an earlier
+//     interval of the same process, so no finalized checkpoint is useless.
 
 // A ReplayGap is one message that the selective log fails to cover.
 type ReplayGap struct {
@@ -135,125 +140,129 @@ type Interval struct {
 
 func (iv Interval) String() string { return fmt.Sprintf("I(P%d,%d)", iv.Proc, iv.Index) }
 
-// ZCycles detects Z-cycles through the trace's checkpoints using the
-// rollback-dependency graph: one node per checkpoint interval, a
-// program-order edge between a process's consecutive intervals, and an
-// edge from the sender's interval to the receiver's interval for every
-// application message. A cycle means rolling back some checkpoint
-// forces a rollback past itself — the checkpoint is useless (Netzer–Xu
-// Z-cycle). The paper's Theorem 2 implies the graph is acyclic for
-// OCSML traces; an orphan message introduces the back edge that closes
-// a cycle. Returns the first cycle found as an interval sequence, nil
-// when acyclic.
+// ZCycles looks for a Z-cycle (Netzer–Xu) in the rollback-dependency
+// graph of events, in GSeq order: one node per checkpoint interval, a
+// program-order edge from each interval of a process to its next, and an
+// edge from the sender's interval to the receiver's for every application
+// message. A Z-cycle is a path from an interval back to an earlier interval
+// of the same process: the checkpoint between them is useless, since
+// rolling back to it forces a rollback past it. One exists exactly when a
+// strongly connected component holds two intervals of one process; any
+// other cycle, such as two messages crossing between one pair of
+// intervals, makes no checkpoint useless. The paper's Theorem 2 implies
+// OCSML traces have none; an orphan message closes one. Returns the first
+// Z-cycle found, through two intervals of one process, or nil.
 func ZCycles(events []Event, cutKind Kind) []Interval {
-	// Interval index of event g for proc p = number of p's cut events
-	// with smaller GSeq.
-	cuts := map[int][]int64{}
-	for _, e := range events {
-		if e.Kind == cutKind || (cutKind == KCheckpoint && e.Kind == KForced) {
-			cuts[e.Proc] = append(cuts[e.Proc], e.GSeq)
-		}
-	}
-	index := func(proc int, g int64) int {
-		n := 0
-		for _, cg := range cuts[proc] {
-			if cg < g {
-				n++
-			}
-		}
-		return n
-	}
-
 	edges := map[Interval]map[Interval]bool{}
 	addEdge := func(a, b Interval) {
-		if a == b {
-			return
-		}
-		if edges[a] == nil {
-			edges[a] = map[Interval]bool{}
-		}
-		edges[a][b] = true
-	}
-	for proc, cs := range cuts {
-		for x := 0; x < len(cs); x++ {
-			addEdge(Interval{proc, x}, Interval{proc, x + 1})
+		if a != b {
+			if edges[a] == nil {
+				edges[a] = map[Interval]bool{}
+			}
+			edges[a][b] = true
 		}
 	}
-	// Message edges need both endpoints; pair sends with receives.
-	sends := map[int64]Event{}
+	now := map[int]int{} // process → its interval: the cut events it has had so far
+	sentIn := map[int64]Interval{}
 	for _, e := range events {
-		switch e.Kind {
-		case KSend:
-			sends[e.MsgID] = e
-		case KRecv:
-			s, ok := sends[e.MsgID]
-			if !ok {
-				continue
+		switch {
+		case isCut(cutKind, e.Kind):
+			addEdge(Interval{e.Proc, now[e.Proc]}, Interval{e.Proc, now[e.Proc] + 1})
+			now[e.Proc]++
+		case e.Kind == KSend:
+			sentIn[e.MsgID] = Interval{e.Proc, now[e.Proc]}
+		case e.Kind == KRecv:
+			if from, ok := sentIn[e.MsgID]; ok {
+				addEdge(from, Interval{e.Proc, now[e.Proc]})
 			}
-			addEdge(Interval{s.Proc, index(s.Proc, s.GSeq)},
-				Interval{e.Proc, index(e.Proc, e.GSeq)})
 		}
 	}
+	succs := func(a Interval) []Interval { return sortIntervals(slices.Collect(maps.Keys(edges[a]))) }
 
-	// DFS cycle detection with deterministic order (sorted nodes).
-	var nodes []Interval
-	for a := range edges {
-		nodes = append(nodes, a)
-	}
-	sortIntervals(nodes)
-	const (
-		white = iota
-		gray
-		black
-	)
-	color := map[Interval]int{}
-	var stack []Interval
-	var cycle []Interval
-	var visit func(a Interval) bool
-	visit = func(a Interval) bool {
-		color[a] = gray
-		stack = append(stack, a)
-		var succs []Interval
-		for b := range edges[a] {
-			succs = append(succs, b)
-		}
-		sortIntervals(succs)
-		for _, b := range succs {
-			switch color[b] {
-			case gray:
-				// Found: slice the stack from b's occurrence.
-				for i, s := range stack {
-					if s == b {
-						cycle = append(append([]Interval(nil), stack[i:]...), b)
-						return true
-					}
+	// Tarjan's components, found by a depth-first search in sorted order
+	// that keeps its path. A back edge reports the cycle it closes along
+	// the path when that runs through two intervals of one process; a
+	// finished component that holds two intervals of one process, and so
+	// two consecutive ones, and that no back edge reported is reported as
+	// the cycle through those two. order is 0 before a visit and -1 once
+	// a node's component is finished.
+	order, low := map[Interval]int{}, map[Interval]int{}
+	var stack, path []Interval
+	var visit func(a Interval) []Interval
+	visit = func(a Interval) []Interval {
+		order[a], low[a] = len(order)+1, len(order)+1
+		stack, path = append(stack, a), append(path, a)
+		for _, b := range succs(a) {
+			switch {
+			case order[b] == 0:
+				if cyc := visit(b); cyc != nil {
+					return cyc
 				}
-			case white:
-				if visit(b) {
-					return true
+				low[a] = min(low[a], low[b])
+			case order[b] > 0:
+				low[a] = min(low[a], order[b])
+				if i := slices.Index(path, b); i >= 0 && oneProcTwice(path[i:]) {
+					return append(slices.Clone(path[i:]), b)
 				}
 			}
 		}
-		stack = stack[:len(stack)-1]
-		color[a] = black
-		return false
+		path = path[:len(path)-1]
+		if low[a] == order[a] {
+			i := slices.Index(stack, a)
+			comp := stack[i:]
+			stack = stack[:i]
+			for _, c := range comp {
+				order[c] = -1
+				if next := (Interval{c.Proc, c.Index + 1}); slices.Contains(comp, next) {
+					return append([]Interval{c}, pathTo(next, c, succs, map[Interval]bool{})...)
+				}
+			}
+		}
+		return nil
 	}
-	for _, a := range nodes {
-		if color[a] == white && visit(a) {
-			return cycle
+	for _, a := range sortIntervals(slices.Collect(maps.Keys(edges))) {
+		if order[a] == 0 {
+			if cyc := visit(a); cyc != nil {
+				return cyc
+			}
 		}
 	}
 	return nil
 }
 
-func sortIntervals(ivs []Interval) {
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ivs[j-1], ivs[j]
-			if a.Proc < b.Proc || (a.Proc == b.Proc && a.Index <= b.Index) {
-				break
-			}
-			ivs[j-1], ivs[j] = b, a
+// oneProcTwice reports whether ivs holds two intervals of one process.
+func oneProcTwice(ivs []Interval) bool {
+	seen := map[int]bool{}
+	for _, iv := range ivs {
+		if seen[iv.Proc] {
+			return true
+		}
+		seen[iv.Proc] = true
+	}
+	return false
+}
+
+// pathTo returns a path from a to b in a depth-first search that skips
+// the nodes in seen, or nil when it finds none.
+func pathTo(a, b Interval, succs func(Interval) []Interval, seen map[Interval]bool) []Interval {
+	if a == b {
+		return []Interval{b}
+	}
+	seen[a] = true
+	for _, c := range succs(a) {
+		if seen[c] {
+			continue
+		}
+		if p := pathTo(c, b, succs, seen); p != nil {
+			return append([]Interval{a}, p...)
 		}
 	}
+	return nil
+}
+
+func sortIntervals(ivs []Interval) []Interval {
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
+	})
+	return ivs
 }

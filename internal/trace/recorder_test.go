@@ -47,7 +47,7 @@ func TestRecordBytesPerEvent(t *testing.T) {
 	}
 }
 
-// TestReadsDoNotCopyHistory: CutAt, CountKind and CheckCut read the
+// TestReadsDoNotCopyHistory: CheckGlobals, CountKind and CheckCut read the
 // chunks in place. Over histories of checkpoint events only (no message
 // for CheckCut to pair), what each allocates must not grow with the
 // history.
@@ -66,7 +66,7 @@ func TestReadsDoNotCopyHistory(t *testing.T) {
 		name string
 		read func(r *Recorder)
 	}{
-		{"CutAt", func(r *Recorder) { r.CutAt(n, KFinalize, 3) }},
+		{"CheckGlobals", func(r *Recorder) { r.CheckGlobals(n, KFinalize, []int{3}) }},
 		{"CountKind", func(r *Recorder) { r.CountKind(KFinalize) }},
 		{"CheckCut", func(r *Recorder) { r.CheckCut(Cut{At: []int64{13, 14, 15, 16}}) }},
 	}

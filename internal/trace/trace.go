@@ -10,8 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"iter"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,12 +67,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// IsCut reports whether this event kind can serve as a checkpoint cut
-// point.
-func (k Kind) IsCut() bool {
-	return k == KFinalize || k == KCheckpoint || k == KTentative || k == KForced
 }
 
 // Event is one recorded occurrence.
@@ -242,155 +234,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, h.n)
 	for i := range out {
 		out[i] = h.event(i)
-	}
-	return out
-}
-
-// Cut is a global cut: for each process i, events with GSeq <= At[i]
-// belong to the cut (the "past"). A zero entry means the cut for that
-// process lies before all of its events.
-type Cut struct {
-	At []int64
-}
-
-// NewCut returns a cut before all events for n processes.
-func NewCut(n int) Cut { return Cut{At: make([]int64, n)} }
-
-// MsgCrossing describes a message that crosses a cut.
-type MsgCrossing struct {
-	MsgID    int64
-	Src, Dst int
-	SendG    int64 // GSeq of the send event (0 if unknown)
-	RecvG    int64 // GSeq of the receive event (0 if not received)
-}
-
-// Report is the result of checking a cut for consistency.
-type Report struct {
-	// Orphans are messages received inside the cut but sent outside —
-	// their existence makes the cut inconsistent.
-	Orphans []MsgCrossing
-	// InFlight are messages sent inside the cut but not received inside
-	// (the "channel state"); these are legal but must be replayed or
-	// logged for a complete recovery.
-	InFlight []MsgCrossing
-}
-
-// Consistent reports whether the cut has no orphan messages.
-func (rep *Report) Consistent() bool { return len(rep.Orphans) == 0 }
-
-// CheckCut verifies the cut against all application messages in the trace.
-// Control messages are excluded: they are not part of the computation's
-// state (the paper's consistency definition ranges over application
-// messages).
-func (r *Recorder) CheckCut(cut Cut) Report {
-	return checkCut(r.history().all, cut)
-}
-
-// CheckEvents is CheckCut over an explicit event slice (used by tests and
-// by offline trace files).
-func CheckEvents(events []Event, cut Cut) Report {
-	return checkCut(slices.Values(events), cut)
-}
-
-// checkCut is the checker behind CheckCut and CheckEvents. It walks the
-// events three times: to count the sends, to pair each message's send and
-// receive, and to report each crossing message at its first event.
-func checkCut(events iter.Seq[Event], cut Cut) Report {
-	type endpoints struct {
-		src, dst     int
-		sendG, recvG int64
-	}
-	sends := 0
-	for e := range events {
-		if e.Kind == KSend {
-			sends++
-		}
-	}
-	msgs := make(map[int64]endpoints, sends)
-	for e := range events {
-		switch e.Kind {
-		case KSend:
-			m := msgs[e.MsgID]
-			m.src, m.sendG = e.Proc, e.GSeq
-			if m.recvG == 0 {
-				m.dst = e.Peer
-			}
-			msgs[e.MsgID] = m
-		case KRecv:
-			m, ok := msgs[e.MsgID]
-			if !ok {
-				m.src = e.Peer
-			}
-			m.dst, m.recvG = e.Proc, e.GSeq
-			msgs[e.MsgID] = m
-		}
-	}
-	inside := func(proc int, g int64) bool {
-		if proc < 0 || proc >= len(cut.At) {
-			return false
-		}
-		return g != 0 && g <= cut.At[proc]
-	}
-	var rep Report
-	// Deterministic iteration: walk events, not the map. A message leaves
-	// the map when it is reported, so its other event finds nothing.
-	for e := range events {
-		if e.Kind != KSend && e.Kind != KRecv {
-			continue
-		}
-		m, ok := msgs[e.MsgID]
-		if !ok {
-			continue
-		}
-		delete(msgs, e.MsgID)
-		sendIn := inside(m.src, m.sendG)
-		recvIn := inside(m.dst, m.recvG)
-		cross := MsgCrossing{MsgID: e.MsgID, Src: m.src, Dst: m.dst, SendG: m.sendG, RecvG: m.recvG}
-		switch {
-		case recvIn && !sendIn:
-			rep.Orphans = append(rep.Orphans, cross)
-		case sendIn && !recvIn:
-			rep.InFlight = append(rep.InFlight, cross)
-		}
-	}
-	return rep
-}
-
-// CutAt builds a cut from per-process checkpoint events: for each process,
-// the cut point is its event of the given kind with checkpoint sequence
-// number seq. It returns false if any process lacks such an event.
-//
-// For the paper's protocol the cut of S_k uses kind KFinalize (the CFE
-// events); for monolithic baselines it uses KCheckpoint (and KForced
-// events also count as checkpoints).
-func (r *Recorder) CutAt(n int, kind Kind, seq int) (Cut, bool) {
-	cut := NewCut(n)
-	found := make([]bool, n)
-	h := r.history()
-	for i := range h.n {
-		s := h.slot(i)
-		match := s.kind == kind || (kind == KCheckpoint && s.kind == KForced)
-		if match && int(s.seq) == seq && s.proc >= 0 && int(s.proc) < n {
-			cut.At[s.proc] = int64(i) + 1
-			found[s.proc] = true
-		}
-	}
-	for _, ok := range found {
-		if !ok {
-			return Cut{}, false
-		}
-	}
-	return cut, true
-}
-
-// ProcEvents returns process i's events in order.
-func (r *Recorder) ProcEvents(i int) []Event {
-	var out []Event
-	h := r.history()
-	for j := range h.n {
-		if int(h.slot(j).proc) == i {
-			out = append(out, h.event(j))
-		}
 	}
 	return out
 }

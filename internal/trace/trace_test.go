@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,42 +129,67 @@ func TestNeverReceivedMessage(t *testing.T) {
 	}
 }
 
-func TestCutAt(t *testing.T) {
+func TestCheckGlobalsCuts(t *testing.T) {
 	b := nb()
 	b.ev(KFinalize, 0, -1, 0, 1)
 	b.ev(KFinalize, 1, -1, 0, 1)
-	cut, ok := b.r.CutAt(2, KFinalize, 1)
-	if !ok {
-		t.Fatal("CutAt should find both finalize events")
+	gs := b.r.CheckGlobals(2, KFinalize, []int{1, 2, 0})
+	if !gs[0].Complete || gs[0].Cut.At[0] != 1 || gs[0].Cut.At[1] != 2 {
+		t.Fatalf("S_1 = %+v, want the cut {1, 2}", gs[0])
 	}
-	if cut.At[0] != 1 || cut.At[1] != 2 {
-		t.Fatalf("cut = %+v", cut)
+	if gs[1].Complete || gs[1].Cut.At != nil {
+		t.Fatalf("S_2 = %+v, want incomplete: no finalize event has seq 2", gs[1])
 	}
-	if _, ok := b.r.CutAt(2, KFinalize, 2); ok {
-		t.Fatal("CutAt for missing seq should fail")
+	if !gs[2].Complete || gs[2].Cut.At[0] != 0 || gs[2].Cut.At[1] != 0 {
+		t.Fatalf("S_0 = %+v, want the initial state", gs[2])
 	}
-	if _, ok := b.r.CutAt(3, KFinalize, 1); ok {
-		t.Fatal("CutAt with missing process should fail")
+	if g := b.r.CheckGlobals(3, KFinalize, []int{1})[0]; g.Complete {
+		t.Fatal("S_1 over three processes should be incomplete: P2 has no event")
 	}
 }
 
-func TestCutAtCheckpointIncludesForced(t *testing.T) {
+// TestCheckGlobalsLastEventCounts: a process that finalizes seq k twice
+// (a rollback below k, then k again) has its later event in the cut.
+func TestCheckGlobalsLastEventCounts(t *testing.T) {
+	b := nb()
+	b.ev(KFinalize, 0, -1, 0, 1)
+	b.ev(KFinalize, 1, -1, 0, 1)
+	again := b.ev(KFinalize, 0, -1, 0, 1)
+	if g := b.r.CheckGlobals(2, KFinalize, []int{1})[0]; g.Cut.At[0] != again {
+		t.Fatalf("cut = %v, want P0 at its last finalize %d", g.Cut.At, again)
+	}
+}
+
+func TestCheckGlobalsCheckpointIncludesForced(t *testing.T) {
 	b := nb()
 	b.ev(KCheckpoint, 0, -1, 0, 3)
 	b.ev(KForced, 1, -1, 0, 3)
-	if _, ok := b.r.CutAt(2, KCheckpoint, 3); !ok {
+	b.ev(KTentative, 0, -1, 0, 4)
+	b.ev(KTentative, 1, -1, 0, 4)
+	gs := b.r.CheckGlobals(2, KCheckpoint, []int{3, 4})
+	if !gs[0].Complete {
 		t.Fatal("forced checkpoints should count as checkpoints")
+	}
+	if gs[1].Complete {
+		t.Fatal("tentative checkpoints are no cut points")
+	}
+	if b.r.CutKind() != KCheckpoint {
+		t.Fatal("a history without finalize events cuts at checkpoints")
+	}
+	b.ev(KFinalize, 0, -1, 0, 5)
+	if b.r.CutKind() != KFinalize || CutKind(b.r.Events()) != KFinalize {
+		t.Fatal("a history with a finalize event cuts at finalizations")
+	}
+	if got := CutSeqs(b.r.Events(), KCheckpoint); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("CutSeqs = %v, want [3]", got)
 	}
 }
 
-func TestProcEventsAndCountKind(t *testing.T) {
+func TestCountKind(t *testing.T) {
 	b := nb()
 	b.send(0, 1, 1)
 	b.recv(1, 0, 1)
 	b.send(0, 1, 2)
-	if got := len(b.r.ProcEvents(0)); got != 2 {
-		t.Fatalf("ProcEvents(0) = %d", got)
-	}
 	if got := b.r.CountKind(KSend); got != 2 {
 		t.Fatalf("CountKind(KSend) = %d", got)
 	}
@@ -172,9 +198,6 @@ func TestProcEventsAndCountKind(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	if KSend.String() != "send" || KFinalize.String() != "finalize" {
 		t.Fatal("Kind.String wrong")
-	}
-	if !KFinalize.IsCut() || KSend.IsCut() {
-		t.Fatal("IsCut wrong")
 	}
 }
 

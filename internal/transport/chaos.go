@@ -128,9 +128,8 @@ func (r *ChaosReport) Render() string {
 //     delivered application messages — no message received inside S_k
 //     was sent outside it (Theorem 2).
 //  2. exactly-once-replay: every durable record replay-validates
-//     (FoldLog(Fold, Log) == CFEFold) and no record logs the same
-//     delivery twice — duplicated frames must not reach the
-//     application or the log twice.
+//     (Record.Replays) and no record logs the same delivery twice —
+//     duplicated frames must not reach the application or the log twice.
 //  3. post-restart-convergence: after every kill+restart the cluster
 //     finalizes a new durable global checkpoint beyond the recovery
 //     line.
@@ -234,17 +233,13 @@ func verifyNoOrphans(datadir string, n int, rec *trace.Recorder) Invariant {
 		iv.Detail = err.Error()
 		return iv
 	}
-	for _, seq := range seqs {
-		if seq == 0 {
-			continue
-		}
-		cut, ok := rec.CutAt(n, trace.KFinalize, seq)
-		if !ok {
-			iv.Detail = fmt.Sprintf("durable S_%d has no complete finalize cut in the trace", seq)
+	for _, g := range rec.CheckGlobals(n, trace.KFinalize, seqs) {
+		switch {
+		case !g.Complete:
+			iv.Detail = fmt.Sprintf("durable S_%d has no complete finalize cut in the trace", g.Seq)
 			return iv
-		}
-		if rep := rec.CheckCut(cut); !rep.Consistent() {
-			iv.Detail = fmt.Sprintf("S_%d has %d orphan message(s)", seq, len(rep.Orphans))
+		case !g.Consistent():
+			iv.Detail = fmt.Sprintf("S_%d has %d orphan message(s)", g.Seq, len(g.Orphans))
 			return iv
 		}
 	}
@@ -271,8 +266,8 @@ func verifyExactlyOnceReplay(datadir string, n int) Invariant {
 				iv.Detail = err.Error()
 				return iv
 			}
-			if got := checkpoint.FoldLog(r.Fold, r.Log); got != r.CFEFold {
-				iv.Detail = fmt.Sprintf("P%d seq %d: replay fold %#x != CFE fold %#x", p, seq, got, r.CFEFold)
+			if !r.Replays() {
+				iv.Detail = fmt.Sprintf("P%d seq %d: replay fold %#x != CFE fold %#x", p, seq, checkpoint.FoldLog(r.Fold, r.Log), r.CFEFold)
 				return iv
 			}
 			type key struct {

@@ -278,13 +278,14 @@ func (c *Cluster) Start() {
 	}
 }
 
-// gcLoop periodically prunes every hosted store below the globally
-// finalized S_k watermark: the intersection of the durable manifests is
-// the last checkpoint line recovery can ever need, so everything strictly
-// below it is dead weight (the paper's retention argument). The datadir is
-// shared, so the line is readable from any host and each prunes only its
-// own processes' directories. Collection skips ticks while a recovery is
-// reloading a store, and while a peer's manifest is missing or torn.
+// gcLoop periodically prunes every hosted store, on disk and in memory,
+// below the globally finalized S_k watermark: the intersection of the
+// durable manifests is the last checkpoint line recovery can ever need,
+// so everything strictly below it is dead weight (the paper's retention
+// argument). The datadir is shared, so the line is readable from any host
+// and each prunes only its own processes' directories. Collection skips
+// ticks while a recovery is reloading a store, and while a peer's
+// manifest is missing or torn.
 func (c *Cluster) gcLoop() {
 	defer c.gcWG.Done()
 	ticker := time.NewTicker(c.cfg.GCInterval)
@@ -309,6 +310,11 @@ func (c *Cluster) gcLoop() {
 			if err := c.FS(i).GCTo(wm); err != nil {
 				c.count("fsstore.gc_errors", 1)
 			}
+			// Memory follows the disk. Safe: a later recovery line is
+			// >= wm (every manifest keeps wm, so their intersection
+			// does), and the node's persisted seq is >= wm, so neither a
+			// rollback nor a flush reads a record below it.
+			c.Ckpts.Proc(i).GC(wm)
 		}
 		c.count("fsstore.gc_sweeps", 1)
 	}
@@ -493,25 +499,23 @@ func (c *Cluster) clearDone(i int) {
 // and returns the verified sequence numbers.
 func (c *Cluster) CheckGlobals() ([]int, error) {
 	var seqs []int
-	for _, seq := range c.Ckpts.CompleteSeqs() {
-		if seq == 0 {
-			continue
+	for _, g := range c.Rec.CheckGlobals(c.cfg.N, trace.KFinalize, c.Ckpts.CompleteSeqs()) {
+		switch {
+		case !g.Complete:
+			return seqs, fmt.Errorf("transport: no complete cut for seq %d", g.Seq)
+		case !g.Consistent():
+			return seqs, fmt.Errorf("transport: S_%d inconsistent: %d orphan(s)", g.Seq, len(g.Orphans))
+		case g.Seq > 0:
+			seqs = append(seqs, g.Seq)
 		}
-		cut, ok := c.Rec.CutAt(c.cfg.N, trace.KFinalize, seq)
-		if !ok {
-			return seqs, fmt.Errorf("transport: no complete cut for seq %d", seq)
-		}
-		rep := c.Rec.CheckCut(cut)
-		if !rep.Consistent() {
-			return seqs, fmt.Errorf("transport: S_%d inconsistent: %d orphan(s)", seq, len(rep.Orphans))
-		}
-		seqs = append(seqs, seq)
 	}
 	return seqs, nil
 }
 
 // Report summarizes a cluster run with the simulator's headline metrics
-// plus the wire-level ones only a real network can produce.
+// plus the wire-level ones only a real network can produce. Its seqs and
+// LogBytes cover the checkpoints still retained: with GCInterval set, the
+// collector has dropped those below the durable watermark from memory too.
 type Report struct {
 	N                 int
 	Completed         bool
