@@ -6,6 +6,7 @@ import (
 
 	"ocsml/internal/des"
 	"ocsml/internal/model"
+	"ocsml/internal/reliable"
 	"ocsml/internal/storage"
 )
 
@@ -82,15 +83,18 @@ func E11() Experiment {
 			}
 
 			// Retransmissions at 15% loss.
+			const lossyN = 6
 			lossy := Run(RunCfg{
-				Proto: "ocsml", N: 6, Steps: steps,
+				Proto: "ocsml", N: lossyN, Steps: steps,
 				Think: 10 * des.Millisecond, StateBytes: 2 << 20,
 				Interval: 4 * des.Second, DropRate: 0.15, Reliable: true,
 			})
-			add("retransmits/msg @15% loss", model.RetransmitsPerMessage(0.15),
+			pl := model.Params{N: lossyN, MsgRate: float64(lossy.AppMsgs) / lossyN / lossy.Makespan.Seconds()}
+			ro := reliable.DefaultOptions()
+			add("retransmits/msg @15% loss", pl.RetransmitsPerMessage(0.15, ro.RTO, ro.MaxRTO),
 				float64(lossy.Counter("reliable.retransmits"))/float64(lossy.AppMsgs))
 
-			t.Note("first-order models: burst FIFO queueing, two-phase epidemic gossip, (1-q)^-2 transmissions; see internal/model")
+			t.Note("first-order models: burst FIFO queueing, two-phase epidemic gossip, cumulative ACKs carried back at twice the link rate; see internal/model")
 			return t
 		},
 	}

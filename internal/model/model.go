@@ -100,15 +100,32 @@ func (p Params) ControlRound() (bgn, req, end int) {
 }
 
 // RetransmitsPerMessage predicts the expected retransmissions per message
-// at drop probability q with per-transmission ack: a transmission round
-// trip succeeds with probability (1−q)², so the expected number of
-// transmissions is 1/(1−q)² and retransmissions one less.
-func RetransmitsPerMessage(q float64) float64 {
+// at drop probability q under the reliable layer's cumulative
+// acknowledgements (internal/reliable), with initial timeout rto and
+// backoff cap maxRTO. Transmission j of a message waits RTO_j =
+// min(rto·2^j, maxRTO) and is followed by another iff it is lost, or it
+// arrives and every acknowledgement covering it is lost before RTO_j: the
+// first (piggybacked on a reverse frame, or standalone after the
+// delayed-ACK interval rto/4) and each later frame back on the link in the
+// RTO_j − rto/4 left. Later frames come at about twice the link's message
+// rate λ = MsgRate/(N−1): its reverse application traffic plus the
+// acknowledgements of its later forward arrivals. Each is lost with
+// probability q, so transmission j is followed by another with
+// probability p_j = q + (1−q)·q·e^{−(1−q)·2λ·(RTO_j − rto/4)}, and the
+// expected retransmissions are Σ_{j≥0} p_0·…·p_j. With no later frames
+// (λ = 0) and no backoff this is one ACK per message, (1−q)⁻² − 1.
+func (p Params) RetransmitsPerMessage(q float64, rto, maxRTO des.Duration) float64 {
 	if q <= 0 {
 		return 0
 	}
-	s := (1 - q) * (1 - q)
-	return 1/s - 1
+	carriers := 2 * p.MsgRate / float64(p.N-1)
+	sum, prod := 0.0, 1.0
+	for t := rto; prod > 1e-12; t = min(2*t, maxRTO) {
+		window := float64(t-rto/4) / float64(des.Second)
+		prod *= q + (1-q)*q*math.Exp(-(1-q)*carriers*window)
+		sum += prod
+	}
+	return sum
 }
 
 // DominoExpectedDepth gives the qualitative prediction for uncoordinated

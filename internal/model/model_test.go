@@ -11,6 +11,7 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/harness"
 	"ocsml/internal/model"
+	"ocsml/internal/reliable"
 	"ocsml/internal/storage"
 )
 
@@ -168,6 +169,7 @@ func TestLogVolumeMatches(t *testing.T) {
 }
 
 func TestRetransmitPrediction(t *testing.T) {
+	opt := reliable.DefaultOptions()
 	for _, q := range []float64{0.05, 0.15, 0.30} {
 		r := harness.Run(harness.RunCfg{
 			Proto: "ocsml", N: 6, Steps: 3000, Think: 10 * des.Millisecond,
@@ -175,15 +177,22 @@ func TestRetransmitPrediction(t *testing.T) {
 			DropRate: q, Reliable: true,
 		})
 		meas := float64(r.Counter("reliable.retransmits")) / float64(r.AppMsgs)
-		pred := model.RetransmitsPerMessage(q)
-		// Control traffic (ACKs of ACKless control messages, checkpoint
+		p := model.Params{N: 6, MsgRate: float64(r.AppMsgs) / 6 / r.Makespan.Seconds()}
+		pred := p.RetransmitsPerMessage(q, opt.RTO, opt.MaxRTO)
+		// Control traffic (retransmitted control messages, checkpoint
 		// rounds) shifts the denominator; allow 40%.
 		if e := relErr(pred, meas); e > 0.4 {
 			t.Fatalf("q=%.2f: retransmits pred %.3f vs meas %.3f (err %.1f%%)", q, pred, meas, 100*e)
 		}
 	}
-	if model.RetransmitsPerMessage(0) != 0 {
+	p := model.Params{N: 6, MsgRate: 100}
+	if p.RetransmitsPerMessage(0, opt.RTO, opt.MaxRTO) != 0 {
 		t.Fatal("no loss → no retransmits")
+	}
+	// One acknowledgement per message and a fixed timeout: (1−q)⁻² − 1.
+	p.MsgRate = 0
+	if got, want := p.RetransmitsPerMessage(0.15, opt.RTO, opt.RTO), 1/(0.85*0.85)-1; relErr(want, got) > 1e-9 {
+		t.Fatalf("per-message ACK limit = %.6f, want %.6f", got, want)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestWrapperBookkeeping(t *testing.T) {
 	if w.Inner() != inner {
 		t.Fatal("Inner lost")
 	}
-	if w.PendingCount() != 0 || w.Retries(42) != 0 {
+	if w.PendingCount() != 0 || w.StateSize() != 0 {
 		t.Fatal("fresh wrapper should be empty")
 	}
 }
@@ -221,4 +221,172 @@ func TestInvalidDropRatePanics(t *testing.T) {
 	cfg := lossyCfg(1, 0)
 	cfg.DropRate = 1.0
 	engine.New(cfg, nop.Factory(), uniformWl(10))
+}
+
+// wrapAll builds reliable-wrapped instances of inner and keeps them.
+func wrapAll(inner func(i, n int) protocol.Protocol, ws *[]*reliable.Protocol) engine.ProtoFactory {
+	return func(i, n int) protocol.Protocol {
+		w := reliable.Wrap(inner(i, n), reliable.DefaultOptions())
+		*ws = append(*ws, w)
+		return w
+	}
+}
+
+// TestReliableStateFlat: what the transport retains is bounded by what is
+// in flight, not by how much was ever delivered. A run of 100,000
+// deliveries leaves every process's links no larger than a run of 1,000
+// does (an ID-keyed dedup set grows by one entry per delivery).
+func TestReliableStateFlat(t *testing.T) {
+	state := func(perProc int64) (maxState int, msgs int) {
+		var ws []*reliable.Protocol
+		cfg := lossyCfg(5, 0)
+		cfg.N = 4
+		cfg.TraceEnabled = false
+		r := engine.New(cfg, wrapAll(nop.Factory(), &ws), workload.Factory(workload.Config{
+			Pattern: workload.UniformRandom, Steps: perProc, Think: des.Millisecond, MsgBytes: 64,
+		})).Run()
+		if !r.Completed {
+			t.Fatal("did not complete")
+		}
+		for _, w := range ws {
+			maxState = max(maxState, w.StateSize())
+		}
+		return maxState, int(r.AppMsgs)
+	}
+	small, n1 := state(250)
+	large, n2 := state(25000)
+	t.Logf("retained link state after %d deliveries: %d; after %d: %d", n1, small, n2, large)
+	if n2 < 100000 {
+		t.Fatalf("the large run delivered %d messages, want >= 100000", n2)
+	}
+	if large > small {
+		t.Fatalf("retained link state grew with deliveries: %d after %d, %d after %d", small, n1, large, n2)
+	}
+}
+
+// TestOneWayRingDelayedAcks: on a ring no application message ever goes
+// back to its sender, so every acknowledgement is a standalone ACK after
+// the delayed-ACK interval. On a loss-free network they arrive well inside
+// the RTO: nothing is retransmitted, and the run ends with nothing pending.
+func TestOneWayRingDelayedAcks(t *testing.T) {
+	var ws []*reliable.Protocol
+	cfg := lossyCfg(6, 0)
+	r := engine.New(cfg, wrapAll(nop.Factory(), &ws), workload.Factory(workload.Config{
+		Pattern: workload.Ring, Steps: 400, Think: 10 * des.Millisecond, MsgBytes: 64,
+	})).Run()
+	if !r.Completed {
+		t.Fatal("did not complete")
+	}
+	if got := r.Counter("reliable.retransmits"); got != 0 {
+		t.Fatalf("%d retransmissions on a loss-free one-way ring", got)
+	}
+	if r.Counter("ctl.ACK") == 0 {
+		t.Fatal("no standalone ACK: nothing else can acknowledge a one-way ring")
+	}
+	for i, w := range ws {
+		if n := w.PendingCount(); n != 0 {
+			t.Fatalf("P%d ends with %d envelope(s) unacknowledged", i, n)
+		}
+	}
+}
+
+// countingProto records, per envelope ID, how often the inner protocol
+// was handed it, and what it sent; on delivery it reports arrivals that
+// overtook an earlier seq of their link.
+type countingProto struct {
+	protocol.Protocol
+	sent      map[int64]bool
+	got       map[int64]int
+	maxSeq    map[int]int64
+	reordered int
+}
+
+type countingEnv struct {
+	protocol.Env
+	p *countingProto
+}
+
+func (e countingEnv) Send(env *protocol.Envelope) {
+	e.Env.Send(env)
+	e.p.sent[env.ID] = true
+}
+
+func (e countingEnv) Broadcast(env *protocol.Envelope) {
+	for dst := 0; dst < e.N(); dst++ {
+		if dst != e.ID() {
+			cp := *env
+			cp.ID, cp.Dst = 0, dst
+			e.Send(&cp)
+		}
+	}
+}
+
+func (p *countingProto) Start(env protocol.Env) { p.Protocol.Start(countingEnv{env, p}) }
+
+func (p *countingProto) OnAppSend(e *protocol.Envelope) {
+	p.Protocol.OnAppSend(e)
+	p.sent[e.ID] = true
+}
+
+func (p *countingProto) OnDeliver(e *protocol.Envelope) {
+	p.got[e.ID]++
+	if e.Link.Seq < p.maxSeq[e.Src] {
+		p.reordered++
+	}
+	p.maxSeq[e.Src] = max(p.maxSeq[e.Src], e.Link.Seq)
+	p.Protocol.OnDeliver(e)
+}
+
+// TestExactlyOnceUnderLossAndReordering is the channel property the paper
+// assumes (§2.1), over a network that drops 30% of all frames, data and
+// acknowledgements alike, and reorders what it delivers: on every seed,
+// every envelope the inner protocol sent — application messages and the
+// protocol's own control messages — reaches its destination's inner
+// protocol exactly once.
+func TestExactlyOnceUnderLossAndReordering(t *testing.T) {
+	opt := core.DefaultOptions()
+	opt.Interval = des.Second
+	opt.Timeout = 400 * des.Millisecond
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			var ps []*countingProto
+			var ws []*reliable.Protocol
+			pf := wrapAll(func(i, n int) protocol.Protocol {
+				p := &countingProto{Protocol: core.New(opt), sent: map[int64]bool{}, got: map[int64]int{}, maxSeq: map[int]int64{}}
+				ps = append(ps, p)
+				return p
+			}, &ws)
+			r := engine.New(lossyCfg(seed, 0.3), pf, uniformWl(300)).Run()
+			if !r.Completed {
+				t.Fatal("did not complete")
+			}
+			sent, reordered := 0, 0
+			got := map[int64]int{}
+			for _, p := range ps {
+				sent += len(p.sent)
+				reordered += p.reordered
+				for id, n := range p.got {
+					got[id] += n
+				}
+			}
+			for _, p := range ps {
+				for id := range p.sent {
+					if got[id] != 1 {
+						t.Fatalf("envelope %d reached the inner protocol %d times, want once", id, got[id])
+					}
+				}
+			}
+			if len(got) != sent {
+				t.Fatalf("%d envelopes delivered, %d sent", len(got), sent)
+			}
+			if reordered == 0 || r.Counter("reliable.retransmits") == 0 {
+				t.Fatalf("reordered %d, retransmitted %d: the run exercised neither", reordered, r.Counter("reliable.retransmits"))
+			}
+			for i, w := range ws {
+				if n := w.PendingCount(); n != 0 {
+					t.Fatalf("P%d ends with %d envelope(s) unacknowledged", i, n)
+				}
+			}
+		})
+	}
 }

@@ -91,7 +91,7 @@ func TestMeshSendAllocs(t *testing.T) {
 		{"ck_req", &protocol.Envelope{ID: 2, Src: 0, Dst: 1, Kind: protocol.KindCtl,
 			CtlTag: core.TagREQ, Bytes: 8, SentAt: 1, Payload: core.CtlMsg{Csn: 3}}, false, 1},
 		{"ack", &protocol.Envelope{ID: 3, Src: 0, Dst: 1, Kind: protocol.KindCtl,
-			CtlTag: reliable.AckTag, Bytes: 12, SentAt: 1, Payload: reliable.Ack{ID: 42}}, false, 1},
+			CtlTag: reliable.AckTag, Bytes: 12, SentAt: 1, Link: protocol.Link{Ack: 42}}, false, 1},
 		{"app_batch_of_one", appEnvelope(64), true, 0},
 	}
 	for _, row := range rows {

@@ -1,0 +1,95 @@
+package transport
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"ocsml/internal/fsstore"
+	"ocsml/internal/protocol"
+	"ocsml/internal/trace"
+	"ocsml/internal/wire"
+)
+
+// TestNoFrameCrossesEpochs: a survivor whose RB_CMT is late is still in
+// the old epoch while the others, rolled back already, send it traffic of
+// the new one. None of it may be processed before the survivor's own
+// rollback: it would be processed in the epoch that rollback discards, and
+// its sender, having seen it acknowledged, would never send it again.
+// The delay is the mesh hook's, on the coordinator's RB_CMT to one
+// survivor. (An epoch fence that only drops older frames fails this.)
+func TestNoFrameCrossesEpochs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	const victim, slow = 1, 2
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 3)
+	cfg.Workload.Steps = 100000 // the test stops the cluster
+	var late sync.WaitGroup
+	defer late.Wait()
+	cfg.Hook = func(src, dst int, f *wire.Frame, deliver func(*wire.Frame)) {
+		if src == victim && dst == slow {
+			if e, err := wire.Decode(f.Bytes()); err == nil && e.CtlTag == protocol.TagRbCommit {
+				late.Add(1)
+				time.AfterFunc(400*time.Millisecond, func() { deliver(f); late.Done() })
+				return
+			}
+		}
+		deliver(f)
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= 2
+	})
+	c.Kill(victim)
+	line, err := c.Recover(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= line+1
+	})
+	c.Stop()
+
+	// Each process's last restore is its rollback to the line; a message
+	// sent after its sender's is of the new epoch.
+	ev := c.Rec.Events()
+	restored := make([]int, cfg.N)
+	for i, e := range ev {
+		if e.Kind == trace.KRestore {
+			restored[e.Proc] = i
+		}
+	}
+	if restored[slow] == 0 {
+		t.Fatal("the late survivor never rolled back")
+	}
+	newEpoch := map[int64]bool{}
+	window := 0 // new-epoch sends to the late survivor before its rollback
+	for i, e := range ev {
+		switch {
+		case e.Kind == trace.KSend && e.Proc != victim && e.Proc != slow && i > restored[e.Proc]:
+			newEpoch[e.MsgID] = true
+			if e.Peer == slow && i < restored[slow] {
+				window++
+			}
+		case e.Kind == trace.KRecv && e.Proc == slow && i < restored[slow] && newEpoch[e.MsgID]:
+			t.Fatalf("P%d processed message %d of the new epoch before its own rollback (event %d < %d)",
+				slow, e.MsgID, i, restored[slow])
+		}
+	}
+	if window == 0 {
+		t.Fatal("no new-epoch message was sent to the late survivor before its rollback: the test exercised nothing")
+	}
+	t.Logf("%d new-epoch message(s) sent to P%d before its rollback, none processed early", window, slow)
+	if _, err := c.CheckGlobals(); err != nil {
+		t.Fatal(err)
+	}
+}

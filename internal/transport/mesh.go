@@ -582,7 +582,7 @@ func jitterSeed(seed int64, id, peer int) int64 {
 // payload. The version names the whole connection format — framing and
 // wire.VersionLatest — so a peer of an older build is refused here, before
 // any frame of its is misread (DESIGN.md §13.1).
-const helloVersion = 3
+const helloVersion = 4
 
 // writeHello frames and writes the hello; it runs once per established
 // connection and side, so its small buffer is off the steady-state write path.

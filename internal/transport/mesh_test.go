@@ -480,3 +480,18 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestHelloVersion3Refused: a peer of the format-3 build frames its hello
+// exactly as this one does, with version byte 3; it is refused at the
+// hello, before any of its frames could be misread as format 4.
+func TestHelloVersion3Refused(t *testing.T) {
+	for ver, ok := range map[byte]bool{helloVersion: true, 3: false} {
+		var b bytes.Buffer
+		if err := writeFrame(&b, []byte{ver, 1, 7}); err != nil { // id 1, incarnation 7
+			t.Fatal(err)
+		}
+		if _, _, err := readHello(&b, 2); (err == nil) != ok {
+			t.Fatalf("hello version %d: err = %v, want accepted %v", ver, err, ok)
+		}
+	}
+}

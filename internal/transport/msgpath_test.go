@@ -20,10 +20,12 @@ import (
 
 // ringApp forwards every message it receives to the next process: tokens
 // circling a ring keep the message path at steady state without timers of
-// the application's own.
+// the application's own. With a limit, a token stops once the ring has
+// delivered that many messages.
 type ringApp struct {
 	id, n, tokens int
 	delivered     *atomic.Int64
+	limit         int64
 }
 
 func (a *ringApp) Start(ctx protocol.AppCtx) {
@@ -33,7 +35,9 @@ func (a *ringApp) Start(ctx protocol.AppCtx) {
 }
 
 func (a *ringApp) OnMessage(ctx protocol.AppCtx, _ int, _ protocol.AppMsg) {
-	a.delivered.Add(1)
+	if d := a.delivered.Add(1); a.limit > 0 && d > a.limit-int64(a.tokens*a.n) {
+		return
+	}
 	ctx.Send((a.id+1)%a.n, protocol.AppMsg{Bytes: 64})
 }
 
@@ -42,9 +46,11 @@ func (a *ringApp) OnMessage(ctx protocol.AppCtx, _ int, _ protocol.AppMsg) {
 // and once the pools, heaps and maps have grown, the process's mallocs per
 // delivered message are read over a window (best of 5). Neither side
 // allocates: the sender reuses its envelope and piggyback snapshot, the
-// receiver its pooled slot. With reliable on, what is left is the ACK's
-// boxed Ack (1) and the dedup set's map growth (DESIGN.md §15.1).
-// Checkpointing is off (Interval 0), so no round's cost lands in the window.
+// receiver its pooled slot. With reliable on, the link block rides in the
+// envelope, and the per-link queues and floors reuse their storage; on a
+// one-way ring every acknowledgement is a standalone ACK, which allocates
+// nothing either (DESIGN.md §15.1). Checkpointing is off (Interval 0), so
+// no round's cost lands in the window.
 func TestNodeMessagePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -57,7 +63,7 @@ func TestNodeMessagePathAllocs(t *testing.T) {
 		reliable bool
 		budget   float64
 	}{
-		{"reliable", true, 1.5},
+		{"reliable", true, 0.5},
 		{"bare", false, 0.5},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -232,5 +238,61 @@ func TestTimerHeapOrder(t *testing.T) {
 	}
 	if popped != pushed {
 		t.Fatalf("popped %d of %d entries", popped, pushed)
+	}
+}
+
+// TestReliableStateFlat: on real sockets, what the reliable layer of a
+// 4-node cluster retains once a ring of tokens has stopped is the same
+// after 100,000 deliveries as after 1,000 — no per-delivery residue such
+// as an ID-keyed dedup set. (The DES runs the same test in
+// internal/reliable.)
+func TestReliableStateFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	state := func(limit int64) int {
+		const n = 4
+		var delivered atomic.Int64
+		lns, addrs := listenLocal(t, n)
+		rec := trace.NewRecorder()
+		rec.SetEnabled(false)
+		ckpts := checkpoint.NewStore(n)
+		nodes := make([]*Node, n)
+		rels := make([]*reliable.Protocol, n)
+		for i := range nodes {
+			rels[i] = reliable.Wrap(core.New(core.Options{}), reliable.Options{})
+			var err error
+			nodes[i], err = NewNode(NodeConfig{
+				ID: i, N: n, Addrs: addrs, Listener: lns[i], Seed: 1, Resume: -1,
+				Proto: rels[i], App: &ringApp{id: i, n: n, tokens: 16, delivered: &delivered, limit: limit},
+				Rec: rec, Ckpts: ckpts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, nd := range nodes {
+			nd.Start()
+			defer nd.Close()
+		}
+		// Read on each node's loop, which owns the protocol.
+		read := func(f func(*reliable.Protocol) int) int {
+			total := 0
+			for i, nd := range nodes {
+				ch := make(chan int, 1)
+				nd.Post(func() { ch <- f(rels[i]) })
+				total += <-ch
+			}
+			return total
+		}
+		waitFor(t, 30*time.Second, func() bool {
+			return delivered.Load() >= limit && read((*reliable.Protocol).PendingCount) == 0
+		})
+		return read((*reliable.Protocol).StateSize)
+	}
+	small, large := state(1000), state(100000)
+	t.Logf("retained link state after 1,000 deliveries: %d; after 100,000: %d", small, large)
+	if large > small {
+		t.Fatalf("retained link state grew with deliveries: %d after 1,000, %d after 100,000", small, large)
 	}
 }

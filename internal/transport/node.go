@@ -16,7 +16,6 @@ import (
 	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/wire"
 )
@@ -30,8 +29,9 @@ type NodeConfig struct {
 	Listener net.Listener
 	// Seed derives the node's deterministic random source.
 	Seed int64
-	// Epoch is the node's starting epoch; envelopes from older epochs
-	// are dropped on delivery (stale pre-rollback traffic).
+	// Epoch is the node's starting epoch; envelopes from any other epoch
+	// are dropped on delivery (pre-rollback traffic, or traffic of a
+	// rollback this node has yet to make).
 	Epoch int
 	// Resume, when >= 0, restarts the process at that recovery line: Ckpts
 	// holds its durable checkpoints up to the line (ResumeProtocol sees to
@@ -137,12 +137,11 @@ type inboxItem struct {
 
 // rxSlot is a received frame's copy, made on its reader goroutine so that
 // it crosses to the loop without a heap allocation: env's payload points
-// at pb or ack. The loop clears env and returns the slot to rxPool once
-// the delivery has returned, as the OnDeliver contract allows.
+// at pb. The loop clears env and returns the slot to rxPool once the
+// delivery has returned, as the OnDeliver contract allows.
 type rxSlot struct {
 	env protocol.Envelope
 	pb  core.Piggyback
-	ack reliable.Ack
 }
 
 var rxPool = sync.Pool{New: func() any { return new(rxSlot) }}
@@ -239,7 +238,7 @@ func (n *Node) registerMetrics() {
 	reg.MustCounterVec("ocsml_wire_decode_errors_total",
 		"Frames the wire codec rejected.", "proc").Attach(n.decodeErrors.Load, proc)
 	reg.MustCounterVec("ocsml_wire_stale_dropped_total",
-		"Envelopes dropped at the epoch fence (pre-rollback traffic).", "proc").Attach(n.staleDropped.Load, proc)
+		"Envelopes dropped at the epoch fence (traffic of another epoch).", "proc").Attach(n.staleDropped.Load, proc)
 	reg.MustGaugeVec("ocsml_node_storage_queue",
 		"Stable-storage writes queued or in service.", "proc").
 		Attach(func() int64 { return int64(n.storageQ.Load()) }, proc)
@@ -359,9 +358,6 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		rx.pb.Csn, rx.pb.Stat = p.Csn, p.Stat
 		rx.pb.TentSet.CopyFrom(p.TentSet)
 		rx.env.Payload = &rx.pb
-	case *reliable.Ack:
-		rx.ack = *p
-		rx.env.Payload = &rx.ack
 	case protocol.Owner:
 		// Control and recovery frames are rare, and their handlers (core's
 		// onControl, handleRecovery) assert value payloads.
@@ -383,7 +379,13 @@ func (n *Node) deliver(e *protocol.Envelope) {
 		n.handleRecovery(e)
 		return
 	}
-	if e.Epoch < n.h.Epoch() {
+	// Every other frame is processed in the epoch it was sent in, or not
+	// at all. An older one is pre-rollback traffic. A newer one comes from
+	// a process that has rolled back before this one: processed here it
+	// would land in the epoch this node is about to roll back, and be lost
+	// with it. Its sender's reliable layer retransmits it until this node
+	// is in that epoch too.
+	if e.Epoch != n.h.Epoch() {
 		n.staleDropped.Add(1)
 		return
 	}

@@ -16,7 +16,6 @@ import (
 	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 	"ocsml/internal/trace"
 	"ocsml/internal/wire"
 )
@@ -243,7 +242,7 @@ func TestRecoveryFramesRefused(t *testing.T) {
 	r := newRbRig(t)
 	r.send(protocol.TagRbLine, protocol.RbMsg{Round: 1, Epoch: 5, Seqs: []int{1}})
 	r.send(protocol.TagRbAck, protocol.RbMsg{Round: 1, Line: 1, Epoch: 5})
-	r.send(protocol.TagRbCommit, reliable.Ack{})
+	r.send(protocol.TagRbCommit, core.CtlMsg{Csn: 1})
 	r.send(protocol.TagRbCommit, protocol.RbMsg{Round: 1, Line: 7, Epoch: 1})
 	if acks := r.acksBeforeLine(); acks != 0 {
 		t.Fatalf("%d answer(s) to frames the node refuses", acks)

@@ -196,7 +196,7 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	})
 	ack, err := Encode(&protocol.Envelope{
 		ID: 7, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: reliable.AckTag,
-		Payload: reliable.Ack{ID: 42},
+		Link: protocol.Link{Ack: 42, Mask: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

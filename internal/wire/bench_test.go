@@ -168,7 +168,7 @@ var frameKinds = []string{"app", "ack", "ck", "rb"}
 func kindTraffic(kind string) []*protocol.Envelope {
 	rng := rand.New(rand.NewSource(4))
 	pb := core.Piggyback{Csn: 40, Stat: core.Tentative, TentSet: protocol.NewProcSet(4)}
-	var id, peerID, seq int64
+	var id, floor, seq, lseq int64
 	now := des.Time(12e9)
 	envs := make([]*protocol.Envelope, 4096)
 	for i := range envs {
@@ -187,10 +187,13 @@ func kindTraffic(kind string) []*protocol.Envelope {
 			e.Kind, e.Bytes = protocol.KindApp, 256+6
 			e.App = protocol.AppMsg{Seq: seq, Bytes: 256, Tag: uint64(now) - uint64(rng.Int63n(5e4))}
 			e.Payload = core.Piggyback{Csn: pb.Csn, Stat: pb.Stat, TentSet: pb.TentSet.Clone()}
+			lseq++
+			floor += rng.Int63n(3)
+			e.Link = protocol.Link{Seq: lseq, Ack: floor}
 		case "ack":
-			peerID += 1 + rng.Int63n(6)
+			floor += 1 + rng.Int63n(6)
 			e.Kind, e.CtlTag, e.Bytes = protocol.KindCtl, reliable.AckTag, 12
-			e.Payload = reliable.Ack{ID: 2<<40 | peerID}
+			e.Link = protocol.Link{Ack: floor}
 		case "ck":
 			now += 25e6
 			pb.Csn++

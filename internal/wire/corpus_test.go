@@ -24,7 +24,7 @@ const corpusDirV2 = "testdata/fuzz/FuzzDecodeV2"
 
 // corpusEntries returns the minimized corpus: the canonical encodings of
 // every sample envelope plus the interesting malformed shapes the fuzzer
-// found worth keeping — truncations, bad versions (the retired v1 and v2
+// found worth keeping — truncations, bad versions (the retired v1 and v3
 // among them), trailing garbage, a tag code past the table, an unknown
 // payload discriminator, an oversized control-tag length, and stream
 // frames, which the stateless decoder refuses.
@@ -48,7 +48,7 @@ func corpusEntries(t testing.TB) [][]byte {
 		[]byte{VersionLatest},        // version byte only
 		[]byte{0, 0},                 // version 0
 		[]byte{1, 0},                 // the retired v1
-		[]byte{VersionLatest - 1, 0}, // the retired v2
+		[]byte{VersionLatest - 1, 0}, // the retired v3
 		[]byte{VersionLatest + 1, 0}, // the next version
 		[]byte{VersionLatest, 9 << tagShift, 0, 0, 0, 0}, // a tag code past the table
 		[]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 9},    // unknown payload discriminator
@@ -82,7 +82,8 @@ func recordCorpusEntries() [][]byte {
 // connection's stream frames, stateless frames, and the interesting broken
 // streams — a delta without its base, a base of another kind or epoch,
 // corrupted and truncated frames before a good one, raw frames mid-stream,
-// header fields that go backwards, and a restamped version.
+// header fields that go backwards, and a frame restamped with the retired
+// version.
 func corpusEntriesV2(t testing.TB) [][]byte {
 	full, delta := v2ChainFrames(t)
 	samples := sampleEnvelopes()
@@ -103,7 +104,7 @@ func corpusEntriesV2(t testing.TB) [][]byte {
 	}
 	corrupt := append([]byte(nil), delta...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	v2 := append([]byte{VersionLatest - 1}, full[1:]...)
+	v3 := append([]byte{VersionLatest - 1}, full[1:]...)
 	return [][]byte{
 		joinStream(streamFrames(t, samples...)...),          // every shape, one connection
 		joinStream(stateless...),                            // stateless frames only
@@ -115,8 +116,8 @@ func corpusEntriesV2(t testing.TB) [][]byte {
 		joinStream(full, delta[:len(delta)-2], delta),       // truncated delta, then the same delta whole
 		joinStream(delta, full),                             // delta first, then recover
 		joinStream(full, stateless[0], stateless[2], delta), // raw frames mid-stream
-		joinStream(streamFrames(t, backwards...)...),        // ID, SentAt, seq, ack ID going backwards
-		joinStream(full, v2),                                // the retired v2
+		joinStream(streamFrames(t, backwards...)...),        // ID, SentAt, seqs, link floor going backwards
+		joinStream(full, v3),                                // the retired v3
 	}
 }
 

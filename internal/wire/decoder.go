@@ -4,7 +4,6 @@ import (
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 )
 
 // Decoder parses the frames of one connection. It keeps the
@@ -25,7 +24,6 @@ type Decoder struct {
 	env  protocol.Envelope
 	cur  core.Piggyback
 	ctl  core.CtlMsg
-	ack  reliable.Ack
 	rb   protocol.RbMsg
 	seqs []int
 
@@ -143,7 +141,13 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 			return nil, err
 		}
 	}
-	if e.Payload, err = decodePayload(r, d, stream, base.ack); err != nil {
+	link := flags&flagLink != 0
+	if link {
+		if e.Link, err = decodeLink(r, base); err != nil {
+			return nil, err
+		}
+	}
+	if e.Payload, err = decodePayload(r, d, stream); err != nil {
 		return nil, err
 	}
 	if r.off != len(data) {
@@ -154,8 +158,7 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	}
 	// The stream frame decoded in full: it becomes the connection's base,
 	// and so does its piggyback (absolute or reconstructed from a delta).
-	_, ack := e.Payload.(*reliable.Ack)
-	d.base.move(header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, ack: d.ack.ID}, app, ack)
+	d.base.move(header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}, app, link)
 	if _, ok := e.Payload.(*core.Piggyback); ok {
 		d.prev.Csn = d.cur.Csn
 		d.prev.Stat = d.cur.Stat
@@ -168,7 +171,7 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 
 // DecodeOwned decodes like Decode but returns an independent envelope
 // whose payload is in its canonical value form — core.Piggyback with a
-// cloned tentSet, value core.CtlMsg / reliable.Ack / protocol.RbMsg
+// cloned tentSet, value core.CtlMsg / protocol.RbMsg
 // (nil Seqs when empty) — exactly what Encode produced on the far side.
 // Use it wherever the envelope outlives the next decode; the zero-copy
 // Decode is for hot paths that finish with the envelope immediately.
@@ -180,11 +183,48 @@ func (d *Decoder) DecodeOwned(data []byte) (*protocol.Envelope, error) {
 	return v.Owned(), nil
 }
 
+// decodeLink parses a link block against base (the zero base in a
+// stateless frame). Only the canonical form decodes: a present seq or
+// mask is nonzero, and the block is not empty.
+func decodeLink(r *reader, base header) (protocol.Link, error) {
+	var l protocol.Link
+	lead, err := r.uvarint()
+	if err != nil {
+		return l, err
+	}
+	zz := lead >> linkShift
+	l.Ack = base.linkAck + (int64(zz>>1) ^ -int64(zz&1))
+	if l.Ack < 0 || l.Ack > maxLinkSeq {
+		return l, errf("wire: link floor %d out of range", l.Ack)
+	}
+	if lead&linkHasSeq != 0 {
+		d, err := r.varint()
+		if err != nil {
+			return l, err
+		}
+		if l.Seq = base.linkSeq + d; l.Seq < 1 || l.Seq > maxLinkSeq {
+			return l, errf("wire: link seq %d out of range", l.Seq)
+		}
+	}
+	if lead&linkHasMask != 0 {
+		if l.Mask, err = r.uvarint(); err != nil {
+			return l, err
+		}
+		if l.Mask == 0 {
+			return l, errf("wire: link block with an empty mask")
+		}
+	}
+	if l == (protocol.Link{}) {
+		return l, errf("wire: empty link block")
+	}
+	return l, nil
+}
+
 // decodePayload parses the payload block into the decoder's reusable
-// payload storage and returns a pointer view of it. In a stream frame an
-// ACK's ID is a delta against ackBase, and the delta block reconstructs an
-// absolute piggyback from the connection's base.
-func decodePayload(r *reader, d *Decoder, stream bool, ackBase int64) (any, error) {
+// payload storage and returns a pointer view of it. In a stream frame the
+// delta block reconstructs an absolute piggyback from the connection's
+// base.
+func decodePayload(r *reader, d *Decoder, stream bool) (any, error) {
 	pt, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -225,13 +265,6 @@ func decodePayload(r *reader, d *Decoder, stream bool, ackBase int64) (any, erro
 		}
 		d.ctl = core.CtlMsg{Csn: int(csn)}
 		return &d.ctl, nil
-	case ptAck:
-		id, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		d.ack = reliable.Ack{ID: ackBase + id}
-		return &d.ack, nil
 	case ptRb:
 		round, err := r.varint()
 		if err != nil {

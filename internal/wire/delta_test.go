@@ -127,7 +127,7 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 func TestStreamChainMatchesAbsolute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	envs := connectionTraffic(rng, 2000)
-	var backwards [4]int // ID, SentAt, App.Seq, acknowledged ID
+	var backwards [5]int // ID, SentAt, App.Seq, link seq, link floor
 	var last header
 	for i := 1; i < len(envs); i++ {
 		e := envs[i]
@@ -144,11 +144,17 @@ func TestStreamChainMatchesAbsolute(t *testing.T) {
 			}
 			last.seq = e.App.Seq
 		}
-		if a, ok := e.Payload.(reliable.Ack); ok {
-			if a.ID < last.ack {
-				backwards[3]++
+		if e.Link != (protocol.Link{}) {
+			if e.Link.Seq != 0 {
+				if e.Link.Seq < last.linkSeq {
+					backwards[3]++
+				}
+				last.linkSeq = e.Link.Seq
 			}
-			last.ack = a.ID
+			if e.Link.Ack < last.linkAck {
+				backwards[4]++
+			}
+			last.linkAck = e.Link.Ack
 		}
 	}
 	for field, n := range backwards {
@@ -220,14 +226,27 @@ func TestStreamChainMatchesAbsolute(t *testing.T) {
 }
 
 // connectionTraffic returns n envelopes the way one connection's writer
-// can receive them: a process's app frames with evolving piggybacks,
-// ACKs of the peer's messages, control and recovery frames, then
+// can receive them: a process's app and control frames with evolving
+// piggybacks and link blocks, standalone ACKs of the peer's messages,
+// recovery frames, then
 // reordered in adjacent pairs, with earlier envelopes sent again
 // (retransmits, duplicates) and now and then one with arbitrary fields.
 func connectionTraffic(rng *rand.Rand, n int) []*protocol.Envelope {
-	const idBase, peerBase = 1 << 40, 2 << 40
+	const idBase = 1 << 40
 	pb := core.Piggyback{TentSet: protocol.NewProcSet(4)}
-	var id, peerID, seq, epoch int64
+	var id, floor, seq, lseq, epoch int64
+	link := func(tracked bool) protocol.Link {
+		floor += rng.Int63n(3)
+		l := protocol.Link{Ack: floor}
+		if rng.Intn(5) == 0 {
+			l.Mask = 1 + uint64(rng.Int63n(1<<12))
+		}
+		if tracked {
+			lseq++
+			l.Seq = lseq
+		}
+		return l
+	}
 	var now des.Time = 1 << 34
 	var envs []*protocol.Envelope
 	for len(envs) < n {
@@ -243,13 +262,14 @@ func connectionTraffic(rng *rand.Rand, n int) []*protocol.Envelope {
 			e.Kind, e.Bytes = protocol.KindApp, 262
 			e.App = protocol.AppMsg{Seq: seq, Bytes: 256, Tag: uint64(now) - uint64(rng.Int63n(1e5))}
 			e.Payload = core.Piggyback{Csn: pb.Csn, Stat: pb.Stat, TentSet: pb.TentSet.Clone()}
+			e.Link = link(true)
 		case k < 17:
-			peerID += 1 + rng.Int63n(3)
 			e.Kind, e.CtlTag, e.Bytes = protocol.KindCtl, reliable.AckTag, 12
-			e.Payload = reliable.Ack{ID: peerBase + peerID}
+			e.Link = link(false)
 		case k < 19:
 			e.Kind, e.CtlTag, e.Bytes = protocol.KindCtl, core.TagREQ, 8
 			e.Payload = core.CtlMsg{Csn: pb.Csn}
+			e.Link = link(true)
 		case rng.Intn(4) == 0:
 			epoch++
 			e.Kind, e.CtlTag = protocol.KindCtl, protocol.TagRbLine
@@ -347,9 +367,30 @@ func TestEncoderMatchesPackageEncode(t *testing.T) {
 	}
 }
 
+// TestVersion3FrameRefused: a format-3 transport ACK, byte for byte as
+// that format laid it out (tag code 1 in bits 3–7, payload type 3 with the
+// acknowledged ID), is refused for its version. Restamped as format 4 it
+// still does not decode: bit 3 now announces a link block, and the bytes
+// behind it do not make one.
+func TestVersion3FrameRefused(t *testing.T) {
+	// version, ctl|code 1<<3, src 0, dst 1, epoch 0, Bytes 12, ID 7,
+	// SentAt 0, payload type 3, acknowledged ID 42.
+	v3 := []byte{3, 1 | 1<<3, 0, 1, 0, 24, 14, 0, 3, 84}
+	if _, err := Decode(v3); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-3 frame: err = %v, want ErrVersion", err)
+	}
+	if _, err := new(Decoder).Decode(v3); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-3 frame, stream decoder: err = %v, want ErrVersion", err)
+	}
+	restamped := append([]byte{VersionLatest}, v3[1:]...)
+	if e, err := Decode(restamped); err == nil {
+		t.Fatalf("a format-3 frame restamped as format %d decoded to %v", VersionLatest, e)
+	}
+}
+
 // TestDecoderRejectsOtherVersions is the version guarantee: exactly one
 // version byte decodes. A frame — stateless, stream, or piggyback delta —
-// restamped with any other version (0, the retired v1 and v2, the next
+// restamped with any other version (0, the retired v1 to v3, the next
 // one) fails with ErrVersion through every decode entry point, and never
 // panics or misparses.
 func TestDecoderRejectsOtherVersions(t *testing.T) {
@@ -358,7 +399,7 @@ func TestDecoderRejectsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{0, 1, VersionLatest - 1, VersionLatest + 1, 0xff} {
+	for _, ver := range []byte{0, 1, 2, VersionLatest - 1, VersionLatest + 1, 0xff} {
 		for name, frame := range map[string][]byte{"stateless": plain, "full": full, "delta": delta} {
 			bad := append([]byte{ver}, frame[1:]...)
 			dec := new(Decoder)

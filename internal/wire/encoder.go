@@ -5,7 +5,6 @@ import (
 
 	"ocsml/internal/core"
 	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 )
 
 // Encoder serializes envelopes into reusable Frames. Unlike the
@@ -28,15 +27,14 @@ func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 		f.data = f.data[:0]
 		return err
 	}
-	f.hdr = header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq}
+	f.hdr = header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}
+	f.mask = e.Link.Mask
 	var pb *core.Piggyback
 	switch p := e.Payload.(type) {
 	case core.Piggyback:
 		pb = &p
 	case *core.Piggyback:
 		pb = p
-	case reliable.Ack:
-		f.hdr.ack = p.ID
 	}
 	if pb != nil {
 		f.epoch = e.Epoch
@@ -91,9 +89,8 @@ func (pe *PeerEncoder) AppendFrame(dst []byte, f *Frame) ([]byte, int) {
 		return append(dst, f.data...), 0
 	}
 	dst, pb := pe.appendStream(dst, f)
-	pt := f.data[f.lay.pay]
-	pe.base.move(f.hdr, f.data[1]&flagApp != 0, pt == ptAck)
-	if pt == ptPiggyback {
+	pe.base.move(f.hdr, f.data[1]&flagApp != 0, f.data[1]&flagLink != 0)
+	if f.data[f.lay.pay] == ptPiggyback {
 		pe.has = true
 		pe.epoch = f.epoch
 		pe.pb.Csn = f.pb.Csn
@@ -114,9 +111,10 @@ func (pe *PeerEncoder) EncodedSize(f *Frame) int {
 }
 
 // appendStream appends f's stream encoding — its stateless bytes with the
-// stream flag set and the header fields as deltas against the base, the
-// piggyback as a delta block when that is smaller — and returns the
-// piggyback bytes it wrote. It does not move the base.
+// stream flag set and the header fields (the link block's included) as
+// deltas against the base, the piggyback as a delta block when that is
+// smaller — and returns the piggyback bytes it wrote. It does not move the
+// base.
 func (pe *PeerEncoder) appendStream(dst []byte, f *Frame) ([]byte, int) {
 	b, lay := f.data, f.lay
 	start := len(dst)
@@ -126,13 +124,12 @@ func (pe *PeerEncoder) appendStream(dst []byte, f *Frame) ([]byte, int) {
 	dst = binary.AppendVarint(dst, f.hdr.sentAt-pe.base.sentAt)
 	if b[1]&flagApp != 0 {
 		dst = binary.AppendVarint(dst, f.hdr.seq-pe.base.seq)
-		dst = append(dst, b[lay.app:lay.pay]...)
+		dst = append(dst, b[lay.app:lay.link]...)
 	}
-	switch b[lay.pay] {
-	case ptAck:
-		dst = append(dst, ptAck)
-		return binary.AppendVarint(dst, f.hdr.ack-pe.base.ack), 0
-	case ptPiggyback:
+	if b[1]&flagLink != 0 {
+		dst = appendLink(dst, f.hdr.linkSeq, f.hdr.linkAck, f.mask, pe.base)
+	}
+	if b[lay.pay] == ptPiggyback {
 		full := len(b) - lay.pay
 		mark := len(dst)
 		if pe.has && pe.epoch == f.epoch && pe.delta.From(pe.pb, f.pb) {

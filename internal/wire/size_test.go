@@ -8,7 +8,6 @@ import (
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
 )
 
 // randomEnvelope draws an arbitrary valid envelope: every payload kind
@@ -55,7 +54,13 @@ func randomEnvelope(rng *rand.Rand) *protocol.Envelope {
 	case 2:
 		e.Payload = core.CtlMsg{Csn: rng.Intn(1 << 20)}
 	case 3:
-		e.Payload = reliable.Ack{ID: rng.Int63() - rng.Int63()}
+		e.Link = protocol.Link{Ack: rng.Int63n(maxLinkSeq + 1)}
+		if rng.Intn(2) == 0 {
+			e.Link.Seq = 1 + rng.Int63n(maxLinkSeq)
+		}
+		if rng.Intn(2) == 0 {
+			e.Link.Mask = rng.Uint64()
+		}
 	}
 	return e
 }

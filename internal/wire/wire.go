@@ -11,9 +11,11 @@
 //
 // A frame is stateless (Encode, Encoder.EncodeFrame: decodable anywhere)
 // or a stream frame, which a PeerEncoder writes onto one connection with
-// ID, SentAt, App.Seq, an ACK's acknowledged ID and the piggyback coded as
-// deltas against that connection's previous frames; only the
-// connection's stateful Decoder reads it.
+// ID, SentAt, App.Seq, the link block's seq and acknowledged floor, and
+// the piggyback coded as deltas against that connection's previous
+// frames; only the connection's stateful Decoder reads it. The link block
+// (protocol.Link, the reliable layer's per-link header) is flagged by a
+// header bit, so an envelope without one spends no byte on it.
 //
 // Invariants:
 //
@@ -22,8 +24,8 @@
 //   - Decode never panics: truncated, corrupt or oversized input returns
 //     an error.
 //   - PayloadSize(e) is the exact number of encoded bytes attributable to
-//     the protocol payload (the OCSML piggyback block, a control message
-//     body, or a transport ACK).
+//     the protocol payload (the OCSML piggyback block or a control
+//     message body).
 //   - A PeerEncoder's frames decode, through the Decoder of the same
 //     connection, to exactly what Decode(Encode(e)) returns, whatever was
 //     dropped, duplicated or reordered before the encoder and with
@@ -35,10 +37,9 @@
 // Payloads are polymorphic (Envelope.Payload is `any`); the codec knows
 // the concrete types the in-tree protocols use: core.Piggyback (by value,
 // or as the *core.Piggyback snapshot a sender attaches; both encode the
-// same bytes), core.CtlMsg, reliable.Ack and protocol.RbMsg (the recovery
-// coordinator's handshake). Foreign payload types are an encode-time
-// error — a protocol that wants to run on the TCP mesh must register its
-// payload here.
+// same bytes), core.CtlMsg and protocol.RbMsg (the recovery coordinator's
+// handshake). Foreign payload types are an encode-time error — a protocol
+// that wants to run on the TCP mesh must register its payload here.
 package wire
 
 import (
@@ -57,7 +58,7 @@ import (
 // rejects every other version byte with ErrVersion: there is no
 // compatibility reader, so a peer of another version is refused rather
 // than misread (DESIGN.md §13.1).
-const VersionLatest = 3
+const VersionLatest = 4
 
 // MaxCtlTag bounds the control-tag string length on the wire.
 const MaxCtlTag = 64
@@ -67,8 +68,19 @@ const (
 	flagCtl    = 1 << 0 // Kind is KindCtl (else KindApp)
 	flagStream = 1 << 1 // a stream frame: deltas against the connection's base
 	flagApp    = 1 << 2 // the App block follows (else App is zero)
-	tagShift   = 3      // bits 3..7: the control tag's index in ctlTags, or tagLiteral
-	tagLiteral = 31     // the tag follows as a uvarint length and its bytes
+	flagLink   = 1 << 3 // the link block follows (else Link is zero)
+	tagShift   = 4      // bits 4..7: the control tag's index in ctlTags, or tagLiteral
+	tagLiteral = 15     // the tag follows as a uvarint length and its bytes
+)
+
+// The link block's lead uvarint: the acknowledged floor, zig-zag coded,
+// above two presence bits for the fields that may follow it.
+const (
+	linkHasMask = 1 << 0 // the mask follows as a uvarint (else it is 0)
+	linkHasSeq  = 1 << 1 // the seq follows as a varint (else it is 0)
+	linkShift   = 2
+	// maxLinkSeq bounds a link seq or floor on the wire.
+	maxLinkSeq = 1 << 40
 )
 
 // ctlTags is the control-tag code table: a tag in it travels as its index
@@ -82,18 +94,19 @@ var ctlTags = [...]string{
 }
 
 // MaxStreamGrowth bounds how many bytes PeerEncoder.AppendFrame can add to
-// a frame's stateless length. Each of the four delta-coded fields (ID,
-// SentAt, App.Seq, the acknowledged ID) is a zig-zag varint of 1 to 10
-// bytes either way, so a delta against a base far from the value costs at
-// most 9 bytes more than the value; the piggyback rewrite only shrinks.
-const MaxStreamGrowth = 4 * (binary.MaxVarintLen64 - 1)
+// a frame's stateless length. Each of the five delta-coded fields (ID,
+// SentAt, App.Seq, the link seq and the link's acknowledged floor) is a
+// varint of 1 to 10 bytes either way, so a delta against a base far from
+// the value costs at most 9 bytes more than the value; the link block's
+// presence bits and mask are the same bytes in both encodings, and the
+// piggyback rewrite only shrinks.
+const MaxStreamGrowth = 5 * (binary.MaxVarintLen64 - 1)
 
 // Payload type discriminators.
 const (
 	ptNone           = 0 // Payload == nil
 	ptPiggyback      = 1 // core.Piggyback, absolute
 	ptCtlMsg         = 2 // core.CtlMsg
-	ptAck            = 3 // reliable.Ack
 	ptRb             = 4 // protocol.RbMsg (recovery coordinator)
 	ptPiggybackDelta = 5 // core.Piggyback as a delta against the connection's base
 )
@@ -150,30 +163,57 @@ func Append(buf []byte, e *protocol.Envelope) ([]byte, error) {
 }
 
 // header holds the fields a stream frame codes as deltas, as values or as
-// a connection's base.
+// a connection's base: ID, SentAt, App.Seq, and the link block's seq and
+// acknowledged floor.
 type header struct {
-	id, sentAt, seq, ack int64
+	id, sentAt, seq, linkSeq, linkAck int64
 }
 
 // move advances a base past a stream frame carrying v: ID and SentAt
-// always, App.Seq only with an App block, the acknowledged ID only with an
-// ACK payload. The encoder and the decoder of a connection both move
-// theirs through it, so they cannot disagree on the rule.
-func (b *header) move(v header, app, ack bool) {
+// always, App.Seq only with an App block, the link's floor only with a
+// link block and its seq only when the block has one. The encoder and the
+// decoder of a connection both move theirs through it, so they cannot
+// disagree on the rule.
+func (b *header) move(v header, app, link bool) {
 	b.id, b.sentAt = v.id, v.sentAt
 	if app {
 		b.seq = v.seq
 	}
-	if ack {
-		b.ack = v.ack
+	if link {
+		b.linkAck = v.linkAck
+		if v.linkSeq != 0 {
+			b.linkSeq = v.linkSeq
+		}
 	}
 }
 
 // layout locates, in a stateless encoding, the parts PeerEncoder copies
 // around the fields it delta-codes: [0, vary) is everything before ID,
-// [app, pay) is App.Bytes and App.Tag, and [pay, end) the payload block.
+// [app, link) is App.Bytes and App.Tag, [link, pay) the link block and
+// [pay, end) the payload block.
 type layout struct {
-	vary, app, pay int
+	vary, app, link, pay int
+}
+
+// appendLink writes a link block of seq, floor ack and mask against base
+// (the zero base in a stateless frame).
+func appendLink(buf []byte, seq, ack int64, mask uint64, base header) []byte {
+	d := ack - base.linkAck
+	lead := (uint64(d<<1) ^ uint64(d>>63)) << linkShift
+	if seq != 0 {
+		lead |= linkHasSeq
+	}
+	if mask != 0 {
+		lead |= linkHasMask
+	}
+	buf = binary.AppendUvarint(buf, lead)
+	if seq != 0 {
+		buf = binary.AppendVarint(buf, seq-base.linkSeq)
+	}
+	if mask != 0 {
+		buf = binary.AppendUvarint(buf, mask)
+	}
+	return buf
 }
 
 // appendHeader writes the version byte and the envelope header (all
@@ -192,6 +232,9 @@ func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error)
 	if e.Epoch < 0 {
 		return nil, errf("wire: negative epoch %d", e.Epoch)
 	}
+	if l := e.Link; l.Seq < 0 || l.Seq > maxLinkSeq || l.Ack < 0 || l.Ack > maxLinkSeq {
+		return nil, errf("wire: link seq %d or floor %d out of range", l.Seq, l.Ack)
+	}
 	start := len(buf)
 	code := tagLiteral
 	for i, t := range ctlTags {
@@ -203,6 +246,9 @@ func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error)
 	flags := byte(code<<tagShift) | byte(e.Kind)
 	if e.App != (protocol.AppMsg{}) {
 		flags |= flagApp
+	}
+	if e.Link != (protocol.Link{}) {
+		flags |= flagLink
 	}
 	buf = append(buf, VersionLatest, flags)
 	buf = binary.AppendUvarint(buf, uint64(e.Src))
@@ -222,6 +268,10 @@ func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error)
 		buf = binary.AppendVarint(buf, e.App.Bytes)
 		buf = binary.AppendUvarint(buf, e.App.Tag)
 	}
+	lay.link = len(buf) - start
+	if flags&flagLink != 0 {
+		buf = appendLink(buf, e.Link.Seq, e.Link.Ack, e.Link.Mask, header{})
+	}
 	lay.pay = len(buf) - start
 	return buf, nil
 }
@@ -240,9 +290,6 @@ func appendPayload(buf []byte, payload any) ([]byte, error) {
 		}
 		buf = append(buf, ptCtlMsg)
 		return binary.AppendUvarint(buf, uint64(p.Csn)), nil
-	case reliable.Ack:
-		buf = append(buf, ptAck)
-		return binary.AppendVarint(buf, p.ID), nil
 	case protocol.RbMsg:
 		if p.Line < 0 || p.Epoch < 0 {
 			return nil, errf("wire: negative recovery line %d or epoch %d", p.Line, p.Epoch)

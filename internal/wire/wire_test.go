@@ -34,13 +34,14 @@ func sampleEnvelopes() []*protocol.Envelope {
 			ID: 99, Src: 2, Dst: 0, Kind: protocol.KindCtl, CtlTag: core.TagBGN,
 			Bytes: 8, SentAt: 1, Payload: core.CtlMsg{Csn: 3},
 		},
-		{ // transport acknowledgement
+		{ // standalone transport acknowledgement: a link block, no payload
 			ID: 7, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: reliable.AckTag,
-			Bytes: 12, Payload: reliable.Ack{ID: -1 << 40},
+			Bytes: 12, Link: protocol.Link{Ack: 1 << 40, Mask: 1<<63 | 5},
 		},
-		{ // bare envelope, no payload
+		{ // bare envelope, no payload, tracked by the reliable layer
 			ID: 3, Src: 0, Dst: 1, Kind: protocol.KindApp,
-			App: protocol.AppMsg{Seq: 2, Bytes: 64, Tag: 9},
+			App:  protocol.AppMsg{Seq: 2, Bytes: 64, Tag: 9},
+			Link: protocol.Link{Seq: 17, Ack: 4},
 		},
 		{ // recovery line report with a manifest
 			ID: 11, Src: 3, Dst: 1, Kind: protocol.KindCtl, CtlTag: protocol.TagRbLine,
