@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint staticcheck vuln chaos ctl soak fs-soak fuzz model-check results-check bench-check bench-gate loc
+.PHONY: all build test race vet fmt lint staticcheck vuln chaos ctl soak fs-soak fuzz model-check results-check recovery-sweep bench-check bench-gate loc
 
 all: build test
 
@@ -139,6 +139,18 @@ results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/experiments -id $(RESULTS_IDS) -csv "$$tmp" >/dev/null && \
 	diff -r "$$tmp" results && echo "results/*.csv reproduce byte-identical"
+
+# recovery-sweep is the DES recovery gate: one crash per seeded run, seeds
+# 1-RECOVERY_SEEDS at N = 3 and 6, each recovering through the RB_*
+# handshake (engine.TestRecoverySweep). Every run must complete; both runs
+# of a seed must leave one trace fingerprint; every S_k must be consistent
+# (CheckAllGlobals); and every logged send of the line must be processed
+# exactly once in the new epoch, or not at all when its receiver's line
+# holds it (about 12 s). Tier-1 `go test` runs seeds 1-20 of the same test.
+RECOVERY_SEEDS ?= 500
+
+recovery-sweep:
+	RECOVERY_SWEEP_SEEDS=$(RECOVERY_SEEDS) $(GO) test -count=1 -run '^TestRecoverySweep$$' ./internal/engine/
 
 # bench-check builds, vets and short-tests the nested benchmark module
 # (bench/_src, its own go.mod): tier-1 `go ./...` never compiles it, so

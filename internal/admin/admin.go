@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"ocsml/internal/fsstore"
+	"ocsml/internal/handshake"
 	"ocsml/internal/metrics"
 	"ocsml/internal/transport"
 )
@@ -214,7 +215,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		resp.Manifests = append(resp.Manifests, m)
 		groups = append(groups, m.Seqs)
 	}
-	resp.CompleteSeqs = fsstore.Intersect(groups)
+	resp.CompleteSeqs = handshake.Intersect(groups)
 	if len(resp.CompleteSeqs) > 0 {
 		resp.LastComplete = resp.CompleteSeqs[len(resp.CompleteSeqs)-1]
 	}

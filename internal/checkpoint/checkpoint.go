@@ -211,16 +211,6 @@ func (ps *ProcStore) Get(seq int) (Record, bool) {
 	return Record{}, false
 }
 
-// Latest returns the most recent finalized checkpoint.
-func (ps *ProcStore) Latest() (Record, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if len(ps.recs) == 0 {
-		return Record{}, false
-	}
-	return ps.recs[len(ps.recs)-1], true
-}
-
 // All returns a copy of every finalized record, ascending by Seq.
 func (ps *ProcStore) All() []Record {
 	ps.mu.Lock()

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
@@ -93,12 +94,13 @@ type Cluster struct {
 	failure *FailurePlan
 
 	// Run-state mutated only while the simulation executes, i.e. on the
-	// goroutine inside Cluster.Run. epoch is the recovery epoch, bumped
-	// on rollback.
-	doneN    int
+	// goroutine inside Cluster.Run. done is by process: it finished its
+	// quota since its last rollback. rb is the recovery handshake running,
+	// if any.
+	done     []bool
 	draining bool
 	makespan des.Time
-	epoch    int
+	rb       *recovery
 
 	// Metrics is the run's named-metric registry. The free-form Count
 	// namespace lands here as the events family (the DES and the live
@@ -130,6 +132,7 @@ func New(cfg Config, pf ProtoFactory, af AppFactory) *Cluster {
 		Rec:     trace.NewRecorder(),
 		Ckpts:   checkpoint.NewStore(cfg.N),
 		Metrics: metrics.NewRegistry(),
+		done:    make([]bool, cfg.N),
 	}
 	c.events = c.Metrics.EventSink()
 	c.appMsgs = c.Metrics.MustCounter("ocsml_app_messages_total",
@@ -188,23 +191,23 @@ func (c *Cluster) Run() *Result {
 	return c.result()
 }
 
-// deliver routes an arriving envelope to its destination protocol. It
-// is the network's delivery callback, invoked from the simulator's
-// event queue inside Cluster.Run.
+// deliver routes an arriving envelope to its destination: the RB_LINE and
+// RB_ACK frames of a running recovery to the victim's coordinator, all
+// else to the process's host, whose fence decides its epoch. It is the
+// network's delivery callback, invoked from the simulator's event queue
+// inside Cluster.Run.
 func (c *Cluster) deliver(e *protocol.Envelope) {
-	if e.Epoch != c.epoch {
-		// Sent before a rollback: the channel contents of the old epoch
-		// were discarded and rebuilt from the message logs.
-		c.count("recovery.stale_dropped", 1)
+	if r := c.rb; r != nil && e.Dst == r.victim && (e.CtlTag == protocol.TagRbLine || e.CtlTag == protocol.TagRbAck) {
+		c.coordinate(r, e)
 		return
 	}
 	c.nodes[e.Dst].h.Deliver(e)
 }
 
-// appDone is called once per node when its workload quota completes.
-func (c *Cluster) appDone() {
-	c.doneN++
-	if c.doneN == c.cfg.N && !c.draining {
+// appDone is called when process p completes its workload quota.
+func (c *Cluster) appDone(p int) {
+	c.done[p] = true
+	if !slices.Contains(c.done, false) && !c.draining {
 		c.draining = true
 		c.makespan = c.Sim.Now()
 		for _, n := range c.nodes {

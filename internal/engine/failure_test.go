@@ -213,15 +213,29 @@ func TestFailureInvalidProcPanics(t *testing.T) {
 
 // TestRecoveryPathPinned pins what the DES recovery path does, number for
 // number: results-check cannot (no E/A experiment injects a failure), so a
-// refactor of recoverAll or host.Rollback that moves the line, the
-// truncation, the re-injection, the dedup or the RNG order shows up here.
-// The lines and discards date from the commit before host.Rollback took over
-// the fetch and the truncation. The single-crash rows' line, discarded,
-// reinjected, dup and stale columns date from the engine's own
-// re-injection; when host.Resume took it over, each process's restart began
-// to draw network delays before the next process's re-sends, which moved
-// the makespans and trace lengths, and the repeated row's second crash
-// landed on another state.
+// refactor of the handshake, the epoch fence or host.Restart that moves the
+// line, the truncation, the re-injection, the dedup or the RNG order shows
+// up here. The lines and discards date from the commit before host.Rollback
+// took over the fetch and the truncation; the single-crash rows' reinjected
+// and dup columns from the engine's own re-injection. They did not move
+// when the DES began to recover through the RB_* handshake, which agrees
+// the line the global pick chose in every row. What moved then, and why:
+//   - makespan: survivors run in the old epoch until their own RB_CMT, the
+//     victim rejoins at the last RB_ACK, and the RB_* frames draw network
+//     delays, so the run after the crash is another schedule; the repeated
+//     row's second crash lands on another state, hence its reinjected and
+//     dup.
+//   - stale counts frames of an older epoch only, dropped by a process
+//     that already rolled back. A frame of the new epoch that reaches a
+//     process still in the old one is held (the held column) and processed
+//     after its rollback, where it used to be dropped; what the crashed
+//     victim receives during its handshake is lost with the crash.
+//   - trace: the RB_* frames are traced (KCtlSend, and KCtlRecv at the
+//     survivors), and the survivors' old-epoch work in the handshake window
+//     is new.
+//   - held and recover (crash → the last RB_ACK, virtual µs: the 100 ms
+//     restart delay, then the handshake's round trips and the truncation
+//     writes on the shared storage server) are new.
 func TestRecoveryPathPinned(t *testing.T) {
 	type plan struct {
 		at   des.Time
@@ -232,19 +246,20 @@ func TestRecoveryPathPinned(t *testing.T) {
 		seed, steps                             int64
 		plans                                   []plan
 		line, discarded, reinjected, dup, stale int64
+		held, recoverUs                         int64
 		makespan                                des.Time
 		traceLen                                int
 	}{
-		{"seed1", 1, 400, []plan{{2500 * des.Millisecond, 1}}, 2, 0, 28, 27, 0, 4688173347, 5531},
-		{"seed2", 2, 400, []plan{{2500 * des.Millisecond, 2}}, 2, 0, 15, 13, 2, 4685721605, 5543},
-		{"seed3", 3, 400, []plan{{2500 * des.Millisecond, 3}}, 2, 0, 22, 20, 0, 4612441035, 5483},
-		{"seed4", 4, 400, []plan{{2500 * des.Millisecond, 4}}, 2, 0, 16, 14, 1, 4626183497, 5557},
-		{"seed5", 5, 400, []plan{{2500 * des.Millisecond, 5}}, 2, 0, 17, 11, 1, 4623481246, 5580},
+		{"seed1", 1, 400, []plan{{2500 * des.Millisecond, 1}}, 2, 0, 28, 27, 0, 7, 115226, 4687344028, 5566},
+		{"seed2", 2, 400, []plan{{2500 * des.Millisecond, 2}}, 2, 0, 15, 13, 1, 2, 116791, 4666931670, 5578},
+		{"seed3", 3, 400, []plan{{2500 * des.Millisecond, 3}}, 2, 0, 22, 20, 0, 5, 114296, 4627277767, 5553},
+		{"seed4", 4, 400, []plan{{2500 * des.Millisecond, 4}}, 2, 0, 16, 14, 1, 6, 115002, 4640792745, 5595},
+		{"seed5", 5, 400, []plan{{2500 * des.Millisecond, 5}}, 2, 0, 17, 11, 0, 4, 114846, 4615478558, 5613},
 		// A crash with round 2 finalized but not yet stable everywhere:
 		// the line is 1 and six finalized records are thrown away.
-		{"mid-round", 3, 600, []plan{{2100 * des.Millisecond, 1}}, 1, 6, 19, 18, 1, 7234907603, 8714},
-		// TestRepeatedFailures' schedule; line_seq sums the two lines.
-		{"repeated", 9, 500, []plan{{1800 * des.Millisecond, 1}, {3600 * des.Millisecond, 4}}, 3, 0, 23, 20, 0, 6691397239, 7984},
+		{"mid-round", 3, 600, []plan{{2100 * des.Millisecond, 1}}, 1, 6, 19, 18, 2, 5, 156078, 7173442916, 8713},
+		// TestRepeatedFailures' schedule; line_seq and recover sum the two.
+		{"repeated", 9, 500, []plan{{1800 * des.Millisecond, 1}, {3600 * des.Millisecond, 4}}, 3, 0, 34, 29, 3, 12, 229732, 6724122439, 8085},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -256,11 +271,12 @@ func TestRecoveryPathPinned(t *testing.T) {
 			got := []int64{
 				r.Counter("recovery.line_seq"), r.Counter("recovery.ckpts_discarded"),
 				r.Counter("recovery.reinjected"), r.Counter("recovery.dup_dropped"),
-				r.Counter("recovery.stale_dropped"), int64(r.Makespan), int64(r.Trace.Len()),
+				r.Counter("recovery.stale_dropped"), r.Counter("recovery.held"), r.Counter("recovery.recover_us"),
+				int64(r.Makespan), int64(r.Trace.Len()),
 			}
-			want := []int64{row.line, row.discarded, row.reinjected, row.dup, row.stale, int64(row.makespan), int64(row.traceLen)}
+			want := []int64{row.line, row.discarded, row.reinjected, row.dup, row.stale, row.held, row.recoverUs, int64(row.makespan), int64(row.traceLen)}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("(line, discarded, reinjected, dup, stale, makespan, trace) = %v, want %v", got, want)
+				t.Fatalf("(line, discarded, reinjected, dup, stale, held, recover, makespan, trace) = %v, want %v", got, want)
 			}
 		})
 	}

@@ -83,4 +83,25 @@ func (n *Node) Stalled(on bool) {
 func (n *Node) Draining() bool { return n.c.draining }
 
 // AppDone implements host.Driver.
-func (n *Node) AppDone() { n.c.appDone() }
+func (n *Node) AppDone() { n.c.appDone(n.h.ID()) }
+
+// DurableSeqs implements host.Driver: the checkpoints whose stable write
+// has completed.
+func (n *Node) DurableSeqs() []int {
+	var seqs []int
+	for _, rec := range n.h.Checkpoints().All() {
+		if rec.Seq > 0 && rec.StableAt > 0 {
+			seqs = append(seqs, rec.Seq)
+		}
+	}
+	return seqs
+}
+
+// Truncate implements host.Driver: the rollback's record is one write
+// through the storage model, queued behind what the process wrote before.
+func (n *Node) Truncate(_ int, done func(ok bool)) {
+	n.WriteStable("rollback", 0, func(_, _ des.Time) { done(true) })
+}
+
+// RolledBack implements host.Driver: the process owes its quota again.
+func (n *Node) RolledBack(int, int) { n.c.done[n.h.ID()] = false }

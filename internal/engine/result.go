@@ -65,7 +65,7 @@ func (c *Cluster) result() *Result {
 	r := &Result{
 		Cfg:            c.cfg,
 		ProtoName:      c.protoName,
-		Completed:      c.doneN == c.cfg.N,
+		Completed:      c.draining,
 		Makespan:       c.makespan,
 		End:            c.Sim.Now(),
 		AppMsgs:        c.appMsgs.Value(),

@@ -55,6 +55,7 @@ import (
 	"sync"
 
 	"ocsml/internal/checkpoint"
+	"ocsml/internal/handshake"
 	"ocsml/internal/metrics"
 	"ocsml/internal/wire"
 )
@@ -875,36 +876,6 @@ func ReadManifest(datadir string, proc int) (Manifest, error) {
 	return Manifest{Proc: h.Proc, N: h.N, Seqs: seqs, Segments: h.Segments}, nil
 }
 
-// Intersect returns the sequence numbers present in every one of the
-// groups, ascending. It is a true intersection: a sequence number counts
-// only if every group has it, so gaps in one manifest (possible after a
-// torn-manifest rebuild) cannot surface a line some process lacks. The
-// recovery coordinator applies it to the RB_LINE reports exactly as the
-// datadir helpers below apply it to the on-disk manifests.
-func Intersect(groups [][]int) []int {
-	if len(groups) == 0 {
-		return nil
-	}
-	count := map[int]int{}
-	for _, group := range groups {
-		seen := map[int]bool{}
-		for _, q := range group {
-			if !seen[q] {
-				seen[q] = true
-				count[q]++
-			}
-		}
-	}
-	var seqs []int
-	for q, c := range count {
-		if c == len(groups) {
-			seqs = append(seqs, q)
-		}
-	}
-	sort.Ints(seqs)
-	return seqs
-}
-
 // LastCompleteSeq intersects the manifests of all n processes and returns
 // the highest sequence number every process has durably finalized — the
 // last global checkpoint S_k on disk — or -1 if none exists. Reads are
@@ -933,5 +904,5 @@ func CompleteSeqs(datadir string, n int) ([]int, error) {
 		}
 		groups = append(groups, m.Seqs)
 	}
-	return Intersect(groups), nil
+	return handshake.Intersect(groups), nil
 }

@@ -2,13 +2,14 @@
 // (DESIGN.md §9) as two state machines that touch no socket, clock, disk,
 // goroutine or counter: frames, ticks and truncation outcomes go in,
 // frames to send and "truncate above this line" come out. The I/O around
-// them is internal/transport's (Cluster.coordinate, Node.handleRecovery).
+// them is the drivers': a survivor's Participant lives in host.Host on
+// both, the Coordinator runs in transport.Cluster.coordinate on TCP and in
+// the engine's recovery on the DES.
 package handshake
 
 import (
 	"slices"
 
-	"ocsml/internal/fsstore"
 	"ocsml/internal/protocol"
 )
 
@@ -83,7 +84,7 @@ func (c *Coordinator) Receive(f Frame) []Frame {
 	// durable: the highest member of the true intersection, or the
 	// initial state. The new epoch fences out every one reported.
 	cmt := protocol.RbMsg{Round: c.msg.Round, Epoch: c.epoch + 1}
-	if common := fsstore.Intersect(c.votes); len(common) > 0 {
+	if common := Intersect(c.votes); len(common) > 0 {
 		cmt.Line = common[len(common)-1]
 	}
 	c.exchange(protocol.TagRbCommit, protocol.TagRbAck, cmt)
@@ -181,4 +182,34 @@ func (p *Participant) Truncated(f Frame, ok bool) []Frame {
 // ack echoes commit cmt's round, line and epoch to its coordinator.
 func ack(cmt Frame) []Frame {
 	return []Frame{{Peer: cmt.Peer, Tag: protocol.TagRbAck, Msg: cmt.Msg}}
+}
+
+// Intersect returns the sequence numbers present in every one of the
+// groups, ascending. It is a true intersection: a sequence number counts
+// only if every group has it, so gaps in one manifest (possible after a
+// torn-manifest rebuild) cannot surface a line some process lacks. The
+// Coordinator applies it to the RB_LINE reports exactly as fsstore's
+// datadir helpers apply it to the on-disk manifests.
+func Intersect(groups [][]int) []int {
+	if len(groups) == 0 {
+		return nil
+	}
+	count := map[int]int{}
+	for _, group := range groups {
+		seen := map[int]bool{}
+		for _, q := range group {
+			if !seen[q] {
+				seen[q] = true
+				count[q]++
+			}
+		}
+	}
+	var seqs []int
+	for q, c := range count {
+		if c == len(groups) {
+			seqs = append(seqs, q)
+		}
+	}
+	slices.Sort(seqs)
+	return seqs
 }

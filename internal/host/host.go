@@ -4,18 +4,20 @@
 // (internal/transport) drive. A Host implements protocol.Env and
 // protocol.AppCtx and owns everything the paper's §2.1 process model makes
 // local to a process — the application state fold, the stall/deferred
-// queue, the epoch that fences timers across a rollback, and the rollback
-// step itself — so that logic exists once. What differs between the
-// runtimes (clock, envelope ids, the link, the loop, stable storage) sits
-// behind Driver.
+// queue, the epoch fence, the rollback step itself and the survivor side
+// of the RB_* recovery handshake — so that logic exists once. What differs
+// between the runtimes (clock, envelope ids, the link, the loop, stable
+// storage) sits behind Driver.
 package host
 
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"ocsml/internal/checkpoint"
 	"ocsml/internal/des"
+	"ocsml/internal/handshake"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
 	"ocsml/internal/trace"
@@ -61,6 +63,17 @@ type Driver interface {
 	// AppDone is told, once per incarnation and rollback, that the
 	// application finished its quota.
 	AppDone()
+
+	// DurableSeqs is the process's vote in a recovery round: the sequence
+	// numbers (above 0) of the checkpoints it holds on stable storage.
+	DurableSeqs() []int
+	// Truncate makes a rollback to line durable: the stable copies above
+	// line go, after every write already queued. done runs on the loop
+	// with the outcome; the RB_ACK waits for it.
+	Truncate(line int, done func(ok bool))
+	// RolledBack observes that the process was put at line (Restart),
+	// having replayed replayed logged messages, before it resumes.
+	RolledBack(line, replayed int)
 }
 
 // Process is the identity and the collaborators of one process.
@@ -91,11 +104,20 @@ type Host struct {
 	count    func(name string, delta int64) // p.Metrics' event sink
 	ctlNames map[string]string              // "ctl."+tag, built once: every ACK is counted
 
-	// epoch fences every tick: whatever was scheduled before a rollback
-	// never fires (Fire). down silences a crashed process until the
-	// rollback that revives it.
-	epoch int
-	down  bool
+	// epoch is the recovery epoch every envelope is stamped with and
+	// fenced by (Deliver). life fences every tick: each rollback bumps it,
+	// so whatever was scheduled before never fires (Fire). down silences a
+	// crashed process until the rollback that revives it.
+	epoch, life int
+	down        bool
+
+	// ahead holds owned copies of the envelopes of a newer epoch than
+	// this process's, in arrival order, until a rollback adopts it.
+	ahead []*protocol.Envelope
+	// rb is this process's side of the RB_* handshake.
+	rb handshake.Participant
+
+	mStale, mRollbacks *metrics.Counter
 
 	// Application state: a deterministic fold over processed events plus
 	// a work counter. This is what checkpoints capture.
@@ -114,20 +136,26 @@ type Host struct {
 	out protocol.Envelope
 
 	// held is the recovery filter: the IDs of the application messages
-	// the state Resume restored already reflects, dropped on arrival. Nil
-	// until the first Resume, which replaces it.
+	// the state Restart restored already reflects, dropped on arrival. Nil
+	// until the first Restart, which replaces it.
 	held map[int64]bool
 }
 
 // Tick is one timer as a value, which a driver holds and hands back to
-// Fire: the epoch that set it and what it runs — an application callback
+// Fire: the life that set it and what it runs — an application callback
 // (app), the end of a timed stall (resume), or else the protocol's
 // OnTimer(kind, gen).
 type Tick struct {
-	epoch, kind, gen int
-	app              func()
-	resume           bool
+	life, kind, gen int
+	app             func()
+	resume          bool
 }
+
+// maxAhead caps the envelopes a process holds for an epoch it has yet to
+// adopt; one more is dropped as stale. A rollback is late by about one
+// RB_CMT delivery and the truncations queued before it: the 16-process
+// stencil holds 37 frames over all its processes.
+const maxAhead = 1024
 
 // appCtx is the application's view of a Host. It shadows Env.Send with
 // the application-level Send signature; everything else promotes.
@@ -142,9 +170,18 @@ var (
 )
 
 // New builds the host of one process; nothing runs until the driver
-// calls StartProtocol and StartApp (or Resume).
+// calls StartProtocol and StartApp (or Restart).
 func New(p Process, drv Driver) *Host {
-	return &Host{p: p, drv: drv, count: p.Metrics.EventSink(), ctlNames: map[string]string{}, epoch: p.Epoch}
+	proc := strconv.Itoa(p.ID)
+	h := &Host{
+		p: p, drv: drv, count: p.Metrics.EventSink(), ctlNames: map[string]string{}, epoch: p.Epoch,
+		mStale: p.Metrics.MustCounterVec("ocsml_wire_stale_dropped_total",
+			"Envelopes dropped at the epoch fence (traffic of an older epoch).", "proc").With(proc),
+		mRollbacks: p.Metrics.MustCounterVec("ocsml_recovery_rollbacks_total",
+			"Committed rollbacks executed (RB_CMT).", "proc").With(proc),
+	}
+	h.rb.Proc = survivor{h}
+	return h
 }
 
 // ---- driver-facing steps ----
@@ -155,88 +192,162 @@ func (h *Host) StartProtocol() { h.p.Proto.Start(h) }
 // StartApp starts the application from its initial state.
 func (h *Host) StartApp() { h.p.App.Start(appCtx{h}) }
 
-// Deliver hands an arriving envelope, already past the driver's epoch
-// fence, to the protocol.
+// Deliver takes an arriving envelope through the one epoch fence of both
+// drivers. RB_* frames go ahead of it, to the handshake: their coordinator
+// cannot know the epoch it is about to establish. Any other envelope is
+// processed in the epoch it was sent in, or not at all. An older one is
+// pre-rollback traffic, dropped as stale. A newer one comes from a process
+// that rolled back before this one: processed now it would land in the
+// epoch this process is about to discard, so it is held until a rollback
+// adopts its epoch (Restart). A crashed process processes nothing else.
 func (h *Host) Deliver(e *protocol.Envelope) {
-	if e.Kind == protocol.KindCtl {
-		h.p.Rec.Record(trace.Event{
-			T: h.drv.Now(), Kind: trace.KCtlRecv, Proc: h.p.ID, Peer: e.Src,
-			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-		})
+	switch {
+	case protocol.IsRecoveryTag(e.CtlTag):
+		h.recordCtlRecv(e)
+		h.recover(e)
+	case e.Epoch < h.epoch:
+		h.stale()
+	case e.Epoch > h.epoch:
+		if len(h.ahead) == maxAhead {
+			h.stale()
+			return
+		}
+		h.ahead = append(h.ahead, e.Owned())
+		h.count("recovery.held", 1)
+	case h.down: // lost with the crash, like what the link drops
+	default:
+		if e.Kind == protocol.KindCtl {
+			h.recordCtlRecv(e)
+		}
+		h.p.Proto.OnDeliver(e)
 	}
-	h.p.Proto.OnDeliver(e)
+}
+
+func (h *Host) stale() {
+	h.count("recovery.stale_dropped", 1)
+	h.mStale.Inc()
+}
+
+func (h *Host) recordCtlRecv(e *protocol.Envelope) {
+	h.p.Rec.Record(trace.Event{
+		T: h.drv.Now(), Kind: trace.KCtlRecv, Proc: h.p.ID, Peer: e.Src,
+		MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
+	})
+}
+
+// recover feeds one RB_* frame to the process's handshake.Participant,
+// which holds the whole survivor policy (DESIGN.md §9), and does what it
+// answers: send its frames, and truncate the stable copies above the line
+// through the driver, acknowledging once that landed.
+func (h *Host) recover(e *protocol.Envelope) {
+	rb, ok := e.Payload.(protocol.RbMsg)
+	if !ok {
+		h.count("recovery.bad_frames", 1)
+		return
+	}
+	if e.CtlTag != protocol.TagRbBegin && e.CtlTag != protocol.TagRbCommit {
+		// RB_LINE and RB_ACK are coordinator-bound; a running process sees
+		// them only as leftovers of a round it did not coordinate.
+		h.count("recovery.stray_frames", 1)
+		return
+	}
+	f := handshake.Frame{Peer: e.Src, Tag: e.CtlTag, Msg: rb}
+	out, truncate := h.rb.Receive(f)
+	h.SendFrames(out)
+	if truncate {
+		h.drv.Truncate(rb.Line, func(ok bool) { h.SendFrames(h.rb.Truncated(f, ok)) })
+	}
+}
+
+// SendFrames sends RB_* frames from this process: a survivor's answers,
+// or a restarted process's own round when it coordinates.
+func (h *Host) SendFrames(frames []handshake.Frame) {
+	for _, f := range frames {
+		h.Send(&protocol.Envelope{Dst: f.Peer, Kind: protocol.KindCtl, CtlTag: f.Tag, Payload: f.Msg})
+	}
+}
+
+// survivor is the process as its handshake.Participant reaches it.
+type survivor struct{ *Host }
+
+func (s survivor) DurableSeqs() []int { return s.drv.DurableSeqs() }
+
+func (s survivor) Rollback(line, epoch int) {
+	if _, ok := s.Restart(line, epoch); ok {
+		s.count("recovery.rollbacks", 1)
+		s.mRollbacks.Inc()
+	}
 }
 
 // Crash marks the process failed: its timers and application callbacks
-// stay silent until Rollback revives it.
+// stay silent, and it takes and sends only RB_* frames, until Restart
+// revives it.
 func (h *Host) Crash() { h.down = true }
 
-// Restore sets the application state to what rec captured at its cut,
-// and verifies that state the way the paper's piecewise-deterministic
-// recovery derives it: replaying the logged messages over the tentative
-// checkpoint's fold must reproduce the fold recorded at finalization. It
-// returns how many logged messages that replay covered. When the log
-// does not reproduce the recorded state the host still resumes from the
-// recorded fold (a state the process provably held) and flags the
-// divergence rather than inventing a new history.
-func (h *Host) Restore(rec *checkpoint.Record) (replayed int) {
-	h.fold, h.work = rec.CFEFold, rec.CFEWork
-	if !rec.Replays() {
-		h.count("recovery.replay_mismatch", 1)
-		return 0
-	}
-	h.count("recovery.replayed_msgs", int64(len(rec.Log)))
-	return len(rec.Log)
-}
-
-// Rollback puts the process at the recovery line: the line's record is
-// fetched from the store and the checkpoints above it are discarded (the
-// protocol will legitimately regenerate those sequence numbers), the new
-// epoch voids every timer, stall and deferred action of the old one, the
-// state is restored from the record, and the protocol resets itself as
-// if the line's checkpoint had just been finalized. The application
-// stays parked until Resume, so a driver can roll every process it hosts
-// back before any of them sends again. Line 0 with no record is the
-// initial state, the zero record; any other line this process never
-// finalized leaves it untouched, with ok == false.
-func (h *Host) Rollback(line, epoch int) (rec checkpoint.Record, replayed int, ok bool) {
+// Restart puts the process at recovery line in epoch. It is the one
+// recovery routine, on every path of both drivers: a survivor's committed
+// rollback, a restarted victim, a cold restart from disk.
+//
+// The line's record is fetched from the store and the checkpoints above it
+// are discarded (the protocol will legitimately regenerate those sequence
+// numbers). The process adopts epoch and a new life that voids every
+// timer, stall and deferred action of the old one. Its state is set to
+// what the record captured at its cut, verified the way the paper's
+// piecewise-deterministic recovery derives it: replaying the logged
+// messages over the tentative checkpoint's fold must reproduce the fold
+// recorded at finalization; when it does not, the process still resumes
+// from the recorded fold (a state it provably held) and the divergence is
+// flagged. The protocol resets as if the line's checkpoint had just been
+// finalized, and the driver observes the rollback (RolledBack).
+//
+// Then the channel state of the record is rebuilt. A record is
+// C_{i,k} = CT_{i,k} ∪ logSet_{i,k}, so the sends it logged may have been
+// in flight across the line: each goes out again under its original ID,
+// with the protocol's current piggyback. It is not a fresh application
+// send: the state fold and the application sequence already count it. The
+// receive side is the filter: from now until the next Restart, an
+// application message the record already reflects — one it logged as
+// received, or the one it joined its round on — is dropped on arrival. The
+// application restarts at the record's progress, and the envelopes held
+// for epoch pass the fence again.
+//
+// Restart returns how many logged messages the replay covered. Line 0 with
+// no record is the initial state, the zero record; any other line this
+// process never finalized leaves it untouched, with ok == false.
+func (h *Host) Restart(line, epoch int) (replayed int, ok bool) {
 	rew, isRew := h.p.Proto.(protocol.Rewinder)
 	if !isRew {
 		panic(fmt.Sprintf("host: protocol %q does not support rollback", h.p.Proto.Name()))
 	}
-	if rec, ok = h.p.Ckpts.Get(line); !ok && line != 0 {
-		return rec, 0, false
+	ra, isRA := h.p.App.(protocol.RewindableApp)
+	if !isRA {
+		panic(fmt.Sprintf("host: application on P%d does not support rollback", h.p.ID))
+	}
+	rec, ok := h.p.Ckpts.Get(line)
+	if !ok && line != 0 {
+		h.count("recovery.line_missing", 1)
+		return 0, false
 	}
 	if removed := h.p.Ckpts.TruncateAfter(line); removed > 0 {
 		h.count("recovery.ckpts_discarded", int64(removed))
 	}
 	h.epoch = epoch
+	h.life++
 	h.down = false
 	h.stall = 0
 	h.deferred = nil
 	h.appDone = false
-	replayed = h.Restore(&rec)
+	h.fold, h.work = rec.CFEFold, rec.CFEWork
+	if rec.Replays() {
+		replayed = len(rec.Log)
+		h.count("recovery.replayed_msgs", int64(replayed))
+	} else {
+		h.count("recovery.replay_mismatch", 1)
+	}
 	rew.Rollback(line)
 	h.p.Rec.Record(trace.Event{T: h.drv.Now(), Kind: trace.KRestore, Proc: h.p.ID, Peer: -1, Seq: line})
-	return rec, replayed, true
-}
+	h.drv.RolledBack(line, replayed)
 
-// Resume rebuilds the channel state of the checkpoint rec, which the
-// process was just put at (Rollback, or Restore when a restarted process
-// resumes), and restarts the application at rec.CFEProgress. A record is
-// C_{i,k} = CT_{i,k} ∪ logSet_{i,k}, so the sends it logged may have been
-// in flight across the line: each goes out again under its original ID,
-// with the protocol's current piggyback. It is not a fresh application
-// send: the state fold and the application sequence already count it.
-// The receive side is the filter: from now until the next Resume, an
-// application message rec already reflects — one it logged as received,
-// or the one it joined its round on — is dropped on arrival, so a re-sent
-// message the receiver's own line holds is not processed twice.
-func (h *Host) Resume(rec *checkpoint.Record) {
-	ra, ok := h.p.App.(protocol.RewindableApp)
-	if !ok {
-		panic(fmt.Sprintf("host: application on P%d does not support rollback", h.p.ID))
-	}
 	h.held = map[int64]bool{}
 	if rec.JoinedBy != 0 {
 		h.held[rec.JoinedBy] = true
@@ -256,6 +367,16 @@ func (h *Host) Resume(rec *checkpoint.Record) {
 		h.Send(&h.out)
 	}
 	ra.Restore(appCtx{h}, rec.CFEProgress)
+	ahead := h.ahead
+	h.ahead = nil
+	for _, e := range ahead {
+		if e.Epoch > epoch {
+			h.ahead = append(h.ahead, e) // still ahead
+			continue
+		}
+		h.Deliver(e)
+	}
+	return replayed, true
 }
 
 // Epoch returns the current epoch.
@@ -297,6 +418,9 @@ func (h *Host) Send(e *protocol.Envelope) {
 	}
 	e.Epoch = h.epoch
 	e.SentAt = h.drv.Now()
+	if h.down && !protocol.IsRecoveryTag(e.CtlTag) {
+		return // a crashed process sends nothing but its own recovery round
+	}
 	if e.Kind == protocol.KindCtl {
 		name, ok := h.ctlNames[e.CtlTag]
 		if !ok {
@@ -325,20 +449,20 @@ func (h *Host) Broadcast(e *protocol.Envelope) {
 	}
 }
 
-// SetTimer implements protocol.Env. Timers die with the epoch that set
+// SetTimer implements protocol.Env. Timers die with the life that set
 // them: a rollback invalidates everything scheduled before it (Fire).
 func (h *Host) SetTimer(d des.Duration, kind, gen int) {
-	h.drv.After(d, Tick{epoch: h.epoch, kind: kind, gen: gen})
+	h.drv.After(d, Tick{life: h.life, kind: kind, gen: gen})
 }
 
 // Fire runs a tick the driver scheduled with After. Every tick dies with
-// the epoch that set it. A stall's end runs even on a crashed process; a
+// the life that set it. A stall's end runs even on a crashed process; a
 // protocol timer or application callback stays silent while the process
 // is down, and an application callback waits while the application is
 // stalled.
 func (h *Host) Fire(t Tick) {
 	switch {
-	case t.epoch != h.epoch: // voided by a rollback
+	case t.life != h.life: // voided by a rollback
 	case t.resume:
 		h.ResumeApp()
 	case h.down: // silent until the rollback that revives it
@@ -402,7 +526,7 @@ func (h *Host) StallAppFor(d des.Duration) {
 		return
 	}
 	h.StallApp()
-	h.drv.After(d, Tick{epoch: h.epoch, resume: true})
+	h.drv.After(d, Tick{life: h.life, resume: true})
 }
 
 // Snapshot implements protocol.Env. Taking a snapshot stalls the
@@ -507,9 +631,9 @@ func (h *Host) sendApp(dst int, m protocol.AppMsg) {
 // After implements protocol.AppCtx. The callback is deferred while the
 // application is stalled — this is how blocking checkpoints inflate the
 // makespan. Like protocol timers, application callbacks die with their
-// epoch on rollback (Fire).
+// life on rollback (Fire).
 func (h *Host) After(d des.Duration, fn func()) {
-	h.drv.After(d, Tick{epoch: h.epoch, app: fn})
+	h.drv.After(d, Tick{life: h.life, app: fn})
 }
 
 // DoWork implements protocol.AppCtx.

@@ -1,6 +1,7 @@
 package host_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,9 +33,11 @@ type fixture struct {
 	appSent, admitted int
 	ctx               protocol.AppCtx
 
-	// proto and app record what the host called, in order.
-	log      []string
-	restored []int64
+	// proto and app record what the host called, in order; rolledBack the
+	// driver's RolledBack calls.
+	log        []string
+	restored   []int64
+	rolledBack [][2]int
 }
 
 func newFixture() *fixture {
@@ -66,6 +69,13 @@ func (f *fixture) Admit(*protocol.Envelope)     { f.admitted++ }
 func (f *fixture) Stalled(on bool)              { f.stalls = append(f.stalls, on) }
 func (f *fixture) Draining() bool               { return false }
 func (f *fixture) AppDone()                     { f.doneN++ }
+func (f *fixture) DurableSeqs() []int           { return nil }
+func (f *fixture) Truncate(_ int, done func(bool)) {
+	done(true)
+}
+func (f *fixture) RolledBack(line, replayed int) {
+	f.rolledBack = append(f.rolledBack, [2]int{line, replayed})
+}
 
 // deliver hands the host an application envelope the way a protocol
 // does from OnDeliver.
@@ -81,10 +91,12 @@ type fakeProto struct{ f *fixture }
 func (fakeProto) Name() string                   { return "fake" }
 func (fakeProto) Start(protocol.Env)             {}
 func (p fakeProto) OnAppSend(*protocol.Envelope) { p.f.log = append(p.f.log, "appsend") }
-func (fakeProto) OnDeliver(*protocol.Envelope)   {}
-func (p fakeProto) OnTimer(kind, gen int)        { p.f.log = append(p.f.log, "timer") }
-func (fakeProto) Finish()                        {}
-func (p fakeProto) Rollback(seq int)             { p.f.log = append(p.f.log, "rollback") }
+func (p fakeProto) OnDeliver(e *protocol.Envelope) {
+	p.f.log = append(p.f.log, fmt.Sprintf("deliver%d", e.ID))
+}
+func (p fakeProto) OnTimer(kind, gen int) { p.f.log = append(p.f.log, "timer") }
+func (fakeProto) Finish()                 {}
+func (p fakeProto) Rollback(seq int)      { p.f.log = append(p.f.log, "rollback") }
 
 type fakeApp struct{ f *fixture }
 
@@ -170,7 +182,7 @@ func TestHost(t *testing.T) {
 			f.h.After(des.Millisecond, func() { f.log = append(f.log, "after") })
 			f.h.StallAppFor(des.Millisecond)
 			f.lineRecord(0, 2)
-			f.h.Rollback(2, 1)
+			f.h.Restart(2, 1)
 			f.log = nil
 			f.h.StallApp() // a fresh stall the stale StallAppFor resume must not undo
 			f.sim.Run()
@@ -202,9 +214,8 @@ func TestHost(t *testing.T) {
 			f.h.Done()
 			f.h.DoWork(99)
 			rec := f.lineRecord(7, 2)
-			got, replayed, ok := f.h.Rollback(2, 3)
-			if !ok || replayed != 2 || !reflect.DeepEqual(got, rec) {
-				t.Fatalf("rollback = (%+v, %d, %v), want the store's record, 2 replayed", got, replayed, ok)
+			if replayed, ok := f.h.Restart(2, 3); !ok || replayed != 2 {
+				t.Fatalf("restart = (%d, %v), want 2 replayed", replayed, ok)
 			}
 			if ps := f.h.Checkpoints(); ps.MaxSeq() != 2 || f.reg.EventCounts()["recovery.ckpts_discarded"] != 1 {
 				t.Fatalf("store ends at %d after a rollback to 2, counters %v", ps.MaxSeq(), f.reg.EventCounts())
@@ -218,24 +229,26 @@ func TestHost(t *testing.T) {
 			if ev := f.reg.EventCounts(); ev["recovery.replayed_msgs"] != 2 || ev["recovery.replay_mismatch"] != 0 {
 				t.Fatalf("counters %v", ev)
 			}
-			// The parked delivery is gone, the application is parked until
-			// Resume, and Done counts again in the new incarnation.
-			if !reflect.DeepEqual(f.log, []string{"rollback"}) || len(f.restored) != 0 {
+			// The parked delivery is gone, the protocol rewound before the
+			// application restarted at the record's progress, the driver saw
+			// the rollback, and Done counts again in the new incarnation.
+			if !reflect.DeepEqual(f.log, []string{"rollback", "appsend"}) || !reflect.DeepEqual(f.restored, []int64{41}) {
 				t.Fatalf("log %v restored %v", f.log, f.restored)
 			}
-			f.h.Resume(&rec)
+			if !reflect.DeepEqual(f.rolledBack, [][2]int{{2, 2}}) {
+				t.Fatalf("driver observed rollbacks %v, want line 2 with 2 replayed", f.rolledBack)
+			}
 			f.h.Done()
-			if !reflect.DeepEqual(f.restored, []int64{41}) || f.doneN != 2 {
-				t.Fatalf("restored %v doneN %d", f.restored, f.doneN)
+			if f.doneN != 2 {
+				t.Fatalf("doneN %d", f.doneN)
 			}
 		}},
 		{"resume re-sends the line's logged sends under their own IDs", func(t *testing.T, f *fixture) {
 			f.ctx.Send(2, protocol.AppMsg{Bytes: 10})
 			rec := f.lineRecord(7, 2)
-			f.h.Rollback(2, 1)
-			fold, kSend := f.h.Fold(), f.rec.CountKind(trace.KSend)
+			kSend := f.rec.CountKind(trace.KSend)
 			f.sent, f.log, f.appSent = nil, nil, 0
-			f.h.Resume(&rec)
+			f.h.Restart(2, 1)
 			want := protocol.Envelope{
 				ID: 2, Src: 0, Dst: 2, Kind: protocol.KindApp, Bytes: 300, Epoch: 1,
 				App: protocol.AppMsg{Seq: 1, Tag: 9, Bytes: 300},
@@ -243,13 +256,13 @@ func TestHost(t *testing.T) {
 			if len(f.sent) != 1 || !reflect.DeepEqual(*f.sent[0], want) {
 				t.Fatalf("re-sent %v, want only %+v", f.sent, want)
 			}
-			if !reflect.DeepEqual(f.log, []string{"appsend"}) || !reflect.DeepEqual(f.restored, []int64{41}) {
-				t.Fatalf("protocol saw %v, application restored at %v: want one OnAppSend, then progress 41", f.log, f.restored)
+			if !reflect.DeepEqual(f.log, []string{"rollback", "appsend"}) || !reflect.DeepEqual(f.restored, []int64{41}) {
+				t.Fatalf("protocol saw %v, application restored at %v: want the rewind, one OnAppSend, then progress 41", f.log, f.restored)
 			}
 			// Not a fresh send: no fold step, no KSend, no AppSent.
-			if f.h.Fold() != fold || f.rec.CountKind(trace.KSend) != kSend || f.appSent != 0 {
+			if f.h.Fold() != rec.CFEFold || f.rec.CountKind(trace.KSend) != kSend || f.appSent != 0 {
 				t.Fatalf("re-send moved fold %#x -> %#x, KSend %d -> %d, AppSent %d",
-					fold, f.h.Fold(), kSend, f.rec.CountKind(trace.KSend), f.appSent)
+					rec.CFEFold, f.h.Fold(), kSend, f.rec.CountKind(trace.KSend), f.appSent)
 			}
 			if ev := f.reg.EventCounts(); ev["recovery.reinjected"] != 1 {
 				t.Fatalf("counters %v", ev)
@@ -261,9 +274,8 @@ func TestHost(t *testing.T) {
 			}
 		}},
 		{"resume drops what the line holds, once each, and passes the rest", func(t *testing.T, f *fixture) {
-			rec := f.lineRecord(0, 2)
-			f.h.Rollback(2, 1)
-			f.h.Resume(&rec)
+			f.lineRecord(0, 2)
+			f.h.Restart(2, 1)
 			f.log = nil
 			f.deliver(1) // logged as received by the line
 			f.deliver(7) // the round's join
@@ -274,9 +286,8 @@ func TestHost(t *testing.T) {
 			if ev := f.reg.EventCounts(); ev["recovery.dup_dropped"] != 2 {
 				t.Fatalf("counters %v", ev)
 			}
-			// The next Resume replaces the filter.
-			f.h.Rollback(0, 2)
-			f.h.Resume(&checkpoint.Record{})
+			// The next Restart replaces the filter.
+			f.h.Restart(0, 2)
 			f.log = nil
 			f.deliver(1)
 			if !reflect.DeepEqual(f.log, []string{"msg1"}) {
@@ -285,7 +296,7 @@ func TestHost(t *testing.T) {
 		}},
 		{"a log that does not reproduce CFEFold is flagged", func(t *testing.T, f *fixture) {
 			rec := f.lineRecord(0, 1)
-			if _, replayed, ok := f.h.Rollback(2, 1); !ok || replayed != 0 {
+			if replayed, ok := f.h.Restart(2, 1); !ok || replayed != 0 {
 				t.Fatalf("replayed %d messages from a diverging log (ok %v)", replayed, ok)
 			}
 			if f.h.Fold() != rec.CFEFold {
@@ -298,24 +309,60 @@ func TestHost(t *testing.T) {
 		{"a line the process never finalized is refused, untouched", func(t *testing.T, f *fixture) {
 			f.lineRecord(0, 2)
 			f.h.DoWork(5)
-			if _, _, ok := f.h.Rollback(4, 1); ok {
+			if _, ok := f.h.Restart(4, 1); ok {
 				t.Fatal("rolled back to a line the store does not hold")
 			}
-			if f.h.Epoch() != 0 || f.h.Work() != 5 || f.h.Checkpoints().MaxSeq() != 3 || len(f.log) != 0 {
-				t.Fatalf("refused rollback left epoch %d work %d store max %d log %v",
-					f.h.Epoch(), f.h.Work(), f.h.Checkpoints().MaxSeq(), f.log)
+			if f.h.Epoch() != 0 || f.h.Work() != 5 || f.h.Checkpoints().MaxSeq() != 3 || len(f.log) != 0 || len(f.rolledBack) != 0 {
+				t.Fatalf("refused rollback left epoch %d work %d store max %d log %v, driver saw %v",
+					f.h.Epoch(), f.h.Work(), f.h.Checkpoints().MaxSeq(), f.log, f.rolledBack)
+			}
+			if ev := f.reg.EventCounts(); ev["recovery.line_missing"] != 1 {
+				t.Fatalf("counters %v", ev)
 			}
 		}},
 		{"line 0 without a record is the initial state", func(t *testing.T, f *fixture) {
 			f.lineRecord(0, 2)
 			f.h.DoWork(5)
-			rec, replayed, ok := f.h.Rollback(0, 1)
-			if !ok || replayed != 0 || !reflect.DeepEqual(rec, checkpoint.Record{}) {
-				t.Fatalf("rollback to line 0 = (%+v, %d, %v), want the zero record", rec, replayed, ok)
+			if replayed, ok := f.h.Restart(0, 1); !ok || replayed != 0 {
+				t.Fatalf("restart at line 0 = (%d, %v), want the zero record", replayed, ok)
 			}
 			if f.h.Fold() != 0 || f.h.Work() != 0 || f.h.Checkpoints().Len() != 0 || f.h.Epoch() != 1 {
 				t.Fatalf("after line 0: fold %#x work %d, %d records, epoch %d",
 					f.h.Fold(), f.h.Work(), f.h.Checkpoints().Len(), f.h.Epoch())
+			}
+		}},
+		{"the fence drops older epochs and holds newer ones until a rollback adopts them", func(t *testing.T, f *fixture) {
+			f.lineRecord(0, 0)
+			f.h.Restart(2, 1)
+			f.log = nil
+			at := func(id int64, epoch int) { f.h.Deliver(&protocol.Envelope{ID: id, Src: 1, Epoch: epoch}) }
+			at(1, 0) // older: stale
+			at(2, 1) // current: delivered
+			at(3, 2) // newer: held until epoch 2
+			at(4, 3) // newer still: held, then stale once epoch 4 is adopted first
+			if !reflect.DeepEqual(f.log, []string{"deliver2"}) {
+				t.Fatalf("delivered %v, want only the current epoch's", f.log)
+			}
+			f.h.Restart(2, 2)
+			if want := []string{"deliver2", "rollback", "deliver3"}; !reflect.DeepEqual(f.log, want) {
+				t.Fatalf("after adopting epoch 2: %v, want %v", f.log, want)
+			}
+			f.h.Restart(2, 4)
+			if ev := f.reg.EventCounts(); ev["recovery.held"] != 2 || ev["recovery.stale_dropped"] != 2 {
+				t.Fatalf("counters %v, want 2 held and 2 stale", ev)
+			}
+			f.h.Crash()
+			at(5, 4) // a crashed process takes only RB_* frames
+			if want := []string{"deliver2", "rollback", "deliver3", "rollback"}; !reflect.DeepEqual(f.log, want) {
+				t.Fatalf("log %v, want %v", f.log, want)
+			}
+		}},
+		{"the fence holds at most 1024 envelopes, and one more is stale", func(t *testing.T, f *fixture) {
+			for id := int64(1); id <= 1025; id++ {
+				f.h.Deliver(&protocol.Envelope{ID: id, Src: 1, Epoch: 1})
+			}
+			if ev := f.reg.EventCounts(); ev["recovery.held"] != 1024 || ev["recovery.stale_dropped"] != 1 {
+				t.Fatalf("counters %v, want 1024 held and 1 stale", ev)
 			}
 		}},
 		{"send stamps the envelope and broadcast reaches every peer", func(t *testing.T, f *fixture) {

@@ -91,8 +91,19 @@ func (d *Driver) Draining() bool { return false }
 // AppDone implements host.Driver.
 func (d *Driver) AppDone() {}
 
-// idleApp sends nothing and ignores what it receives.
+// DurableSeqs implements host.Driver: nothing is durable.
+func (d *Driver) DurableSeqs() []int { return nil }
+
+// Truncate implements host.Driver: it lands at once.
+func (d *Driver) Truncate(_ int, done func(ok bool)) { done(true) }
+
+// RolledBack implements host.Driver.
+func (d *Driver) RolledBack(int, int) {}
+
+// idleApp sends nothing, ignores what it receives, and restarts anywhere.
 type idleApp struct{}
 
 func (idleApp) Start(protocol.AppCtx)                           {}
 func (idleApp) OnMessage(protocol.AppCtx, int, protocol.AppMsg) {}
+func (idleApp) Progress() int64                                 { return 0 }
+func (idleApp) Restore(protocol.AppCtx, int64)                  {}

@@ -72,7 +72,7 @@ func (c *cores) apply(a Action) (sent *protocol.Envelope, panicked any) {
 			line = min(line, env.Store().MaxSeq())
 		}
 		for _, env := range c.envs {
-			env.Host.Rollback(line, env.Host.Epoch()+1)
+			env.Host.Restart(line, env.Host.Epoch()+1)
 		}
 		for i := range c.chans {
 			c.chans[i] = nil

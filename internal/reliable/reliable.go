@@ -27,9 +27,10 @@
 // the paper's correctness argument assumes of a channel that delivers late.
 //
 // Link seqs and floors belong to one epoch: the wrapper's state resets at
-// the rollback that starts a new one, and each driver's epoch fence keeps
-// an envelope of another epoch from reaching it, so a seq or floor is only
-// ever compared with one of its own epoch. The wrapper composes with live
+// the rollback that starts a new one, and the host's epoch fence keeps an
+// envelope of another epoch from reaching it (an older one is dropped, a
+// newer one waits for the rollback), so a seq or floor is only ever
+// compared with one of its own epoch. The wrapper composes with live
 // recovery on either driver when the inner protocol supports rollback: the
 // host's re-sends of the line's logged messages go through OnAppSend like
 // any application send, so they are retransmitted until acknowledged too.
@@ -201,8 +202,8 @@ func (p *Protocol) Finish() { p.inner.Finish() }
 // transport state is volatile and belongs to the epoch the rollback ends,
 // so every link starts over at seq 1 with nothing pending or received
 // (the old epoch's timers died with it; its envelopes are dropped at the
-// driver's epoch fence). A re-sent logged message the receiver's line
-// already holds is dropped by the host's recovery filter (host.Resume),
+// host's epoch fence). A re-sent logged message the receiver's line
+// already holds is dropped by the host's recovery filter (host.Restart),
 // not here.
 func (p *Protocol) Rollback(seq int) {
 	rew, ok := p.inner.(protocol.Rewinder)

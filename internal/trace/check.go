@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+
+	"ocsml/internal/checkpoint"
 )
 
 // This file holds the two offline trace analyses behind the paper's
@@ -20,6 +22,9 @@ import (
 //   - Z-cycle freedom: no path in the rollback-dependency graph over
 //     checkpoint intervals (Netzer–Xu / Wang) leads back to an earlier
 //     interval of the same process, so no finalized checkpoint is useless.
+//
+// and, for runs with a live recovery on either driver, the channel state
+// that recovery rebuilt (CheckLoggedSends).
 
 // A ReplayGap is one message that the selective log fails to cover.
 type ReplayGap struct {
@@ -265,4 +270,72 @@ func sortIntervals(ivs []Interval) []Interval {
 		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
 	})
 	return ivs
+}
+
+// CheckLoggedSends checks that recovery rebuilt the channel state of every
+// line: lines[i] holds the records the processes resumed from at the i-th
+// recovery, the one that followed the i-th crash (KFail) in events. Each
+// Sent entry of them is processed (KRecv) by its receiver exactly once in
+// the epoch that recovery opened — after the receiver's own restore to the
+// line (KRestore: every process records one, the victim included) and
+// before its next restore or crash — unless the receiver's record holds it
+// already (logged as received, or the message the receiver joined its
+// round on): then not at all. It returns how many logged sends were
+// processed in a new epoch.
+func CheckLoggedSends(events []Event, lines [][]checkpoint.Record) (delivered int, err error) {
+	var crashes []int // the index in events of each KFail
+	for i, e := range events {
+		if e.Kind == KFail {
+			crashes = append(crashes, i)
+		}
+	}
+	if len(crashes) < len(lines) {
+		return 0, fmt.Errorf("%d recoveries but %d crashes in the trace", len(lines), len(crashes))
+	}
+	for i, recs := range lines {
+		// epoch[p] is 1 while process p is in the epoch the recovery
+		// opened: from its restore to the line to its next restore or
+		// crash.
+		epoch := make([]int, len(recs))
+		processed := map[int64]int{}
+		for _, e := range events[crashes[i]+1:] {
+			switch {
+			case e.Kind == KRestore, e.Kind == KFail && epoch[e.Proc] > 0:
+				epoch[e.Proc]++
+			case e.Kind == KRecv && epoch[e.Proc] == 1:
+				processed[e.MsgID]++
+			}
+		}
+		for s := range recs {
+			for _, m := range recs[s].Log {
+				if m.Dir != checkpoint.Sent {
+					continue
+				}
+				want := 1
+				if holds(&recs[m.Dst], m.ID) {
+					want = 0
+				}
+				if n := processed[m.ID]; n != want {
+					return delivered, fmt.Errorf("recovery %d to line %d: P%d's logged send %d processed %d times by P%d in the new epoch, want %d",
+						i+1, recs[s].Seq, s, m.ID, n, m.Dst, want)
+				}
+				delivered += want
+			}
+		}
+	}
+	return delivered, nil
+}
+
+// holds reports whether the state rec captured already reflects the
+// receive of message id.
+func holds(rec *checkpoint.Record, id int64) bool {
+	if rec.JoinedBy == id {
+		return true
+	}
+	for _, m := range rec.Log {
+		if m.Dir == checkpoint.Received && m.ID == id {
+			return true
+		}
+	}
+	return false
 }

@@ -362,82 +362,15 @@ func lineRecords(ckpts *checkpoint.Store, line int) []checkpoint.Record {
 
 // verifyLoggedSendsDelivered checks that recovery rebuilt the channel
 // state of every line: lines[i] holds the records the processes resumed
-// from at the i-th recovery, the one that followed the i-th crash in the
-// trace. Each Sent entry of them is processed by its receiver exactly once
-// in the epoch that recovery opened — after the receiver's rollback (the
-// victim's: after its crash) and before its next rollback or crash —
-// unless the receiver's record holds it already (logged as received, or
-// the message the receiver joined its round on): then not at all.
+// from at the i-th recovery (trace.CheckLoggedSends).
 func verifyLoggedSendsDelivered(rec *trace.Recorder, lines [][]checkpoint.Record) Invariant {
 	iv := Invariant{Name: "logged-sends-delivered"}
-	if _, err := checkLoggedSends(rec.Events(), lines); err != nil {
+	if _, err := trace.CheckLoggedSends(rec.Events(), lines); err != nil {
 		iv.Detail = err.Error()
 		return iv
 	}
 	iv.OK = true
 	return iv
-}
-
-// checkLoggedSends is verifyLoggedSendsDelivered over a trace; it returns
-// how many logged sends were processed in a new epoch.
-func checkLoggedSends(events []trace.Event, lines [][]checkpoint.Record) (delivered int, err error) {
-	var crashes []int // the index in events of each KFail
-	for i, e := range events {
-		if e.Kind == trace.KFail {
-			crashes = append(crashes, i)
-		}
-	}
-	if len(crashes) < len(lines) {
-		return 0, fmt.Errorf("%d recoveries but %d crashes in the trace", len(lines), len(crashes))
-	}
-	for i, recs := range lines {
-		// epoch[p] is 1 while process p is in the epoch the recovery
-		// opened: from the victim's crash or a survivor's rollback to the
-		// process's next rollback or crash.
-		crash := events[crashes[i]]
-		epoch := make([]int, len(recs))
-		epoch[crash.Proc] = 1
-		processed := map[int64]int{}
-		for _, e := range events[crashes[i]+1:] {
-			switch {
-			case e.Kind == trace.KRestore, e.Kind == trace.KFail && epoch[e.Proc] > 0:
-				epoch[e.Proc]++
-			case e.Kind == trace.KRecv && epoch[e.Proc] == 1:
-				processed[e.MsgID]++
-			}
-		}
-		for s := range recs {
-			for _, m := range recs[s].Log {
-				if m.Dir != checkpoint.Sent {
-					continue
-				}
-				want := 1
-				if holds(&recs[m.Dst], m.ID) {
-					want = 0
-				}
-				if n := processed[m.ID]; n != want {
-					return delivered, fmt.Errorf("recovery %d to line %d: P%d's logged send %d processed %d times by P%d in the new epoch, want %d",
-						i+1, recs[s].Seq, s, m.ID, n, m.Dst, want)
-				}
-				delivered += want
-			}
-		}
-	}
-	return delivered, nil
-}
-
-// holds reports whether the state rec captured already reflects the
-// receive of message id.
-func holds(rec *checkpoint.Record, id int64) bool {
-	if rec.JoinedBy == id {
-		return true
-	}
-	for _, m := range rec.Log {
-		if m.Dir == checkpoint.Received && m.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // plantDebris plants the crash-point debris the schedule picked for a

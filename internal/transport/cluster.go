@@ -401,10 +401,10 @@ func (c *Cluster) Kill(i int) {
 // store at the agreed line (ResumeProtocol). The crash was a Kill, or the
 // death of the OS process that hosted the victim before this one (ocsmld
 // -recover: the node NewCluster built in its place never started). The
-// survivors, hosted here or elsewhere, roll back through their nodes' RB_*
+// survivors, hosted here or elsewhere, roll back through their hosts' RB_*
 // handlers — the cluster does not reach into their state directly, so one
-// OS process and many exercise one recovery code path. Returns the agreed
-// line.
+// OS process and many exercise one recovery code path — and the victim
+// restarts through the same host.Host.Restart. Returns the agreed line.
 func (c *Cluster) Recover(victim int) (int, error) {
 	if c.FS(victim) == nil {
 		return -1, fmt.Errorf("transport: recovery needs P%d hosted here with a datadir", victim)

@@ -93,3 +93,52 @@ func TestNoFrameCrossesEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoverRestoresEveryProcessOnce: after Cluster.Recover each of the N
+// processes, the restarted victim included, records exactly one KRestore,
+// at the agreed line — every restart goes through host.Restart.
+// engine.TestRecoveryRestoresEveryProcessOnce is its twin on the DES.
+func TestRecoverRestoresEveryProcessOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	const victim = 2
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 5)
+	cfg.Workload.Steps = 100000 // the test stops the cluster
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= 1
+	})
+	c.Kill(victim)
+	line, err := c.Recover(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= line+1
+	})
+	c.Stop()
+	restores := make([]int, cfg.N)
+	for _, e := range c.Rec.Events() {
+		if e.Kind != trace.KRestore {
+			continue
+		}
+		if e.Seq != line {
+			t.Fatalf("P%d restored to %d, the line is %d", e.Proc, e.Seq, line)
+		}
+		restores[e.Proc]++
+	}
+	for _, n := range restores {
+		if n != 1 {
+			t.Fatalf("restores by process %v, want one each", restores)
+		}
+	}
+}

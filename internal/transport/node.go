@@ -12,7 +12,6 @@ import (
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
-	"ocsml/internal/handshake"
 	"ocsml/internal/host"
 	"ocsml/internal/metrics"
 	"ocsml/internal/protocol"
@@ -29,14 +28,13 @@ type NodeConfig struct {
 	Listener net.Listener
 	// Seed derives the node's deterministic random source.
 	Seed int64
-	// Epoch is the node's starting epoch; envelopes from any other epoch
-	// are dropped on delivery (pre-rollback traffic, or traffic of a
-	// rollback this node has yet to make).
+	// Epoch is the node's starting epoch, the one its host fences
+	// deliveries by (host.Host.Deliver).
 	Epoch int
 	// Resume, when >= 0, restarts the process at that recovery line: Ckpts
 	// holds its durable checkpoints up to the line (ResumeProtocol sees to
-	// it), the protocol continues from the last of them and the application
-	// from the progress that record holds. Negative starts a fresh process.
+	// it), and the node goes there through host.Host.Restart, as a
+	// survivor's rollback does. Negative starts a fresh process.
 	Resume int
 
 	// Proto and App are this process's protocol and application.
@@ -70,8 +68,9 @@ type NodeConfig struct {
 	// OnDone fires (once) when the application completes its quota.
 	OnDone func(id int)
 
-	// OnRollback fires after a wire-committed rollback (RB_CMT) rewound
-	// this node to the given line — the Cluster's bookkeeping hook.
+	// OnRollback fires whenever the node is put at a recovery line — a
+	// wire-committed rollback (RB_CMT) or a restart — the Cluster's
+	// bookkeeping hook.
 	OnRollback func(id, line int)
 }
 
@@ -109,23 +108,19 @@ type Node struct {
 	closed  atomic.Bool
 
 	// Single-goroutine state, touched lock-free: persisted and held belong
-	// to the storage goroutine, recLine and rb to the loop (reads from
-	// elsewhere post to their owner, as StatusSnapshot does). persisted is
-	// the highest seq written to FS; held the completions of flushes that
-	// left a finalized record off the disk; recLine the last committed
-	// rollback/resume line (-1: never); rb this process's side of the RB_*
-	// handshake.
+	// to the storage goroutine, recLine to the loop (reads from elsewhere
+	// post to their owner, as StatusSnapshot does). persisted is the
+	// highest seq written to FS; held the completions of flushes that left
+	// a finalized record off the disk; recLine the last committed
+	// rollback/resume line (-1: never).
 	persisted int
 	held      []heldWrite
 	recLine   int
-	rb        *handshake.Participant
 
-	staleDropped atomic.Int64
 	decodeErrors atomic.Int64
 
 	// Registry-backed series (see registerMetrics).
 	mAppFrames *metrics.Counter
-	mRollbacks *metrics.Counter
 	mReplayed  *metrics.Counter
 }
 
@@ -187,7 +182,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 	}
-	n.rb = &handshake.Participant{Proc: rbProcess{n}} // pre-spawn construction
 	n.runDue = n.runTimers
 	n.clock = time.AfterFunc(time.Hour, func() { n.post(n.runDue) })
 	n.clock.Stop()
@@ -237,8 +231,6 @@ func (n *Node) registerMetrics() {
 		"Frames dropped at a full peer queue (recovered by retransmission).", "proc").Attach(m.dropped.Load, proc)
 	reg.MustCounterVec("ocsml_wire_decode_errors_total",
 		"Frames the wire codec rejected.", "proc").Attach(n.decodeErrors.Load, proc)
-	reg.MustCounterVec("ocsml_wire_stale_dropped_total",
-		"Envelopes dropped at the epoch fence (traffic of another epoch).", "proc").Attach(n.staleDropped.Load, proc)
 	reg.MustGaugeVec("ocsml_node_storage_queue",
 		"Stable-storage writes queued or in service.", "proc").
 		Attach(func() int64 { return int64(n.storageQ.Load()) }, proc)
@@ -246,15 +238,14 @@ func (n *Node) registerMetrics() {
 		"Encoded bytes of protocol piggyback actually written to the wire (after delta encoding).", "proc").Attach(m.pbBytes.Load, proc)
 	n.mAppFrames = reg.MustCounterVec("ocsml_wire_app_frames_total",
 		"Application frames sent.", "proc").With(proc)
-	n.mRollbacks = reg.MustCounterVec("ocsml_recovery_rollbacks_total",
-		"Committed rollbacks executed (RB_CMT).", "proc").With(proc)
 	n.mReplayed = reg.MustCounterVec("ocsml_recovery_replayed_msgs_total",
 		"Logged messages replayed during piecewise-deterministic recovery.", "proc").With(proc)
 }
 
 // Start launches the node: mesh, loop and storage goroutines, then the
 // protocol — which continues from what the checkpoint store holds — and
-// the application, fresh or restored from the Resume line's record.
+// the application, fresh or put at the Resume line by the host's one
+// recovery routine.
 func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
 		return
@@ -266,11 +257,7 @@ func (n *Node) Start() {
 	// delivery can reach OnDeliver ahead of Start.
 	n.post(n.h.StartProtocol)
 	if n.cfg.Resume >= 0 {
-		n.post(func() {
-			rec, _ := n.cfg.Ckpts.Proc(n.cfg.ID).Latest() // the one the protocol continues from
-			n.mReplayed.Add(int64(n.h.Restore(&rec)))
-			n.h.Resume(&rec)
-		})
+		n.post(func() { n.h.Restart(n.cfg.Resume, n.cfg.Epoch) })
 	} else {
 		n.post(n.h.StartApp)
 	}
@@ -318,7 +305,7 @@ func (n *Node) loop() {
 				it.fn()
 				continue
 			}
-			n.deliver(&it.rx.env)
+			n.h.Deliver(&it.rx.env)
 			it.rx.env = protocol.Envelope{}
 			rxPool.Put(it.rx)
 		}
@@ -360,36 +347,10 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		rx.env.Payload = &rx.pb
 	case protocol.Owner:
 		// Control and recovery frames are rare, and their handlers (core's
-		// onControl, handleRecovery) assert value payloads.
+		// onControl, the host's recovery handler) assert value payloads.
 		rx.env.Payload = p.Own()
 	}
 	n.enqueue(inboxItem{rx: rx})
-}
-
-func (n *Node) deliver(e *protocol.Envelope) {
-	// Recovery frames are handled ahead of the epoch fence: the
-	// coordinator of a crashed process cannot know the post-rollback
-	// epoch it is about to establish, so its frames would otherwise be
-	// dropped as stale.
-	if protocol.IsRecoveryTag(e.CtlTag) {
-		n.cfg.Rec.Record(trace.Event{
-			T: n.Now(), Kind: trace.KCtlRecv, Proc: n.cfg.ID, Peer: e.Src,
-			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
-		})
-		n.handleRecovery(e)
-		return
-	}
-	// Every other frame is processed in the epoch it was sent in, or not
-	// at all. An older one is pre-rollback traffic. A newer one comes from
-	// a process that has rolled back before this one: processed here it
-	// would land in the epoch this node is about to roll back, and be lost
-	// with it. Its sender's reliable layer retransmits it until this node
-	// is in that epoch too.
-	if e.Epoch != n.h.Epoch() {
-		n.staleDropped.Add(1)
-		return
-	}
-	n.h.Deliver(e)
 }
 
 // storageLoop serializes this process's stable-storage writes: the
@@ -445,7 +406,7 @@ func (n *Node) completeDurable() {
 // not k. It returns the highest finalized seq it found, which is above
 // the persisted watermark exactly when a record stayed off the disk. Only
 // the records above the watermark are read, so a flush costs its batch,
-// not the history. Runs on the storage goroutine, as does truncateDisk,
+// not the history. Runs on the storage goroutine, as does Truncate's work,
 // the one other place that sets the watermark (a rollback lowers it to
 // the line, and the next flush picks the re-finalized seqs up from
 // there); the ProcStore is mutex-protected.
@@ -613,5 +574,52 @@ func (n *Node) Draining() bool { return false }
 func (n *Node) AppDone() {
 	if n.cfg.OnDone != nil {
 		n.cfg.OnDone(n.cfg.ID)
+	}
+}
+
+// DurableSeqs implements host.Driver: the on-disk manifest when the node
+// has one, otherwise the in-memory finalized checkpoints (a diskless
+// cluster can still agree on a line).
+func (n *Node) DurableSeqs() []int {
+	if n.cfg.FS != nil {
+		return n.cfg.FS.Manifest().Seqs
+	}
+	var seqs []int
+	for _, rec := range n.cfg.Ckpts.Proc(n.cfg.ID).All() {
+		if rec.Seq > 0 && rec.FinalizedAt != 0 {
+			seqs = append(seqs, rec.Seq)
+		}
+	}
+	return seqs
+}
+
+// Truncate implements host.Driver: the store drops the records above line
+// (vacuously without a store) on the storage goroutine, after any persist
+// already in its queue, so a rolled-back checkpoint cannot be written back
+// post-truncate; the outcome goes back to the loop.
+func (n *Node) Truncate(line int, done func(ok bool)) {
+	n.postStorage(func() {
+		ok := true
+		if fs := n.cfg.FS; fs != nil {
+			if err := fs.TruncateAfter(line); err != nil {
+				n.count("fsstore.errors", 1)
+				ok = false
+			} else {
+				n.persisted = line
+				n.completeDurable()
+				n.held = nil // what is left waited on the records just discarded
+			}
+		}
+		n.post(func() { done(ok) })
+	})
+}
+
+// RolledBack implements host.Driver: the node's and the cluster's
+// bookkeeping of the line it was put at.
+func (n *Node) RolledBack(line, replayed int) {
+	n.mReplayed.Add(int64(replayed))
+	n.recLine = line
+	if n.cfg.OnRollback != nil {
+		n.cfg.OnRollback(n.cfg.ID, line)
 	}
 }
