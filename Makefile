@@ -166,11 +166,13 @@ bench-check:
 # manifest hint. Two ceilings on the same run guard "a checkpoint costs its
 # own bytes, not the history's", each with a third of headroom over what
 # the tree measures and each failing once the cost creeps with the round
-# number again: stable_bytes_per_round <= 800 (about 580 here; about 1,850
-# when records were framed as JSON, 4,970 to 5,350 when the hint also
-# listed every seq on every commit) and peak_rss_mb <= 40 (the run's total
-# allocation, the collector being off: about 22 here; 57 when every flush
-# copied the process's whole checkpoint store). Then crash-recover,
+# number again: stable_bytes_per_round <= 780 (about 590 here, 576 to 681
+# over nine runs, half of it the four records and half the manifest hints;
+# about 675 when a logged message carried two timestamps and absolute IDs,
+# about 1,850 when records were framed as JSON, 4,970 to 5,350 when the
+# hint also listed every seq on every commit) and peak_rss_mb <= 40 (the
+# run's total allocation, the collector being off: about 22 here; 57 when
+# every flush copied the process's whole checkpoint store). Then crash-recover,
 # the only workload that executes kill -> RB_* handshake -> truncate ->
 # replay end to end (about three cycles): correct, and no operation failed.
 # Then steady-uniform, where a message's acknowledgement rides in the header
@@ -185,7 +187,10 @@ bench-check:
 # path decoded into fresh envelopes too). Last saturate-ring, the closed
 # loop: correct, no operation failed, and peak_rss_mb <= 200 (about 100
 # here, most of it the benchmark's own latency samples; 488, at the
-# benchmark's 512 MiB limit, when every send allocated).
+# benchmark's 512 MiB limit, when every send allocated). The ring has no
+# stable_bytes_per_round ceiling: a round's records hold the messages
+# logged while it was open, and on the closed ring how many that is
+# follows the host's speed.
 bench-gate:
 	@gate() { workload="$$1"; shift; \
 		out="$$(bash bench/run.sh --workload "$$workload" --seed 1 --seconds 5 | tail -n 1)"; \
@@ -197,7 +202,7 @@ bench-gate:
 		awk -v v="$$v" -v max="$$2" 'BEGIN { exit !(v != "" && v + 0 <= max) }' || \
 			{ echo "bench-gate: $$workload $$1 = $$v, over its ceiling of $$2"; exit 1; }; }; \
 	gate ckpt-storm '"fsyncs_per_round":{"value":4,' && \
-		ceiling stable_bytes_per_round 800 && ceiling peak_rss_mb 40 && \
+		ceiling stable_bytes_per_round 780 && ceiling peak_rss_mb 40 && \
 		gate crash-recover && \
 		gate steady-uniform && ceiling wire_bytes_per_app_msg 37 && ceiling peak_rss_mb 34 && \
 		gate saturate-ring && ceiling peak_rss_mb 200

@@ -187,7 +187,6 @@ func (p *Protocol) OnDeliver(e *protocol.Envelope) {
 		if p.recording && !p.markerFrom[e.Src] {
 			p.chanState = append(p.chanState, checkpoint.LoggedMsg{
 				ID: e.ID, Src: e.Src, Dst: e.Dst, Dir: checkpoint.Received,
-				SentAt: e.SentAt, LoggedAt: p.env.Now(),
 				Bytes: e.App.Bytes, Tag: e.App.Tag, AppSeq: e.App.Seq,
 			})
 		}

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"testing"
+	"unsafe"
 
 	"ocsml/internal/des"
 )
@@ -213,5 +214,13 @@ func TestMarkStable(t *testing.T) {
 		if r, _ := ps.Get(want.seq); r.StableAt != want.at {
 			t.Errorf("seq %d StableAt = %d, want %d", want.seq, r.StableAt, want.at)
 		}
+	}
+}
+
+// TestLoggedMsgSize pins the in-memory cost of a logged message: the
+// fields recovery reads and nothing else.
+func TestLoggedMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(LoggedMsg{}); got != 56 {
+		t.Fatalf("LoggedMsg is %d B, want 56", got)
 	}
 }

@@ -466,13 +466,8 @@ func (p *Protocol) issueCTWrite() {
 
 // logMsg appends an application envelope to the in-memory log.
 func (p *Protocol) logMsg(e *protocol.Envelope, dir checkpoint.Direction) {
-	sentAt := e.SentAt
-	if sentAt == 0 { // our own send: not yet stamped by the network
-		sentAt = p.env.Now()
-	}
 	p.logSet = append(p.logSet, checkpoint.LoggedMsg{
 		ID: e.ID, Src: e.Src, Dst: e.Dst, Dir: dir,
-		SentAt: sentAt, LoggedAt: p.env.Now(),
 		Bytes: e.App.Bytes, Tag: e.App.Tag, AppSeq: e.App.Seq,
 	})
 	p.mLogged.Inc()

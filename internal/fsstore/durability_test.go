@@ -740,9 +740,10 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // against directories the previous formats' builds wrote
 // (testdata/parent-*: seqs 1..5 of the rec fixture under an OCSMSEG1
 // header, 5 full JSON records vs 1 full + 4 deltas; and under this
-// header as kind-1 records, whose encoding lacks JoinedBy), and against a log
-// of this format that ends in a frame of a kind this build does not
-// know. Each is durable data this build cannot read: Open must fail
+// header as kind-1 records, whose encoding lacks JoinedBy, and as kind-3
+// records, whose log entries carry two timestamps and absolute IDs), and
+// against a log of this format that ends in a frame of a kind this build
+// does not know. Each is durable data this build cannot read: Open must fail
 // naming the format or the kind, and the segment — through the
 // manifest-led scan and through the scan under a torn hint alike — and
 // must not truncate, sweep or rewrite anything. (Before the refusal, a
@@ -779,6 +780,7 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 		{"parent-full", fixture("parent-full"), []string{`"OCSMSEG1"`, seg}},
 		{"parent-delta", fixture("parent-delta"), []string{`"OCSMSEG1"`, seg}},
 		{"parent-kind1", fixture("parent-kind1"), []string{"unsupported record kind 1", seg}},
+		{"parent-kind3", fixture("parent-kind3"), []string{"unsupported record kind 3", seg}},
 		{"a later record kind", laterKind, []string{fmt.Sprintf("unsupported record kind %d", kindFull+1), seg}},
 	} {
 		for _, tornHint := range []bool{false, true} {

@@ -26,7 +26,7 @@ func rec(proc, seq int, logn int) checkpoint.Record {
 	for i := 0; i < logn; i++ {
 		r.Log = append(r.Log, checkpoint.LoggedMsg{
 			ID: int64(seq*100 + i), Src: proc, Dst: (proc + 1) % 4,
-			Dir: checkpoint.Direction(i % 2), SentAt: 10, LoggedAt: 20,
+			Dir:   checkpoint.Direction(i % 2),
 			Bytes: 2048, Tag: uint64(i) + 1, AppSeq: int64(i),
 		})
 	}

@@ -54,11 +54,12 @@ const (
 // a kind it does not know refuses the directory, untouched
 // (errRecordKind), so a kind can be added without a new magic. A change
 // to the checkpoint encoding takes a new full kind: kind 1 held records
-// without Tentative.JoinedBy, and this build refuses it as unknown, as a
-// build of kind 1 refuses kind 3.
+// without Tentative.JoinedBy, kind 3 log entries with two timestamps and
+// absolute IDs and sequence numbers, and this build refuses both as
+// unknown, as a build of kind 3 refuses kind 4.
 const (
 	kindTruncate byte = 2
-	kindFull     byte = 3
+	kindFull     byte = 4
 )
 
 // errRecordKind marks a CRC-valid frame whose kind this build does not
