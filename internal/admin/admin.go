@@ -6,8 +6,9 @@
 //
 // The server never reaches into protocol state directly — every read
 // goes through Node.StatusSnapshot (a closure posted onto the node's
-// event loop) and every durable read through fsstore.ReadManifest (the
-// open-free path that cannot disturb a live datadir). It is therefore
+// event loop) and every durable read through fsstore.ReadManifest (a
+// read-only scan of the segment logs that cannot disturb a live
+// datadir). It is therefore
 // safe to run against nodes in the middle of checkpoint rounds,
 // rollbacks and restarts.
 //
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"ocsml/internal/fsstore"
-	"ocsml/internal/handshake"
 	"ocsml/internal/metrics"
 	"ocsml/internal/transport"
 )
@@ -205,19 +205,24 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := manifestResponse{Datadir: s.cfg.Datadir, N: s.cfg.N, LastComplete: -1}
-	groups := make([][]int, 0, s.cfg.N)
 	for p := 0; p < s.cfg.N; p++ {
 		m, err := fsstore.ReadManifest(s.cfg.Datadir, p)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		m.N = s.cfg.N // the log does not record it
 		resp.Manifests = append(resp.Manifests, m)
-		groups = append(groups, m.Seqs)
+		if p == 0 {
+			resp.CompleteSeqs = append([]int(nil), m.Seqs...)
+		} else {
+			resp.CompleteSeqs = fsstore.IntersectSeqs(resp.CompleteSeqs, m.Seqs)
+		}
 	}
-	resp.CompleteSeqs = handshake.Intersect(groups)
-	if len(resp.CompleteSeqs) > 0 {
-		resp.LastComplete = resp.CompleteSeqs[len(resp.CompleteSeqs)-1]
+	if k := len(resp.CompleteSeqs); k > 0 {
+		resp.LastComplete = resp.CompleteSeqs[k-1]
+	} else {
+		resp.CompleteSeqs = nil // reads null, as an empty intersection always has
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

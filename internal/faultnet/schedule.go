@@ -69,15 +69,11 @@ func (p Partition) String() string {
 }
 
 // Tear kinds: crash debris planted in the victim's fsstore directory
-// before its restart, one per commit boundary of the durability engine
-// plus the unsynced hint. Recovery must ignore each of them
-// (internal/fsstore on Open).
+// before its restart, one per commit boundary of the durability engine.
+// Recovery must ignore each of them (internal/fsstore on Open).
 const (
 	// TearNone plants nothing.
 	TearNone = ""
-	// TearTemp: partially written ".tmp-" file — a crash between the
-	// hint's temp file and its rename.
-	TearTemp = "temp"
 	// TearSegHeader: truncated header of a fresh segment file — a crash
 	// while rotating to a new segment, before its first commit's sync.
 	TearSegHeader = "seghdr"
@@ -85,12 +81,9 @@ const (
 	// size — a crash mid group-commit batch, after some bytes hit disk
 	// but before the batch's single fsync.
 	TearSegTail = "segtail"
-	// TearGCSeg: a segment file that is none of the log's — a crash
-	// between the GC's hint publication and the unlink of a dead segment.
+	// TearGCSeg: a segment file that is none of the log's — a copy of a
+	// live segment under an index its header does not name.
 	TearGCSeg = "gcseg"
-	// TearHint: MANIFEST.json is never synced, so a power cut may leave
-	// any earlier published version of it, an empty file or none.
-	TearHint = "hint"
 )
 
 // Crash kills a process at At, keeps it down for Down, then restarts it
@@ -210,22 +203,20 @@ func Generate(seed int64, p Profile) *Schedule {
 	for i := 0; i < p.Crashes; i++ {
 		slot := float64(dur) * 0.60 / float64(p.Crashes)
 		at := float64(dur)*0.35 + slot*(float64(i)+0.2+rng.Float64()*0.5)
-		// A quarter of the crashes land on a clean store; the rest cycle
+		// Five crashes in eight land on a clean store; the rest cycle
 		// through the debris kinds so every seed range covers the whole
-		// crash-point matrix.
+		// crash-point matrix. The draw keeps its eight cases, so a seed's
+		// later draws, and with them its schedule, do not depend on how
+		// many debris kinds there are.
 		tear := TearNone
 		if p.Tear {
 			switch rng.Intn(8) {
-			case 0, 1:
-				tear = TearTemp
 			case 2:
 				tear = TearSegHeader
 			case 3:
 				tear = TearSegTail
 			case 4:
 				tear = TearGCSeg
-			case 5:
-				tear = TearHint
 			}
 		}
 		s.Crashes = append(s.Crashes, Crash{

@@ -1,13 +1,12 @@
 package fsstore
 
-// Tests of the durability engine: exact fsync counts per commit,
-// manifest rollback on a failed publication, batch prefix semantics, the S_k
-// GC watermark, concurrent use, datadirs of the previous record format,
-// and the segment crash-point matrix (torn header, torn batch tail,
-// orphan segment).
+// Tests of the durability engine: exact fsync counts per commit and per
+// GC sweep, manifest rollback on a failed commit, batch prefix semantics,
+// the S_k GC watermark, concurrent use, datadirs of earlier formats and of
+// another process, and the segment crash-point matrix (torn header, torn
+// batch tail, orphan segment).
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,7 +24,6 @@ import (
 // TestGroupCommitAmortizesFsyncs is the acceptance gate of the engine:
 // the fsync counter counts actual syscalls, and a commit costs exactly
 // one whatever its depth — plus the directory sync at a segment's birth.
-// The hint is published without one.
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, 2)
@@ -98,10 +96,12 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	}
 }
 
-// TestManifestRollbackOnFailedCommit is the satellite-1 regression: a
-// manifest write failure mid-commit must roll the in-memory manifest
-// back to what disk holds, so a later successful finalize cannot
-// publish a phantom entry.
+// TestManifestRollbackOnFailedCommit: a commit that fails after its
+// bytes reached the segment — here its cut of the file — must leave the
+// in-memory manifest at what the last acknowledged commit left, so a
+// retry of the same seq commits cleanly and disk and memory agree. A poll
+// in between may see the failed commit's frame (a scan reads what the
+// file holds); the store does not serve it.
 func TestManifestRollbackOnFailedCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, 2)
@@ -111,29 +111,19 @@ func TestManifestRollbackOnFailedCommit(t *testing.T) {
 	if err := s.Finalize(rec(0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Make the manifest commit fail after the segment bytes land: replace
-	// MANIFEST.json with a directory, so writeAtomic's rename gets EISDIR
-	// (works even when running as root, unlike permission bits).
-	manifest := filepath.Join(s.Dir(), "MANIFEST.json")
-	if err := os.Remove(manifest); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(manifest, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	s.SetFaultHook(failFirst("truncate"))
 	if err := s.Finalize(rec(0, 2, 1)); err == nil {
-		t.Fatal("finalize with unwritable manifest succeeded")
+		t.Fatal("a commit whose cut failed succeeded")
 	}
 	if s.LastSeq() != 1 {
-		t.Fatalf("LastSeq after failed manifest commit = %d, want 1 (in-memory manifest diverged from disk)", s.LastSeq())
+		t.Fatalf("LastSeq after the failed commit = %d, want 1 (in-memory manifest diverged from disk)", s.LastSeq())
 	}
-	// Heal the manifest path and retry: the same seq must commit cleanly
-	// and disk must agree with memory.
-	if err := os.Remove(manifest); err != nil {
-		t.Fatal(err)
+	if _, err := s.Load(2); err == nil {
+		t.Fatal("the store serves the failed commit's record")
 	}
+	// Retry the same seq, then one more: disk must agree with memory.
 	if err := s.Finalize(rec(0, 2, 1)); err != nil {
-		t.Fatalf("retry after healed manifest: %v", err)
+		t.Fatalf("retry after the failed commit: %v", err)
 	}
 	if err := s.Finalize(rec(0, 3, 0)); err != nil {
 		t.Fatal(err)
@@ -201,10 +191,10 @@ func TestLoadUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestManifestedSeqInNoSegment: a manifest naming a seq no segment
-// holds (the shape a pre-segment per-seq datadir had) is never served.
-// Open takes its seqs from the log, republishes the hint to match, and
-// Load of the missing seq is an error, not an empty record.
+// TestManifestedSeqInNoSegment: a hint naming a seq no segment holds
+// (the shape a pre-segment per-seq datadir had) is never served. Open
+// and the pollers take their seqs from the log, and Load of the missing
+// seq is an error, not an empty record.
 func TestManifestedSeqInNoSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, 2)
@@ -218,11 +208,7 @@ func TestManifestedSeqInNoSegment(t *testing.T) {
 	}
 	man := s.Manifest()
 	man.Seqs = append(man.Seqs, 3)
-	data, err := json.Marshal(&man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), "MANIFEST.json"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.Dir(), hintName), parentHint(man), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, 0, 2)
@@ -235,9 +221,8 @@ func TestManifestedSeqInNoSegment(t *testing.T) {
 	if _, err := s2.Load(3); err == nil || !strings.Contains(err.Error(), "in no segment") {
 		t.Fatalf("Load(3) err = %v, want an in-no-segment error", err)
 	}
-	// The refusal reaches the pollers too: the hint no longer names seq 3.
 	if m, err := ReadManifest(dir, 0); err != nil || !reflect.DeepEqual(m.Seqs, []int{1, 2}) {
-		t.Fatalf("republished hint = (%v, %v), want seqs [1 2]", m.Seqs, err)
+		t.Fatalf("ReadManifest = (%v, %v), want seqs [1 2]", m.Seqs, err)
 	}
 }
 
@@ -313,6 +298,51 @@ func TestGCToWatermark(t *testing.T) {
 	// New finalizes continue above the watermark.
 	if err := s2.Finalize(rec(0, 13, 1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGCToFsyncsOnlyOnUnlink: the GC floor is in memory, so a sweep that
+// unlinks no segment does no I/O at all, and one that unlinks a segment
+// issues one directory fsync, counted like every other.
+func TestGCToFsyncsOnlyOnUnlink(t *testing.T) {
+	dir := t.TempDir()
+	opts := DefaultOptions()
+	opts.SegmentMaxBytes = 3 * int64(len(frame(rec(0, 1, 2)))) // three rec(0, seq, 2) frames to a segment
+	s, err := OpenWith(dir, 0, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := NewStoreMetrics(metrics.NewRegistry(), 0)
+	s.SetMetrics(sm)
+	finalizeUpTo(t, s, 6)
+	var ops []string
+	s.SetFaultHook(func(op, _ string) error {
+		ops = append(ops, op)
+		return nil
+	})
+	for _, step := range []struct {
+		wm     int
+		ops    []string
+		fsyncs int64
+	}{
+		{2, nil, 0},                           // inside the first segment
+		{4, []string{"remove", "syncdir"}, 1}, // the first segment goes
+		{5, nil, 0},                           // inside the active segment
+	} {
+		ops = nil
+		base := sm.Fsyncs.Value()
+		if err := s.GCTo(step.wm); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ops, step.ops) {
+			t.Errorf("GCTo(%d) changed the directory by %v, want %v", step.wm, ops, step.ops)
+		}
+		if got := sm.Fsyncs.Value() - base; got != step.fsyncs {
+			t.Errorf("GCTo(%d) counted %d fsyncs, want %d", step.wm, got, step.fsyncs)
+		}
+	}
+	if got := s.Manifest().Seqs; !reflect.DeepEqual(got, []int{5, 6}) {
+		t.Fatalf("seqs after the sweeps = %v, want [5 6]", got)
 	}
 }
 
@@ -479,8 +509,8 @@ func TestCrashPointMatrix(t *testing.T) {
 	})
 
 	t.Run("crash between compaction and segment GC", func(t *testing.T) {
-		// GCTo commits the manifest before unlinking dead segments; a
-		// crash in between leaves a valid but unreferenced segment file.
+		// A segment file outside the log: a live one cloned under an
+		// index its header does not name.
 		dir, s := seed(t)
 		segs := s.Manifest().Segments
 		firstSeg := SegmentFile(s.Dir(), segs[0].Index)
@@ -499,15 +529,11 @@ func TestCrashPointMatrix(t *testing.T) {
 	})
 
 	t.Run("torn manifest over segments", func(t *testing.T) {
-		// Crash mid-manifest-overwrite: the rebuild must recover every
-		// record from the segments' durable bytes.
+		// A torn hint an earlier build left: every record still comes from
+		// the segments' durable bytes.
 		dir, s := seed(t)
-		manifest := filepath.Join(s.Dir(), "MANIFEST.json")
-		raw, err := os.ReadFile(manifest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(manifest, raw[:len(raw)/3], 0o644); err != nil {
+		raw := parentHint(s.Manifest())
+		if err := os.WriteFile(filepath.Join(s.Dir(), hintName), raw[:len(raw)/3], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		verify(t, dir)
@@ -688,8 +714,11 @@ func TestStoreConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s2, "reopened")
-	if got, want := s2.Manifest(), s.Manifest(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reopened manifest %+v differs from the live one %+v", got, want)
+	// The GC floor was in memory: the reopened store may serve collected
+	// seqs again, below the live ones, and otherwise agrees.
+	got, want := s2.Manifest(), s.Manifest()
+	if k := len(got.Seqs) - len(want.Seqs); k < 0 || !reflect.DeepEqual(got.Seqs[k:], want.Seqs) || !reflect.DeepEqual(got.Segments, want.Segments) {
+		t.Fatalf("reopened manifest %+v does not end in the live one %+v", got, want)
 	}
 }
 
@@ -727,6 +756,10 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	}
 	files := map[string][]byte{}
 	for _, e := range entries {
+		if e.IsDir() {
+			files[e.Name()+"/"] = nil
+			continue
+		}
 		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -741,14 +774,19 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // (testdata/parent-*: seqs 1..5 of the rec fixture under an OCSMSEG1
 // header, 5 full JSON records vs 1 full + 4 deltas; and under this
 // header as kind-1 records, whose encoding lacks JoinedBy, and as kind-3
-// records, whose log entries carry two timestamps and absolute IDs), and
+// records, whose log entries carry two timestamps and absolute IDs),
 // against a log of this format that ends in a frame of a kind this build
-// does not know. Each is durable data this build cannot read: Open must fail
-// naming the format or the kind, and the segment — through the
-// manifest-led scan and through the scan under a torn hint alike — and
-// must not truncate, sweep or rewrite anything. (Before the refusal, a
-// header of another format was debris: the first Open unlinked every
-// acknowledged checkpoint.)
+// does not know, and against another process's log moved into this
+// process's directory. Each is durable data this build may not read as
+// its own: Open and ReadManifest must fail naming the format, the kind or
+// the owner, and the segment, and Open must not truncate, sweep or
+// rewrite anything. Each runs twice, beside the hint an earlier build left
+// (or would have: a fresh one where the directory has none) and beside
+// that hint torn; the row names keep the scans that once read the two.
+// (Before the refusal, a header of another format was debris: the first
+// Open unlinked every acknowledged checkpoint. Before the owner check
+// moved into the header, only the hint stopped Open of P0 from deleting a
+// log of P1's.)
 func TestPreviousFormatDatadirs(t *testing.T) {
 	fixture := func(name string) func(*testing.T) string {
 		return func(t *testing.T) string { return copyDatadir(t, name) }
@@ -771,6 +809,24 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 		}
 		return dir
 	}
+	// otherOwner is a log of P1's (rotated, so two segments) moved into
+	// P0's directory.
+	otherOwner := func(t *testing.T) string {
+		dir := t.TempDir()
+		s, err := OpenWith(dir, 1, 2, Options{SegmentMaxBytes: 3 * int64(len(frame(rec(1, 1, 2))))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 1; seq <= 5; seq++ {
+			if err := s.Finalize(rec(1, seq, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Rename(ProcDir(dir, 1), ProcDir(dir, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
 	seg := filepath.Base(SegmentFile("", 1))
 	for _, tc := range []struct {
 		name    string
@@ -782,6 +838,7 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 		{"parent-kind1", fixture("parent-kind1"), []string{"unsupported record kind 1", seg}},
 		{"parent-kind3", fixture("parent-kind3"), []string{"unsupported record kind 3", seg}},
 		{"a later record kind", laterKind, []string{fmt.Sprintf("unsupported record kind %d", kindFull+1), seg}},
+		{"another process's log", otherOwner, []string{"names P1, not P0", seg}},
 	} {
 		for _, tornHint := range []bool{false, true} {
 			name := tc.name + " refused by the manifest-led scan"
@@ -791,24 +848,33 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				dir := tc.datadir(t)
 				pdir := ProcDir(dir, 0)
-				// Crash debris a successful Open would sweep stays too.
+				// Files a successful Open would leave alone stay too.
 				if err := os.WriteFile(filepath.Join(pdir, ".tmp-stale"), []byte("x"), 0o644); err != nil {
 					t.Fatal(err)
 				}
+				hint := readDir(t, pdir)[hintName]
+				if hint == nil {
+					hint = parentHint(Manifest{Proc: 0, N: 2, Seqs: []int{1, 2, 3}})
+				}
 				if tornHint {
-					hint := readDir(t, pdir)[hintName]
-					if err := os.WriteFile(filepath.Join(pdir, hintName), hint[:40], 0o644); err != nil {
-						t.Fatal(err)
-					}
+					hint = hint[:len(hint)/2]
+				}
+				if err := os.WriteFile(filepath.Join(pdir, hintName), hint, 0o644); err != nil {
+					t.Fatal(err)
 				}
 				before := readDir(t, pdir)
-				_, err := Open(dir, 0, 2)
-				if err == nil {
-					t.Fatal("the datadir opened")
-				}
-				for _, want := range tc.want {
-					if !strings.Contains(err.Error(), want) {
-						t.Fatalf("refusal %q does not name %s", err, want)
+				for _, read := range []func() error{
+					func() error { _, err := Open(dir, 0, 2); return err },
+					func() error { _, err := ReadManifest(dir, 0); return err },
+				} {
+					err := read()
+					if err == nil {
+						t.Fatal("the datadir was read as P0's")
+					}
+					for _, want := range tc.want {
+						if !strings.Contains(err.Error(), want) {
+							t.Fatalf("refusal %q does not name %s", err, want)
+						}
 					}
 				}
 				if after := readDir(t, pdir); !reflect.DeepEqual(after, before) {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -47,25 +46,25 @@ type faultStep struct {
 }
 
 const (
-	commitCalls = "create write truncate sync"                             // one append to the active segment
-	birthCalls  = commitCalls + " syncdir"                                 // ... to a fresh one
-	hintCalls   = "create write rename"                                    // one hint publication
-	allOpKinds  = "create mkdir remove rename sync syncdir truncate write" // sorted
+	commitCalls = "create write truncate sync"                      // one append to the active segment
+	birthCalls  = commitCalls + " syncdir"                          // ... to a fresh one
+	allOpKinds  = "create mkdir remove sync syncdir truncate write" // sorted
 )
 
 // faultOptions rotate the log after three records.
 var faultOptions = Options{SegmentMaxBytes: 3 * int64(len(frame(rec(0, 1, 1))))}
 
 var faultScript = []faultStep{
-	{name: "open fresh", open: true, calls: "mkdir " + hintCalls},
-	{name: "commit into a fresh segment", finalize: []int{1, 2}, calls: birthCalls + " " + hintCalls},
-	{name: "commit into the existing segment", finalize: []int{3}, calls: commitCalls + " " + hintCalls},
-	{name: "commit across a rotation", finalize: []int{4, 5}, calls: birthCalls + " " + hintCalls},
-	{name: "roll back", truncate: 3, calls: commitCalls + " " + hintCalls},
-	{name: "re-finalize the rolled-back seqs", finalize: []int{4, 5, 6}, calls: commitCalls + " " + hintCalls},
-	{name: "collect a dead segment", gc: 4, calls: hintCalls + " remove syncdir"},
-	{name: "reopen over a torn tail and debris", open: true, calls: "mkdir truncate sync remove remove"},
-	{name: "commit after the reopen", finalize: []int{7}, calls: birthCalls + " " + hintCalls},
+	{name: "open fresh", open: true, calls: ""},
+	{name: "commit into the store's first segment", finalize: []int{1, 2}, calls: "mkdir " + birthCalls},
+	{name: "commit into the existing segment", finalize: []int{3}, calls: commitCalls},
+	{name: "commit across a rotation", finalize: []int{4, 5}, calls: birthCalls},
+	{name: "roll back", truncate: 3, calls: commitCalls},
+	{name: "re-finalize the rolled-back seqs", finalize: []int{4, 5, 6}, calls: commitCalls},
+	{name: "collect a dead segment", gc: 4, calls: "remove syncdir"},
+	{name: "collect inside the active segment", gc: 5, calls: ""},
+	{name: "reopen over a torn tail and debris", open: true, calls: "truncate sync remove"},
+	{name: "commit after the reopen", finalize: []int{7}, calls: birthCalls},
 }
 
 // faultRun is one pass over faultScript with, at most, one call failing.
@@ -74,7 +73,6 @@ type faultRun struct {
 	dir    string
 	failAt int // index of the call that fails; -1: none
 	calls  []string
-	tmp    string // the hint temp file last written
 	s      *Store
 	gen    int // distinguishes a re-finalized record from the one rolled back
 	// must holds what a store has to serve, may what it is free to serve
@@ -84,17 +82,12 @@ type faultRun struct {
 	must, may map[int]checkpoint.Record
 }
 
-func (r *faultRun) hook(op, path string) error {
-	i := len(r.calls)
-	r.calls = append(r.calls, op)
-	if op == "write" && strings.HasPrefix(filepath.Base(path), ".tmp-") {
-		r.tmp = path
-	}
-	// Once the fault has struck, the cleanup of the hint's temp file fails
-	// too: a best-effort call must not hide the error that led to it.
-	if i == r.failAt || r.failAt >= 0 && r.failAt < i && op == "remove" && path == r.tmp {
+func (r *faultRun) hook(op, _ string) error {
+	if len(r.calls) == r.failAt {
+		r.calls = append(r.calls, op)
 		return errInjected
 	}
+	r.calls = append(r.calls, op)
 	return nil
 }
 
@@ -123,8 +116,7 @@ func (r *faultRun) check(s *Store, label string) {
 }
 
 // plant leaves what a crash could: garbage behind the active segment's
-// last frame, a stranded hint temp file, a segment that is only a torn
-// header.
+// last frame and a segment that is only a torn header.
 func (r *faultRun) plant() {
 	r.t.Helper()
 	segs := r.s.Manifest().Segments
@@ -134,9 +126,8 @@ func (r *faultRun) plant() {
 		r.t.Fatal(err)
 	}
 	for path, data := range map[string]string{
-		SegmentFile(r.s.Dir(), active.Index):      string(tail) + "garbage beyond the durable size",
-		filepath.Join(r.s.Dir(), ".tmp-stranded"): "{",
-		SegmentFile(r.s.Dir(), active.Index+1):    "OCSM",
+		SegmentFile(r.s.Dir(), active.Index):   string(tail) + "garbage beyond the durable size",
+		SegmentFile(r.s.Dir(), active.Index+1): "OCSM",
 	} {
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			r.t.Fatal(err)
@@ -262,8 +253,8 @@ func faultSweepRun(t *testing.T, failAt int) []string {
 // TestEveryFaultSurfaces runs the scripted history once cleanly, then
 // once per mutating file-system call with that call failing. The public
 // operation the call ran in must return the injected error (GCTo's unlink
-// of a dead segment and the hint's temp-file cleanup are the two declared
-// best-effort calls), the live store's manifest must not have moved, and a
+// of a dead segment is the one declared best-effort call), the live
+// store's manifest must not have moved, and a
 // clean Open must then serve every acknowledged record and no rolled-back
 // one. What it does not model: a call that fails after taking effect, a
 // short write, and a crash that drops what was not synced.

@@ -5,38 +5,34 @@
 //
 // Layout, one directory per process under a shared data directory:
 //
-//	<datadir>/p<id>/seg_000001.wal     segmented append-only log: the durable truth
-//	<datadir>/p<id>/MANIFEST.json      published hint: finalized seqs as runs + segment sizes
+//	<datadir>/p<id>/seg_000001.wal     segmented append-only log: the only durable artefact
 //
 // The segment log alone says what is durable. It holds two kinds of
 // CRC-framed binary record: a full record (one checkpoint's state plus
 // its selective message log, self-contained, in internal/wire's record
 // encoding) binds its sequence number, and a truncation record unbinds
 // every sequence number above its line (a rollback). Segments of the
-// previous format, which framed JSON records, make Open fail, untouched.
-// A commit — FinalizeBatch or TruncateAfter — appends its
-// frames to the active segment, cuts the file to end at them and issues
-// ONE fsync; that sync is the commit. Open replays the segment files
-// present, in order, each up to its first frame that does not verify,
-// and so arrives at exactly the acknowledged history (plus, at most, a
-// commit that was durable but interrupted before it was acknowledged).
+// previous format, which framed JSON records, and segments whose header
+// names another process make Open fail, untouched. A commit —
+// FinalizeBatch or TruncateAfter — appends its frames to the active
+// segment, cuts the file to end at them and issues ONE fsync; that sync
+// is the commit, and nothing else is written. Open replays the segment
+// files present, in order, each up to its first frame that does not
+// verify, and so arrives at exactly the acknowledged history (plus, at
+// most, a commit that was durable but interrupted before it was
+// acknowledged).
 //
-// MANIFEST.json is what pollers of a live datadir read (ReadManifest,
-// CompleteSeqs, LastCompleteSeq): after the sync, every commit rewrites
-// it by temp file + rename with no sync of its own, so it names a
-// sequence number only once that number's frame is durable, and is
-// visible before the commit returns. It lists the finalized sequence
-// numbers as closed runs [first, last] — one run under OCSML, more only
-// after a rebuild over a damaged log left a gap — so what a commit
-// writes there does not grow with the checkpoints already taken. It is
-// a hint, not a commit record: a crash may leave an older version of it,
-// an empty file or none, and Open then loses nothing; the same goes for
-// a file of another shape (a build that listed every seq wrote "seqs").
-// Open takes two things from it that the log does not carry: the owner
-// check, and the GC floor (the first run's start), below which frames in
-// the part of the log the hint had seen stay collected.
+// Every other reader is served from memory or from the log. The owner's
+// manifest (Store.Manifest) is in memory and only an acknowledged commit
+// moves it; the GC floor lives there too, so a later Open may serve again
+// collected records whose segment survived — more than was asked for,
+// never less. Pollers of a live datadir (ReadManifest, CompleteSeqs,
+// LastCompleteSeq) scan the segment files read-only under the binding
+// rule Open replays by. A directory in which a build before this one
+// published a MANIFEST.json hint opens like any other: the hint, and any
+// temp file of it, is ignored and left in place.
 //
-// The manifest of every process, intersected (Intersect,
+// The manifest of every process, intersected (CompleteSeqs,
 // LastCompleteSeq), yields the last finalized global checkpoint S_k on
 // disk; the recovery handshake (internal/handshake) agrees on it as the
 // line and transport.ResumeProtocol restarts a process from it, and GCTo
@@ -44,37 +40,36 @@
 package fsstore
 
 import (
-	"bytes"
-	"encoding/json"
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"ocsml/internal/checkpoint"
-	"ocsml/internal/handshake"
 	"ocsml/internal/metrics"
 	"ocsml/internal/wire"
 )
 
-// SegmentMeta records one segment file's durable extent: Size is the
-// byte length the last commit left the file at, and the offset the next
-// one appends at.
+// SegmentMeta records one segment file's extent: Size is the byte length
+// the last commit left the file at, and the offset the next one appends
+// at (in a manifest read from the log: the length of its verified frames).
 type SegmentMeta struct {
 	Index int   `json:"index"`
 	Size  int64 `json:"size"`
 }
 
 // Manifest records what a process has durably finalized: the store's
-// in-memory view and the admin API's response body. MANIFEST.json holds
-// the same thing with Seqs folded into runs (hintFile).
+// in-memory view, what a scan of the log finds (ReadManifest), and the
+// admin API's response body.
 type Manifest struct {
 	// Proc is the owning process id.
 	Proc int `json:"proc"`
-	// N is the cluster size the process was configured with.
+	// N is the cluster size the process was configured with. The log does
+	// not record it: a manifest read from the log leaves it zero.
 	N int `json:"n"`
 	// Seqs lists every finalized checkpoint sequence number on disk,
 	// strictly ascending (gap-free from the first entry under OCSML; a
@@ -153,13 +148,13 @@ func NewStoreMetrics(reg *metrics.Registry, proc int) *StoreMetrics {
 	p := strconv.Itoa(proc)
 	return &StoreMetrics{
 		Finalizes: reg.MustCounterVec("ocsml_fsstore_finalized_total",
-			"Checkpoints durably finalized (segment append synced, hint published).", "proc").With(p),
+			"Checkpoints durably finalized (segment append synced).", "proc").With(p),
 		FinalizeErrors: reg.MustCounterVec("ocsml_fsstore_finalize_errors_total",
 			"Finalize attempts that failed before the commit was acknowledged.", "proc").With(p),
 		Fsyncs: reg.MustCounterVec("ocsml_fsstore_fsyncs_total",
 			"File and directory fsync syscalls issued by the durability protocol.", "proc").With(p),
 		BytesWritten: reg.MustCounterVec("ocsml_fsstore_bytes_written_total",
-			"Bytes handed to stable storage (segments, checkpoint states, manifests).", "proc").With(p),
+			"Bytes handed to stable storage (segment headers and frames).", "proc").With(p),
 		GCRemoved: reg.MustCounterVec("ocsml_fsstore_gc_removed_total",
 			"Checkpoint records garbage-collected below the global S_k watermark.", "proc").With(p),
 	}
@@ -184,8 +179,8 @@ func (s *Store) noteWriteLocked(bytes, fsyncs int64) {
 // SetFaultHook installs (or, with nil, removes) the package's one test
 // seam: fn is consulted, under the store's mutex, immediately before
 // every file-system call that changes the directory — op is one of
-// "mkdir", "create", "write", "truncate", "sync", "syncdir", "rename",
-// "remove", path the file or directory the call names. A non-nil return
+// "mkdir", "create", "write", "truncate", "sync", "syncdir", "remove",
+// path the file or directory the call names. A non-nil return
 // stands for that call failing without having happened: the call is
 // skipped and the error takes the path the call's own error would. Tests
 // use it to execute every durability error path (TestEveryFaultSurfaces).
@@ -212,9 +207,10 @@ func ProcDir(datadir string, proc int) string {
 	return filepath.Join(datadir, fmt.Sprintf("p%d", proc))
 }
 
-// Open creates (or reopens) the store for one process with default
+// Open opens (or reopens) the store for one process with default
 // Options. The segment log is replayed, so a restarted process sees what
-// it had finalized before the crash.
+// it had finalized before the crash. The directory is created by the
+// store's first commit, not here.
 func Open(datadir string, proc, n int) (*Store, error) {
 	return OpenWith(datadir, proc, n, DefaultOptions())
 }
@@ -222,19 +218,17 @@ func Open(datadir string, proc, n int) (*Store, error) {
 // OpenWith is Open with explicit engine Options.
 //
 // Open is also the crash-recovery entry point. It derives the manifest
-// from one in-order scan of the segment files present: a full frame
-// binds (or re-binds) its seq, a truncation frame unbinds every seq
-// above its line (as does a full frame above its own seq, since a
-// commit only extends the last one), and the first frame that fails to
-// verify ends the scan of its segment. MANIFEST.json, when it parses,
-// adds the owner check and the GC floor (for the part of the log it had
-// seen); torn, empty or missing it adds nothing and costs nothing. Then
-// the debris goes: temp files of an interrupted hint publication,
+// from one in-order scan of the segment files present under the binding
+// rule (bind): a full frame binds its seq, a truncation frame or a lower
+// full frame unbinds every seq above its own, and the first frame that
+// fails to verify ends the scan of its segment. Then the debris goes:
 // segment tails beyond the last verifying frame (cut and synced) and
-// segment files the scan found nothing valid in, and the hint is
-// republished if it differs from the log. A CRC-valid frame of a kind
-// this build does not read is none of those: Open refuses the directory
-// with an error and repairs nothing in it.
+// segment files the scan found nothing valid in. Three things are none of
+// those, and Open refuses the directory with an error, repairing nothing:
+// a CRC-valid frame of a kind this build does not read, a segment of the
+// previous format, and a segment whose header names another process (a
+// log moved into the wrong directory). Files that are not segments are
+// not read and not touched.
 func OpenWith(datadir string, proc, n int, opts Options) (*Store, error) {
 	return openWith(datadir, proc, n, opts, nil)
 }
@@ -245,127 +239,108 @@ func openWith(datadir string, proc, n int, opts Options, fault func(op, path str
 	if proc < 0 || n < 2 || proc >= n {
 		return nil, fmt.Errorf("fsstore: invalid proc %d of %d", proc, n)
 	}
-	dir := ProcDir(datadir, proc)
 	s := &Store{
-		dir: dir, proc: proc, n: n, opts: opts.withDefaults(),
+		dir: ProcDir(datadir, proc), proc: proc, n: n, opts: opts.withDefaults(),
 		man:   Manifest{Proc: proc, N: n},
 		index: map[int]recLoc{},
 		fault: fault,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.doLocked("mkdir", dir, func() error { return os.MkdirAll(dir, 0o755) }); err != nil {
-		return nil, err
-	}
-	hint, err := os.ReadFile(filepath.Join(dir, hintName))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	// A hint that does not decode — torn, empty, absent, or written by a
-	// build that listed "seqs" — says nothing. One that does is never
-	// expanded: Open takes the owner, the GC floor (the first run's start)
-	// and how far into the log the hint had seen (its last segment entry).
-	floor, seen := 0, SegmentMeta{}
-	if old, err := decodeHint(hint); err == nil {
-		if old.Proc != proc {
-			return nil, fmt.Errorf("fsstore: manifest in %s belongs to P%d, not P%d", dir, old.Proc, proc)
-		}
-		if len(old.Runs) > 0 && len(old.Segments) > 0 {
-			floor, seen = old.Runs[0][0], old.Segments[len(old.Segments)-1]
-		}
-	}
-	if err := s.replayLocked(floor, seen, hint); err != nil {
+	if err := s.replayLocked(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// replayLocked is Open's loader: scan every segment file in index order
-// into the manifest and the seq -> location index, drop what the hint
-// says GC had collected (seqs below floor, in the log up to seen), then
-// repair the directory and republish the hint unless its bytes, hint,
-// already say what the log does. Every segment scans before anything is
-// repaired, so a refused directory is left exactly as found.
-func (s *Store) replayLocked(floor int, seen SegmentMeta, hint []byte) error {
-	entries, err := os.ReadDir(s.dir)
+// logScan is what one read of a process's segment files, in index order,
+// finds besides the frames themselves.
+type logScan struct {
+	segs   []SegmentMeta // the files holding a verified frame, with its verified length
+	debris []int         // the indexes of the files holding none
+}
+
+// openSegment opens a segment file for a scan. A variable so that a test
+// can fail a read partway through a file.
+var openSegment = func(path string) (io.ReadCloser, error) { return os.Open(path) }
+
+// scanLog reads the log of proc in dir, handing each verified frame to
+// each in log order, and changes nothing: no directory is created and no
+// file is cut, removed or synced. A missing directory is an empty log,
+// and a segment unlinked since the listing (a GC running beside the scan)
+// is skipped. Every file streams through r, so what a scan allocates does
+// not grow with the log.
+func scanLog(dir string, proc int, r *bufio.Reader, each func(scannedFrame)) (logScan, error) {
+	var ls logScan
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return ls, nil
+	}
+	if err != nil {
+		return ls, err
+	}
+	var idxs []int
+	for _, e := range entries {
+		if idx, ok := parseSegmentName(e.Name()); ok {
+			idxs = append(idxs, idx)
+		}
+	}
+	sort.Ints(idxs)
+	for _, idx := range idxs {
+		path := SegmentFile(dir, idx)
+		f, err := openSegment(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return ls, err
+		}
+		valid, err := scanSegment(r, f, path, proc, idx, each)
+		f.Close()
+		if err != nil {
+			return ls, err
+		}
+		if valid > int64(segHeaderSize) {
+			ls.segs = append(ls.segs, SegmentMeta{Index: idx, Size: valid})
+		} else {
+			// Torn header, a copy of another segment, or no whole frame:
+			// nothing the file holds was ever acknowledged.
+			ls.debris = append(ls.debris, idx)
+		}
+	}
+	return ls, nil
+}
+
+// replayLocked is Open's loader: scan every segment file into the
+// manifest and the seq -> location index, then repair the directory.
+// Every segment scans before anything is repaired, so a refused
+// directory is left exactly as found.
+func (s *Store) replayLocked() error {
+	locs := map[int]recLoc{} // each seq's last full frame
+	ls, err := scanLog(s.dir, s.proc, bufio.NewReader(nil), func(fr scannedFrame) {
+		s.man.Seqs = bind(s.man.Seqs, fr)
+		if fr.kind == kindFull {
+			locs[fr.seq] = fr.loc
+		}
+	})
 	if err != nil {
 		return err
 	}
-	var segIdxs []int
-	var debris []string
-	for _, e := range entries {
-		if idx, ok := parseSegmentName(e.Name()); ok {
-			segIdxs = append(segIdxs, idx)
-		} else if !e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-") {
-			debris = append(debris, filepath.Join(s.dir, e.Name())) // an interrupted hint publication
-		}
+	s.man.Segments = ls.segs
+	for _, q := range s.man.Seqs {
+		s.index[q] = locs[q]
 	}
-	sort.Ints(segIdxs)
-	// The hint's GC floor covers the log as far as the hint had seen it: a
-	// frame committed after an older hint was published is not below that
-	// hint's floor.
-	collect := func() {
-		for q := range s.index {
-			if q < floor {
-				delete(s.index, q)
-			}
-		}
-		floor = 0
-	}
-	last := -1 // no seq above it is bound
-	for _, idx := range segIdxs {
-		frames, valid, err := scanSegment(SegmentFile(s.dir, idx), s.proc, idx)
-		if err != nil {
-			return err
-		}
-		if len(frames) == 0 {
-			// Torn header, a header naming another proc or index, or no
-			// whole frame: nothing the file holds was ever acknowledged.
-			debris = append(debris, SegmentFile(s.dir, idx))
-			continue
-		}
-		s.man.Segments = append(s.man.Segments, SegmentMeta{Index: idx, Size: valid})
-		for _, fr := range frames {
-			if floor > 0 && (idx > seen.Index || idx == seen.Index && fr.loc.off >= seen.Size) {
-				collect()
-			}
-			// A truncation frame unbinds what lies above its line. So does
-			// a full frame: a commit only ever extends the store's last
-			// seq, so whatever the log still binds above a committed seq
-			// had been rolled back or collected by then.
-			if fr.seq < last {
-				for q := range s.index {
-					if q > fr.seq {
-						delete(s.index, q)
-					}
-				}
-				last = fr.seq
-			}
-			if fr.kind == kindFull {
-				s.index[fr.seq] = fr.loc // later occurrences win: a re-finalized seq
-				last = max(last, fr.seq)
-			}
-		}
-	}
-	collect()
-	for q := range s.index {
-		s.man.Seqs = append(s.man.Seqs, q)
-	}
-	sort.Ints(s.man.Seqs)
-
 	for _, meta := range s.man.Segments {
 		if err := s.truncateTailLocked(SegmentFile(s.dir, meta.Index), meta.Size); err != nil {
 			return err
 		}
 	}
-	for _, path := range debris {
+	for _, idx := range ls.debris {
+		path := SegmentFile(s.dir, idx)
 		err := s.doLocked("remove", path, func() error { return os.Remove(path) })
 		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
-	}
-	if mdata := encodeHint(&s.man); !bytes.Equal(mdata, hint) {
-		return s.writeHintLocked(mdata)
 	}
 	return nil
 }
@@ -416,135 +391,6 @@ func (s *Store) LastSeq() int {
 	return s.man.LastSeq()
 }
 
-// hintName is the published hint's file name in a process directory.
-const hintName = "MANIFEST.json"
-
-// maxHintSeqs bounds how many seqs a reader expands a hint's runs into:
-// the bound wire.maxRbSeqs puts on the same list in an RB_LINE.
-const maxHintSeqs = 1 << 20
-
-// hintFile is MANIFEST.json: the manifest with its seqs as closed runs
-// [first, last], ascending — one run under OCSML, more only where a
-// rebuild left a gap — so the file's size follows the number of gaps and
-// segments, not the number of checkpoints. encodeHint and decodeHint are
-// the only code that knows the shape.
-type hintFile struct {
-	Proc     int           `json:"proc"`
-	N        int           `json:"n"`
-	Runs     [][2]int      `json:"runs"`
-	Segments []SegmentMeta `json:"segments,omitempty"`
-}
-
-// encodeHint renders m as the hint file's bytes.
-func encodeHint(m *Manifest) []byte {
-	h := hintFile{Proc: m.Proc, N: m.N, Runs: [][2]int{}, Segments: m.Segments}
-	if k := len(m.Seqs); k > 0 && m.Seqs[k-1]-m.Seqs[0] == k-1 {
-		// Seqs ascend strictly, so the endpoints alone say they are
-		// contiguous: the common case costs nothing per seq.
-		h.Runs = append(h.Runs, [2]int{m.Seqs[0], m.Seqs[k-1]})
-	} else {
-		for _, q := range m.Seqs {
-			if last := len(h.Runs) - 1; last >= 0 && h.Runs[last][1]+1 == q {
-				h.Runs[last][1] = q
-			} else {
-				h.Runs = append(h.Runs, [2]int{q, q})
-			}
-		}
-	}
-	data, _ := json.Marshal(&h) // a struct of ints and slices of ints: cannot fail
-	return data
-}
-
-// decodeHint parses a hint file and checks its runs are well formed:
-// bounds non-negative, first <= last, each run above the one before. It
-// allocates in proportion to the bytes given, never to what the runs
-// claim. A hint of the previous format ("seqs") decodes to one with no
-// runs: it says nothing.
-func decodeHint(raw []byte) (hintFile, error) {
-	var h hintFile
-	if err := json.Unmarshal(raw, &h); err != nil {
-		return hintFile{}, err
-	}
-	prev := -1
-	for _, run := range h.Runs {
-		if run[0] <= prev || run[1] < run[0] {
-			return hintFile{}, fmt.Errorf("run %v is not a non-negative [first, last] above the run before it", run)
-		}
-		prev = run[1]
-	}
-	return h, nil
-}
-
-// seqs expands the runs, refusing — before allocating — more than
-// maxHintSeqs in total: a poller must not be made to allocate what a
-// few bytes of hint claim.
-func (h *hintFile) seqs() ([]int, error) {
-	total := 0
-	for _, run := range h.Runs {
-		if run[1]-run[0] >= maxHintSeqs-total {
-			return nil, fmt.Errorf("runs name more than %d seqs", maxHintSeqs)
-		}
-		total += run[1] - run[0] + 1
-	}
-	if total == 0 {
-		return nil, nil // as a hint without seqs always read: /v1/manifest prints it
-	}
-	seqs := make([]int, 0, total)
-	for _, run := range h.Runs {
-		for q := run[0]; q <= run[1]; q++ {
-			seqs = append(seqs, q)
-		}
-	}
-	return seqs, nil
-}
-
-// writeHintLocked publishes data as MANIFEST.json by temp file + rename,
-// so a poller reads the old hint or the new one and never a torn one.
-// Nothing is synced, on purpose: the segment log is the durable truth,
-// and Open survives whatever a crash makes of this file. The bytes still
-// count as handed to stable storage.
-func (s *Store) writeHintLocked(data []byte) error {
-	var tmp *os.File
-	err := s.doLocked("create", filepath.Join(s.dir, ".tmp-*"), func() (err error) {
-		tmp, err = os.CreateTemp(s.dir, ".tmp-*")
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	err = s.doLocked("write", tmp.Name(), func() error { _, err := tmp.Write(data); return err })
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		hint := filepath.Join(s.dir, hintName)
-		err = s.doLocked("rename", hint, func() error { return os.Rename(tmp.Name(), hint) })
-	}
-	if err != nil {
-		// Best-effort temp cleanup: the primary write error is returned,
-		// and Open removes what this leaves.
-		_ = s.doLocked("remove", tmp.Name(), func() error { return os.Remove(tmp.Name()) })
-		return err
-	}
-	s.noteWriteLocked(int64(len(data)), 0)
-	return nil
-}
-
-// publishLocked makes seqs and segs the manifest, in memory and in the
-// published hint. The caller has already synced every frame they name.
-// If the publication fails the in-memory manifest is put back, so it
-// never runs ahead of what pollers can read and a retry starts from the
-// same state.
-func (s *Store) publishLocked(seqs []int, segs []SegmentMeta) error {
-	oldSeqs, oldSegs := s.man.Seqs, s.man.Segments
-	s.man.Seqs, s.man.Segments = seqs, segs
-	err := s.writeHintLocked(encodeHint(&s.man))
-	if err != nil {
-		s.man.Seqs, s.man.Segments = oldSeqs, oldSegs
-	}
-	return err
-}
-
 func (s *Store) syncDirLocked() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
@@ -563,15 +409,14 @@ func (s *Store) Finalize(rec checkpoint.Record) error {
 
 // FinalizeBatch is the commit path: it persists recs (this process's
 // records, seqs ascending and above LastSeq) as one group commit — every
-// frame appended to the active segment under a single file fsync, then
-// the hint published — and returns how long a prefix committed. The
-// first record that fails validation stops the batch: the
-// records before it commit, it and every record behind it do not
-// (committing past it would gap the manifest), and err is that first
-// failure. A failed segment write or hint publication
-// commits nothing in memory, and the appended bytes sit beyond the
-// durable size for the next commit to overwrite; frames that did reach
-// disk may be re-admitted by a later Open.
+// frame appended to the active segment under a single file fsync — and
+// returns how long a prefix committed. The first record that fails
+// validation stops the batch: the records before it commit, it and every
+// record behind it do not (committing past it would gap the manifest),
+// and err is that first failure. A failed segment write commits nothing
+// in memory, and the appended bytes sit beyond the durable size for the
+// next commit to overwrite; frames that did reach disk may be re-admitted
+// by a later Open.
 func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -586,7 +431,7 @@ func (s *Store) FinalizeBatch(recs []checkpoint.Record) (committed int, err erro
 }
 
 // commitLocked is FinalizeBatch under mu: validate and encode the
-// committable prefix, one segment append, one hint publication.
+// committable prefix, then one segment append.
 func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 	var (
 		buf     = s.frames[:0]
@@ -613,20 +458,14 @@ func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 	if len(ends) == 0 {
 		return 0, stopErr
 	}
-	segs, off, err := s.appendLocked(buf)
+	off, err := s.appendLocked(buf)
 	if err != nil {
 		return 0, err
 	}
-	seqs := s.man.Seqs
-	for _, rec := range recs[:len(ends)] {
-		seqs = append(seqs, rec.Seq)
-	}
-	if err := s.publishLocked(seqs, segs); err != nil {
-		return 0, err
-	}
-	start := 0
+	seg, start := s.man.Segments[len(s.man.Segments)-1].Index, 0
 	for i, end := range ends {
-		s.index[recs[i].Seq] = recLoc{seg: segs[len(segs)-1].Index, off: off + int64(start), size: int64(end - start)}
+		s.man.Seqs = append(s.man.Seqs, recs[i].Seq)
+		s.index[recs[i].Seq] = recLoc{seg: seg, off: off + int64(start), size: int64(end - start)}
 		start = end
 	}
 	return len(ends), stopErr
@@ -635,34 +474,46 @@ func (s *Store) commitLocked(recs []checkpoint.Record) (int, error) {
 // appendLocked is the durability point of every commit: frames go to
 // the active segment — or, once that has reached SegmentMaxBytes, to a
 // fresh one behind its header — under ONE file fsync (plus the directory
-// sync that makes a fresh segment's name durable). It returns the
-// segment list as the append leaves it and the file offset frames
-// landed at; nothing in memory changes until the caller publishes.
-func (s *Store) appendLocked(frames []byte) (segs []SegmentMeta, off int64, err error) {
-	segs = append(segs, s.man.Segments...)
+// sync that makes a fresh segment's name durable; the store's first
+// segment also creates the directory). Only once that has succeeded does
+// the in-memory segment list take the append, and appendLocked returns
+// the file offset frames landed at.
+func (s *Store) appendLocked(frames []byte) (off int64, err error) {
+	segs := s.man.Segments
 	newSeg := len(segs) == 0 || segs[len(segs)-1].Size >= s.opts.SegmentMaxBytes
+	var active SegmentMeta
 	buf := frames
-	if newSeg {
-		next := 1
-		if len(segs) > 0 {
-			next = segs[len(segs)-1].Index + 1
+	switch {
+	case !newSeg:
+		active = segs[len(segs)-1]
+	case len(segs) == 0:
+		if err := s.doLocked("mkdir", s.dir, func() error { return os.MkdirAll(s.dir, 0o755) }); err != nil {
+			return 0, err
 		}
-		segs = append(segs, SegmentMeta{Index: next})
-		buf = append(segmentHeader(s.proc, next), frames...)
+		active.Index = 1
+	default:
+		active.Index = segs[len(segs)-1].Index + 1
 	}
-	active := &segs[len(segs)-1]
+	if newSeg {
+		buf = append(segmentHeader(s.proc, active.Index), frames...)
+	}
 	if err := s.writeSegmentLocked(SegmentFile(s.dir, active.Index), buf, active.Size); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	s.noteWriteLocked(int64(len(buf)), 1)
 	if newSeg {
 		if err := s.syncDirLocked(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		s.noteWriteLocked(0, 1)
 	}
 	active.Size += int64(len(buf))
-	return segs, active.Size - int64(len(frames)), nil
+	if newSeg {
+		s.man.Segments = append(segs, active)
+	} else {
+		segs[len(segs)-1] = active
+	}
+	return active.Size - int64(len(frames)), nil
 }
 
 // writeSegmentLocked writes buf at off, ends the file there and fsyncs it —
@@ -745,29 +596,26 @@ func (s *Store) loadLocked(seq int) (checkpoint.Record, error) {
 // cluster-wide rollback discards checkpoints above the recovery line so
 // the restarted run can legitimately re-produce those sequence numbers.
 // The rollback is a commit like any other: a truncation frame carrying
-// the line is appended and synced, then the hint is published, so no
-// later Open serves a dropped seq whatever became of the hint. The
-// dropped frames stay in place (reclaimed by GCTo; a re-finalized seq's
-// newer frame wins over them). If the call fails after its frame reached
-// disk, a later Open may still apply the rollback that was asked for.
+// the line is appended and synced, so no later Open serves a dropped seq.
+// The dropped frames stay in place (reclaimed by GCTo; a re-finalized
+// seq's newer frame wins over them). If the call fails after its frame
+// reached disk, a later Open may still apply the rollback that was asked
+// for.
 func (s *Store) TruncateAfter(seq int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keep := sort.SearchInts(s.man.Seqs, seq+1)
-	drop := s.man.Seqs[keep:]
-	if len(drop) == 0 {
+	if keep == len(s.man.Seqs) {
 		return nil
 	}
-	segs, _, err := s.appendLocked(appendTruncateFrame(nil, seq))
-	if err != nil {
+	s.frames = appendTruncateFrame(s.frames[:0], seq)
+	if _, err := s.appendLocked(s.frames); err != nil {
 		return err
 	}
-	if err := s.publishLocked(s.man.Seqs[:keep], segs); err != nil {
-		return err
-	}
-	for _, q := range drop {
+	for _, q := range s.man.Seqs[keep:] {
 		delete(s.index, q)
 	}
+	s.man.Seqs = s.man.Seqs[:keep]
 	return nil
 }
 
@@ -778,10 +626,11 @@ func (s *Store) TruncateAfter(seq int) error {
 // watermark it does not hold — make GCTo a no-op, so callers may poll
 // with whatever line the manifests intersect to.
 //
-// The floor lives in the hint alone. If a crash loses it, Open serves
-// the collected records whose segment survived again: more than was
-// asked for, never less, and never a rolled-back record, because the
-// truncation frame that covers one outlives it (see below).
+// The floor lives in memory alone, and GCTo does no I/O unless it unlinks
+// a segment (then one directory fsync, counted). A later Open serves the
+// collected records whose segment survived again: more than was asked
+// for, never less, and never a rolled-back record, because the truncation
+// frame that covers one outlives it (see below).
 func (s *Store) GCTo(wm int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -789,13 +638,13 @@ func (s *Store) GCTo(wm int) error {
 	if wm <= 0 || first == 0 || first == len(s.man.Seqs) || s.man.Seqs[first] != wm {
 		return nil
 	}
-	drop, keep := s.man.Seqs[:first], append([]int(nil), s.man.Seqs[first:]...)
+	drop := s.man.Seqs[:first]
 	// Only leading segments may go, and never the last (active) one: a
 	// truncation frame unbinds seqs in every segment before its own, so
 	// removing a segment from the middle could resurrect a rolled-back
-	// record at the next Open that finds no hint.
+	// record at the next Open.
 	live := map[int]bool{}
-	for _, q := range keep {
+	for _, q := range s.man.Seqs[first:] {
 		live[s.index[q].seg] = true
 	}
 	dead := 0
@@ -803,26 +652,32 @@ func (s *Store) GCTo(wm int) error {
 		dead++
 	}
 	deadSegs := s.man.Segments[:dead]
-
-	// Hint first: pollers stop seeing the collected seqs before their
-	// bytes go. The segments go oldest first, so what a crash mid-removal
-	// leaves is still a suffix of the log, which is all Open needs.
-	if err := s.publishLocked(keep, s.man.Segments[dead:]); err != nil {
-		return err
-	}
 	for _, q := range drop {
 		delete(s.index, q)
 	}
-	for _, meta := range deadSegs {
-		// Best-effort: the hint no longer references this segment, and a
-		// later Open or GCTo finds a file this leaves.
-		path := SegmentFile(s.dir, meta.Index)
-		_ = s.doLocked("remove", path, func() error { return os.Remove(path) })
-	}
+	s.man.Seqs, s.man.Segments = s.man.Seqs[first:], s.man.Segments[dead:]
 	if m := s.metrics; m != nil {
 		m.GCRemoved.Add(int64(len(drop)))
 	}
-	return s.syncDirLocked()
+	// The segments go oldest first, so what a crash mid-removal leaves is
+	// still a suffix of the log, which is all Open needs.
+	unlinked := false
+	for _, meta := range deadSegs {
+		// Best-effort: the manifest no longer references this segment, and
+		// a later Open or GCTo finds a file this leaves.
+		path := SegmentFile(s.dir, meta.Index)
+		if s.doLocked("remove", path, func() error { return os.Remove(path) }) == nil {
+			unlinked = true
+		}
+	}
+	if !unlinked {
+		return nil
+	}
+	if err := s.syncDirLocked(); err != nil {
+		return err
+	}
+	s.noteWriteLocked(0, 1)
+	return nil
 }
 
 // RecoverStore loads every process's finalized checkpoints from disk into
@@ -847,39 +702,68 @@ func RecoverStore(datadir string, n int) (*checkpoint.Store, error) {
 	return cs, nil
 }
 
-// ReadManifest reads a process's published hint without opening the
-// store: no directory creation, no replay, no repair. This is the safe
-// way to poll a datadir that live processes are still writing to —
-// Open's sweep would delete the temp file of a publication in flight and
-// fail that process's rename. A commit publishes only after its sync, so
-// every seq read here is durable. A missing directory or manifest yields
-// an empty manifest (the process has published nothing yet). This is the
-// one place a hint's runs are expanded into Seqs: malformed runs, or runs
-// naming more than maxHintSeqs seqs, are a corrupt manifest, refused
-// before anything is allocated for them.
+// ReadManifest reads a process's manifest from its segment log without
+// opening the store: a read-only scan under the binding rule Open replays
+// by (no directory creation, no repair), safe against a live writer. A
+// missing directory or log yields an empty manifest. The scan reads what
+// the files hold when it reaches them, so it can see a frame whose fsync
+// has not returned: it suits pollers, and nothing that deletes data may
+// rely on it (DurableManifest). N is left zero, since the log does not
+// record it.
 func ReadManifest(datadir string, proc int) (Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(ProcDir(datadir, proc), hintName))
-	switch {
-	case os.IsNotExist(err):
-		return Manifest{Proc: proc}, nil
-	case err != nil:
+	m, _, err := readManifest(datadir, proc, bufio.NewReader(nil))
+	return m, err
+}
+
+// DurableManifest is ReadManifest for a caller that deletes data on what
+// it reads — the GC watermark of a host that does not host proc: every
+// segment file the scan found a frame in, and then the directory, is
+// fsynced before it returns, so every seq it reports is durable.
+func DurableManifest(datadir string, proc int) (Manifest, error) {
+	m, dir, err := readManifest(datadir, proc, bufio.NewReader(nil))
+	if err != nil || len(m.Segments) == 0 {
+		return m, err
+	}
+	for _, meta := range m.Segments {
+		// A segment unlinked since the scan was its owner's GC: it held
+		// only seqs below a watermark that was durable everywhere.
+		if err := syncPath(SegmentFile(dir, meta.Index)); err != nil && !os.IsNotExist(err) {
+			return Manifest{}, err
+		}
+	}
+	if err := syncPath(dir); err != nil {
 		return Manifest{}, err
 	}
-	h, err := decodeHint(raw)
-	var seqs []int
-	if err == nil {
-		seqs, err = h.seqs()
-	}
+	return m, nil
+}
+
+// syncPath fsyncs the file or directory at path.
+func syncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return Manifest{}, fmt.Errorf("fsstore: corrupt manifest for P%d: %w", proc, err)
+		return err
 	}
-	return Manifest{Proc: h.Proc, N: h.N, Seqs: seqs, Segments: h.Segments}, nil
+	defer f.Close()
+	return f.Sync()
+}
+
+// readManifest scans proc's log through r (scanLog) and returns what it
+// binds, with the directory it read.
+func readManifest(datadir string, proc int, r *bufio.Reader) (_ Manifest, dir string, err error) {
+	var seqs []int
+	dir = ProcDir(datadir, proc)
+	ls, err := scanLog(dir, proc, r, func(fr scannedFrame) { seqs = bind(seqs, fr) })
+	if err != nil {
+		return Manifest{}, dir, err
+	}
+	return Manifest{Proc: proc, Seqs: seqs, Segments: ls.segs}, dir, nil
 }
 
 // LastCompleteSeq intersects the manifests of all n processes and returns
-// the highest sequence number every process has durably finalized — the
-// last global checkpoint S_k on disk — or -1 if none exists. Reads are
-// manifest-only (ReadManifest), so polling a live datadir is safe.
+// the highest sequence number every process has finalized — the last
+// global checkpoint S_k on disk — or -1 if none exists. It reads through
+// ReadManifest, so polling a live datadir is safe, and nothing that
+// deletes data may rely on it.
 func LastCompleteSeq(datadir string, n int) (int, error) {
 	seqs, err := CompleteSeqs(datadir, n)
 	if err != nil {
@@ -892,17 +776,42 @@ func LastCompleteSeq(datadir string, n int) (int, error) {
 }
 
 // CompleteSeqs returns every sequence number present in all n manifests,
-// ascending — the durable global checkpoints S_k the datadir can prove.
-// Reads are manifest-only (ReadManifest), so polling a live datadir is
-// safe.
+// ascending — the global checkpoints S_k the datadir holds. It reads
+// through ReadManifest, so polling a live datadir is safe, and nothing
+// that deletes data may rely on it.
 func CompleteSeqs(datadir string, n int) ([]int, error) {
-	groups := make([][]int, 0, n)
+	r := bufio.NewReader(nil)
+	var all []int
 	for p := 0; p < n; p++ {
-		m, err := ReadManifest(datadir, p)
+		m, _, err := readManifest(datadir, p, r)
 		if err != nil {
 			return nil, err
 		}
-		groups = append(groups, m.Seqs)
+		if p == 0 {
+			all = m.Seqs
+		} else {
+			all = IntersectSeqs(all, m.Seqs)
+		}
 	}
-	return handshake.Intersect(groups), nil
+	if len(all) == 0 {
+		return nil, nil
+	}
+	return all, nil
+}
+
+// IntersectSeqs keeps the seqs of a that b holds too and returns them, in
+// a's own storage (a is overwritten). Both must ascend strictly, as every
+// Manifest.Seqs does; the merge allocates nothing.
+func IntersectSeqs(a, b []int) []int {
+	k, j := 0, 0
+	for _, q := range a {
+		for j < len(b) && b[j] < q {
+			j++
+		}
+		if j < len(b) && b[j] == q {
+			a[k] = q
+			k++
+		}
+	}
+	return a[:k]
 }

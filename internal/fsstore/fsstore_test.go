@@ -155,19 +155,45 @@ func TestRecoverStoreAndLastCompleteSeq(t *testing.T) {
 	}
 }
 
+// TestForeignManifestRejected: the owner check is the segment header. A
+// log of P1's found in P0's directory is an operator error (datadir
+// mixup), not crash debris: opening it as P0's fails, and sweeping it
+// would have destroyed P1's checkpoints, so every file stays as it was. A
+// hint of an earlier build naming another process, beside a log of P0's,
+// says nothing: nothing reads it.
 func TestForeignManifestRejected(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(dir, 0, 2); err != nil {
+	s, err := Open(dir, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A parseable manifest belonging to another process is an operator
-	// error (datadir mixup), not crash debris — it must fail the open.
-	if err := os.WriteFile(filepath.Join(ProcDir(dir, 0), "MANIFEST.json"),
-		[]byte(`{"proc":1,"n":2,"seqs":[1]}`), 0o644); err != nil {
+	if err := s.Finalize(rec(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Rename(ProcDir(dir, 1), ProcDir(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, ProcDir(dir, 0))
 	if _, err := Open(dir, 0, 2); err == nil {
-		t.Fatal("foreign manifest accepted")
+		t.Fatal("foreign log accepted")
+	}
+	if got := readDir(t, ProcDir(dir, 0)); !reflect.DeepEqual(got, before) {
+		t.Fatal("the refused directory was modified")
+	}
+
+	dir = t.TempDir()
+	s, err = Open(dir, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(rec(0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir(), hintName), []byte(`{"proc":1,"n":2,"seqs":[1]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, 0, 2); err != nil || s.LastSeq() != 1 {
+		t.Fatalf("Open beside a foreign hint = %v, want P0's log served", err)
 	}
 }
 
@@ -213,6 +239,10 @@ func TestFinalizeErrorRetried(t *testing.T) {
 	}
 }
 
+// TestReadManifestDoesNotDisturbDatadir: a poll is a read. What Open
+// would repair — a torn tail behind the last frame, a segment that is
+// only a torn header — and files that are not the log's survive it, and
+// a poll of a process with no directory creates none.
 func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, 2)
@@ -222,12 +252,24 @@ func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 	if err := s.Finalize(rec(0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// A live writer's in-flight temp file must survive a ReadManifest poll
-	// (Open's debris sweep would delete it).
-	tmp := filepath.Join(s.Dir(), ".tmp-inflight")
-	if err := os.WriteFile(tmp, []byte("x"), 0o644); err != nil {
+	active := SegmentFile(s.Dir(), 1)
+	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Write([]byte("a commit in flight")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for path, data := range map[string]string{
+		SegmentFile(s.Dir(), 2):              "OCSM",
+		filepath.Join(s.Dir(), ".tmp-other"): "x",
+	} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readDir(t, s.Dir())
 	m, err := ReadManifest(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +277,8 @@ func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 	if !reflect.DeepEqual(m.Seqs, []int{1}) {
 		t.Fatalf("manifest seqs = %v", m.Seqs)
 	}
-	if _, err := os.Stat(tmp); err != nil {
-		t.Fatalf("in-flight temp file disturbed: %v", err)
+	if got := readDir(t, s.Dir()); !reflect.DeepEqual(got, before) {
+		t.Fatal("the poll changed the directory")
 	}
 	// Absent process directory: empty manifest, nothing created.
 	m, err = ReadManifest(dir, 1)

@@ -7,23 +7,27 @@ import (
 	"testing"
 )
 
-// writeManifest fabricates a process directory with just a manifest —
-// enough for the intersection helpers, which read manifests only.
-func writeManifest(t *testing.T, datadir string, proc, n int, seqs []int) {
+// writeManifest fabricates a process directory whose log binds exactly
+// seqs: one segment holding their frames, ascending. A seq left out is a
+// gap, as a log missing a frame leaves one.
+func writeManifest(t *testing.T, datadir string, proc int, seqs []int) {
 	t.Helper()
 	dir := ProcDir(datadir, proc)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data := encodeHint(&Manifest{Proc: proc, N: n, Seqs: seqs})
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), data, 0o644); err != nil {
+	seg := segmentHeader(proc, 1)
+	for _, q := range seqs {
+		seg = append(seg, frame(rec(proc, q, 1))...)
+	}
+	if err := os.WriteFile(SegmentFile(dir, 1), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestManifestIntersection drives LastCompleteSeq and CompleteSeqs through
 // the edge cases a crashed-and-rebuilt datadir can produce: empty stores,
-// laggards, and gapped manifests left by a torn-manifest rebuild.
+// laggards, and gapped manifests left by a log that lost a frame.
 func TestManifestIntersection(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -57,8 +61,8 @@ func TestManifestIntersection(t *testing.T) {
 		},
 		{
 			name: "gap in one manifest must not surface the missing seq",
-			// P0 rebuilt after a torn manifest and lost seq 2; seq 2 is
-			// not a durable global line even though max(min(last)) says so.
+			// P0's log lost seq 2; seq 2 is not a durable global line even
+			// though max(min(last)) says so.
 			seqs:     [][]int{{1, 3}, {1, 2}, {1, 2}},
 			wantLast: 1,
 			wantAll:  []int{1},
@@ -82,7 +86,7 @@ func TestManifestIntersection(t *testing.T) {
 			n := len(tc.seqs)
 			for p, seqs := range tc.seqs {
 				if seqs != nil {
-					writeManifest(t, dir, p, n, seqs)
+					writeManifest(t, dir, p, seqs)
 				}
 			}
 			last, err := LastCompleteSeq(dir, n)
@@ -103,46 +107,10 @@ func TestManifestIntersection(t *testing.T) {
 	}
 }
 
-// TestOpenClearsStaleTempFiles: temp files stranded by a crash between
-// write and rename are swept on reopen; durable files are untouched.
-func TestOpenClearsStaleTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finalize(rec(0, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{".tmp-manifest-torn", ".tmp-123456"} {
-		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte("{\"par"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2, err := Open(dir, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(s2.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if len(e.Name()) >= 5 && e.Name()[:5] == ".tmp-" {
-			t.Fatalf("stale temp file %s survived reopen", e.Name())
-		}
-	}
-	if s2.LastSeq() != 1 {
-		t.Fatalf("LastSeq after sweep = %d, want 1", s2.LastSeq())
-	}
-	if _, err := s2.Load(1); err != nil {
-		t.Fatalf("durable checkpoint lost in sweep: %v", err)
-	}
-}
-
-// TestTornManifestRebuild: a manifest cut off mid-write (crash between
-// temp-file write and rename that somehow reached the real name, or a
-// partial overwrite) is rebuilt from the checkpoints that verify on disk.
+// TestTornManifestRebuild: a hint an earlier build left, cut off
+// mid-write, fails nothing. The manifest is rebuilt from the checkpoints
+// that verify on disk, and the torn file is left as it was: nothing reads
+// it, so nothing needs it repaired.
 func TestTornManifestRebuild(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1, 3)
@@ -154,12 +122,10 @@ func TestTornManifestRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	manifest := filepath.Join(s.Dir(), "MANIFEST.json")
-	raw, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifest, raw[:len(raw)/2], 0o644); err != nil {
+	hint := parentHint(s.Manifest())
+	torn := hint[:len(hint)/2]
+	manifest := filepath.Join(s.Dir(), hintName)
+	if err := os.WriteFile(manifest, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,31 +133,22 @@ func TestTornManifestRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn manifest failed the reopen: %v", err)
 	}
-	if got := s2.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("rebuilt manifest seqs = %v, want [1 2 3]", got)
+	if got := s2.Manifest(); got.Proc != 1 || got.N != 3 || !reflect.DeepEqual(got.Seqs, []int{1, 2, 3}) {
+		t.Fatalf("rebuilt manifest = P%d/n=%d %v, want P1/n=3 [1 2 3]", got.Proc, got.N, got.Seqs)
 	}
-	// The rebuild is written back: a third open must not rebuild again.
-	raw, err = os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := decodeHint(raw)
-	if err != nil {
-		t.Fatalf("rebuilt manifest does not decode: %v", err)
-	}
-	if m.Proc != 1 || m.N != 3 {
-		t.Fatalf("rebuilt manifest header = P%d/n=%d, want P1/n=3", m.Proc, m.N)
+	if raw, err := os.ReadFile(manifest); err != nil || !reflect.DeepEqual(raw, torn) {
+		t.Fatalf("the torn hint after reopen = (%q, %v), want it as it was", raw, err)
 	}
 }
 
-// TestTornManifestNoCheckpoints: a torn manifest with nothing durable on
-// disk rebuilds to an empty manifest, not an error.
+// TestTornManifestNoCheckpoints: a torn hint with nothing durable on disk
+// opens to an empty manifest, not an error.
 func TestTornManifestNoCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(dir, 0, 2); err != nil {
+	if err := os.MkdirAll(ProcDir(dir, 0), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(ProcDir(dir, 0), "MANIFEST.json"), []byte("{nope"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ProcDir(dir, 0), hintName), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, 0, 2)

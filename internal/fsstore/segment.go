@@ -1,10 +1,12 @@
 package fsstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -19,7 +21,8 @@ import (
 //	<datadir>/p<id>/seg_000001.wal
 //
 // Each file starts with a fixed header (magic, owning proc, segment
-// index) and then carries CRC-framed records:
+// index), which is the owner check — a log whose header names another
+// process is refused, untouched — and then carries CRC-framed records:
 //
 //	[u32le payload length][u32le CRC-32 (IEEE) of payload][payload]
 //
@@ -34,11 +37,8 @@ import (
 // and rollbacks with nothing else to consult. A commit cuts the file to
 // end at its last frame before the one fsync, so whatever lies beyond the
 // last verifying frame is an interrupted commit: never acknowledged,
-// overwritten by the next commit, cut away on Open.
-//
-// The manifest beside the segments is a hint published after each
-// commit for pollers of a live datadir. It is not synced and Open does
-// not trust it for what is durable (see the package comment).
+// overwritten by the next commit, cut away on Open. Nothing else lives
+// beside the segments: Open and every poller read the log itself.
 
 const (
 	segMagic       = "OCSMSEG2"
@@ -94,20 +94,6 @@ func segmentHeader(proc, index int) []byte {
 	binary.LittleEndian.PutUint32(h[len(segMagic):], uint32(proc))
 	binary.LittleEndian.PutUint32(h[len(segMagic)+4:], uint32(index))
 	return h
-}
-
-// parseSegmentHeader validates a file header against the expected
-// owner and index.
-func parseSegmentHeader(b []byte, proc, index int) error {
-	if len(b) < segHeaderSize || string(b[:len(segMagic)]) != segMagic {
-		return fmt.Errorf("fsstore: segment %d: bad or torn header", index)
-	}
-	p := int(binary.LittleEndian.Uint32(b[len(segMagic):]))
-	idx := int(binary.LittleEndian.Uint32(b[len(segMagic)+4:]))
-	if p != proc || idx != index {
-		return fmt.Errorf("fsstore: segment %d: header claims P%d seg %d", index, p, idx)
-	}
-	return nil
 }
 
 // appendFullFrame frames rec onto buf as a full record, encoding it in
@@ -174,7 +160,7 @@ type recLoc struct {
 	size int64 // frame length including the frame header
 }
 
-// scannedFrame is what a segment scan keeps of one frame: where it sits
+// scannedFrame is what a segment scan reports of one frame: where it sits
 // and what replay needs of its payload (the checkpoint itself is read
 // back by Load).
 type scannedFrame struct {
@@ -183,44 +169,113 @@ type scannedFrame struct {
 	kind byte
 }
 
-// scanSegment reads one segment file and parses its frames up to the
-// first that fails to verify (short, CRC mismatch, a payload no writer
-// produces), reporting the length of the verified prefix. A header that
-// is torn or names another proc or index yields no frames. Two things
-// fail the scan instead, as durable data of another build, never a tear:
-// a whole header of the previous format (errPreviousFormat) and a frame
-// that verifies but is of no kind this build reads (errRecordKind).
-func scanSegment(path string, proc, index int) (frames []scannedFrame, valid int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
+// bind applies one frame to seqs, what the log binds so far (ascending),
+// and returns the result. Every seq above the frame's seq — a full
+// record's own, a truncation record's line — is unbound: a commit only
+// ever extends the store's last seq, so whatever the log still binds above
+// a committed seq had been rolled back or collected by then. A full record
+// then binds its seq, which ends the result (a re-finalized seq's later
+// frame wins). Open's replay and the pollers' scan both go through here,
+// so they agree frame for frame.
+func bind(seqs []int, fr scannedFrame) []int {
+	for len(seqs) > 0 && seqs[len(seqs)-1] > fr.seq {
+		seqs = seqs[:len(seqs)-1]
 	}
-	if len(data) >= segHeaderSize && string(data[:len(prevSegMagic)]) == prevSegMagic {
-		return nil, 0, fmt.Errorf("fsstore: %s: %w %q (JSON records; this build reads only %q segments, and the directory is left untouched)",
-			path, errPreviousFormat, prevSegMagic, segMagic)
+	if fr.kind == kindFull && (len(seqs) == 0 || seqs[len(seqs)-1] != fr.seq) {
+		seqs = append(seqs, fr.seq)
 	}
-	if parseSegmentHeader(data, proc, index) != nil {
-		return nil, 0, nil
-	}
-	off := int64(segHeaderSize)
-	for off < int64(len(data)) {
-		payload, ok := frameAt(data[off:])
-		if !ok {
-			break
+	return seqs
+}
+
+// errForeignSegment marks a whole segment header that names another
+// process: a log moved into the wrong directory. Like errPreviousFormat
+// it is a refusal, since the segment holds another process's acknowledged
+// checkpoints and sweeping it as debris would destroy them.
+var errForeignSegment = errors.New("segment of another process")
+
+// scanSegment streams one segment file, src, through r, reporting its
+// frames in order to each up to the first that fails to verify (short,
+// CRC mismatch, a payload no writer produces), and returns the length of
+// the verified prefix. A header that is torn, or names this process but
+// another index, reports no frames. Only the end of the file makes a
+// header or a frame short: any other read error fails the scan, since a
+// file that could not be read says nothing about what it holds. Three
+// things fail the scan too, as durable data that is not this log's to
+// repair: a whole header of another process (errForeignSegment) or of the
+// previous format (errPreviousFormat), and a frame that verifies but is
+// of no kind this build reads (errRecordKind). r is the caller's, reset
+// to src here, so a scan of many files allocates no buffer per file or
+// per frame; path names src in errors.
+func scanSegment(r *bufio.Reader, src io.Reader, path string, proc, index int, each func(scannedFrame)) (valid int64, err error) {
+	r.Reset(src)
+	off := int64(0)
+	// short ends the scan at a read that came up short: at the end of the
+	// file that is a torn header or tail, anything else is an error.
+	short := func(err error) (int64, error) {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return off, nil
 		}
-		kind, seq, _, ok := parseFrame(payload)
-		if !ok {
-			break
+		return off, fmt.Errorf("fsstore: %s offset %d: %w", path, off, err)
+	}
+	h, err := r.Peek(segHeaderSize)
+	if err != nil {
+		return short(err)
+	}
+	p := int(binary.LittleEndian.Uint32(h[len(segMagic):]))
+	idx := int(binary.LittleEndian.Uint32(h[len(segMagic)+4:]))
+	switch {
+	case string(h[:len(prevSegMagic)]) == prevSegMagic:
+		return 0, fmt.Errorf("fsstore: %s: %w %q (JSON records; this build reads only %q segments, and the directory is left untouched)",
+			path, errPreviousFormat, prevSegMagic, segMagic)
+	case string(h[:len(segMagic)]) != segMagic:
+		return 0, nil // torn header
+	case p != proc:
+		return 0, fmt.Errorf("fsstore: %s: %w: its header names P%d, not P%d (the directory is left untouched)",
+			path, errForeignSegment, p, proc)
+	case idx != index:
+		return 0, nil // a copy of another segment of this log
+	}
+	r.Discard(segHeaderSize)
+	off = int64(segHeaderSize)
+	for {
+		fh, err := r.Peek(frameHeader)
+		if err != nil {
+			return short(err)
+		}
+		n, sum := int64(binary.LittleEndian.Uint32(fh)), binary.LittleEndian.Uint32(fh[4:])
+		if n > maxFrameLength {
+			return off, nil
+		}
+		r.Discard(frameHeader)
+		// The kind and the seq sit in the payload's first bytes (a kind
+		// byte, then a uvarint or a truncation's 8-byte line); the CRC
+		// covers all of it, read a buffer at a time.
+		head, err := r.Peek(int(min(n, 1+binary.MaxVarintLen64)))
+		if err != nil {
+			return short(err)
+		}
+		kind, seq, _, ok := parseFrame(head)
+		crc := uint32(0)
+		for left := n; left > 0; {
+			chunk, err := r.Peek(int(min(left, int64(r.Size()))))
+			if err != nil {
+				return short(err)
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, chunk)
+			r.Discard(len(chunk))
+			left -= int64(len(chunk))
+		}
+		if crc != sum || !ok {
+			return off, nil
 		}
 		if kind != kindFull && kind != kindTruncate {
-			return nil, off, fmt.Errorf("fsstore: %s offset %d: %w %d (this build reads only full (%d) and truncation (%d) records; the directory was written by another build and is left untouched)",
+			return off, fmt.Errorf("fsstore: %s offset %d: %w %d (this build reads only full (%d) and truncation (%d) records; the directory was written by another build and is left untouched)",
 				path, off, errRecordKind, kind, kindFull, kindTruncate)
 		}
-		size := int64(frameHeader + len(payload))
-		frames = append(frames, scannedFrame{loc: recLoc{seg: index, off: off, size: size}, seq: seq, kind: kind})
+		size := frameHeader + n
+		each(scannedFrame{loc: recLoc{seg: index, off: off, size: size}, seq: seq, kind: kind})
 		off += size
 	}
-	return frames, off, nil
 }
 
 // readFrame re-reads one frame from disk, verifies it as scanSegment did

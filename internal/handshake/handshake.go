@@ -187,9 +187,10 @@ func ack(cmt Frame) []Frame {
 // Intersect returns the sequence numbers present in every one of the
 // groups, ascending. It is a true intersection: a sequence number counts
 // only if every group has it, so gaps in one manifest (possible after a
-// torn-manifest rebuild) cannot surface a line some process lacks. The
-// Coordinator applies it to the RB_LINE reports exactly as fsstore's
-// datadir helpers apply it to the on-disk manifests.
+// rebuild over a damaged log) cannot surface a line some process lacks.
+// The Coordinator applies it to the RB_LINE reports, which need not be
+// sorted or free of repeats; lists that ascend strictly, as manifests do,
+// intersect in place with fsstore.IntersectSeqs.
 func Intersect(groups [][]int) []int {
 	if len(groups) == 0 {
 		return nil

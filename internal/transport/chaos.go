@@ -173,16 +173,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		if _, err := waitLineAtLeast(datadir, n, 1, cfg.Converge); err != nil {
 			return rep, fmt.Errorf("before crash of P%d: %w", cr.Proc, err)
 		}
-		// The victim's hint as published now is, by the crash, an earlier
-		// version of it: what TearHint may put back.
-		oldHint, err := os.ReadFile(filepath.Join(fsstore.ProcDir(datadir, cr.Proc), "MANIFEST.json"))
-		if err != nil {
-			return rep, err
-		}
 		sleepUntil(c.base, cr.At)
 		c.Kill(cr.Proc)
 		time.Sleep(50 * time.Millisecond) // let in-flight traffic hit the dead socket
-		if err := plantDebris(datadir, cr.Proc, cr.Tear, sched.Seed, oldHint); err != nil {
+		if err := plantDebris(datadir, cr.Proc, cr.Tear); err != nil {
 			return rep, err
 		}
 		if cr.Down > 0 {
@@ -375,36 +369,14 @@ func verifyLoggedSendsDelivered(rec *trace.Recorder, lines [][]checkpoint.Record
 
 // plantDebris plants the crash-point debris the schedule picked for a
 // crash: what the victim's store directory looks like when the process
-// dies exactly on one of the durability engine's commit boundaries, or
-// when a power cut takes the unsynced hint with it. fsstore.Open must
-// neutralize every kind on restart (sweep, truncate, or replay past it)
-// without ever losing an acknowledged record.
-func plantDebris(datadir string, proc int, kind string, seed int64, oldHint []byte) error {
+// dies exactly on one of the durability engine's commit boundaries.
+// fsstore.Open must neutralize every kind on restart (sweep, truncate, or
+// replay past it) without ever losing an acknowledged record.
+func plantDebris(datadir string, proc int, kind string) error {
 	dir := fsstore.ProcDir(datadir, proc)
 	switch kind {
 	case faultnet.TearNone:
 		return nil
-	case faultnet.TearHint:
-		// The seed picks what the power cut left of MANIFEST.json: an
-		// earlier published version, an empty file, or nothing.
-		hint := filepath.Join(dir, "MANIFEST.json")
-		switch seed % 3 {
-		case 0:
-			return os.WriteFile(hint, oldHint, 0o644)
-		case 1:
-			return os.Truncate(hint, 0)
-		default:
-			return os.Remove(hint)
-		}
-	case faultnet.TearTemp:
-		// Crash between the hint's temp file and its rename: a partially
-		// written manifest in a ".tmp-" file.
-		man, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
-		if err != nil {
-			man = []byte(`{"proc":0,"n":0,"seqs":[1,2,`)
-		}
-		torn := man[:len(man)/2] // cut mid-JSON: unparseable by construction
-		return os.WriteFile(filepath.Join(dir, ".tmp-chaos-torn"), torn, 0o644)
 	case faultnet.TearSegHeader:
 		// Crash while rotating to a fresh segment: half a header.
 		m, err := fsstore.ReadManifest(datadir, proc)
@@ -435,9 +407,8 @@ func plantDebris(datadir string, proc int, kind string, seed int64, oldHint []by
 		}
 		return f.Close()
 	case faultnet.TearGCSeg:
-		// Crash between the GC's hint publication and the segment unlink:
-		// a segment file outside the log (a live one cloned under an
-		// index its header does not name).
+		// A segment file outside the log: a live one cloned under an index
+		// its header does not name.
 		m, err := fsstore.ReadManifest(datadir, proc)
 		if err != nil || len(m.Segments) == 0 {
 			return err

@@ -56,8 +56,8 @@ type ClusterConfig struct {
 	// GCInterval, when positive, runs the storage garbage collector: a
 	// cluster goroutine periodically intersects the durable manifests and
 	// prunes every hosted store below the globally finalized S_k watermark
-	// (the datadir must hold all N manifests). Requires Datadir. Zero
-	// disables collection.
+	// (the datadir must hold the logs of the processes hosted elsewhere).
+	// Requires Datadir. Zero disables collection.
 	GCInterval time.Duration
 }
 
@@ -188,9 +188,8 @@ func NewClusterAt(cfg ClusterConfig, line int) (*Cluster, error) {
 }
 
 // openStore opens process i's store exactly as a fresh OS process would:
-// Open replays the segment log, whatever became of the manifest hint,
-// and clears crash debris (torn temp files, orphan segments, torn batch
-// tails).
+// Open replays the segment log and clears crash debris (orphan segments,
+// torn batch tails).
 func (c *Cluster) openStore(i int) (*fsstore.Store, error) {
 	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
 	if err != nil {
@@ -282,10 +281,12 @@ func (c *Cluster) Start() {
 // below the globally finalized S_k watermark: the intersection of the
 // durable manifests is the last checkpoint line recovery can ever need,
 // so everything strictly below it is dead weight (the paper's retention
-// argument). The datadir is shared, so the line is readable from any host
-// and each prunes only its own processes' directories. Collection skips
-// ticks while a recovery is reloading a store, and while a peer's
-// manifest is missing or torn.
+// argument). A hosted store's manifest is read from memory, where only an
+// acknowledged commit puts a seq. A peer hosted elsewhere is read from its
+// directory in the shared datadir (fsstore.DurableManifest, which fsyncs
+// what it scanned before the watermark trusts it), and each host prunes
+// only its own processes' directories. Collection skips ticks while a
+// recovery is reloading a store, and while a peer's log cannot be read.
 func (c *Cluster) gcLoop() {
 	defer c.gcWG.Done()
 	ticker := time.NewTicker(c.cfg.GCInterval)
@@ -302,7 +303,7 @@ func (c *Cluster) gcLoop() {
 		if paused {
 			continue
 		}
-		wm, err := fsstore.LastCompleteSeq(c.cfg.Datadir, c.cfg.N)
+		wm, err := c.durableWatermark()
 		if err != nil || wm <= 0 {
 			continue
 		}
@@ -318,6 +319,32 @@ func (c *Cluster) gcLoop() {
 		}
 		c.count("fsstore.gc_sweeps", 1)
 	}
+}
+
+// durableWatermark intersects every process's durable seqs (see gcLoop)
+// and returns the highest, or -1.
+func (c *Cluster) durableWatermark() (int, error) {
+	var seqs []int
+	for p := 0; p < c.cfg.N; p++ {
+		var m fsstore.Manifest
+		if fs := c.FS(p); fs != nil {
+			m = fs.Manifest()
+		} else {
+			var err error
+			if m, err = fsstore.DurableManifest(c.cfg.Datadir, p); err != nil {
+				return -1, err
+			}
+		}
+		if p == 0 {
+			seqs = m.Seqs
+		} else {
+			seqs = fsstore.IntersectSeqs(seqs, m.Seqs)
+		}
+	}
+	if len(seqs) == 0 {
+		return -1, nil
+	}
+	return seqs[len(seqs)-1], nil
 }
 
 // Run executes the hosted processes start-to-finish: start, wait for the

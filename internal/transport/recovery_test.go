@@ -44,7 +44,8 @@ func listenLocal(t *testing.T, n int) ([]net.Listener, []string) {
 // TestNodeFinalizeRetry drives the watermark fix through a live node: a
 // commit whose fsync fails once must be retried on a later flush, leaving
 // the on-disk manifest gap-free, and while the failure is outstanding the
-// record must not be reported stable.
+// record must not be reported stable. (The log itself may show the failed
+// commit's frame to a poll meanwhile: a scan reads what the file holds.)
 func TestNodeFinalizeRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -76,8 +77,8 @@ func TestNodeFinalizeRetry(t *testing.T) {
 		case 2:
 			// The retry, a later flush's batch: until it commits, the failure
 			// is outstanding.
-			if stable, manifested := durable(); stable || manifested {
-				t.Errorf("seq 1 before its retry commits: stable %v, manifested %v, want neither", stable, manifested)
+			if stable, _ := durable(); stable {
+				t.Error("seq 1 is stable before its retry commits")
 			}
 		}
 		return nil
@@ -236,42 +237,55 @@ func TestRecoverSurfacesFailedTruncation(t *testing.T) {
 	}
 }
 
-// TestGCErrorCountedAndRetried: a sweep whose GCTo fails counts
-// fsstore.gc_errors and leaves that store's manifest as it was; the next
-// tick collects it.
+// TestGCErrorCountedAndRetried: a sweep whose GCTo fails — the
+// directory sync after unlinking a dead segment — counts
+// fsstore.gc_errors; a later sweep, on a healthy disk, collects again.
+// The GC floor is in memory, so the failed sweep has already collected:
+// what it leaves is a directory whose unlinks may not be durable, which
+// costs a later Open only collected records served again.
 func TestGCErrorCountedAndRetried(t *testing.T) {
 	cfg := testClusterConfig(t.TempDir(), 31)
 	cfg.GCInterval = 5 * time.Millisecond
+	cfg.FSOptions.SegmentMaxBytes = 1 // every commit opens a segment: GC has files to unlink
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
 	// No node runs: the GC loop is the only thing touching the stores.
-	for p := 0; p < cfg.N; p++ {
-		for seq := 1; seq <= 3; seq++ {
+	finalize := func(seq int) {
+		t.Helper()
+		for p := 0; p < cfg.N; p++ {
 			rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: p, Seq: seq}, FinalizedAt: 1}
 			if err := c.FS(p).Finalize(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	for seq := 1; seq <= 3; seq++ {
+		finalize(seq)
+	}
 	var diskBad atomic.Bool
 	diskBad.Store(true)
 	c.FS(0).SetFaultHook(func(op, _ string) error {
-		if op == "rename" && diskBad.Load() {
-			return errInjected // GCTo cannot publish the collected hint
+		if op == "syncdir" && diskBad.Load() {
+			return errInjected // GCTo cannot make its unlinks durable
 		}
 		return nil
 	})
 	c.gcWG.Add(1)
 	go c.gcLoop()
 	waitFor(t, 10*time.Second, func() bool { return c.Counter("fsstore.gc_errors") > 0 })
-	if got := c.FS(0).Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("P0's manifest after a failed GC = %v, want it untouched", got)
+	if got := c.FS(0).Manifest().Seqs; !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("P0's manifest after the failed sweep = %v, want [3]", got)
 	}
 	diskBad.Store(false)
-	waitFor(t, 10*time.Second, func() bool { return reflect.DeepEqual(c.FS(0).Manifest().Seqs, []int{3}) })
+	errs := c.Counter("fsstore.gc_errors")
+	finalize(4)
+	waitFor(t, 10*time.Second, func() bool { return reflect.DeepEqual(c.FS(0).Manifest().Seqs, []int{4}) })
+	if got := c.Counter("fsstore.gc_errors"); got != errs {
+		t.Fatalf("gc_errors went from %d to %d on a healthy disk", errs, got)
+	}
 }
 
 // TestWriteStableShutdownAccounting exercises the storageQ quit path:
