@@ -17,7 +17,6 @@ import (
 	"ocsml/internal/harness"
 	"ocsml/internal/netsim"
 	"ocsml/internal/protocol"
-	"ocsml/internal/recovery"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
 )
@@ -279,7 +278,7 @@ func BenchmarkDominoAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := recovery.Domino(r, trace.KCheckpoint); err != nil {
+		if _, err := harness.Domino(r, trace.KCheckpoint); err != nil {
 			b.Fatal(err)
 		}
 	}

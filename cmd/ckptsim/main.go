@@ -21,7 +21,6 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/engine"
 	"ocsml/internal/harness"
-	"ocsml/internal/recovery"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
 )
@@ -110,13 +109,17 @@ func main() {
 		} else {
 			fmt.Printf("consistency         OK (%d global checkpoints verified)\n", len(seqs))
 		}
-		if a, err := recovery.Coordinated(r); err == nil {
-			fmt.Printf("recovery            depth=%d lostWork=%.1f%% inFlight=%d lostMsgs=%d\n",
-				a.RollbackDepth(), 100*a.LostWorkFraction(), a.InFlight, a.LostMessages)
+	}
+	if rc.Failure != nil {
+		if a, err := harness.ExecutedRecovery(r); err != nil {
+			fmt.Printf("recovery            none: %v\n", err)
+		} else {
+			fmt.Printf("recovery            line=%d depth=%d lostWork=%.1f%% inFlight=%d lostMsgs=%d\n",
+				a.LineSeqs[0], a.RollbackDepth(), 100*a.LostWorkFraction(), a.InFlight, a.LostMessages)
 		}
 	}
 	if *proto == "uncoordinated" {
-		if a, err := recovery.Domino(r, trace.KCheckpoint); err == nil {
+		if a, err := harness.Domino(r, trace.KCheckpoint); err == nil {
 			fmt.Printf("domino recovery     depth=%d iterations=%d lostWork=%.1f%%\n",
 				a.RollbackDepth(), a.Iterations, 100*a.LostWorkFraction())
 		}

@@ -80,7 +80,7 @@ func Example_failure() {
 		log.Fatal(err)
 	}
 	fmt.Println("completed after crash:", rep.Completed)
-	fmt.Println("rolled back to a committed line:", rep.LiveRecovery.LineSeq >= 1)
+	fmt.Println("rolled back to a committed line:", rep.Recovery.LineSeq >= 1)
 	fmt.Println("post-recovery checkpoints consistent:", len(rep.ConsistentSeqs) > 0)
 	// Output:
 	// completed after crash: true

@@ -50,11 +50,4 @@ func main() {
 	fmt.Printf("stable-storage peak queue               : %d (writes spread out)\n", rep.StoragePeakQueue)
 	fmt.Printf("application blocked for checkpointing   : %.3fs total across %d processes\n",
 		rep.BlockedSeconds, base.N)
-	if rep.Recovery != nil {
-		fmt.Printf("\nif the cluster failed at the end of this run:\n")
-		fmt.Printf("  rollback depth     : %d checkpoint(s)\n", rep.Recovery.RollbackDepth)
-		fmt.Printf("  recomputed work    : %.1f%%\n", 100*rep.Recovery.LostWorkFraction)
-		fmt.Printf("  in-flight messages : %d (%d recoverable from logs)\n",
-			rep.Recovery.InFlight, rep.Recovery.InFlight-rep.Recovery.LostMessages)
-	}
 }

@@ -50,7 +50,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("now with a crash: P5 dies 5s in (OCSML, live recovery)")
 	rep := run(ocsml.ProtoOCSML, &ocsml.FailureSpec{At: 5 * time.Second, Proc: 5})
-	lr := rep.LiveRecovery
+	lr := rep.Recovery
 	fmt.Printf("  completed            : %v (makespan %.2fs)\n", rep.Completed, rep.Makespan.Seconds())
 	fmt.Printf("  rolled back to       : S_%d\n", lr.LineSeq)
 	fmt.Printf("  halo msgs re-injected: %d (dups dropped %d)\n", lr.Reinjected, lr.DuplicatesDropped)

@@ -2,8 +2,8 @@
 // checkpointing: every process checkpoints independently on its own timer
 // with no piggybacking and no coordination whatsoever. It is the cheapest
 // protocol during failure-free execution and the baseline that exhibits
-// the domino effect during recovery (paper §1) — the recovery analysis in
-// internal/recovery quantifies the rollback it causes.
+// the domino effect during recovery (paper §1) — harness.Domino
+// quantifies the rollback it causes.
 package uncoord
 
 import (
@@ -93,7 +93,7 @@ func (p *Protocol) Finish() {}
 
 // Note: no Rollback — uncoordinated checkpoints do not form consistent
 // same-sequence lines, so the engine's coordinated live recovery must not
-// be used with this protocol (use the offline recovery.Domino analysis).
+// be used with this protocol (use the offline harness.Domino analysis).
 
 // OnAppSend implements protocol.Protocol: nothing is piggybacked.
 func (p *Protocol) OnAppSend(e *protocol.Envelope) {}

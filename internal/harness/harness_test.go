@@ -218,6 +218,9 @@ func TestExperimentShapes(t *testing.T) {
 		tab, _ := run1(t, "E8", s)
 		depth := map[string]int{}
 		for _, row := range tab.Rows {
+			if row[1] == "ocsml" && row[3] != "1" {
+				t.Fatalf("OCSML row is not one executed RB_* round: %v", row)
+			}
 			if row[0] == "uniform" {
 				v, _ := strconv.Atoi(row[2])
 				depth[row[1]] = v

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"ocsml/internal/des"
-	"ocsml/internal/recovery"
 	"ocsml/internal/trace"
 )
 
@@ -30,7 +29,7 @@ func E9() Experiment {
 				if proto == "uncoordinated" {
 					// GC is unsafe without coordination: the domino
 					// analysis shows how deep a failure can reach.
-					if a, err := recovery.Domino(r, trace.KCheckpoint); err == nil && a.RollbackDepth() > 0 {
+					if a, err := Domino(r, trace.KCheckpoint); err == nil && a.RollbackDepth() > 0 {
 						t.Note("uncoordinated: domino depth %d — no prefix is provably reclaimable", a.RollbackDepth())
 					}
 				} else {

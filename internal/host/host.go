@@ -337,6 +337,9 @@ func (h *Host) Restart(line, epoch int) (replayed int, ok bool) {
 	h.stall = 0
 	h.deferred = nil
 	h.appDone = false
+	if lost := h.work - rec.CFEWork; lost > 0 {
+		h.count("recovery.lost_work", lost)
+	}
 	h.fold, h.work = rec.CFEFold, rec.CFEWork
 	if rec.Replays() {
 		replayed = len(rec.Log)

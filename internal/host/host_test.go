@@ -306,6 +306,21 @@ func TestHost(t *testing.T) {
 				t.Fatalf("counters %v", ev)
 			}
 		}},
+		{"a restart counts the work it rewinds", func(t *testing.T, f *fixture) {
+			// A fresh process, as a restarted victim of the TCP runtime
+			// is, rewinds nothing of its own.
+			f.lineRecord(5, 2)
+			f.h.Restart(2, 1)
+			if ev := f.reg.EventCounts(); f.h.Work() != 5 || ev["recovery.lost_work"] != 0 {
+				t.Fatalf("fresh restart: work %d, counters %v", f.h.Work(), ev)
+			}
+			f.h.DoWork(7)
+			f.h.Restart(2, 2)
+			f.h.Restart(2, 3) // at the line's state already
+			if ev := f.reg.EventCounts(); f.h.Work() != 5 || ev["recovery.lost_work"] != 7 {
+				t.Fatalf("work %d, counters %v: want the rewind from 12 to 5 counted once", f.h.Work(), ev)
+			}
+		}},
 		{"a line the process never finalized is refused, untouched", func(t *testing.T, f *fixture) {
 			f.lineRecord(0, 2)
 			f.h.DoWork(5)

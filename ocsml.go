@@ -28,7 +28,6 @@ import (
 	"ocsml/internal/des"
 	"ocsml/internal/engine"
 	"ocsml/internal/harness"
-	"ocsml/internal/recovery"
 	"ocsml/internal/trace"
 	"ocsml/internal/workload"
 )
@@ -150,13 +149,39 @@ type FailureSpec struct {
 	Proc int
 }
 
-// RecoveryReport summarizes the rollback a failure at the end of the run
-// would cause.
+// RecoveryReport summarizes a rollback. For ProtoOCSML with
+// Config.Failure it is the recovery the run executed: the handshake's
+// line, what the restart discarded, re-sent and dropped, and the analysis
+// of that line. For ProtoUncoordinated, which has no live recovery, it is
+// the domino analysis of a failure at the end of the run, and the
+// executed fields are zero. Other runs have none: for a coordinated
+// protocol without a failure, the only estimate left would be a failure
+// assumed at the end of the run (depth MaxSeq − MaxStableSeq), which no
+// experiment reads, so it is not computed.
 type RecoveryReport struct {
-	// RollbackDepth is the maximum number of checkpoints any process
-	// discards.
+	// LineSeq is the global checkpoint the cluster rolled back to.
+	LineSeq int
+	// CheckpointsDiscarded counts finalized checkpoints above the line
+	// that were rolled back.
+	CheckpointsDiscarded int64
+	// Reinjected counts the logged sends of the line's records that their
+	// senders re-sent, under their original IDs, to rebuild the channel
+	// state.
+	Reinjected int64
+	// DuplicatesDropped counts the arrivals a receiver dropped because its
+	// own line record already holds them: logged as received, or the
+	// message it joined the round on.
+	DuplicatesDropped int64
+	// StaleDropped counts pre-failure in-flight envelopes discarded at
+	// the epoch boundary.
+	StaleDropped int64
+
+	// RollbackDepth is the maximum number of finalized checkpoints any
+	// process discards.
 	RollbackDepth int
-	// Iterations is the number of domino iterations (1 = immediate).
+	// Iterations is the number of rounds choosing the line took: 1 for
+	// an executed recovery (one RB_* round), the domino iterations
+	// otherwise.
 	Iterations int
 	// LostWorkFraction is re-executed work / total work.
 	LostWorkFraction float64
@@ -209,32 +234,9 @@ type Report struct {
 	// Counters exposes protocol-specific statistics ("ctl.CK_BGN",
 	// "forced", "early_flush", ...).
 	Counters map[string]int64
-	// Recovery is the failure analysis (nil when tracing is off or the
-	// protocol is uncoordinated — use DominoAnalysis for that).
+	// Recovery is the rollback (see RecoveryReport); nil when tracing is
+	// off, or the failure came after the workload completed.
 	Recovery *RecoveryReport
-	// LiveRecovery reports the executed rollback when Config.Failure was
-	// set.
-	LiveRecovery *LiveRecoveryReport
-}
-
-// LiveRecoveryReport summarizes an executed crash recovery.
-type LiveRecoveryReport struct {
-	// LineSeq is the global checkpoint the cluster rolled back to.
-	LineSeq int
-	// CheckpointsDiscarded counts finalized checkpoints above the line
-	// that were rolled back.
-	CheckpointsDiscarded int64
-	// Reinjected counts the logged sends of the line's records that their
-	// senders re-sent, under their original IDs, to rebuild the channel
-	// state.
-	Reinjected int64
-	// DuplicatesDropped counts the arrivals a receiver dropped because its
-	// own line record already holds them: logged as received, or the
-	// message it joined the round on.
-	DuplicatesDropped int64
-	// StaleDropped counts pre-failure in-flight envelopes discarded at
-	// the epoch boundary.
-	StaleDropped int64
 }
 
 func (c Config) runCfg() (harness.RunCfg, error) {
@@ -332,34 +334,31 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("ocsml: consistency violation: %w", err)
 		}
 		rep.ConsistentSeqs = seqs
-		if a, err := recovery.Coordinated(r); err == nil {
-			rep.Recovery = &RecoveryReport{
-				RollbackDepth:    a.RollbackDepth(),
-				Iterations:       a.Iterations,
-				LostWorkFraction: a.LostWorkFraction(),
-				InFlight:         a.InFlight,
-				LostMessages:     a.LostMessages,
-			}
-		}
 	}
-	if cfg.Failure != nil {
-		rep.LiveRecovery = &LiveRecoveryReport{
-			LineSeq:              int(r.Counter("recovery.line_seq")),
-			CheckpointsDiscarded: r.Counter("recovery.ckpts_discarded"),
-			Reinjected:           r.Counter("recovery.reinjected"),
-			DuplicatesDropped:    r.Counter("recovery.dup_dropped"),
-			StaleDropped:         r.Counter("recovery.stale_dropped"),
+	var a *harness.Analysis
+	switch {
+	case !rc.Trace:
+	case cfg.Failure != nil && r.Counter("recovery.recoveries") > 0:
+		if a, err = harness.ExecutedRecovery(r); err != nil {
+			return nil, fmt.Errorf("ocsml: %w", err)
 		}
+	case cfg.Protocol == ProtoUncoordinated:
+		a, _ = harness.Domino(r, trace.KCheckpoint)
 	}
-	if rc.Trace && cfg.Protocol == ProtoUncoordinated {
-		if a, err := recovery.Domino(r, trace.KCheckpoint); err == nil {
-			rep.Recovery = &RecoveryReport{
-				RollbackDepth:    a.RollbackDepth(),
-				Iterations:       a.Iterations,
-				LostWorkFraction: a.LostWorkFraction(),
-				InFlight:         a.InFlight,
-				LostMessages:     a.LostMessages,
-			}
+	if a != nil {
+		rep.Recovery = &RecoveryReport{
+			RollbackDepth:    a.RollbackDepth(),
+			Iterations:       a.Iterations,
+			LostWorkFraction: a.LostWorkFraction(),
+			InFlight:         a.InFlight,
+			LostMessages:     a.LostMessages,
+		}
+		if cfg.Failure != nil {
+			rep.Recovery.LineSeq = a.LineSeqs[0]
+			rep.Recovery.CheckpointsDiscarded = r.Counter("recovery.ckpts_discarded")
+			rep.Recovery.Reinjected = r.Counter("recovery.reinjected")
+			rep.Recovery.DuplicatesDropped = r.Counter("recovery.dup_dropped")
+			rep.Recovery.StaleDropped = r.Counter("recovery.stale_dropped")
 		}
 	}
 	return rep, nil

@@ -36,8 +36,8 @@ func TestPublicRunOCSML(t *testing.T) {
 	if rep.AppMessages != 6*500 {
 		t.Fatalf("AppMessages = %d", rep.AppMessages)
 	}
-	if rep.Recovery == nil || rep.Recovery.RollbackDepth > 1 {
-		t.Fatalf("Recovery = %+v", rep.Recovery)
+	if rep.Recovery != nil {
+		t.Fatalf("a run without a failure reported a recovery: %+v", rep.Recovery)
 	}
 	if rep.Makespan <= 0 || rep.LogBytes <= 0 || rep.PiggybackBytes <= 0 {
 		t.Fatalf("metrics look empty: %+v", rep)
@@ -175,12 +175,15 @@ func TestPublicLiveFailureRecovery(t *testing.T) {
 	if !rep.Completed {
 		t.Fatal("run did not complete after recovery")
 	}
-	lr := rep.LiveRecovery
+	lr := rep.Recovery
 	if lr == nil {
-		t.Fatal("LiveRecovery missing")
+		t.Fatal("Recovery missing")
 	}
 	if lr.LineSeq < 1 {
 		t.Fatalf("line = %d, expected a committed checkpoint before 3s", lr.LineSeq)
+	}
+	if lr.Iterations != 1 || lr.RollbackDepth > 1 || lr.LostWorkFraction <= 0 {
+		t.Fatalf("executed recovery %+v: want one round, depth <= 1 and some lost work", lr)
 	}
 	if len(rep.ConsistentSeqs) == 0 {
 		t.Fatal("post-recovery checkpoints were not verified")
