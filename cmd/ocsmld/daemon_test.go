@@ -126,25 +126,37 @@ func (d *daemons) terminate() {
 	}
 }
 
-// validateAbove recovers the datadir and checks that every process's
-// durable checkpoints reach past line and that every durable record
+// validateAbove reloads every process's store and checks that its durable
+// checkpoints reach past line and that every durable record
 // replay-validates: folding the logged messages over the restored state
 // reproduces the fold recorded at finalization.
 func (d *daemons) validateAbove(line int) {
 	d.t.Helper()
-	st, err := fsstore.RecoverStore(d.datadir, len(d.procs))
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	if got := st.MaxCompleteSeq(); got <= line {
-		d.t.Fatalf("recovered MaxCompleteSeq = %d, want > %d", got, line)
-	}
+	var common []int // the seqs every reloaded store holds
 	for p := range d.procs {
-		for _, r := range st.Proc(p).All() {
+		s, err := fsstore.Open(d.datadir, p, len(d.procs))
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		recs, err := s.LoadAll()
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		var seqs []int
+		for _, r := range recs {
 			if !r.Replays() {
 				d.t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, checkpoint.FoldLog(r.Fold, r.Log), r.CFEFold)
 			}
+			seqs = append(seqs, r.Seq)
 		}
+		if p == 0 {
+			common = seqs
+		} else {
+			common = fsstore.IntersectSeqs(common, seqs)
+		}
+	}
+	if len(common) == 0 || common[len(common)-1] <= line {
+		d.t.Fatalf("reloaded stores share seqs %v, want one above %d", common, line)
 	}
 }
 

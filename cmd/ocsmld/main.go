@@ -67,7 +67,7 @@ func main() {
 		chaos     = flag.Bool("chaos", false, "run one seeded fault-injection round (drops, delays, partitions, kill+restart) and verify the consistency invariants")
 		chaosFor  = flag.Duration("chaos-for", 1500*time.Millisecond, "fault-phase length for -chaos")
 		adminAddr = flag.String("admin-addr", "", "listen address for the admin control plane (status/manifest/recovery/checkpoint/metrics; see cmd/ocsmlctl)")
-		gcEvery   = flag.Duration("gc-interval", 0, "storage GC period: prune finalized checkpoints below the globally durable S_k watermark (needs -datadir; 0 disables)")
+		gc        = flag.Bool("gc", false, "storage GC: every process reports its durable checkpoints to its peers and prunes its own below the lowest one reported (needs -datadir)")
 	)
 	flag.Parse()
 
@@ -86,7 +86,7 @@ func main() {
 	}
 	cfg := transport.ClusterConfig{
 		N: *n, Seed: *seed, Datadir: *datadir, Opt: opt, Reliable: *reliableF,
-		Workload: wl, Timeout: *runFor, Drain: *drain, GCInterval: *gcEvery,
+		Workload: wl, Timeout: *runFor, Drain: *drain, GC: *gc,
 	}
 	switch {
 	case !*spawnAll:

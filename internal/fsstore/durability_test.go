@@ -627,7 +627,7 @@ func TestFinalizeBatch(t *testing.T) {
 
 // TestStoreConcurrentUse drives the store the way the runtime does —
 // one storage goroutine finalizing in batches while a rollback
-// truncates, the GC loop collects and the admin plane reads — and is
+// truncates, the node's GC step collects and the admin plane reads — and is
 // meaningful under -race. Whatever interleaving ran, every manifested
 // seq must load, live and after reopen.
 func TestStoreConcurrentUse(t *testing.T) {
@@ -661,7 +661,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 			t.Errorf("TruncateAfter: %v", err)
 		}
 	})
-	background(func() { // GC loop: collect below the second-newest seq
+	background(func() { // GC: collect below the second-newest seq
 		if seqs := s.Manifest().Seqs; len(seqs) > 2 {
 			if err := s.GCTo(seqs[len(seqs)-2]); err != nil {
 				t.Errorf("GCTo: %v", err)

@@ -109,9 +109,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is one process's stable-storage directory. Methods are safe
-// for concurrent use (the real-network runtime finalizes from a storage
-// goroutine while a rollback may truncate from the protocol loop, and
-// the cluster's GC loop prunes below the global watermark).
+// for concurrent use; the real-network runtime calls them from its node's
+// storage goroutine (finalize, truncate on a rollback, and GCTo below the
+// watermark the node's peers report to it) and polls them from elsewhere.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -680,71 +680,16 @@ func (s *Store) GCTo(wm int) error {
 	return nil
 }
 
-// RecoverStore loads every process's finalized checkpoints from disk into
-// an in-memory checkpoint store — what a recovery manager reconstructs
-// after a cluster-wide failure. Processes with no directory yet contribute
-// nothing (their store is empty).
-func RecoverStore(datadir string, n int) (*checkpoint.Store, error) {
-	cs := checkpoint.NewStore(n)
-	for p := 0; p < n; p++ {
-		s, err := Open(datadir, p, n)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := s.LoadAll()
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			cs.Proc(p).Add(rec)
-		}
-	}
-	return cs, nil
-}
-
 // ReadManifest reads a process's manifest from its segment log without
 // opening the store: a read-only scan under the binding rule Open replays
 // by (no directory creation, no repair), safe against a live writer. A
 // missing directory or log yields an empty manifest. The scan reads what
 // the files hold when it reaches them, so it can see a frame whose fsync
 // has not returned: it suits pollers, and nothing that deletes data may
-// rely on it (DurableManifest). N is left zero, since the log does not
-// record it.
+// rely on it. N is left zero, since the log does not record it.
 func ReadManifest(datadir string, proc int) (Manifest, error) {
 	m, _, err := readManifest(datadir, proc, bufio.NewReader(nil))
 	return m, err
-}
-
-// DurableManifest is ReadManifest for a caller that deletes data on what
-// it reads — the GC watermark of a host that does not host proc: every
-// segment file the scan found a frame in, and then the directory, is
-// fsynced before it returns, so every seq it reports is durable.
-func DurableManifest(datadir string, proc int) (Manifest, error) {
-	m, dir, err := readManifest(datadir, proc, bufio.NewReader(nil))
-	if err != nil || len(m.Segments) == 0 {
-		return m, err
-	}
-	for _, meta := range m.Segments {
-		// A segment unlinked since the scan was its owner's GC: it held
-		// only seqs below a watermark that was durable everywhere.
-		if err := syncPath(SegmentFile(dir, meta.Index)); err != nil && !os.IsNotExist(err) {
-			return Manifest{}, err
-		}
-	}
-	if err := syncPath(dir); err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
-}
-
-// syncPath fsyncs the file or directory at path.
-func syncPath(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // readManifest scans proc's log through r (scanLog) and returns what it

@@ -112,7 +112,7 @@ func TestTruncateAfter(t *testing.T) {
 	}
 }
 
-func TestRecoverStoreAndLastCompleteSeq(t *testing.T) {
+func TestLoadAllAndLastCompleteSeq(t *testing.T) {
 	dir := t.TempDir()
 	const n = 4
 	for p := 0; p < n; p++ {
@@ -137,20 +137,18 @@ func TestRecoverStoreAndLastCompleteSeq(t *testing.T) {
 	if line != 1 {
 		t.Fatalf("LastCompleteSeq = %d, want 1", line)
 	}
-	cs, err := RecoverStore(dir, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.MaxCompleteSeq(); got != 1 {
-		t.Fatalf("recovered MaxCompleteSeq = %d, want 1", got)
-	}
-	g, ok := cs.Global(1)
-	if !ok {
-		t.Fatal("recovered store missing S_1")
-	}
+	// A reopened store loads what the pollers read: S_1 on every process.
 	for p := 0; p < n; p++ {
-		if g.Recs[p].CFEFold != rec(p, 1, 0).CFEFold {
-			t.Fatalf("P%d recovered fold mismatch", p)
+		s, err := Open(dir, p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.LoadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 || recs[0].Seq != 1 || recs[0].CFEFold != rec(p, 1, 0).CFEFold {
+			t.Fatalf("P%d reloads %d record(s), want S_1 with its fold first", p, len(recs))
 		}
 	}
 }

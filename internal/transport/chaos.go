@@ -56,9 +56,10 @@ func DefaultChaosConfig(n int, seed int64, datadir string, faultFor time.Duratio
 			},
 			Timeout: 5 * time.Minute,
 			Drain:   500 * time.Millisecond,
-			// Chaos runs the S_k garbage collector aggressively so the
-			// GC/recovery/crash interleavings get real coverage.
-			GCInterval: 300 * time.Millisecond,
+			// Chaos runs the storage collector, so GC interleaves with the
+			// crashes and recoveries: each node collects as soon as every
+			// peer has reported a commit, on every round.
+			GC: true,
 		},
 		Profile:  faultnet.DefaultProfile(n, faultFor),
 		Converge: 20 * time.Second,

@@ -53,12 +53,11 @@ type ClusterConfig struct {
 	// FSOptions tunes the durability engine of every node's store (the
 	// segment size). The zero value selects the fsstore default.
 	FSOptions fsstore.Options
-	// GCInterval, when positive, runs the storage garbage collector: a
-	// cluster goroutine periodically intersects the durable manifests and
-	// prunes every hosted store below the globally finalized S_k watermark
-	// (the datadir must hold the logs of the processes hosted elsewhere).
-	// Requires Datadir. Zero disables collection.
-	GCInterval time.Duration
+	// GC runs the storage garbage collector: every hosted node reports its
+	// committed watermark to its peers and prunes its own store, on disk
+	// and in memory, below the lowest one it has heard (gc.go). It reads
+	// no other process's directory. Requires Datadir.
+	GC bool
 }
 
 // Cluster is the set of transport nodes hosted in this OS process,
@@ -90,15 +89,6 @@ type Cluster struct {
 	doneCh chan struct{}
 
 	makespan time.Duration // guarded by mu
-
-	// recovering pauses the GC loop while Recover reloads a
-	// victim's store — collecting below the line mid-reload would pull
-	// records the restart is about to read. Guarded by mu.
-	recovering bool
-
-	gcQuit chan struct{}
-	gcOnce sync.Once // guards gcQuit close (Stop may run twice)
-	gcWG   sync.WaitGroup
 }
 
 // NewCluster binds the hosted processes' listeners, opens their stores
@@ -139,7 +129,6 @@ func NewClusterAt(cfg ClusterConfig, line int) (*Cluster, error) {
 		doneCh:  make(chan struct{}, 1),
 		nodes:   make([]*Node, cfg.N),
 		fss:     make([]*fsstore.Store, cfg.N),
-		gcQuit:  make(chan struct{}),
 	}
 	if len(c.local) == 0 {
 		for i := 0; i < cfg.N; i++ {
@@ -207,7 +196,7 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 		return nil, err
 	}
 	app := workload.Factory(c.cfg.Workload)(i, c.cfg.N)
-	return NewNode(NodeConfig{
+	n, err := NewNode(NodeConfig{
 		ID: i, N: c.cfg.N, Addrs: c.addrs, Listener: ln,
 		Seed: c.cfg.Seed, Epoch: c.epoch,
 		Resume: line,
@@ -220,6 +209,10 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 		OnDone:     c.nodeDone,
 		OnRollback: func(id, _ int) { c.clearDone(id) },
 	})
+	if err == nil && c.cfg.GC && n.cfg.FS != nil {
+		n.enableGC()
+	}
+	return n, err
 }
 
 // Node returns process i's node (the current incarnation — Recover
@@ -258,93 +251,12 @@ func (c *Cluster) setFS(i int, fs *fsstore.Store) {
 	c.mu.Unlock()
 }
 
-// setRecovering flips the GC pause flag around a recovery.
-func (c *Cluster) setRecovering(v bool) {
-	c.mu.Lock()
-	c.recovering = v
-	c.mu.Unlock()
-}
-
 // Start launches every hosted node (one Recover already started is left
-// alone), plus the storage GC loop when configured.
+// alone).
 func (c *Cluster) Start() {
 	for _, n := range c.Nodes() {
 		n.Start()
 	}
-	if c.cfg.Datadir != "" && c.cfg.GCInterval > 0 {
-		c.gcWG.Add(1)
-		go c.gcLoop()
-	}
-}
-
-// gcLoop periodically prunes every hosted store, on disk and in memory,
-// below the globally finalized S_k watermark: the intersection of the
-// durable manifests is the last checkpoint line recovery can ever need,
-// so everything strictly below it is dead weight (the paper's retention
-// argument). A hosted store's manifest is read from memory, where only an
-// acknowledged commit puts a seq. A peer hosted elsewhere is read from its
-// directory in the shared datadir (fsstore.DurableManifest, which fsyncs
-// what it scanned before the watermark trusts it), and each host prunes
-// only its own processes' directories. Collection skips ticks while a
-// recovery is reloading a store, and while a peer's log cannot be read.
-func (c *Cluster) gcLoop() {
-	defer c.gcWG.Done()
-	ticker := time.NewTicker(c.cfg.GCInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.gcQuit:
-			return
-		case <-ticker.C:
-		}
-		c.mu.Lock()
-		paused := c.recovering
-		c.mu.Unlock()
-		if paused {
-			continue
-		}
-		wm, err := c.durableWatermark()
-		if err != nil || wm <= 0 {
-			continue
-		}
-		for _, i := range c.local {
-			if err := c.FS(i).GCTo(wm); err != nil {
-				c.count("fsstore.gc_errors", 1)
-			}
-			// Memory follows the disk. Safe: a later recovery line is
-			// >= wm (every manifest keeps wm, so their intersection
-			// does), and the node's persisted seq is >= wm, so neither a
-			// rollback nor a flush reads a record below it.
-			c.Ckpts.Proc(i).GC(wm)
-		}
-		c.count("fsstore.gc_sweeps", 1)
-	}
-}
-
-// durableWatermark intersects every process's durable seqs (see gcLoop)
-// and returns the highest, or -1.
-func (c *Cluster) durableWatermark() (int, error) {
-	var seqs []int
-	for p := 0; p < c.cfg.N; p++ {
-		var m fsstore.Manifest
-		if fs := c.FS(p); fs != nil {
-			m = fs.Manifest()
-		} else {
-			var err error
-			if m, err = fsstore.DurableManifest(c.cfg.Datadir, p); err != nil {
-				return -1, err
-			}
-		}
-		if p == 0 {
-			seqs = m.Seqs
-		} else {
-			seqs = fsstore.IntersectSeqs(seqs, m.Seqs)
-		}
-	}
-	if len(seqs) == 0 {
-		return -1, nil
-	}
-	return seqs[len(seqs)-1], nil
 }
 
 // Run executes the hosted processes start-to-finish: start, wait for the
@@ -379,15 +291,13 @@ func (c *Cluster) Run(ctx context.Context, beforeClose func()) {
 // Stop stops the hosted processes gracefully. Safe to call again.
 func (c *Cluster) Stop() { c.stop(nil) }
 
-// stop is the one graceful stop, in dependency order: the GC loop ends,
-// beforeClose (when non-nil) runs while the nodes still answer — the
-// daemon closes its admin server there, so an in-flight status read never
-// observes a dying node — then each node's queued stable-storage writes
-// reach the disk and the node closes. A SIGTERM therefore never abandons a
+// stop is the one graceful stop, in dependency order: beforeClose (when
+// non-nil) runs while the nodes still answer — the daemon closes its admin
+// server there, so an in-flight status read never observes a dying node —
+// then each node's queued stable-storage writes reach the disk and the
+// node closes. A SIGTERM therefore never abandons a
 // finalization the manifest was about to record.
 func (c *Cluster) stop(beforeClose func()) {
-	c.gcOnce.Do(func() { close(c.gcQuit) })
-	c.gcWG.Wait()
 	if beforeClose != nil {
 		beforeClose()
 	}
@@ -436,10 +346,6 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	if c.FS(victim) == nil {
 		return -1, fmt.Errorf("transport: recovery needs P%d hosted here with a datadir", victim)
 	}
-	// Pause the GC loop for the whole recovery: a sweep racing the
-	// reload below could collect records the restart is about to read.
-	c.setRecovering(true)
-	defer c.setRecovering(false)
 	now := c.Node(victim).Now // the cluster's clock; it outlives the node
 	t0 := now()
 	c.Node(victim).Close() // releases the address when Kill has not
@@ -541,8 +447,8 @@ func (c *Cluster) CheckGlobals() ([]int, error) {
 
 // Report summarizes a cluster run with the simulator's headline metrics
 // plus the wire-level ones only a real network can produce. Its seqs and
-// LogBytes cover the checkpoints still retained: with GCInterval set, the
-// collector has dropped those below the durable watermark from memory too.
+// LogBytes cover the checkpoints still retained: with GC set, each node
+// has dropped its records below the durable watermark from memory too.
 type Report struct {
 	N                 int
 	Completed         bool

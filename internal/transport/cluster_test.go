@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,35 +42,63 @@ func testClusterConfig(datadir string, seed int64) ClusterConfig {
 	}
 }
 
-// validateDisk recovers the on-disk stores and checks (a) every process
+// validateDisk reloads the on-disk stores and checks (a) every process
 // has the last complete sequence durable, and (b) every durable record
 // passes replay validation: restoring CT and folding the logged
 // messages reproduces the CFE state hash.
 func validateDisk(t *testing.T, datadir string, n, wantSeq int) {
 	t.Helper()
-	last, err := fsstore.LastCompleteSeq(datadir, n)
-	if err != nil {
-		t.Fatalf("LastCompleteSeq: %v", err)
-	}
+	validateRoots(t, slices.Repeat([]string{datadir}, n), wantSeq)
+}
+
+// validateRoots is validateDisk for processes whose datadirs may differ:
+// roots[p] is P_p's.
+func validateRoots(t *testing.T, roots []string, wantSeq int) {
+	t.Helper()
+	last := lastLineAcross(t, roots)
 	if last < wantSeq {
 		t.Fatalf("durable S_k = %d, want >= %d", last, wantSeq)
 	}
-	st, err := fsstore.RecoverStore(datadir, n)
-	if err != nil {
-		t.Fatalf("RecoverStore: %v", err)
-	}
-	for p := 0; p < n; p++ {
-		rec, ok := st.Proc(p).Get(last)
-		if !ok {
-			t.Fatalf("P%d: recovered store missing seq %d", p, last)
+	for p, root := range roots {
+		s, err := fsstore.Open(root, p, len(roots))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range st.Proc(p).All() {
+		recs, err := s.LoadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(recs, func(r checkpoint.Record) bool { return r.Seq == last }) {
+			t.Fatalf("P%d: reloaded store missing seq %d", p, last)
+		}
+		for _, r := range recs {
 			if !r.Replays() {
 				t.Fatalf("P%d seq %d: replay fold %#x != CFE fold %#x", p, r.Seq, checkpoint.FoldLog(r.Fold, r.Log), r.CFEFold)
 			}
 		}
-		_ = rec
 	}
+}
+
+// lastLineAcross is fsstore.LastCompleteSeq over per-process datadirs:
+// the highest seq every roots[p] holds for P_p, or -1.
+func lastLineAcross(t testing.TB, roots []string) int {
+	t.Helper()
+	var seqs []int
+	for p, root := range roots {
+		m, err := fsstore.ReadManifest(root, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == 0 {
+			seqs = m.Seqs
+		} else {
+			seqs = fsstore.IntersectSeqs(seqs, m.Seqs)
+		}
+	}
+	if len(seqs) == 0 {
+		return -1
+	}
+	return seqs[len(seqs)-1]
 }
 
 // TestClusterRun runs the in-process TCP cluster start to finish under
@@ -539,130 +568,4 @@ func TestClusterKillRestartAtLineZero(t *testing.T) {
 		t.Fatalf("rollbacks counter = %d, want %d", got, cfg.N-1)
 	}
 	validateDisk(t, dir, cfg.N, 1)
-}
-
-// TestClusterSplitAcrossHosts is the daemon deployment under go test (and
-// so under -race): N = 3 as three one-process Clusters that share only the
-// address table and a datadir, as three `ocsmld -id -peers` invocations
-// do. One host dies abruptly, a fresh Cluster takes its place and recovers
-// the process over the wire, and the cluster must advance past the line
-// again — with every host pruning its own store below S_k meanwhile.
-func TestClusterSplitAcrossHosts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time cluster test")
-	}
-	const n, victim = 3, 1
-	dir := t.TempDir()
-	// Reserve the ports, then let each host bind its own (the window between
-	// Close and the rebind is racy in principle, reliable on loopback).
-	lns, addrs := listenLocal(t, n)
-	for _, ln := range lns {
-		ln.Close()
-	}
-	host := func(i int) *Cluster {
-		cfg := testClusterConfig(dir, 29)
-		cfg.N, cfg.Addrs, cfg.Local = n, addrs, []int{i}
-		cfg.Workload.Steps = 100000 // effectively endless; the test stops the hosts
-		cfg.GCInterval = 25 * time.Millisecond
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Stop)
-		return c
-	}
-	durableLine := func(want int) {
-		t.Helper()
-		waitFor(t, 20*time.Second, func() bool {
-			last, err := fsstore.LastCompleteSeq(dir, n)
-			return err == nil && last >= want
-		})
-	}
-	hosts := make([]*Cluster, n)
-	for i := range hosts {
-		hosts[i] = host(i)
-		hosts[i].Start()
-	}
-	durableLine(2)
-
-	hosts[victim].Kill(victim)
-	time.Sleep(50 * time.Millisecond) // let in-flight traffic hit the dead socket
-	back := host(victim)
-	line, err := back.Recover(victim)
-	if err != nil || line < 2 {
-		t.Fatalf("recover: line %d, %v; want a line >= 2", line, err)
-	}
-	back.Start() // the recovered node is running; this starts the host's GC loop
-	durableLine(line + 1)
-	all := append(hosts, back)
-	for _, c := range all {
-		c.Stop()
-	}
-
-	if got := back.Counter("recovery.coordinated"); got != 1 {
-		t.Fatalf("coordinated counter = %d, want 1", got)
-	}
-	for i, c := range hosts {
-		if i != victim && c.Counter("recovery.rollbacks") != 1 {
-			t.Fatalf("P%d rollbacks counter = %d, want 1", i, c.Counter("recovery.rollbacks"))
-		}
-	}
-	for i, c := range all {
-		// A host of one process records nothing: no global cut can be
-		// checked from its events, and nobody would read them.
-		if c.Counter("app_msgs") == 0 || c.Rec.Len() != 0 {
-			t.Fatalf("host %d: %d app messages, %d recorded events; want traffic and an empty recorder",
-				i, c.Counter("app_msgs"), c.Rec.Len())
-		}
-		if c.Counter("fsstore.gc_sweeps") == 0 {
-			t.Fatalf("host %d never ran a GC sweep", i)
-		}
-	}
-	for p := 0; p < n; p++ {
-		m, err := fsstore.ReadManifest(dir, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, seq := range m.Seqs {
-			if seq != m.Seqs[0]+k {
-				t.Fatalf("P%d manifest %v has a gap", p, m.Seqs)
-			}
-		}
-	}
-	validateDisk(t, dir, n, line+1)
-}
-
-// TestGCPrunesMemory: the collector prunes the in-memory checkpoint store
-// with the disk, so over 40 rounds a process keeps the few records above
-// the durable watermark (at most half the rounds, with slack for a loaded
-// machine), not one per round, and the run still verifies the S_k it
-// keeps.
-func TestGCPrunesMemory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time cluster test")
-	}
-	dir := t.TempDir()
-	cfg := testClusterConfig(dir, 31)
-	cfg.Opt.Interval = 50 * des.Duration(time.Millisecond)
-	cfg.Workload.Steps = 100000 // effectively endless; the test stops the cluster
-	cfg.GCInterval = 100 * time.Millisecond
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	c.Start()
-	waitFor(t, 30*time.Second, func() bool {
-		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
-		return err == nil && last >= 40
-	})
-	c.Stop()
-	for p := 0; p < cfg.N; p++ {
-		if got := c.Ckpts.Proc(p).Len(); got > 20 {
-			t.Errorf("P%d holds %d checkpoint records in memory after 40 rounds, want at most 20", p, got)
-		}
-	}
-	if seqs, err := c.CheckGlobals(); err != nil || len(seqs) == 0 {
-		t.Fatalf("CheckGlobals = %v, %v; want the retained S_k verified", seqs, err)
-	}
 }

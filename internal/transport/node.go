@@ -107,15 +107,25 @@ type Node struct {
 	started atomic.Bool
 	closed  atomic.Bool
 
-	// Single-goroutine state, touched lock-free: persisted and held belong
-	// to the storage goroutine, recLine to the loop (reads from elsewhere
-	// post to their owner, as StatusSnapshot does). persisted is the
-	// highest seq written to FS; held the completions of flushes that left
-	// a finalized record off the disk; recLine the last committed
-	// rollback/resume line (-1: never).
+	// Single-goroutine state, touched lock-free: persisted, held and the
+	// GC state belong to the storage goroutine, recLine to the loop (reads
+	// from elsewhere post to their owner, as StatusSnapshot does).
+	// persisted is the highest seq written to FS; held the completions of
+	// flushes that left a finalized record off the disk; recLine the last
+	// committed rollback/resume line (-1: never).
 	persisted int
 	held      []heldWrite
 	recLine   int
+
+	// Storage GC (gc.go), on only when heard is non-nil: the epoch of the
+	// last landed truncation (the start epoch before any), the last report
+	// of every process, and the watermark collected to.
+	dsnEpoch  int
+	heard     []heardSeq
+	collected int
+	// voted is the epoch this process was in when it last voted in a
+	// recovery round (-1: never); set on the loop, read by storage.
+	voted atomic.Int64
 
 	decodeErrors atomic.Int64
 
@@ -181,7 +191,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		storageCh: make(chan storeReq, 1024),
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
+		dsnEpoch:  cfg.Epoch,
 	}
+	n.voted.Store(-1)
 	n.runDue = n.runTimers
 	n.clock = time.AfterFunc(time.Hour, func() { n.post(n.runDue) })
 	n.clock.Stop()
@@ -338,6 +350,10 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		n.decodeErrors.Add(1)
 		return
 	}
+	if v.CtlTag == dsnTag {
+		n.onDurableReport(v)
+		return
+	}
 	rx := rxPool.Get().(*rxSlot)
 	rx.env = *v
 	switch p := v.Payload.(type) {
@@ -372,7 +388,11 @@ func (n *Node) storageLoop() {
 			if n.cfg.FS != nil && req.tag != "ct" {
 				// Finalization flush ("log" / "ct+log"): persist every
 				// finalized-but-unpersisted record with a real fsync.
+				was := n.persisted
 				seq = n.persistFinalized()
+				if n.heard != nil && n.persisted > was {
+					n.durableRose()
+				}
 			}
 			n.storageQ.Add(-1)
 			if req.done != nil {
@@ -579,8 +599,10 @@ func (n *Node) AppDone() {
 
 // DurableSeqs implements host.Driver: the on-disk manifest when the node
 // has one, otherwise the in-memory finalized checkpoints (a diskless
-// cluster can still agree on a line).
+// cluster can still agree on a line). It is the process's vote in a
+// recovery round, so the collector pauses first (see reportDurable).
 func (n *Node) DurableSeqs() []int {
+	n.voted.Store(int64(n.h.Epoch()))
 	if n.cfg.FS != nil {
 		return n.cfg.FS.Manifest().Seqs
 	}
@@ -598,6 +620,7 @@ func (n *Node) DurableSeqs() []int {
 // already in its queue, so a rolled-back checkpoint cannot be written back
 // post-truncate; the outcome goes back to the loop.
 func (n *Node) Truncate(line int, done func(ok bool)) {
+	epoch := n.h.Epoch() // the rollback's: the host adopted it first
 	n.postStorage(func() {
 		ok := true
 		if fs := n.cfg.FS; fs != nil {
@@ -605,7 +628,7 @@ func (n *Node) Truncate(line int, done func(ok bool)) {
 				n.count("fsstore.errors", 1)
 				ok = false
 			} else {
-				n.persisted = line
+				n.persisted, n.dsnEpoch = line, epoch
 				n.completeDurable()
 				n.held = nil // what is left waited on the records just discarded
 			}

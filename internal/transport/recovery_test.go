@@ -2,15 +2,14 @@ package transport
 
 // Unit tests for the node-side persistence fixes wire recovery depends on
 // — the finalize-retry watermark, and storage-queue accounting across
-// shutdown — and for the two callers of the store whose error paths only
-// an injected disk fault reaches (Cluster.Recover, Cluster.gcLoop). The
-// handshake's policy is tested in internal/handshake.
+// shutdown — and for Cluster.Recover, whose error paths only an injected
+// disk fault reaches (the collector's are in gc_test.go). The handshake's
+// policy is tested in internal/handshake.
 
 import (
 	"context"
 	"errors"
 	"net"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -182,8 +181,8 @@ func failFirstSync() func(op, path string) error {
 
 // TestRecoverSurfacesFailedTruncation: the victim's own rollback — the
 // TruncateAfter inside ResumeProtocol — fails at its fsync. Recover must
-// return that error, not restart the victim above the line, and release
-// the GC pause; the operator's retry then recovers.
+// return that error and not restart the victim above the line; the
+// operator's retry then recovers.
 func TestRecoverSurfacesFailedTruncation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -221,11 +220,8 @@ func TestRecoverSurfacesFailedTruncation(t *testing.T) {
 	if _, err := c.Recover(victim); !errors.Is(err, errInjected) {
 		t.Fatalf("Recover = %v, want the injected truncation failure", err)
 	}
-	c.mu.Lock()
-	paused := c.recovering
-	c.mu.Unlock()
-	if paused || c.Counter("recovery.restarts") != 0 {
-		t.Fatalf("after the failed recovery: GC paused %v, restarts %d; want neither", paused, c.Counter("recovery.restarts"))
+	if got := c.Counter("recovery.restarts"); got != 0 {
+		t.Fatalf("after the failed recovery: %d restarts, want none", got)
 	}
 	line, err := c.Recover(victim)
 	if err != nil || line != 0 {
@@ -234,57 +230,6 @@ func TestRecoverSurfacesFailedTruncation(t *testing.T) {
 	killed.Store(false)
 	if got := c.FS(victim).Manifest().Seqs; len(got) != 0 {
 		t.Fatalf("victim restarted at line 0 with %v on disk", got)
-	}
-}
-
-// TestGCErrorCountedAndRetried: a sweep whose GCTo fails — the
-// directory sync after unlinking a dead segment — counts
-// fsstore.gc_errors; a later sweep, on a healthy disk, collects again.
-// The GC floor is in memory, so the failed sweep has already collected:
-// what it leaves is a directory whose unlinks may not be durable, which
-// costs a later Open only collected records served again.
-func TestGCErrorCountedAndRetried(t *testing.T) {
-	cfg := testClusterConfig(t.TempDir(), 31)
-	cfg.GCInterval = 5 * time.Millisecond
-	cfg.FSOptions.SegmentMaxBytes = 1 // every commit opens a segment: GC has files to unlink
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	// No node runs: the GC loop is the only thing touching the stores.
-	finalize := func(seq int) {
-		t.Helper()
-		for p := 0; p < cfg.N; p++ {
-			rec := checkpoint.Record{Tentative: checkpoint.Tentative{Proc: p, Seq: seq}, FinalizedAt: 1}
-			if err := c.FS(p).Finalize(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for seq := 1; seq <= 3; seq++ {
-		finalize(seq)
-	}
-	var diskBad atomic.Bool
-	diskBad.Store(true)
-	c.FS(0).SetFaultHook(func(op, _ string) error {
-		if op == "syncdir" && diskBad.Load() {
-			return errInjected // GCTo cannot make its unlinks durable
-		}
-		return nil
-	})
-	c.gcWG.Add(1)
-	go c.gcLoop()
-	waitFor(t, 10*time.Second, func() bool { return c.Counter("fsstore.gc_errors") > 0 })
-	if got := c.FS(0).Manifest().Seqs; !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("P0's manifest after the failed sweep = %v, want [3]", got)
-	}
-	diskBad.Store(false)
-	errs := c.Counter("fsstore.gc_errors")
-	finalize(4)
-	waitFor(t, 10*time.Second, func() bool { return reflect.DeepEqual(c.FS(0).Manifest().Seqs, []int{4}) })
-	if got := c.Counter("fsstore.gc_errors"); got != errs {
-		t.Fatalf("gc_errors went from %d to %d on a healthy disk", errs, got)
 	}
 }
 
