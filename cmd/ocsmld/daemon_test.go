@@ -7,11 +7,13 @@ package main
 // must then finalize new global checkpoints past the line.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -231,6 +233,68 @@ func TestDaemonClusterColdRestart(t *testing.T) {
 		}
 		if last := m.Seqs[len(m.Seqs)-1]; last <= line {
 			t.Fatalf("P%d manifest ends at %d, want above the resume line %d", p, last, line)
+		}
+	}
+}
+
+// TestDaemonDurableSeqOnOwnDatadir: three daemons, each on its own
+// -datadir, SIGTERM'd once every store holds a durable checkpoint. None
+// can read the others' manifests, so each prints its own last durable
+// seq, read from its store in memory, and says that the line needs all
+// three: a real seq, the one its store holds after the exit, where a scan
+// of its -datadir for all N manifests could only find -1.
+func TestDaemonDurableSeqOnOwnDatadir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
+	}
+	const n = 3
+	bin, addrs := buildOcsmld(t), freeAddrs(t, n)
+	var dirs [n]string
+	var outs [n]bytes.Buffer
+	var procs [n]*exec.Cmd
+	for i := range procs {
+		dirs[i] = t.TempDir()
+		procs[i] = exec.Command(bin,
+			"-id", fmt.Sprint(i), "-peers", strings.Join(addrs, ","), "-datadir", dirs[i],
+			"-seed", "17", "-steps", "1000000",
+			"-interval", "150ms", "-timeout", "60ms",
+			"-run-for", "120s",
+		)
+		procs[i].Stdout, procs[i].Stderr = &outs[i], os.Stderr
+		if err := procs[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer procs[i].Process.Kill()
+	}
+	deadline := time.Now().Add(45 * time.Second)
+	for p := 0; p < n; p++ {
+		for {
+			m, err := fsstore.ReadManifest(dirs[p], p)
+			if err == nil && m.LastSeq() >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("P%d: no durable checkpoint within 45s (%v)", p, err)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	for i, p := range procs {
+		if err := p.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("terminating P%d: %v", i, err)
+		}
+	}
+	for p, cmd := range procs {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("P%d exit: %v", p, err)
+		}
+		m, err := fsstore.ReadManifest(dirs[p], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("durable S_k         unknown: the line needs all %d processes (P%d durable to seq %d)", n, p, m.LastSeq())
+		if !strings.Contains(outs[p].String(), want) {
+			t.Fatalf("P%d's report lacks %q:\n%s", p, want, outs[p].String())
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -208,13 +209,7 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	fmt.Printf("frames dropped      %d\n", rep.Dropped)
 	fmt.Printf("message log bytes   %d\n", rep.LogBytes)
 	if cfg.Datadir != "" {
-		// Readable from any host when the datadir is shared; a host that
-		// holds only its own manifest cannot know the line.
-		if last, err := fsstore.LastCompleteSeq(cfg.Datadir, rep.N); err != nil {
-			fmt.Printf("durable S_k         unknown (%v)\n", err)
-		} else {
-			fmt.Printf("durable S_k         %d (all %d manifests)\n", last, rep.N)
-		}
+		printDurable(c, rep.N)
 	}
 	names := make([]string, 0, len(rep.Counters))
 	for name := range rep.Counters {
@@ -224,6 +219,29 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	for _, name := range names {
 		fmt.Printf("  %-24s %d\n", name, rep.Counters[name])
 	}
+}
+
+// printDurable prints the durable S_k from the hosted stores' manifests in
+// memory: the highest seq all N hold (-1: none). A partial host cannot know
+// it, whatever its -datadir holds, so it prints its processes' own seqs.
+func printDurable(c *transport.Cluster, n int) {
+	var common []int
+	var own []string
+	for p := range n {
+		if fs := c.FS(p); fs != nil {
+			own = append(own, fmt.Sprintf("P%d durable to seq %d", p, fs.LastSeq()))
+			if seqs := fs.Manifest().Seqs; len(own) == 1 {
+				common = seqs
+			} else {
+				common = fsstore.IntersectSeqs(common, seqs)
+			}
+		}
+	}
+	if len(own) < n {
+		fmt.Printf("durable S_k         unknown: the line needs all %d processes (%s)\n", n, strings.Join(own, ", "))
+		return
+	}
+	fmt.Printf("durable S_k         %d (all %d manifests)\n", slices.Max(append(common, -1)), n)
 }
 
 func emitJSON(v any) {

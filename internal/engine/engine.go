@@ -95,12 +95,10 @@ type Cluster struct {
 
 	// Run-state mutated only while the simulation executes, i.e. on the
 	// goroutine inside Cluster.Run. done is by process: it finished its
-	// quota since its last rollback. rb is the recovery handshake running,
-	// if any.
+	// quota since its last rollback.
 	done     []bool
 	draining bool
 	makespan des.Time
-	rb       *recovery
 
 	// Metrics is the run's named-metric registry. The free-form Count
 	// namespace lands here as the events family (the DES and the live
@@ -191,18 +189,10 @@ func (c *Cluster) Run() *Result {
 	return c.result()
 }
 
-// deliver routes an arriving envelope to its destination: the RB_LINE and
-// RB_ACK frames of a running recovery to the victim's coordinator, all
-// else to the process's host, whose fence decides its epoch. It is the
-// network's delivery callback, invoked from the simulator's event queue
-// inside Cluster.Run.
-func (c *Cluster) deliver(e *protocol.Envelope) {
-	if r := c.rb; r != nil && e.Dst == r.victim && (e.CtlTag == protocol.TagRbLine || e.CtlTag == protocol.TagRbAck) {
-		c.coordinate(r, e)
-		return
-	}
-	c.nodes[e.Dst].h.Deliver(e)
-}
+// deliver routes an arriving envelope to its destination's host, whose
+// fence decides its epoch. It is the network's delivery callback, invoked
+// from the simulator's event queue inside Cluster.Run.
+func (c *Cluster) deliver(e *protocol.Envelope) { c.nodes[e.Dst].h.Deliver(e) }
 
 // appDone is called when process p completes its workload quota.
 func (c *Cluster) appDone(p int) {

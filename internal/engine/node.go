@@ -99,8 +99,8 @@ func (n *Node) DurableSeqs() []int {
 
 // Truncate implements host.Driver: the rollback's record is one write
 // through the storage model, queued behind what the process wrote before.
-func (n *Node) Truncate(_ int, done func(ok bool)) {
-	n.WriteStable("rollback", 0, func(_, _ des.Time) { done(true) })
+func (n *Node) Truncate(_, _ int, done func(err error)) {
+	n.WriteStable("rollback", 0, func(_, _ des.Time) { done(nil) })
 }
 
 // RolledBack implements host.Driver: the process owes its quota again.

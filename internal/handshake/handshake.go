@@ -1,10 +1,10 @@
 // Package handshake is the whole policy of the RB_* recovery handshake
 // (DESIGN.md §9) as two state machines that touch no socket, clock, disk,
 // goroutine or counter: frames, ticks and truncation outcomes go in,
-// frames to send and "truncate above this line" come out. The I/O around
-// them is the drivers': a survivor's Participant lives in host.Host on
-// both, the Coordinator runs in transport.Cluster.coordinate on TCP and in
-// the engine's recovery on the DES.
+// frames to send and "truncate above this line" come out. Both live in
+// host.Host, on both drivers: a survivor's Participant, and the
+// Coordinator of a restarted process's round (Host.Recover). The I/O
+// around them is the drivers', behind host.Driver.
 package handshake
 
 import (

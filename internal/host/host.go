@@ -4,8 +4,8 @@
 // (internal/transport) drive. A Host implements protocol.Env and
 // protocol.AppCtx and owns everything the paper's §2.1 process model makes
 // local to a process — the application state fold, the stall/deferred
-// queue, the epoch fence, the rollback step itself and the survivor side
-// of the RB_* recovery handshake — so that logic exists once. What differs
+// queue, the epoch fence, the rollback step itself and both sides of the
+// RB_* recovery handshake — so that logic exists once. What differs
 // between the runtimes (clock, envelope ids, the link, the loop, stable
 // storage) sits behind Driver.
 package host
@@ -13,6 +13,7 @@ package host
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"ocsml/internal/checkpoint"
@@ -67,10 +68,10 @@ type Driver interface {
 	// DurableSeqs is the process's vote in a recovery round: the sequence
 	// numbers (above 0) of the checkpoints it holds on stable storage.
 	DurableSeqs() []int
-	// Truncate makes a rollback to line durable: the stable copies above
-	// line go, after every write already queued. done runs on the loop
-	// with the outcome; the RB_ACK waits for it.
-	Truncate(line int, done func(ok bool))
+	// Truncate makes a rollback to line in epoch durable: the stable
+	// copies above line go, after every write already queued. done runs on
+	// the loop with the outcome; the RB_ACK waits for it.
+	Truncate(line, epoch int, done func(err error))
 	// RolledBack observes that the process was put at line (Restart),
 	// having replayed replayed logged messages, before it resumes.
 	RolledBack(line, replayed int)
@@ -114,8 +115,12 @@ type Host struct {
 	// ahead holds owned copies of the envelopes of a newer epoch than
 	// this process's, in arrival order, until a rollback adopts it.
 	ahead []*protocol.Envelope
-	// rb is this process's side of the RB_* handshake.
-	rb handshake.Participant
+	// rb is this process's side of the RB_* handshake as a survivor; co
+	// the round it coordinates (Recover), begun at coStart, until decided.
+	rb      handshake.Participant
+	co      *handshake.Coordinator
+	coStart des.Time
+	decided func(line, epoch int, err error)
 
 	mStale, mRollbacks *metrics.Counter
 
@@ -143,13 +148,21 @@ type Host struct {
 
 // Tick is one timer as a value, which a driver holds and hands back to
 // Fire: the life that set it and what it runs — an application callback
-// (app), the end of a timed stall (resume), or else the protocol's
-// OnTimer(kind, gen).
+// (app), the end of a timed stall (resume), a resend of the recovery round
+// this process coordinates (rb), or else the protocol's OnTimer(kind, gen).
 type Tick struct {
 	life, kind, gen int
 	app             func()
-	resume          bool
+	resume, rb      bool
 }
+
+// The recovery round's clock: every rbRetry the coordinator resends what
+// the survivors have not answered (RB_* frames bypass the reliable
+// middleware; DESIGN.md §9), and it gives up after rbTimeout.
+const (
+	rbRetry   = 150 * des.Millisecond
+	rbTimeout = 20 * des.Second
+)
 
 // maxAhead caps the envelopes a process holds for an epoch it has yet to
 // adopt; one more is dropped as stale. A rollback is late by about one
@@ -194,7 +207,8 @@ func (h *Host) StartApp() { h.p.App.Start(appCtx{h}) }
 
 // Deliver takes an arriving envelope through the one epoch fence of both
 // drivers. RB_* frames go ahead of it, to the handshake: their coordinator
-// cannot know the epoch it is about to establish. Any other envelope is
+// cannot know the epoch it is about to establish. The answers to the round
+// this process coordinates go to it untraced. Any other envelope is
 // processed in the epoch it was sent in, or not at all. An older one is
 // pre-rollback traffic, dropped as stale. A newer one comes from a process
 // that rolled back before this one: processed now it would land in the
@@ -202,6 +216,8 @@ func (h *Host) StartApp() { h.p.App.Start(appCtx{h}) }
 // adopts its epoch (Restart). A crashed process processes nothing else.
 func (h *Host) Deliver(e *protocol.Envelope) {
 	switch {
+	case h.co != nil && (e.CtlTag == protocol.TagRbLine || e.CtlTag == protocol.TagRbAck):
+		h.coordinate(e)
 	case protocol.IsRecoveryTag(e.CtlTag):
 		h.recordCtlRecv(e)
 		h.recover(e)
@@ -253,15 +269,82 @@ func (h *Host) recover(e *protocol.Envelope) {
 	}
 	f := handshake.Frame{Peer: e.Src, Tag: e.CtlTag, Msg: rb}
 	out, truncate := h.rb.Receive(f)
-	h.SendFrames(out)
+	h.sendFrames(out)
 	if truncate {
-		h.drv.Truncate(rb.Line, func(ok bool) { h.SendFrames(h.rb.Truncated(f, ok)) })
+		h.drv.Truncate(rb.Line, h.epoch, func(err error) { h.sendFrames(h.rb.Truncated(f, err == nil)) })
 	}
 }
 
-// SendFrames sends RB_* frames from this process: a survivor's answers,
-// or a restarted process's own round when it coordinates.
-func (h *Host) SendFrames(frames []handshake.Frame) {
+// Recover starts the recovery round a restarted process coordinates
+// (DESIGN.md §9), identified by round. The process is down until Restart;
+// it votes with Driver.DurableSeqs and its epoch, and resends every
+// rbRetry, on a tick that fires while it is down and dies with its life.
+// decided is called once, on the loop: with the agreed line and epoch once
+// every survivor has made its rollback durable (the driver then makes the
+// line durable here and calls Restart), or with an error naming the
+// survivors that left the round unanswered for rbTimeout.
+func (h *Host) Recover(round int64, decided func(line, epoch int, err error)) {
+	h.down = true
+	h.coStart, h.decided = h.drv.Now(), decided
+	h.co = handshake.NewCoordinator(h.p.ID, h.p.N, round, h.drv.DurableSeqs(), h.epoch)
+	h.sendFrames(h.co.Tick())
+	h.drv.After(rbRetry, Tick{life: h.life, rb: true})
+}
+
+// coordinate feeds an RB_LINE or RB_ACK to the round. The epoch an RB_LINE
+// reports is adopted at once, when newer (a restarted OS process starts
+// from epoch 0): its traffic predates the round, so the fence drops it,
+// and what it held of it goes, leaving room for the round's epoch.
+func (h *Host) coordinate(e *protocol.Envelope) {
+	rb, ok := e.Payload.(protocol.RbMsg)
+	if !ok {
+		h.count("recovery.bad_frames", 1)
+		return
+	}
+	if e.CtlTag == protocol.TagRbLine && rb.Epoch > h.epoch {
+		h.epoch = rb.Epoch
+		h.ahead = slices.DeleteFunc(h.ahead, func(a *protocol.Envelope) bool { return a.Epoch <= rb.Epoch })
+	}
+	h.sendFrames(h.co.Receive(handshake.Frame{Peer: e.Src, Tag: e.CtlTag, Msg: rb}))
+	if h.co.Done() {
+		line, epoch := h.co.Decision()
+		h.decide(line, epoch, nil)
+	}
+}
+
+// resend is the round's tick.
+func (h *Host) resend() {
+	if h.co == nil {
+		return // decided: the Restart that ends this life is on its way
+	}
+	unanswered := h.co.Tick()
+	if h.drv.Now()-h.coStart >= rbTimeout {
+		peers := make([]int, len(unanswered))
+		for i, f := range unanswered {
+			peers[i] = f.Peer
+		}
+		h.decide(-1, -1, fmt.Errorf("host: recovery of P%d: survivors %v left %s unanswered for %v",
+			h.p.ID, peers, unanswered[0].Tag, rbTimeout))
+		return
+	}
+	h.sendFrames(unanswered)
+	h.drv.After(rbRetry, Tick{life: h.life, rb: true})
+}
+
+// decide hands the round's outcome to the driver.
+func (h *Host) decide(line, epoch int, err error) {
+	decided := h.decided
+	h.co, h.decided = nil, nil
+	decided(line, epoch, err)
+}
+
+// Down reports whether the process is crashed: from Crash or Recover until
+// the Restart that revives it.
+func (h *Host) Down() bool { return h.down }
+
+// sendFrames sends RB_* frames from this process: a survivor's answers,
+// or the round it coordinates.
+func (h *Host) sendFrames(frames []handshake.Frame) {
 	for _, f := range frames {
 		h.Send(&protocol.Envelope{Dst: f.Peer, Kind: protocol.KindCtl, CtlTag: f.Tag, Payload: f.Msg})
 	}
@@ -459,15 +542,17 @@ func (h *Host) SetTimer(d des.Duration, kind, gen int) {
 }
 
 // Fire runs a tick the driver scheduled with After. Every tick dies with
-// the life that set it. A stall's end runs even on a crashed process; a
-// protocol timer or application callback stays silent while the process
-// is down, and an application callback waits while the application is
-// stalled.
+// the life that set it. A stall's end and a recovery round's resend run
+// even on a crashed process; a protocol timer or application callback
+// stays silent while the process is down, and an application callback
+// waits while the application is stalled.
 func (h *Host) Fire(t Tick) {
 	switch {
 	case t.life != h.life: // voided by a rollback
 	case t.resume:
 		h.ResumeApp()
+	case t.rb:
+		h.resend()
 	case h.down: // silent until the rollback that revives it
 	case t.app == nil:
 		h.p.Proto.OnTimer(t.kind, t.gen)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocsml/internal/checkpoint"
@@ -70,8 +71,8 @@ func (f *fixture) Stalled(on bool)              { f.stalls = append(f.stalls, on
 func (f *fixture) Draining() bool               { return false }
 func (f *fixture) AppDone()                     { f.doneN++ }
 func (f *fixture) DurableSeqs() []int           { return nil }
-func (f *fixture) Truncate(_ int, done func(bool)) {
-	done(true)
+func (f *fixture) Truncate(_, _ int, done func(error)) {
+	done(nil)
 }
 func (f *fixture) RolledBack(line, replayed int) {
 	f.rolledBack = append(f.rolledBack, [2]int{line, replayed})
@@ -378,6 +379,47 @@ func TestHost(t *testing.T) {
 			}
 			if ev := f.reg.EventCounts(); ev["recovery.held"] != 1024 || ev["recovery.stale_dropped"] != 1 {
 				t.Fatalf("counters %v, want 1024 held and 1 stale", ev)
+			}
+		}},
+		{"a coordinating process drops what predates its round and holds the round's epoch", func(t *testing.T, f *fixture) {
+			var decided []int
+			f.h.Recover(7, func(line, epoch int, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				decided = []int{line, epoch}
+				f.h.Restart(line, epoch)
+			})
+			at := func(id int64, epoch int) { f.h.Deliver(&protocol.Envelope{ID: id, Src: 1, Epoch: epoch}) }
+			rb := func(src int, tag string, m protocol.RbMsg) {
+				f.h.Deliver(&protocol.Envelope{Src: src, Kind: protocol.KindCtl, CtlTag: tag, Payload: m})
+			}
+			for id := int64(1); id <= 1024; id++ {
+				at(id, 3) // the survivors' epoch, not yet reported: held, to the cap
+			}
+			rb(1, protocol.TagRbLine, protocol.RbMsg{Round: 7, Epoch: 3})
+			at(1025, 3) // reported: predates the round
+			rb(2, protocol.TagRbLine, protocol.RbMsg{Round: 7, Epoch: 3})
+			at(1026, 4) // the round's epoch: held until the Restart, room made
+			cmt := protocol.RbMsg{Round: 7, Line: 0, Epoch: 4}
+			rb(1, protocol.TagRbAck, cmt)
+			rb(2, protocol.TagRbAck, cmt)
+			if !reflect.DeepEqual(decided, []int{0, 4}) || !reflect.DeepEqual(f.log, []string{"rollback", "deliver1026"}) {
+				t.Fatalf("decided %v, log %v; want line 0 in epoch 4 and only the round's envelope", decided, f.log)
+			}
+			if ev := f.reg.EventCounts(); ev["ctl.RB_BGN"] != 2 || ev["ctl.RB_CMT"] != 2 || f.rec.Len() != 5 {
+				t.Fatalf("counters %v, %d trace events; want the round's 4 sends traced and no answer", ev, f.rec.Len())
+			}
+		}},
+		{"a round nobody answers ends in an error naming the survivors", func(t *testing.T, f *fixture) {
+			var err error
+			f.h.Recover(7, func(_, _ int, e error) { err = e })
+			f.sim.Run()
+			if err == nil || !strings.Contains(err.Error(), "survivors [1 2] left RB_BGN unanswered") || f.sim.Now() < 20*des.Second {
+				t.Fatalf("at %v: %v", f.sim.Now(), err)
+			}
+			if !f.h.Down() {
+				t.Fatal("the process came up without a decision")
 			}
 		}},
 		{"send stamps the envelope and broadcast reaches every peer", func(t *testing.T, f *fixture) {

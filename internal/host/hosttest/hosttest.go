@@ -95,7 +95,7 @@ func (d *Driver) AppDone() {}
 func (d *Driver) DurableSeqs() []int { return nil }
 
 // Truncate implements host.Driver: it lands at once.
-func (d *Driver) Truncate(_ int, done func(ok bool)) { done(true) }
+func (d *Driver) Truncate(_, _ int, done func(err error)) { done(nil) }
 
 // RolledBack implements host.Driver.
 func (d *Driver) RolledBack(int, int) {}

@@ -244,13 +244,6 @@ func (c *Cluster) FS(i int) *fsstore.Store {
 	return c.fss[i]
 }
 
-// setFS swaps in a reopened store for process i.
-func (c *Cluster) setFS(i int, fs *fsstore.Store) {
-	c.mu.Lock()
-	c.fss[i] = fs
-	c.mu.Unlock()
-}
-
 // Start launches every hosted node (one Recover already started is left
 // alone).
 func (c *Cluster) Start() {
@@ -309,8 +302,9 @@ func (c *Cluster) stop(beforeClose func()) {
 
 // RecoveryPhaseNames are the stages of one Cluster.Recover, in order:
 // reopen (close the dead incarnation, replay its store, rebind its
-// address), handshake (the RB_* round, see coordinate) and restart
-// (truncate and reload at the line, build and start the node).
+// address, build the node over the whole store), handshake (the node's
+// RB_* round, from its start to the decision) and restart (truncate the
+// store above the line, put the node at it).
 var RecoveryPhaseNames = [...]string{"reopen", "handshake", "restart"}
 
 // RecoveryPhases registers (or retrieves) the family Recover observes its
@@ -332,16 +326,18 @@ func (c *Cluster) Kill(i int) {
 }
 
 // Recover drives the wire-level recovery protocol for a crashed process
-// hosted here: reopen its store, rebind its address, coordinate the
-// recovery line from the cluster's durable manifests (RB_BGN -> RB_LINE ->
-// RB_CMT -> RB_ACK, see coordinate), then restart the victim from that
-// store at the agreed line (ResumeProtocol). The crash was a Kill, or the
-// death of the OS process that hosted the victim before this one (ocsmld
-// -recover: the node NewCluster built in its place never started). The
-// survivors, hosted here or elsewhere, roll back through their hosts' RB_*
-// handlers — the cluster does not reach into their state directly, so one
-// OS process and many exercise one recovery code path — and the victim
-// restarts through the same host.Host.Restart. Returns the agreed line.
+// hosted here: reopen its store, rebind its address, build its node over
+// the whole store and start it on its recovery round (RB_BGN -> RB_LINE
+// -> RB_CMT -> RB_ACK, see host.Host.Recover), which agrees the line from
+// the cluster's durable manifests; then truncate the store above the line
+// and restart the node there. The crash was a Kill, or the death of the
+// OS process that hosted the victim before this one (ocsmld -recover: the
+// node NewCluster built in its place never started). The survivors,
+// hosted here or elsewhere, roll back through their hosts' RB_* handlers —
+// the cluster does not reach into their state directly, so one OS process
+// and many exercise one recovery code path — and the victim restarts
+// through the same host.Host.Restart. Returns the agreed line; on an error
+// the victim's node is closed, and Recover may be called again.
 func (c *Cluster) Recover(victim int) (int, error) {
 	if c.FS(victim) == nil {
 		return -1, fmt.Errorf("transport: recovery needs P%d hosted here with a datadir", victim)
@@ -354,36 +350,65 @@ func (c *Cluster) Recover(victim int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	c.setFS(victim, fs)
+	c.mu.Lock()
+	c.fss[victim] = fs
+	c.mu.Unlock()
+	if err := loadStore(fs, c.Ckpts.Proc(victim)); err != nil {
+		return -1, err
+	}
 	ln, err := net.Listen("tcp", c.addrs[victim])
 	if err != nil {
 		return -1, err
 	}
-	t1 := now()
-	line, err := c.coordinate(victim, ln, fs.Manifest().Seqs) // closes ln, so the node below can rebind
-	t2 := now()
-	if err != nil {
-		return -1, err
-	}
-	c.count("recovery.recoveries", 1)
-	// The handshake has rolled the survivors back to the line and
-	// advanced the epoch; bring the victim back at the same line.
-	if ln, err = net.Listen("tcp", c.addrs[victim]); err != nil {
-		return line, err
-	}
 	c.clearDone(victim)
-	n, err := c.buildNode(victim, ln, line)
+	n, err := c.buildNode(victim, ln, -1)
 	if err != nil {
 		ln.Close()
-		return line, err
+		return -1, err
 	}
 	c.mu.Lock()
 	c.nodes[victim] = n
 	c.mu.Unlock()
-	n.Start()
+	t1 := now()
+	// The round id scopes every reply to this attempt: wall-clock
+	// uniqueness across incarnations suffices, as no report shows it.
+	var line, epoch int
+	var decided des.Time
+	done := make(chan error, 1)
+	n.start(func() {
+		n.h.Recover(time.Now().UnixNano(), func(l, e int, err error) {
+			line, epoch, decided = l, e, now()
+			if err != nil {
+				done <- err
+				return
+			}
+			n.Truncate(line, epoch, func(err error) {
+				if err != nil {
+					err = fmt.Errorf("transport: truncating above recovery line %d: %w", line, err)
+				} else if _, ok := n.h.Restart(line, epoch); !ok {
+					err = fmt.Errorf("transport: P%d has no durable checkpoint at line %d", victim, line)
+				}
+				done <- err
+			})
+		})
+	})
+	select {
+	case err = <-done:
+	case <-n.quit:
+		return -1, fmt.Errorf("transport: P%d closed during its recovery", victim)
+	}
+	if line >= 0 {
+		c.count("recovery.coordinated", 1)
+		c.count("recovery.recoveries", 1)
+		c.epoch = epoch
+	}
+	if err != nil {
+		n.Close()
+		return line, err
+	}
 	c.count("recovery.restarts", 1)
 	phases := RecoveryPhases(c.Metrics)
-	for k, d := range []des.Time{t1 - t0, t2 - t1, now() - t2} {
+	for k, d := range []des.Time{t1 - t0, decided - t1, now() - decided} {
 		phases.With(RecoveryPhaseNames[k]).Observe(time.Duration(d).Seconds())
 	}
 	return line, nil

@@ -142,3 +142,71 @@ func TestRecoverRestoresEveryProcessOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedIncarnationsNeverReuseIDs kills and recovers the same
+// process twice, with no other recovery in between. A restarted node's ID
+// counter starts at zero again, so no fresh application send of an
+// incarnation may carry an envelope ID of an earlier one: the trace
+// checker would pair a pre-crash receive with it. Only the line's logged
+// re-sends carry old IDs, and they are no fresh send (the host traces no
+// KSend for them). The node of each restarted incarnation is built before
+// its round decides the epoch it resumes in, so the ID may not take its
+// epoch bits from the node's starting epoch: the second incarnation would
+// then start in the first one's epoch and alias its IDs.
+func TestRestartedIncarnationsNeverReuseIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	const victim = 1
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 7)
+	cfg.Workload.Steps = 100000 // the test stops the cluster
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	// sent waits until the victim has made a fresh send since mark.
+	sent := func(mark int) {
+		waitFor(t, 10*time.Second, func() bool {
+			for _, e := range c.Rec.Events()[mark:] {
+				if e.Kind == trace.KSend && e.Proc == victim {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= 1
+	})
+	for range 2 {
+		c.Kill(victim)
+		mark := c.Rec.Len()
+		if _, err := c.Recover(victim); err != nil {
+			t.Fatal(err)
+		}
+		sent(mark)
+	}
+	c.Stop()
+
+	incarnation := 0
+	first := map[int64]int{} // fresh send ID → the incarnation that sent it
+	for _, e := range c.Rec.Events() {
+		switch {
+		case e.Proc != victim:
+		case e.Kind == trace.KFail:
+			incarnation++
+		case e.Kind == trace.KSend:
+			if inc, ok := first[e.MsgID]; ok {
+				t.Fatalf("incarnation %d of P%d sent ID %d, already sent by incarnation %d", incarnation, victim, e.MsgID, inc)
+			}
+			first[e.MsgID] = incarnation
+		}
+	}
+	if incarnation != 2 {
+		t.Fatalf("%d crashes of P%d traced, want 2", incarnation, victim)
+	}
+}

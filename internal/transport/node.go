@@ -102,7 +102,6 @@ type Node struct {
 	storageCh chan storeReq
 	storageQ  atomic.Int32
 
-	idBase  int64
 	idCtr   atomic.Int64
 	started atomic.Bool
 	closed  atomic.Bool
@@ -203,12 +202,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Rec:  cfg.Rec, Ckpts: cfg.Ckpts.Proc(cfg.ID),
 		Metrics: cfg.Metrics, Epoch: cfg.Epoch,
 	}, n)
-	// Envelope IDs must be unique across OS processes AND across the
-	// incarnations of one process: a restarted node's counter starts at
-	// zero again, so without the epoch in the ID a post-restart envelope
-	// would alias a pre-crash one and confuse trace pairing and dedup.
-	// Bits 40+: node, 32-39: starting epoch, 0-31: counter.
-	n.idBase = (int64(cfg.ID)+1)<<40 | int64(cfg.Epoch&0xff)<<32
 	mesh, err := NewMesh(MeshConfig{
 		ID: cfg.ID, Addrs: cfg.Addrs, Seed: cfg.Seed, Hook: cfg.Hook,
 	}, cfg.Listener, n.acceptConn)
@@ -259,6 +252,16 @@ func (n *Node) registerMetrics() {
 // the application, fresh or put at the Resume line by the host's one
 // recovery routine.
 func (n *Node) Start() {
+	if n.cfg.Resume >= 0 {
+		n.start(func() { n.h.Restart(n.cfg.Resume, n.cfg.Epoch) })
+	} else {
+		n.start(n.h.StartApp)
+	}
+}
+
+// start is Start with then in place of the application's start (a
+// restarted process's recovery round: Cluster.Recover).
+func (n *Node) start(then func()) {
 	if !n.started.CompareAndSwap(false, true) {
 		return
 	}
@@ -268,11 +271,7 @@ func (n *Node) Start() {
 	// Protocol start is queued before the mesh begins accepting, so no
 	// delivery can reach OnDeliver ahead of Start.
 	n.post(n.h.StartProtocol)
-	if n.cfg.Resume >= 0 {
-		n.post(func() { n.h.Restart(n.cfg.Resume, n.cfg.Epoch) })
-	} else {
-		n.post(n.h.StartApp)
-	}
+	n.post(then)
 	n.mesh.Start()
 }
 
@@ -471,8 +470,14 @@ var _ host.Driver = (*Node)(nil)
 // Now implements host.Driver: real time since the shared base.
 func (n *Node) Now() des.Time { return des.Time(time.Since(n.cfg.Base)) }
 
-// NextID implements host.Driver (see idBase for the bit layout).
-func (n *Node) NextID() int64 { return n.idBase | n.idCtr.Add(1) }
+// NextID implements host.Driver. IDs are unique across OS processes and
+// across the incarnations of one process, whose counter restarts at zero:
+// bits 40+ are the node, 32-39 the host's epoch at the send (a restarted
+// incarnation resumes in an epoch above every one its predecessors sent
+// in), 0-31 the counter. An aliased ID would confuse trace pairing and dedup.
+func (n *Node) NextID() int64 {
+	return int64(n.cfg.ID+1)<<40 | int64(n.h.Epoch()&0xff)<<32 | n.idCtr.Add(1)
+}
 
 // Transmit implements host.Driver: encode with the wire codec and
 // enqueue the frame at the peer's mesh queue. The real encoded size —
@@ -618,22 +623,21 @@ func (n *Node) DurableSeqs() []int {
 // Truncate implements host.Driver: the store drops the records above line
 // (vacuously without a store) on the storage goroutine, after any persist
 // already in its queue, so a rolled-back checkpoint cannot be written back
-// post-truncate; the outcome goes back to the loop.
-func (n *Node) Truncate(line int, done func(ok bool)) {
-	epoch := n.h.Epoch() // the rollback's: the host adopted it first
+// post-truncate; the outcome goes back to the loop. A restarted process's
+// own truncation precedes its Restart (Cluster.Recover).
+func (n *Node) Truncate(line, epoch int, done func(err error)) {
 	n.postStorage(func() {
-		ok := true
+		var err error
 		if fs := n.cfg.FS; fs != nil {
-			if err := fs.TruncateAfter(line); err != nil {
+			if err = fs.TruncateAfter(line); err != nil {
 				n.count("fsstore.errors", 1)
-				ok = false
 			} else {
 				n.persisted, n.dsnEpoch = line, epoch
 				n.completeDurable()
 				n.held = nil // what is left waited on the records just discarded
 			}
 		}
-		n.post(func() { done(ok) })
+		n.post(func() { done(err) })
 	})
 }
 

@@ -99,7 +99,8 @@ func (n *Node) StatusSnapshot(timeout time.Duration) (NodeStatus, error) {
 }
 
 // TriggerCheckpoint asks the protocol to initiate a tentative
-// checkpoint round (the admin API's POST /v1/checkpoint). The returned
+// checkpoint round (the admin API's POST /v1/checkpoint); a process that
+// is recovering refuses. The returned
 // csn is the sequence number current AFTER the initiation attempt; a
 // protocol already in a tentative round ignores the trigger (paper
 // §3.4: status tentative forbids a new checkpoint) and the prior csn
@@ -111,6 +112,10 @@ func (n *Node) TriggerCheckpoint(timeout time.Duration) (int, error) {
 	}
 	ch := make(chan result, 1)
 	n.post(func() {
+		if n.h.Down() {
+			ch <- result{-1, fmt.Errorf("transport: P%d is recovering", n.cfg.ID)}
+			return
+		}
 		inner := n.unwrapped()
 		init, ok := inner.(interface{ Initiate() })
 		if !ok {

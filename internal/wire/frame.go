@@ -41,7 +41,7 @@ func (f *Frame) Bytes() []byte { return f.data }
 func (f *Frame) Len() int { return len(f.data) }
 
 // RawFrame wraps already-encoded bytes — the pass-through for producers
-// that hold finished wire bytes (the recovery coordinator, tests,
+// that hold finished wire bytes (the storage GC's reports, tests,
 // fault-injection hooks replaying captures). Raw frames are written
 // verbatim: never rewritten, never pooled (Release is a no-op). They must
 // hold stateless encodings, which move no base on either side of the
