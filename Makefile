@@ -195,14 +195,18 @@ bench-check:
 # Then steady-uniform, where a message's acknowledgement rides in the header
 # of the next frame going back: correct, no operation failed, and "a
 # message pays for its piggyback, not its envelope, nor its own ACK" —
-# wire_bytes_per_app_msg <= 37 (about 28 here; about 38 with one ACK frame
-# per message, so a return to per-message ACKs fails; about 74.5 with
-# absolute headers, literal control tags and a 4-byte length prefix)
-# — and "a message costs no heap": peak_rss_mb <= 34 (the run's total
+# wire_bytes_per_app_msg <= 20 (about 16 here; about 28 with format 4's
+# envelope header, whose version byte, Src, Dst, Bytes and SentAt no
+# receiver reads, and whose unchanged piggyback cost 4 B, not 1; about 38
+# with one ACK frame per message, so a return to per-message ACKs fails;
+# about 74.5 with absolute headers, literal control tags and a 4-byte
+# length prefix) — and "a message costs no heap": peak_rss_mb <= 34 (the run's total
 # allocation with the collector off: about 25 here; 36 when each send
 # boxed a fresh envelope, piggyback and timer closure, 56 when the receive
 # path decoded into fresh envelopes too). Last saturate-ring, the closed
-# loop: correct, no operation failed, and peak_rss_mb <= 200 (about 100
+# loop: correct, no operation failed, wire_bytes_per_app_msg <= 16 (about
+# 13 here, without reliable's link block; about 23 with format 4's
+# envelope header), and peak_rss_mb <= 200 (about 100
 # here, most of it the benchmark's own latency samples; 488, at the
 # benchmark's 512 MiB limit, when every send allocated). The ring has no
 # stable_bytes_per_round ceiling: a round's records hold the messages
@@ -221,8 +225,8 @@ bench-gate:
 	gate ckpt-storm 20 '"fsyncs_per_round":{"value":4,' && \
 		ceiling stable_bytes_per_round 400 && ceiling peak_rss_mb 40 && \
 		gate crash-recover 5 && \
-		gate steady-uniform 5 && ceiling wire_bytes_per_app_msg 37 && ceiling peak_rss_mb 34 && \
-		gate saturate-ring 5 && ceiling peak_rss_mb 200
+		gate steady-uniform 5 && ceiling wire_bytes_per_app_msg 20 && ceiling peak_rss_mb 34 && \
+		gate saturate-ring 5 && ceiling wire_bytes_per_app_msg 16 && ceiling peak_rss_mb 200
 
 # loc prints the size figure PRs quote: non-test Go lines outside the
 # nested benchmark module and testdata. CI's test job prints it

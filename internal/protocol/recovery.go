@@ -23,6 +23,12 @@ const (
 	TagRbAck    = "RB_ACK"
 )
 
+// TagDSN is the storage GC's durable report (internal/transport, DESIGN.md
+// §14.3): a process tells every peer how far its store is durable, in a
+// core.CtlMsg whose Csn is that seq. It is not a recovery tag, and like
+// them it bypasses the checkpointing protocol stack.
+const TagDSN = "DSN"
+
 // IsRecoveryTag reports whether tag names a recovery control message.
 func IsRecoveryTag(tag string) bool { return strings.HasPrefix(tag, "RB_") }
 

@@ -15,12 +15,13 @@ import (
 // directory, so hosts with their own disks collect as well as one shared
 // datadir does.
 //
-// dsnTag is the report's control tag, sent as a literal (it is not in the
-// wire's tag table, so the format does not change). The payload is an
-// ordinary core.CtlMsg whose Csn is the sender's committed watermark, and
-// the envelope's Epoch is the epoch that watermark belongs to: the one of
-// the sender's last durable truncation (its start epoch before any).
-const dsnTag = "DSN"
+// dsnTag (protocol.TagDSN) is the report's control tag, a code in the
+// wire's tag table. The payload is an ordinary core.CtlMsg whose Csn is
+// the sender's committed watermark, and the envelope's Epoch is the epoch
+// that watermark belongs to: the one of the sender's last durable
+// truncation (its start epoch before any). The sender is the connection
+// the report arrived on.
+const dsnTag = protocol.TagDSN
 
 // heardSeq is a committed watermark and the epoch it belongs to.
 type heardSeq struct{ epoch, seq int }
@@ -39,7 +40,7 @@ func (n *Node) enableGC() {
 // the storage goroutine, which owns what the node has heard.
 func (n *Node) onDurableReport(v *protocol.Envelope) {
 	m, ok := v.Payload.(*core.CtlMsg)
-	if !ok || n.heard == nil || v.Src < 0 || v.Src >= n.cfg.N || v.Src == n.cfg.ID {
+	if !ok || n.heard == nil {
 		return
 	}
 	src, h := v.Src, heardSeq{v.Epoch, m.Csn}

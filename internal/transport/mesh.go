@@ -576,18 +576,18 @@ func jitterSeed(seed int64, id, peer int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// The hello frame opens every connection in both directions, the dialer's
-// first and the acceptor's in reply: a 1-byte version, then the sender's
-// process id and its mesh's incarnation as uvarints, framed like any other
-// payload. The version names the whole connection format — framing and
-// wire.VersionLatest — so a peer of an older build is refused here, before
-// any frame of its is misread (DESIGN.md §13.1).
-const helloVersion = 4
-
-// writeHello frames and writes the hello; it runs once per established
-// connection and side, so its small buffer is off the steady-state write path.
+// writeHello frames and writes the hello that opens every connection in
+// both directions, the dialer's first and the acceptor's in reply: a
+// 1-byte version, then the sender's process id and its mesh's incarnation
+// as uvarints, framed like any other payload. The version is
+// wire.VersionLatest and names the whole connection format, framing
+// included; frames do not repeat it. A peer of another build is refused
+// here, before any frame of its is misread, and the id is the Src of every
+// frame the connection carries (DESIGN.md §13.1). The hello runs once per
+// established connection and side, so its small buffer is off the
+// steady-state write path.
 func writeHello(c net.Conn, id int, incarnation uint64) error {
-	buf := binary.AppendUvarint([]byte{helloVersion}, uint64(id))
+	buf := binary.AppendUvarint([]byte{wire.VersionLatest}, uint64(id))
 	return writeFrame(c, binary.AppendUvarint(buf, incarnation))
 }
 
@@ -596,7 +596,7 @@ func readHello(c io.Reader, n int) (id int, incarnation uint64, err error) {
 	if err != nil {
 		return -1, 0, err
 	}
-	if len(frame) < 3 || frame[0] != helloVersion {
+	if len(frame) < 3 || frame[0] != wire.VersionLatest {
 		return -1, 0, fmt.Errorf("transport: bad hello frame")
 	}
 	src, k := binary.Uvarint(frame[1:])

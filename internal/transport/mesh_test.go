@@ -167,7 +167,7 @@ func TestMeshByteConservation(t *testing.T) {
 func TestUnframeableFrameDropped(t *testing.T) {
 	var mu sync.Mutex
 	var got []*protocol.Envelope
-	dec := new(wire.Decoder) // one connection, 0 -> 1
+	dec := wire.NewDecoder(0, 1) // one connection, 0 -> 1
 	meshes := meshRig(t, 2, func(int) func(int, []byte) {
 		return func(_ int, frame []byte) {
 			e, err := dec.DecodeOwned(frame)
@@ -185,9 +185,9 @@ func TestUnframeableFrameDropped(t *testing.T) {
 
 	req := func(id int64) *protocol.Envelope {
 		return &protocol.Envelope{ID: id, Src: 0, Dst: 1, Kind: protocol.KindCtl,
-			CtlTag: core.TagREQ, Bytes: 8, SentAt: 5, Payload: core.CtlMsg{Csn: 3}}
+			CtlTag: core.TagREQ, Payload: core.CtlMsg{Csn: 3}}
 	}
-	big := &protocol.Envelope{ID: 1, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: protocol.TagRbLine, SentAt: 5}
+	big := &protocol.Envelope{ID: 1, Src: 0, Dst: 1, Kind: protocol.KindCtl, CtlTag: protocol.TagRbLine}
 	for seqs := MaxFrame - 64; ; seqs++ {
 		big.Payload = protocol.RbMsg{Seqs: make([]int, seqs)}
 		if b, err := wire.Encode(big); err != nil {
@@ -481,11 +481,12 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// TestHelloVersion3Refused: a peer of the format-3 build frames its hello
-// exactly as this one does, with version byte 3; it is refused at the
-// hello, before any of its frames could be misread as format 4.
+// TestHelloVersion3Refused: a peer of the format-4 or format-3 build frames
+// its hello exactly as this one does, with version byte 4 or 3; it is
+// refused at the hello, before any of its frames could be misread as
+// format 5, which has no version byte of its own.
 func TestHelloVersion3Refused(t *testing.T) {
-	for ver, ok := range map[byte]bool{helloVersion: true, 3: false} {
+	for ver, ok := range map[byte]bool{wire.VersionLatest: true, 4: false, 3: false} {
 		var b bytes.Buffer
 		if err := writeFrame(&b, []byte{ver, 1, 7}); err != nil { // id 1, incarnation 7
 			t.Fatal(err)

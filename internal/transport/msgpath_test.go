@@ -206,6 +206,51 @@ func TestStalledDeliveryOwnsEnvelope(t *testing.T) {
 	}
 }
 
+// TestFrameSrcIsTheConnection: an envelope's sender is the process the
+// connection's hello named, whatever the envelope a frame was encoded from
+// claimed. A peer whose hello says P1 sends an envelope with Src 2, and the
+// node delivers it as from P1.
+func TestFrameSrcIsTheConnection(t *testing.T) {
+	lns, addrs := listenLocal(t, 3)
+	lns[2].Close() // P2 is down: the only connection into P0 is P1's
+	proto := &stallProto{}
+	node, err := NewNode(NodeConfig{
+		ID: 0, N: 3, Addrs: addrs, Listener: lns[0], Seed: 1, Resume: -1,
+		Proto: proto, App: nopApp{},
+		Rec: trace.NewRecorder(), Ckpts: checkpoint.NewStore(3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewMesh(MeshConfig{ID: 1, Addrs: addrs, Seed: 1}, lns[1],
+		func(int) func([]byte) { return func([]byte) {} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Start()
+	peer.Start()
+	defer node.Close()
+	defer peer.Close()
+
+	e := &protocol.Envelope{
+		ID: 1000, Src: 2, Dst: 0, Kind: protocol.KindApp,
+		App:     protocol.AppMsg{Seq: 1, Bytes: 8, Tag: 7},
+		Payload: core.Piggyback{Csn: 1, TentSet: protocol.NewProcSet(3)},
+	}
+	frame, err := wire.Encode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.Send(0, wire.RawFrame(frame))
+	waitFor(t, 10*time.Second, func() bool { return proto.arrived.Load() == 1 })
+	got := make(chan []string, 1)
+	node.Post(func() { got <- proto.got })
+	e.Src = 1
+	if g, want := <-got, []string{describe(e)}; !reflect.DeepEqual(g, want) {
+		t.Fatalf("delivered %v, want %v", g, want)
+	}
+}
+
 // TestTimerHeapOrder: whatever the interleaving of pushes and pops, the
 // heap behind Node.After hands entries out in deadline order, every one of
 // them once.

@@ -335,9 +335,11 @@ func (n *Node) enqueue(it inboxItem) {
 // acceptConn builds one inbound connection's frame handler around a
 // private stateful decoder: delta frames decode against exactly that
 // connection's frame stream, and a reconnect gets a fresh decoder just
-// as the sender's PeerEncoder resets its delta base.
+// as the sender's PeerEncoder resets its delta base. Every envelope it
+// decodes is from src, the process the connection's hello named, to this
+// node: frames do not carry either end.
 func (n *Node) acceptConn(src int) func(frame []byte) {
-	dec := new(wire.Decoder)
+	dec := wire.NewDecoder(src, n.cfg.ID)
 	return func(frame []byte) { n.onFrame(dec, frame) }
 }
 

@@ -176,10 +176,10 @@ func flipped(e *protocol.Envelope) *protocol.Envelope {
 }
 
 // TestDecodeZeroAlloc: steady-state decode of app-message frames — full
-// piggyback blocks, delta blocks, and ACK control frames — performs zero
-// allocations with the view-returning Decode.
+// piggyback blocks, delta blocks, unchanged piggybacks, and ACK control
+// frames — performs zero allocations with the view-returning Decode.
 func TestDecodeZeroAlloc(t *testing.T) {
-	full, delta := v2ChainFrames(t)
+	full, delta, same := v2ChainFrames(t)
 	dec := new(Decoder)
 	if _, err := dec.Decode(full); err != nil {
 		t.Fatal(err)
@@ -191,6 +191,11 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	})
 	allocsPerRun(t, "Decoder.Decode(piggyback delta)", 0, func() {
 		if _, err := dec.Decode(delta); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocsPerRun(t, "Decoder.Decode(unchanged piggyback)", 0, func() {
+		if _, err := dec.Decode(same); err != nil {
 			t.Fatal(err)
 		}
 	})

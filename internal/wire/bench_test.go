@@ -98,7 +98,7 @@ func BenchmarkWireEncode(b *testing.B) {
 // frames, view-returning (hot path) and owned (engine boundary), and per
 // frame kind on one connection's stream.
 func BenchmarkWireDecode(b *testing.B) {
-	full, delta := v2ChainFrames(b)
+	full, delta, _ := v2ChainFrames(b)
 
 	b.Run("view-full", func(b *testing.B) {
 		dec := new(Decoder)

@@ -12,8 +12,10 @@ import (
 // the decoder, and the codes it does not refuse as unknown must be exactly
 // the codes that encoding sampleEnvelopes() produces — stateless, and
 // through a PeerEncoder that sends each sample twice, so a repeated
-// piggyback takes its delta form. A codec arm that no sample exercises
-// fails here, and so does a sample whose payload the codec cannot encode.
+// piggyback takes its one-byte form, then once with a tentSet bit flipped,
+// so it takes its delta form where that is shorter. A codec arm that no
+// sample exercises fails here, and so does a sample whose payload the
+// codec cannot encode.
 func TestPayloadRegistryComplete(t *testing.T) {
 	var lay layout
 	header, err := appendHeader(nil, &protocol.Envelope{Src: 0, Dst: 1}, &lay)
@@ -40,7 +42,7 @@ func TestPayloadRegistryComplete(t *testing.T) {
 		}
 		h, _ := appendHeader(nil, e, &lay)
 		produced[b[len(h)]] = true
-		for range 2 {
+		for _, e := range []*protocol.Envelope{e, e, flipped(e)} {
 			if err := enc.EncodeFrame(f, e); err != nil {
 				t.Fatal(err)
 			}

@@ -24,9 +24,9 @@ const corpusDirV2 = "testdata/fuzz/FuzzDecodeV2"
 
 // corpusEntries returns the minimized corpus: the canonical encodings of
 // every sample envelope plus the interesting malformed shapes the fuzzer
-// found worth keeping — truncations, bad versions (the retired v1 and v3
-// among them), trailing garbage, a tag code past the table, an unknown
-// payload discriminator, an oversized control-tag length, and stream
+// found worth keeping — truncations, trailing garbage, a tag code past the
+// table, an unknown payload discriminator, an oversized control-tag
+// length, an unchanged piggyback with no base to repeat, and stream
 // frames, which the stateless decoder refuses.
 func corpusEntries(t testing.TB) [][]byte {
 	var entries [][]byte
@@ -42,21 +42,21 @@ func corpusEntries(t testing.TB) [][]byte {
 			entries = append(entries, b[:2])           // header only
 		}
 	}
-	full, delta := v2ChainFrames(t)
+	full, delta, same := v2ChainFrames(t)
 	entries = append(entries,
-		[]byte{},                     // empty frame
-		[]byte{VersionLatest},        // version byte only
-		[]byte{0, 0},                 // version 0
-		[]byte{1, 0},                 // the retired v1
-		[]byte{VersionLatest - 1, 0}, // the retired v3
-		[]byte{VersionLatest + 1, 0}, // the next version
-		[]byte{VersionLatest, 9 << tagShift, 0, 0, 0, 0}, // a tag code past the table
-		[]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 9},    // unknown payload discriminator
+		[]byte{},     // empty frame
+		[]byte{0},    // header byte only
+		[]byte{0, 0}, // header byte and epoch
+		[]byte{byte(len(ctlTags)) << tagShift, 0, 0}, // a tag code past the table
+		[]byte{0, 0, 0, 9},                           // unknown payload discriminator
+		[]byte{0, 0, 0, ptPiggybackSame},             // unchanged piggyback, stateless
 		// A literal control tag whose length varint is far beyond MaxCtlTag.
-		[]byte{VersionLatest, flagCtl | tagLiteral<<tagShift, 0, 0, 0, 0, 0xff, 0xff, 0x7f},
+		[]byte{flagCtl | tagLiteral<<tagShift, 0, 0xff, 0xff, 0x7f},
 		full,                 // stream frame (stateless decode: ErrDeltaBase)
 		delta,                // piggyback delta block, likewise
 		delta[:len(delta)-1], // truncated delta block
+		same,                 // unchanged piggyback, likewise
+		same[:len(same)-1],   // the same frame without its payload block
 	)
 	return entries
 }
@@ -80,12 +80,11 @@ func recordCorpusEntries() [][]byte {
 
 // corpusEntriesV2 returns the frame streams seeding FuzzDecodeV2: a
 // connection's stream frames, stateless frames, and the interesting broken
-// streams — a delta without its base, a base of another kind or epoch,
-// corrupted and truncated frames before a good one, raw frames mid-stream,
-// header fields that go backwards, and a frame restamped with the retired
-// version.
+// streams — a delta or an unchanged piggyback without its base, a base of
+// another kind or epoch, corrupted and truncated frames before a good one,
+// raw frames mid-stream, and header fields that go backwards.
 func corpusEntriesV2(t testing.TB) [][]byte {
-	full, delta := v2ChainFrames(t)
+	full, delta, same := v2ChainFrames(t)
 	samples := sampleEnvelopes()
 	var stateless [][]byte
 	for _, e := range samples {
@@ -104,7 +103,6 @@ func corpusEntriesV2(t testing.TB) [][]byte {
 	}
 	corrupt := append([]byte(nil), delta...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	v3 := append([]byte{VersionLatest - 1}, full[1:]...)
 	return [][]byte{
 		joinStream(streamFrames(t, samples...)...),          // every shape, one connection
 		joinStream(stateless...),                            // stateless frames only
@@ -116,8 +114,10 @@ func corpusEntriesV2(t testing.TB) [][]byte {
 		joinStream(full, delta[:len(delta)-2], delta),       // truncated delta, then the same delta whole
 		joinStream(delta, full),                             // delta first, then recover
 		joinStream(full, stateless[0], stateless[2], delta), // raw frames mid-stream
-		joinStream(streamFrames(t, backwards...)...),        // ID, SentAt, seqs, link floor going backwards
-		joinStream(full, v3),                                // the retired v3
+		joinStream(streamFrames(t, backwards...)...),        // ID, seqs, link floor going backwards
+		joinStream(full, delta, same, same),                 // unchanged piggybacks on their base
+		joinStream(same, full),                              // unchanged piggyback without base, then recover
+		joinStream(streamFrames(t, e5)[0], same),            // unchanged piggyback on a base of another epoch
 	}
 }
 

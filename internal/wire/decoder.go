@@ -2,15 +2,15 @@ package wire
 
 import (
 	"ocsml/internal/core"
-	"ocsml/internal/des"
 	"ocsml/internal/protocol"
 )
 
-// Decoder parses the frames of one connection. It keeps the
-// per-connection base stream frames decode against (the header fields of
-// the last stream frame and the last piggyback it carried) and reuses its
-// own storage across calls, so the steady-state decode of an application
-// frame performs no allocations.
+// Decoder parses the frames of one connection. Every envelope it returns
+// takes Src and Dst from the connection's two ends, which frames do not
+// carry. It keeps the per-connection base stream frames decode against
+// (the header fields of the last stream frame and the last piggyback it
+// carried) and reuses its own storage across calls, so the steady-state
+// decode of an application frame performs no allocations.
 //
 // Decode returns a view: the envelope and its payload point into the
 // decoder and stay valid only until the next Decode/DecodeOwned call.
@@ -18,8 +18,10 @@ import (
 // payloads the protocols assert on. A Decoder is not safe for
 // concurrent use; the transport runs one per inbound connection.
 //
-// The zero Decoder is ready to use.
+// The zero Decoder is ready to use; its envelopes read 0 -> 0.
 type Decoder struct {
+	src, dst int
+
 	r    reader
 	env  protocol.Envelope
 	cur  core.Piggyback
@@ -40,6 +42,12 @@ type Decoder struct {
 	stateless bool // the package-level Decode: no base, stream frames refused
 }
 
+// NewDecoder returns the Decoder of a connection from process src to
+// process dst.
+func NewDecoder(src, dst int) *Decoder {
+	return &Decoder{src: src, dst: dst}
+}
+
 // Decode parses one envelope from data. The entire input must be
 // consumed: trailing bytes are an error (frames are already delimited
 // by the transport's length prefix). Corrupt input returns an error,
@@ -52,13 +60,6 @@ type Decoder struct {
 func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	d.r = reader{b: data}
 	r := &d.r
-	ver, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != VersionLatest {
-		return nil, errf("%w: got %d, want %d", ErrVersion, ver, VersionLatest)
-	}
 	flags, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -74,19 +75,7 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 		base = d.base
 	}
 	e := &d.env
-	*e = protocol.Envelope{Kind: protocol.Kind(flags & flagCtl)}
-	src, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	dst, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if src > protocol.MaxUniverse || dst > protocol.MaxUniverse {
-		return nil, errf("wire: endpoint out of range %d->%d", src, dst)
-	}
-	e.Src, e.Dst = int(src), int(dst)
+	*e = protocol.Envelope{Src: d.src, Dst: d.dst, Kind: protocol.Kind(flags & flagCtl)}
 	epoch, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -95,9 +84,6 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 		return nil, errf("wire: epoch %d out of range", epoch)
 	}
 	e.Epoch = int(epoch)
-	if e.Bytes, err = r.varint(); err != nil {
-		return nil, err
-	}
 	switch code := int(flags >> tagShift); {
 	case code < len(ctlTags):
 		e.CtlTag = ctlTags[code]
@@ -122,11 +108,6 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 		return nil, err
 	}
 	e.ID = base.id + id
-	sentAt, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
-	e.SentAt = des.Time(base.sentAt + sentAt)
 	app := flags&flagApp != 0
 	if app {
 		seq, err := r.varint()
@@ -158,7 +139,7 @@ func (d *Decoder) Decode(data []byte) (*protocol.Envelope, error) {
 	}
 	// The stream frame decoded in full: it becomes the connection's base,
 	// and so does its piggyback (absolute or reconstructed from a delta).
-	d.base.move(header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}, app, link)
+	d.base.move(header{id: e.ID, seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}, app, link)
 	if _, ok := e.Payload.(*core.Piggyback); ok {
 		d.prev.Csn = d.cur.Csn
 		d.prev.Stat = d.cur.Stat
@@ -222,8 +203,8 @@ func decodeLink(r *reader, base header) (protocol.Link, error) {
 
 // decodePayload parses the payload block into the decoder's reusable
 // payload storage and returns a pointer view of it. In a stream frame the
-// delta block reconstructs an absolute piggyback from the connection's
-// base.
+// delta block and the unchanged-piggyback byte reconstruct an absolute
+// piggyback from the connection's base.
 func decodePayload(r *reader, d *Decoder, stream bool) (any, error) {
 	pt, err := r.byte()
 	if err != nil {
@@ -308,12 +289,17 @@ func decodePayload(r *reader, d *Decoder, stream bool) (any, error) {
 		}
 		d.rb = protocol.RbMsg{Round: round, Line: int(line), Epoch: int(epoch), Seqs: seqs}
 		return &d.rb, nil
-	case ptPiggybackDelta:
-		if !stream || !d.prevOK {
-			return nil, ErrDeltaBase
+	case ptPiggybackSame:
+		if err := d.hasBase(stream); err != nil {
+			return nil, err
 		}
-		if d.env.Epoch != d.prevEpoch {
-			return nil, errf("%w: base epoch %d, frame epoch %d", ErrDeltaBase, d.prevEpoch, d.env.Epoch)
+		d.cur.Csn = d.prev.Csn
+		d.cur.Stat = d.prev.Stat
+		d.cur.TentSet.CopyFrom(d.prev.TentSet)
+		return &d.cur, nil
+	case ptPiggybackDelta:
+		if err := d.hasBase(stream); err != nil {
+			return nil, err
 		}
 		dcsn, err := r.varint()
 		if err != nil {
@@ -375,6 +361,18 @@ func decodePayload(r *reader, d *Decoder, stream bool) (any, error) {
 	default:
 		return nil, errf("%w: %d", ErrPayload, pt)
 	}
+}
+
+// hasBase refuses a piggyback coded against the connection's base unless
+// the frame is a stream frame and the base is a piggyback of its epoch.
+func (d *Decoder) hasBase(stream bool) error {
+	if !stream || !d.prevOK {
+		return ErrDeltaBase
+	}
+	if d.env.Epoch != d.prevEpoch {
+		return errf("%w: base epoch %d, frame epoch %d", ErrDeltaBase, d.prevEpoch, d.env.Epoch)
+	}
+	return nil
 }
 
 // internTag maps a literal control tag onto its constant in ctlTags, so

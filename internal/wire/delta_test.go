@@ -27,27 +27,27 @@ func pbEnvelope(id int, epoch int, pb core.Piggyback) *protocol.Envelope {
 // arbitrary sequence of piggybacks pushed through the delta path
 // (Encoder -> PeerEncoder -> stateful Decoder), with reconnects, epoch
 // bumps, and universe changes interleaved, must decode to exactly the
-// absolute envelopes that the stateless codec round-trips — and
-// PeerEncoder.EncodedSize must predict every appended frame's length,
-// full-block fallbacks included.
+// absolute envelopes that the stateless codec round-trips, on the
+// connection's ends — and PeerEncoder.EncodedSize must predict every
+// appended frame's length, full-block fallbacks included.
 func TestDeltaChainMatchesAbsolute(t *testing.T) {
 	rng := rand.New(rand.NewSource(9157))
 	var enc Encoder
 	var pe PeerEncoder
-	dec := new(Decoder)
+	dec := NewDecoder(0, 1)
 	f := AcquireFrame()
 	defer f.Release()
 
 	n := 24
 	pb := core.Piggyback{TentSet: protocol.NewProcSet(n)}
 	epoch := 0
-	deltas, fulls := 0, 0
+	deltas, sames, fulls := 0, 0, 0
 	var stream []byte
 	for i := 0; i < 500; i++ {
 		switch ev := rng.Intn(20); {
 		case ev == 0: // reconnect: both sides restart
 			pe.Reset()
-			dec = new(Decoder)
+			dec = NewDecoder(0, 1)
 		case ev == 1: // cluster-wide rollback bumps the epoch
 			epoch++
 		case ev == 2: // membership change: new universe, no delta exists
@@ -75,13 +75,17 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 			t.Fatalf("step %d: encode: %v", i, err)
 		}
 		want := pe.EncodedSize(f)
-		stream, _ = pe.AppendFrame(stream[:0], f)
+		var pbLen int
+		stream, pbLen = pe.AppendFrame(stream[:0], f)
 		if len(stream) != want {
 			t.Fatalf("step %d: EncodedSize predicted %d, AppendFrame wrote %d", i, want, len(stream))
 		}
-		if len(stream) < f.Len() {
+		switch {
+		case pbLen == 1:
+			sames++
+		case len(stream) < f.Len():
 			deltas++
-		} else {
+		default:
 			fulls++
 		}
 
@@ -89,8 +93,8 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("step %d: chain decode mismatch:\n got %#v\nwant %#v", i, got, e)
+		if want := onWire(e, 0, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: chain decode mismatch:\n got %#v\nwant %#v", i, got, want)
 		}
 		// The same envelope through the stateless v1 codec must agree.
 		v1, err := Encode(e)
@@ -101,23 +105,23 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: v1 decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, abs) {
-			t.Fatalf("step %d: delta chain and v1 disagree:\n got %#v\nwant %#v", i, got, abs)
+		if want := onWire(abs, 0, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: delta chain and v1 disagree:\n got %#v\nwant %#v", i, got, want)
 		}
 	}
-	if deltas == 0 {
-		t.Fatal("no frame was delta-encoded; the chain never exercised the v2 path")
+	if deltas == 0 || sames == 0 {
+		t.Fatalf("%d delta frames, %d unchanged piggybacks; the chain never exercised a stream form", deltas, sames)
 	}
 	if fulls == 0 {
 		t.Fatal("no full-block fallback seen; reconnect/epoch events did not fire")
 	}
-	t.Logf("chain: %d delta frames, %d full frames", deltas, fulls)
+	t.Logf("chain: %d delta frames, %d unchanged piggybacks, %d full frames", deltas, sames, fulls)
 }
 
 // TestStreamChainMatchesAbsolute is TestDeltaChainMatchesAbsolute for the
 // header deltas: one connection's traffic — app frames with piggybacks,
 // ACKs, control and recovery frames — reordered, duplicated and
-// retransmitted upstream of the writer, so that IDs, SentAt, App.Seq and
+// retransmitted upstream of the writer, so that IDs, App.Seq and
 // acknowledged IDs go backwards, with raw stateless frames interleaved,
 // resets at random points, and truncated copies of frames fed to the
 // decoder first. Every frame must decode to exactly the stateless round
@@ -127,32 +131,29 @@ func TestDeltaChainMatchesAbsolute(t *testing.T) {
 func TestStreamChainMatchesAbsolute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	envs := connectionTraffic(rng, 2000)
-	var backwards [5]int // ID, SentAt, App.Seq, link seq, link floor
+	var backwards [4]int // ID, App.Seq, link seq, link floor
 	var last header
 	for i := 1; i < len(envs); i++ {
 		e := envs[i]
 		if e.ID < last.id {
 			backwards[0]++
 		}
-		if int64(e.SentAt) < last.sentAt {
-			backwards[1]++
-		}
-		last.id, last.sentAt = e.ID, int64(e.SentAt)
+		last.id = e.ID
 		if e.App != (protocol.AppMsg{}) {
 			if e.App.Seq < last.seq {
-				backwards[2]++
+				backwards[1]++
 			}
 			last.seq = e.App.Seq
 		}
 		if e.Link != (protocol.Link{}) {
 			if e.Link.Seq != 0 {
 				if e.Link.Seq < last.linkSeq {
-					backwards[3]++
+					backwards[2]++
 				}
 				last.linkSeq = e.Link.Seq
 			}
 			if e.Link.Ack < last.linkAck {
-				backwards[4]++
+				backwards[3]++
 			}
 			last.linkAck = e.Link.Ack
 		}
@@ -346,11 +347,11 @@ func TestEncoderMatchesPackageEncode(t *testing.T) {
 		pe.Reset()
 		out, pbLen := pe.AppendFrame(nil, f)
 		stream := append([]byte(nil), want...)
-		stream[1] |= flagStream
+		stream[0] |= flagStream
 		if !bytes.Equal(out, stream) {
 			t.Fatalf("envelope %d: AppendFrame at the zero base:\n got %x\nwant %x", i, out, stream)
 		}
-		if got, err := new(Decoder).DecodeOwned(out); err != nil || !reflect.DeepEqual(got, e) {
+		if got, err := new(Decoder).DecodeOwned(out); err != nil || !reflect.DeepEqual(got, onWire(e, 0, 0)) {
 			t.Fatalf("envelope %d: stream frame decodes to %#v, %v", i, got, err)
 		}
 		if _, ok := e.Payload.(core.Piggyback); ok {
@@ -367,73 +368,19 @@ func TestEncoderMatchesPackageEncode(t *testing.T) {
 	}
 }
 
-// TestVersion3FrameRefused: a format-3 transport ACK, byte for byte as
-// that format laid it out (tag code 1 in bits 3–7, payload type 3 with the
-// acknowledged ID), is refused for its version. Restamped as format 4 it
-// still does not decode: bit 3 now announces a link block, and the bytes
-// behind it do not make one.
-func TestVersion3FrameRefused(t *testing.T) {
-	// version, ctl|code 1<<3, src 0, dst 1, epoch 0, Bytes 12, ID 7,
-	// SentAt 0, payload type 3, acknowledged ID 42.
-	v3 := []byte{3, 1 | 1<<3, 0, 1, 0, 24, 14, 0, 3, 84}
-	if _, err := Decode(v3); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-3 frame: err = %v, want ErrVersion", err)
-	}
-	if _, err := new(Decoder).Decode(v3); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-3 frame, stream decoder: err = %v, want ErrVersion", err)
-	}
-	restamped := append([]byte{VersionLatest}, v3[1:]...)
-	if e, err := Decode(restamped); err == nil {
-		t.Fatalf("a format-3 frame restamped as format %d decoded to %v", VersionLatest, e)
-	}
-}
-
-// TestDecoderRejectsOtherVersions is the version guarantee: exactly one
-// version byte decodes. A frame — stateless, stream, or piggyback delta —
-// restamped with any other version (0, the retired v1 to v3, the next
-// one) fails with ErrVersion through every decode entry point, and never
-// panics or misparses.
-func TestDecoderRejectsOtherVersions(t *testing.T) {
-	full, delta := v2ChainFrames(t)
-	plain, err := Encode(sampleEnvelopes()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ver := range []byte{0, 1, 2, VersionLatest - 1, VersionLatest + 1, 0xff} {
-		for name, frame := range map[string][]byte{"stateless": plain, "full": full, "delta": delta} {
-			bad := append([]byte{ver}, frame[1:]...)
-			dec := new(Decoder)
-			if _, err := dec.Decode(full); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := dec.Decode(bad); !errors.Is(err, ErrVersion) {
-				t.Fatalf("version %d %s: Decode err = %v, want ErrVersion", ver, name, err)
-			}
-			if _, err := dec.DecodeOwned(bad); !errors.Is(err, ErrVersion) {
-				t.Fatalf("version %d %s: DecodeOwned err = %v, want ErrVersion", ver, name, err)
-			}
-			if _, err := Decode(bad); !errors.Is(err, ErrVersion) {
-				t.Fatalf("version %d %s: stateless Decode err = %v, want ErrVersion", ver, name, err)
-			}
-		}
-	}
-	// The one emitted version is the one accepted, by every producer.
-	if plain[0] != VersionLatest || full[0] != VersionLatest || delta[0] != VersionLatest {
-		t.Fatalf("emitted versions %d/%d/%d, want %d", plain[0], full[0], delta[0], VersionLatest)
-	}
-}
-
-// TestDeltaNeedsBase: a delta frame is undecodable without the preceding
-// full block — by a fresh stateful decoder, after an epoch change, and by
-// the stateless package Decode.
+// TestDeltaNeedsBase: a delta frame and an unchanged piggyback are
+// undecodable without the preceding full block — by a fresh stateful
+// decoder, after an epoch change, and by the stateless package Decode.
 func TestDeltaNeedsBase(t *testing.T) {
-	full, delta := v2ChainFrames(t)
+	full, delta, same := v2ChainFrames(t)
 
-	if _, err := new(Decoder).Decode(delta); !errors.Is(err, ErrDeltaBase) {
-		t.Fatalf("fresh decoder: err = %v, want ErrDeltaBase", err)
-	}
-	if _, err := Decode(delta); !errors.Is(err, ErrDeltaBase) {
-		t.Fatalf("stateless Decode: err = %v, want ErrDeltaBase", err)
+	for name, frame := range map[string][]byte{"delta": delta, "unchanged": same} {
+		if _, err := new(Decoder).Decode(frame); !errors.Is(err, ErrDeltaBase) {
+			t.Fatalf("%s, fresh decoder: err = %v, want ErrDeltaBase", name, err)
+		}
+		if _, err := Decode(frame); !errors.Is(err, ErrDeltaBase) {
+			t.Fatalf("%s, stateless Decode: err = %v, want ErrDeltaBase", name, err)
+		}
 	}
 
 	// A base from another epoch is not a base.
@@ -452,6 +399,9 @@ func TestDeltaNeedsBase(t *testing.T) {
 	}
 	if _, err := dec.Decode(delta); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("cross-epoch delta: err = %v, want ErrDeltaBase", err)
+	}
+	if _, err := dec.Decode(same); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("cross-epoch unchanged piggyback: err = %v, want ErrDeltaBase", err)
 	}
 	if _, err := new(Decoder).Decode(full); err != nil {
 		t.Fatalf("full frame needs no base, got %v", err)
@@ -501,10 +451,10 @@ func TestEpochBumpForcesFullBlock(t *testing.T) {
 	}
 }
 
-// v2ChainFrames returns the first two stream frames one PeerEncoder
-// emits: a full piggyback frame, and one whose piggyback is a delta
-// against it.
-func v2ChainFrames(t testing.TB) (full, delta []byte) {
+// v2ChainFrames returns the first three stream frames one PeerEncoder
+// emits: a full piggyback frame, one whose piggyback is a delta against
+// it, and one that repeats the second's piggyback in one byte.
+func v2ChainFrames(t testing.TB) (full, delta, same []byte) {
 	t.Helper()
 	var enc Encoder
 	var pe PeerEncoder
@@ -527,5 +477,12 @@ func v2ChainFrames(t testing.TB) (full, delta []byte) {
 	if len(delta) >= len(full) {
 		t.Fatalf("second frame (%d bytes) was not delta-encoded against the first (%d bytes)", len(delta), len(full))
 	}
-	return full, delta
+	if err := enc.EncodeFrame(f, pbEnvelope(3, 0, core.Piggyback{Csn: 4, Stat: core.Tentative, TentSet: next})); err != nil {
+		t.Fatal(err)
+	}
+	same, pb := pe.AppendFrame(nil, f)
+	if pb != 1 {
+		t.Fatalf("third frame carries a %d-byte piggyback block, want the unchanged piggyback's 1", pb)
+	}
+	return full, delta, same
 }

@@ -27,7 +27,7 @@ func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 		f.data = f.data[:0]
 		return err
 	}
-	f.hdr = header{id: e.ID, sentAt: int64(e.SentAt), seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}
+	f.hdr = header{id: e.ID, seq: e.App.Seq, linkSeq: e.Link.Seq, linkAck: e.Link.Ack}
 	f.mask = e.Link.Mask
 	var pb *core.Piggyback
 	switch p := e.Payload.(type) {
@@ -57,9 +57,10 @@ func (enc *Encoder) EncodeFrame(f *Frame, e *protocol.Envelope) error {
 // PeerEncoder is the stream state of one peer connection: the header
 // fields and the piggyback of the last frame written on it. It rewrites
 // every encoded frame into a stream frame — header fields as deltas
-// against that base, the piggyback as a delta block when that is strictly
-// smaller — and must be Reset on every (re)connect, because the receiving
-// Decoder starts from the zero base.
+// against that base, the piggyback as one byte when it equals the base's
+// and as a delta block when that is strictly smaller — and must be Reset
+// on every (re)connect, because the receiving Decoder starts from the
+// zero base.
 //
 // The state advances only on AppendFrame, i.e. only for bytes actually
 // handed to the connection's writer, so dropped, duplicated or reordered
@@ -89,7 +90,7 @@ func (pe *PeerEncoder) AppendFrame(dst []byte, f *Frame) ([]byte, int) {
 		return append(dst, f.data...), 0
 	}
 	dst, pb := pe.appendStream(dst, f)
-	pe.base.move(f.hdr, f.data[1]&flagApp != 0, f.data[1]&flagLink != 0)
+	pe.base.move(f.hdr, f.data[0]&flagApp != 0, f.data[0]&flagLink != 0)
 	if f.data[f.lay.pay] == ptPiggyback {
 		pe.has = true
 		pe.epoch = f.epoch
@@ -112,27 +113,29 @@ func (pe *PeerEncoder) EncodedSize(f *Frame) int {
 
 // appendStream appends f's stream encoding — its stateless bytes with the
 // stream flag set and the header fields (the link block's included) as
-// deltas against the base, the piggyback as a delta block when that is
-// smaller — and returns the piggyback bytes it wrote. It does not move the
-// base.
+// deltas against the base, the piggyback as one byte when it equals the
+// base's and as a delta block when that is smaller — and returns the
+// piggyback bytes it wrote. It does not move the base.
 func (pe *PeerEncoder) appendStream(dst []byte, f *Frame) ([]byte, int) {
 	b, lay := f.data, f.lay
 	start := len(dst)
 	dst = append(dst, b[:lay.vary]...)
-	dst[start+1] |= flagStream
+	dst[start] |= flagStream
 	dst = binary.AppendVarint(dst, f.hdr.id-pe.base.id)
-	dst = binary.AppendVarint(dst, f.hdr.sentAt-pe.base.sentAt)
-	if b[1]&flagApp != 0 {
+	if b[0]&flagApp != 0 {
 		dst = binary.AppendVarint(dst, f.hdr.seq-pe.base.seq)
 		dst = append(dst, b[lay.app:lay.link]...)
 	}
-	if b[1]&flagLink != 0 {
+	if b[0]&flagLink != 0 {
 		dst = appendLink(dst, f.hdr.linkSeq, f.hdr.linkAck, f.mask, pe.base)
 	}
 	if b[lay.pay] == ptPiggyback {
 		full := len(b) - lay.pay
 		mark := len(dst)
 		if pe.has && pe.epoch == f.epoch && pe.delta.From(pe.pb, f.pb) {
+			if pe.delta.DCsn == 0 && pe.delta.Stat == pe.pb.Stat && len(pe.delta.Flips) == 0 {
+				return append(dst, ptPiggybackSame), 1
+			}
 			dst = pe.appendDelta(dst)
 			if n := len(dst) - mark; n < full {
 				return dst, n

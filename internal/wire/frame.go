@@ -21,7 +21,7 @@ type Frame struct {
 
 	coded  bool   // the sidecar below is valid (false: a RawFrame)
 	lay    layout // where data's parts start
-	hdr    header // ID, SentAt, App.Seq, link seq and floor, absolute
+	hdr    header // ID, App.Seq, link seq and floor, absolute
 	mask   uint64 // the link block's mask
 	epoch  int
 	pb     core.Piggyback // absolute piggyback (storage reused across encodes)
@@ -36,7 +36,7 @@ func (f *Frame) Bytes() []byte { return f.data }
 // Len returns the stateless encoding's length in bytes. The stream
 // rewrite of PeerEncoder.AppendFrame usually shortens a frame, but can
 // lengthen it by up to MaxStreamGrowth bytes when a header field lies far
-// from its base (an ID, SentAt, seq or link field that went backwards
+// from its base (an ID, seq or link field that went backwards
 // upstream of the writer).
 func (f *Frame) Len() int { return len(f.data) }
 

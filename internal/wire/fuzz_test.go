@@ -21,8 +21,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{VersionLatest})
-	f.Add([]byte{VersionLatest, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0, 0, ptPiggyback})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := Decode(raw)
@@ -68,17 +68,18 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzDecodeV2 is the stream fuzzer of the format: an arbitrary frame
 // sequence, each frame behind its uvarint length as on a connection,
 // through one stateful Decoder — stream frames, stateless frames, deltas
-// with and without their base, and garbage. Nothing panics; the view
-// decoder and an owned decoder fed the same frames agree on every frame;
-// whatever decodes carries the one supported version byte and
-// canonicalizes: a stateless re-encode of the owned envelope round-trips.
+// and unchanged piggybacks with and without their base, and garbage.
+// Nothing panics; the view decoder and an owned decoder fed the same
+// frames agree on every frame; whatever decodes is from the connection's
+// source to its destination and canonicalizes: a stateless re-encode of
+// the owned envelope round-trips.
 func FuzzDecodeV2(f *testing.F) {
 	for _, s := range corpusEntriesV2(f) {
 		f.Add(s)
 	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		viewDec, ownDec := new(Decoder), new(Decoder)
+		viewDec, ownDec := NewDecoder(2, 3), NewDecoder(2, 3)
 		for i, frame := range splitStream(stream) {
 			v, err := viewDec.Decode(frame)
 			e, errOwned := ownDec.DecodeOwned(frame)
@@ -88,8 +89,8 @@ func FuzzDecodeV2(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if frame[0] != VersionLatest {
-				t.Fatalf("frame %d: decoder accepted version byte %d", i, frame[0])
+			if e.Src != 2 || e.Dst != 3 {
+				t.Fatalf("frame %d: decoded %d -> %d on the connection 2 -> 3", i, e.Src, e.Dst)
 			}
 			if got := v.Owned(); !reflect.DeepEqual(got, e) {
 				t.Fatalf("frame %d: view and owned decodes disagree:\n view %#v\nowned %#v", i, got, e)
@@ -102,8 +103,8 @@ func FuzzDecodeV2(f *testing.F) {
 			if err != nil {
 				t.Fatalf("frame %d: re-decode failed: %v", i, err)
 			}
-			if !reflect.DeepEqual(e, again) {
-				t.Fatalf("frame %d: round trip changed envelope:\n got %#v\nwant %#v", i, again, e)
+			if want := onWire(e, 0, 0); !reflect.DeepEqual(again, want) {
+				t.Fatalf("frame %d: round trip changed envelope:\n got %#v\nwant %#v", i, again, want)
 			}
 		}
 	})

@@ -67,7 +67,8 @@ func randomEnvelope(rng *rand.Rand) *protocol.Envelope {
 
 // TestEncodedSizePropertyRandomized is the stateless size property: for
 // randomized envelopes, PayloadSize must account exactly for the payload
-// suffix of what Encode produces, and the round trip must be lossless. The
+// suffix of what Encode produces, and the round trip must lose nothing but
+// what a frame does not carry (onWire). The
 // stream extension of this property — PeerEncoder.EncodedSize against
 // AppendFrame over one connection's frames, reconnects included — is
 // TestDeltaChainMatchesAbsolute and TestStreamChainMatchesAbsolute in
@@ -104,8 +105,8 @@ func TestEncodedSizePropertyRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("case %d: round trip changed envelope:\n got %#v\nwant %#v", i, got, e)
+		if want := onWire(e, 0, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: round trip changed envelope:\n got %#v\nwant %#v", i, got, want)
 		}
 	}
 }
@@ -129,8 +130,56 @@ func TestEncodedSizeAppendMatches(t *testing.T) {
 		if len(buf) != len(prefix)+len(b) {
 			t.Fatalf("case %d: appended %d bytes, Encode produces %d", i, len(buf)-len(prefix), len(b))
 		}
-		if got, err := Decode(buf[len(prefix):]); err != nil || !reflect.DeepEqual(got, e) {
+		if got, err := Decode(buf[len(prefix):]); err != nil || !reflect.DeepEqual(got, onWire(e, 0, 0)) {
 			t.Fatalf("case %d: suffix does not decode back: %v", i, err)
 		}
+	}
+}
+
+// TestSteadyUniformFrameSize pins what a steady-uniform message costs on
+// the wire at N = 4 with the reliable layer on: an app frame with a link
+// block (seq +1, floor +1), 256 B declared, ID +4 and App.Seq +1 against
+// the connection's previous frame, an App.Tag the size of a send time
+// twelve seconds into a run, and the piggyback of the previous frame. The
+// unchanged piggyback costs exactly one payload byte, and the whole frame
+// at most 15 B before its length prefix.
+func TestSteadyUniformFrameSize(t *testing.T) {
+	set := protocol.NewProcSet(4)
+	set.Add(1)
+	msg := func(id, seq, floor int64, now des.Time) *protocol.Envelope {
+		return &protocol.Envelope{
+			ID: 1<<40 | id, Src: 0, Dst: 1, Kind: protocol.KindApp, Bytes: 256 + 6, SentAt: now,
+			App:     protocol.AppMsg{Seq: seq, Bytes: 256, Tag: uint64(now)},
+			Link:    protocol.Link{Seq: seq, Ack: floor},
+			Payload: core.Piggyback{Csn: 40, Stat: core.Tentative, TentSet: set.Clone()},
+		}
+	}
+	first, next := msg(100, 20, 17, 12e9), msg(104, 21, 18, 12e9+3e6)
+	var enc Encoder
+	var pe PeerEncoder
+	dec := NewDecoder(0, 1)
+	f := AcquireFrame()
+	defer f.Release()
+	var frame []byte
+	var pbLen int
+	for _, e := range []*protocol.Envelope{first, next} {
+		if err := enc.EncodeFrame(f, e); err != nil {
+			t.Fatal(err)
+		}
+		frame, pbLen = pe.AppendFrame(nil, f)
+		got, err := dec.DecodeOwned(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := onWire(e, 0, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %#v, want %#v", got, want)
+		}
+	}
+	t.Logf("steady-uniform app frame: %d B, piggyback %d B", len(frame), pbLen)
+	if pbLen != 1 {
+		t.Errorf("unchanged piggyback costs %d B, want 1", pbLen)
+	}
+	if len(frame) > 15 {
+		t.Errorf("steady-uniform app frame is %d B, want <= 15", len(frame))
 	}
 }

@@ -1,36 +1,42 @@
-// Package wire is the versioned binary codec for protocol.Envelope — the
+// Package wire is the binary codec for protocol.Envelope — the
 // serialization layer of the real-network runtime (internal/transport).
 //
-// The simulator accounts wire traffic with the synthetic Envelope.Bytes
-// field; this package produces the actual bytes, so piggyback overhead can
-// finally be measured on a real wire. The encoding is compact (varints
-// everywhere, one bit per process in the tentSet, control tags as a code
-// in the header byte) and versioned: the first byte of every frame is the
-// format version, so a node rejects a frame of any other version instead
-// of misinterpreting it. The field table is DESIGN.md §13.1.
+// A frame carries only what its receiver reads. The connection supplies
+// the rest: the format version is named once, by the hello that opens the
+// connection, and Src and Dst are the connection's two ends, which the
+// Decoder of that connection fills in. The simulator's accounting fields
+// (Envelope.Bytes, SentAt) are not encoded; no receiver on the wire reads
+// them. The encoding is compact (varints everywhere, one bit per process
+// in the tentSet, control tags as a code in the header byte). The field
+// table is DESIGN.md §13.1.
 //
 // A frame is stateless (Encode, Encoder.EncodeFrame: decodable anywhere)
 // or a stream frame, which a PeerEncoder writes onto one connection with
-// ID, SentAt, App.Seq, the link block's seq and acknowledged floor, and
-// the piggyback coded as deltas against that connection's previous
-// frames; only the connection's stateful Decoder reads it. The link block
-// (protocol.Link, the reliable layer's per-link header) is flagged by a
-// header bit, so an envelope without one spends no byte on it.
+// ID, App.Seq, the link block's seq and acknowledged floor, and the
+// piggyback coded as deltas against that connection's previous frames
+// (an unchanged piggyback as one byte); only the connection's stateful
+// Decoder reads it. The link block (protocol.Link, the reliable layer's
+// per-link header) is flagged by a header bit, so an envelope without one
+// spends no byte on it.
 //
 // Invariants:
 //
-//   - Decode(Encode(e)) reproduces e exactly (deep equality), for every
-//     envelope the protocols in this repository can emit.
+//   - Decode(Encode(e)) reproduces e (deep equality) except for the
+//     connection fields Src and Dst, which come back as the decoder's
+//     (0 and 0 for the stateless Decode and the zero Decoder), and the
+//     simulator fields Bytes and SentAt, which come back 0; this holds for
+//     every envelope the protocols in this repository can emit.
 //   - Decode never panics: truncated, corrupt or oversized input returns
 //     an error.
 //   - PayloadSize(e) is the exact number of encoded bytes attributable to
 //     the protocol payload (the OCSML piggyback block or a control
 //     message body).
 //   - A PeerEncoder's frames decode, through the Decoder of the same
-//     connection, to exactly what Decode(Encode(e)) returns, whatever was
-//     dropped, duplicated or reordered before the encoder and with
-//     stateless frames interleaved: only stream frames move a base, the
-//     encoder's when appended, the decoder's once decoded in full.
+//     connection, to exactly what that Decoder returns for Encode(e),
+//     whatever was dropped, duplicated or reordered before the encoder
+//     and with stateless frames interleaved: only stream frames move a
+//     base, the encoder's when appended, the decoder's once decoded in
+//     full.
 //   - PeerEncoder.EncodedSize(f) is exactly what the next AppendFrame(dst,
 //     f) appends, and at most f.Len()+MaxStreamGrowth.
 //
@@ -53,17 +59,16 @@ import (
 	"ocsml/internal/reliable"
 )
 
-// VersionLatest is the frame format version, the first byte of every
-// encoded envelope. It is the only version ever emitted, and a decoder
-// rejects every other version byte with ErrVersion: there is no
-// compatibility reader, so a peer of another version is refused rather
-// than misread (DESIGN.md §13.1).
-const VersionLatest = 4
+// VersionLatest is the frame format version. Frames do not carry it: the
+// hello that opens a connection does, and a peer whose hello names any
+// other version is refused before any of its frames is read. There is no
+// compatibility reader (DESIGN.md §13.1).
+const VersionLatest = 5
 
 // MaxCtlTag bounds the control-tag string length on the wire.
 const MaxCtlTag = 64
 
-// The header byte, second in every frame.
+// The header byte, first in every frame.
 const (
 	flagCtl    = 1 << 0 // Kind is KindCtl (else KindApp)
 	flagStream = 1 << 1 // a stream frame: deltas against the connection's base
@@ -91,16 +96,17 @@ const (
 var ctlTags = [...]string{
 	"", reliable.AckTag, core.TagBGN, core.TagREQ, core.TagEND,
 	protocol.TagRbBegin, protocol.TagRbLine, protocol.TagRbCommit, protocol.TagRbAck,
+	protocol.TagDSN,
 }
 
 // MaxStreamGrowth bounds how many bytes PeerEncoder.AppendFrame can add to
-// a frame's stateless length. Each of the five delta-coded fields (ID,
-// SentAt, App.Seq, the link seq and the link's acknowledged floor) is a
+// a frame's stateless length. Each of the four delta-coded fields (ID,
+// App.Seq, the link seq and the link's acknowledged floor) is a
 // varint of 1 to 10 bytes either way, so a delta against a base far from
 // the value costs at most 9 bytes more than the value; the link block's
 // presence bits and mask are the same bytes in both encodings, and the
 // piggyback rewrite only shrinks.
-const MaxStreamGrowth = 5 * (binary.MaxVarintLen64 - 1)
+const MaxStreamGrowth = 4 * (binary.MaxVarintLen64 - 1)
 
 // Payload type discriminators.
 const (
@@ -109,6 +115,7 @@ const (
 	ptCtlMsg         = 2 // core.CtlMsg
 	ptRb             = 4 // protocol.RbMsg (recovery coordinator)
 	ptPiggybackDelta = 5 // core.Piggyback as a delta against the connection's base
+	ptPiggybackSame  = 6 // core.Piggyback equal to the connection's base
 )
 
 // maxRbSeqs bounds the manifest length an RB_LINE report may carry.
@@ -118,13 +125,12 @@ const maxRbSeqs = 1 << 20
 // structural violation); none panic.
 var (
 	ErrTruncated = errors.New("wire: truncated frame")
-	ErrVersion   = errors.New("wire: unsupported frame version")
 	ErrPayload   = errors.New("wire: unknown payload type")
 	ErrTrailing  = errors.New("wire: trailing bytes after envelope")
 	// ErrDeltaBase rejects a frame that needs a base the decoder does not
 	// have: any stream frame through the stateless Decode, and a piggyback
-	// delta before a piggyback of the same epoch established the
-	// connection's base.
+	// delta or unchanged piggyback before a piggyback of the same epoch
+	// established the connection's base.
 	ErrDeltaBase = errors.New("wire: delta frame without its base")
 )
 
@@ -163,19 +169,18 @@ func Append(buf []byte, e *protocol.Envelope) ([]byte, error) {
 }
 
 // header holds the fields a stream frame codes as deltas, as values or as
-// a connection's base: ID, SentAt, App.Seq, and the link block's seq and
+// a connection's base: ID, App.Seq, and the link block's seq and
 // acknowledged floor.
 type header struct {
-	id, sentAt, seq, linkSeq, linkAck int64
+	id, seq, linkSeq, linkAck int64
 }
 
-// move advances a base past a stream frame carrying v: ID and SentAt
-// always, App.Seq only with an App block, the link's floor only with a
+// move advances a base past a stream frame carrying v: ID always, App.Seq only with an App block, the link's floor only with a
 // link block and its seq only when the block has one. The encoder and the
 // decoder of a connection both move theirs through it, so they cannot
 // disagree on the rule.
 func (b *header) move(v header, app, link bool) {
-	b.id, b.sentAt = v.id, v.sentAt
+	b.id = v.id
 	if app {
 		b.seq = v.seq
 	}
@@ -216,13 +221,10 @@ func appendLink(buf []byte, seq, ack int64, mask uint64, base header) []byte {
 	return buf
 }
 
-// appendHeader writes the version byte and the envelope header (all
-// fields up to but excluding the payload block) against the zero base,
-// and records where its parts start in lay.
+// appendHeader writes the envelope header (all fields up to but excluding
+// the payload block) against the zero base, and records where its parts
+// start in lay.
 func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error) {
-	if e.Src < 0 || e.Dst < 0 {
-		return nil, errf("wire: negative endpoint %d->%d", e.Src, e.Dst)
-	}
 	if e.Kind > protocol.KindCtl {
 		return nil, errf("wire: invalid kind %d", e.Kind)
 	}
@@ -250,18 +252,14 @@ func appendHeader(buf []byte, e *protocol.Envelope, lay *layout) ([]byte, error)
 	if e.Link != (protocol.Link{}) {
 		flags |= flagLink
 	}
-	buf = append(buf, VersionLatest, flags)
-	buf = binary.AppendUvarint(buf, uint64(e.Src))
-	buf = binary.AppendUvarint(buf, uint64(e.Dst))
+	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(e.Epoch))
-	buf = binary.AppendVarint(buf, e.Bytes)
 	if code == tagLiteral {
 		buf = binary.AppendUvarint(buf, uint64(len(e.CtlTag)))
 		buf = append(buf, e.CtlTag...)
 	}
 	lay.vary = len(buf) - start
 	buf = binary.AppendVarint(buf, e.ID)
-	buf = binary.AppendVarint(buf, int64(e.SentAt))
 	if flags&flagApp != 0 {
 		buf = binary.AppendVarint(buf, e.App.Seq)
 		lay.app = len(buf) - start
@@ -396,8 +394,8 @@ func (r *reader) bytes(n int) ([]byte, error) {
 //
 // Decode is stateless, so it accepts any stateless frame but rejects
 // stream frames with ErrDeltaBase; those need the connection-scoped
-// Decoder that tracked the base. Payloads come back in their canonical
-// value forms.
+// Decoder that tracked the base. It knows no connection, so Src and Dst
+// come back 0. Payloads come back in their canonical value forms.
 func Decode(data []byte) (*protocol.Envelope, error) {
 	d := Decoder{stateless: true}
 	return d.DecodeOwned(data)

@@ -55,6 +55,18 @@ func sampleEnvelopes() []*protocol.Envelope {
 	}
 }
 
+// onWire is what a Decoder of the connection src -> dst returns for e: e
+// with the connection's two ends, and without the simulator fields a frame
+// does not carry.
+func onWire(e *protocol.Envelope, src, dst int) *protocol.Envelope {
+	c := *e
+	c.Src, c.Dst, c.Bytes, c.SentAt = src, dst, 0, 0
+	return &c
+}
+
+// TestRoundTrip: every sample decodes to its projection, statelessly
+// (whose connection is 0 -> 0) and through the Decoder of the connection
+// it travels on.
 func TestRoundTrip(t *testing.T) {
 	for i, e := range sampleEnvelopes() {
 		b, err := Encode(e)
@@ -65,8 +77,15 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("envelope %d: decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("envelope %d round trip mismatch:\n got %#v\nwant %#v", i, got, e)
+		if want := onWire(e, 0, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("envelope %d round trip mismatch:\n got %#v\nwant %#v", i, got, want)
+		}
+		got, err = NewDecoder(e.Src, e.Dst).DecodeOwned(b)
+		if err != nil {
+			t.Fatalf("envelope %d: connection decode: %v", i, err)
+		}
+		if want := onWire(e, e.Src, e.Dst); !reflect.DeepEqual(got, want) {
+			t.Fatalf("envelope %d connection round trip mismatch:\n got %#v\nwant %#v", i, got, want)
 		}
 	}
 }
@@ -131,15 +150,17 @@ func TestDecodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A frame is the header byte, the epoch, the ID, then the payload
+	// block when neither the App nor the link block is flagged.
 	cases := map[string][]byte{
-		"empty":        {},
-		"bad version":  {99, 0, 0},
-		"bad tag code": {VersionLatest, 9 << tagShift, 0, 0, 0, 0},
-		"stream frame": {VersionLatest, flagStream, 0, 0, 0, 0, 0, 0, 0},
-		"truncated":    valid[:len(valid)/2],
-		"trailing":     append(append([]byte{}, valid...), 0),
-		"bad payload":  {VersionLatest, 0, 2, 1, 3, 2, 2, 2, 250},
-		"only version": {VersionLatest},
+		"empty":              {},
+		"bad tag code":       {byte(len(ctlTags)) << tagShift, 0, 0, 0},
+		"stream frame":       {flagStream, 0, 0, 0},
+		"truncated":          valid[:len(valid)/2],
+		"trailing":           append(append([]byte{}, valid...), 0),
+		"bad payload":        {0, 2, 4, 250},
+		"only header byte":   {0},
+		"unchanged, no base": {0, 0, 0, ptPiggybackSame},
 	}
 	for name, in := range cases {
 		if _, err := Decode(in); err == nil {
