@@ -182,16 +182,21 @@ bench-check:
 # 71 B rewritten beside the log by every commit would add about 284 a round
 # and fail it; about 675 when a logged message carried two timestamps and
 # absolute IDs, about 1,850 when records were framed as JSON) and
-# peak_rss_mb <= 40 (the run's total allocation, the collector being off:
-# about 32 over the 20 s window here, 22 over 5 s; 57 over 5 s when every
-# flush copied the process's whole checkpoint store). A round's records
+# peak_rss_mb <= 32 (the run's total allocation, the collector being off:
+# about 26 over the 20 s window here; 32 while every node built kept about
+# 250 KiB of empty queue, 57 over 5 s when every flush copied the
+# process's whole checkpoint store). A round's records
 # hold the messages logged while it was open, and how long it stays open
 # follows the host's speed: four CPU burners beside a 5 s window raised
 # the logged messages per round from 3.4-4.1 to 5.2-5.8 and the bytes from
 # about 290 to 308-327, and one 5 s window run straight after `make race`
 # read 430. The 20 s window averages such a stretch out. Then crash-recover,
 # the only workload that executes kill -> RB_* handshake -> truncate ->
-# replay end to end (about three cycles): correct, and no operation failed.
+# replay end to end (about three cycles): correct, no operation failed, and
+# peak_rss_mb <= 20 (about 16 here; about 24 while each of the nodes it
+# builds, the recovered victims among them, kept about 250 KiB of empty
+# queue: a 64 KiB channel per peer, a 64 KiB inbox and a 32 KiB storage
+# queue from its creation, whatever they held).
 # Then steady-uniform, where a message's acknowledgement rides in the header
 # of the next frame going back: correct, no operation failed, and "a
 # message pays for its piggyback, not its envelope, nor its own ACK" —
@@ -200,14 +205,16 @@ bench-check:
 # receiver reads, and whose unchanged piggyback cost 4 B, not 1; about 38
 # with one ACK frame per message, so a return to per-message ACKs fails;
 # about 74.5 with absolute headers, literal control tags and a 4-byte
-# length prefix) — and "a message costs no heap": peak_rss_mb <= 34 (the run's total
-# allocation with the collector off: about 25 here; 36 when each send
-# boxed a fresh envelope, piggyback and timer closure, 56 when the receive
-# path decoded into fresh envelopes too). Last saturate-ring, the closed
-# loop: correct, no operation failed, wire_bytes_per_app_msg <= 16 (about
-# 13 here, without reliable's link block; about 23 with format 4's
-# envelope header), and peak_rss_mb <= 200 (about 100
-# here, most of it the benchmark's own latency samples; 488, at the
+# length prefix) — and "a message costs no heap, nor a node its queues'
+# bound": peak_rss_mb <= 20 (the run's total allocation with the collector
+# off: about 16 here; about 23 with about 250 KiB of empty queue per node
+# built, 36 when each send also boxed a fresh envelope, piggyback and
+# timer closure, 56 when the receive path decoded into fresh envelopes
+# too). Last saturate-ring, the closed loop: correct, no operation failed,
+# wire_bytes_per_app_msg <= 16 (about 13 here, without reliable's link
+# block; about 23 with format 4's envelope header), and peak_rss_mb <= 200
+# (about 80 here, most of it the benchmark's own latency samples, so it
+# follows how many messages the window completes; 488, at the
 # benchmark's 512 MiB limit, when every send allocated). The ring has no
 # stable_bytes_per_round ceiling: a round's records hold the messages
 # logged while it was open, and on the closed ring how many that is
@@ -223,9 +230,9 @@ bench-gate:
 		awk -v v="$$v" -v max="$$2" 'BEGIN { exit !(v != "" && v + 0 <= max) }' || \
 			{ echo "bench-gate: $$workload $$1 = $$v, over its ceiling of $$2"; exit 1; }; }; \
 	gate ckpt-storm 20 '"fsyncs_per_round":{"value":4,' && \
-		ceiling stable_bytes_per_round 400 && ceiling peak_rss_mb 40 && \
-		gate crash-recover 5 && \
-		gate steady-uniform 5 && ceiling wire_bytes_per_app_msg 20 && ceiling peak_rss_mb 34 && \
+		ceiling stable_bytes_per_round 400 && ceiling peak_rss_mb 32 && \
+		gate crash-recover 5 && ceiling peak_rss_mb 20 && \
+		gate steady-uniform 5 && ceiling wire_bytes_per_app_msg 20 && ceiling peak_rss_mb 20 && \
 		gate saturate-ring 5 && ceiling wire_bytes_per_app_msg 16 && ceiling peak_rss_mb 200
 
 # loc prints the size figure PRs quote: non-test Go lines outside the

@@ -41,10 +41,19 @@ const (
 	// up to dialBackoffCap and resets on success.
 	dialBackoff    = 20 * time.Millisecond
 	dialBackoffCap = 2 * time.Second
-	// peerQueueLen is the per-peer outgoing frame queue. Frames offered
-	// to a full queue are dropped and counted — the reliable middleware
-	// recovers them, exactly as it would on a lossy simulated channel.
+	// peerQueueLen bounds the per-peer outgoing frame queue. A frame
+	// offered to a full queue is dropped and counted — the reliable
+	// middleware recovers it, exactly as it would on a lossy simulated
+	// channel. The bound is a horizon, not a size: without that middleware
+	// nothing resends a dropped frame, and every frame sent to a peer while
+	// it restarts, the recovery line's logged re-sends among them, waits
+	// here (TestRecoveryDeliversLoggedSends/unreliable). What a queue holds,
+	// and its memory, is its backlog: 128 frames at most on the benchmark's
+	// workloads (a write's batch included), 149 under the chaos seeds.
 	peerQueueLen = 8192
+	// queueKeep is the queue capacity a drained peer queue keeps; a larger
+	// one (an outage's backlog) is handed back to the collector.
+	queueKeep = 4 * maxWriteBatch
 )
 
 // MeshStats are the wire-level counters of one process.
@@ -65,8 +74,8 @@ type MeshStats struct {
 // processes has its own connection, and a process owns the connections
 // it writes to).
 //
-// The write path is frame-batched: a writer wakeup drains the peer
-// queue (up to maxWriteBatch frames), rewrites each into a stream frame
+// The write path is frame-batched: a writer wakeup takes the head of the
+// peer queue (up to maxWriteBatch frames), rewrites each into a stream frame
 // against the connection's previous one (wire.PeerEncoder: header
 // fields and piggyback as deltas), and hands the whole batch to the
 // kernel as one vectored write.
@@ -98,8 +107,14 @@ const maxWriteBatch = 128
 
 // peer is the outgoing side toward one process.
 type peer struct {
-	id  int
-	out chan *wire.Frame
+	id int
+	// mu guards q, the frames not yet written or dropped, oldest first:
+	// Send appends, and the writer removes a batch only once it is written,
+	// so frames a failed write leaves are still at the head. ready is a
+	// token each append offers the writer.
+	mu    sync.Mutex
+	q     []*wire.Frame
+	ready chan struct{}
 	// connected tracks whether the writer currently holds an established
 	// outbound connection — the liveness bit the admin API reports.
 	connected atomic.Bool
@@ -117,7 +132,9 @@ type PeerInfo struct {
 	Addr string `json:"addr"`
 	// Connected reports an established outbound connection to the peer.
 	Connected bool `json:"connected"`
-	// QueueLen is the number of frames waiting on the outgoing queue.
+	// QueueLen is the number of frames on the outgoing queue: every frame
+	// offered and neither written nor dropped, those of a write that failed
+	// included.
 	QueueLen int `json:"queueLen"`
 }
 
@@ -128,10 +145,13 @@ func (m *Mesh) Peers() []PeerInfo {
 		if p == nil {
 			continue
 		}
+		p.mu.Lock()
+		queued := len(p.q)
+		p.mu.Unlock()
 		out = append(out, PeerInfo{
 			ID: p.id, Addr: m.cfg.Addrs[p.id],
 			Connected: p.connected.Load(),
-			QueueLen:  len(p.out),
+			QueueLen:  queued,
 		})
 	}
 	return out
@@ -168,7 +188,7 @@ func NewMesh(cfg MeshConfig, ln net.Listener, accept func(src int) func(frame []
 		if j == cfg.ID {
 			continue
 		}
-		m.peers[j] = &peer{id: j, out: make(chan *wire.Frame, peerQueueLen), wake: make(chan struct{}, 1)}
+		m.peers[j] = &peer{id: j, ready: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
 	}
 	return m, nil
 }
@@ -203,17 +223,47 @@ func (m *Mesh) Send(dst int, f *wire.Frame) {
 }
 
 // enqueue places one frame on the peer's outgoing queue (the post-hook
-// half of Send; delayed fault-injected frames land here from timers).
+// half of Send; delayed fault-injected frames land here from timers). It
+// never blocks; after Close, what it queues is left to the collector.
 func (m *Mesh) enqueue(dst int, f *wire.Frame) {
 	p := m.peers[dst]
-	select {
-	case p.out <- f:
-	case <-m.quit:
-		m.release(f)
-	default:
+	p.mu.Lock()
+	if len(p.q) >= peerQueueLen {
+		p.mu.Unlock()
 		m.dropped.Add(1)
 		m.release(f)
+		return
 	}
+	p.q = append(p.q, f)
+	p.mu.Unlock()
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
+}
+
+// take appends the head of the queue, up to maxWriteBatch frames, to
+// batch; the frames stay queued until settle.
+func (p *peer) take(batch []*wire.Frame) []*wire.Frame {
+	p.mu.Lock()
+	batch = append(batch, p.q[:min(len(p.q), maxWriteBatch)]...)
+	p.mu.Unlock()
+	return batch
+}
+
+// settle ends a write of the n frames take returned: they leave the
+// queue, except unsent, a subsequence of them, which stays at its head.
+func (p *peer) settle(n int, unsent []*wire.Frame) {
+	p.mu.Lock()
+	head := n - len(unsent)
+	copy(p.q[head:n], unsent)
+	k := copy(p.q, p.q[head:])
+	clear(p.q[k:])
+	p.q = p.q[:k]
+	if k == 0 && cap(p.q) > queueKeep {
+		p.q = nil
+	}
+	p.mu.Unlock()
 }
 
 // release hands a frame back to the pool when the mesh owns it — only
@@ -329,12 +379,12 @@ func (m *Mesh) serveConn(c net.Conn) {
 }
 
 // writerLoop owns the outbound connection to one peer: dial (with
-// jittered exponential backoff), send the hello frame, then drain the
-// queue in batches. Each batch is stream-encoded against the
-// connection's base and written with one vectored write; a write failure
-// carries the unwritten tail over to the next connection, where it is
-// re-encoded from the zero base (where the new connection's decoder
-// starts).
+// jittered exponential backoff), send the hello frame, then write the
+// queue in batches. Each batch is stream-encoded against the connection's
+// base and written with one vectored write; its frames leave the queue
+// once written, so a failed write leaves the unwritten tail at the head,
+// where the next connection re-encodes it from the zero base (where that
+// connection's decoder starts).
 //
 // Connection liveness is two rules (DESIGN.md §13.2). Death from the
 // socket: after its hello reply the peer never writes on a connection we
@@ -348,8 +398,8 @@ func (m *Mesh) serveConn(c net.Conn) {
 // on its way to the watcher.
 //
 // The steady-state batch encode+write is a hot path: all its buffers
-// (wbuf, bufs, ends, pbs, batch, carry) amortize to zero allocations.
-// The dial/backoff preamble allocates once per connection.
+// (wbuf, bufs, ends, pbs, batch) and the queue amortize to zero
+// allocations. The dial/backoff preamble allocates once per connection.
 func (m *Mesh) writerLoop(p *peer) {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(jitterSeed(m.cfg.Seed, m.cfg.ID, p.id)))
@@ -358,8 +408,7 @@ func (m *Mesh) writerLoop(p *peer) {
 	var conn net.Conn
 	var lk *link // conn's watcher state
 	var pe wire.PeerEncoder
-	var carry []*wire.Frame // frames whose write failed, resent first on reconnect
-	var batch []*wire.Frame // frames encoded into the current write
+	var batch []*wire.Frame // the queue's head, taken for the current write
 	var wbuf []byte         // the batch's encoded bytes, length-prefixed
 	var bufs net.Buffers    // one chunk per frame, aliasing wbuf's storage
 	var ends []int64        // cumulative wire bytes through each frame
@@ -420,27 +469,16 @@ func (m *Mesh) writerLoop(p *peer) {
 			everConnected = true
 		}
 
-		// Collect a batch: carried-over frames first, else block for one
-		// frame, then drain whatever else is already queued.
-		batch = append(batch[:0], carry...)
-		carry = carry[:0]
+		// Take a batch off the queue's head, waiting for one if it is empty.
+		batch = p.take(batch[:0])
 		if len(batch) == 0 {
 			select {
-			case f := <-p.out:
-				batch = append(batch, f)
+			case <-p.ready:
+				batch = p.take(batch)
 			case <-p.wake:
 			case <-lk.dead:
 			case <-m.quit:
 				return
-			}
-		}
-	drain:
-		for len(batch) < maxWriteBatch {
-			select {
-			case f := <-p.out:
-				batch = append(batch, f)
-			default:
-				break drain
 			}
 		}
 		far, hello := lk.incarnation.Load(), p.hello.Load()
@@ -452,9 +490,8 @@ func (m *Mesh) writerLoop(p *peer) {
 		}
 		if gone {
 			// A hello is heeded once: what answers the redial is the truth,
-			// whoever else claims the peer's id.
+			// whoever else claims the peer's id. The batch stays queued.
 			p.hello.CompareAndSwap(hello, 0)
-			carry = append(carry, batch...)
 			m.hangUp(p, conn)
 			conn = nil
 			continue
@@ -496,13 +533,14 @@ func (m *Mesh) writerLoop(p *peer) {
 			enc = append(enc, f)
 		}
 		if len(enc) == 0 {
+			p.settle(len(batch), nil)
 			continue
 		}
 
 		written = bufs
 		n, err := written.WriteTo(conn)
 
-		// Account the fully-written prefix; the rest is carried over.
+		// Account the fully-written prefix; the rest stays queued.
 		sent := 0
 		for sent < len(enc) && ends[sent] <= n {
 			sent++
@@ -517,11 +555,11 @@ func (m *Mesh) writerLoop(p *peer) {
 		if pbSum > 0 {
 			m.pbBytes.Add(pbSum)
 		}
+		// A partially-written frame dies with the connection (the reader
+		// abandons the stream mid-frame); it is re-encoded in full on the
+		// next connection, like the rest of the tail.
+		p.settle(len(batch), enc[sent:])
 		if err != nil {
-			// A partially-written frame dies with the connection (the
-			// reader abandons the stream mid-frame); it is re-encoded in
-			// full on the next connection, like the rest of the tail.
-			carry = append(carry[:0], enc[sent:]...)
 			m.hangUp(p, conn)
 			conn = nil
 		}

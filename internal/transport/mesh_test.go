@@ -437,6 +437,41 @@ func TestMeshFrameAfterPeerDeathIsCarried(t *testing.T) {
 	}
 }
 
+// TestMeshCloseDoesNotRedial: Close ends an idle writer on its queue
+// wait's quit arm. Close also closes the writer's connection, which wakes
+// it too, and a writer that took that wakeup for the peer's death would
+// dial the peer once more on its way out: the far end sees one connection
+// from the mesh, not two.
+func TestMeshCloseDoesNotRedial(t *testing.T) {
+	lns, addrs := listenLocal(t, 2)
+	defer lns[1].Close()
+	m, err := NewMesh(MeshConfig{ID: 0, Addrs: addrs, Seed: 1}, lns[0],
+		func(int) func([]byte) { return func([]byte) {} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	c, err := lns[1].Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := readHello(c, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeHello(c, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return m.Peers()[0].Connected })
+	time.Sleep(20 * time.Millisecond) // the writer parks on its queue wait
+	m.Close()
+	lns[1].(*net.TCPListener).SetDeadline(time.Now().Add(500 * time.Millisecond))
+	if again, err := lns[1].Accept(); err == nil {
+		again.Close()
+		t.Fatal("the closing mesh dialled its peer again")
+	}
+}
+
 // TestHelloCutsDialBackoff: P1's address refuses until the writer's
 // backoff sits at its 2 s cap with a frame queued; P1 then binds and
 // dials P0, and its hello — proof of a bound listener — ends the sleep.

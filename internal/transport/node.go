@@ -99,7 +99,7 @@ type Node struct {
 	armed  des.Time
 	runDue func()
 
-	storageCh chan storeReq
+	storageCh chan func()
 	storageQ  atomic.Int32
 
 	idCtr   atomic.Int64
@@ -150,14 +150,6 @@ type rxSlot struct {
 
 var rxPool = sync.Pool{New: func() any { return new(rxSlot) }}
 
-type storeReq struct {
-	tag  string
-	done func(start, end des.Time)
-	// fn, when set, is a bare operation serialized with the disk writes
-	// (rollback truncation); the other fields are ignored.
-	fn func()
-}
-
 // heldWrite is the completion of a stable write, kept back until every
 // record that was finalized when the write was served (up to seq) is on
 // disk: the protocol's callback marks its checkpoint stable, which must
@@ -167,6 +159,26 @@ type heldWrite struct {
 	start des.Time
 	done  func(start, end des.Time)
 }
+
+// The loop's and the storage goroutine's queues. A channel's buffer is
+// allocated whole with the node, so each capacity is the measured
+// high-water mark with room to spare.
+const (
+	// inboxLen is the loop's inbox: frames the readers decoded and the
+	// closures posted to the loop. It held at most 64 items on the
+	// benchmark's workloads and 248 under the chaos seeds. A full inbox
+	// blocks its poster and never drops, so the capacity only sets where
+	// backpressure on the readers starts.
+	inboxLen = 512
+	// storageQueueLen is the storage goroutine's queue of operations, one
+	// func (8 B) a slot. It held at most 2 waiting operations on any
+	// workload or chaos seed measured, but the loop and the storage
+	// goroutine post to each other (WriteStable one way; a completion and
+	// the durable-seq report the other), and a poster blocks on a full
+	// queue: the capacity is what keeps that cycle from closing, and is not
+	// cut without an argument that it cannot.
+	storageQueueLen = 1024
+)
 
 // NewNode builds a node (not yet started).
 func NewNode(cfg NodeConfig) (*Node, error) {
@@ -185,9 +197,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		count:     cfg.Metrics.EventSink(),
-		inbox:     make(chan inboxItem, 4096),
+		inbox:     make(chan inboxItem, inboxLen),
 		quit:      make(chan struct{}),
-		storageCh: make(chan storeReq, 1024),
+		storageCh: make(chan func(), storageQueueLen),
 		persisted: cfg.Resume,
 		recLine:   cfg.Resume,
 		dsnEpoch:  cfg.Epoch,
@@ -298,7 +310,7 @@ func (n *Node) Post(fn func()) { n.post(fn) }
 // node is already shut down (fn will not run).
 func (n *Node) postStorage(fn func()) bool {
 	select {
-	case n.storageCh <- storeReq{fn: fn}:
+	case n.storageCh <- fn:
 		return true
 	case <-n.quit:
 		return false
@@ -370,38 +382,40 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 	n.enqueue(inboxItem{rx: rx})
 }
 
-// storageLoop serializes this process's stable-storage writes: the
-// genuine disk persistence of finalized checkpoints when FS is
-// configured (fsstore's write+fsync is the service time), an immediate
-// completion otherwise.
+// storageLoop runs this process's storage operations in order: its
+// stable-storage writes (serveWrite) and the operations serialized with
+// them (rollback truncation, the collector's bookkeeping).
 func (n *Node) storageLoop() {
 	defer n.wg.Done()
 	for {
 		select {
 		case <-n.quit:
 			return
-		case req := <-n.storageCh:
-			if req.fn != nil {
-				req.fn()
-				continue
-			}
-			start, seq := n.Now(), n.persisted
-			if n.cfg.FS != nil && req.tag != "ct" {
-				// Finalization flush ("log" / "ct+log"): persist every
-				// finalized-but-unpersisted record with a real fsync.
-				was := n.persisted
-				seq = n.persistFinalized()
-				if n.heard != nil && n.persisted > was {
-					n.durableRose()
-				}
-			}
-			n.storageQ.Add(-1)
-			if req.done != nil {
-				n.held = append(n.held, heldWrite{seq, start, req.done})
-			}
-			n.completeDurable()
+		case fn := <-n.storageCh:
+			fn()
 		}
 	}
+}
+
+// serveWrite serves one stable write on the storage goroutine: the
+// genuine disk persistence of finalized checkpoints when flush is set
+// (fsstore's write+fsync is the service time), an immediate completion
+// otherwise.
+func (n *Node) serveWrite(flush bool, done func(start, end des.Time)) {
+	start, seq := n.Now(), n.persisted
+	if flush {
+		// Persist every finalized-but-unpersisted record with a real fsync.
+		was := n.persisted
+		seq = n.persistFinalized()
+		if n.heard != nil && n.persisted > was {
+			n.durableRose()
+		}
+	}
+	n.storageQ.Add(-1)
+	if done != nil {
+		n.held = append(n.held, heldWrite{seq, start, done})
+	}
+	n.completeDurable()
 }
 
 // completeDurable posts the completion of every held write whose records
@@ -564,12 +578,13 @@ func (h *timerHeap) pop() timerEntry {
 	return top
 }
 
-// WriteStable implements host.Driver.
+// WriteStable implements host.Driver: a finalization flush ("log",
+// "ct+log") persists with FS, a tentative checkpoint's write ("ct")
+// completes in order with the rest.
 func (n *Node) WriteStable(tag string, _ int64, done func(start, end des.Time)) {
 	n.storageQ.Add(1)
-	select {
-	case n.storageCh <- storeReq{tag: tag, done: done}:
-	case <-n.quit:
+	flush := n.cfg.FS != nil && tag != "ct"
+	if !n.postStorage(func() { n.serveWrite(flush, done) }) {
 		// Never enqueued: undo the increment, or StorageQueueLen (read by
 		// the protocol's EarlyFlush heuristic) would drift upward on every
 		// write racing a shutdown.

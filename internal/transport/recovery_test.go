@@ -253,12 +253,12 @@ func TestWriteStableShutdownAccounting(t *testing.T) {
 	// ever be accounted as queued — every write past that hits the quit
 	// branch, which must undo its increment or the gauge drifts without
 	// bound.
-	const cap = 1024 // storageCh buffer size
-	for i := 0; i < cap+100; i++ {
+	for i := 0; i < storageQueueLen+100; i++ {
 		n.WriteStable("ct", 1, nil)
 	}
-	if got := n.StorageQueueLen(); got < 0 || got > cap {
-		t.Fatalf("StorageQueueLen after %d post-shutdown writes = %d, want within [0,%d]", cap+100, got, cap)
+	if got := n.StorageQueueLen(); got < 0 || got > storageQueueLen {
+		t.Fatalf("StorageQueueLen after %d post-shutdown writes = %d, want within [0,%d]",
+			storageQueueLen+100, got, storageQueueLen)
 	}
 }
 
