@@ -48,12 +48,24 @@ vuln:
 # default fault window and with a 1200ms one. The window sets where the
 # drain after it falls against the crash; the logged-sends-delivered
 # invariant counts the re-sends that drain carries to the restarted victim.
+# A run's stdout (schedule, restarts, invariant verdicts) is a function of
+# its seed and window, so each must equal its golden under
+# cmd/ocsmld/testdata/chaos/ byte for byte; stderr's fault counts follow
+# timing and are not compared. After a change that is meant to move the
+# report, regenerate the goldens with CHAOS_REGEN=1.
+CHAOS_GOLDEN = cmd/ocsmld/testdata/chaos
+
 chaos:
 	$(GO) build -o /tmp/ocsmld ./cmd/ocsmld
-	@for seed in 1 2 3 4 5; do \
-		/tmp/ocsmld -chaos -seed $$seed || exit 1; \
-		/tmp/ocsmld -chaos -seed $$seed -chaos-for 1200ms || exit 1; \
-	done
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	for seed in 1 2 3 4 5; do for window in default 1200ms; do \
+		golden=$(CHAOS_GOLDEN)/seed$$seed-$$window.txt; \
+		case $$window in default) flags="";; *) flags="-chaos-for $$window";; esac; \
+		/tmp/ocsmld -chaos -seed $$seed $$flags > "$$out" || { cat "$$out"; exit 1; }; \
+		cat "$$out"; \
+		if [ -n "$(CHAOS_REGEN)" ]; then cp "$$out" $$golden; \
+		else diff -u $$golden "$$out" || { echo "chaos: seed $$seed ($$window) differs from $$golden"; exit 1; }; fi; \
+	done; done
 
 # ctl is the control-plane smoke: three real ocsmld daemons with
 # -admin-addr, driven by the real ocsmlctl binary (trigger a round,

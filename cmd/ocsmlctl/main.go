@@ -2,8 +2,7 @@
 // It speaks to the admin control plane an ocsmld daemon (or spawn-all
 // cluster) exposes with -admin-addr:
 //
-//	ocsmlctl -node 127.0.0.1:7070 status       # per-node protocol state
-//	ocsmlctl -node 127.0.0.1:7070 manifest     # durable manifests + S_k
+//	ocsmlctl -node 127.0.0.1:7070 status       # per-node protocol state, durable seq and line
 //	ocsmlctl -node 127.0.0.1:7070 recovery     # last line, epoch, counters
 //	ocsmlctl -node 127.0.0.1:7070 checkpoint   # trigger a tentative round
 //	ocsmlctl -node 127.0.0.1:7070 metrics      # raw Prometheus scrape
@@ -38,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "print the server's JSON response verbatim")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ocsmlctl [-node addr] [-json] [-timeout d] <status|manifest|recovery|checkpoint|metrics>\n")
+		fmt.Fprintf(stderr, "usage: ocsmlctl [-node addr] [-json] [-timeout d] <status|recovery|checkpoint|metrics>\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -57,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch cmd {
 	case "status":
 		return c.status()
-	case "manifest":
-		return c.manifest()
 	case "recovery":
 		return c.recovery()
 	case "checkpoint":
@@ -131,6 +128,7 @@ type nodeStatus struct {
 	AppDone       bool   `json:"appDone"`
 	RecoveredLine int    `json:"recoveredLine"`
 	DurableSeq    int    `json:"durableSeq"`
+	DurableLine   int    `json:"durableLine"`
 	StorageQueue  int    `json:"storageQueue"`
 	Peers         []struct {
 		ID        int    `json:"id"`
@@ -158,8 +156,8 @@ func (c *ctl) status() int {
 		fmt.Fprintf(c.stderr, "ocsmlctl: decoding status: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(c.stdout, "%-4s %-6s %-5s %-10s %-8s %-7s %-8s %-8s %s\n",
-		"ID", "EPOCH", "CSN", "STAT", "TENTSET", "LOGLEN", "DURABLE", "STORAGE", "PEERS")
+	fmt.Fprintf(c.stdout, "%-4s %-6s %-5s %-10s %-8s %-7s %-8s %-5s %-8s %s\n",
+		"ID", "EPOCH", "CSN", "STAT", "TENTSET", "LOGLEN", "DURABLE", "LINE", "STORAGE", "PEERS")
 	for _, e := range resp.Nodes {
 		if e.Error != "" {
 			fmt.Fprintf(c.stdout, "-    error: %s\n", e.Error)
@@ -184,61 +182,10 @@ func (c *ctl) status() int {
 		if stat == "" {
 			stat = "-"
 		}
-		fmt.Fprintf(c.stdout, "P%-3d %-6d %-5d %-10s %-8s %-7d %-8d %-8d %d/%d up\n",
-			st.ID, st.Epoch, st.Csn, stat, tent, st.LogLen, st.DurableSeq, st.StorageQueue, up, len(st.Peers))
+		fmt.Fprintf(c.stdout, "P%-3d %-6d %-5d %-10s %-8s %-7d %-8d %-5d %-8d %d/%d up\n",
+			st.ID, st.Epoch, st.Csn, stat, tent, st.LogLen, st.DurableSeq, st.DurableLine, st.StorageQueue, up, len(st.Peers))
 	}
 	return 0
-}
-
-func (c *ctl) manifest() int {
-	body, ok := c.fetch(http.MethodGet, "/v1/manifest")
-	if !ok {
-		return 1
-	}
-	if c.emit(body) {
-		return 0
-	}
-	var resp struct {
-		Datadir   string `json:"datadir"`
-		N         int    `json:"n"`
-		Manifests []struct {
-			Proc int   `json:"proc"`
-			Seqs []int `json:"seqs"`
-		} `json:"manifests"`
-		CompleteSeqs []int `json:"completeSeqs"`
-		LastComplete int   `json:"lastComplete"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		fmt.Fprintf(c.stderr, "ocsmlctl: decoding manifest: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(c.stdout, "datadir        %s\n", resp.Datadir)
-	for _, m := range resp.Manifests {
-		fmt.Fprintf(c.stdout, "P%-3d durable   %s\n", m.Proc, formatRuns(m.Seqs))
-	}
-	fmt.Fprintf(c.stdout, "complete S_k   %s\n", formatRuns(resp.CompleteSeqs))
-	fmt.Fprintf(c.stdout, "last complete  %d\n", resp.LastComplete)
-	return 0
-}
-
-// formatRuns prints ascending sequence numbers as comma-separated closed
-// runs ("1-920", "1-3,5-6", "7"; "none" when empty), so a long-running
-// cluster's manifest stays one line.
-func formatRuns(seqs []int) string {
-	if len(seqs) == 0 {
-		return "none"
-	}
-	var runs []string
-	for i, j := 0, 0; i < len(seqs); i = j + 1 {
-		for j = i; j+1 < len(seqs) && seqs[j+1] == seqs[j]+1; j++ {
-		}
-		if j > i {
-			runs = append(runs, fmt.Sprintf("%d-%d", seqs[i], seqs[j]))
-		} else {
-			runs = append(runs, fmt.Sprint(seqs[i]))
-		}
-	}
-	return strings.Join(runs, ",")
 }
 
 func (c *ctl) recovery() int {

@@ -40,9 +40,7 @@ func startCluster(t *testing.T) (*transport.Cluster, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := admin.NewServer(admin.Config{
-		Nodes: c.Nodes, Registry: c.Metrics, Datadir: dir, N: 3,
-	})
+	srv := admin.NewServer(admin.Config{Nodes: c.Nodes, Registry: c.Metrics})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +74,7 @@ func TestStatusHuman(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("status exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"ID", "EPOCH", "P0", "P1", "P2", "2/2 up"} {
+	for _, want := range []string{"ID", "EPOCH", "LINE", "P0", "P1", "P2", "2/2 up"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("status output missing %q:\n%s", want, out)
 		}
@@ -106,8 +104,9 @@ func TestStatusJSON(t *testing.T) {
 }
 
 // TestCheckpointManifestRecoveryMetrics drives the full operator loop
-// the README documents: trigger a round, wait for it to reach the
-// manifests, read recovery state and scrape metrics.
+// the README documents: trigger a round, wait for every node to hear it
+// durable in status, read recovery state and scrape metrics. The manifest
+// command is gone: status carries the durable line.
 func TestCheckpointManifestRecoveryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -124,14 +123,30 @@ func TestCheckpointManifestRecoveryMetrics(t *testing.T) {
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		code, out, _ = runCtl(t, "-node", addr, "manifest")
-		if code == 0 && strings.Contains(out, "last complete  1") {
+		var resp struct {
+			Nodes []struct {
+				Status *nodeStatus `json:"status"`
+			} `json:"nodes"`
+		}
+		code, out, _ = runCtl(t, "-node", addr, "-json", "status")
+		heard := 0
+		if code == 0 && json.Unmarshal([]byte(out), &resp) == nil {
+			for _, e := range resp.Nodes {
+				if e.Status != nil && e.Status.DurableLine == 1 {
+					heard++
+				}
+			}
+		}
+		if heard == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("round never reached the manifests:\n%s", out)
+			t.Fatalf("no durable line 1 heard by every node:\n%s", out)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+	if code, _, _ := runCtl(t, "-node", addr, "manifest"); code != 2 {
+		t.Fatalf("manifest: exit %d, want 2 (an unknown command)", code)
 	}
 
 	code, out, errb = runCtl(t, "-node", addr, "recovery")
@@ -186,21 +201,5 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := runCtl(t, "-bogus-flag", "status"); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
-	}
-}
-
-func TestFormatRuns(t *testing.T) {
-	for _, tc := range []struct {
-		seqs []int
-		want string
-	}{
-		{nil, "none"},
-		{[]int{7}, "7"},
-		{[]int{1, 2, 3, 4}, "1-4"},
-		{[]int{1, 2, 3, 5, 6, 9}, "1-3,5-6,9"},
-	} {
-		if got := formatRuns(tc.seqs); got != tc.want {
-			t.Errorf("formatRuns(%v) = %q, want %q", tc.seqs, got, tc.want)
-		}
 	}
 }

@@ -8,11 +8,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -222,10 +225,11 @@ func TestDaemonClusterColdRestart(t *testing.T) {
 	d.terminate()
 	d.validateAbove(line)
 	for p := range d.procs {
-		m, err := fsstore.ReadManifest(d.datadir, p)
+		s, err := fsstore.Open(d.datadir, p, len(d.procs))
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := s.Manifest()
 		for i, seq := range m.Seqs {
 			if seq != m.Seqs[0]+i {
 				t.Fatalf("P%d manifest %v has a gap", p, m.Seqs)
@@ -238,17 +242,18 @@ func TestDaemonClusterColdRestart(t *testing.T) {
 }
 
 // TestDaemonDurableSeqOnOwnDatadir: three daemons, each on its own
-// -datadir, SIGTERM'd once every store holds a durable checkpoint. None
-// can read the others' manifests, so each prints its own last durable
-// seq, read from its store in memory, and says that the line needs all
-// three: a real seq, the one its store holds after the exit, where a scan
-// of its -datadir for all N manifests could only find -1.
+// -datadir and without -gc, SIGTERM'd once every one has heard a durable
+// line in /v1/status. None can read the others' stores, yet each reports
+// the line it heard from its peers, on exit and in /v1/status: at least 1,
+// and no newer than what the three stores, reopened after the exit, all
+// hold. (A scan of its own -datadir for all N logs could only find -1,
+// and the exit line once printed "unknown".)
 func TestDaemonDurableSeqOnOwnDatadir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real OS processes")
 	}
 	const n = 3
-	bin, addrs := buildOcsmld(t), freeAddrs(t, n)
+	bin, addrs, admins := buildOcsmld(t), freeAddrs(t, n), freeAddrs(t, n)
 	var dirs [n]string
 	var outs [n]bytes.Buffer
 	var procs [n]*exec.Cmd
@@ -256,6 +261,7 @@ func TestDaemonDurableSeqOnOwnDatadir(t *testing.T) {
 		dirs[i] = t.TempDir()
 		procs[i] = exec.Command(bin,
 			"-id", fmt.Sprint(i), "-peers", strings.Join(addrs, ","), "-datadir", dirs[i],
+			"-admin-addr", admins[i],
 			"-seed", "17", "-steps", "1000000",
 			"-interval", "150ms", "-timeout", "60ms",
 			"-run-for", "120s",
@@ -266,15 +272,12 @@ func TestDaemonDurableSeqOnOwnDatadir(t *testing.T) {
 		}
 		defer procs[i].Process.Kill()
 	}
+	var heard [n]int // each daemon's line in /v1/status, once it is >= 1
 	deadline := time.Now().Add(45 * time.Second)
-	for p := 0; p < n; p++ {
-		for {
-			m, err := fsstore.ReadManifest(dirs[p], p)
-			if err == nil && m.LastSeq() >= 1 {
-				break
-			}
+	for p := range procs {
+		for heard[p] = statusLine(admins[p]); heard[p] < 1; heard[p] = statusLine(admins[p]) {
 			if time.Now().After(deadline) {
-				t.Fatalf("P%d: no durable checkpoint within 45s (%v)", p, err)
+				t.Fatalf("P%d: no durable line in /v1/status within 45s", p)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -284,17 +287,107 @@ func TestDaemonDurableSeqOnOwnDatadir(t *testing.T) {
 			t.Fatalf("terminating P%d: %v", i, err)
 		}
 	}
+	var common []int // the seqs every reopened store holds
 	for p, cmd := range procs {
 		if err := cmd.Wait(); err != nil {
 			t.Fatalf("P%d exit: %v", p, err)
 		}
-		m, err := fsstore.ReadManifest(dirs[p], p)
+		s, err := fsstore.Open(dirs[p], p, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("durable S_k         unknown: the line needs all %d processes (P%d durable to seq %d)", n, p, m.LastSeq())
-		if !strings.Contains(outs[p].String(), want) {
-			t.Fatalf("P%d's report lacks %q:\n%s", p, want, outs[p].String())
+		if p == 0 {
+			common = s.Manifest().Seqs
+		} else {
+			common = fsstore.IntersectSeqs(common, s.Manifest().Seqs)
 		}
+	}
+	if len(common) == 0 {
+		t.Fatal("the reopened stores share no checkpoint")
+	}
+	last := common[len(common)-1]
+	for p := range procs {
+		var line int
+		want := fmt.Sprintf("(heard from all %d processes)", n)
+		if _, err := fmt.Sscanf(exitLine(outs[p].String()), "durable S_k %d", &line); err != nil ||
+			!strings.Contains(outs[p].String(), want) {
+			t.Fatalf("P%d's report lacks a durable S_k %s:\n%s", p, want, outs[p].String())
+		}
+		if line < heard[p] || heard[p] < 1 || line > last {
+			t.Fatalf("P%d heard %d in /v1/status and %d on exit; want 1 <= %d <= exit <= %d, the reopened stores' last common seq",
+				p, heard[p], line, heard[p], last)
+		}
+	}
+}
+
+// statusLine reads the durable line the one node a daemon hosts reports
+// in GET /v1/status, or -1 when it cannot be read.
+func statusLine(admin string) int {
+	resp, err := http.Get("http://" + admin + "/v1/status")
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Nodes []struct {
+			Status *struct {
+				DurableLine int `json:"durableLine"`
+			} `json:"status"`
+		} `json:"nodes"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&st) != nil || len(st.Nodes) != 1 || st.Nodes[0].Status == nil {
+		return -1
+	}
+	return st.Nodes[0].Status.DurableLine
+}
+
+// exitLine returns the report's "durable S_k" line ("" without one).
+func exitLine(report string) string {
+	for _, l := range strings.Split(report, "\n") {
+		if strings.HasPrefix(l, "durable S_k") {
+			return l
+		}
+	}
+	return ""
+}
+
+// TestFreshStartOverUsedDatadirRefused: a second -spawn-all over a
+// datadir a first run left checkpoints in exits non-zero, naming the
+// datadir, and writes nothing: it once started fresh, took the old
+// records for its own seqs and printed the old run's line as durable.
+func TestFreshStartOverUsedDatadirRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
+	}
+	bin, datadir := buildOcsmld(t), t.TempDir()
+	run := func(seed string) (string, error) {
+		cmd := exec.Command(bin, "-spawn-all", "-n", "3", "-datadir", datadir,
+			"-seed", seed, "-steps", "100", "-think", "2ms", "-interval", "100ms", "-msg", "64")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	if out, err := run("1"); err != nil || !strings.Contains(out, "heard from all 3 processes") {
+		t.Fatalf("first run: %v\n%s", err, out)
+	}
+	sizes := func() map[string]int64 {
+		got := map[string]int64{}
+		segs, _ := filepath.Glob(filepath.Join(datadir, "p*", "seg_*.wal"))
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil {
+				got[seg] = fi.Size()
+			}
+		}
+		return got
+	}
+	before := sizes()
+	if len(before) == 0 {
+		t.Fatal("the first run left no segment")
+	}
+	out, err := run("7")
+	if err == nil || !strings.Contains(out, datadir) || !strings.Contains(out, "-recover") {
+		t.Fatalf("second run over the used datadir: %v, want a non-zero exit naming %s and -recover:\n%s", err, datadir, out)
+	}
+	if after := sizes(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused run changed the segments: %v, were %v", after, before)
 	}
 }

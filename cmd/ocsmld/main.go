@@ -8,12 +8,16 @@
 //	ocsmld -id 0 -peers host0:7000,host1:7000,...     # one; start one ocsmld per entry
 //
 // Either way it is one transport.Cluster: it runs the workload to
-// completion (or -run-for, or SIGINT/SIGTERM), stops gracefully — storage
-// GC, admin server, queued stable-storage writes, nodes, in that order —
-// and prints the same headline metrics as the simulator (cmd/ckptsim)
-// plus the wire-level ones only a real network produces (frames, encoded
-// piggyback bytes, reconnects). Hosting all N, it also verifies every
-// global checkpoint against the recorded trace.
+// completion (or -run-for, or SIGINT/SIGTERM), stops gracefully — admin
+// server, queued stable-storage writes, nodes, in that order — and
+// prints the same headline metrics as the simulator (cmd/ckptsim) plus
+// the wire-level ones only a real network produces (frames, encoded
+// piggyback bytes, reconnects) and the durable S_k its processes heard
+// from their peers. Hosting all N, it also verifies every global
+// checkpoint against the recorded trace. A fresh start over a datadir
+// that already holds a hosted process's checkpoints is refused: restart
+// such a process with -recover (or the whole cluster with -resume), or
+// start on an empty datadir.
 //
 // A killed daemon is restarted with -recover: before resuming it
 // coordinates a wire-level recovery round (RB_BGN/RB_LINE/RB_CMT/RB_ACK,
@@ -31,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -40,7 +43,6 @@ import (
 	"ocsml/internal/admin"
 	"ocsml/internal/core"
 	"ocsml/internal/des"
-	"ocsml/internal/fsstore"
 	"ocsml/internal/transport"
 	"ocsml/internal/workload"
 )
@@ -67,8 +69,8 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		chaos     = flag.Bool("chaos", false, "run one seeded fault-injection round (drops, delays, partitions, kill+restart) and verify the consistency invariants")
 		chaosFor  = flag.Duration("chaos-for", 1500*time.Millisecond, "fault-phase length for -chaos")
-		adminAddr = flag.String("admin-addr", "", "listen address for the admin control plane (status/manifest/recovery/checkpoint/metrics; see cmd/ocsmlctl)")
-		gc        = flag.Bool("gc", false, "storage GC: every process reports its durable checkpoints to its peers and prunes its own below the lowest one reported (needs -datadir)")
+		adminAddr = flag.String("admin-addr", "", "listen address for the admin control plane (status/recovery/checkpoint/metrics; see cmd/ocsmlctl)")
+		gc        = flag.Bool("gc", false, "storage GC: every process prunes its own store below the durable line its peers report, which it hears with or without -gc (needs -datadir)")
 	)
 	flag.Parse()
 
@@ -167,9 +169,7 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	// still answer: an in-flight status read never races a dying node.
 	var closeAdmin func()
 	if adminAddr != "" {
-		srv := admin.NewServer(admin.Config{
-			Nodes: c.Nodes, Registry: c.Metrics, Datadir: cfg.Datadir, N: cfg.N,
-		})
+		srv := admin.NewServer(admin.Config{Nodes: c.Nodes, Registry: c.Metrics})
 		if err := srv.Start(adminAddr); err != nil {
 			fatalf("%v", err)
 		}
@@ -181,7 +181,9 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	c.Run(ctx, closeAdmin)
+	if err := c.Run(ctx, closeAdmin); err != nil {
+		fatalf("%v", err)
+	}
 
 	rep, err := c.Report()
 	if err != nil {
@@ -209,7 +211,7 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	fmt.Printf("frames dropped      %d\n", rep.Dropped)
 	fmt.Printf("message log bytes   %d\n", rep.LogBytes)
 	if cfg.Datadir != "" {
-		printDurable(c, rep.N)
+		printDurable(c.DurableLine(), rep.N)
 	}
 	names := make([]string, 0, len(rep.Counters))
 	for name := range rep.Counters {
@@ -221,27 +223,15 @@ func run(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr st
 	}
 }
 
-// printDurable prints the durable S_k from the hosted stores' manifests in
-// memory: the highest seq all N hold (-1: none). A partial host cannot know
-// it, whatever its -datadir holds, so it prints its processes' own seqs.
-func printDurable(c *transport.Cluster, n int) {
-	var common []int
-	var own []string
-	for p := range n {
-		if fs := c.FS(p); fs != nil {
-			own = append(own, fmt.Sprintf("P%d durable to seq %d", p, fs.LastSeq()))
-			if seqs := fs.Manifest().Seqs; len(own) == 1 {
-				common = seqs
-			} else {
-				common = fsstore.IntersectSeqs(common, seqs)
-			}
-		}
+// printDurable prints the durable S_k the hosted processes heard in their
+// peers' reports (Cluster.DurableLine), whatever the datadir holds and
+// however many of the n processes are hosted here.
+func printDurable(line, n int) {
+	if line >= 0 {
+		fmt.Printf("durable S_k         %d (heard from all %d processes)\n", line, n)
+	} else {
+		fmt.Printf("durable S_k         -1 (not every one of the %d processes has reported a durable checkpoint)\n", n)
 	}
-	if len(own) < n {
-		fmt.Printf("durable S_k         unknown: the line needs all %d processes (%s)\n", n, strings.Join(own, ", "))
-		return
-	}
-	fmt.Printf("durable S_k         %d (all %d manifests)\n", slices.Max(append(common, -1)), n)
 }
 
 func emitJSON(v any) {

@@ -1,21 +1,18 @@
 // Package admin is the operator control plane of a running OCSML
 // deployment: a small HTTP server that cmd/ocsmld embeds next to its
-// transport nodes. It answers status, manifest and recovery queries,
-// triggers tentative checkpoint rounds, and exposes the shared
-// metrics.Registry in the Prometheus text format at /metrics.
+// transport nodes. It answers status and recovery queries, triggers
+// tentative checkpoint rounds, and exposes the shared metrics.Registry in
+// the Prometheus text format at /metrics.
 //
-// The server never reaches into protocol state directly — every read
-// goes through Node.StatusSnapshot (a closure posted onto the node's
-// event loop) and every durable read through fsstore.ReadManifest (a
-// read-only scan of the segment logs that cannot disturb a live
-// datadir). It is therefore
-// safe to run against nodes in the middle of checkpoint rounds,
-// rollbacks and restarts.
+// The server never reaches into protocol state directly, nor reads a
+// datadir: every read goes through Node.StatusSnapshot (a closure posted
+// onto the node's event loop), which also carries the durable line the
+// node has heard from its peers. It is therefore safe to run against
+// nodes in the middle of checkpoint rounds, rollbacks and restarts.
 //
 // Endpoints:
 //
-//	GET  /v1/status      per-node protocol snapshots + peer liveness
-//	GET  /v1/manifest    durable manifests and the complete global seqs
+//	GET  /v1/status      per-node protocol snapshots, durable seq and line, peer liveness
 //	GET  /v1/recovery    last committed line, fence epoch, replay counters, last recovery's phases
 //	POST /v1/checkpoint  trigger a tentative checkpoint round
 //	GET  /v1/healthz     liveness (the server itself is up)
@@ -35,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"ocsml/internal/fsstore"
 	"ocsml/internal/metrics"
 	"ocsml/internal/transport"
 )
@@ -47,12 +43,6 @@ type Config struct {
 	Nodes func() []*transport.Node
 	// Registry is the shared metric registry served at /metrics.
 	Registry *metrics.Registry
-	// Datadir is the stable-storage root ("" disables /v1/manifest's
-	// durable sections).
-	Datadir string
-	// N is the cluster size (manifest intersection spans all N procs,
-	// not just the locally hosted ones).
-	N int
 }
 
 const (
@@ -92,7 +82,6 @@ func NewServer(cfg Config) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/status", s.handleStatus)
-	mux.HandleFunc("/v1/manifest", s.handleManifest)
 	mux.HandleFunc("/v1/recovery", s.handleRecovery)
 	mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
@@ -175,54 +164,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp.Nodes = append(resp.Nodes, nodeEntry{Status: &st})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// manifestResponse is GET /v1/manifest: the durable truth of the
-// datadir — what each process has finalized to disk and which global
-// checkpoints S_k are complete across all N manifests.
-type manifestResponse struct {
-	Datadir string `json:"datadir"`
-	N       int    `json:"n"`
-	// Manifests has one entry per process, 0..N-1 (read-only, safe
-	// against live writers).
-	Manifests []fsstore.Manifest `json:"manifests"`
-	// CompleteSeqs are the seqs present in every manifest, ascending.
-	CompleteSeqs []int `json:"completeSeqs"`
-	// LastComplete is the newest complete seq, -1 if none.
-	LastComplete int `json:"lastComplete"`
-}
-
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	s.requests.With("/v1/manifest").Inc()
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if s.cfg.Datadir == "" {
-		s.writeError(w, http.StatusNotFound, "no datadir configured; durable manifests unavailable")
-		return
-	}
-	resp := manifestResponse{Datadir: s.cfg.Datadir, N: s.cfg.N, LastComplete: -1}
-	for p := 0; p < s.cfg.N; p++ {
-		m, err := fsstore.ReadManifest(s.cfg.Datadir, p)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		m.N = s.cfg.N // the log does not record it
-		resp.Manifests = append(resp.Manifests, m)
-		if p == 0 {
-			resp.CompleteSeqs = append([]int(nil), m.Seqs...)
-		} else {
-			resp.CompleteSeqs = fsstore.IntersectSeqs(resp.CompleteSeqs, m.Seqs)
-		}
-	}
-	if k := len(resp.CompleteSeqs); k > 0 {
-		resp.LastComplete = resp.CompleteSeqs[k-1]
-	} else {
-		resp.CompleteSeqs = nil // reads null, as an empty intersection always has
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

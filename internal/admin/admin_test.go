@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,12 +44,7 @@ func testCluster(t *testing.T, datadir string) (*transport.Cluster, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(Config{
-		Nodes:    c.Nodes,
-		Registry: c.Metrics,
-		Datadir:  datadir,
-		N:        4,
-	})
+	srv := NewServer(Config{Nodes: c.Nodes, Registry: c.Metrics})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +87,8 @@ func do(t *testing.T, srv *Server, method, path string) (int, []byte) {
 
 // TestControlPlane is the end-to-end pass over every endpoint against a
 // live cluster: health, readiness, status, a triggered checkpoint round
-// observed through to durable finalization, the manifest view of it,
-// recovery state, and the Prometheus exposition.
+// observed through to the durable line every node hears, recovery state,
+// and the Prometheus exposition.
 func TestControlPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
@@ -157,22 +153,20 @@ func TestControlPlane(t *testing.T) {
 	if !advanced {
 		t.Fatalf("checkpoint: no node advanced its csn: %+v", ck.Triggered)
 	}
-	waitLastComplete(t, srv, 1, 15*time.Second)
-
-	// Manifest agrees with what the status round produced.
-	var man manifestResponse
-	code, body = get(t, srv, "/v1/manifest")
-	if code != http.StatusOK {
-		t.Fatalf("manifest: code %d body %s", code, body)
+	waitDurableLine(t, srv, 1, 15*time.Second)
+	// No node hears a line its own store does not hold.
+	st = statusResponse{}
+	if _, body = get(t, srv, "/v1/status"); json.Unmarshal(body, &st) != nil {
+		t.Fatalf("status: %s", body)
 	}
-	if err := json.Unmarshal(body, &man); err != nil {
-		t.Fatalf("manifest: %v\n%s", err, body)
+	for _, e := range st.Nodes {
+		if e.Status == nil || e.Status.DurableLine > e.Status.DurableSeq {
+			t.Fatalf("status: a node hears a line above its own durable seq:\n%s", body)
+		}
 	}
-	if man.N != 4 || len(man.Manifests) != 4 {
-		t.Fatalf("manifest: malformed: %+v", man)
-	}
-	if man.LastComplete < 1 {
-		t.Fatalf("manifest: lastComplete = %d, want >= 1", man.LastComplete)
+	// The datadir scan that once answered this is gone.
+	if code, _ := get(t, srv, "/v1/manifest"); code != http.StatusNotFound {
+		t.Fatalf("/v1/manifest: code %d, want 404", code)
 	}
 
 	// Recovery: no rollbacks have happened, so the line is -1 and the
@@ -212,15 +206,17 @@ func TestControlPlane(t *testing.T) {
 	checkMetricsExposition(t, srv)
 }
 
-// waitLastComplete polls /v1/manifest until every process has seq
-// durable (the triggered round finalized cluster-wide).
-func waitLastComplete(t *testing.T, srv *Server, seq int, timeout time.Duration) {
+// waitDurableLine polls /v1/status until every node has heard a durable
+// line of at least seq (the triggered round finalized cluster-wide).
+func waitDurableLine(t *testing.T, srv *Server, seq int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		_, body := get(t, srv, "/v1/manifest")
-		var man manifestResponse
-		if err := json.Unmarshal(body, &man); err == nil && man.LastComplete >= seq {
+		_, body := get(t, srv, "/v1/status")
+		var st statusResponse
+		if err := json.Unmarshal(body, &st); err == nil && len(st.Nodes) > 0 && slices.IndexFunc(st.Nodes, func(e nodeEntry) bool {
+			return e.Status == nil || e.Status.DurableLine < seq
+		}) < 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -280,7 +276,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	cases := []struct{ method, path string }{
 		{http.MethodGet, "/v1/checkpoint"},
 		{http.MethodPost, "/v1/status"},
-		{http.MethodPost, "/v1/manifest"},
 		{http.MethodPost, "/v1/recovery"},
 		{http.MethodPost, "/metrics"},
 	}
@@ -291,16 +286,26 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestManifestWithoutDatadir: a diskless deployment answers 404, not a
-// crash or an empty 200.
+// TestManifestWithoutDatadir: a diskless deployment has no durable seq
+// and hears no durable line, so its status says -1 for both, and there is
+// no manifest endpoint to answer: 404, not a crash or an empty 200.
 func TestManifestWithoutDatadir(t *testing.T) {
-	srv := NewServer(Config{N: 2})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("real-time cluster test")
 	}
-	defer srv.Close()
+	_, srv := testCluster(t, "")
 	if code, _ := get(t, srv, "/v1/manifest"); code != http.StatusNotFound {
 		t.Fatalf("manifest without datadir: code %d, want 404", code)
+	}
+	var st statusResponse
+	code, body := get(t, srv, "/v1/status")
+	if code != http.StatusOK || json.Unmarshal(body, &st) != nil || len(st.Nodes) != 4 {
+		t.Fatalf("status: code %d body %s", code, body)
+	}
+	for _, e := range st.Nodes {
+		if e.Status == nil || e.Status.DurableSeq != -1 || e.Status.DurableLine != -1 {
+			t.Fatalf("status without datadir: want durableSeq and durableLine -1:\n%s", body)
+		}
 	}
 }
 
@@ -312,7 +317,7 @@ func TestManifestWithoutDatadir(t *testing.T) {
 // beside this one, and reaching that listener says nothing about this
 // server.
 func TestCloseStopsServing(t *testing.T) {
-	srv := NewServer(Config{N: 2})
+	srv := NewServer(Config{})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func TestCheckpointWithoutNodes(t *testing.T) {
 // allocation profile of a running daemon is how the message path's heap
 // cost is found), beside the /v1 routes, which answer as before.
 func TestPprof(t *testing.T) {
-	srv := NewServer(Config{N: 2})
+	srv := NewServer(Config{})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

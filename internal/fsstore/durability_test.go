@@ -7,6 +7,7 @@ package fsstore
 // batch tail, orphan segment).
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,7 +132,7 @@ func TestManifestRollbackOnFailedCommit(t *testing.T) {
 	if got := s.Manifest().Seqs; !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Fatalf("manifest seqs = %v, want [1 2 3]", got)
 	}
-	m, err := ReadManifest(dir, 0)
+	m, err := readManifest(dir, 0, bufio.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +222,8 @@ func TestManifestedSeqInNoSegment(t *testing.T) {
 	if _, err := s2.Load(3); err == nil || !strings.Contains(err.Error(), "in no segment") {
 		t.Fatalf("Load(3) err = %v, want an in-no-segment error", err)
 	}
-	if m, err := ReadManifest(dir, 0); err != nil || !reflect.DeepEqual(m.Seqs, []int{1, 2}) {
-		t.Fatalf("ReadManifest = (%v, %v), want seqs [1 2]", m.Seqs, err)
+	if m, err := readManifest(dir, 0, bufio.NewReader(nil)); err != nil || !reflect.DeepEqual(m.Seqs, []int{1, 2}) {
+		t.Fatalf("readManifest = (%v, %v), want seqs [1 2]", m.Seqs, err)
 	}
 }
 
@@ -778,7 +779,7 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // against a log of this format that ends in a frame of a kind this build
 // does not know, and against another process's log moved into this
 // process's directory. Each is durable data this build may not read as
-// its own: Open and ReadManifest must fail naming the format, the kind or
+// its own: Open and readManifest must fail naming the format, the kind or
 // the owner, and the segment, and Open must not truncate, sweep or
 // rewrite anything. Each runs twice, beside the hint an earlier build left
 // (or would have: a fresh one where the directory has none) and beside
@@ -865,7 +866,7 @@ func TestPreviousFormatDatadirs(t *testing.T) {
 				before := readDir(t, pdir)
 				for _, read := range []func() error{
 					func() error { _, err := Open(dir, 0, 2); return err },
-					func() error { _, err := ReadManifest(dir, 0); return err },
+					func() error { _, err := readManifest(dir, 0, bufio.NewReader(nil)); return err },
 				} {
 					err := read()
 					if err == nil {

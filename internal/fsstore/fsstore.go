@@ -26,17 +26,19 @@
 // manifest (Store.Manifest) is in memory and only an acknowledged commit
 // moves it; the GC floor lives there too, so a later Open may serve again
 // collected records whose segment survived — more than was asked for,
-// never less. Pollers of a live datadir (ReadManifest, CompleteSeqs,
-// LastCompleteSeq) scan the segment files read-only under the binding
-// rule Open replays by. A directory in which a build before this one
-// published a MANIFEST.json hint opens like any other: the hint, and any
-// temp file of it, is ignored and left in place.
+// never less. A directory in which a build before this one published a
+// MANIFEST.json hint opens like any other: the hint, and any temp file of
+// it, is ignored and left in place.
 //
-// The manifest of every process, intersected (CompleteSeqs,
-// LastCompleteSeq), yields the last finalized global checkpoint S_k on
-// disk; the recovery handshake (internal/handshake) agrees on it as the
-// line and transport.ResumeProtocol restarts a process from it, and GCTo
-// garbage-collects everything below that watermark.
+// The manifest of every process, intersected, yields the last finalized
+// global checkpoint S_k on disk; the recovery handshake
+// (internal/handshake) agrees on it as the line and
+// transport.ResumeProtocol restarts a process from it, and GCTo
+// garbage-collects everything below the line the processes report to each
+// other. A running cluster learns that line from its peers' reports, not
+// from a directory. CompleteSeqs and LastCompleteSeq remain for the
+// benchmark's checks, which poll a live datadir: they scan the segment
+// files read-only under the binding rule Open replays by.
 package fsstore
 
 import (
@@ -63,8 +65,8 @@ type SegmentMeta struct {
 }
 
 // Manifest records what a process has durably finalized: the store's
-// in-memory view, what a scan of the log finds (ReadManifest), and the
-// admin API's response body.
+// in-memory view, or what a read-only scan of the log finds
+// (CompleteSeqs).
 type Manifest struct {
 	// Proc is the owning process id.
 	Proc int `json:"proc"`
@@ -680,34 +682,27 @@ func (s *Store) GCTo(wm int) error {
 	return nil
 }
 
-// ReadManifest reads a process's manifest from its segment log without
-// opening the store: a read-only scan under the binding rule Open replays
-// by (no directory creation, no repair), safe against a live writer. A
-// missing directory or log yields an empty manifest. The scan reads what
-// the files hold when it reaches them, so it can see a frame whose fsync
-// has not returned: it suits pollers, and nothing that deletes data may
-// rely on it. N is left zero, since the log does not record it.
-func ReadManifest(datadir string, proc int) (Manifest, error) {
-	m, _, err := readManifest(datadir, proc, bufio.NewReader(nil))
-	return m, err
-}
-
-// readManifest scans proc's log through r (scanLog) and returns what it
-// binds, with the directory it read.
-func readManifest(datadir string, proc int, r *bufio.Reader) (_ Manifest, dir string, err error) {
+// readManifest reads a process's manifest from its segment log through r
+// without opening the store: a read-only scan (scanLog) under the binding
+// rule Open replays by (no directory creation, no repair), safe against a
+// live writer. A missing directory or log yields an empty manifest. The
+// scan reads what the files hold when it reaches them, so it can see a
+// frame whose fsync has not returned: it suits pollers, and nothing that
+// deletes data may rely on it. N is left zero, since the log does not
+// record it.
+func readManifest(datadir string, proc int, r *bufio.Reader) (Manifest, error) {
 	var seqs []int
-	dir = ProcDir(datadir, proc)
-	ls, err := scanLog(dir, proc, r, func(fr scannedFrame) { seqs = bind(seqs, fr) })
+	ls, err := scanLog(ProcDir(datadir, proc), proc, r, func(fr scannedFrame) { seqs = bind(seqs, fr) })
 	if err != nil {
-		return Manifest{}, dir, err
+		return Manifest{}, err
 	}
-	return Manifest{Proc: proc, Seqs: seqs, Segments: ls.segs}, dir, nil
+	return Manifest{Proc: proc, Seqs: seqs, Segments: ls.segs}, nil
 }
 
 // LastCompleteSeq intersects the manifests of all n processes and returns
 // the highest sequence number every process has finalized — the last
 // global checkpoint S_k on disk — or -1 if none exists. It reads through
-// ReadManifest, so polling a live datadir is safe, and nothing that
+// readManifest, so polling a live datadir is safe, and nothing that
 // deletes data may rely on it.
 func LastCompleteSeq(datadir string, n int) (int, error) {
 	seqs, err := CompleteSeqs(datadir, n)
@@ -722,13 +717,13 @@ func LastCompleteSeq(datadir string, n int) (int, error) {
 
 // CompleteSeqs returns every sequence number present in all n manifests,
 // ascending — the global checkpoints S_k the datadir holds. It reads
-// through ReadManifest, so polling a live datadir is safe, and nothing
+// through readManifest, so polling a live datadir is safe, and nothing
 // that deletes data may rely on it.
 func CompleteSeqs(datadir string, n int) ([]int, error) {
 	r := bufio.NewReader(nil)
 	var all []int
 	for p := 0; p < n; p++ {
-		m, _, err := readManifest(datadir, p, r)
+		m, err := readManifest(datadir, p, r)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package fsstore
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -268,7 +269,7 @@ func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 		}
 	}
 	before := readDir(t, s.Dir())
-	m, err := ReadManifest(dir, 0)
+	m, err := readManifest(dir, 0, bufio.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 		t.Fatal("the poll changed the directory")
 	}
 	// Absent process directory: empty manifest, nothing created.
-	m, err = ReadManifest(dir, 1)
+	m, err = readManifest(dir, 1, bufio.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +288,6 @@ func TestReadManifestDoesNotDisturbDatadir(t *testing.T) {
 		t.Fatalf("absent dir manifest seqs = %v", m.Seqs)
 	}
 	if _, err := os.Stat(ProcDir(dir, 1)); !os.IsNotExist(err) {
-		t.Fatalf("ReadManifest created the process directory (err=%v)", err)
+		t.Fatalf("readManifest created the process directory (err=%v)", err)
 	}
 }

@@ -389,11 +389,11 @@ func TestCommitAndOpenDirectoryOps(t *testing.T) {
 }
 
 // TestPollFlatInHistory: a poll streams each segment through one reused
-// buffer, so what ReadManifest and LastCompleteSeq allocate does not grow
+// buffer, so what readManifest and LastCompleteSeq allocate does not grow
 // with the history, apart from the seq lists they build. Over a
 // 4-process datadir, a poll at 2,000 records per process makes exactly as
 // many allocations as one at 20, plus what growing those lists by append
-// costs (one list for ReadManifest, four for LastCompleteSeq). Reading
+// costs (one list for readManifest, four for LastCompleteSeq). Reading
 // each file whole would allocate the log's size on every poll, and the
 // benchmark polls with its collector off.
 func TestPollFlatInHistory(t *testing.T) {
@@ -430,8 +430,8 @@ func TestPollFlatInHistory(t *testing.T) {
 			}
 		}
 		read = testing.AllocsPerRun(20, func() {
-			if m, err := ReadManifest(dir, 0); err != nil || len(m.Seqs) != records {
-				t.Fatalf("ReadManifest = (%d seqs, %v), want %d", len(m.Seqs), err, records)
+			if m, err := readManifest(dir, 0, bufio.NewReader(nil)); err != nil || len(m.Seqs) != records {
+				t.Fatalf("readManifest = (%d seqs, %v), want %d", len(m.Seqs), err, records)
 			}
 		})
 		last = testing.AllocsPerRun(20, func() {
@@ -444,9 +444,9 @@ func TestPollFlatInHistory(t *testing.T) {
 	read20, last20 := measure(20)
 	read2k, last2k := measure(2000)
 	grow := appendAllocs(2000) - appendAllocs(20)
-	t.Logf("ReadManifest %v -> %v allocs, LastCompleteSeq %v -> %v; a list's growth %v", read20, read2k, last20, last2k, grow)
+	t.Logf("readManifest %v -> %v allocs, LastCompleteSeq %v -> %v; a list's growth %v", read20, read2k, last20, last2k, grow)
 	if read2k-read20 != grow {
-		t.Errorf("ReadManifest allocates %v times at 20 records and %v at 2,000, want %v more", read20, read2k, grow)
+		t.Errorf("readManifest allocates %v times at 20 records and %v at 2,000, want %v more", read20, read2k, grow)
 	}
 	if last2k-last20 != procs*grow {
 		t.Errorf("LastCompleteSeq allocates %v times at 20 records and %v at 2,000, want %v more", last20, last2k, procs*grow)
@@ -489,7 +489,7 @@ func TestScanRacesWriter(t *testing.T) {
 	}()
 	polls := 0
 	for !done.Load() {
-		m, err := ReadManifest(dir, 0)
+		m, err := readManifest(dir, 0, bufio.NewReader(nil))
 		if err != nil {
 			t.Fatalf("poll %d: %v", polls, err)
 		}
@@ -499,7 +499,7 @@ func TestScanRacesWriter(t *testing.T) {
 		polls++
 	}
 	wg.Wait()
-	if m, err := ReadManifest(dir, 0); err != nil || m.LastSeq() != s.LastSeq() {
+	if m, err := readManifest(dir, 0, bufio.NewReader(nil)); err != nil || m.LastSeq() != s.LastSeq() {
 		t.Fatalf("the poll after the writer = (last %d, %v), want %d", m.LastSeq(), err, s.LastSeq())
 	}
 	t.Logf("%d polls", polls)
@@ -588,8 +588,8 @@ func TestReadErrorRefused(t *testing.T) {
 			if _, err := Open(dir, 0, 2); !errors.Is(err, syscall.EIO) {
 				t.Fatalf("Open = %v, want EIO", err)
 			}
-			if _, err := ReadManifest(dir, 0); !errors.Is(err, syscall.EIO) {
-				t.Fatalf("ReadManifest = %v, want EIO", err)
+			if _, err := readManifest(dir, 0, bufio.NewReader(nil)); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("readManifest = %v, want EIO", err)
 			}
 			if _, err := LastCompleteSeq(dir, 1); !errors.Is(err, syscall.EIO) {
 				t.Fatalf("LastCompleteSeq = %v, want EIO", err)
@@ -625,7 +625,7 @@ func mustOpen(t *testing.T, path string) *os.File {
 }
 
 // TestHostileHints: a hint an earlier build left costs a reader nothing,
-// whatever its runs claim, since no reader opens it. ReadManifest and
+// whatever its runs claim, since no reader opens it. readManifest and
 // LastCompleteSeq read the log, allocating nothing like what the runs
 // claim, and Open serves the log's seqs and leaves the hint as it was.
 func TestHostileHints(t *testing.T) {
@@ -655,13 +655,13 @@ func TestHostileHints(t *testing.T) {
 			want := []int{1, 2, 3}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, err := ReadManifest(dir, 0)
+			m, err := readManifest(dir, 0, bufio.NewReader(nil))
 			runtime.ReadMemStats(&after)
 			if err != nil || !reflect.DeepEqual(m.Seqs, want) {
-				t.Errorf("ReadManifest = (%v, %v), want the log's %v", m.Seqs, err, want)
+				t.Errorf("readManifest = (%v, %v), want the log's %v", m.Seqs, err, want)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-				t.Errorf("ReadManifest allocated %d B beside a %d B hint", got, len(hint))
+				t.Errorf("readManifest allocated %d B beside a %d B hint", got, len(hint))
 			}
 			if got, err := LastCompleteSeq(dir, 1); err != nil || got != 3 {
 				t.Errorf("LastCompleteSeq = (%d, %v), want 3", got, err)
@@ -725,10 +725,10 @@ func TestHintFormats(t *testing.T) {
 			if got := s.Manifest().Seqs; !reflect.DeepEqual(got, want) {
 				t.Fatalf("Manifest().Seqs = %v, want %v", got, want)
 			}
-			m, err := ReadManifest(dir, 0)
+			m, err := readManifest(dir, 0, bufio.NewReader(nil))
 			m.N = 2
 			if err != nil || !reflect.DeepEqual(m, s.Manifest()) {
-				t.Fatalf("ReadManifest = (%+v, %v), want the store's manifest %+v", m, err, s.Manifest())
+				t.Fatalf("readManifest = (%+v, %v), want the store's manifest %+v", m, err, s.Manifest())
 			}
 		}
 		check(s, []int{1, 2, 3, 5, 6})
@@ -762,8 +762,8 @@ func TestHintFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := []int{1, 2, 3, 4, 5}
-		if m, err := ReadManifest(dir, 0); err != nil || !reflect.DeepEqual(m.Seqs, want) {
-			t.Fatalf("ReadManifest = (%v, %v), want the log's %v", m.Seqs, err, want)
+		if m, err := readManifest(dir, 0, bufio.NewReader(nil)); err != nil || !reflect.DeepEqual(m.Seqs, want) {
+			t.Fatalf("readManifest = (%v, %v), want the log's %v", m.Seqs, err, want)
 		}
 		s, ops := writesOfOpen(t, dir, DefaultOptions())
 		if len(ops) != 0 {
@@ -858,8 +858,8 @@ func TestParentHintDatadir(t *testing.T) {
 			t.Fatalf("Load(%d) = (%+v, %v), want %+v", q, got, err, rec(0, q, 2))
 		}
 	}
-	if m, err := ReadManifest(dir, 0); err != nil || !reflect.DeepEqual(m.Seqs, want) {
-		t.Fatalf("ReadManifest = (%v, %v), want %v", m.Seqs, err, want)
+	if m, err := readManifest(dir, 0, bufio.NewReader(nil)); err != nil || !reflect.DeepEqual(m.Seqs, want) {
+		t.Fatalf("readManifest = (%v, %v), want %v", m.Seqs, err, want)
 	}
 	if err := s.Finalize(rec(0, 6, 1)); err != nil {
 		t.Fatal(err)

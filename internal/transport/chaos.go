@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -125,9 +126,9 @@ func (r *ChaosReport) Render() string {
 // rests on, among them:
 //
 //  1. no-orphans: every durable global checkpoint S_k (intersection of
-//     the fsstore manifests) is a consistent cut of the actually
-//     delivered application messages — no message received inside S_k
-//     was sent outside it (Theorem 2).
+//     the stores reopened after the run) is a consistent cut of the
+//     actually delivered application messages — no message received
+//     inside S_k was sent outside it (Theorem 2).
 //  2. exactly-once-replay: every durable record replay-validates
 //     (Record.Replays) and no record logs the same delivery twice —
 //     duplicated frames must not reach the application or the log twice.
@@ -138,6 +139,9 @@ func (r *ChaosReport) Render() string {
 //     record logged is processed by its receiver exactly once in the new
 //     epoch, or not at all when the receiver's line record holds it
 //     (verifyLoggedSendsDelivered).
+//  5. heard-line: the durable line every node heard is no newer than the
+//     stores reopened after the run hold, and no older than the last line
+//     the run waited for (verifyHeardLine).
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Cluster.Datadir == "" {
 		return nil, fmt.Errorf("transport: chaos needs a datadir (crash/restart requires durable storage)")
@@ -159,25 +163,28 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.Stop()
 	rep := &ChaosReport{Seed: cfg.Cluster.Seed, Schedule: sched}
 	inj.Activate(c.base)
-	c.Start()
-	defer c.Stop()
+	if err := c.Start(); err != nil {
+		return nil, err
+	}
 
 	datadir, n := cfg.Cluster.Datadir, cfg.Cluster.N
 	convergeOK := true
 	var convergeDetail string
 	var lines [][]checkpoint.Record // per recovery, the records every process resumed from
+	waited := -1                    // the last line a wait saw every node hear
 	for _, cr := range sched.Crashes {
 		// A rollback needs a durable recovery line; wait for the first
 		// complete global checkpoint if the cluster hasn't one yet.
-		if _, err := waitLineAtLeast(datadir, n, 1, cfg.Converge); err != nil {
+		if waited, err = waitLineAtLeast(c, 1, cfg.Converge); err != nil {
 			return rep, fmt.Errorf("before crash of P%d: %w", cr.Proc, err)
 		}
 		sleepUntil(c.base, cr.At)
 		c.Kill(cr.Proc)
 		time.Sleep(50 * time.Millisecond) // let in-flight traffic hit the dead socket
-		if err := plantDebris(datadir, cr.Proc, cr.Tear); err != nil {
+		if err := plantDebris(c.FS(cr.Proc), cr.Tear); err != nil {
 			return rep, err
 		}
 		if cr.Down > 0 {
@@ -192,7 +199,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 		rep.Restarts++
 		lines = append(lines, lineRecords(c.Ckpts, line))
-		if _, err := waitLineAtLeast(datadir, n, line+1, cfg.Converge); err != nil {
+		if waited, err = waitLineAtLeast(c, line+1, cfg.Converge); err != nil {
 			convergeOK = false
 			convergeDetail = fmt.Sprintf("after restart of P%d: no durable checkpoint beyond line %d", cr.Proc, line)
 		}
@@ -203,31 +210,38 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	time.Sleep(cfg.Cluster.Drain)
 	c.Stop()
 
-	orphans := verifyNoOrphans(datadir, n, c.Rec)
-	replay := verifyExactlyOnceReplay(datadir, n)
+	// What each store acknowledged, then what a restart would find.
+	acked := make([]fsstore.Manifest, n)
+	stores := make([]*fsstore.Store, n)
+	for p := range n {
+		acked[p] = c.FS(p).Manifest()
+		if stores[p], err = fsstore.Open(datadir, p, n); err != nil {
+			return rep, fmt.Errorf("reopening P%d's store after the run: %w", p, err)
+		}
+	}
+	durable := stores[0].Manifest().Seqs
+	for _, s := range stores[1:] {
+		durable = fsstore.IntersectSeqs(durable, s.Manifest().Seqs)
+	}
 	rep.Counters = c.Counters()
 	rep.Invariants = []Invariant{
-		orphans,
-		replay,
-		verifyManifestIntegrity(datadir, n),
+		verifyNoOrphans(durable, n, c.Rec),
+		verifyExactlyOnceReplay(stores),
+		verifyManifestIntegrity(acked, stores),
 		{Name: "post-restart-convergence", OK: convergeOK, Detail: convergeDetail},
 		verifyWireRecovery(rep.Counters, rep.Restarts, n),
 		verifyLoggedSendsDelivered(c.Rec, lines),
+		verifyHeardLine(c.Nodes(), durable, waited),
 	}
 	rep.FaultStats = inj.Stats()
 	return rep, nil
 }
 
-// verifyNoOrphans checks invariant 1: each durable global checkpoint,
-// recovered purely from the fsstore manifests, must be a consistent cut
-// of the recorded application-message trace.
-func verifyNoOrphans(datadir string, n int, rec *trace.Recorder) Invariant {
+// verifyNoOrphans checks invariant 1: each durable global checkpoint, the
+// seqs every reopened store holds, must be a consistent cut of the
+// recorded application-message trace.
+func verifyNoOrphans(seqs []int, n int, rec *trace.Recorder) Invariant {
 	iv := Invariant{Name: "no-orphans"}
-	seqs, err := fsstore.CompleteSeqs(datadir, n)
-	if err != nil {
-		iv.Detail = err.Error()
-		return iv
-	}
 	for _, g := range rec.CheckGlobals(n, trace.KFinalize, seqs) {
 		switch {
 		case !g.Complete:
@@ -247,14 +261,9 @@ func verifyNoOrphans(datadir string, n int, rec *trace.Recorder) Invariant {
 // reproduce the CFE state fold exactly, and no record may log one
 // delivery twice (a duplicated frame that leaked past the dedup layer
 // would appear as a repeated (dir, src, tag, appSeq) entry).
-func verifyExactlyOnceReplay(datadir string, n int) Invariant {
+func verifyExactlyOnceReplay(stores []*fsstore.Store) Invariant {
 	iv := Invariant{Name: "exactly-once-replay"}
-	for p := 0; p < n; p++ {
-		s, err := fsstore.Open(datadir, p, n)
-		if err != nil {
-			iv.Detail = err.Error()
-			return iv
-		}
+	for p, s := range stores {
 		for _, seq := range s.Manifest().Seqs {
 			r, err := s.Load(seq)
 			if err != nil {
@@ -288,37 +297,44 @@ func verifyExactlyOnceReplay(datadir string, n int) Invariant {
 
 // verifyManifestIntegrity checks the durability engine's core promise
 // directly: after the run — crashes, planted commit-boundary debris,
-// group commits, segment rotation, GC sweeps and all — no manifest
-// points at missing data. Every store reopens cleanly and every
-// manifested record loads.
-func verifyManifestIntegrity(datadir string, n int) Invariant {
+// group commits, segment rotation, GC sweeps and all — every seq a store
+// acknowledged (acked[p], its manifest at the stop) is served by its
+// reopened store and loads. Open may only neutralize unreferenced debris.
+func verifyManifestIntegrity(acked []fsstore.Manifest, stores []*fsstore.Store) Invariant {
 	iv := Invariant{Name: "manifest-integrity"}
-	for p := 0; p < n; p++ {
-		before, err := fsstore.ReadManifest(datadir, p)
-		if err != nil {
-			iv.Detail = err.Error()
-			return iv
-		}
-		s, err := fsstore.Open(datadir, p, n)
-		if err != nil {
-			iv.Detail = fmt.Sprintf("P%d reopen: %v", p, err)
-			return iv
-		}
-		// Open may only neutralize unreferenced debris — it must not have
-		// dropped anything the pre-open manifest referenced.
-		after := map[int]bool{}
-		for _, seq := range s.Manifest().Seqs {
-			after[seq] = true
-		}
-		for _, seq := range before.Seqs {
-			if !after[seq] {
-				iv.Detail = fmt.Sprintf("P%d: manifested seq %d lost on reopen", p, seq)
+	for p, s := range stores {
+		after := s.Manifest().Seqs
+		for _, seq := range acked[p].Seqs {
+			if !slices.Contains(after, seq) {
+				iv.Detail = fmt.Sprintf("P%d: acknowledged seq %d lost on reopen", p, seq)
 				return iv
 			}
 			if _, err := s.Load(seq); err != nil {
-				iv.Detail = fmt.Sprintf("P%d: manifest points at unloadable seq %d: %v", p, seq, err)
+				iv.Detail = fmt.Sprintf("P%d: acknowledged seq %d does not load: %v", p, seq, err)
 				return iv
 			}
+		}
+	}
+	iv.OK = true
+	return iv
+}
+
+// verifyHeardLine checks invariant 5: after the stop, every node's
+// DurableLine is at most the last seq the reopened stores all hold
+// (durable), and at least waited, the last line the run saw every node
+// hear. Seqs are gap-free above each store's floor and the line counts
+// reports of one epoch only, so it cannot run ahead of the disks
+// (DESIGN.md §14.3); within the run's last epoch it only grows.
+func verifyHeardLine(nodes []*Node, durable []int, waited int) Invariant {
+	iv := Invariant{Name: "heard-line"}
+	last := -1
+	if k := len(durable); k > 0 {
+		last = durable[k-1]
+	}
+	for _, n := range nodes {
+		if l := n.DurableLine(); l > last || l < waited {
+			iv.Detail = fmt.Sprintf("P%d heard line %d, want one in [%d, %d]", n.cfg.ID, l, waited, last)
+			return iv
 		}
 	}
 	iv.OK = true
@@ -370,20 +386,17 @@ func verifyLoggedSendsDelivered(rec *trace.Recorder, lines [][]checkpoint.Record
 
 // plantDebris plants the crash-point debris the schedule picked for a
 // crash: what the victim's store directory looks like when the process
-// dies exactly on one of the durability engine's commit boundaries.
+// dies exactly on one of the durability engine's commit boundaries. The
+// segments are those its dead store had acknowledged (fs's manifest).
 // fsstore.Open must neutralize every kind on restart (sweep, truncate, or
 // replay past it) without ever losing an acknowledged record.
-func plantDebris(datadir string, proc int, kind string) error {
-	dir := fsstore.ProcDir(datadir, proc)
+func plantDebris(fs *fsstore.Store, kind string) error {
+	dir, m := fs.Dir(), fs.Manifest()
 	switch kind {
 	case faultnet.TearNone:
 		return nil
 	case faultnet.TearSegHeader:
 		// Crash while rotating to a fresh segment: half a header.
-		m, err := fsstore.ReadManifest(datadir, proc)
-		if err != nil {
-			return err
-		}
 		next := 1
 		if k := len(m.Segments); k > 0 {
 			next = m.Segments[k-1].Index + 1
@@ -393,9 +406,8 @@ func plantDebris(datadir string, proc int, kind string) error {
 		// Crash mid group-commit append: garbage beyond the active
 		// segment's durable size. Without segments yet there is nothing
 		// to tear — equivalent to crashing before the batch's first byte.
-		m, err := fsstore.ReadManifest(datadir, proc)
-		if err != nil || len(m.Segments) == 0 {
-			return err
+		if len(m.Segments) == 0 {
+			return nil
 		}
 		last := m.Segments[len(m.Segments)-1]
 		f, err := os.OpenFile(fsstore.SegmentFile(dir, last.Index), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -410,9 +422,8 @@ func plantDebris(datadir string, proc int, kind string) error {
 	case faultnet.TearGCSeg:
 		// A segment file outside the log: a live one cloned under an index
 		// its header does not name.
-		m, err := fsstore.ReadManifest(datadir, proc)
-		if err != nil || len(m.Segments) == 0 {
-			return err
+		if len(m.Segments) == 0 {
+			return nil
 		}
 		src := fsstore.SegmentFile(dir, m.Segments[0].Index)
 		raw, err := os.ReadFile(src)
@@ -434,15 +445,12 @@ func sleepUntil(base time.Time, at time.Duration) {
 	}
 }
 
-// waitLineAtLeast polls the durable manifests until their intersection
-// reaches want, returning the line found.
-func waitLineAtLeast(datadir string, n, want int, timeout time.Duration) (int, error) {
+// waitLineAtLeast polls the durable line the cluster's nodes heard until
+// it reaches want, returning the line found.
+func waitLineAtLeast(c *Cluster, want int, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		line, err := fsstore.LastCompleteSeq(datadir, n)
-		if err != nil {
-			return -1, err
-		}
+		line := c.DurableLine()
 		if line >= want {
 			return line, nil
 		}

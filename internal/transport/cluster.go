@@ -53,10 +53,11 @@ type ClusterConfig struct {
 	// FSOptions tunes the durability engine of every node's store (the
 	// segment size). The zero value selects the fsstore default.
 	FSOptions fsstore.Options
-	// GC runs the storage garbage collector: every hosted node reports its
-	// committed watermark to its peers and prunes its own store, on disk
-	// and in memory, below the lowest one it has heard (gc.go). It reads
-	// no other process's directory. Requires Datadir.
+	// GC runs the storage garbage collector: every hosted node prunes its
+	// own store, on disk and in memory, below the durable line it has heard
+	// (Node.DurableLine, gc.go). Every hosted node with a store reports its
+	// committed seq to its peers and hears the line whether or not GC is
+	// set; GC only adds the pruning. Requires Datadir.
 	GC bool
 }
 
@@ -209,8 +210,8 @@ func (c *Cluster) buildNode(i int, ln net.Listener, line int) (*Node, error) {
 		OnDone:     c.nodeDone,
 		OnRollback: func(id, _ int) { c.clearDone(id) },
 	})
-	if err == nil && c.cfg.GC && n.cfg.FS != nil {
-		n.enableGC()
+	if err == nil && n.cfg.FS != nil {
+		n.hearPeers(c.cfg.GC)
 	}
 	return n, err
 }
@@ -236,6 +237,17 @@ func (c *Cluster) Nodes() []*Node {
 	return out
 }
 
+// DurableLine is the durable line the hosted processes heard: the lowest
+// of their nodes' (Node.DurableLine), -1 until each has heard one.
+func (c *Cluster) DurableLine() int {
+	nodes := c.Nodes()
+	line := nodes[0].DurableLine()
+	for _, n := range nodes[1:] {
+		line = min(line, n.DurableLine())
+	}
+	return line
+}
+
 // FS returns process i's on-disk store (nil without a datadir; the
 // current incarnation — Recover replaces the element).
 func (c *Cluster) FS(i int) *fsstore.Store {
@@ -245,11 +257,23 @@ func (c *Cluster) FS(i int) *fsstore.Store {
 }
 
 // Start launches every hosted node (one Recover already started is left
-// alone).
-func (c *Cluster) Start() {
-	for _, n := range c.Nodes() {
+// alone). It starts none, and returns an error, when a node would start
+// fresh over a store that already holds a checkpoint: the process would
+// take the seqs of another run's records for its own, and a later recovery
+// would restore that run's state.
+func (c *Cluster) Start() error {
+	nodes := c.Nodes()
+	for _, n := range nodes {
+		if fs := n.cfg.FS; fs != nil && n.cfg.Resume < 0 && !n.started.Load() && fs.LastSeq() >= 0 {
+			return fmt.Errorf("transport: P%d's store %s already holds checkpoints up to seq %d: "+
+				"restart the process from it by recovery (ocsmld -recover), or start fresh on an empty datadir",
+				n.cfg.ID, fs.Dir(), fs.LastSeq())
+		}
+	}
+	for _, n := range nodes {
 		n.Start()
 	}
+	return nil
 }
 
 // Run executes the hosted processes start-to-finish: start, wait for the
@@ -257,18 +281,21 @@ func (c *Cluster) Start() {
 // finishing their quotas and the last round finalizing), then stop
 // gracefully. ClusterConfig.Timeout or a cancelled ctx (the daemon's
 // SIGINT/SIGTERM) cuts either wait short and goes straight to the same
-// stop; Report says whether the workload completed.
-func (c *Cluster) Run(ctx context.Context, beforeClose func()) {
-	c.Start()
+// stop; Report says whether the workload completed. An error is Start's:
+// nothing ran, and the cluster is stopped.
+func (c *Cluster) Run(ctx context.Context, beforeClose func()) error {
 	defer c.stop(beforeClose)
+	if err := c.Start(); err != nil {
+		return err
+	}
 	deadline := time.After(c.cfg.Timeout)
 	for !c.allDone() {
 		select {
 		case <-c.doneCh:
 		case <-deadline:
-			return
+			return nil
 		case <-ctx.Done():
-			return
+			return nil
 		}
 	}
 	makespan := time.Since(c.base)
@@ -279,6 +306,7 @@ func (c *Cluster) Run(ctx context.Context, beforeClose func()) {
 	case <-time.After(c.cfg.Drain):
 	case <-ctx.Done():
 	}
+	return nil
 }
 
 // Stop stops the hosted processes gracefully. Safe to call again.

@@ -52,18 +52,28 @@ func validateDisk(t *testing.T, datadir string, n, wantSeq int) {
 }
 
 // validateRoots is validateDisk for processes whose datadirs may differ:
-// roots[p] is P_p's.
+// roots[p] is P_p's. The processes must have stopped.
 func validateRoots(t *testing.T, roots []string, wantSeq int) {
 	t.Helper()
-	last := lastLineAcross(t, roots)
-	if last < wantSeq {
-		t.Fatalf("durable S_k = %d, want >= %d", last, wantSeq)
-	}
+	stores := make([]*fsstore.Store, len(roots))
+	var seqs []int // the seqs every reopened store holds
 	for p, root := range roots {
 		s, err := fsstore.Open(root, p, len(roots))
 		if err != nil {
 			t.Fatal(err)
 		}
+		stores[p] = s
+		if p == 0 {
+			seqs = s.Manifest().Seqs
+		} else {
+			seqs = fsstore.IntersectSeqs(seqs, s.Manifest().Seqs)
+		}
+	}
+	last := slices.Max(append(seqs, -1))
+	if last < wantSeq {
+		t.Fatalf("durable S_k = %d, want >= %d", last, wantSeq)
+	}
+	for p, s := range stores {
 		recs, err := s.LoadAll()
 		if err != nil {
 			t.Fatal(err)
@@ -79,26 +89,13 @@ func validateRoots(t *testing.T, roots []string, wantSeq int) {
 	}
 }
 
-// lastLineAcross is fsstore.LastCompleteSeq over per-process datadirs:
-// the highest seq every roots[p] holds for P_p, or -1.
-func lastLineAcross(t testing.TB, roots []string) int {
-	t.Helper()
-	var seqs []int
-	for p, root := range roots {
-		m, err := fsstore.ReadManifest(root, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == 0 {
-			seqs = m.Seqs
-		} else {
-			seqs = fsstore.IntersectSeqs(seqs, m.Seqs)
-		}
+// heardLine is the lowest durable line the hosts heard (Cluster.DurableLine).
+func heardLine(hosts ...*Cluster) int {
+	line := hosts[0].DurableLine()
+	for _, c := range hosts[1:] {
+		line = min(line, c.DurableLine())
 	}
-	if len(seqs) == 0 {
-		return -1
-	}
-	return seqs[len(seqs)-1]
+	return line
 }
 
 // TestClusterRun runs the in-process TCP cluster start to finish under
@@ -134,6 +131,13 @@ func TestClusterRun(t *testing.T) {
 					t.Fatalf("mesh accounting empty: frames=%d bytes=%d", rep.FramesSent, rep.FrameBytes)
 				}
 				validateDisk(t, c.cfg.Datadir, 4, 1)
+				// Without GC every node still hears the line, no newer than
+				// the cluster's complete checkpoints; nothing is collected.
+				line := c.DurableLine()
+				if line < 1 || line > c.Ckpts.MaxCompleteSeq() || c.Counter("fsstore.gc_sweeps") != 0 {
+					t.Fatalf("heard line %d (complete in memory to %d), %d GC sweeps; want a line >= 1 and no sweep",
+						line, c.Ckpts.MaxCompleteSeq(), c.Counter("fsstore.gc_sweeps"))
+				}
 			},
 		},
 		{

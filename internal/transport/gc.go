@@ -8,12 +8,14 @@ import (
 	"ocsml/internal/wire"
 )
 
-// Storage GC (DESIGN.md §14.3). Each process of a cluster run with
-// ClusterConfig.GC tells every peer, in a frame sent straight to it, how
-// far its own store is durable; each collects its own store below the
-// minimum of what it has heard and its own. Nobody reads another process's
-// directory, so hosts with their own disks collect as well as one shared
-// datadir does.
+// The durable line and storage GC (DESIGN.md §14.3). Each process of a
+// cluster with a store tells every peer, in a frame sent straight to it,
+// how far its own store is durable. The minimum of what it has heard and
+// its own is the cluster's durable line as this process knows it
+// (DurableLine): the newest S_k every process holds on disk. With
+// ClusterConfig.GC each process also collects its own store below that
+// line. Nobody reads another process's directory, so hosts with their own
+// disks know the line, and collect, as well as one shared datadir does.
 //
 // dsnTag (protocol.TagDSN) is the report's control tag, a code in the
 // wire's tag table. The payload is an ordinary core.CtlMsg whose Csn is
@@ -26,15 +28,24 @@ const dsnTag = protocol.TagDSN
 // heardSeq is a committed watermark and the epoch it belongs to.
 type heardSeq struct{ epoch, seq int }
 
-// enableGC turns the node's collector on; Cluster.buildNode calls it
-// before Start when ClusterConfig.GC is set. Until every peer has
-// reported in the node's own epoch, it collects nothing.
-func (n *Node) enableGC() {
+// hearPeers turns the node's reports and line on, and with gc its
+// collector; Cluster.buildNode calls it before Start for every node with a
+// store. Until every peer has reported in the node's own epoch, the node
+// knows no line and collects nothing.
+func (n *Node) hearPeers(gc bool) {
+	n.gc = gc
 	n.heard = make([]heardSeq, n.cfg.N)
 	for j := range n.heard {
 		n.heard[j].epoch = -1
 	}
 }
+
+// DurableLine is the newest seq the node has heard that every process
+// holds durably: the minimum of its own committed seq and every peer's last
+// report in its epoch. It is -1 until every peer has reported in the
+// node's epoch, and always without a store or for a node NewNode built
+// alone. Safe to call from any goroutine, also after Close.
+func (n *Node) DurableLine() int { return int(n.line.Load()) }
 
 // onDurableReport takes a peer's report off a mesh reader goroutine to
 // the storage goroutine, which owns what the node has heard.
@@ -54,7 +65,7 @@ func (n *Node) onDurableReport(v *protocol.Envelope) {
 }
 
 // durableRose runs on the storage goroutine after a commit raised the
-// watermark: the loop reports it to every peer, and the store collects.
+// watermark: the loop reports it to every peer, and the line moves.
 func (n *Node) durableRose() {
 	h := heardSeq{n.dsnEpoch, n.persisted}
 	n.post(func() { n.reportDurable(h) })
@@ -85,14 +96,14 @@ func (n *Node) reportDurable(h heardSeq) {
 	}
 }
 
-// collect is the GC step, on the storage goroutine: serialized with every
-// commit and truncation of the node's store. The watermark is the minimum
-// of the node's own committed seq and the last report of every peer,
+// collect moves the line, on the storage goroutine: serialized with every
+// commit and truncation of the node's store. The line is the minimum of
+// the node's own committed seq and the last report of every peer,
 // counting only reports of the epoch of the node's last landed truncation
 // (one from before a rollback may name seqs the rollback discarded). It
-// collects the store, on disk and in memory, below the watermark whenever
-// that rose, unless the node has voted in a round whose rollback has not
-// landed yet (see reportDurable).
+// does not move while the node has voted in a round whose rollback has not
+// landed yet (see reportDurable). With gc, the node then collects its
+// store, on disk and in memory, below the line whenever that rose.
 func (n *Node) collect() {
 	if n.heard == nil || int64(n.dsnEpoch) <= n.voted.Load() {
 		return
@@ -105,7 +116,8 @@ func (n *Node) collect() {
 		}
 		wm = min(wm, h.seq)
 	}
-	if wm <= n.collected {
+	n.line.Store(int64(wm))
+	if !n.gc || wm <= n.collected {
 		return
 	}
 	if err := n.cfg.FS.GCTo(wm); err != nil {

@@ -63,14 +63,18 @@ func TestClusterSplitAcrossHosts(t *testing.T) {
 	}
 	const n, victim = 3, 1
 	roots, host := splitHosts(t, n, nil)
+	hosts := make([]*Cluster, n)
+	live := make([]*Cluster, n) // each process's current host
 	durableLine := func(want int) {
 		t.Helper()
-		waitFor(t, 20*time.Second, func() bool { return lastLineAcross(t, roots) >= want })
+		waitFor(t, 20*time.Second, func() bool { return heardLine(live...) >= want })
 	}
-	hosts := make([]*Cluster, n)
 	for i := range hosts {
 		hosts[i] = host(i)
-		hosts[i].Start()
+		if err := hosts[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		live[i] = hosts[i]
 	}
 	durableLine(2)
 
@@ -81,6 +85,7 @@ func TestClusterSplitAcrossHosts(t *testing.T) {
 	if err != nil || line < 2 {
 		t.Fatalf("recover: line %d, %v; want a line >= 2", line, err)
 	}
+	live[victim] = back
 	// The new incarnation collects as soon as every peer reports in the
 	// new epoch, so wait for it (not only for the line) before stopping.
 	waitFor(t, 20*time.Second, func() bool { return back.Counter("fsstore.gc_sweeps") > 0 })
@@ -110,13 +115,13 @@ func TestClusterSplitAcrossHosts(t *testing.T) {
 		}
 	}
 	for p, root := range roots {
-		m, err := fsstore.ReadManifest(root, p)
+		s, err := fsstore.Open(root, p, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, seq := range m.Seqs {
-			if seq != m.Seqs[0]+k {
-				t.Fatalf("P%d manifest %v has a gap", p, m.Seqs)
+		for k, seq := range s.Manifest().Seqs {
+			if seq != s.Manifest().Seqs[0]+k {
+				t.Fatalf("P%d manifest %v has a gap", p, s.Manifest().Seqs)
 			}
 		}
 	}
@@ -141,7 +146,9 @@ func TestGCPrunesMemory(t *testing.T) {
 	hosts := make([]*Cluster, n)
 	for i := range hosts {
 		hosts[i] = host(i)
-		hosts[i].Start()
+		if err := hosts[i].Start(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	line := 0
 	retained := func(rounds int) (recs, files []int) {
@@ -150,7 +157,7 @@ func TestGCPrunesMemory(t *testing.T) {
 			if _, err := hosts[0].Node(0).TriggerCheckpoint(5 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 10*time.Second, func() bool { return lastLineAcross(t, roots) > line })
+			waitFor(t, 10*time.Second, func() bool { return heardLine(hosts...) > line })
 		}
 		waitFor(t, 10*time.Second, func() bool {
 			for p, c := range hosts {

@@ -109,19 +109,24 @@ type Node struct {
 	// Single-goroutine state, touched lock-free: persisted, held and the
 	// GC state belong to the storage goroutine, recLine to the loop (reads
 	// from elsewhere post to their owner, as StatusSnapshot does).
-	// persisted is the highest seq written to FS; held the completions of
+	// persisted is the highest seq FS holds (from its LastSeq when the node
+	// is built; the Resume line without FS); held the completions of
 	// flushes that left a finalized record off the disk; recLine the last
 	// committed rollback/resume line (-1: never).
 	persisted int
 	held      []heldWrite
 	recLine   int
 
-	// Storage GC (gc.go), on only when heard is non-nil: the epoch of the
-	// last landed truncation (the start epoch before any), the last report
-	// of every process, and the watermark collected to.
+	// The durable line and storage GC (gc.go), on only when heard is
+	// non-nil: the epoch of the last landed truncation (the start epoch
+	// before any), the last report of every process, whether the node
+	// collects, and the watermark collected to. line is the durable line
+	// (DurableLine), set by storage and read from anywhere.
 	dsnEpoch  int
 	heard     []heardSeq
+	gc        bool
 	collected int
+	line      atomic.Int64
 	// voted is the epoch this process was in when it last voted in a
 	// recovery round (-1: never); set on the loop, read by storage.
 	voted atomic.Int64
@@ -204,7 +209,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		recLine:   cfg.Resume,
 		dsnEpoch:  cfg.Epoch,
 	}
+	if cfg.FS != nil {
+		n.persisted = cfg.FS.LastSeq()
+	}
 	n.voted.Store(-1)
+	n.line.Store(-1)
 	n.runDue = n.runTimers
 	n.clock = time.AfterFunc(time.Hour, func() { n.post(n.runDue) })
 	n.clock.Stop()
@@ -453,13 +462,6 @@ func (n *Node) persistFinalized() (finalized int) {
 			continue
 		}
 		finalized = rec.Seq
-		if rec.Seq <= n.cfg.FS.LastSeq() {
-			// Already on disk: a previous attempt failed after its
-			// manifest commit (e.g. the directory fsync); only the
-			// watermark is behind.
-			n.persisted = rec.Seq
-			continue
-		}
 		batch = append(batch, rec)
 	}
 	if len(batch) == 0 {

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,16 +56,11 @@ func TestNodeFinalizeRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// durable reports where seq 1 of process 0 stands: marked stable in
-	// the checkpoint store (what MaxStableSeq counts), listed in the
-	// on-disk manifest.
-	durable := func() (stable, manifested bool) {
+	// stable reports whether seq 1 of process 0 is marked stable in the
+	// checkpoint store (what MaxStableSeq counts).
+	stable := func() bool {
 		rec, _ := c.Ckpts.Proc(0).Get(1)
-		m, err := fsstore.ReadManifest(dir, 0)
-		if err != nil {
-			t.Error(err)
-		}
-		return rec.StableAt != 0, len(m.Seqs) > 0 && m.Seqs[0] == 1
+		return rec.StableAt != 0
 	}
 	var syncs atomic.Int32
 	c.FS(0).SetFaultHook(func(op, _ string) error {
@@ -76,7 +73,7 @@ func TestNodeFinalizeRetry(t *testing.T) {
 		case 2:
 			// The retry, a later flush's batch: until it commits, the failure
 			// is outstanding.
-			if stable, _ := durable(); stable {
+			if stable() {
 				t.Error("seq 1 is stable before its retry commits")
 			}
 		}
@@ -89,13 +86,10 @@ func TestNodeFinalizeRetry(t *testing.T) {
 	if got := c.Counter("fsstore.errors"); got != 1 {
 		t.Fatalf("fsstore.errors = %d, want 1", got)
 	}
-	if stable, manifested := durable(); !stable || !manifested {
-		t.Fatalf("seq 1 after its retry: stable %v, manifested %v, want both", stable, manifested)
-	}
-	// The failed seq was retried: the manifest has no gap at 1.
-	m, err := fsstore.ReadManifest(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The failed seq was retried: the manifest starts at 1, with no gap.
+	m := c.FS(0).Manifest()
+	if !stable() || len(m.Seqs) == 0 || m.Seqs[0] != 1 {
+		t.Fatalf("seq 1 after its retry: stable %v, manifest %v; want stable and manifested", stable(), m.Seqs)
 	}
 	for i := 1; i < len(m.Seqs); i++ {
 		if m.Seqs[i] != m.Seqs[i-1]+1 {
@@ -230,6 +224,104 @@ func TestRecoverSurfacesFailedTruncation(t *testing.T) {
 	killed.Store(false)
 	if got := c.FS(victim).Manifest().Seqs; len(got) != 0 {
 		t.Fatalf("victim restarted at line 0 with %v on disk", got)
+	}
+}
+
+// TestResumeRefusedKeepsTheStore: a resume at a line the store does not
+// hold is refused before anything is truncated. The store holds [5..9]
+// after a collection to 5 and a reopen; a resume at 3 must leave it so.
+// (The refusal used to come after the truncation, which had emptied the
+// store.)
+func TestResumeRefusedKeepsTheStore(t *testing.T) {
+	dir := t.TempDir()
+	opts := fsstore.Options{SegmentMaxBytes: 1} // a segment per commit: GCTo unlinks
+	fs, err := fsstore.OpenWith(dir, 0, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 9; seq++ {
+		if err := fs.Finalize(checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 0, Seq: seq}, FinalizedAt: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.GCTo(5); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() []int {
+		t.Helper()
+		fs, err = fsstore.OpenWith(dir, 0, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs.Manifest().Seqs
+	}
+	want := []int{5, 6, 7, 8, 9}
+	if got := reopen(); !slices.Equal(got, want) {
+		t.Fatalf("reopened after GCTo(5): %v, want %v", got, want)
+	}
+	_, err = ResumeProtocol(core.Options{}, false, fs, checkpoint.NewStore(2).Proc(0), 3)
+	if err == nil || !strings.Contains(err.Error(), "no durable checkpoint at line 3") {
+		t.Fatalf("ResumeProtocol at line 3 = %v, want a refusal", err)
+	}
+	if got := reopen(); !slices.Equal(got, want) {
+		t.Fatalf("reopened after the refused resume: %v, want %v", got, want)
+	}
+}
+
+// TestFreshStartOverAUsedStoreRefused: a fresh start over a store that
+// already holds checkpoints is refused, naming the process, its last seq
+// and its directory, and nothing is written: the process would otherwise
+// take the old run's records for its own seqs. Recovery builds over the
+// same store on purpose, and is not refused.
+func TestFreshStartOverAUsedStoreRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
+	dir := t.TempDir()
+	cfg := testClusterConfig(dir, 3)
+	cfg.Workload.Steps = 100000
+	old, err := fsstore.Open(dir, 2, cfg.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 3; seq++ {
+		if err := old.Finalize(checkpoint.Record{Tentative: checkpoint.Tentative{Proc: 2, Seq: seq}, FinalizedAt: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.Run(context.Background(), nil)
+	if err == nil {
+		t.Fatal("a fresh start over P2's used store ran")
+	}
+	for _, want := range []string{"P2", "seq 3", fsstore.ProcDir(dir, 2), "recovery", "empty datadir"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not name %q", err, want)
+		}
+	}
+	if c.Counter("app_msgs") != 0 || c.FS(0).LastSeq() != -1 {
+		t.Fatalf("the refused cluster ran: %d app messages, P0 durable to %d", c.Counter("app_msgs"), c.FS(0).LastSeq())
+	}
+
+	// The same store under a recovery, as ocsmld -recover runs it beside
+	// live peers: P2 is restarted from it, and the line is 0, since no
+	// other process holds a checkpoint.
+	c, err = NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for _, p := range []int{0, 1, 3} {
+		c.Node(p).Start()
+	}
+	if line, err := c.Recover(2); err != nil || line != 0 {
+		t.Fatalf("Recover(2) over the used store = (line %d, %v), want line 0", line, err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatalf("Start after the recovery: %v", err)
 	}
 }
 

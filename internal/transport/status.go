@@ -33,6 +33,9 @@ type NodeStatus struct {
 	// DurableSeq is the highest checkpoint seq in the on-disk manifest
 	// (-1 without a store or before the first finalization).
 	DurableSeq int `json:"durableSeq"`
+	// DurableLine is the newest S_k the node has heard every process hold
+	// durably (Node.DurableLine; -1 before it has heard one).
+	DurableLine int `json:"durableLine"`
 	// StorageQueue is the number of stable-storage writes queued or in
 	// service.
 	StorageQueue int        `json:"storageQueue"`
@@ -71,6 +74,7 @@ func (n *Node) StatusSnapshot(timeout time.Duration) (NodeStatus, error) {
 			Csn: -1, Proto: n.cfg.Proto.Name(), AppDone: n.h.Finished(),
 			RecoveredLine: n.recLine,
 			DurableSeq:    -1,
+			DurableLine:   n.DurableLine(),
 			StorageQueue:  int(n.storageQ.Load()),
 			Peers:         n.mesh.Peers(),
 		}
